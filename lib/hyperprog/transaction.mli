@@ -30,8 +30,9 @@ val transact : Store.t -> (Rt.t -> 'a) -> 'a outcome
 (** Run the body atomically ([Store.Session.atomically]): on a
     journalled, backed store a successful transaction ends with the
     commit barrier — the delta is fsynced to the write-ahead journal, so
-    commits survive a crash without a full snapshot.  An abort truncates
-    the journal to its pre-transaction savepoint.
+    commits survive a crash without a full snapshot.  An abort after a
+    body that stabilised forces one full compaction, so the store
+    reopens to its pre-transaction state.
     @raise Invalid_argument (from the store) while snapshot sessions are
     open. *)
 

@@ -63,60 +63,72 @@ let find heap oid = Oid.Table.find_opt heap.table oid
 
 let is_live heap oid = Oid.Table.mem heap.table oid
 
+let dangling oid = heap_error "dangling reference %a" Oid.pp oid
+
 let get heap oid =
   match find heap oid with
   | Some entry -> entry
-  | None -> heap_error "dangling reference %a" Oid.pp oid
+  | None -> dangling oid
 
-let get_record heap oid =
-  match get heap oid with
+(* Projections of one entry.  The store's session reads resolve an entry
+   their own way and then project it through these, so every read path
+   reports the same errors. *)
+
+let as_record oid = function
   | Record r -> r
   | Array _ | Str _ | Weak _ -> heap_error "%a is not a record" Oid.pp oid
 
-let get_array heap oid =
-  match get heap oid with
+let as_array oid = function
   | Array a -> a
   | Record _ | Str _ | Weak _ -> heap_error "%a is not an array" Oid.pp oid
 
-let get_string heap oid =
-  match get heap oid with
+let as_string oid = function
   | Str s -> s
   | Record _ | Array _ | Weak _ -> heap_error "%a is not a string" Oid.pp oid
 
-let get_weak heap oid =
-  match get heap oid with
+let as_weak oid = function
   | Weak c -> c
   | Record _ | Array _ | Str _ -> heap_error "%a is not a weak cell" Oid.pp oid
 
-let class_of heap oid =
-  match get heap oid with
+let entry_class = function
   | Record r -> r.class_name
   | Array a -> a.elem_type ^ "[]"
   | Str _ -> "java.lang.String"
   | Weak _ -> "pstore.WeakReference"
 
-let field heap oid idx =
-  let r = get_record heap oid in
+let check_field oid r idx =
   if idx < 0 || idx >= Array.length r.fields then
-    heap_error "field index %d out of range for %a (%s)" idx Oid.pp oid r.class_name;
+    heap_error "field index %d out of range for %a (%s)" idx Oid.pp oid r.class_name
+
+let check_elem a idx =
+  if idx < 0 || idx >= Array.length a.elems then
+    heap_error "array index %d out of bounds (length %d)" idx (Array.length a.elems)
+
+let record_field oid r idx =
+  check_field oid r idx;
   r.fields.(idx)
+
+let array_elem a idx =
+  check_elem a idx;
+  a.elems.(idx)
+
+let get_record heap oid = as_record oid (get heap oid)
+let get_array heap oid = as_array oid (get heap oid)
+let get_string heap oid = as_string oid (get heap oid)
+let get_weak heap oid = as_weak oid (get heap oid)
+let class_of heap oid = entry_class (get heap oid)
+let field heap oid idx = record_field oid (get_record heap oid) idx
 
 let set_field heap oid idx v =
   let r = get_record heap oid in
-  if idx < 0 || idx >= Array.length r.fields then
-    heap_error "field index %d out of range for %a (%s)" idx Oid.pp oid r.class_name;
+  check_field oid r idx;
   r.fields.(idx) <- v
 
-let elem heap oid idx =
-  let a = get_array heap oid in
-  if idx < 0 || idx >= Array.length a.elems then
-    heap_error "array index %d out of bounds (length %d)" idx (Array.length a.elems);
-  a.elems.(idx)
+let elem heap oid idx = array_elem (get_array heap oid) idx
 
 let set_elem heap oid idx v =
   let a = get_array heap oid in
-  if idx < 0 || idx >= Array.length a.elems then
-    heap_error "array index %d out of bounds (length %d)" idx (Array.length a.elems);
+  check_elem a idx;
   a.elems.(idx) <- v
 
 let array_length heap oid = Array.length (get_array heap oid).elems

@@ -48,6 +48,26 @@ val is_live : t -> Oid.t -> bool
 val get : t -> Oid.t -> entry
 (** @raise Heap_error on a dangling oid. *)
 
+val dangling : Oid.t -> 'a
+(** Raise the {!Heap_error} {!get} raises for a dangling oid. *)
+
+(** {2 Entry projections}
+
+    What the accessors below apply to a looked-up entry; exposed so a
+    reader that resolves entries elsewhere (a snapshot session's overlay)
+    reports exactly the same errors.  Each raises {!Heap_error} on the
+    wrong kind or a bad index. *)
+
+val as_record : Oid.t -> entry -> record
+val as_array : Oid.t -> entry -> arr
+val as_string : Oid.t -> entry -> string
+val as_weak : Oid.t -> entry -> weak_cell
+val entry_class : entry -> string
+val check_field : Oid.t -> record -> int -> unit
+val check_elem : arr -> int -> unit
+val record_field : Oid.t -> record -> int -> Pvalue.t
+val array_elem : arr -> int -> Pvalue.t
+
 val get_record : t -> Oid.t -> record
 val get_array : t -> Oid.t -> arr
 val get_string : t -> Oid.t -> string

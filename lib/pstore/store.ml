@@ -32,6 +32,14 @@
    crash between per-shard writes rolls the whole stabilise back, never
    half of it.
 
+   Every read and write is defined once, over a session handle (the
+   [Accessors] functor): [Session] applies it to any handle, and the
+   store's single-owner names ([get], [set_field], ...) apply it to the
+   default session the store holds.  Whole-store rollback
+   ([with_rollback]) restores an in-memory image taken at entry and, if
+   the body stabilised, forces one full compaction — the same path on
+   every layout and durability mode.
+
    Every operation is counted through the store's [Obs.t].  Counting is a
    single array increment; latency timing and trace events only happen
    when tracing is enabled, so the hot accessors below branch on
@@ -90,8 +98,8 @@ type t = {
   mutable compactions : int;
   mutable replayed : int;
   mutable recovered_torn : bool;
-  mutable rollback_depth : int; (* compaction is deferred inside with_rollback *)
   mvcc : mvcc; (* snapshot-session versioning state *)
+  direct : session; (* the default session the single-owner names read and write through *)
 }
 
 (* MVCC snapshot-session state.  Populated only while snapshot sessions
@@ -106,7 +114,6 @@ and mvcc = {
       (* default-session writes share one provisional epoch until sealed *)
   mutable open_sessions : session list; (* snapshot sessions, newest first *)
   mutable next_session_id : int;
-  mutable implicit : session option; (* the lazily-made default session *)
   versions : (int * Heap.entry option) list Oid.Table.t;
       (* per-oid pre-image chain, newest epoch first: [(e, v)] is the
          entry's state from just before the write at epoch [e]
@@ -119,7 +126,7 @@ and mvcc = {
 }
 
 and session_kind =
-  | Direct (* the implicit default session: operations pass straight through *)
+  | Direct (* the default session: operations apply to the shared state *)
   | Snapshot_session of int (* epoch pinned at [open_session] *)
 
 and session = {
@@ -198,7 +205,6 @@ let fresh_mvcc () =
     direct_dirty = false;
     open_sessions = [];
     next_session_id = 1;
-    implicit = None;
     versions = Oid.Table.create 64;
     vstamps = Oid.Table.create 64;
     root_versions = Hashtbl.create 16;
@@ -207,42 +213,60 @@ let fresh_mvcc () =
     blob_stamps = Hashtbl.create 16;
   }
 
-let make ?(obs = Obs.create ()) ?(nshards = 1) () =
+let make ?(obs = Obs.create ()) ?(nshards = 1) ?(heap = Heap.create ()) ?(roots = Roots.create ())
+    ?(blobs = Hashtbl.create 16) ?backing () =
   if nshards < 1 || nshards > max_shards then
     invalid_arg (Printf.sprintf "Store: shard count must be in 1..%d" max_shards);
-  {
-    heap = Heap.create ();
-    roots = Roots.create ();
-    blobs = Hashtbl.create 16;
-    shards = Array.init nshards (fun _ -> make_shard ());
-    obs;
-    props = Props.create ();
-    marker = None;
-    marker_epoch = -1;
-    seq = 0;
-    committed = 0;
-    side_epoch = 0;
-    retry = None;
-    retry_overrides = [];
-    breaker = default_breaker;
-    salvage_degrade = default_salvage_degrade;
-    unhealthy = 0;
-    io_retries = 0;
-    backing = None;
-    pins = [];
-    stabilise_count = 0;
-    gc_count = 0;
-    durability = Snapshot;
-    needs_full = true;
-    compaction_limit = default_compaction_limit;
-    group_window = 1;
-    unsynced = 0;
-    compactions = 0;
-    replayed = 0;
-    recovered_torn = false;
-    rollback_depth = 0;
-    mvcc = fresh_mvcc ();
-  }
+  let rec store =
+    {
+      heap;
+      roots;
+      blobs;
+      shards = Array.init nshards (fun _ -> make_shard ());
+      obs;
+      props = Props.create ();
+      marker = None;
+      marker_epoch = -1;
+      seq = 0;
+      committed = 0;
+      side_epoch = 0;
+      retry = None;
+      retry_overrides = [];
+      breaker = default_breaker;
+      salvage_degrade = default_salvage_degrade;
+      unhealthy = 0;
+      io_retries = 0;
+      backing;
+      pins = [];
+      stabilise_count = 0;
+      gc_count = 0;
+      durability = Snapshot;
+      needs_full = true;
+      compaction_limit = default_compaction_limit;
+      group_window = 1;
+      unsynced = 0;
+      compactions = 0;
+      replayed = 0;
+      recovered_torn = false;
+      mvcc = fresh_mvcc ();
+      direct;
+    }
+  and direct =
+    {
+      s_id = 0;
+      s_store = store;
+      s_kind = Direct;
+      s_overlay = Oid.Table.create 1;
+      s_root_over = Hashtbl.create 1;
+      s_blob_over = Hashtbl.create 1;
+      s_ops = [];
+      s_nops = 0;
+      s_written = Oid.Set.empty;
+      s_allocated = Oid.Set.empty;
+      s_state = `Live;
+    }
+  in
+  store
 
 let heap store = store.heap
 let roots store = store.roots
@@ -464,13 +488,6 @@ let guard_write_oid store oid =
 let guard_write_key store key =
   if store.unhealthy > 0 then guard_shard_write store (shard_ix_key store key)
 
-(* Allocation routes by the oid the heap will hand out next, so the
-   guard must predict it: refusing AFTER allocating would leak a live
-   object into a read-only shard. *)
-let guard_alloc store =
-  if store.unhealthy > 0 then
-    guard_shard_write store (shard_ix_oid store (Oid.of_int (Heap.next_oid store.heap)))
-
 (* Reads always serve (that is the point of degraded mode); a read that
    lands on a demoted shard is counted so operators can see traffic
    running on reduced redundancy. *)
@@ -622,8 +639,8 @@ let create ?config () =
   store
 
 let mark_dirty store =
-  (* Direct heap surgery happens behind the MVCC hooks' back; a pinned
-     snapshot could not survive it. *)
+  (* Direct heap surgery bypasses [apply_op], which keeps pinned
+     snapshots' version chains; a snapshot could not survive it. *)
   if store.mvcc.open_sessions <> [] then
     invalid_arg "Store.mark_dirty: open snapshot sessions pin the object graph; commit or abort them first";
   store.needs_full <- true;
@@ -660,7 +677,7 @@ let pending_total store = Array.fold_left (fun acc sh -> acc + sh.spending_count
    reader resolves a target by walking its version chain for the oldest
    pre-image whose epoch is newer than its snapshot; commit uses the
    stamps for first-committer-wins detection.  With no session open the
-   tables are empty and every hook below is one list-emptiness check. *)
+   tables are empty and a write pays one list-emptiness check. *)
 
 let sessions_open store = store.mvcc.open_sessions <> []
 let open_session_count store = List.length store.mvcc.open_sessions
@@ -695,38 +712,6 @@ let capture_key versions stamps epoch key current =
     Hashtbl.replace versions key ((epoch, current ()) :: chain));
   Hashtbl.replace stamps key epoch
 
-(* Hooks on the direct write path: called before the mutation lands
-   (allocation captures an absent pre-image once the oid is known). *)
-let mvcc_note_write store oid =
-  if sessions_open store then begin
-    let m = store.mvcc in
-    m.direct_dirty <- true;
-    capture_oid store (m.commit_seq + 1) oid ~pre_image:true
-  end
-
-let mvcc_note_alloc store oid =
-  if sessions_open store then begin
-    let m = store.mvcc in
-    m.direct_dirty <- true;
-    capture_oid store (m.commit_seq + 1) oid ~pre_image:false
-  end
-
-let mvcc_note_root store key =
-  if sessions_open store then begin
-    let m = store.mvcc in
-    m.direct_dirty <- true;
-    capture_key m.root_versions m.root_stamps (m.commit_seq + 1) key (fun () ->
-        Roots.find store.roots key)
-  end
-
-let mvcc_note_blob store key =
-  if sessions_open store then begin
-    let m = store.mvcc in
-    m.direct_dirty <- true;
-    capture_key m.blob_versions m.blob_stamps (m.commit_seq + 1) key (fun () ->
-        Hashtbl.find_opt store.blobs key)
-  end
-
 (* The chain is newest-first, so the LAST element whose epoch is newer
    than the snapshot holds the state the snapshot saw. *)
 let chain_pick snap chain =
@@ -744,86 +729,15 @@ let snapshot_entry store snap oid =
     | Some before -> before
     | None -> Heap.find store.heap oid)
 
-let snapshot_root_value store snap key =
-  match Hashtbl.find_opt store.mvcc.root_versions key with
-  | None | Some [] -> Roots.find store.roots key
+(* A root or blob key as of [snap]: [versions] is its chain table,
+   [current] the live lookup. *)
+let snapshot_value versions current snap key =
+  match Hashtbl.find_opt versions key with
+  | None | Some [] -> current key
   | Some chain -> (
     match chain_pick snap chain with
     | Some v -> v
-    | None -> Roots.find store.roots key)
-
-let snapshot_blob_value store snap key =
-  match Hashtbl.find_opt store.mvcc.blob_versions key with
-  | None | Some [] -> Hashtbl.find_opt store.blobs key
-  | Some chain -> (
-    match chain_pick snap chain with
-    | Some v -> v
-    | None -> Hashtbl.find_opt store.blobs key)
-
-(* -- roots --------------------------------------------------------------- *)
-
-let set_root store name v =
-  guard_write_key store name;
-  Obs.incr store.obs Obs.Set;
-  mvcc_note_root store name;
-  Roots.set store.roots name v;
-  if journalling store then record store (Journal.Set_root (name, v))
-
-let root store name =
-  note_read_key store name;
-  Obs.incr store.obs Obs.Root_lookup;
-  Roots.find store.roots name
-
-let remove_root store name =
-  guard_write_key store name;
-  Obs.incr store.obs Obs.Set;
-  mvcc_note_root store name;
-  Roots.remove store.roots name;
-  if journalling store then record store (Journal.Remove_root name)
-
-let root_names store = Roots.names store.roots
-
-(* -- allocation & access ------------------------------------------------- *)
-
-(* Allocations are journalled with a copy of the entry as allocated —
-   a copy, because the live entry is mutable and the op may outlive
-   arbitrary later mutations (rollback replays it).  Subsequent mutations
-   arrive as their own records, so replay converges on the same final
-   state in the same order. *)
-let journal_alloc store oid =
-  record store (Journal.Alloc (oid, Journal.copy_entry (Heap.get store.heap oid)))
-
-let alloc_record store class_name fields =
-  guard_alloc store;
-  Obs.span store.obs Obs.Alloc ~label:class_name (fun () ->
-      let oid = Heap.alloc_record store.heap class_name fields in
-      mvcc_note_alloc store oid;
-      if journalling store then journal_alloc store oid;
-      oid)
-
-let alloc_array store elem_type elems =
-  guard_alloc store;
-  Obs.span store.obs Obs.Alloc ~label:elem_type (fun () ->
-      let oid = Heap.alloc_array store.heap elem_type elems in
-      mvcc_note_alloc store oid;
-      if journalling store then journal_alloc store oid;
-      oid)
-
-let alloc_string store s =
-  guard_alloc store;
-  Obs.span store.obs Obs.Alloc ~label:"string" (fun () ->
-      let oid = Heap.alloc_string store.heap s in
-      mvcc_note_alloc store oid;
-      if journalling store then journal_alloc store oid;
-      oid)
-
-let alloc_weak store target =
-  guard_alloc store;
-  Obs.span store.obs Obs.Alloc ~label:"weak" (fun () ->
-      let oid = Heap.alloc_weak store.heap target in
-      mvcc_note_alloc store oid;
-      if journalling store then journal_alloc store oid;
-      oid)
+    | None -> current key)
 
 (* Reads of a quarantined oid fail with the typed [Quarantined] error so
    callers can degrade gracefully instead of consuming corrupt state.
@@ -840,143 +754,6 @@ let check_q store oid =
    re-primes it on its next pass (trust-on-first-scan — no per-write
    hashing cost on the hot path). *)
 let invalidate_crc store oid = Oid.Table.remove (shard_oid store oid).scrcs oid
-
-let get store oid =
-  if Obs.enabled store.obs then
-    Obs.span store.obs Obs.Get ~oid (fun () ->
-        check_q store oid;
-        Heap.get store.heap oid)
-  else begin
-    Obs.incr store.obs Obs.Get;
-    check_q store oid;
-    Heap.get store.heap oid
-  end
-
-let find store oid =
-  Obs.incr store.obs Obs.Get;
-  if Quarantine.mem (shard_oid store oid).sq oid then None else Heap.find store.heap oid
-
-let is_live store oid = Heap.is_live store.heap oid
-
-let class_of store oid =
-  Obs.incr store.obs Obs.Get;
-  check_q store oid;
-  Heap.class_of store.heap oid
-
-let get_record store oid =
-  Obs.incr store.obs Obs.Get;
-  check_q store oid;
-  Heap.get_record store.heap oid
-
-let get_array store oid =
-  Obs.incr store.obs Obs.Get;
-  check_q store oid;
-  Heap.get_array store.heap oid
-
-let get_string store oid =
-  Obs.incr store.obs Obs.Get;
-  check_q store oid;
-  Heap.get_string store.heap oid
-
-let get_weak store oid =
-  Obs.incr store.obs Obs.Get;
-  check_q store oid;
-  Heap.get_weak store.heap oid
-
-let field store oid idx =
-  if Obs.enabled store.obs then
-    Obs.span store.obs Obs.Get ~oid (fun () ->
-        check_q store oid;
-        Heap.field store.heap oid idx)
-  else begin
-    Obs.incr store.obs Obs.Get;
-    check_q store oid;
-    Heap.field store.heap oid idx
-  end
-
-let set_field store oid idx v =
-  guard_write_oid store oid;
-  if Obs.enabled store.obs then
-    Obs.span store.obs Obs.Set ~oid (fun () ->
-        check_q store oid;
-        mvcc_note_write store oid;
-        Heap.set_field store.heap oid idx v;
-        invalidate_crc store oid;
-        if journalling store then record store (Journal.Set_field (oid, idx, v)))
-  else begin
-    Obs.incr store.obs Obs.Set;
-    check_q store oid;
-    mvcc_note_write store oid;
-    Heap.set_field store.heap oid idx v;
-    invalidate_crc store oid;
-    if journalling store then record store (Journal.Set_field (oid, idx, v))
-  end
-
-let elem store oid idx =
-  if Obs.enabled store.obs then
-    Obs.span store.obs Obs.Get ~oid (fun () ->
-        check_q store oid;
-        Heap.elem store.heap oid idx)
-  else begin
-    Obs.incr store.obs Obs.Get;
-    check_q store oid;
-    Heap.elem store.heap oid idx
-  end
-
-let set_elem store oid idx v =
-  guard_write_oid store oid;
-  if Obs.enabled store.obs then
-    Obs.span store.obs Obs.Set ~oid (fun () ->
-        check_q store oid;
-        mvcc_note_write store oid;
-        Heap.set_elem store.heap oid idx v;
-        invalidate_crc store oid;
-        if journalling store then record store (Journal.Set_elem (oid, idx, v)))
-  else begin
-    Obs.incr store.obs Obs.Set;
-    check_q store oid;
-    mvcc_note_write store oid;
-    Heap.set_elem store.heap oid idx v;
-    invalidate_crc store oid;
-    if journalling store then record store (Journal.Set_elem (oid, idx, v))
-  end
-
-let array_length store oid =
-  Obs.incr store.obs Obs.Get;
-  check_q store oid;
-  Heap.array_length store.heap oid
-
-(* -- salvage reads -------------------------------------------------------- *)
-
-let try_get store oid =
-  note_read store oid;
-  Obs.incr store.obs Obs.Get;
-  match Quarantine.find (shard_oid store oid).sq oid with
-  | Some reason ->
-    Obs.incr store.obs Obs.Quarantine_hit;
-    Error (Failure.Quarantined { oid; reason })
-  | None -> begin
-    match Heap.find store.heap oid with
-    | Some entry -> Ok entry
-    | None -> Error (Failure.Dangling oid)
-  end
-
-let try_field store oid idx =
-  match try_get store oid with
-  | Error e -> Error e
-  | Ok entry -> begin
-    match Heap.field store.heap oid idx with
-    | v -> Ok v
-    | exception Heap.Heap_error _ ->
-      let container =
-        match entry with
-        | Heap.Record r -> r.Heap.class_name
-        | Heap.Array a -> a.Heap.elem_type ^ "[]"
-        | Heap.Str _ -> "string"
-        | Heap.Weak _ -> "weak cell"
-      in
-      Error (Failure.Bad_index { container; index = idx })
-  end
 
 (* -- quarantine ----------------------------------------------------------- *)
 
@@ -1015,36 +792,345 @@ let quarantined_total store =
 
 let size store = Heap.size store.heap
 
-(* Interned string allocation would be possible, but Java semantics gives
-   distinct identity to non-literal strings; we allocate fresh. *)
-let string_value store = function
-  | Pvalue.Ref oid -> Heap.get_string store.heap oid
-  | v ->
-    raise (Heap.Heap_error ("expected a string reference, got " ^ Pvalue.to_string v))
+(* -- the accessor surface --------------------------------------------------
 
-(* -- blobs --------------------------------------------------------------- *)
+   Every read and write is defined once, over a session handle.  The only
+   step that differs by session kind is resolving an oid or key: the
+   default session ([Direct]) reads the shared state, a snapshot session
+   its own overlay, then the version chains, then the shared state.
+   Writes build a [Journal.op] and hand it to [step]: the default session
+   validates it and applies it through [apply_op] — the same path a
+   snapshot commit publishes through — while a snapshot session applies
+   it to its overlay and buffers it. *)
 
-let set_blob store key data =
-  guard_write_key store key;
-  Obs.incr store.obs Obs.Set;
-  mvcc_note_blob store key;
-  Hashtbl.replace store.blobs key data;
-  if journalling store then record store (Journal.Set_blob (key, data))
+let check_live s ctx =
+  match s.s_state with
+  | `Live -> ()
+  | `Committed ->
+    invalid_arg (Printf.sprintf "Store.Session.%s: session %d already committed" ctx s.s_id)
+  | `Aborted ->
+    invalid_arg (Printf.sprintf "Store.Session.%s: session %d already aborted" ctx s.s_id)
 
-let blob store key =
-  note_read_key store key;
-  Obs.incr store.obs Obs.Get;
-  Hashtbl.find_opt store.blobs key
+let resolve s oid =
+  match s.s_kind with
+  | Direct -> Heap.find s.s_store.heap oid
+  | Snapshot_session snap -> (
+    match Oid.Table.find_opt s.s_overlay oid with
+    | Some _ as e -> e
+    | None -> snapshot_entry s.s_store snap oid)
 
-let remove_blob store key =
-  guard_write_key store key;
-  Obs.incr store.obs Obs.Set;
-  mvcc_note_blob store key;
-  Hashtbl.remove store.blobs key;
-  if journalling store then record store (Journal.Remove_blob key)
+let resolve_root s name =
+  match s.s_kind with
+  | Direct -> Roots.find s.s_store.roots name
+  | Snapshot_session snap -> (
+    match Hashtbl.find_opt s.s_root_over name with
+    | Some v -> v
+    | None ->
+      let store = s.s_store in
+      snapshot_value store.mvcc.root_versions (Roots.find store.roots) snap name)
 
-let blob_keys store =
-  Hashtbl.fold (fun k _ acc -> k :: acc) store.blobs [] |> List.sort String.compare
+let resolve_blob s key =
+  match s.s_kind with
+  | Direct -> Hashtbl.find_opt s.s_store.blobs key
+  | Snapshot_session snap -> (
+    match Hashtbl.find_opt s.s_blob_over key with
+    | Some v -> v
+    | None ->
+      let store = s.s_store in
+      snapshot_value store.mvcc.blob_versions (Hashtbl.find_opt store.blobs) snap key)
+
+(* The sorted keys a session sees: the live ones, plus — for a snapshot —
+   keys changed since it opened and keys it wrote itself, kept if they
+   resolve. *)
+let visible_keys s resolve live versions over =
+  match s.s_kind with
+  | Direct -> List.sort String.compare live
+  | Snapshot_session _ ->
+    let tbl = Hashtbl.create 32 in
+    List.iter (fun k -> Hashtbl.replace tbl k ()) live;
+    Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) versions;
+    Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) over;
+    Hashtbl.fold (fun k () acc -> if resolve s k <> None then k :: acc else acc) tbl []
+    |> List.sort String.compare
+
+let visible s oid =
+  check_q s.s_store oid;
+  match resolve s oid with
+  | Some e -> e
+  | None -> Heap.dangling oid
+
+(* One counted read of an oid; [timed_read] also times it while tracing
+   is on ([get], [field] and [elem] always have been). *)
+let read s ctx oid =
+  check_live s ctx;
+  Obs.incr s.s_store.obs Obs.Get;
+  visible s oid
+
+let timed_read s ctx oid =
+  let obs = s.s_store.obs in
+  if Obs.enabled obs then
+    Obs.span obs Obs.Get ~oid (fun () ->
+        check_live s ctx;
+        visible s oid)
+  else read s ctx oid
+
+(* Refuse an op before it touches shared state: shard health, quarantine
+   and dangling targets.  The default session validates each write; a
+   snapshot commit validates its whole buffer up front. *)
+let validate_op s op =
+  let store = s.s_store in
+  match op with
+  | Journal.Alloc (oid, _) -> guard_write_oid store oid
+  | Journal.Set_field (oid, _, _) | Journal.Set_elem (oid, _, _) ->
+    guard_write_oid store oid;
+    if not (Oid.Set.mem oid s.s_allocated) then begin
+      check_q store oid;
+      if not (Heap.is_live store.heap oid) then Heap.dangling oid
+    end
+  | Journal.Set_root (key, _)
+  | Journal.Remove_root key
+  | Journal.Set_blob (key, _)
+  | Journal.Remove_blob key -> guard_write_key store key
+
+let capture_root store epoch key =
+  capture_key store.mvcc.root_versions store.mvcc.root_stamps epoch key (fun () ->
+      Roots.find store.roots key)
+
+let capture_blob store epoch key =
+  capture_key store.mvcc.blob_versions store.mvcc.blob_stamps epoch key (fun () ->
+      Hashtbl.find_opt store.blobs key)
+
+(* Apply one op to the shared state.  While snapshot sessions are open,
+   the target's pre-image is first captured for them and stamped with
+   the epoch being written; then the state is mutated and the op handed
+   to the journal buffer.  Allocations are journalled with a copy of the
+   entry: the live entry is mutable, and later mutations arrive as their
+   own records. *)
+let apply_op store op =
+  let capture = sessions_open store in
+  let epoch = store.mvcc.commit_seq + 1 in
+  (match op with
+  | Journal.Alloc (oid, entry) ->
+    if capture then capture_oid store epoch oid ~pre_image:false;
+    Heap.insert store.heap oid entry;
+    invalidate_crc store oid
+  | Journal.Set_field (oid, idx, v) ->
+    let r = Heap.get_record store.heap oid in
+    Heap.check_field oid r idx;
+    if capture then capture_oid store epoch oid ~pre_image:true;
+    r.Heap.fields.(idx) <- v;
+    invalidate_crc store oid
+  | Journal.Set_elem (oid, idx, v) ->
+    let a = Heap.get_array store.heap oid in
+    Heap.check_elem a idx;
+    if capture then capture_oid store epoch oid ~pre_image:true;
+    a.Heap.elems.(idx) <- v;
+    invalidate_crc store oid
+  | Journal.Set_root (key, v) ->
+    if capture then capture_root store epoch key;
+    Roots.set store.roots key v
+  | Journal.Remove_root key ->
+    if capture then capture_root store epoch key;
+    Roots.remove store.roots key
+  | Journal.Set_blob (key, data) ->
+    if capture then capture_blob store epoch key;
+    Hashtbl.replace store.blobs key data
+  | Journal.Remove_blob key ->
+    if capture then capture_blob store epoch key;
+    Hashtbl.remove store.blobs key);
+  if journalling store then
+    record store
+      (match op with
+      | Journal.Alloc (oid, entry) -> Journal.Alloc (oid, Journal.copy_entry entry)
+      | op -> op)
+
+(* A snapshot write lands on a private copy: the session's own
+   allocation, or a copy-on-write of the visible entry (which also enrols
+   the oid in the write set for conflict detection). *)
+let overlay_entry s snap oid =
+  match Oid.Table.find_opt s.s_overlay oid with
+  | Some e -> e
+  | None -> (
+    match snapshot_entry s.s_store snap oid with
+    | Some e ->
+      let copy = Journal.copy_entry e in
+      Oid.Table.replace s.s_overlay oid copy;
+      s.s_written <- Oid.Set.add oid s.s_written;
+      copy
+    | None -> Heap.dangling oid)
+
+let buffer s snap op =
+  (match op with
+  | Journal.Alloc (oid, entry) ->
+    Oid.Table.replace s.s_overlay oid entry;
+    s.s_allocated <- Oid.Set.add oid s.s_allocated
+  | Journal.Set_field (oid, idx, v) ->
+    check_q s.s_store oid;
+    let r = Heap.as_record oid (overlay_entry s snap oid) in
+    Heap.check_field oid r idx;
+    r.Heap.fields.(idx) <- v
+  | Journal.Set_elem (oid, idx, v) ->
+    check_q s.s_store oid;
+    let a = Heap.as_array oid (overlay_entry s snap oid) in
+    Heap.check_elem a idx;
+    a.Heap.elems.(idx) <- v
+  | Journal.Set_root (name, v) -> Hashtbl.replace s.s_root_over name (Some v)
+  | Journal.Remove_root name -> Hashtbl.replace s.s_root_over name None
+  | Journal.Set_blob (key, data) -> Hashtbl.replace s.s_blob_over key (Some data)
+  | Journal.Remove_blob key -> Hashtbl.replace s.s_blob_over key None);
+  s.s_ops <- op :: s.s_ops;
+  s.s_nops <- s.s_nops + 1
+
+let step s op =
+  match s.s_kind with
+  | Direct ->
+    validate_op s op;
+    (* direct writes share one provisional epoch until sealed *)
+    if sessions_open s.s_store then s.s_store.mvcc.direct_dirty <- true;
+    apply_op s.s_store op
+  | Snapshot_session snap -> buffer s snap op
+
+let write s ctx op =
+  check_live s ctx;
+  let obs = s.s_store.obs in
+  match op with
+  | (Journal.Set_field (oid, _, _) | Journal.Set_elem (oid, _, _)) when Obs.enabled obs ->
+    Obs.span obs Obs.Set ~oid (fun () -> step s op)
+  | _ ->
+    Obs.incr obs Obs.Set;
+    step s op
+
+(* An allocation takes the next oid from the shared allocator — so
+   sessions and direct writers never collide — and claims it only once
+   the step succeeds.  A snapshot session's entry stays private until
+   commit; an aborted session's oids are simply never used. *)
+let alloc s label entry =
+  check_live s "alloc";
+  let heap = s.s_store.heap in
+  Obs.span s.s_store.obs Obs.Alloc ~label (fun () ->
+      let n = Heap.next_oid heap in
+      let oid = Oid.of_int n in
+      step s (Journal.Alloc (oid, entry));
+      Heap.set_next_oid heap (n + 1);
+      oid)
+
+let container_name = function
+  | Heap.Record r -> r.Heap.class_name
+  | Heap.Array a -> a.Heap.elem_type ^ "[]"
+  | Heap.Str _ -> "string"
+  | Heap.Weak _ -> "weak cell"
+
+(* The accessors, once.  [Session] applies this to session handles; the
+   store's own single-owner names apply it to the store, whose handle is
+   its default session. *)
+module Accessors (H : sig
+  type t
+
+  val session : t -> session
+end) =
+struct
+  let get h oid = timed_read (H.session h) "get" oid
+
+  let find h oid =
+    let s = H.session h in
+    check_live s "find";
+    Obs.incr s.s_store.obs Obs.Get;
+    if is_quarantined s.s_store oid then None else resolve s oid
+
+  let is_live h oid = resolve (H.session h) oid <> None
+  let class_of h oid = Heap.entry_class (read (H.session h) "class_of" oid)
+  let get_record h oid = Heap.as_record oid (read (H.session h) "get_record" oid)
+  let get_array h oid = Heap.as_array oid (read (H.session h) "get_array" oid)
+  let get_string h oid = Heap.as_string oid (read (H.session h) "get_string" oid)
+  let get_weak h oid = Heap.as_weak oid (read (H.session h) "get_weak" oid)
+
+  let field h oid idx =
+    Heap.record_field oid (Heap.as_record oid (timed_read (H.session h) "field" oid)) idx
+
+  let elem h oid idx = Heap.array_elem (Heap.as_array oid (timed_read (H.session h) "elem" oid)) idx
+  let array_length h oid =
+    Array.length (Heap.as_array oid (read (H.session h) "array_length" oid)).Heap.elems
+
+  let string_value h = function
+    | Pvalue.Ref oid -> get_string h oid
+    | v -> raise (Heap.Heap_error ("expected a string reference, got " ^ Pvalue.to_string v))
+
+  let try_get h oid =
+    let s = H.session h in
+    let store = s.s_store in
+    check_live s "try_get";
+    note_read store oid;
+    Obs.incr store.obs Obs.Get;
+    match Quarantine.find (shard_oid store oid).sq oid with
+    | Some reason ->
+      Obs.incr store.obs Obs.Quarantine_hit;
+      Error (Failure.Quarantined { oid; reason })
+    | None -> (
+      match resolve s oid with
+      | Some entry -> Ok entry
+      | None -> Error (Failure.Dangling oid))
+
+  let try_field h oid idx =
+    match try_get h oid with
+    | Error e -> Error e
+    | Ok entry -> (
+      match Heap.record_field oid (Heap.as_record oid entry) idx with
+      | v -> Ok v
+      | exception Heap.Heap_error _ ->
+        Error (Failure.Bad_index { container = container_name entry; index = idx }))
+
+  let root h name =
+    let s = H.session h in
+    check_live s "root";
+    note_read_key s.s_store name;
+    Obs.incr s.s_store.obs Obs.Root_lookup;
+    resolve_root s name
+
+  let root_names h =
+    let s = H.session h in
+    check_live s "root_names";
+    let store = s.s_store in
+    visible_keys s resolve_root
+      (Roots.fold (fun k _ acc -> k :: acc) store.roots [])
+      store.mvcc.root_versions s.s_root_over
+
+  let blob h key =
+    let s = H.session h in
+    check_live s "blob";
+    note_read_key s.s_store key;
+    Obs.incr s.s_store.obs Obs.Get;
+    resolve_blob s key
+
+  let blob_keys h =
+    let s = H.session h in
+    check_live s "blob_keys";
+    let store = s.s_store in
+    visible_keys s resolve_blob
+      (Hashtbl.fold (fun k _ acc -> k :: acc) store.blobs [])
+      store.mvcc.blob_versions s.s_blob_over
+
+  let set_field h oid idx v = write (H.session h) "set_field" (Journal.Set_field (oid, idx, v))
+  let set_elem h oid idx v = write (H.session h) "set_elem" (Journal.Set_elem (oid, idx, v))
+  let set_root h name v = write (H.session h) "set_root" (Journal.Set_root (name, v))
+  let remove_root h name = write (H.session h) "remove_root" (Journal.Remove_root name)
+  let set_blob h key data = write (H.session h) "set_blob" (Journal.Set_blob (key, data))
+  let remove_blob h key = write (H.session h) "remove_blob" (Journal.Remove_blob key)
+
+  let alloc_record h class_name fields =
+    alloc (H.session h) class_name (Heap.Record { Heap.class_name; fields })
+
+  let alloc_array h elem_type elems =
+    alloc (H.session h) elem_type (Heap.Array { Heap.elem_type; elems })
+
+  let alloc_string h str = alloc (H.session h) "string" (Heap.Str str)
+  let alloc_weak h target = alloc (H.session h) "weak" (Heap.Weak { Heap.target })
+end
+
+include Accessors (struct
+  type nonrec t = t
+
+  let session store = store.direct
+end)
 
 (* -- pins (transient strong roots) --------------------------------------- *)
 
@@ -1117,17 +1203,15 @@ let reachable store =
 (* A single-shard store's contents share its quarantine set (the legacy
    contract); a sharded store merges the per-shard sets into a fresh one,
    so fingerprints are identical whatever the shard count. *)
+let merged_quarantine store =
+  let q = Quarantine.create () in
+  Array.iter
+    (fun sh -> List.iter (fun (oid, r) -> Quarantine.add q oid r) (Quarantine.to_list sh.sq))
+    store.shards;
+  q
+
 let contents store =
-  let quarantine =
-    if nshards store = 1 then (s0 store).sq
-    else begin
-      let q = Quarantine.create () in
-      Array.iter
-        (fun sh -> List.iter (fun (oid, r) -> Quarantine.add q oid r) (Quarantine.to_list sh.sq))
-        store.shards;
-      q
-    end
-  in
+  let quarantine = if nshards store = 1 then (s0 store).sq else merged_quarantine store in
   { Image.heap = store.heap; roots = store.roots; blobs = store.blobs; quarantine }
 
 (* -- scrubbing ------------------------------------------------------------ *)
@@ -1510,7 +1594,6 @@ let stabilise_once_sharded store path =
   match store.durability with
   | Snapshot -> save_shards_snapshot store path
   | Journalled ->
-    let in_rollback = store.rollback_depth > 0 in
     let active sh = Health.healthy sh.shealth in
     (* Missing files of a DEMOTED shard don't force anything: that shard
        is out of service and its rebuild is [repair]'s job.  Only a
@@ -1528,11 +1611,7 @@ let stabilise_once_sharded store path =
       > limit
     in
     let want sh = active sh && (over sh || sh.sneeds_full) in
-    if must_compact && in_rollback then
-      invalid_arg
-        "Store.stabilise: store needs compaction inside with_rollback (after a gc or direct \
-         heap surgery); stabilise before the transaction instead"
-    else if must_compact then begin
+    if must_compact then begin
       (* A full compaction rewrites every shard and rotates the marker —
          it cannot proceed around a dead shard.  Refuse with the typed
          error naming the shard that must be repaired first. *)
@@ -1542,7 +1621,7 @@ let stabilise_once_sharded store path =
          | None -> ());
       compact_shards store path ~full:true ~selected:(Array.make (nshards store) true)
     end
-    else if Array.exists want store.shards && not in_rollback then
+    else if Array.exists want store.shards then
       (* Per-shard compaction: only the shards over their slice of the
          limit (or owing a quarantine-change image) pay the rewrite — the
          hot shard compacts while cold shards keep their journals. *)
@@ -1561,17 +1640,11 @@ let stabilise_once store path =
     | Snapshot -> ignore (Image.save ~obs:store.obs path (contents store) : int32)
     | Journalled ->
       let sh = s0 store in
-      let in_rollback = store.rollback_depth > 0 in
-      let must_compact = store.needs_full || sh.swal = None in
-      let over_limit = wal_depth store + sh.spending_count > store.compaction_limit in
-      if must_compact && in_rollback then
-        invalid_arg
-          "Store.stabilise: store needs compaction inside with_rollback (after a gc or direct \
-           heap surgery); stabilise before the transaction instead"
-      else if must_compact || (over_limit && not in_rollback) then compact store path
+      if
+        store.needs_full || sh.swal = None
+        || wal_depth store + sh.spending_count > store.compaction_limit
+      then compact store path
       else begin
-        (* Over the limit inside a transaction we keep appending: compaction
-           cannot be undone by an abort, the next top-level stabilise does it. *)
         let wal = Option.get sh.swal in
         match
           (* The delta rides as one batch record — atomic under a torn
@@ -1636,8 +1709,7 @@ let distribute_quarantine store q =
     (Quarantine.to_list q)
 
 let of_contents ?obs ?backing { Image.heap; roots; blobs; quarantine } =
-  let base = make ?obs () in
-  let store = { base with heap; roots; blobs; backing } in
+  let store = make ?obs ~heap ~roots ~blobs ?backing () in
   distribute_quarantine store quarantine;
   store
 
@@ -2155,16 +2227,12 @@ let restore_contents store (restored : Image.contents) =
   distribute_quarantine store restored.Image.quarantine
 
 (* Run [f] with whole-store rollback: on an exception the heap, roots and
-   blobs are restored to their state at entry (oids included) and the
-   exception is returned.
-
-   A journalled, backed, single-shard store aborts by recovery instead of
-   by snapshot: the journal is truncated to its entry savepoint and the
-   pre-transaction state is rebuilt from the image plus the journal plus
-   the entry-time pending ops — O(committed delta), not O(store).  Stores
-   the journal cannot describe (snapshot mode, unstabilised, dirtied by
-   gc/direct heap surgery, or sharded — where entry state spans several
-   files) pay the original full-image snapshot. *)
+   blobs are restored to their state at entry (oids included) from an
+   in-memory image taken at entry, and the exception is returned.  The
+   body may do anything a top-level caller may, stabilise and gc
+   included.  If it stabilised, the disk now holds state the abort threw
+   away, so one full compaction writes the entry state back — on every
+   layout and durability mode alike. *)
 let with_rollback store f =
   (* Rolling shared state back out from under a pinned snapshot would
      falsify it (and the versions/stamps describing it). *)
@@ -2172,84 +2240,41 @@ let with_rollback store f =
     invalid_arg
       "Store.with_rollback: open snapshot sessions would observe the rollback; commit or abort \
        them first";
-  let journal_restore =
-    nshards store = 1
-    && journalling store
-    && (s0 store).swal <> None
-    && (not store.needs_full)
-    && store.backing <> None
-  in
-  store.rollback_depth <- store.rollback_depth + 1;
-  let leave () = store.rollback_depth <- store.rollback_depth - 1 in
-  if journal_restore then begin
-    let sh = s0 store in
-    let wal = Option.get sh.swal in
-    let saved_pending = sh.spending in
-    let saved_count = sh.spending_count in
-    let mark = Journal.position wal in
-    let mark_depth = Journal.depth wal in
-    match f () with
-    | result ->
-      leave ();
-      Ok result
-    | exception e ->
-      (* Anything the transaction managed to stabilise sits past the
-         savepoint; cut it off, then rebuild entry-time state by the same
-         path crash recovery takes. *)
-      Journal.truncate_to wal ~pos:mark ~depth:mark_depth;
-      let path = Option.get store.backing in
-      let restored = Image.load path in
-      (match Journal.read (Journal.path_for path) with
-      | Some replay ->
-        List.iter
-          (fun (op, _) ->
-            Journal.apply op restored.Image.heap restored.Image.roots restored.Image.blobs)
-          replay.Journal.records
-      | None -> ());
-      List.iter
-        (fun op -> Journal.apply op restored.Image.heap restored.Image.roots restored.Image.blobs)
-        (List.rev saved_pending);
-      restore_contents store restored;
-      sh.spending <- saved_pending;
-      sh.spending_count <- saved_count;
-      store.needs_full <- false;
-      leave ();
-      Error e
-  end
-  else begin
-    let snapshot = Image.encode (contents store) in
-    let saved = Array.map (fun sh -> (sh.spending, sh.spending_count)) store.shards in
-    match f () with
-    | result ->
-      leave ();
-      Ok result
-    | exception e ->
-      restore_contents store (Image.decode snapshot);
-      Array.iteri
-        (fun k sh ->
-          let pending, count = saved.(k) in
-          sh.spending <- pending;
-          sh.spending_count <- count)
-        store.shards;
-      leave ();
-      Error e
-  end
+  let image = Image.encode (contents store) in
+  let pending = Array.map (fun sh -> (sh.spending, sh.spending_count)) store.shards in
+  let disk_writes () = store.stabilise_count + store.compactions in
+  let writes_at_entry = disk_writes () in
+  match f () with
+  | result -> Ok result
+  | exception e ->
+    restore_contents store (Image.decode image);
+    Array.iteri
+      (fun k sh ->
+        let ops, count = pending.(k) in
+        sh.spending <- ops;
+        sh.spending_count <- count)
+      store.shards;
+    if disk_writes () <> writes_at_entry then begin
+      store.needs_full <- true;
+      stabilise store
+    end;
+    Error e
 
 (* -- sessions: the handle-first surface ------------------------------------
 
    [Session.t] is the unit of isolation.  Two kinds share the handle:
 
-   - the implicit DEFAULT session ([default_session]), through which
-     every legacy single-owner call below routes: its operations pass
-     straight through to the shared state, exactly as they always did;
+   - the DEFAULT session ([default_session]), which the store holds and
+     its single-owner names use: its operations apply to the shared state
+     directly;
 
    - SNAPSHOT sessions ([open_session]): each pins the committed-write
      epoch at open, reads a byte-stable view of that instant (plus its
      own writes), buffers every write privately, and publishes them all
-     at once at [Session.commit] — replayed through the store's normal
-     guarded mutation path and made durable through the group-commit
-     journal.  First committer wins: a commit whose write set overlaps
-     anything committed after its snapshot raises the typed
+     at once at [Session.commit] — through the same [apply_op] the
+     default session writes through, and made durable through the
+     group-commit journal.  First committer wins: a commit whose write
+     set overlaps anything committed after its snapshot raises the typed
      [Failure.Commit_conflict] and aborts, touching nothing. *)
 
 (* The commit barrier: on a journalled, backed store a committed delta
@@ -2260,6 +2285,29 @@ let commit_barrier store =
   match store.durability, store.backing with
   | Journalled, Some _ -> stabilise store
   | (Journalled | Snapshot), _ -> ()
+
+(* Pin a snapshot of the committed state as of now.  Any unsealed direct
+   writes are sealed first, so the new session's epoch cleanly separates
+   "before open" from "after open".  The default session never buffers,
+   so its record is a clean template for the new handle. *)
+let open_session store =
+  let m = store.mvcc in
+  seal_epoch store;
+  let s =
+    {
+      store.direct with
+      s_id = m.next_session_id;
+      s_kind = Snapshot_session m.commit_seq;
+      s_overlay = Oid.Table.create 16;
+      s_root_over = Hashtbl.create 8;
+      s_blob_over = Hashtbl.create 8;
+    }
+  in
+  m.next_session_id <- m.next_session_id + 1;
+  m.open_sessions <- s :: m.open_sessions;
+  s
+
+let default_session store = store.direct
 
 module Session = struct
   type nonrec t = session
@@ -2281,351 +2329,11 @@ module Session = struct
   let is_open s = s.s_state = `Live
   let buffered_ops s = s.s_nops
 
-  let check_live s ctx =
-    match s.s_state with
-    | `Live -> ()
-    | `Committed ->
-      invalid_arg (Printf.sprintf "Store.Session.%s: session %d already committed" ctx s.s_id)
-    | `Aborted ->
-      invalid_arg (Printf.sprintf "Store.Session.%s: session %d already aborted" ctx s.s_id)
+  include Accessors (struct
+    type nonrec t = session
 
-  (* -- snapshot reads ----------------------------------------------------- *)
-
-  let dangling oid =
-    raise (Heap.Heap_error (Format.asprintf "dangling reference %a" Oid.pp oid))
-
-  (* How a snapshot session sees one oid: its own overlay first
-     (read-your-writes), then the version chains, then the live heap. *)
-  let resolved s snap oid =
-    match Oid.Table.find_opt s.s_overlay oid with
-    | Some e -> Some e
-    | None -> snapshot_entry s.s_store snap oid
-
-  let resolved_root s snap name =
-    match Hashtbl.find_opt s.s_root_over name with
-    | Some v -> v
-    | None -> snapshot_root_value s.s_store snap name
-
-  let resolved_blob s snap key =
-    match Hashtbl.find_opt s.s_blob_over key with
-    | Some v -> v
-    | None -> snapshot_blob_value s.s_store snap key
-
-  let get s oid =
-    match s.s_kind with
-    | Direct -> get s.s_store oid
-    | Snapshot_session snap -> (
-      check_live s "get";
-      Obs.incr s.s_store.obs Obs.Get;
-      check_q s.s_store oid;
-      match resolved s snap oid with
-      | Some e -> e
-      | None -> dangling oid)
-
-  let find s oid =
-    match s.s_kind with
-    | Direct -> find s.s_store oid
-    | Snapshot_session snap ->
-      check_live s "find";
-      Obs.incr s.s_store.obs Obs.Get;
-      if Quarantine.mem (shard_oid s.s_store oid).sq oid then None else resolved s snap oid
-
-  let is_live s oid =
-    match s.s_kind with
-    | Direct -> is_live s.s_store oid
-    | Snapshot_session snap -> resolved s snap oid <> None
-
-  let entry_record oid = function
-    | Heap.Record r -> r
-    | Heap.Array _ | Heap.Str _ | Heap.Weak _ ->
-      raise (Heap.Heap_error (Format.asprintf "%a is not a record" Oid.pp oid))
-
-  let entry_array oid = function
-    | Heap.Array a -> a
-    | Heap.Record _ | Heap.Str _ | Heap.Weak _ ->
-      raise (Heap.Heap_error (Format.asprintf "%a is not an array" Oid.pp oid))
-
-  let get_record s oid =
-    match s.s_kind with
-    | Direct -> get_record s.s_store oid
-    | Snapshot_session _ -> entry_record oid (get s oid)
-
-  let get_array s oid =
-    match s.s_kind with
-    | Direct -> get_array s.s_store oid
-    | Snapshot_session _ -> entry_array oid (get s oid)
-
-  let get_string s oid =
-    match s.s_kind with
-    | Direct -> get_string s.s_store oid
-    | Snapshot_session _ -> (
-      match get s oid with
-      | Heap.Str str -> str
-      | Heap.Record _ | Heap.Array _ | Heap.Weak _ ->
-        raise (Heap.Heap_error (Format.asprintf "%a is not a string" Oid.pp oid)))
-
-  let get_weak s oid =
-    match s.s_kind with
-    | Direct -> get_weak s.s_store oid
-    | Snapshot_session _ -> (
-      match get s oid with
-      | Heap.Weak c -> c
-      | Heap.Record _ | Heap.Array _ | Heap.Str _ ->
-        raise (Heap.Heap_error (Format.asprintf "%a is not a weak cell" Oid.pp oid)))
-
-  let class_of s oid =
-    match s.s_kind with
-    | Direct -> class_of s.s_store oid
-    | Snapshot_session _ -> (
-      match get s oid with
-      | Heap.Record r -> r.Heap.class_name
-      | Heap.Array a -> a.Heap.elem_type ^ "[]"
-      | Heap.Str _ -> "java.lang.String"
-      | Heap.Weak _ -> "pstore.WeakReference")
-
-  let field s oid idx =
-    match s.s_kind with
-    | Direct -> field s.s_store oid idx
-    | Snapshot_session _ ->
-      let r = entry_record oid (get s oid) in
-      if idx < 0 || idx >= Array.length r.Heap.fields then
-        raise
-          (Heap.Heap_error
-             (Format.asprintf "field index %d out of range for %a (%s)" idx Oid.pp oid
-                r.Heap.class_name));
-      r.Heap.fields.(idx)
-
-  let elem s oid idx =
-    match s.s_kind with
-    | Direct -> elem s.s_store oid idx
-    | Snapshot_session _ ->
-      let a = entry_array oid (get s oid) in
-      if idx < 0 || idx >= Array.length a.Heap.elems then
-        raise
-          (Heap.Heap_error
-             (Format.asprintf "array index %d out of bounds (length %d)" idx
-                (Array.length a.Heap.elems)));
-      a.Heap.elems.(idx)
-
-  let array_length s oid =
-    match s.s_kind with
-    | Direct -> array_length s.s_store oid
-    | Snapshot_session _ -> Array.length (entry_array oid (get s oid)).Heap.elems
-
-  let string_value s v =
-    match s.s_kind with
-    | Direct -> string_value s.s_store v
-    | Snapshot_session _ -> (
-      match v with
-      | Pvalue.Ref oid -> get_string s oid
-      | v ->
-        raise (Heap.Heap_error ("expected a string reference, got " ^ Pvalue.to_string v)))
-
-  let try_get s oid =
-    match s.s_kind with
-    | Direct -> try_get s.s_store oid
-    | Snapshot_session snap -> (
-      check_live s "try_get";
-      note_read s.s_store oid;
-      Obs.incr s.s_store.obs Obs.Get;
-      match Quarantine.find (shard_oid s.s_store oid).sq oid with
-      | Some reason ->
-        Obs.incr s.s_store.obs Obs.Quarantine_hit;
-        Error (Failure.Quarantined { oid; reason })
-      | None -> (
-        match resolved s snap oid with
-        | Some entry -> Ok entry
-        | None -> Error (Failure.Dangling oid)))
-
-  let try_field s oid idx =
-    match s.s_kind with
-    | Direct -> try_field s.s_store oid idx
-    | Snapshot_session _ -> (
-      match try_get s oid with
-      | Error e -> Error e
-      | Ok (Heap.Record r) when idx >= 0 && idx < Array.length r.Heap.fields ->
-        Ok r.Heap.fields.(idx)
-      | Ok entry ->
-        let container =
-          match entry with
-          | Heap.Record r -> r.Heap.class_name
-          | Heap.Array a -> a.Heap.elem_type ^ "[]"
-          | Heap.Str _ -> "string"
-          | Heap.Weak _ -> "weak cell"
-        in
-        Error (Failure.Bad_index { container; index = idx }))
-
-  let root s name =
-    match s.s_kind with
-    | Direct -> root s.s_store name
-    | Snapshot_session snap ->
-      check_live s "root";
-      Obs.incr s.s_store.obs Obs.Root_lookup;
-      resolved_root s snap name
-
-  let root_names s =
-    match s.s_kind with
-    | Direct -> root_names s.s_store
-    | Snapshot_session snap ->
-      check_live s "root_names";
-      let tbl = Hashtbl.create 32 in
-      List.iter (fun n -> Hashtbl.replace tbl n ()) (Roots.names s.s_store.roots);
-      Hashtbl.iter (fun n _ -> Hashtbl.replace tbl n ()) s.s_store.mvcc.root_versions;
-      Hashtbl.iter (fun n _ -> Hashtbl.replace tbl n ()) s.s_root_over;
-      Hashtbl.fold (fun n () acc -> if resolved_root s snap n <> None then n :: acc else acc) tbl []
-      |> List.sort String.compare
-
-  let blob s key =
-    match s.s_kind with
-    | Direct -> blob s.s_store key
-    | Snapshot_session snap ->
-      check_live s "blob";
-      Obs.incr s.s_store.obs Obs.Get;
-      resolved_blob s snap key
-
-  let blob_keys s =
-    match s.s_kind with
-    | Direct -> blob_keys s.s_store
-    | Snapshot_session snap ->
-      check_live s "blob_keys";
-      let tbl = Hashtbl.create 32 in
-      Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) s.s_store.blobs;
-      Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) s.s_store.mvcc.blob_versions;
-      Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) s.s_blob_over;
-      Hashtbl.fold (fun k () acc -> if resolved_blob s snap k <> None then k :: acc else acc) tbl []
-      |> List.sort String.compare
-
-  (* -- buffered writes ---------------------------------------------------- *)
-
-  let push_op s op =
-    s.s_ops <- op :: s.s_ops;
-    s.s_nops <- s.s_nops + 1
-
-  (* A snapshot write mutates a private copy of the object: the session's
-     own allocation, or a copy-on-write of the visible entry (which also
-     enrols the oid in the write set for conflict detection). *)
-  let overlay_entry s oid =
-    match Oid.Table.find_opt s.s_overlay oid with
-    | Some e -> e
-    | None -> (
-      let snap =
-        match s.s_kind with
-        | Snapshot_session e -> e
-        | Direct -> assert false
-      in
-      match snapshot_entry s.s_store snap oid with
-      | Some e ->
-        let copy = Journal.copy_entry e in
-        Oid.Table.replace s.s_overlay oid copy;
-        s.s_written <- Oid.Set.add oid s.s_written;
-        copy
-      | None -> dangling oid)
-
-  let set_field s oid idx v =
-    match s.s_kind with
-    | Direct -> set_field s.s_store oid idx v
-    | Snapshot_session _ ->
-      check_live s "set_field";
-      Obs.incr s.s_store.obs Obs.Set;
-      check_q s.s_store oid;
-      let r = entry_record oid (overlay_entry s oid) in
-      if idx < 0 || idx >= Array.length r.Heap.fields then
-        raise
-          (Heap.Heap_error
-             (Format.asprintf "field index %d out of range for %a (%s)" idx Oid.pp oid
-                r.Heap.class_name));
-      r.Heap.fields.(idx) <- v;
-      push_op s (Journal.Set_field (oid, idx, v))
-
-  let set_elem s oid idx v =
-    match s.s_kind with
-    | Direct -> set_elem s.s_store oid idx v
-    | Snapshot_session _ ->
-      check_live s "set_elem";
-      Obs.incr s.s_store.obs Obs.Set;
-      check_q s.s_store oid;
-      let a = entry_array oid (overlay_entry s oid) in
-      if idx < 0 || idx >= Array.length a.Heap.elems then
-        raise
-          (Heap.Heap_error
-             (Format.asprintf "array index %d out of bounds (length %d)" idx
-                (Array.length a.Heap.elems)));
-      a.Heap.elems.(idx) <- v;
-      push_op s (Journal.Set_elem (oid, idx, v))
-
-  (* Session allocations reserve their oid from the shared allocator (so
-     concurrent sessions and direct allocs never collide) but the entry
-     lives only in the overlay until commit.  An aborted session's
-     reserved oids are simply never used — the allocator is monotone. *)
-  let reserve_oid store =
-    let n = Heap.next_oid store.heap in
-    Heap.set_next_oid store.heap (n + 1);
-    Oid.of_int n
-
-  let session_alloc s label entry =
-    check_live s "alloc";
-    Obs.span s.s_store.obs Obs.Alloc ~label (fun () ->
-        let oid = reserve_oid s.s_store in
-        Oid.Table.replace s.s_overlay oid entry;
-        s.s_allocated <- Oid.Set.add oid s.s_allocated;
-        push_op s (Journal.Alloc (oid, entry));
-        oid)
-
-  let alloc_record s class_name fields =
-    match s.s_kind with
-    | Direct -> alloc_record s.s_store class_name fields
-    | Snapshot_session _ -> session_alloc s class_name (Heap.Record { Heap.class_name; fields })
-
-  let alloc_array s elem_type elems =
-    match s.s_kind with
-    | Direct -> alloc_array s.s_store elem_type elems
-    | Snapshot_session _ -> session_alloc s elem_type (Heap.Array { Heap.elem_type; elems })
-
-  let alloc_string s str =
-    match s.s_kind with
-    | Direct -> alloc_string s.s_store str
-    | Snapshot_session _ -> session_alloc s "string" (Heap.Str str)
-
-  let alloc_weak s target =
-    match s.s_kind with
-    | Direct -> alloc_weak s.s_store target
-    | Snapshot_session _ -> session_alloc s "weak" (Heap.Weak { Heap.target })
-
-  let set_root s name v =
-    match s.s_kind with
-    | Direct -> set_root s.s_store name v
-    | Snapshot_session _ ->
-      check_live s "set_root";
-      Obs.incr s.s_store.obs Obs.Set;
-      Hashtbl.replace s.s_root_over name (Some v);
-      push_op s (Journal.Set_root (name, v))
-
-  let remove_root s name =
-    match s.s_kind with
-    | Direct -> remove_root s.s_store name
-    | Snapshot_session _ ->
-      check_live s "remove_root";
-      Obs.incr s.s_store.obs Obs.Set;
-      Hashtbl.replace s.s_root_over name None;
-      push_op s (Journal.Remove_root name)
-
-  let set_blob s key data =
-    match s.s_kind with
-    | Direct -> set_blob s.s_store key data
-    | Snapshot_session _ ->
-      check_live s "set_blob";
-      Obs.incr s.s_store.obs Obs.Set;
-      Hashtbl.replace s.s_blob_over key (Some data);
-      push_op s (Journal.Set_blob (key, data))
-
-  let remove_blob s key =
-    match s.s_kind with
-    | Direct -> remove_blob s.s_store key
-    | Snapshot_session _ ->
-      check_live s "remove_blob";
-      Obs.incr s.s_store.obs Obs.Set;
-      Hashtbl.replace s.s_blob_over key None;
-      push_op s (Journal.Remove_blob key)
+    let session s = s
+  end)
 
   let write_set s =
     let keys =
@@ -2692,70 +2400,6 @@ module Session = struct
     in
     (oids, keys)
 
-  (* Refuse the whole commit before touching shared state: shard health,
-     quarantine and dangling targets are checked for every buffered op
-     up front, so a refused commit leaves the heap and the journal
-     untouched and the session live for a later retry. *)
-  let validate_ops s =
-    let store = s.s_store in
-    List.iter
-      (fun op ->
-        match op with
-        | Journal.Alloc (oid, _) -> guard_write_oid store oid
-        | Journal.Set_field (oid, _, _) | Journal.Set_elem (oid, _, _) ->
-          guard_write_oid store oid;
-          if not (Oid.Set.mem oid s.s_allocated) then begin
-            check_q store oid;
-            if not (Heap.is_live store.heap oid) then dangling oid
-          end
-        | Journal.Set_root (key, _)
-        | Journal.Remove_root key
-        | Journal.Set_blob (key, _)
-        | Journal.Remove_blob key -> guard_write_key store key)
-      (List.rev s.s_ops)
-
-  (* Publish one buffered op: capture the pre-image for the sessions that
-     remain open, stamp the target with the commit epoch, mutate, and
-     hand the op to the journal buffer exactly like a direct write. *)
-  let apply_op store epoch op =
-    (match op with
-    | Journal.Alloc (oid, entry) ->
-      capture_oid store epoch oid ~pre_image:false;
-      Obs.incr store.obs Obs.Alloc;
-      Heap.insert store.heap oid (Journal.copy_entry entry);
-      invalidate_crc store oid
-    | Journal.Set_field (oid, idx, v) ->
-      capture_oid store epoch oid ~pre_image:true;
-      Obs.incr store.obs Obs.Set;
-      Heap.set_field store.heap oid idx v;
-      invalidate_crc store oid
-    | Journal.Set_elem (oid, idx, v) ->
-      capture_oid store epoch oid ~pre_image:true;
-      Obs.incr store.obs Obs.Set;
-      Heap.set_elem store.heap oid idx v;
-      invalidate_crc store oid
-    | Journal.Set_root (key, v) ->
-      capture_key store.mvcc.root_versions store.mvcc.root_stamps epoch key (fun () ->
-          Roots.find store.roots key);
-      Obs.incr store.obs Obs.Set;
-      Roots.set store.roots key v
-    | Journal.Remove_root key ->
-      capture_key store.mvcc.root_versions store.mvcc.root_stamps epoch key (fun () ->
-          Roots.find store.roots key);
-      Obs.incr store.obs Obs.Set;
-      Roots.remove store.roots key
-    | Journal.Set_blob (key, data) ->
-      capture_key store.mvcc.blob_versions store.mvcc.blob_stamps epoch key (fun () ->
-          Hashtbl.find_opt store.blobs key);
-      Obs.incr store.obs Obs.Set;
-      Hashtbl.replace store.blobs key data
-    | Journal.Remove_blob key ->
-      capture_key store.mvcc.blob_versions store.mvcc.blob_stamps epoch key (fun () ->
-          Hashtbl.find_opt store.blobs key);
-      Obs.incr store.obs Obs.Set;
-      Hashtbl.remove store.blobs key);
-    if journalling store then record store op
-
   let commit s =
     match s.s_kind with
     | Direct -> commit_barrier s.s_store
@@ -2773,15 +2417,24 @@ module Session = struct
         unpin s `Aborted;
         raise (Failure.Commit_conflict { session; oids; keys })
       end;
-      validate_ops s;
+      (* Refuse the whole commit before touching shared state, so a
+         refused commit leaves the heap and the journal untouched and the
+         session live for a later retry. *)
       let ops = List.rev s.s_ops in
+      List.iter (validate_op s) ops;
       Obs.span store.obs Obs.Session_commit
         ~label:(Printf.sprintf "session %d" s.s_id)
         (fun () ->
           (if ops <> [] then begin
-             let epoch = store.mvcc.commit_seq + 1 in
-             List.iter (apply_op store epoch) ops;
-             store.mvcc.commit_seq <- epoch;
+             List.iter
+               (fun op ->
+                 Obs.incr store.obs
+                   (match op with
+                   | Journal.Alloc _ -> Obs.Alloc
+                   | _ -> Obs.Set);
+                 apply_op store op)
+               ops;
+             store.mvcc.commit_seq <- store.mvcc.commit_seq + 1;
              (* committed writes invalidate side caches: the registry's
                 getLink memo revalidates against this epoch *)
              bump_epoch store
@@ -2789,6 +2442,18 @@ module Session = struct
           drop_buffer s;
           unpin s `Committed;
           if ops <> [] then commit_barrier store)
+
+  (* Open a session, run the body, then commit — or abort if the body
+     raises.  A body that already closed its session is left alone. *)
+  let with_session store f =
+    let s = open_session store in
+    match f s with
+    | v ->
+      if is_open s then commit s;
+      v
+    | exception e ->
+      if is_open s then abort s;
+      raise e
 
   (* -- snapshot introspection --------------------------------------------- *)
 
@@ -2804,60 +2469,30 @@ module Session = struct
         s.s_store.heap;
       !n
 
-  let stats s =
-    match s.s_kind with
-    | Direct -> stats s.s_store
-    | Snapshot_session _ -> { (stats s.s_store) with live = live_count s }
+  let stats s = { (stats s.s_store) with live = live_count s }
 
-  (* The session's full visible state as store contents — the same shape
-     [Store.contents] has, so [Image.encode] fingerprints a snapshot
-     byte-stably however much the shared store moves on. *)
+  (* The session's full visible state (snapshot plus its own writes) as
+     fresh store contents — the shape [Store.contents] has, so
+     [Image.encode] fingerprints a snapshot byte-stably however much the
+     shared store moves on. *)
   let snapshot_contents s =
-    match s.s_kind with
-    | Direct -> contents s.s_store
-    | Snapshot_session snap ->
-      check_live s "snapshot_contents";
-      let store = s.s_store in
-      let heap' = Heap.create () in
-      let top = ref 0 in
-      Heap.iter
-        (fun oid _ ->
-          match snapshot_entry store snap oid with
-          | Some e ->
-            Heap.insert heap' oid (Journal.copy_entry e);
-            if Oid.to_int oid >= !top then top := Oid.to_int oid + 1
-          | None -> ())
-        store.heap;
-      if !top > Heap.next_oid heap' then Heap.set_next_oid heap' !top;
-      let roots' = Roots.create () in
-      List.iter
-        (fun n ->
-          match snapshot_root_value store snap n with
-          | Some v -> Roots.set roots' n v
-          | None -> ())
-        (let tbl = Hashtbl.create 32 in
-         List.iter (fun n -> Hashtbl.replace tbl n ()) (Roots.names store.roots);
-         Hashtbl.iter (fun n _ -> Hashtbl.replace tbl n ()) store.mvcc.root_versions;
-         Hashtbl.fold (fun n () acc -> n :: acc) tbl []);
-      let blobs' = Hashtbl.create 16 in
-      let blob_keys =
-        let tbl = Hashtbl.create 32 in
-        Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) store.blobs;
-        Hashtbl.iter (fun k _ -> Hashtbl.replace tbl k ()) store.mvcc.blob_versions;
-        Hashtbl.fold (fun k () acc -> k :: acc) tbl []
-      in
-      List.iter
-        (fun k ->
-          match snapshot_blob_value store snap k with
-          | Some data -> Hashtbl.replace blobs' k data
-          | None -> ())
-        blob_keys;
-      let quarantine = Quarantine.create () in
-      Array.iter
-        (fun sh ->
-          List.iter (fun (oid, r) -> Quarantine.add quarantine oid r) (Quarantine.to_list sh.sq))
-        store.shards;
-      { Image.heap = heap'; roots = roots'; blobs = blobs'; quarantine }
+    check_live s "snapshot_contents";
+    let store = s.s_store in
+    let heap = Heap.create () in
+    let add oid _ =
+      match resolve s oid with
+      | Some e when not (Heap.is_live heap oid) ->
+        Heap.insert heap oid (Journal.copy_entry e);
+        if Oid.to_int oid >= Heap.next_oid heap then Heap.set_next_oid heap (Oid.to_int oid + 1)
+      | _ -> ()
+    in
+    Heap.iter add store.heap;
+    Oid.Table.iter add s.s_overlay;
+    let roots = Roots.create () in
+    List.iter (fun n -> Option.iter (Roots.set roots n) (resolve_root s n)) (root_names s);
+    let blobs = Hashtbl.create 16 in
+    List.iter (fun k -> Option.iter (Hashtbl.replace blobs k) (resolve_blob s k)) (blob_keys s);
+    { Image.heap; roots; blobs; quarantine = merged_quarantine store }
 
   (* -- the single-owner transaction --------------------------------------- *)
 
@@ -2874,75 +2509,3 @@ module Session = struct
       Ok v
     | Error _ as e -> e
 end
-
-let fresh_session store ~id kind =
-  {
-    s_id = id;
-    s_store = store;
-    s_kind = kind;
-    s_overlay = Oid.Table.create 16;
-    s_root_over = Hashtbl.create 8;
-    s_blob_over = Hashtbl.create 8;
-    s_ops = [];
-    s_nops = 0;
-    s_written = Oid.Set.empty;
-    s_allocated = Oid.Set.empty;
-    s_state = `Live;
-  }
-
-(* Pin a snapshot of the committed state as of now.  Any unsealed direct
-   writes are sealed first, so the new session's epoch cleanly separates
-   "before open" from "after open". *)
-let open_session store =
-  let m = store.mvcc in
-  seal_epoch store;
-  let s = fresh_session store ~id:m.next_session_id (Snapshot_session m.commit_seq) in
-  m.next_session_id <- m.next_session_id + 1;
-  m.open_sessions <- s :: m.open_sessions;
-  s
-
-(* The implicit default session (id 0): the handle the legacy
-   single-owner calls below route through. *)
-let default_session store =
-  match store.mvcc.implicit with
-  | Some s -> s
-  | None ->
-    let s = fresh_session store ~id:0 Direct in
-    store.mvcc.implicit <- Some s;
-    s
-
-(* -- the legacy single-owner surface ---------------------------------------
-
-   Thin wrappers over the implicit default session.  Each is exactly one
-   kind-dispatch away from the direct implementation above; code that
-   owns a store alone keeps its old API, code that shares one opens
-   sessions. *)
-
-let set_root store name v = Session.set_root (default_session store) name v
-let root store name = Session.root (default_session store) name
-let remove_root store name = Session.remove_root (default_session store) name
-let root_names store = Session.root_names (default_session store)
-let alloc_record store class_name fields = Session.alloc_record (default_session store) class_name fields
-let alloc_array store elem_type elems = Session.alloc_array (default_session store) elem_type elems
-let alloc_string store s = Session.alloc_string (default_session store) s
-let alloc_weak store target = Session.alloc_weak (default_session store) target
-let get store oid = Session.get (default_session store) oid
-let find store oid = Session.find (default_session store) oid
-let is_live store oid = Session.is_live (default_session store) oid
-let class_of store oid = Session.class_of (default_session store) oid
-let get_record store oid = Session.get_record (default_session store) oid
-let get_array store oid = Session.get_array (default_session store) oid
-let get_string store oid = Session.get_string (default_session store) oid
-let get_weak store oid = Session.get_weak (default_session store) oid
-let field store oid idx = Session.field (default_session store) oid idx
-let set_field store oid idx v = Session.set_field (default_session store) oid idx v
-let elem store oid idx = Session.elem (default_session store) oid idx
-let set_elem store oid idx v = Session.set_elem (default_session store) oid idx v
-let array_length store oid = Session.array_length (default_session store) oid
-let try_get store oid = Session.try_get (default_session store) oid
-let try_field store oid idx = Session.try_field (default_session store) oid idx
-let set_blob store key data = Session.set_blob (default_session store) key data
-let blob store key = Session.blob (default_session store) key
-let remove_blob store key = Session.remove_blob (default_session store) key
-let blob_keys store = Session.blob_keys (default_session store)
-let string_value store v = Session.string_value (default_session store) v

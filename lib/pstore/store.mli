@@ -10,9 +10,9 @@
     published atomically by {!Session.commit} with first-committer-wins
     conflict detection ({!Failure.Commit_conflict}).  Code that owns a
     store alone can keep calling the single-owner operations below
-    ([get], [set_field], [set_root], ...); each is a thin wrapper over
-    the store's implicit {e default session}, which reads and writes the
-    shared state directly, exactly as the store always behaved. *)
+    ([get], [set_field], [set_root], ...): they are the session
+    operations of the same name, applied to the store's {e default
+    session}, which reads and writes the shared state directly. *)
 
 type t
 
@@ -372,8 +372,7 @@ val stabilise : ?path:string -> t -> unit
     mutation delta to the write-ahead journal as one atomic batch record
     and fsyncs (every [group_window]-th stabilise when group commit is
     on), compacting into a fresh image when required.
-    @raise Invalid_argument if no path is available, or if a compaction
-    is required inside {!with_rollback}. *)
+    @raise Invalid_argument if no path is available. *)
 
 type stats = {
   live : int;  (** live heap objects *)
@@ -419,16 +418,17 @@ val clear_pins : t -> unit
 
 val with_rollback : t -> (unit -> 'a) -> ('a, exn) result
 (** Run [f] with whole-store rollback: on an exception the heap, roots
-    and blobs are restored to their state at entry (oids included).
-
-    On a journalled, backed, clean store the abort path is recovery: the
-    journal is truncated to its entry savepoint and the entry state is
-    rebuilt from image + journal + entry-time pending ops — O(delta)
-    rather than one full store snapshot, and any records the transaction
-    stabilised are cut off so the on-disk journal replays to the
-    pre-transaction state.  Other stores pay the full-image snapshot.
+    and blobs are restored to their state at entry (oids included) from
+    an in-memory image taken at entry.  The body may stabilise and gc
+    like any top-level caller; if it stabilised, the abort forces one
+    full compaction (a full image rewrite on a snapshot-mode store), so
+    the store reopens to its pre-transaction state on every layout and
+    durability mode.
     @raise Invalid_argument while snapshot sessions are open — a
-    whole-store rollback would rewrite state under their snapshots. *)
+    whole-store rollback would rewrite state under their snapshots.
+    @raise e if that forced compaction fails (e.g.
+    {!Failure.Shard_degraded} while a shard is demoted); memory is
+    restored regardless and the next stabilise compacts. *)
 
 (** {1 Sessions}
 
@@ -444,10 +444,10 @@ val with_rollback : t -> (unit -> 'a) -> ('a, exn) result
     - {b read-your-writes} — the session's own buffered writes shadow its
       snapshot;
     - {b atomic publication} — {!Session.commit} validates the whole
-      buffer against shard health and quarantine, then replays it
-      through the store's normal guarded mutation path and the
-      group-commit journal, so a committed session is exactly as durable
-      as the same writes made directly;
+      buffer against shard health and quarantine, then applies it through
+      the same path direct writes take and the group-commit journal, so a
+      committed session is exactly as durable as the same writes made
+      directly;
     - {b first-committer-wins} — if any object or root/blob key this
       session wrote was committed by someone else after this session's
       snapshot, commit raises {!Failure.Commit_conflict} carrying the
@@ -455,9 +455,11 @@ val with_rollback : t -> (unit -> 'a) -> ('a, exn) result
       nothing.
 
     The {e default session} ({!default_session}) is the other kind: the
-    implicit handle the legacy single-owner operations route through.
-    Its reads and writes hit the shared state directly — no snapshot, no
-    buffer — and its [commit] is just the durability barrier.
+    handle the store holds and its single-owner operations use.  Its
+    reads and writes hit the shared state directly — no snapshot, no
+    buffer — and its [commit] is just the durability barrier.  Each
+    operation has one definition for both kinds; only resolving an oid
+    or key differs.
 
     GC, [with_rollback] and [mark_dirty] refuse to run while snapshot
     sessions are open (they would invalidate pinned views); commit or
@@ -577,6 +579,13 @@ module Session : sig
       fingerprint of the snapshot however much the shared store has
       moved on. *)
 
+  val with_session : store -> (t -> 'a) -> 'a
+  (** Open a session, run the body, then commit — or abort if the body
+      raises (the exception is re-raised).  A body that already committed
+      or aborted its session is left alone.  [Failure.Commit_conflict]
+      from the final commit propagates to the caller, the session having
+      been aborted. *)
+
   val atomically : store -> (unit -> 'a) -> ('a, exn) result
   (** The single-owner transaction: run the thunk against the shared
       store under {!with_rollback}, then pay the commit barrier on
@@ -588,8 +597,8 @@ val open_session : t -> Session.t
 (** Pin a snapshot session on the committed state as of now. *)
 
 val default_session : t -> Session.t
-(** The store's implicit direct-mode session (id 0, one per store) —
-    the handle the single-owner operations route through. *)
+(** The store's direct-mode session (id 0, one per store) — the handle
+    its single-owner operations use. *)
 
 val open_session_count : t -> int
 (** Snapshot sessions currently open (the default session is not

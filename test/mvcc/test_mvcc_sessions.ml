@@ -309,13 +309,126 @@ let session_stats_reflect_snapshot () =
   Store.Session.commit s;
   check_int "commit publishes the buffered allocations" 5 (Store.stats store).Store.live
 
+(* -- accessor parity: the single-owner names, the default session and a
+   snapshot session are one read surface ------------------------------------ *)
+
+let show_values vs = String.concat "; " (Array.to_list (Array.map Pvalue.to_string vs))
+
+let show_entry = function
+  | Heap.Record r -> sp "record %s [%s]" r.Heap.class_name (show_values r.Heap.fields)
+  | Heap.Array a -> sp "array %s [%s]" a.Heap.elem_type (show_values a.Heap.elems)
+  | Heap.Str s -> sp "string %S" s
+  | Heap.Weak c -> sp "weak %s" (Pvalue.to_string c.Heap.target)
+
+let show_result show = function
+  | Ok v -> "ok " ^ show v
+  | Error f -> "error " ^ Failure.describe f
+
+(* The reads the store's single-owner names and [Store.Session] share. *)
+module type READS = sig
+  type t
+
+  val get : t -> Oid.t -> Heap.entry
+  val find : t -> Oid.t -> Heap.entry option
+  val is_live : t -> Oid.t -> bool
+  val class_of : t -> Oid.t -> string
+  val get_record : t -> Oid.t -> Heap.record
+  val get_array : t -> Oid.t -> Heap.arr
+  val get_string : t -> Oid.t -> string
+  val get_weak : t -> Oid.t -> Heap.weak_cell
+  val field : t -> Oid.t -> int -> Pvalue.t
+  val elem : t -> Oid.t -> int -> Pvalue.t
+  val array_length : t -> Oid.t -> int
+  val try_get : t -> Oid.t -> (Heap.entry, Failure.t) result
+  val try_field : t -> Oid.t -> int -> (Pvalue.t, Failure.t) result
+  val string_value : t -> Pvalue.t -> string
+end
+
+(* Every read through one handle, each rendered to a comparable string. *)
+let parity_readers (type h) (module R : READS with type t = h) (h : h) =
+  [
+    ("get", fun o _ -> show_entry (R.get h o));
+    ("find", fun o _ -> Option.fold ~none:"none" ~some:show_entry (R.find h o));
+    ("is_live", fun o _ -> string_of_bool (R.is_live h o));
+    ("class_of", fun o _ -> R.class_of h o);
+    ("get_record", fun o _ -> show_entry (Heap.Record (R.get_record h o)));
+    ("get_array", fun o _ -> show_entry (Heap.Array (R.get_array h o)));
+    ("get_string", fun o _ -> R.get_string h o);
+    ("get_weak", fun o _ -> show_entry (Heap.Weak (R.get_weak h o)));
+    ("field", fun o i -> Pvalue.to_string (R.field h o i));
+    ("elem", fun o i -> Pvalue.to_string (R.elem h o i));
+    ("array_length", fun o _ -> string_of_int (R.array_length h o));
+    ("try_get", fun o _ -> show_result show_entry (R.try_get h o));
+    ("try_field", fun o i -> show_result Pvalue.to_string (R.try_field h o i));
+    ("string_value", fun o _ -> R.string_value h (Pvalue.Ref o));
+  ]
+
+(* The outcome of one read (value or exception) plus the Get/Set/Alloc
+   counter deltas it caused. *)
+let parity_outcome store read =
+  let counts () = List.map (Obs.count (Store.obs store)) [ Obs.Get; Obs.Set; Obs.Alloc ] in
+  let before = counts () in
+  let shown = match read () with v -> v | exception e -> "raised " ^ Printexc.to_string e in
+  (shown, List.map2 ( - ) (counts ()) before)
+
+let accessor_parity () =
+  let store = Store.create () in
+  let str = Store.alloc_string store "text" in
+  let rc = Store.alloc_record store "P" [| ival 1; Pvalue.Ref str |] in
+  let arr = Store.alloc_array store "int" [| ival 7; ival 8 |] in
+  let weak = Store.alloc_weak store (Pvalue.Ref rc) in
+  let bad = Store.alloc_record store "Q" [| ival 3 |] in
+  Store.quarantine_oid store bad "induced";
+  (* every typed reader also runs on every other kind: the wrong-kind
+     path is exercised by each row below *)
+  let cases =
+    [
+      ("record", rc, 1);
+      ("array", arr, 1);
+      ("string", str, 0);
+      ("weak", weak, 0);
+      ("wrong kind", arr, 0);
+      ("out-of-range index", rc, 5);
+      ("negative index", arr, -1);
+      ("dangling oid", Oid.of_int 9999, 0);
+      ("quarantined oid", bad, 0);
+    ]
+  in
+  List.iter
+    (fun (case, oid, idx) ->
+      let s = Store.open_session store in
+      let handles =
+        [
+          ("Store", parity_readers (module Store) store);
+          ("default session", parity_readers (module Store.Session) (Store.default_session store));
+          ("snapshot session", parity_readers (module Store.Session) s);
+        ]
+      in
+      let outcomes (how, readers) =
+        List.map
+          (fun (name, read) -> (how, name, parity_outcome store (fun () -> read oid idx)))
+          readers
+      in
+      let reference = outcomes (List.hd handles) in
+      List.iter
+        (fun handle ->
+          List.iter2
+            (fun (_, name, (want, want_deltas)) (how, _, (got, deltas)) ->
+              let label = sp "%s on %s (%s)" name case how in
+              check_output label want got;
+              Alcotest.(check (list int)) (label ^ ": get/set/alloc deltas") want_deltas deltas)
+            reference (outcomes handle))
+        (List.tl handles);
+      Store.Session.abort s)
+    cases
+
 let with_session_commits_and_aborts () =
   let store = Store.create () in
-  Session.with_session store (fun s -> Session.set_root s "ok" (ival 1));
+  Store.Session.with_session store (fun s -> Store.Session.set_root s "ok" (ival 1));
   check_int "with_session commits on success" 1
     (int_of (Option.get (Store.root store "ok")));
-  (match Session.with_session store (fun s ->
-       Session.set_root s "bad" (ival 2);
+  (match Store.Session.with_session store (fun s ->
+       Store.Session.set_root s "bad" (ival 2);
        failwith "boom")
    with
   | () -> Alcotest.fail "the exception must propagate"
@@ -344,6 +457,7 @@ let suite =
       session_stats_reflect_snapshot;
     test "with_session commits on success and aborts on raise"
       with_session_commits_and_aborts;
+    test "store, default session and snapshot session read alike" accessor_parity;
   ]
 
 let _ = sp

@@ -308,13 +308,11 @@ let rollback_truncates_journal () =
       Store.set_root store "pre" (Pvalue.Int 1l);
       Store.stabilise store;
       let fp_before = Image.encode (Store.contents store) in
-      let wal_size () = (Unix.stat (Journal.path_for path)).Unix.st_size in
-      let size_before = wal_size () in
       let result =
         Store.with_rollback store (fun () ->
             Store.set_root store "mid" (Pvalue.Int 2l);
             (* stabilising INSIDE the transaction appends journal records;
-               the abort must cut them back off the disk *)
+               the abort must take them back off the disk *)
             Store.stabilise store;
             ignore (Store.alloc_string store "junk");
             Store.stabilise store;
@@ -324,7 +322,6 @@ let rollback_truncates_journal () =
       | Error (Failure _) -> ()
       | _ -> Alcotest.fail "expected abort");
       check_output "memory restored" fp_before (Image.encode (Store.contents store));
-      check_int "journal truncated to its savepoint" size_before (wal_size ());
       (* the on-disk journal replays to the pre-transaction state *)
       let replica = Store.open_file path in
       check_output "disk replays to pre-transaction state" fp_before
@@ -341,31 +338,34 @@ let rollback_truncates_journal () =
       Store.close s2;
       Store.close store)
 
-let rollback_restores_after_gc_compaction_refused () =
+let rollback_restores_gc_and_stabilise () =
   with_store_files (fun path ->
       let store = fresh_store () in
       Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       let junk = Store.alloc_string store "junk" in
       Store.stabilise ~path store;
+      let fp_before = Image.encode (Store.contents store) in
       let result =
         Store.with_rollback store (fun () ->
-            (* the sweep removes [junk] behind the journal's back, so the
-               next stabilise would need a compaction — which cannot be
-               undone by an abort and is therefore refused in here *)
+            (* the sweep removes [junk] behind the journal's back, so this
+               stabilise compacts the swept store onto disk *)
             ignore (Store.gc store);
-            Store.stabilise store)
+            Store.stabilise store;
+            failwith "abort")
       in
       (match result with
-      | Error (Invalid_argument _) -> ()
-      | _ -> Alcotest.fail "expected Invalid_argument");
+      | Error (Failure _) -> ()
+      | _ -> Alcotest.fail "expected abort");
       check_bool "swept object restored by the abort" true (Store.is_live store junk);
-      (* at top level the deferred compaction goes through *)
-      ignore (Store.gc store);
-      Store.stabilise store;
-      check_bool "compacted at top level" true ((Store.stats store).Store.compactions >= 2);
+      check_output "memory restored" fp_before (Image.encode (Store.contents store));
+      let replica = Store.open_file path in
+      check_output "disk reopens to the pre-transaction state" fp_before
+        (Image.encode (Store.contents replica));
+      check_bool "swept object back on disk" true (Store.is_live replica junk);
+      Store.close replica;
       Store.close store)
 
-let rollback_defers_over_limit_compaction () =
+let rollback_compacts_over_limit () =
   with_store_files (fun path ->
       let store = fresh_store () in
       Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
@@ -376,16 +376,15 @@ let rollback_defers_over_limit_compaction () =
       let result =
         Store.with_rollback store (fun () ->
             Store.set_root store "x" (Pvalue.Int 1l);
-            (* over the limit, but inside a transaction: append, don't compact *)
+            (* over the limit: compacts exactly as a top-level stabilise does *)
             Store.stabilise store)
       in
       check_bool "committed" true (result = Ok ());
-      check_int "no compaction inside the transaction" before (compactions ());
-      check_int "delta appended instead" 1 (Store.stats store).Store.journal_depth;
-      (* the next top-level stabilise catches up *)
-      Store.stabilise store;
-      check_int "compacted at top level" (before + 1) (compactions ());
+      check_int "compacted inside the transaction" (before + 1) (compactions ());
       check_int "journal reset" 0 (Store.stats store).Store.journal_depth;
+      let replica = Store.open_file path in
+      check_bool "committed root durable" true (Store.root replica "x" = Some (Pvalue.Int 1l));
+      Store.close replica;
       Store.close store)
 
 (* -- integrity -------------------------------------------------------------------------- *)
@@ -435,9 +434,9 @@ let suite =
     test "journalled round trip" journalled_roundtrip;
     test "compaction bounds the journal" journal_compaction_bounds_depth;
     test "rollback truncates the journal" rollback_truncates_journal;
-    test "rollback restores a gc'd store; compaction refused inside"
-      rollback_restores_after_gc_compaction_refused;
-    test "rollback defers over-limit compaction" rollback_defers_over_limit_compaction;
+    test "rollback restores a gc'd, stabilised store in memory and on disk"
+      rollback_restores_gc_and_stabilise;
+    test "over-limit stabilise inside a committed rollback compacts" rollback_compacts_over_limit;
     test "image detects corruption" image_detects_corruption;
     test "image rejects bad magic" image_rejects_bad_magic;
     test "stabilise requires a backing file" stabilise_requires_backing;

@@ -161,39 +161,51 @@ let journalled_commit_is_durable () =
       Store.close replica;
       Store.close store)
 
-(* An aborted transaction must leave the on-disk journal replayable to
-   the pre-transaction state — even when the transaction body itself
-   stabilised part of its work into the journal. *)
+(* An aborted transaction must leave the store on disk reopening to the
+   pre-transaction state — even when the transaction body itself
+   stabilised part of its work.  Checked on every layout (flat and
+   sharded) under both durability modes. *)
 let journalled_abort_leaves_replayable_journal () =
-  with_backing (fun path ->
-      let store = fresh_store () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
-      ignore (Transaction.fresh_vm store);
-      let keep = Store.alloc_string store "keep" in
-      Store.set_root store "keep" (Pvalue.Ref keep);
-      Store.stabilise ~path store;
-      let fp_before = Image.encode (Store.contents store) in
-      (match
-         Transaction.transact store (fun _vm ->
-             Store.set_root store "temp" (Pvalue.Int 1l);
-             Store.stabilise store;
-             ignore (Store.alloc_string store "junk");
-             failwith "boom")
-       with
-      | Transaction.Aborted (Failure _, _) -> ()
-      | Transaction.Aborted (e, _) -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
-      | Transaction.Committed _ -> Alcotest.fail "expected abort");
-      check_output "memory restored" fp_before (Image.encode (Store.contents store));
-      let replica = Store.open_file path in
-      check_output "journal replays to pre-transaction state" fp_before
-        (Image.encode (Store.contents replica));
-      check_bool "stabilised-then-aborted root gone from disk" true
-        (Store.root replica "temp" = None);
-      check_bool "pre-transaction root intact" true
-        (Store.root replica "keep" = Some (Pvalue.Ref keep));
-      Integrity.check_exn replica;
-      Store.close replica;
-      Store.close store)
+  List.iter
+    (fun (shards, durability) ->
+      let cfg =
+        Printf.sprintf "%d shard(s), %s: " shards
+          (match durability with
+          | Store.Snapshot -> "snapshot"
+          | Store.Journalled -> "journalled")
+      in
+      with_store_file (fun path ->
+          let store =
+            Store.create ~config:{ Store.Config.default with Store.Config.shards; durability } ()
+          in
+          ignore (Transaction.fresh_vm store);
+          let keep = Store.alloc_string store "keep" in
+          Store.set_root store "keep" (Pvalue.Ref keep);
+          Store.stabilise ~path store;
+          let fp_before = Image.encode (Store.contents store) in
+          (match
+             Transaction.transact store (fun _vm ->
+                 Store.set_root store "temp" (Pvalue.Int 1l);
+                 Store.stabilise store;
+                 ignore (Store.alloc_string store "junk");
+                 failwith "boom")
+           with
+          | Transaction.Aborted (Failure _, _) -> ()
+          | Transaction.Aborted (e, _) ->
+            Alcotest.failf "%swrong exception: %s" cfg (Printexc.to_string e)
+          | Transaction.Committed _ -> Alcotest.failf "%sexpected abort" cfg);
+          check_output (cfg ^ "memory restored") fp_before (Image.encode (Store.contents store));
+          let replica = Store.open_file path in
+          check_output (cfg ^ "disk reopens to the pre-transaction state") fp_before
+            (Image.encode (Store.contents replica));
+          check_bool (cfg ^ "stabilised-then-aborted root gone from disk") true
+            (Store.root replica "temp" = None);
+          check_bool (cfg ^ "pre-transaction root intact") true
+            (Store.root replica "keep" = Some (Pvalue.Ref keep));
+          Integrity.check_exn replica;
+          Store.close replica;
+          Store.close store))
+    [ (1, Store.Snapshot); (1, Store.Journalled); (4, Store.Snapshot); (4, Store.Journalled) ]
 
 let suite =
   [
