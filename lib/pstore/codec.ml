@@ -128,24 +128,24 @@ let get_option r get_elem =
 
 (* -- CRC-32 (IEEE 802.3 polynomial) -------------------------------------- *)
 
+(* Built eagerly: shard images are checksummed on several domains at
+   once, and forcing one shared lazy value from two domains raises. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xedb88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        if Int32.logand !c 1l <> 0l then
+          c := Int32.logxor 0xedb88320l (Int32.shift_right_logical !c 1)
+        else c := Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let c = ref 0xffffffffl in
   String.iter
     (fun ch ->
       let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xffl) in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
+      c := Int32.logxor crc_table.(idx) (Int32.shift_right_logical !c 8))
     s;
   Int32.logxor !c 0xffffffffl
 

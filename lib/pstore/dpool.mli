@@ -1,7 +1,7 @@
 (** A tiny persistent worker pool over OCaml 5 stdlib domains.
 
     One process-wide pool backs every parallel maintenance pass in the
-    store (sharded stabilise, scrub, GC mark).  Workers are spawned
+    store (sharded open, stabilise and GC mark).  Workers are spawned
     lazily, parked between jobs, and joined at process exit; the pool
     never exceeds [Domain.recommended_domain_count () - 1] workers (the
     calling domain participates) unless the limit is raised explicitly. *)

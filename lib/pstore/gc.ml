@@ -38,28 +38,6 @@ let mark heap seed =
   done;
   marked
 
-let collect ?(extra_roots = []) heap roots =
-  let seed = List.rev_append extra_roots (Roots.ref_oids roots) in
-  let marked = mark heap seed in
-  (* Clear weak cells whose target is about to be swept. *)
-  let weak_cleared = ref 0 in
-  Heap.iter
-    (fun oid entry ->
-      match entry with
-      | Heap.Weak cell when Oid.Table.mem marked oid -> begin
-        match cell.Heap.target with
-        | Pvalue.Ref target when not (Oid.Table.mem marked target) ->
-          cell.Heap.target <- Pvalue.Null;
-          incr weak_cleared
-        | _ -> ()
-      end
-      | Heap.Weak _ | Heap.Record _ | Heap.Array _ | Heap.Str _ -> ())
-    heap;
-  let dead = ref [] in
-  Heap.iter (fun oid _ -> if not (Oid.Table.mem marked oid) then dead := oid :: !dead) heap;
-  List.iter (Heap.remove heap) !dead;
-  { live = Heap.size heap; swept = List.length !dead; weak_cleared = !weak_cleared }
-
 let reachable ?(extra_roots = []) heap roots =
   let seed = List.rev_append extra_roots (Roots.ref_oids roots) in
   let marked = mark heap seed in

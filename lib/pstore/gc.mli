@@ -12,10 +12,6 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val collect : ?extra_roots:Oid.t list -> Heap.t -> Roots.t -> stats
-(** Run a full mark–sweep cycle.  [extra_roots] pins additional objects
-    (e.g. those referenced by a running VM). *)
-
 val reachable : ?extra_roots:Oid.t list -> Heap.t -> Roots.t -> Oid.Set.t
 (** The set of strongly reachable oids, without sweeping. *)
 
@@ -26,10 +22,13 @@ val collect_sharded :
   Heap.t ->
   Roots.t ->
   stats * Oid.Set.t array
-(** Like {!collect}, but the mark phase runs per shard on the domain
-    pool: each shard traces the closure of its own objects and exports
-    cross-shard references to the owning shard, in rounds, until no new
-    oid crosses a boundary.  Also returns each shard's remembered set —
-    the live oids in that shard referenced from {e other} shards — which
-    is what lets later sweeps stay per-shard.  Weak-clear and sweep run
-    on the calling domain (they mutate the shared heap). *)
+(** Run a full mark–sweep cycle from the named roots plus [extra_roots]
+    (e.g. objects referenced by a running VM), over a store whose oids
+    [shard_of] assigns to [nshards] shards.  The mark phase runs per
+    shard on the domain pool: each shard traces the closure of its own
+    objects and exports cross-shard references to the owning shard, in
+    rounds, until no new oid crosses a boundary.  Also returns each
+    shard's remembered set — the live oids in that shard referenced from
+    {e other} shards — which is what lets later sweeps stay per-shard.
+    Weak-clear and sweep run on the calling domain (they mutate the
+    shared heap).  With one shard the mark is one sequential trace. *)

@@ -36,11 +36,6 @@ let create () = { table = Oid.Table.create 1024; next = 1 }
 
 let size heap = Oid.Table.length heap.table
 
-let fresh_oid heap =
-  let oid = Oid.of_int heap.next in
-  heap.next <- heap.next + 1;
-  oid
-
 let next_oid heap = heap.next
 
 let set_next_oid heap n = heap.next <- n
@@ -48,16 +43,6 @@ let set_next_oid heap n = heap.next <- n
 let insert heap oid entry =
   if Oid.Table.mem heap.table oid then heap_error "insert: oid %a already live" Oid.pp oid;
   Oid.Table.replace heap.table oid entry
-
-let alloc heap entry =
-  let oid = fresh_oid heap in
-  Oid.Table.replace heap.table oid entry;
-  oid
-
-let alloc_record heap class_name fields = alloc heap (Record { class_name; fields })
-let alloc_array heap elem_type elems = alloc heap (Array { elem_type; elems })
-let alloc_string heap s = alloc heap (Str s)
-let alloc_weak heap target = alloc heap (Weak { target })
 
 let find heap oid = Oid.Table.find_opt heap.table oid
 
@@ -114,9 +99,6 @@ let array_elem a idx =
 
 let get_record heap oid = as_record oid (get heap oid)
 let get_array heap oid = as_array oid (get heap oid)
-let get_string heap oid = as_string oid (get heap oid)
-let get_weak heap oid = as_weak oid (get heap oid)
-let class_of heap oid = entry_class (get heap oid)
 let field heap oid idx = record_field oid (get_record heap oid) idx
 
 let set_field heap oid idx v =
@@ -124,14 +106,10 @@ let set_field heap oid idx v =
   check_field oid r idx;
   r.fields.(idx) <- v
 
-let elem heap oid idx = array_elem (get_array heap oid) idx
-
 let set_elem heap oid idx v =
   let a = get_array heap oid in
   check_elem a idx;
   a.elems.(idx) <- v
-
-let array_length heap oid = Array.length (get_array heap oid).elems
 
 let remove heap oid = Oid.Table.remove heap.table oid
 

@@ -36,12 +36,6 @@ val insert : t -> Oid.t -> entry -> unit
 (** Used when rebuilding a heap from a stabilised image.
     @raise Heap_error if the oid is already live. *)
 
-val alloc : t -> entry -> Oid.t
-val alloc_record : t -> string -> Pvalue.t array -> Oid.t
-val alloc_array : t -> string -> Pvalue.t array -> Oid.t
-val alloc_string : t -> string -> Oid.t
-val alloc_weak : t -> Pvalue.t -> Oid.t
-
 val find : t -> Oid.t -> entry option
 val is_live : t -> Oid.t -> bool
 
@@ -63,6 +57,9 @@ val as_array : Oid.t -> entry -> arr
 val as_string : Oid.t -> entry -> string
 val as_weak : Oid.t -> entry -> weak_cell
 val entry_class : entry -> string
+(** Class descriptor: class name for records, [ty ^ "[]"] for arrays,
+    ["java.lang.String"] for strings. *)
+
 val check_field : Oid.t -> record -> int -> unit
 val check_elem : arr -> int -> unit
 val record_field : Oid.t -> record -> int -> Pvalue.t
@@ -70,18 +67,9 @@ val array_elem : arr -> int -> Pvalue.t
 
 val get_record : t -> Oid.t -> record
 val get_array : t -> Oid.t -> arr
-val get_string : t -> Oid.t -> string
-val get_weak : t -> Oid.t -> weak_cell
-
-val class_of : t -> Oid.t -> string
-(** Class descriptor of an object: class name for records, [ty ^ "[]"] for
-    arrays, ["java.lang.String"] for strings. *)
-
 val field : t -> Oid.t -> int -> Pvalue.t
 val set_field : t -> Oid.t -> int -> Pvalue.t -> unit
-val elem : t -> Oid.t -> int -> Pvalue.t
 val set_elem : t -> Oid.t -> int -> Pvalue.t -> unit
-val array_length : t -> Oid.t -> int
 
 val remove : t -> Oid.t -> unit
 val iter : (Oid.t -> entry -> unit) -> t -> unit

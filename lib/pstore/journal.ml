@@ -201,9 +201,9 @@ let sync t = Faults.fsync_channel t.oc
 
 let depth t = t.count
 
-let position t =
-  flush t.oc;
-  pos_out t.oc
+(* [pos_out] counts buffered bytes, so a savepoint costs no write: a
+   batch the group window deferred stays in the buffer until its sync. *)
+let position t = pos_out t.oc
 
 let truncate_to t ~pos ~depth =
   flush t.oc;

@@ -36,18 +36,15 @@ val create : ?obs:Obs.t -> string -> base_crc:int32 -> t
     [obs], when given, has its [Journal_append] counter bumped once per
     record appended. *)
 
-val append : t -> op list -> unit
-(** Append one record per op, in order.  Not durable until {!sync}. *)
-
 val append_batch : ?seq:int -> t -> op list -> unit
 (** Group commit: append the whole op list as ONE framed batch record
-    (a single op keeps the plain per-op framing; the bytes are then
-    identical to {!append}).  The frame checksum covers every op, so a
-    crash mid-write tears the batch as a unit and recovery lands on the
-    pre-batch state — never on a prefix of the delta.  {!depth} still
-    advances by the number of ops.  Not durable until {!sync}.
+    (a single op keeps the plain per-op framing, byte-compatible with
+    journals written before batching).  The frame checksum covers every
+    op, so a crash mid-write tears the batch as a unit and recovery lands
+    on the pre-batch state — never on a prefix of the delta.  {!depth}
+    still advances by the number of ops.  Not durable until {!sync}.
 
-    [seq], used by sharded stores, stamps the record with the store-level
+    [seq], used by stores whose commit marker gates replay, stamps the record with the store-level
     stabilise sequence number (always a tag-8 frame, even for one op);
     recovery replays a seq-stamped batch only if the store commit marker
     shows that sequence number as committed. *)

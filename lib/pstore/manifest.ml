@@ -1,9 +1,11 @@
-(* Sharded-store metadata: the manifest file, shard file naming, oid/key
-   hashing, and the store-level commit marker.
+(* Store layout: the manifest file, shard file naming, oid/key hashing,
+   and the store-level commit marker.
 
-   A sharded store replaces the single image at [path] with a small
-   manifest naming the shard count and the current epoch of every shard
-   image.  Shard files live next to it:
+   The store runs one code path for every shard count; the decisions
+   that depend on the count are made here.  A store of several shards
+   replaces the single image at [path] with a small manifest naming the
+   shard count and the current epoch of every shard image.  Shard files
+   live next to it:
 
      path             the manifest (magic "HPJMANIF")
      path.s<k>.<e>    shard [k]'s image at epoch [e]
@@ -23,7 +25,12 @@
    fsyncs.  Recovery replays per-shard batches only up to the marker's
    last sequence, so a crash between per-shard appends rolls the whole
    stabilise back.  Compactions that rewrite every shard rotate to a
-   fresh marker file (sequence numbers restart at 0). *)
+   fresh marker file (sequence numbers restart at 0).
+
+   One shard keeps the flat names: the image at [path], the journal at
+   [Journal.path_for path].  Its image rename is the commit point of a
+   compaction, and its journal needs no marker — one batch frame is
+   already atomic. *)
 
 let magic = "HPJMANIF"
 
@@ -49,6 +56,9 @@ let shard_of_key ~count key =
 let shard_image path k e = Printf.sprintf "%s.s%d.%d" path k e
 let shard_wal path k e = shard_image path k e ^ ".wal"
 let marker_path path m = Printf.sprintf "%s.marker.%d" path m
+let image_file ~count path k e = if count <= 1 then path else shard_image path k e
+let wal_file ~count path k e = if count <= 1 then Journal.path_for path else shard_wal path k e
+let gated ~count = count > 1
 
 (* -- manifest I/O --------------------------------------------------------- *)
 
@@ -108,7 +118,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Is the file at [path] a shard manifest (vs a legacy flat image)? *)
+(* Is the file at [path] a shard manifest (vs a flat image)? *)
 let is_manifest path =
   (not (Sys.file_exists path))
   |> function
@@ -123,41 +133,48 @@ let is_manifest path =
 
 let load path = decode (read_file path)
 
+let layout path =
+  if is_manifest path then load path else { nshards = 1; marker_epoch = -1; epochs = [| 0 |] }
+
+let commit path m = if gated ~count:m.nshards then save path m
+
 (* Best-effort removal of files from superseded epochs / markers.  Stale
    files are harmless (nothing references them), so errors are ignored. *)
 let cleanup_stale path m =
-  let dir = Filename.dirname path in
-  let base = Filename.basename path in
-  let keep = Hashtbl.create 16 in
-  Array.iteri
-    (fun k e ->
-      Hashtbl.replace keep (Filename.basename (shard_image path k e)) ();
-      Hashtbl.replace keep (Filename.basename (shard_wal path k e)) ())
-    m.epochs;
-  if m.marker_epoch >= 0 then
-    Hashtbl.replace keep (Filename.basename (marker_path path m.marker_epoch)) ();
-  let is_shard_file name =
-    (* base ^ ".s<k>.<e>"[".wal"] or base ^ ".marker.<m>" *)
-    String.length name > String.length base
-    && String.sub name 0 (String.length base) = base
-    && (let rest = String.sub name (String.length base) (String.length name - String.length base) in
-        let is_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s in
-        match String.split_on_char '.' rest with
-        | [ ""; s; e ] when String.length s > 1 && s.[0] = 's' ->
-          is_digits (String.sub s 1 (String.length s - 1)) && is_digits e
-        | [ ""; s; e; "wal" ] when String.length s > 1 && s.[0] = 's' ->
-          is_digits (String.sub s 1 (String.length s - 1)) && is_digits e
-        | [ ""; "marker"; m ] -> is_digits m
-        | _ -> false)
-  in
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | names ->
-    Array.iter
-      (fun name ->
-        if is_shard_file name && not (Hashtbl.mem keep name) then
-          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-      names
+  if gated ~count:m.nshards then begin
+    let dir = Filename.dirname path in
+    let base = Filename.basename path in
+    let keep = Hashtbl.create 16 in
+    Array.iteri
+      (fun k e ->
+        Hashtbl.replace keep (Filename.basename (shard_image path k e)) ();
+        Hashtbl.replace keep (Filename.basename (shard_wal path k e)) ())
+      m.epochs;
+    if m.marker_epoch >= 0 then
+      Hashtbl.replace keep (Filename.basename (marker_path path m.marker_epoch)) ();
+    let is_shard_file name =
+      (* base ^ ".s<k>.<e>"[".wal"] or base ^ ".marker.<m>" *)
+      String.length name > String.length base
+      && String.sub name 0 (String.length base) = base
+      && (let rest = String.sub name (String.length base) (String.length name - String.length base) in
+          let is_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s in
+          match String.split_on_char '.' rest with
+          | [ ""; s; e ] when String.length s > 1 && s.[0] = 's' ->
+            is_digits (String.sub s 1 (String.length s - 1)) && is_digits e
+          | [ ""; s; e; "wal" ] when String.length s > 1 && s.[0] = 's' ->
+            is_digits (String.sub s 1 (String.length s - 1)) && is_digits e
+          | [ ""; "marker"; m ] -> is_digits m
+          | _ -> false)
+    in
+    match Sys.readdir dir with
+    | exception Sys_error _ -> ()
+    | names ->
+      Array.iter
+        (fun name ->
+          if is_shard_file name && not (Hashtbl.mem keep name) then
+            try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+        names
+  end
 
 (* -- commit marker -------------------------------------------------------- *)
 

@@ -1,8 +1,12 @@
-(** Sharded-store metadata: shard assignment hashing, shard file naming,
-    the manifest file that replaces the flat image at the store path, and
-    the store-level commit marker for cross-shard atomic stabilise.
+(** Store layout: shard assignment hashing, file naming, the manifest
+    file, and the store-level commit marker for cross-shard atomic
+    stabilise.  The store has one code path for every shard count; the
+    three decisions that depend on the count live here: file names
+    ({!image_file}, {!wal_file}), the commit point of a compaction
+    ({!commit}) and whether a commit marker gates journal replay
+    ({!gated}).
 
-    On-disk layout of an [N]-shard store at [path]:
+    On-disk layout of an [N]-shard store at [path], [N > 1]:
     {v
       path             manifest (magic "HPJMANIF"): N, marker epoch,
                        per-shard image epochs
@@ -11,8 +15,10 @@
       path.marker.<m>  commit marker m (journalled mode)
     v}
 
-    Single-shard stores keep the legacy flat layout ([path] is the image
-    itself); [Store.open_file] sniffs the magic to pick the loader. *)
+    A one-shard store keeps the flat names: its image is [path] itself
+    and its journal [Journal.path_for path], with no epoch suffix, no
+    manifest file and no marker.  {!layout} sniffs the magic to tell the
+    two apart. *)
 
 type t = {
   nshards : int;
@@ -34,8 +40,32 @@ val shard_of_key : count:int -> string -> int
 (** {1 File naming} *)
 
 val shard_image : string -> int -> int -> string
+(** [path.s<k>.<e>]: shard [k]'s image at epoch [e] in a manifest store. *)
+
 val shard_wal : string -> int -> int -> string
 val marker_path : string -> int -> string
+
+val image_file : count:int -> string -> int -> int -> string
+(** Shard [k]'s image at epoch [e] in a [count]-shard store: {!shard_image},
+    or [path] itself for one shard. *)
+
+val wal_file : count:int -> string -> int -> int -> string
+(** Its journal: {!shard_wal}, or [Journal.path_for path] for one shard. *)
+
+(** {1 Layout rules} *)
+
+val gated : count:int -> bool
+(** Does a commit marker gate journal replay?  Only with more than one
+    journal: one batch frame is already atomic, so a one-shard journal
+    replays every whole batch and its batches carry no sequence number. *)
+
+val layout : string -> t
+(** The layout of the store at [path]: its manifest, or one flat shard
+    ([marker_epoch = -1], epoch [0]) when [path] is not a manifest. *)
+
+val commit : string -> t -> unit
+(** The commit point of a compaction: {!save} the manifest.  A one-shard
+    store has none to write — its image rename already committed. *)
 
 (** {1 Manifest I/O} *)
 
@@ -47,11 +77,12 @@ val load : string -> t
 (** @raise Codec.Decode_error if unreadable or not a manifest. *)
 
 val is_manifest : string -> bool
-(** Does the file start with the manifest magic (vs a legacy image)? *)
+(** Does the file start with the manifest magic (vs a flat image)? *)
 
 val cleanup_stale : string -> t -> unit
 (** Best-effort deletion of shard/marker files from superseded epochs.
-    Errors are ignored: stale files are unreferenced and harmless. *)
+    Errors are ignored: stale files are unreferenced and harmless.  A
+    one-shard store has no epoch files, so its directory is not read. *)
 
 (** {1 Commit marker}
 

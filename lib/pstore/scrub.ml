@@ -46,13 +46,9 @@ let pp_progress ppf state =
     state.passes (List.length state.queue) state.scanned state.verified state.primed
     state.quarantined state.ref_errors
 
-let step state ~heap ~crcs ~quarantine ?reseed ?(foreign = fun _ -> false) ~budget () =
+let step state ~heap ~crcs ~quarantine ~reseed ~foreign ~budget =
   if budget <= 0 then invalid_arg "Scrub.step: budget must be positive";
-  if state.queue = [] then
-    state.queue <-
-      (match reseed with
-      | Some f -> f ()
-      | None -> List.sort Oid.compare (Heap.oids heap));
+  if state.queue = [] then state.queue <- reseed ();
   let newly = ref [] in
   let quarantine_oid oid reason =
     Quarantine.add quarantine oid reason;
@@ -93,10 +89,9 @@ let step state ~heap ~crcs ~quarantine ?reseed ?(foreign = fun _ -> false) ~budg
           let check_target target =
             if not (Heap.is_live heap target) then begin
               if foreign target then begin
-                (* the target lives in another shard: touching that
-                   shard's quarantine from this domain would race, so
-                   just report it — the store routes the quarantine to
-                   the owning shard after the parallel step *)
+                (* the target lives in another shard, whose quarantine
+                   this step does not own: just report it — the store
+                   routes the quarantine to the owning shard *)
                 state.ref_errors <- state.ref_errors + 1;
                 newly :=
                   (target, Printf.sprintf "dangling target of %s" (Oid.to_string oid))

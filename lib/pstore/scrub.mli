@@ -25,22 +25,20 @@ val step :
   heap:Heap.t ->
   crcs:int32 Oid.Table.t ->
   quarantine:Quarantine.t ->
-  ?reseed:(unit -> Oid.t list) ->
-  ?foreign:(Oid.t -> bool) ->
+  reseed:(unit -> Oid.t list) ->
+  foreign:(Oid.t -> bool) ->
   budget:int ->
-  unit ->
   report
 (** Scan at most [budget] objects, resuming where the previous step
-    stopped; when the queue is empty a fresh pass is started from a fresh
-    snapshot of the heap's oids ([reseed], when given, supplies that
-    snapshot — sharded stores seed each shard's scrubber with only its
-    own oids).
+    stopped; when the queue is empty a fresh pass is started from the
+    oids [reseed] lists (the store lists each shard's own oids, in
+    order).
 
     [foreign] marks oids owned by another shard: a dangling reference
     whose target is foreign is only {e reported} in [newly_quarantined]
-    (never written into [quarantine]/[crcs], which would race with the
-    owning shard's scrubber running in parallel); the store applies those
-    quarantines on the owning shard after the parallel step.
+    (never written into this shard's [quarantine]/[crcs], since an oid
+    is quarantined only in its own shard); the store applies those
+    quarantines on the owning shard after the step.
     @raise Invalid_argument if [budget <= 0]. *)
 
 val passes : state -> int

@@ -15,13 +15,24 @@
    the compaction limit, or after operations the journal cannot express —
    a GC sweep, or direct heap surgery flagged via [mark_dirty]).
 
-   The object space is partitioned into N shards (N fixed at creation,
-   persisted in the store manifest).  Each shard owns an oid-hash slice of
-   the objects plus the key-hashed roots and blobs, and carries its own
-   image file, journal, quarantine set, checksum table, scrub cursor and
-   counters, so stabilise, scrub and GC mark can run shard-wise on the
-   domain pool.  N = 1 — the default — keeps the legacy flat single-file
-   layout, byte for byte.
+   The object space is partitioned into N shards (N fixed at creation).
+   Each shard owns an oid-hash slice of the objects plus the key-hashed
+   roots and blobs, and carries its own image file, journal, quarantine
+   set, checksum table, scrub cursor and counters, so stabilise and GC
+   mark can run shard-wise on the domain pool.  One code path serves
+   every N; N = 1, the default, is its one-shard case.  [Manifest] makes
+   the three decisions that depend on N:
+   - file names: one shard keeps its image at [path] and its journal at
+     [Journal.path_for path], with no epoch suffix and no manifest file;
+     several shards name epoch files behind a manifest at [path];
+   - the commit point of a compaction: the image rename for one shard,
+     the manifest rename for several;
+   - whether a commit marker gates journal replay: only with more than
+     one journal.
+   Demoting a shard needs a neighbour that keeps serving
+   ([has_neighbour]), so a one-shard store never demotes: its I/O
+   failures surface from the whole stabilise, and an unreadable image
+   fails the open.
 
    Multi-shard journalled crash atomicity: every stabilise gets a
    store-level sequence number; the delta lands as one seq-stamped batch
@@ -69,9 +80,10 @@ type shard = {
 }
 
 type t = {
-  heap : Heap.t;
-  roots : Roots.t;
-  blobs : (string, string) Hashtbl.t;
+  (* replaced only by [open_file], which adopts a loaded shard's tables *)
+  mutable heap : Heap.t;
+  mutable roots : Roots.t;
+  mutable blobs : (string, string) Hashtbl.t;
   shards : shard array; (* length >= 1, fixed at creation *)
   obs : Obs.t;
   props : Props.t; (* transient per-store state attached by higher layers *)
@@ -213,15 +225,14 @@ let fresh_mvcc () =
     blob_stamps = Hashtbl.create 16;
   }
 
-let make ?(obs = Obs.create ()) ?(nshards = 1) ?(heap = Heap.create ()) ?(roots = Roots.create ())
-    ?(blobs = Hashtbl.create 16) ?backing () =
+let make ?(obs = Obs.create ()) nshards =
   if nshards < 1 || nshards > max_shards then
     invalid_arg (Printf.sprintf "Store: shard count must be in 1..%d" max_shards);
   let rec store =
     {
-      heap;
-      roots;
-      blobs;
+      heap = Heap.create ();
+      roots = Roots.create ();
+      blobs = Hashtbl.create 16;
       shards = Array.init nshards (fun _ -> make_shard ());
       obs;
       props = Props.create ();
@@ -236,7 +247,7 @@ let make ?(obs = Obs.create ()) ?(nshards = 1) ?(heap = Heap.create ()) ?(roots 
       salvage_degrade = default_salvage_degrade;
       unhealthy = 0;
       io_retries = 0;
-      backing;
+      backing = None;
       pins = [];
       stabilise_count = 0;
       gc_count = 0;
@@ -278,18 +289,33 @@ let props store = store.props
 let nshards store = Array.length store.shards
 let shards = nshards
 
-let shard_ix_oid store oid =
-  let n = Array.length store.shards in
-  if n = 1 then 0 else Manifest.shard_of_oid ~count:n oid
-
-let shard_ix_key store key =
-  let n = Array.length store.shards in
-  if n = 1 then 0 else Manifest.shard_of_key ~count:n key
-
+let shard_ix_oid store oid = Manifest.shard_of_oid ~count:(Array.length store.shards) oid
+let shard_ix_key store key = Manifest.shard_of_key ~count:(Array.length store.shards) key
 let shard_of = shard_ix_oid
 let shard_oid store oid = Array.unsafe_get store.shards (shard_ix_oid store oid)
 let shard_key store key = store.shards.(shard_ix_key store key)
-let s0 store = store.shards.(0)
+
+(* The neighbour predicate.  Demoting a shard — the circuit breaker, a
+   salvage-heavy or unreadable image at open — and retrying one shard's
+   I/O apart from the rest only make sense while another shard keeps
+   serving.  A shard without a neighbour also owns the whole store, so
+   its image is the store's contents, not a slice of them. *)
+let has_neighbour store = Array.length store.shards > 1
+
+(* The layout rules, from [Manifest]. *)
+let image_file store path k e = Manifest.image_file ~count:(nshards store) path k e
+let wal_file store path k e = Manifest.wal_file ~count:(nshards store) path k e
+let gated store = Manifest.gated ~count:(nshards store)
+
+(* A gated store appends only while its commit marker is open. *)
+let marker_missing store = gated store && store.marker = None
+
+let manifest_of store ~marker_epoch =
+  {
+    Manifest.nshards = nshards store;
+    marker_epoch;
+    epochs = Array.map (fun sh -> sh.sepoch) store.shards;
+  }
 
 (* Side-cache invalidation: higher layers (the registry's getLink memo)
    stamp their cached entries with this epoch; any event that can change
@@ -331,19 +357,6 @@ let journalling store =
   | Journalled -> true
   | Snapshot -> false
 
-(* Single-shard journal close (legacy flat layout). *)
-let close_wal store =
-  let sh = s0 store in
-  match sh.swal with
-  | Some w ->
-    (* An orderly close is a durability barrier: batches whose fsync was
-       deferred by the group window must land before the handle goes. *)
-    if store.unsynced > 0 then (try Journal.sync w with _ -> ());
-    store.unsynced <- 0;
-    Journal.close w;
-    sh.swal <- None
-  | None -> ()
-
 let set_durability store mode =
   if mode <> store.durability then begin
     (match mode with
@@ -352,51 +365,26 @@ let set_durability store mode =
          the first stabilise must write a full image. *)
       store.needs_full <- true
     | Snapshot ->
-      if nshards store = 1 then begin
-        close_wal store;
-        let sh = s0 store in
-        sh.spending <- [];
-        sh.spending_count <- 0;
-        match store.backing with
-        | Some path when Sys.file_exists (Journal.path_for path) ->
-          Sys.remove (Journal.path_for path)
-        | _ -> ()
-      end
-      else begin
-        Array.iter
-          (fun sh ->
-            (match sh.swal with Some w -> Journal.close w | None -> ());
-            sh.swal <- None;
-            sh.spending <- [];
-            sh.spending_count <- 0;
-            sh.sdirty <- false)
-          store.shards;
-        (match store.marker with Some m -> Manifest.Marker.close m | None -> ());
-        store.marker <- None;
-        store.unsynced <- 0;
-        (match store.backing with
-        | Some path ->
-          Array.iteri
-            (fun k sh ->
-              let w = Manifest.shard_wal path k sh.sepoch in
-              if Sys.file_exists w then (try Sys.remove w with Sys_error _ -> ()))
-            store.shards;
-          (if store.marker_epoch >= 0 then begin
-             let mp = Manifest.marker_path path store.marker_epoch in
-             if Sys.file_exists mp then (try Sys.remove mp with Sys_error _ -> ())
-           end);
-          if Manifest.is_manifest path then (
-            try
-              Manifest.save path
-                {
-                  Manifest.nshards = nshards store;
-                  marker_epoch = -1;
-                  epochs = Array.map (fun sh -> sh.sepoch) store.shards;
-                }
-            with Sys_error _ -> ())
-        | None -> ());
-        store.marker_epoch <- -1
-      end);
+      Array.iter
+        (fun sh ->
+          (match sh.swal with Some w -> Journal.close w | None -> ());
+          sh.swal <- None;
+          sh.spending <- [];
+          sh.spending_count <- 0;
+          sh.sdirty <- false)
+        store.shards;
+      (match store.marker with Some m -> Manifest.Marker.close m | None -> ());
+      store.marker <- None;
+      store.unsynced <- 0;
+      (match store.backing with
+      | Some path ->
+        let remove f = if Sys.file_exists f then try Sys.remove f with Sys_error _ -> () in
+        Array.iteri (fun k sh -> remove (wal_file store path k sh.sepoch)) store.shards;
+        if store.marker_epoch >= 0 then remove (Manifest.marker_path path store.marker_epoch);
+        if Manifest.is_manifest path then
+          (try Manifest.save path (manifest_of store ~marker_epoch:(-1)) with Sys_error _ -> ())
+      | None -> ());
+      store.marker_epoch <- -1);
     store.durability <- mode
   end
 
@@ -514,7 +502,7 @@ let note_read_key store key =
    count crossed the threshold.  Successful shard I/O resets the count
    from the pool, so only a persistent run of failures trips it. *)
 let trip_breakers store =
-  if store.breaker > 0 && nshards store > 1 then begin
+  if store.breaker > 0 && has_neighbour store then begin
     Array.iter
       (fun sh ->
         if Health.healthy sh.shealth && Health.failures sh.shealth >= store.breaker then
@@ -564,9 +552,11 @@ let first_unhealthy store =
    exhaustion feeds the shard's consecutive-failure counter — the
    circuit breaker's input — and success resets it.  Only the counters
    are touched here; the breaker trip itself (a state transition)
-   happens later on the calling domain, in [trip_breakers]. *)
+   happens later on the calling domain, in [trip_breakers].  A shard
+   without a neighbour is the whole store: its failures go straight to
+   the whole-stabilise retry. *)
 let shard_io store sh cls ?(undo = fun () -> ()) f =
-  match policy_for store cls with
+  match if has_neighbour store then policy_for store cls else None with
   | None -> begin
     match f () with
     | v ->
@@ -634,7 +624,7 @@ let create ?config () =
     | Some c -> c.Config.shards
     | None -> 1
   in
-  let store = make ~nshards () in
+  let store = make nshards in
   Option.iter (configure store) config;
   store
 
@@ -761,31 +751,29 @@ let invalidate_crc store oid = Oid.Table.remove (shard_oid store oid).scrcs oid
    they force a fresh image of the owning shard at the next compaction
    point — which is also what persists the quarantine set across reopen.
    The invariant is shard-local: an oid is quarantined in (and only in)
-   its own shard, so on a sharded store only that shard pays the image
-   rewrite ([sneeds_full] selects it for a partial compaction). *)
+   its own shard, so only that shard pays the image rewrite
+   ([sneeds_full] selects it for compaction). *)
 let quarantine_oid store oid reason =
   let sh = shard_oid store oid in
   Quarantine.add sh.sq oid reason;
   Oid.Table.remove sh.scrcs oid;
   bump_epoch store;
-  if nshards store = 1 then store.needs_full <- true else sh.sneeds_full <- true
+  sh.sneeds_full <- true
 
 let clear_quarantine store oid =
   let sh = shard_oid store oid in
   if Quarantine.mem sh.sq oid then begin
     Quarantine.remove sh.sq oid;
     bump_epoch store;
-    if nshards store = 1 then store.needs_full <- true else sh.sneeds_full <- true
+    sh.sneeds_full <- true
   end
 
 let quarantine_reason store oid = Quarantine.find (shard_oid store oid).sq oid
 let is_quarantined store oid = Quarantine.mem (shard_oid store oid).sq oid
 
 let quarantined store =
-  if nshards store = 1 then Quarantine.to_list (s0 store).sq
-  else
-    Array.fold_left (fun acc sh -> List.rev_append (Quarantine.to_list sh.sq) acc) [] store.shards
-    |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
+  Array.fold_left (fun acc sh -> List.rev_append (Quarantine.to_list sh.sq) acc) [] store.shards
+  |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
 
 let quarantined_total store =
   Array.fold_left (fun acc sh -> acc + Quarantine.size sh.sq) 0 store.shards
@@ -1166,19 +1154,11 @@ let gc store =
          back; the next stabilise must therefore compact. *)
       if journalling store then store.needs_full <- true;
       let extra_roots = quarantine_roots store @ pinned_oids store in
-      let stats =
-        if nshards store = 1 then Gc.collect ~extra_roots store.heap store.roots
-        else begin
-          let n = nshards store in
-          let stats, remembered =
-            Gc.collect_sharded ~nshards:n
-              ~shard_of:(fun oid -> Manifest.shard_of_oid ~count:n oid)
-              ~extra_roots store.heap store.roots
-          in
-          Array.iteri (fun k r -> store.shards.(k).sremembered <- r) remembered;
-          stats
-        end
+      let stats, remembered =
+        Gc.collect_sharded ~nshards:(nshards store) ~shard_of:(shard_ix_oid store) ~extra_roots
+          store.heap store.roots
       in
+      Array.iteri (fun k r -> store.shards.(k).sremembered <- r) remembered;
       (* Recorded checksums of swept objects are stale, and the sweep may
          have cleared weak-cell targets behind the checksum's back. *)
       Array.iter
@@ -1200,9 +1180,8 @@ let reachable store =
     ~extra_roots:(quarantine_roots store @ pinned_oids store)
     store.heap store.roots
 
-(* A single-shard store's contents share its quarantine set (the legacy
-   contract); a sharded store merges the per-shard sets into a fresh one,
-   so fingerprints are identical whatever the shard count. *)
+(* The per-shard quarantine sets merged into a fresh one, so fingerprints
+   are identical whatever the shard count. *)
 let merged_quarantine store =
   let q = Quarantine.create () in
   Array.iter
@@ -1211,96 +1190,63 @@ let merged_quarantine store =
   q
 
 let contents store =
-  let quarantine = if nshards store = 1 then (s0 store).sq else merged_quarantine store in
-  { Image.heap = store.heap; roots = store.roots; blobs = store.blobs; quarantine }
+  {
+    Image.heap = store.heap;
+    roots = store.roots;
+    blobs = store.blobs;
+    quarantine = merged_quarantine store;
+  }
 
 (* -- scrubbing ------------------------------------------------------------ *)
 
 let default_scrub_budget = 256
 
+(* Each shard's scrubber steps in turn on the calling domain, with its
+   share of the budget.  A shard starting a fresh pass reseeds from its
+   own oids; the heap is listed at most once per call. *)
 let scrub ?(budget = default_scrub_budget) store =
   Obs.span store.obs Obs.Scrub_step (fun () ->
-      let report =
-        if nshards store = 1 then begin
-          let sh = s0 store in
-          Scrub.step sh.sscrub ~heap:store.heap ~crcs:sh.scrcs ~quarantine:sh.sq ~budget ()
-        end
-        else begin
-          let n = nshards store in
-          let per = max 1 ((budget + n - 1) / n) in
-          (* If any shard is about to start a fresh pass, partition a heap
-             snapshot here on the calling domain: the lazy default reseed
-             would walk the (shared) heap from inside pool domains. *)
-          let parts =
-            if Array.exists (fun sh -> Scrub.pending sh.sscrub = 0) store.shards then begin
-              let parts = Array.make n [] in
-              List.iter
-                (fun oid ->
-                  let k = shard_ix_oid store oid in
-                  parts.(k) <- oid :: parts.(k))
-                (List.rev (List.sort Oid.compare (Heap.oids store.heap)));
-              Some parts
-            end
-            else None
-          in
-          let reports = Array.make n None in
-          Dpool.run n (fun k ->
-              let sh = store.shards.(k) in
-              let reseed = Option.map (fun p () -> p.(k)) parts in
-              reports.(k) <-
-                Some
-                  (Scrub.step sh.sscrub ~heap:store.heap ~crcs:sh.scrcs ~quarantine:sh.sq ?reseed
-                     ~foreign:(fun oid -> shard_ix_oid store oid <> k)
-                     ~budget:per ()));
-          let merged =
-            Array.fold_left
-              (fun acc r ->
-                match r with
-                | None -> acc
-                | Some (r : Scrub.report) ->
-                  {
-                    Scrub.scanned = acc.Scrub.scanned + r.Scrub.scanned;
-                    verified = acc.Scrub.verified + r.Scrub.verified;
-                    primed = acc.Scrub.primed + r.Scrub.primed;
-                    newly_quarantined = acc.Scrub.newly_quarantined @ r.Scrub.newly_quarantined;
-                    pass_complete = acc.Scrub.pass_complete && r.Scrub.pass_complete;
-                  })
-              {
-                Scrub.scanned = 0;
-                verified = 0;
-                primed = 0;
-                newly_quarantined = [];
-                pass_complete = true;
-              }
-              reports
-          in
-          (* Cross-shard dangling targets were only reported by the finding
-             shard; apply the quarantine on the owning shard here, after
-             the parallel step (the same target may have been reported by
-             several shards — dedup first). *)
-          let newly =
-            List.sort_uniq (fun (a, _) (b, _) -> Oid.compare a b) merged.Scrub.newly_quarantined
-          in
-          List.iter
-            (fun (oid, reason) ->
-              let sh = shard_oid store oid in
-              if not (Quarantine.mem sh.sq oid) then Quarantine.add sh.sq oid reason;
-              Oid.Table.remove sh.scrcs oid)
-            newly;
-          { merged with Scrub.newly_quarantined = newly }
-        end
+      let n = nshards store in
+      let per = max 1 ((budget + n - 1) / n) in
+      let all = lazy (List.sort Oid.compare (Heap.oids store.heap)) in
+      let total =
+        ref { Scrub.scanned = 0; verified = 0; primed = 0; newly_quarantined = []; pass_complete = true }
       in
-      if report.Scrub.newly_quarantined <> [] then begin
-        (if nshards store = 1 then store.needs_full <- true
-         else
-           List.iter
-             (fun (oid, _) -> (shard_oid store oid).sneeds_full <- true)
-             report.Scrub.newly_quarantined);
-        bump_epoch store
-      end;
-      report)
+      Array.iteri
+        (fun k sh ->
+          let owned () = List.filter (fun oid -> shard_ix_oid store oid = k) (Lazy.force all) in
+          let r =
+            Scrub.step sh.sscrub ~heap:store.heap ~crcs:sh.scrcs ~quarantine:sh.sq ~reseed:owned
+              ~foreign:(fun oid -> shard_ix_oid store oid <> k)
+              ~budget:per
+          in
+          let acc = !total in
+          total :=
+            {
+              Scrub.scanned = acc.scanned + r.scanned;
+              verified = acc.verified + r.verified;
+              primed = acc.primed + r.primed;
+              newly_quarantined = acc.newly_quarantined @ r.newly_quarantined;
+              pass_complete = acc.pass_complete && r.pass_complete;
+            })
+        store.shards;
+      (* A dangling target another shard owns was only reported by the
+         shard that found it; quarantine it in its owner here (several
+         shards may have reported the same target — dedup first). *)
+      let newly =
+        List.sort_uniq (fun (a, _) (b, _) -> Oid.compare a b) !total.Scrub.newly_quarantined
+      in
+      List.iter
+        (fun (oid, reason) ->
+          let sh = shard_oid store oid in
+          if not (Quarantine.mem sh.sq oid) then Quarantine.add sh.sq oid reason;
+          Oid.Table.remove sh.scrcs oid;
+          sh.sneeds_full <- true)
+        newly;
+      if newly <> [] then bump_epoch store;
+      { !total with Scrub.newly_quarantined = newly })
 
-let scrub_progress store = (s0 store).sscrub
+let scrub_progress store = store.shards.(0).sscrub
 
 let wal_depth store =
   Array.fold_left
@@ -1312,42 +1258,22 @@ let wal_depth store =
       | None -> 0)
     0 store.shards
 
-(* -- single-shard (legacy flat layout) stabilisation ---------------------- *)
+(* -- stabilisation -----------------------------------------------------------
 
-let compact store path =
-  Obs.span store.obs Obs.Compaction (fun () ->
-      close_wal store;
-      let crc = Image.save ~obs:store.obs path (contents store) in
-      (* The image now contains every pending effect; a crash before the new
-         journal header lands leaves a stale journal (old base checksum) that
-         recovery discards. *)
-      let sh = s0 store in
-      sh.spending <- [];
-      sh.spending_count <- 0;
-      sh.swal <- Some (Journal.create ~obs:store.obs (Journal.path_for path) ~base_crc:crc);
-      store.needs_full <- false;
-      store.unsynced <- 0;
-      store.compactions <- store.compactions + 1)
+   One path for every shard count.  [image_file], [wal_file], [gated] and
+   [Manifest.commit] carry the layout: with several shards, each
+   compaction writes fresh epoch files and commits them with one
+   manifest rename; one shard keeps its image at [path] and its journal
+   at [Journal.path_for path], and its image rename is the commit. *)
 
-(* -- sharded stabilisation ------------------------------------------------
-
-   File layout: the store path holds a manifest naming each shard's image
-   epoch and the commit-marker epoch; shard k's image is [path.s<k>.<e>],
-   its journal [path.s<k>.<e>.wal], the marker [path.marker.<m>].  The
-   manifest is replaced atomically (tmp + rename), which makes it the
-   commit point of any compaction. *)
-
-let shard_keep store k =
-  let n = Array.length store.shards in
-  ( (fun oid -> Manifest.shard_of_oid ~count:n oid = k),
-    fun key -> Manifest.shard_of_key ~count:n key = k )
-
-let manifest_of store ~marker_epoch =
-  {
-    Manifest.nshards = nshards store;
-    marker_epoch;
-    epochs = Array.map (fun sh -> sh.sepoch) store.shards;
-  }
+(* Shard [k]'s part of the store contents [c]. *)
+let shard_contents store c k =
+  if has_neighbour store then
+    Image.slice
+      ~keep_oid:(fun oid -> shard_ix_oid store oid = k)
+      ~keep_key:(fun key -> shard_ix_key store key = k)
+      c
+  else c
 
 let sync_dirty_shards store =
   Dpool.run (nshards store) (fun k ->
@@ -1360,12 +1286,12 @@ let sync_dirty_shards store =
                 | None -> ());
                 sh.sdirty <- false)))
 
-(* Snapshot mode, sharded: every stabilise rewrites all shard images (in
-   parallel) and then commits them together with one manifest rename.
-   Unhealthy shards are skipped — their old-epoch image stays referenced
-   untouched; an OFFLINE shard's slice of the heap is empty, and writing
-   that empty slice out would turn a recoverable image into a lost one. *)
-let save_shards_snapshot store path =
+(* Snapshot mode: every stabilise rewrites all shard images (in
+   parallel) and then commits them together.  Unhealthy shards are
+   skipped — their old-epoch image stays referenced untouched; an
+   OFFLINE shard's slice of the heap is empty, and writing that empty
+   slice out would turn a recoverable image into a lost one. *)
+let save_snapshot store path =
   let c = contents store in
   let n = nshards store in
   let before = shard_counts store in
@@ -1379,25 +1305,26 @@ let save_shards_snapshot store path =
       if Health.healthy sh.shealth then
         Faults.with_shard_scope k (fun () ->
             shard_io store sh Retry.Image_save (fun () ->
-                let keep_oid, keep_key = shard_keep store k in
-                let slice = Image.slice ~keep_oid ~keep_key c in
-                ignore (Image.save ~obs:sh.sobs (Manifest.shard_image path k epochs'.(k)) slice
-                  : int32))));
+                ignore
+                  (Image.save ~obs:sh.sobs (image_file store path k epochs'.(k))
+                     (shard_contents store c k)
+                    : int32))));
   let m = { Manifest.nshards = n; marker_epoch = -1; epochs = epochs' } in
-  Manifest.save path m;
+  Manifest.commit path m;
   Array.iteri (fun k sh -> sh.sepoch <- epochs'.(k)) store.shards;
   Manifest.cleanup_stale path m
 
-(* The journalled append path.  One store-level sequence number covers
-   the whole stabilise: each dirty shard gets one seq-stamped batch
-   record, and the sequence number is committed by appending it to the
-   marker only after every dirty journal is fsynced.  [force_sync]
-   bypasses the group window (compaction uses it: the delta must be
-   durable before images start moving).  On failure every journal and the
-   marker are truncated back to their savepoints — the whole stabilise
-   rolls back, and [needs_full] routes the retry through compaction. *)
-let sharded_append ~force_sync store =
-  let marker = Option.get store.marker in
+(* The journalled append path.  Each dirty shard gets one batch record.
+   On a gated store one store-level sequence number covers the whole
+   stabilise: every batch is stamped with it, and it is committed by
+   appending it to the marker only after every dirty journal is fsynced.
+   A lone journal needs no marker, so its batches carry no number.
+   [force_sync] bypasses the group window (compaction uses it: the delta
+   must be durable before images start moving).  On failure the whole
+   stabilise rolls back (see below), and [sneeds_full] routes the retry
+   through compaction. *)
+let append_delta ~force_sync store =
+  let marker = store.marker in
   (* A demoted shard takes no part: its pending ops stay buffered (they
      describe heap state that [repair]'s rewrite will persist) and its
      files are not touched.  Demotion therefore never loses a delta — it
@@ -1405,6 +1332,7 @@ let sharded_append ~force_sync store =
   let active sh = Health.healthy sh.shealth in
   let have_pending = Array.exists (fun sh -> active sh && sh.spending <> []) store.shards in
   let seq' = if have_pending then store.seq + 1 else store.seq in
+  let stamp = Option.map (fun _ -> seq') marker in
   let saves =
     Array.map
       (fun sh ->
@@ -1414,7 +1342,7 @@ let sharded_append ~force_sync store =
         | _ -> None)
       store.shards
   in
-  let msave = Manifest.Marker.position marker in
+  let msave = Option.map Manifest.Marker.position marker in
   let before = shard_counts store in
   match
     if have_pending then
@@ -1430,11 +1358,12 @@ let sharded_append ~force_sync store =
                 shard_io store sh Retry.Journal_append
                   ~undo:(fun () -> try Journal.truncate_to w ~pos ~depth with _ -> ())
                   (fun () ->
-                    Journal.append_batch ~seq:seq' w (List.rev sh.spending);
+                    Journal.append_batch ?seq:stamp w (List.rev sh.spending);
                     sh.sdirty <- true)));
     if force_sync || store.unsynced + 1 >= store.group_window then begin
       sync_dirty_shards store;
-      if seq' > store.committed then begin
+      (match (marker, msave) with
+      | Some marker, Some pos when seq' > store.committed ->
         let commit () =
           Manifest.Marker.append marker seq';
           Manifest.Marker.sync marker
@@ -1445,10 +1374,10 @@ let sharded_append ~force_sync store =
           Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name Retry.Marker)
             ~on_retry:(fun _ _ ->
               store.io_retries <- store.io_retries + 1;
-              try Manifest.Marker.truncate_to marker ~pos:msave with _ -> ())
+              try Manifest.Marker.truncate_to marker ~pos with _ -> ())
             commit);
         store.committed <- seq'
-      end;
+      | _ -> ());
       store.unsynced <- 0
     end
     else store.unsynced <- store.unsynced + 1
@@ -1465,31 +1394,38 @@ let sharded_append ~force_sync store =
       store.shards
   | exception e ->
     merge_shard_counts store before;
-    (* Roll the whole stabilise back.  Journals that took part are
-       truncated to their savepoints; only the shards whose files were
-       actually touched are marked for a fresh image — a healthy shard
-       must not pay for its neighbour's failure. *)
+    (* Roll the whole stabilise back.  Only the shards whose journals
+       took part are marked for a fresh image — a healthy shard must not
+       pay for its neighbour's failure.  Under a marker those journals
+       are also truncated to their savepoints: a batch left behind would
+       carry the sequence number the next stabilise reuses, and the
+       marker would then commit it.  A lone journal's torn tail is left
+       for recovery to cut. *)
     Array.iteri
       (fun k save ->
         match save with
         | Some (w, pos, depth) ->
-          (try Journal.truncate_to w ~pos ~depth with _ -> ());
+          if marker <> None then (try Journal.truncate_to w ~pos ~depth with _ -> ());
           store.shards.(k).sneeds_full <- true
         | None -> ())
       saves;
-    (try Manifest.Marker.truncate_to marker ~pos:msave with _ -> ());
+    (match (marker, msave) with
+    | Some m, Some pos -> ( try Manifest.Marker.truncate_to m ~pos with _ -> ())
+    | _ -> ());
     raise e
 
-(* Sharded compaction.  [selected] says which shards get a fresh image
-   (all of them on a full compaction); on a partial compaction the
-   current delta is first made durable through the OLD journals and the
-   marker, so the subsequent image writes can fail or tear anywhere
-   without losing it — nothing references a new-epoch file until the
-   manifest rename, which is the single commit point. *)
-let compact_shards store path ~full ~selected =
+(* Compaction.  [selected] says which shards get a fresh image.  When it
+   selects every shard the compaction is full: it needs no delta first
+   and, on a gated store, rotates the commit marker.  A partial
+   compaction first makes the current delta durable through the OLD
+   journals and the marker, so the subsequent image writes can fail or
+   tear anywhere without losing it — nothing references a new-epoch
+   file until the manifest rename, which is the single commit point. *)
+let compact store path ~selected =
   Obs.span store.obs Obs.Compaction (fun () ->
       let n = nshards store in
-      if not full then sharded_append ~force_sync:true store;
+      let full = Array.for_all Fun.id selected in
+      if not full then append_delta ~force_sync:true store;
       let c = contents store in
       let before = shard_counts store in
       let new_wals = Array.make n None in
@@ -1499,30 +1435,44 @@ let compact_shards store path ~full ~selected =
             if selected.(k) then begin
               let sh = store.shards.(k) in
               let e' = sh.sepoch + 1 in
-              let keep_oid, keep_key = shard_keep store k in
+              let wal' = wal_file store path k e' in
+              if String.equal wal' (wal_file store path k sh.sepoch) then begin
+                (* The new journal takes the old one's name (the flat
+                   names), so the old handle goes first — after the
+                   batches the group window deferred land.  A crash
+                   before the new header lands leaves a journal naming
+                   the old image's checksum, which recovery discards. *)
+                (match sh.swal with
+                | Some w ->
+                  if store.unsynced > 0 then (try Journal.sync w with _ -> ());
+                  Journal.close w
+                | None -> ());
+                sh.swal <- None;
+                sh.sdirty <- false
+              end;
               Faults.with_shard_scope k (fun () ->
                   (* Idempotent under retry: the image write is tmp+rename
                      and the journal create truncates — each attempt
                      rewrites the same new-epoch paths from scratch. *)
                   shard_io store sh Retry.Image_save (fun () ->
-                      let slice = Image.slice ~keep_oid ~keep_key c in
-                      let crc = Image.save ~obs:sh.sobs (Manifest.shard_image path k e') slice in
-                      new_wals.(k) <-
-                        Some
-                          (Journal.create ~obs:sh.sobs (Manifest.shard_wal path k e')
-                             ~base_crc:crc)))
+                      let crc =
+                        Image.save ~obs:sh.sobs (image_file store path k e')
+                          (shard_contents store c k)
+                      in
+                      new_wals.(k) <- Some (Journal.create ~obs:sh.sobs wal' ~base_crc:crc)))
             end);
         merge_shard_counts store before;
         (* a full compaction rotates the marker: sequence numbers restart
            at zero with the fresh journals *)
-        let marker_epoch' = if full then store.marker_epoch + 1 else store.marker_epoch in
-        if full then
+        let rotate = full && gated store in
+        let marker_epoch' = if rotate then store.marker_epoch + 1 else store.marker_epoch in
+        if rotate then
           created_marker := Some (Manifest.Marker.create (Manifest.marker_path path marker_epoch'));
         let epochs' =
           Array.mapi (fun k sh -> if selected.(k) then sh.sepoch + 1 else sh.sepoch) store.shards
         in
         let commit () =
-          Manifest.save path { Manifest.nshards = n; marker_epoch = marker_epoch'; epochs = epochs' }
+          Manifest.commit path { Manifest.nshards = n; marker_epoch = marker_epoch'; epochs = epochs' }
         in
         (match policy_for store Retry.Compaction with
         | None -> commit ()
@@ -1586,22 +1536,28 @@ let compact_shards store path ~full ~selected =
         else Array.iteri (fun k sh -> if selected.(k) then sh.sneeds_full <- true) store.shards;
         raise e)
 
+(* Each shard's slice of the compaction limit, rounded up; a limit of 0
+   compacts every shard that has anything to write. *)
 let per_shard_limit store =
   let n = nshards store in
-  max 1 ((store.compaction_limit + n - 1) / n)
+  (store.compaction_limit + n - 1) / n
 
-let stabilise_once_sharded store path =
+(* One stabilisation attempt.  Every failure path is idempotent, which
+   is what makes the retry wrapper below safe: a failed journal append
+   has truncated back and marked its shards for a fresh image (so a
+   retry compacts instead of appending after torn bytes), and a failed
+   compaction just rewrites the same new files from scratch. *)
+let stabilise_once store path =
   match store.durability with
-  | Snapshot -> save_shards_snapshot store path
+  | Snapshot -> save_snapshot store path
   | Journalled ->
     let active sh = Health.healthy sh.shealth in
     (* Missing files of a DEMOTED shard don't force anything: that shard
        is out of service and its rebuild is [repair]'s job.  Only a
        healthy shard without a journal makes appending impossible. *)
     let any_missing =
-      store.marker = None || Array.exists (fun sh -> active sh && sh.swal = None) store.shards
+      marker_missing store || Array.exists (fun sh -> active sh && sh.swal = None) store.shards
     in
-    let must_compact = store.needs_full || any_missing in
     let limit = per_shard_limit store in
     let over sh =
       (match sh.swal with
@@ -1611,7 +1567,7 @@ let stabilise_once_sharded store path =
       > limit
     in
     let want sh = active sh && (over sh || sh.sneeds_full) in
-    if must_compact then begin
+    if store.needs_full || any_missing then begin
       (* A full compaction rewrites every shard and rotates the marker —
          it cannot proceed around a dead shard.  Refuse with the typed
          error naming the shard that must be repaired first. *)
@@ -1619,54 +1575,14 @@ let stabilise_once_sharded store path =
          match first_unhealthy store with
          | Some (k, st) -> refuse_write store k st
          | None -> ());
-      compact_shards store path ~full:true ~selected:(Array.make (nshards store) true)
+      compact store path ~selected:(Array.make (nshards store) true)
     end
     else if Array.exists want store.shards then
       (* Per-shard compaction: only the shards over their slice of the
          limit (or owing a quarantine-change image) pay the rewrite — the
          hot shard compacts while cold shards keep their journals. *)
-      compact_shards store path ~full:false ~selected:(Array.map want store.shards)
-    else sharded_append ~force_sync:false store
-
-(* One stabilisation attempt.  Both failure paths are idempotent, which
-   is what makes the retry wrapper below safe: a failed journal append
-   has already set [needs_full] (so a retry compacts instead of appending
-   after torn bytes), and a failed compaction just rewrites the temp
-   image from scratch. *)
-let stabilise_once store path =
-  if nshards store > 1 then stabilise_once_sharded store path
-  else
-    match store.durability with
-    | Snapshot -> ignore (Image.save ~obs:store.obs path (contents store) : int32)
-    | Journalled ->
-      let sh = s0 store in
-      if
-        store.needs_full || sh.swal = None
-        || wal_depth store + sh.spending_count > store.compaction_limit
-      then compact store path
-      else begin
-        let wal = Option.get sh.swal in
-        match
-          (* The delta rides as one batch record — atomic under a torn
-             write.  With a group window, the fsync is amortised over
-             [group_window] stabilises; a crash loses whole recent batches,
-             never part of one. *)
-          Journal.append_batch wal (List.rev sh.spending);
-          if store.unsynced + 1 >= store.group_window then begin
-            Journal.sync wal;
-            store.unsynced <- 0
-          end
-          else store.unsynced <- store.unsynced + 1
-        with
-        | () ->
-          sh.spending <- [];
-          sh.spending_count <- 0
-        | exception e ->
-          (* The journal tail is now suspect (possibly torn); recover by
-             compacting next time rather than appending after garbage. *)
-          store.needs_full <- true;
-          raise e
-      end
+      compact store path ~selected:(Array.map want store.shards)
+    else append_delta ~force_sync:false store
 
 let stabilise ?path store =
   let path =
@@ -1708,58 +1624,6 @@ let distribute_quarantine store q =
   List.iter (fun (oid, reason) -> Quarantine.add (shard_oid store oid).sq oid reason)
     (Quarantine.to_list q)
 
-let of_contents ?obs ?backing { Image.heap; roots; blobs; quarantine } =
-  let store = make ?obs ~heap ~roots ~blobs ?backing () in
-  distribute_quarantine store quarantine;
-  store
-
-(* Legacy flat-image open (single shard). *)
-let open_flat ?config path =
-  let obs = Obs.create () in
-  let contents, crc =
-    try Image.load_with_crc ~obs path
-    with (Image.Image_error _ | Codec.Decode_error _ | Sys_error _) as e -> begin
-      (* A crash between writing and renaming a snapshot can leave a
-         complete image under the temp name; promote it rather than fail. *)
-      let tmp = path ^ ".tmp" in
-      match (try Some (Image.load_with_crc ~obs tmp) with _ -> None) with
-      | Some (c, crc) ->
-        Faults.rename tmp path;
-        (c, crc)
-      | None -> raise e
-    end
-  in
-  let store = of_contents ~obs ~backing:path contents in
-  let sh = s0 store in
-  (match Journal.read (Journal.path_for path) with
-  | Some replay when Int32.equal replay.Journal.base_crc crc ->
-    List.iter
-      (fun (op, _) -> Journal.apply op store.heap store.roots store.blobs)
-      replay.Journal.records;
-    store.replayed <- List.length replay.Journal.records;
-    store.recovered_torn <- replay.Journal.torn;
-    store.durability <- Journalled;
-    sh.swal <-
-      Some
-        (Journal.open_for_append ~obs (Journal.path_for path)
-           ~valid_bytes:replay.Journal.valid_bytes ~depth:store.replayed);
-    store.needs_full <- false
-  | Some _ ->
-    (* Stale journal: the image is newer (a compaction's journal reset
-       never landed).  The image already holds every journalled effect. *)
-    store.durability <- Journalled;
-    store.needs_full <- true
-  | None -> ());
-  (* A salvage load quarantined objects the on-disk image does not yet
-     record as such; force a compaction so the next stabilise persists
-     the quarantine set. *)
-  if not (Quarantine.is_empty sh.sq) then store.needs_full <- true;
-  (* An explicit configuration is applied last, so it wins over the
-     recovered durability mode.  The shard count is whatever the file
-     has: it is persistent state, not a tunable. *)
-  Option.iter (fun (c : Config.t) -> configure store { c with Config.shards = 1 }) config;
-  store
-
 (* Every oid any surviving entry or root still references.  Weak targets
    count too: resurrecting a weak reference onto a recycled oid would
    alias just like a strong one. *)
@@ -1787,22 +1651,60 @@ let bump_past_references store =
   iter_referenced_oids store (fun o -> if Oid.to_int o >= !bump then bump := Oid.to_int o + 1);
   Heap.set_next_oid store.heap !bump
 
-(* Sharded open: load every shard image (in parallel), merge, then replay
-   each shard's journal up to the marker's committed sequence number.
-   Batches past the committed point are dropped whole — another shard's
-   half of the same stabilise may be missing, and the marker is the only
-   witness that all halves landed.
+(* Load one image file.  A crash between writing an image and renaming
+   it can leave the complete image under the temp name; promote it
+   rather than fail. *)
+let load_image ~obs file =
+  try Image.load_report ~obs file
+  with (Image.Image_error _ | Codec.Decode_error _ | Sys_error _) as e -> (
+    let tmp = file ^ ".tmp" in
+    match Image.load_report ~obs tmp with
+    | r ->
+      Faults.rename tmp file;
+      r
+    | exception _ -> raise e)
 
-   Shard faults are contained at open: an unreadable image takes ONLY
-   that shard offline (its slice of the heap stays empty until
-   [repair]); a salvage-heavy load — more than [salvage_degrade]
-   quarantined entries — opens the shard degraded.  The rest of the
-   store loads and serves normally. *)
-let open_sharded ?config path =
+(* Replay one shard's journal [jr] on top of its loaded image, keeping
+   only the batches numbered at most [committed] (a lone journal's
+   batches carry no number and always replay), then reopen the journal
+   for appending after the last replayed batch.  Returns the ops
+   replayed. *)
+let replay_journal store sh wpath (jr : Journal.replay) ~committed =
+  let stop = ref false in
+  let valid = ref Journal.header_size in
+  let depth = ref 0 in
+  List.iter
+    (fun (b : Journal.batch) ->
+      if not !stop then begin
+        match b.Journal.b_seq with
+        | Some s when s > committed -> stop := true
+        | _ ->
+          List.iter (fun op -> Journal.apply op store.heap store.roots store.blobs) b.Journal.b_ops;
+          depth := !depth + List.length b.Journal.b_ops;
+          valid := b.Journal.b_end
+      end)
+    jr.Journal.batches;
+  if jr.Journal.torn then store.recovered_torn <- true;
+  sh.swal <- Some (Journal.open_for_append ~obs:sh.sobs wpath ~valid_bytes:!valid ~depth:!depth);
+  !depth
+
+(* Open: load every shard image (in parallel), merge, then replay each
+   shard's journal.  On a gated store only batches up to the marker's
+   committed sequence number replay; batches past it are dropped whole —
+   another shard's half of the same stabilise may be missing, and the
+   marker is the only witness that all halves landed.
+
+   Shard faults are contained at open, given a neighbour to keep
+   serving: an unreadable image takes ONLY that shard offline (its slice
+   of the heap stays empty until [repair]); a salvage-heavy load — more
+   than [salvage_degrade] quarantined entries — opens the shard
+   degraded.  The rest of the store loads and serves normally.  Without
+   a neighbour an unreadable image fails the open. *)
+let open_file ?config path =
   let obs = Obs.create () in
-  let m = Manifest.load path in
+  let m = Manifest.layout path in
   let n = m.Manifest.nshards in
-  let store = make ~obs ~nshards:n () in
+  let store = make ~obs n in
   store.backing <- Some path;
   (* The full configuration is applied last (it must win over recovered
      state), but the load below already consults the retry policies and
@@ -1822,107 +1724,104 @@ let open_sharded ?config path =
       Faults.with_shard_scope k (fun () ->
           match
             shard_io store sh Retry.Image_load (fun () ->
-                Image.load_report ~obs:sh.sobs (Manifest.shard_image path k m.Manifest.epochs.(k)))
+                load_image ~obs:sh.sobs (image_file store path k m.Manifest.epochs.(k)))
           with
           | r -> parts.(k) <- Some r
           | exception
               (( Image.Image_error _ | Codec.Decode_error _ | Sys_error _
                | Faults.Fault_injected _ | Unix.Unix_error _ ) as e) ->
-            fails.(k) <- Some (Printexc.to_string e)));
+            fails.(k) <- Some e));
   merge_shard_counts store before;
   (* Health transitions happen here, on the calling domain, after the
      parallel loads have joined. *)
   Array.iteri
     (fun k fail ->
       match (fail, parts.(k)) with
-      | Some reason, _ ->
-        Health.offline store.shards.(k).shealth ("image load failed: " ^ reason)
+      | Some e, _ when not (has_neighbour store) -> raise e
+      | Some e, _ ->
+        Health.offline store.shards.(k).shealth ("image load failed: " ^ Printexc.to_string e)
       | None, Some r
-        when store.salvage_degrade > 0 && r.Image.lr_salvaged >= store.salvage_degrade ->
+        when has_neighbour store && store.salvage_degrade > 0
+             && r.Image.lr_salvaged >= store.salvage_degrade ->
         Health.degrade store.shards.(k).shealth
           (Printf.sprintf "salvage-heavy image load: %d entries quarantined" r.Image.lr_salvaged)
       | _ -> ())
     fails;
   refresh_unhealthy store;
+  (* The first loaded shard's tables become the store's; the others
+     merge into them. *)
+  let adopted = ref false in
   Array.iteri
     (fun k part ->
       match part with
       | None -> ()
       | Some (r : Image.load_report) ->
         let c = r.Image.lr_contents in
-        Heap.iter (fun oid entry -> Heap.insert store.heap oid entry) c.Image.heap;
-        if Heap.next_oid c.Image.heap > Heap.next_oid store.heap then
-          Heap.set_next_oid store.heap (Heap.next_oid c.Image.heap);
-        Roots.iter (Roots.set store.roots) c.Image.roots;
-        Hashtbl.iter (Hashtbl.replace store.blobs) c.Image.blobs;
+        if not !adopted then begin
+          adopted := true;
+          store.heap <- c.Image.heap;
+          store.roots <- c.Image.roots;
+          store.blobs <- c.Image.blobs
+        end
+        else begin
+          Heap.iter (fun oid entry -> Heap.insert store.heap oid entry) c.Image.heap;
+          if Heap.next_oid c.Image.heap > Heap.next_oid store.heap then
+            Heap.set_next_oid store.heap (Heap.next_oid c.Image.heap);
+          Roots.iter (Roots.set store.roots) c.Image.roots;
+          Hashtbl.iter (Hashtbl.replace store.blobs) c.Image.blobs
+        end;
         Quarantine.replace_all store.shards.(k).sq ~from:c.Image.quarantine)
     parts;
   (* Epochs are persistent state: a compaction that forgot them would
      overwrite live image files in place instead of committing fresh
      epoch files through the manifest rename. *)
   Array.iteri (fun k sh -> sh.sepoch <- m.Manifest.epochs.(k)) store.shards;
-  if m.Manifest.marker_epoch >= 0 then begin
-    store.durability <- Journalled;
-    store.marker_epoch <- m.Manifest.marker_epoch;
-    let mpath = Manifest.marker_path path m.Manifest.marker_epoch in
-    match Manifest.Marker.read mpath with
-    | None ->
-      (* No readable marker: no batch is known committed.  Replay nothing
-         and rebuild everything at the next stabilise. *)
-      store.needs_full <- true
-    | Some mr ->
-      store.committed <- mr.Manifest.Marker.committed;
-      store.seq <- mr.Manifest.Marker.committed;
-      let replayed = ref 0 in
-      let all_journals_good = ref true in
-      Array.iteri
-        (fun k sh ->
-          match parts.(k) with
-          | None -> () (* offline: [repair] salvages its journal later *)
-          | Some (r : Image.load_report) -> begin
-            let wpath = Manifest.shard_wal path k m.Manifest.epochs.(k) in
-            match Journal.read wpath with
-            | Some jr when Int32.equal jr.Journal.base_crc r.Image.lr_crc ->
-              let stop = ref false in
-              let valid = ref Journal.header_size in
-              let depth = ref 0 in
-              List.iter
-                (fun (b : Journal.batch) ->
-                  if not !stop then begin
-                    match b.Journal.b_seq with
-                    | Some s when s > store.committed -> stop := true
-                    | _ ->
-                      List.iter
-                        (fun op -> Journal.apply op store.heap store.roots store.blobs)
-                        b.Journal.b_ops;
-                      let nops = List.length b.Journal.b_ops in
-                      replayed := !replayed + nops;
-                      depth := !depth + nops;
-                      valid := b.Journal.b_end
-                  end)
-                jr.Journal.batches;
-              if jr.Journal.torn then store.recovered_torn <- true;
-              sh.swal <-
-                Some
-                  (Journal.open_for_append ~obs:sh.sobs wpath ~valid_bytes:!valid ~depth:!depth)
-            | Some _ | None ->
-              (* Missing or stale journal (its base image moved on, or the
-                 file tore at the header): its shard image already holds or
-                 supersedes the journalled effects that mattered — force a
-                 fresh full compaction rather than trusting the tail. *)
-              all_journals_good := false;
-              store.needs_full <- true
-          end)
-        store.shards;
-      store.replayed <- !replayed;
-      (* Every journal matched its image and replayed cleanly: the next
-         stabilise may append, like the flat open.  (A fresh [make] starts
-         with [needs_full] set, which would otherwise force a pointless
-         full compaction on the first stabilise after every reopen.) *)
-      if !all_journals_good then store.needs_full <- false;
-      store.marker <-
-        Some (Manifest.Marker.open_for_append mpath ~valid_bytes:mr.Manifest.Marker.valid_bytes)
-  end;
+  (* Which journal batches count as committed: on a gated store, those
+     the marker records ([None]: no marker, snapshot mode, or a marker
+     too damaged to trust any batch); a lone journal replays them all. *)
+  let committed =
+    if not (gated store) then Some max_int
+    else if m.Manifest.marker_epoch < 0 then None
+    else begin
+      store.durability <- Journalled;
+      store.marker_epoch <- m.Manifest.marker_epoch;
+      let mpath = Manifest.marker_path path m.Manifest.marker_epoch in
+      match Manifest.Marker.read mpath with
+      | None -> None
+      | Some mr ->
+        store.committed <- mr.Manifest.Marker.committed;
+        store.seq <- mr.Manifest.Marker.committed;
+        store.marker <-
+          Some (Manifest.Marker.open_for_append mpath ~valid_bytes:mr.Manifest.Marker.valid_bytes);
+        Some mr.Manifest.Marker.committed
+    end
+  in
+  (match committed with
+  | None -> () (* nothing replays; [needs_full], set since [make], rebuilds every shard *)
+  | Some committed ->
+    (* A missing or stale journal (its base image moved on, or the file
+       tore at the header): its image already holds or supersedes the
+       journalled effects that mattered — force a fresh full compaction
+       rather than trusting the tail.  Only when every journal matched
+       its image may the next stabilise append. *)
+    let all_good = ref true in
+    Array.iteri
+      (fun k sh ->
+        match parts.(k) with
+        | None -> () (* offline: [repair] salvages its journal later *)
+        | Some (r : Image.load_report) -> (
+          let wpath = wal_file store path k m.Manifest.epochs.(k) in
+          match Journal.read wpath with
+          | Some jr ->
+            (* a readable journal is what marks a lone-journal store as
+               journalled; a gated store's marker already said so *)
+            store.durability <- Journalled;
+            if Int32.equal jr.Journal.base_crc r.Image.lr_crc then
+              store.replayed <- store.replayed + replay_journal store sh wpath jr ~committed
+            else all_good := false
+          | None -> all_good := false))
+      store.shards;
+    store.needs_full <- not !all_good);
   (* A salvage load quarantined objects the on-disk image does not yet
      record as such; mark the owning shard so its next compaction point
      persists the quarantine set. *)
@@ -1936,9 +1835,6 @@ let open_sharded ?config path =
   Manifest.cleanup_stale path m;
   store
 
-let open_file ?config path =
-  if Manifest.is_manifest path then open_sharded ?config path else open_flat ?config path
-
 (* Both [close] and [crash] are idempotent and safe on any durability
    mode: each drops the journal handles (a no-op when there are none, as
    in snapshot mode or after a previous close/crash).  [close]
@@ -1946,34 +1842,31 @@ let open_file ?config path =
    trace ring; [crash] drops the ring without snapshotting, exactly as a
    process crash would lose in-flight trace state. *)
 let close store =
-  if nshards store = 1 then close_wal store
-  else begin
-    (* durability barrier: flush deferred batches, then commit the
-       current sequence number before the handles go *)
-    (try
-       if store.unsynced > 0 || Array.exists (fun sh -> sh.sdirty) store.shards then
-         sync_dirty_shards store;
-       match store.marker with
-       | Some m when store.seq > store.committed ->
-         Manifest.Marker.append m store.seq;
-         Manifest.Marker.sync m;
-         store.committed <- store.seq
-       | _ -> ()
-     with _ -> ());
-    Array.iter
-      (fun sh ->
-        (match sh.swal with
-        | Some w -> ( try Journal.close w with _ -> ())
-        | None -> ());
-        sh.swal <- None;
-        sh.sdirty <- false)
-      store.shards;
-    (match store.marker with
-    | Some m -> ( try Manifest.Marker.close m with _ -> ())
-    | None -> ());
-    store.marker <- None;
-    store.unsynced <- 0
-  end;
+  (* durability barrier: flush deferred batches, then commit the current
+     sequence number before the handles go *)
+  (try
+     if store.unsynced > 0 || Array.exists (fun sh -> sh.sdirty) store.shards then
+       sync_dirty_shards store;
+     match store.marker with
+     | Some m when store.seq > store.committed ->
+       Manifest.Marker.append m store.seq;
+       Manifest.Marker.sync m;
+       store.committed <- store.seq
+     | _ -> ()
+   with _ -> ());
+  Array.iter
+    (fun sh ->
+      (match sh.swal with
+      | Some w -> ( try Journal.close w with _ -> ())
+      | None -> ());
+      sh.swal <- None;
+      sh.sdirty <- false)
+    store.shards;
+  (match store.marker with
+  | Some m -> ( try Manifest.Marker.close m with _ -> ())
+  | None -> ());
+  store.marker <- None;
+  store.unsynced <- 0;
   Obs.flush store.obs
 
 let crash store =
@@ -2015,7 +1908,7 @@ let rebuild_offline_shard store k ~restored ~replayed =
   | Some path ->
     let sh = store.shards.(k) in
     let img =
-      try Some (Image.load_report (Manifest.shard_image path k sh.sepoch)) with _ -> None
+      try Some (Image.load_report (image_file store path k sh.sepoch)) with _ -> None
     in
     (match img with
     | Some (r : Image.load_report) ->
@@ -2035,7 +1928,7 @@ let rebuild_offline_shard store k ~restored ~replayed =
         (fun (oid, reason) -> Quarantine.add sh.sq oid reason)
         (Quarantine.to_list c.Image.quarantine)
     | None -> ());
-    (match Journal.read (Manifest.shard_wal path k sh.sepoch) with
+    (match Journal.read (wal_file store path k sh.sepoch) with
     | None -> ()
     | Some jr ->
       let fresh =
@@ -2108,18 +2001,15 @@ let repair store k =
               rebuild).  On a journalled backed store, pay it now. *)
            sh.sneeds_full <- true;
            (match store.backing with
-           | Some path when store.durability = Journalled && nshards store > 1 -> begin
+           | Some path when store.durability = Journalled -> begin
              match
-               if store.needs_full || store.marker = None then begin
+               if store.needs_full || marker_missing store then begin
                  if store.unhealthy = 0 then
-                   compact_shards store path ~full:true
-                     ~selected:(Array.make (nshards store) true)
+                   compact store path ~selected:(Array.make (nshards store) true)
                  (* else: another shard is still down — the last repair
                     reaches this full compaction for everyone *)
                end
-               else
-                 compact_shards store path ~full:false
-                   ~selected:(Array.init (nshards store) (fun i -> i = k))
+               else compact store path ~selected:(Array.init (nshards store) (fun i -> i = k))
              with
              | () -> ()
              | exception e ->

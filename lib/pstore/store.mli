@@ -59,24 +59,26 @@ module Config : sig
     breaker : int;
         (** circuit breaker: consecutive exhausted transient failures on
             one shard before it is demoted to degraded ([0] = never).
-            Sharded stores only *)
+            Demotion needs a neighbour shard that keeps serving, so a
+            one-shard store never trips *)
     salvage_degrade : int;
-        (** a sharded open that had to salvage at least this many
-            entries from one shard's image opens that shard degraded
-            ([0] = never) *)
+        (** an open that had to salvage at least this many entries from
+            one shard's image opens that shard degraded ([0] = never);
+            again only with a neighbour shard *)
     backing : string option;
         (** [Some p] points the store at a backing file; [None] leaves
             the current backing untouched (identity is not a tunable) *)
     trace_ring : int;  (** trace-ring capacity, in events *)
     tracing : bool;  (** latency histograms + trace ring on/off *)
     shards : int;
-        (** shard count, fixed at store creation and persisted in the
-            store manifest.  [1] (the default) keeps the legacy flat
-            single-file layout; [n > 1] partitions objects by oid hash
-            (roots and blobs by key hash) into [n] shards, each with its
-            own image, journal, quarantine set and scrub cursor, so
-            stabilise, scrub and GC mark run shard-wise on the domain
-            pool.  {!configure} on an existing store must repeat the
+        (** shard count, fixed at store creation.  [n] shards partition
+            objects by oid hash (roots and blobs by key hash), each with
+            its own image, journal, quarantine set and scrub cursor, so
+            stabilise and GC mark run shard-wise on the domain pool.
+            One shard (the default) keeps its image at the backing path
+            and its journal at [Journal.path_for] of it; [n > 1] puts a
+            manifest at the backing path naming per-shard epoch files
+            (see {!Manifest}).  {!configure} on an existing store must repeat the
             store's own count; {!open_file} always adopts the on-disk
             count. *)
   }
@@ -100,18 +102,17 @@ val open_file : ?config:Config.t -> string -> t
     [config] is applied after recovery, so its durability wins over the
     recovered mode.
 
-    On a sharded store, shard faults are contained: an unreadable shard
-    image takes only that shard {e offline} (see {!health}; its slice of
-    the store stays empty until {!repair}), and a salvage-heavy shard
-    load opens that shard {e degraded} — the other shards load and serve
-    normally.
-    @raise Image.Image_error on a corrupt single-shard image with
-    nothing to recover. *)
+    On a store of several shards, shard faults are contained: an
+    unreadable shard image takes only that shard {e offline} (see
+    {!health}; its slice of the store stays empty until {!repair}), and
+    a salvage-heavy shard load opens that shard {e degraded} — the other
+    shards load and serve normally.
+    @raise Image.Image_error on a corrupt one-shard image with nothing
+    to recover. *)
 
 val configure : t -> Config.t -> unit
 (** Apply a whole configuration.  [backing = None] keeps the current
-    backing file; switching durability behaves like the legacy
-    [set_durability] (entering [Journalled] forces a full image at the
+    backing file; switching durability (entering [Journalled] forces a full image at the
     next stabilise, entering [Snapshot] discards the journal). *)
 
 val config : t -> Config.t
@@ -293,8 +294,8 @@ val try_field : t -> Oid.t -> int -> (Pvalue.t, Failure.t) result
 val quarantine_oid : t -> Oid.t -> string -> unit
 (** Isolate an object (the scrubber and the image salvage loader call
     this; it is also available to operators).  Forces a fresh image of
-    the owning shard at the next compaction point (the whole image on a
-    single-shard store), which persists the quarantine set. *)
+    the owning shard at the next compaction point, which persists the
+    quarantine set. *)
 
 val clear_quarantine : t -> Oid.t -> unit
 (** Release an oid from quarantine (repair workflows). *)

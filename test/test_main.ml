@@ -4,7 +4,7 @@ let () =
   Alcotest.run "hyperjava"
     [
       ("codec", Test_codec.suite @ Test_codec.props);
-      ("pstore", Test_pstore.suite @ Test_pstore.props);
+      ("pstore", Test_pstore.suite @ Test_pstore.props @ Test_pstore.layout);
       ("store-extra", Test_store_extra.suite @ Test_store_extra.props);
       ("lexer", Test_lexer.suite @ Test_lexer.props);
       ("parser", Test_parser.suite @ Test_parser.props);

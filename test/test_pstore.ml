@@ -563,3 +563,113 @@ let prop_pvalue_roundtrip =
       Pvalue.equal v back && Codec.at_end r)
 
 let props = props @ [ QCheck_alcotest.to_alcotest prop_pvalue_roundtrip ]
+
+(* -- the one-shard layout ---------------------------------------------------------- *)
+
+(* A private directory, so a test can list every file its store left. *)
+let with_store_dir f =
+  let dir = Filename.temp_dir "pstore_layout" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* One shard keeps the flat file names through every path that writes:
+   stabilise, an over-limit compaction, gc, a rollback whose body
+   stabilised, close and reopen.  Afterwards the directory holds the
+   image and, when journalled, its journal — no manifest, no epoch
+   files, no commit marker. *)
+let one_shard_layout durability () =
+  with_store_dir (fun dir ->
+      let path = Filename.concat dir "store.img" in
+      let store =
+        Store.create
+          ~config:
+            {
+              Store.Config.default with
+              Store.Config.durability;
+              compaction_limit = 2;
+              backing = Some path;
+            }
+          ()
+      in
+      let keep = Store.alloc_string store "keep" in
+      Store.set_root store "keep" (Pvalue.Ref keep);
+      ignore (Store.alloc_string store "garbage");
+      Store.stabilise store;
+      let compactions = (Store.stats store).Store.compactions in
+      for i = 1 to 4 do
+        Store.set_root store "n" (Pvalue.Int (Int32.of_int i))
+      done;
+      Store.stabilise store;
+      if durability = Store.Journalled then
+        check_bool "four ops over a limit of two compact" true
+          ((Store.stats store).Store.compactions > compactions);
+      check_int "gc swept the garbage" 1 (Store.gc store).Gc.swept;
+      Store.stabilise store;
+      (match
+         Store.with_rollback store (fun () ->
+             Store.set_root store "aborted" (Pvalue.Int 0l);
+             Store.stabilise store;
+             failwith "abort")
+       with
+      | Error (Failure _) -> ()
+      | _ -> Alcotest.fail "expected abort");
+      Store.close store;
+      let reopened = Store.open_file path in
+      check_bool "last value reopens" true (Store.root reopened "n" = Some (Pvalue.Int 4l));
+      check_bool "aborted root stays gone" true (Store.root reopened "aborted" = None);
+      Store.close reopened;
+      let expected =
+        Filename.basename path
+        ::
+        (match durability with
+        | Store.Journalled -> [ Filename.basename (Journal.path_for path) ]
+        | Store.Snapshot -> [])
+      in
+      Alcotest.(check (list string))
+        "only the flat files" (List.sort compare expected)
+        (List.sort compare (Array.to_list (Sys.readdir dir)));
+      check_bool "no manifest at the store path" false (Manifest.is_manifest path))
+
+(* Demotion needs a neighbour shard to keep serving: a one-shard store
+   whose stabilise fails again and again stays healthy and writable. *)
+let one_shard_never_demotes () =
+  with_store_dir (fun dir ->
+      let path = Filename.concat dir "store.img" in
+      let store =
+        Store.create
+          ~config:
+            {
+              Store.Config.default with
+              Store.Config.durability = Store.Journalled;
+              breaker = 1;
+              backing = Some path;
+            }
+          ()
+      in
+      Store.set_root store "a" (Pvalue.Int 0l);
+      Store.stabilise store;
+      for i = 1 to 3 do
+        Store.set_root store "a" (Pvalue.Int (Int32.of_int i));
+        match Faults.with_fault Faults.Fsync_fails (fun () -> Store.stabilise store) with
+        | Error (Faults.Fault_injected _) -> ()
+        | _ -> Alcotest.fail "fault did not fire"
+      done;
+      check_bool "still healthy" true (Store.healthy store);
+      check_int "no shard demoted" 0 (Store.stats store).Store.unhealthy_shards;
+      Store.set_root store "a" (Pvalue.Int 9l);
+      Store.stabilise store;
+      Store.close store;
+      let reopened = Store.open_file path in
+      check_bool "the write after the faults is durable" true
+        (Store.root reopened "a" = Some (Pvalue.Int 9l));
+      Store.close reopened)
+
+let layout =
+  [
+    test "snapshot: one shard keeps flat files" (one_shard_layout Store.Snapshot);
+    test "journalled: one shard keeps flat files" (one_shard_layout Store.Journalled);
+    test "one shard never demotes" one_shard_never_demotes;
+  ]
