@@ -462,42 +462,6 @@ let substrate () =
         (Heap.size recovered.Image.heap = Store.size store))
     [ 100; 1000; 10000 ]
 
-(* Scrub throughput: priming (first pass records CRCs), steady-state
-   verification, and detection of an in-memory bit flip. *)
-let substrate_scrub () =
-  Printf.printf "\n== substrate: scrub throughput ==\n";
-  List.iter
-    (fun n ->
-      let store, vm, persons = Workloads.vm_with_persons n in
-      ignore vm;
-      let full_pass () =
-        let quarantined = ref 0 in
-        let complete = ref false in
-        let t0 = Unix.gettimeofday () in
-        while not !complete do
-          let r = Store.scrub ~budget:1024 store in
-          quarantined := !quarantined + List.length r.Scrub.newly_quarantined;
-          complete := r.Scrub.pass_complete
-        done;
-        (Unix.gettimeofday () -. t0, !quarantined)
-      in
-      let prime_dt, _ = full_pass () in
-      let verify_dt, _ = full_pass () in
-      let live = Store.size store in
-      (* flip a byte of one object's in-memory entry: the next pass must
-         quarantine exactly it *)
-      Faults.corrupt_entry (Store.heap store)
-        (Workloads.oid_of (List.nth persons (List.length persons / 2)));
-      let detect_dt, caught = full_pass () in
-      Printf.printf
-        "  n=%6d objects: prime %7.2f ms (%7.0f obj/ms)   verify %7.2f ms (%7.0f obj/ms)   bit-flip caught=%b in %7.2f ms\n"
-        live (prime_dt *. 1e3)
-        (float_of_int live /. (prime_dt *. 1e3))
-        (verify_dt *. 1e3)
-        (float_of_int live /. (verify_dt *. 1e3))
-        (caught = 1) (detect_dt *. 1e3))
-    [ 1000; 10000 ]
-
 (* Transaction rollback: snapshot + restore cost vs store size. *)
 let substrate_rollback () =
   Printf.printf "\n== substrate: transaction rollback cost ==\n";
@@ -515,71 +479,6 @@ let substrate_rollback () =
       Printf.printf "  n=%6d persons: abort+restore %7.2f ms (rolled back: %b)\n" n dt
         (match result with Error _ -> true | Ok _ -> false))
     [ 100; 1000; 10000 ]
-
-(* Write-ahead journal: per-stabilise cost of a small delta over a large
-   store, snapshot vs journalled, and the compaction bound. *)
-let substrate_stabilise () =
-  Printf.printf "\n== substrate: stabilise throughput (snapshot vs journal) ==\n";
-  let n = 10_000 in
-  let rounds = 50 in
-  let in_dir f =
-    let dir = Filename.temp_file "bench_stab" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
-        Unix.rmdir dir)
-      (fun () -> f (Filename.concat dir "store.img"))
-  in
-  let mutate store i = Store.set_root store "tick" (Pvalue.Int (Int32.of_int i)) in
-  let time_rounds store =
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to rounds do
-      mutate store i;
-      Store.stabilise store
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e3 /. float_of_int rounds
-  in
-  let snapshot_ms =
-    in_dir (fun path ->
-        let store = Workloads.store_with_objects n in
-        Store.stabilise ~path store;
-        time_rounds store)
-  in
-  let journal_ms, depth, compactions =
-    in_dir (fun path ->
-        let store = Workloads.store_with_objects n in
-        Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
-        Store.stabilise ~path store;
-        let ms = time_rounds store in
-        let st = Store.stats store in
-        Store.close store;
-        (ms, st.Store.journal_depth, st.Store.compactions))
-  in
-  Printf.printf "  n=%d objects, %d single-mutation stabilises each mode\n" n rounds;
-  Printf.printf "  snapshot  %8.3f ms/stabilise (full image rewrite)\n" snapshot_ms;
-  Printf.printf "  journal   %8.3f ms/stabilise (delta append + fsync)\n" journal_ms;
-  if journal_ms > 0. then
-    Printf.printf "  -> journalled stabilise %.1fx faster\n" (snapshot_ms /. journal_ms);
-  Printf.printf "  journal depth after %d rounds: %d (compactions: %d)\n" rounds depth
-    compactions;
-  in_dir (fun path ->
-      let store = Workloads.store_with_objects 1000 in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
-      Store.configure store { (Store.config store) with Store.Config.compaction_limit = 64 };
-      Store.stabilise ~path store;
-      let max_depth = ref 0 in
-      for i = 1 to 500 do
-        mutate store i;
-        Store.stabilise store;
-        max_depth := max !max_depth (Store.stats store).Store.journal_depth
-      done;
-      let st = Store.stats store in
-      Printf.printf
-        "  bounded journal: 500 rounds at limit 64 -> max depth %d, %d compactions\n"
-        !max_depth st.Store.compactions;
-      Store.close store)
 
 (* ---------------------------------------------------------------------- *)
 (* Substrate ablation: VM microbenchmarks                                   *)
@@ -680,29 +579,19 @@ let vm_micro () =
 (* ---------------------------------------------------------------------- *)
 
 let () =
-  let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv in
-  Printf.printf "hyper-programming in Java — benchmark harness%s\n"
-    (if smoke then " (smoke slice)" else "");
+  Printf.printf "hyper-programming in Java — benchmark harness\n";
   Printf.printf "(shapes and ratios matter; absolute numbers are this machine's)\n";
-  if not smoke then begin
-    table1 ();
-    figs_compose ();
-    fig7 ();
-    fig8 ();
-    fig9 ();
-    fig10 ();
-    fig11 ();
-    fig12 ();
-    concl_link_times ();
-    concl_evolution ();
-    substrate ();
-    substrate_scrub ();
-    substrate_rollback ();
-    substrate_stabilise ();
-    vm_micro ()
-  end;
-  (* The store trajectory runs in both modes and emits BENCH_pstore.json;
-     --smoke shrinks it to a ~1 s slice (the @bench-smoke alias). *)
-  let ok = Pstore_bench.run ~smoke () in
-  Printf.printf "\ndone.\n";
-  if not ok then exit 1
+  table1 ();
+  figs_compose ();
+  fig7 ();
+  fig8 ();
+  fig9 ();
+  fig10 ();
+  fig11 ();
+  fig12 ();
+  concl_link_times ();
+  concl_evolution ();
+  substrate ();
+  substrate_rollback ();
+  vm_micro ();
+  Printf.printf "\ndone.\n"

@@ -124,15 +124,3 @@ let evolution_workload vm ~instances =
         o)
   in
   (source, objs)
-
-(* A plain store of [n] records linked into a list, for stabilisation
-   benchmarks (no VM: the cost under study is the store's own I/O). *)
-let store_with_objects n =
-  let store = Store.create () in
-  let prev = ref Pvalue.Null in
-  for i = 0 to n - 1 do
-    let oid = Store.alloc_record store "Node" [| Pvalue.Int (Int32.of_int i); !prev |] in
-    prev := Pvalue.Ref oid
-  done;
-  Store.set_root store "head" !prev;
-  store

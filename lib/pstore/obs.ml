@@ -187,7 +187,9 @@ let set_ring_capacity t n =
 let incr t op = Atomic.incr (Array.unsafe_get t.counters (op_index op))
 let add t op n = ignore (Atomic.fetch_and_add t.counters.(op_index op) n)
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+(* CLOCK_MONOTONIC: a stepped wall clock must not record a negative or
+   inflated span. *)
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 let push_event t ev =
   let cap = Array.length t.ring in

@@ -109,7 +109,8 @@ val record : t -> op -> ?oid:Oid.t -> ?bytes:int -> ?label:string -> float -> un
 
 val span : t -> op -> ?oid:Oid.t -> ?bytes:int -> ?label:string -> (unit -> 'a) -> 'a
 (** Count one operation and run the thunk.  With tracing enabled the
-    duration is also timed and recorded (even when the thunk raises);
+    duration is also timed on the monotonic clock and recorded (even
+    when the thunk raises);
     disabled, this is one counter increment — no clock, no allocation
     beyond the closure. *)
 

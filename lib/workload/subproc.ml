@@ -1,10 +1,10 @@
-(* Black-box subprocess driving for the macro-workload harness.
+(* Black-box subprocess driving for the end-to-end and server suites.
 
    Everything here treats bin/hpjava as an opaque executable: spawn it
    with argv, optionally feed it a stdin script, capture stdout/stderr
    and the wait status, and time the whole thing end to end (process
    start to exit — the latency a scripting user actually experiences).
-   No store, compiler or shell logic is linked in; the harness can only
+   No store, compiler or shell logic is linked in; a caller can only
    observe what a real user could. *)
 
 type result = {
@@ -263,26 +263,3 @@ let collect ?(timeout_s = 120.) proc =
 let terminate ?(signal = Sys.sigterm) ?timeout_s proc =
   if proc.reaped = None then ( try Unix.kill proc.pid signal with Unix.Unix_error _ -> ());
   collect ?timeout_s proc
-
-(* -- tiny string utilities shared by the harness --------------------------- *)
-
-let rec rm_rf path =
-  let kind = try Some (Unix.lstat path).Unix.st_kind with Unix.Unix_error _ -> None in
-  match kind with
-  | Some Unix.S_DIR ->
-    Array.iter
-      (fun f -> rm_rf (Filename.concat path f))
-      (try Sys.readdir path with Sys_error _ -> [||]);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | Some _ -> ( try Sys.remove path with Sys_error _ -> ())
-  | None -> ()
-
-let temp_dir prefix =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  Unix.mkdir path 0o700;
-  path
-
-let with_temp_dir ?(prefix = "macro") f =
-  let dir = temp_dir prefix in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)

@@ -290,6 +290,46 @@ let fault_fires_once_across_domains () =
       Integrity.check_exn reopened;
       Store.close reopened)
 
+(* A hot shard rewrites only its own bytes.  With compaction_limit 0
+   every stabilise compacts, but only the shards that have something to
+   write: a burst confined to shard 0's oids must advance shard 0's image
+   epoch and leave the image files of shards 1-3 as they were, by name
+   and by byte. *)
+let hot_shard_compacts_alone () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "store.img" in
+      let store = Store.create ~config:(shard_config ~compaction_limit:0 path) () in
+      let oids =
+        Array.init 64 (fun i ->
+            Store.alloc_record store "Node" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |])
+      in
+      Store.set_root store "bulk" (Pvalue.Ref oids.(0));
+      Store.stabilise store;
+      let images () =
+        let m = Manifest.load path in
+        let epochs = m.Manifest.epochs in
+        (epochs, Array.mapi (fun k e -> read_file (Manifest.shard_image path k e)) epochs)
+      in
+      let epochs, bytes = images () in
+      let hot =
+        List.filter (fun o -> Manifest.shard_of_oid ~count:nshards o = 0) (Array.to_list oids)
+      in
+      check_bool "shard 0 holds some of the oids" true (hot <> []);
+      List.iteri (fun i o -> Store.set_field store o 0 (Pvalue.Int (Int32.of_int (1000 + i)))) hot;
+      Store.stabilise store;
+      let expected = fingerprint store in
+      let epochs', bytes' = images () in
+      check_bool "shard 0's image epoch advanced" true (epochs'.(0) > epochs.(0));
+      for k = 1 to nshards - 1 do
+        check_int (sp "shard %d keeps its image file" k) epochs.(k) epochs'.(k);
+        check_bool (sp "shard %d's image bytes are unchanged" k) true
+          (String.equal bytes.(k) bytes'.(k))
+      done;
+      Store.close store;
+      let reopened = Store.open_file path in
+      check_output "the hot writes survive a reopen" expected (fingerprint reopened);
+      Store.close reopened)
+
 let deterministic =
   [
     test "torn append sweep: all-or-nothing across shards" torn_append_rolls_back_whole_stabilise;
@@ -297,6 +337,7 @@ let deterministic =
     test "partial compaction crash keeps the delta" partial_compaction_crash_keeps_the_delta;
     test "reopen appends to recovered journals without compacting" reopen_appends_without_compacting;
     test "one-shot fault under racing domains" fault_fires_once_across_domains;
+    test "a hot shard compacts alone" hot_shard_compacts_alone;
   ]
 
 let suite =

@@ -1,4 +1,4 @@
-(* Deterministic macro-workload scenarios.
+(* Deterministic mixed-session scenarios for the end-to-end suite.
 
    A scenario is a mixed session: several simulated users interleaving
    the whole hpjava surface — init, compile, instantiate, run, browse,
@@ -9,14 +9,16 @@
    Generation consults nothing but the seed, so a scenario replays
    byte-identically: every class source, root name and shell script is a
    pure function of [seed, users, ops].  Any failing run is reproduced
-   exactly by re-running with the printed [--seed N].
+   exactly by re-running with the printed [E2E_SEED=N].
 
    The player executes a scenario in a sandbox directory, optionally
    SIGKILLing one seed-chosen mutating step mid-stabilise via the
-   binary's HPJAVA_KILL_AT_BYTE crash injector, then measures recovery
+   binary's HPJAVA_KILL_AT_BYTE crash injector, then checks recovery
    (reopen + full integrity check) and asserts the bounded-loss-window
    invariant: every root bound by a previously COMPLETED step must
    survive; only the killed step's effects may be missing. *)
+
+module Subproc = Workload.Subproc
 
 let sp = Printf.sprintf
 
@@ -375,12 +377,6 @@ type crash_report = {
   crashed_class : string;  (* op class of the killed step *)
   kill_byte : int;
   killed : bool;  (* false: the kill byte lay beyond the step's writes *)
-  recovery_s : float;  (* reopen + full integrity check, end to end *)
-  repair_s : float;
-      (* the post-recovery shell session that runs `repair all`, end to
-         end; on a fully healthy store that is the cost of finding
-         nothing to do *)
-  degraded_ops : int;  (* reads/writes hitting demoted shards, per `health` *)
   quarantined_after : int;
   check_ok : bool;
   lost_roots : string list;  (* durable roots missing after recovery *)
@@ -390,10 +386,6 @@ type play = {
   scenario : t;
   execs : exec list;  (* chronological *)
   crash : crash_report option;
-  elapsed_s : float;  (* whole play, wall clock *)
-  commit_us : float list;
-      (* every session commit's in-process latency, as printed by the
-         shell ("committed session N: M ops in T us"), chronological *)
   commit_conflicts : int;  (* commits refused first-committer-wins *)
 }
 
@@ -416,45 +408,11 @@ let quarantined_of_check out =
     done;
     if !start = stop then -1 else int_of_string (String.sub out !start (stop - !start))
 
-(* Parse the integer following [prefix] on any line of [out] (e.g. the
-   shell's "degraded ops: N" health line); [default] when absent. *)
-let int_after ~default prefix out =
+(* The number of "commit conflict:" refusals in a shell transcript. *)
+let session_conflicts_of out =
   String.split_on_char '\n' out
-  |> List.find_map (fun line ->
-         let n = String.length prefix in
-         if String.length line >= n && String.sub line 0 n = prefix then
-           int_of_string_opt (String.trim (String.sub line n (String.length line - n)))
-         else None)
-  |> Option.value ~default
-
-(* Session-commit telemetry out of a shell transcript: the in-process
-   latency of every "committed session N: M ops in T us" line (the
-   shell times [Store.Session.commit] itself, so this is the MVCC
-   validate-and-apply cost, not process startup), plus the number of
-   "commit conflict:" refusals.  Chronological within the transcript. *)
-let session_commits_of out =
-  String.split_on_char '\n' out
-  |> List.fold_left
-       (fun (us, conflicts) line ->
-         if String.starts_with ~prefix:"commit conflict: session " line then
-           (us, conflicts + 1)
-         else if String.starts_with ~prefix:"committed session " line then begin
-           match String.rindex_opt line ' ' with
-           | Some sp_pos when String.ends_with ~suffix:" us" line -> begin
-             let tail = String.sub line 0 sp_pos in
-             match String.rindex_opt tail ' ' with
-             | Some p -> begin
-               match float_of_string_opt (String.sub tail (p + 1) (sp_pos - p - 1)) with
-               | Some v -> (v :: us, conflicts)
-               | None -> (us, conflicts)
-             end
-             | None -> (us, conflicts)
-           end
-           | _ -> (us, conflicts)
-         end
-         else (us, conflicts))
-       ([], 0)
-  |> fun (us, conflicts) -> (List.rev us, conflicts)
+  |> List.filter (String.starts_with ~prefix:"commit conflict: session ")
+  |> List.length
 
 (* First token of every line: the root names in `hpjava roots` output. *)
 let root_names_of out =
@@ -464,11 +422,7 @@ let root_names_of out =
          | name :: _ when name <> "" -> Some name
          | _ -> None)
 
-(* [shards > 1] initialises the store sharded, so the whole scenario —
-   crash injection and recovery included — runs against the partitioned
-   layout.  Every other step is shard-agnostic: the store remembers its
-   own shard count. *)
-let play ?crash_at ?(kill_byte = 256) ?(shards = 1) ~bin ~dir scenario =
+let play ?crash_at ?(kill_byte = 256) ~bin ~dir scenario =
   let store = Filename.concat dir "store.hpj" in
   let src = Filename.concat dir "src" in
   let html = Filename.concat dir "html" in
@@ -479,9 +433,7 @@ let play ?crash_at ?(kill_byte = 256) ?(shards = 1) ~bin ~dir scenario =
     path
   in
   let argv_of = function
-    | Init ->
-      let sharding = if shards > 1 then [ "--shards"; string_of_int shards ] else [] in
-      (([ "init"; "--journalled" ] @ sharding @ [ store ]), None)
+    | Init -> ([ "init"; "--journalled"; store ], None)
     | Compile { file; source; _ } -> ([ "compile"; store; write_src file source ], None)
     | Run { cls } -> ([ "run"; store; cls ], None)
     | New { cls; root; arg } -> ([ "new"; store; cls; root; arg ], None)
@@ -498,7 +450,6 @@ let play ?crash_at ?(kill_byte = 256) ?(shards = 1) ~bin ~dir scenario =
     | Evolve { cls; file; source } -> ([ "evolve"; store; cls; write_src file source ], None)
     | Shell { script; _ } | Sessions { script; _ } -> ([ "shell"; store ], Some script)
   in
-  let t0 = Unix.gettimeofday () in
   let execs = ref [] in
   let crash = ref None in
   let durable_roots = ref [] in
@@ -516,12 +467,9 @@ let play ?crash_at ?(kill_byte = 256) ?(shards = 1) ~bin ~dir scenario =
         (* recovery: the next process to open the store replays the
            journal and must find a fully sound state *)
         let check = Subproc.run ~bin [ "check"; store ] in
-        (* an operator session: inspect health, repair anything the crash
-           demoted, and report degraded-mode traffic — on a clean
-           recovery this measures the no-op repair path *)
-        let repair =
-          Subproc.run ~stdin_text:"health\nrepair all\nquit\n" ~bin [ "shell"; store ]
-        in
+        (* an operator session: inspect health and repair anything the
+           crash demoted — on a clean recovery, the no-op repair path *)
+        ignore (Subproc.run ~stdin_text:"health\nrepair all\nquit\n" ~bin [ "shell"; store ]);
         let roots = Subproc.run ~bin [ "roots"; store ] in
         let present = root_names_of roots.Subproc.stdout in
         let lost = List.filter (fun r -> not (List.mem r present)) !durable_roots in
@@ -532,9 +480,6 @@ let play ?crash_at ?(kill_byte = 256) ?(shards = 1) ~bin ~dir scenario =
               crashed_class = op_class step.op;
               kill_byte;
               killed;
-              recovery_s = check.Subproc.elapsed_s;
-              repair_s = repair.Subproc.elapsed_s;
-              degraded_ops = int_after ~default:0 "degraded ops: " repair.Subproc.stdout;
               quarantined_after = quarantined_of_check check.Subproc.stdout;
               check_ok = Subproc.ok check && Subproc.contains check.Subproc.stdout "integrity ok";
               lost_roots = lost;
@@ -550,25 +495,17 @@ let play ?crash_at ?(kill_byte = 256) ?(shards = 1) ~bin ~dir scenario =
       end)
     scenario.steps;
   let execs = List.rev !execs in
-  let commit_us, commit_conflicts =
-    List.fold_left
-      (fun (us, n) e ->
-        let u, c = session_commits_of e.result.Subproc.stdout in
-        (us @ u, n + c))
-      ([], 0) execs
-  in
   {
     scenario;
     execs;
     crash = !crash;
-    elapsed_s = Unix.gettimeofday () -. t0;
-    commit_us;
-    commit_conflicts;
+    commit_conflicts =
+      List.fold_left (fun n e -> n + session_conflicts_of e.result.Subproc.stdout) 0 execs;
   }
 
 (* The one-line replay recipe printed whenever a randomized run fails. *)
 let replay_line t =
   (* steps = Init + per-user compiles + ops + the fixed sessions race +
      the final census/roots/check trio *)
-  sp "replay exactly with: dune exec bench/macro_main.exe -- --seed %d --users %d --ops %d" t.seed
-    t.users (List.length t.steps - 1 - t.users - 4)
+  sp "scenario: seed %d, %d users, %d ops; replay with E2E_SEED=%d dune build @e2e" t.seed
+    t.users (List.length t.steps - 1 - t.users - 4) t.seed

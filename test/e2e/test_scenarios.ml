@@ -6,7 +6,6 @@
    @e2e-full alias) widens the sweep beyond the time-boxed default. *)
 
 open E2e_util
-module Scenario = Workload.Scenario
 module Subproc = Workload.Subproc
 
 let seed_of_env default =
@@ -41,10 +40,14 @@ let assert_final_integrity (p : Scenario.play) =
         (Subproc.describe last.Scenario.result)
   | [] -> Alcotest.fail "scenario played no steps"
 
+(* Every scenario embeds a two-session race on a shared root, so a clean
+   play must record at least one first-committer-wins conflict. *)
 let run_clean ~seed ~users ~ops =
   let scenario = Scenario.generate ~seed ~users ~ops in
   let p = play scenario in
   assert_clean p;
+  if p.Scenario.commit_conflicts < 1 then
+    fail_play scenario "expected at least one session commit conflict, saw none";
   assert_final_integrity p
 
 (* A crash play must observe the SIGKILL, recover to full integrity with

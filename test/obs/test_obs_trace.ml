@@ -102,6 +102,47 @@ let pp_event_is_readable () =
     check_bool "shows the label" true (contains s "img")
   | _ -> Alcotest.fail "expected one event"
 
+(* The cost of the instrumentation while tracing is off: the hot read
+   [Store.field] against the same work without the observability layer
+   (the quarantine check plus the raw heap read).  Best-of-k interleaved
+   rounds, so scheduler noise hits both sides alike.  Rounds are timed in
+   process CPU time: `dune runtest` runs suites side by side, and a round
+   preempted by a multi-domain neighbour must not count its time off the
+   CPU (timed on the wall clock next to the crash suite, 6 of 25 runs
+   failed on a 2-CPU host).  The bound is deliberately generous (2x, or
+   at most 25 ns per op): it catches a clock read or an allocation
+   sneaking onto the disabled path, not nanoseconds. *)
+let disabled_overhead_is_bounded () =
+  let store = Store.create () in
+  check_bool "tracing starts off" false (Obs.enabled (Store.obs store));
+  let oid = Store.alloc_record store "Bench" [| Pvalue.Int 1l |] in
+  let heap = Store.heap store in
+  let baseline () =
+    (match Store.quarantine_reason store oid with Some _ -> () | None -> ());
+    ignore (Heap.field heap oid 0)
+  in
+  let instrumented () = ignore (Store.field store oid 0) in
+  let iters = 50_000 and rounds = 3 in
+  let once f =
+    let t0 = Sys.time () in
+    for _ = 1 to iters do
+      f ()
+    done;
+    (Sys.time () -. t0) /. float_of_int iters *. 1e9
+  in
+  ignore (once baseline);
+  ignore (once instrumented);
+  let best_base = ref infinity and best_instr = ref infinity in
+  for _ = 1 to rounds do
+    best_base := Float.min !best_base (once baseline);
+    best_instr := Float.min !best_instr (once instrumented)
+  done;
+  let ratio = !best_instr /. Float.max !best_base 1e-9 in
+  if not (ratio <= 2.0 || !best_instr -. !best_base <= 25.0) then
+    Alcotest.failf
+      "tracing-off Store.field %.1f ns vs raw read %.1f ns: %.2fx is over 2.0x and over 25 ns"
+      !best_instr !best_base ratio
+
 let suite =
   [
     test "disabled tracing is a no-op" disabled_tracing_is_a_noop;
@@ -111,4 +152,5 @@ let suite =
     test "latency percentiles are ordered" latency_percentiles_are_ordered;
     test "reset zeroes everything" reset_zeroes_everything;
     test "events print readably" pp_event_is_readable;
+    test "tracing-off overhead is bounded" disabled_overhead_is_bounded;
   ]

@@ -1,7 +1,8 @@
 (* Well-formed-client behaviour against a live server: handshake
    gating, the two-client commit race with the typed conflict and the
-   immediate retry, and the read-only HTTP dashboard sharing the
-   socket — including the hostile-source escaping regression. *)
+   immediate retry, K clients contending one root, and the read-only
+   HTTP dashboard sharing the socket — including the hostile-source
+   escaping regression. *)
 
 open Server_util
 
@@ -72,6 +73,53 @@ let test_two_client_race () =
   check_bool "retried program is live" true (contains programs (Printf.sprintf "hp %d" uid));
   Client.close c1;
   Client.close c2
+
+(* -- K clients on one root --------------------------------------------------- *)
+
+(* Every round, K clients edit the same root under the snapshots pinned
+   after the previous round, then commit in turn: the first wins and
+   every later one gets the typed conflict (and a fresh snapshot), so
+   each round yields K - 1 conflicts.  Browses and link follows between
+   rounds ride along; no request may be refused. *)
+let test_k_clients_contend () =
+  with_server @@ fun srv ->
+  let k = 4 and rounds = 3 in
+  let conns = List.init k (fun _ -> Client.connect (Client.unix_addr srv.socket)) in
+  let conflicts = ref 0 and refusals = ref [] in
+  let rpc c req =
+    let answer = Client.rpc c req in
+    (match answer with
+    | Protocol.Refused _ -> refusals := Protocol.describe_response answer :: !refusals
+    | _ -> ());
+    answer
+  in
+  let link_target = ref None in
+  for round = 0 to rounds - 1 do
+    List.iteri
+      (fun i c ->
+        let source = hyper_source ~cls:(Printf.sprintf "Net%d_%d" i round) ((i * 1000) + round) in
+        match rpc c (Protocol.Edit { root = "shared"; source }) with
+        | Protocol.Ok_text text when !link_target = None ->
+          link_target := Some (uid_of_edit_answer text)
+        | _ -> ())
+      conns;
+    List.iter
+      (fun c -> match rpc c Protocol.Commit with Protocol.Conflict _ -> incr conflicts | _ -> ())
+      conns;
+    List.iter
+      (fun c ->
+        ignore (rpc c (Protocol.Browse Protocol.Roots));
+        Option.iter (fun hp -> ignore (rpc c (Protocol.Get_link { hp; link = 0 }))) !link_target)
+      conns
+  done;
+  List.iter Client.close conns;
+  if !refusals <> [] then
+    Alcotest.failf "%d requests refused: %s" (List.length !refusals)
+      (String.concat "; " (List.rev !refusals));
+  check_bool
+    (Printf.sprintf "at least %d conflicts (saw %d)" (rounds * (k - 1)) !conflicts)
+    true
+    (!conflicts >= rounds * (k - 1))
 
 (* -- typed errors for honest mistakes ---------------------------------------- *)
 
@@ -154,6 +202,7 @@ let suite =
     [
       test "hello gating" test_hello_gating;
       test "two clients race one root" test_two_client_race;
+      test "four clients contend one root for three rounds" test_k_clients_contend;
       test "typed errors leave the connection serving" test_typed_errors;
       test "dashboard serves live pages" test_dashboard;
       test "dashboard escapes hostile source" test_dashboard_escapes_hostile_source;
