@@ -65,9 +65,10 @@ let init_cmd =
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Partition the object space into $(docv) shards (fixed for the store's \
-             lifetime), each with its own image file and journal; stabilise, scrub and gc \
-             then run shard-wise on a domain pool.  1 (the default) keeps the flat \
-             single-file layout")
+             lifetime), each with its own image file, journal, quarantine set and health \
+             state, so a journalled compaction rewrites only the shards that need it and a \
+             failing shard is demoted alone.  1 (the default) keeps the flat single-file \
+             layout")
   in
   let run path journalled shards =
     if shards < 1 then begin

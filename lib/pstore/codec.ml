@@ -128,8 +128,6 @@ let get_option r get_elem =
 
 (* -- CRC-32 (IEEE 802.3 polynomial) -------------------------------------- *)
 
-(* Built eagerly: shard images are checksummed on several domains at
-   once, and forcing one shared lazy value from two domains raises. *)
 let crc_table =
   Array.init 256 (fun n ->
       let c = ref (Int32.of_int n) in

@@ -1,14 +1,7 @@
 (* Fault injection for durability testing.  A single global injector is
    enough: tests arm exactly one fault at a time.  Faults are one-shot —
    firing disarms — so the recovery I/O that follows a simulated crash
-   runs clean.
-
-   Sharded stores run stabilise I/O from pool domains, so the injector
-   must stay deterministic under parallelism: all mutable state lives
-   behind one mutex, and exactly one domain can consume the armed fault
-   (budget accounting and the fire itself happen under the lock).  The
-   common case — nothing armed — is kept lock-free via an atomic flag so
-   production writes pay one load, not a mutex. *)
+   runs clean.  With nothing armed, a wrapper costs one reference read. *)
 
 exception Fault_injected of string
 
@@ -21,77 +14,54 @@ type fault =
   | Kill_after_bytes of int
   | Intr_storm of int
 
-let m = Mutex.create ()
-
-let locked f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-(* Mirrors [current <> None]; read without the lock on hot paths. *)
-let armed_flag = Atomic.make false
 let current : fault option ref = ref None
 
 (* When set, the armed fault only fires on I/O performed inside
    [with_shard_scope target] — sharded stores scope each shard's I/O so
-   tests can break exactly one fault domain.  The scope is domain-local:
-   every pool domain tags its own shard's work. *)
+   tests can break exactly one fault domain. *)
 let target : int option ref = ref None
-let scope_key : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let scope : int option ref = ref None
 
 let with_shard_scope k f =
-  let old = Domain.DLS.get scope_key in
-  Domain.DLS.set scope_key (Some k);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set scope_key old) f
-
-let shard_scope () = Domain.DLS.get scope_key
+  let old = !scope in
+  scope := Some k;
+  Fun.protect ~finally:(fun () -> scope := old) f
 
 (* Bytes written while the current fault has been armed. *)
 let written = ref 0
 let fired_count = Atomic.make 0
 
 let arm ?shard f =
-  locked (fun () ->
-      current := Some f;
-      target := shard;
-      written := 0;
-      Atomic.set armed_flag true)
+  current := Some f;
+  target := shard;
+  written := 0
 
 let disarm () =
-  locked (fun () ->
-      current := None;
-      target := None;
-      Atomic.set armed_flag false)
+  current := None;
+  target := None
 
-let armed () = locked (fun () -> !current)
+let armed () = !current
 let fired () = Atomic.get fired_count
 
-(* Call with [m] held (all callers are inside [locked]). *)
-let fire_locked msg =
-  current := None;
-  target := None;
-  Atomic.set armed_flag false;
+let fire msg =
+  disarm ();
   Atomic.incr fired_count;
   raise (Fault_injected msg)
 
-(* Does the armed fault apply to I/O issued from this domain's scope?
+(* The armed fault, if it applies to I/O issued from the current scope.
    Untargeted faults fire anywhere; targeted faults fire only inside the
    matching [with_shard_scope] (and their byte budgets count only the
-   targeted shard's writes).  Call with [m] held. *)
-let in_scope_locked () =
-  match !target with
-  | None -> true
-  | Some k -> Domain.DLS.get scope_key = Some k
+   targeted shard's writes). *)
+let in_scope () =
+  match !current with
+  | Some _ when Option.is_some !target && !target <> !scope -> None
+  | armed -> armed
 
 (* An EINTR storm is not one-shot: it fires [n] times before disarming,
    modelling a burst of interrupted syscalls that a retry policy must
    ride out.  The op never happened — no partial bytes land. *)
-let storm_fire_locked op n =
-  if n <= 1 then begin
-    current := None;
-    target := None;
-    Atomic.set armed_flag false
-  end
-  else current := Some (Intr_storm (n - 1));
+let storm_fire op n =
+  if n <= 1 then disarm () else current := Some (Intr_storm (n - 1));
   Atomic.incr fired_count;
   raise (Unix.Unix_error (Unix.EINTR, op, ""))
 
@@ -112,59 +82,50 @@ let partial_write oc s n =
   flush oc
 
 let output_string oc s =
-  if not (Atomic.get armed_flag) then Stdlib.output_string oc s
-  else
-    locked (fun () ->
-        if not (in_scope_locked ()) then Stdlib.output_string oc s
-        else
-        match !current with
-        | None -> Stdlib.output_string oc s
-        | Some (Intr_storm n) -> storm_fire_locked "write" n
-        | Some (Fail_after_bytes budget) ->
-          let len = String.length s in
-          if !written + len <= budget then begin
-            Stdlib.output_string oc s;
-            written := !written + len
-          end
-          else begin
-            partial_write oc s (budget - !written);
-            fire_locked (Printf.sprintf "write failed after %d bytes" budget)
-          end
-        | Some (Short_write n) ->
-          partial_write oc s (min n (String.length s));
-          fire_locked
-            (Printf.sprintf "short write: %d of %d bytes"
-               (min n (String.length s))
-               (String.length s))
-        | Some (Bit_flip off) ->
-          let len = String.length s in
-          if off >= !written && off < !written + len then begin
-            let b = Bytes.of_string s in
-            let i = off - !written in
-            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
-            Stdlib.output_string oc (Bytes.unsafe_to_string b);
-            current := None;
-            Atomic.set armed_flag false;
-            Atomic.incr fired_count
-          end
-          else begin
-            Stdlib.output_string oc s;
-            written := !written + len
-          end
-        | Some (Kill_after_bytes budget) ->
-          let len = String.length s in
-          if !written + len <= budget then begin
-            Stdlib.output_string oc s;
-            written := !written + len
-          end
-          else begin
-            (* The torn prefix must reach the OS before the process dies,
-               or there would be nothing torn to recover from. *)
-            partial_write oc s (budget - !written);
-            Atomic.incr fired_count;
-            Unix.kill (Unix.getpid ()) Sys.sigkill
-          end
-        | Some (Rename_fails | Fsync_fails) -> Stdlib.output_string oc s)
+  match in_scope () with
+  | None | Some (Rename_fails | Fsync_fails) -> Stdlib.output_string oc s
+  | Some (Intr_storm n) -> storm_fire "write" n
+  | Some (Fail_after_bytes budget) ->
+    let len = String.length s in
+    if !written + len <= budget then begin
+      Stdlib.output_string oc s;
+      written := !written + len
+    end
+    else begin
+      partial_write oc s (budget - !written);
+      fire (Printf.sprintf "write failed after %d bytes" budget)
+    end
+  | Some (Short_write n) ->
+    partial_write oc s (min n (String.length s));
+    fire
+      (Printf.sprintf "short write: %d of %d bytes" (min n (String.length s)) (String.length s))
+  | Some (Bit_flip off) ->
+    let len = String.length s in
+    if off >= !written && off < !written + len then begin
+      let b = Bytes.of_string s in
+      let i = off - !written in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
+      Stdlib.output_string oc (Bytes.unsafe_to_string b);
+      current := None;
+      Atomic.incr fired_count
+    end
+    else begin
+      Stdlib.output_string oc s;
+      written := !written + len
+    end
+  | Some (Kill_after_bytes budget) ->
+    let len = String.length s in
+    if !written + len <= budget then begin
+      Stdlib.output_string oc s;
+      written := !written + len
+    end
+    else begin
+      (* The torn prefix must reach the OS before the process dies,
+         or there would be nothing torn to recover from. *)
+      partial_write oc s (budget - !written);
+      Atomic.incr fired_count;
+      Unix.kill (Unix.getpid ()) Sys.sigkill
+    end
 
 (* Flip one bit of an object's in-memory state behind the store API, the
    way a stray pointer or bad DIMM would.  Counts as a fired fault.  The
@@ -198,40 +159,22 @@ let corrupt_entry heap oid =
   Atomic.incr fired_count
 
 let rename src dst =
-  if not (Atomic.get armed_flag) then Sys.rename src dst
-  else
-    locked (fun () ->
-        if not (in_scope_locked ()) then Sys.rename src dst
-        else
-        match !current with
-        | Some Rename_fails -> fire_locked (Printf.sprintf "rename %s -> %s failed" src dst)
-        | Some (Intr_storm n) -> storm_fire_locked "rename" n
-        | _ -> Sys.rename src dst)
+  match in_scope () with
+  | Some Rename_fails -> fire (Printf.sprintf "rename %s -> %s failed" src dst)
+  | Some (Intr_storm n) -> storm_fire "rename" n
+  | _ -> Sys.rename src dst
 
 let fsync_channel oc =
   flush oc;
-  let do_sync () = Unix.fsync (Unix.descr_of_out_channel oc) in
-  if not (Atomic.get armed_flag) then do_sync ()
-  else
-    locked (fun () ->
-        if not (in_scope_locked ()) then do_sync ()
-        else
-        match !current with
-        | Some Fsync_fails -> fire_locked "fsync failed"
-        | Some (Intr_storm n) -> storm_fire_locked "fsync" n
-        | _ -> do_sync ())
+  match in_scope () with
+  | Some Fsync_fails -> fire "fsync failed"
+  | Some (Intr_storm n) -> storm_fire "fsync" n
+  | _ -> Unix.fsync (Unix.descr_of_out_channel oc)
 
 let fsync_dir path =
-  let do_sync () =
+  match in_scope () with
+  | Some Fsync_fails -> fire "directory fsync failed"
+  | Some (Intr_storm n) -> storm_fire "fsync" n
+  | _ ->
     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
     Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
-  in
-  if not (Atomic.get armed_flag) then do_sync ()
-  else
-    locked (fun () ->
-        if not (in_scope_locked ()) then do_sync ()
-        else
-        match !current with
-        | Some Fsync_fails -> fire_locked "directory fsync failed"
-        | Some (Intr_storm n) -> storm_fire_locked "fsync" n
-        | _ -> do_sync ())

@@ -6,11 +6,8 @@
     fault to simulate a crash mid-write: the wrapper performs the partial
     effect (some bytes land on disk, the rename never happens, ...) and
     raises {!Fault_injected}, after which the injector disarms itself so
-    recovery I/O runs clean.
-
-    Domain-safe: injector state is guarded by a mutex so exactly one
-    domain consumes an armed fault even when stabilise I/O fans out over
-    the pool; the nothing-armed fast path is a single atomic load. *)
+    recovery I/O runs clean.  The injector is process-wide state for a
+    single thread. *)
 
 exception Fault_injected of string
 
@@ -53,14 +50,10 @@ val disarm : unit -> unit
 val armed : unit -> fault option
 
 val with_shard_scope : int -> (unit -> 'a) -> 'a
-(** Tag all wrapped I/O performed by [f] (on the calling domain) as
-    belonging to shard [k].  The sharded store wraps each shard's image,
-    journal and marker I/O in its scope — from pool domains and from the
-    calling domain alike — so a [?shard]-targeted fault hits exactly one
-    fault domain.  Scopes are domain-local and nest (innermost wins). *)
-
-val shard_scope : unit -> int option
-(** The calling domain's current shard scope, if any. *)
+(** Tag all wrapped I/O performed by [f] as belonging to shard [k].  The
+    sharded store wraps each shard's image, journal and marker I/O in
+    its scope, so a [?shard]-targeted fault hits exactly one fault
+    domain.  Scopes nest (innermost wins). *)
 
 val fired : unit -> int
 (** Total faults fired since program start. *)

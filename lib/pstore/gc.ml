@@ -21,8 +21,9 @@ let pp_stats ppf { live; swept; weak_cleared } =
 
 (* Iterative marking with an explicit work list: store graphs can be
    arbitrarily deep (a million-element linked list is ordinary data), so
-   recursion over the object graph would overflow the OCaml stack. *)
-let mark heap seed =
+   recursion over the object graph would overflow the OCaml stack.
+   [edge] sees every strong reference out of a marked object. *)
+let mark ?(edge = fun _ _ -> ()) heap seed =
   let marked = Oid.Table.create 1024 in
   let work = Stack.create () in
   let push oid =
@@ -34,77 +35,33 @@ let mark heap seed =
   List.iter push seed;
   while not (Stack.is_empty work) do
     let oid = Stack.pop work in
-    List.iter push (Heap.strong_refs (Heap.get heap oid))
+    List.iter
+      (fun target ->
+        edge oid target;
+        push target)
+      (Heap.strong_refs (Heap.get heap oid))
   done;
   marked
 
+let seed_of extra_roots roots = List.rev_append extra_roots (Roots.ref_oids roots)
+
 let reachable ?(extra_roots = []) heap roots =
-  let seed = List.rev_append extra_roots (Roots.ref_oids roots) in
-  let marked = mark heap seed in
+  let marked = mark heap (seed_of extra_roots roots) in
   Oid.Table.fold (fun oid () acc -> Oid.Set.add oid acc) marked Oid.Set.empty
 
-(* Sharded mark: each shard marks the closure of its own objects in
-   parallel, exporting references that cross a shard boundary to the
-   owning shard's outbox; rounds repeat on the main domain until no
-   outbox delivers a new oid.  Domains only write their own marked table
-   and outbox row, and the heap is read-only throughout, so the phase is
-   race-free by partition.  The delivered cross-shard targets double as
-   the per-shard remembered sets (live incoming references), which is
-   what keeps the sweep itself per-shard.  Weak-clear and sweep run on
-   the main domain: both mutate the shared heap, and each is one cheap
-   linear pass. *)
-let collect_sharded ~nshards ~shard_of ?(extra_roots = []) heap roots =
-  let marked = Array.init nshards (fun _ -> Oid.Table.create 256) in
+(* One mark from the seed.  An edge that crosses a shard boundary to a
+   live oid puts that oid in its owning shard's remembered set, which is
+   what keeps later sweeps per-shard.  Weak-clear and sweep are one
+   linear pass each. *)
+let collect ~nshards ~shard_of ?(extra_roots = []) heap roots =
   let remembered = Array.make nshards Oid.Set.empty in
-  let inbox = Array.make nshards [] in
-  let seed = List.rev_append extra_roots (Roots.ref_oids roots) in
-  List.iter
-    (fun oid ->
-      let s = shard_of oid in
-      inbox.(s) <- oid :: inbox.(s))
-    seed;
-  let outbox = Array.init nshards (fun _ -> Array.make nshards []) in
-  let pending = ref (seed <> []) in
-  while !pending do
-    Dpool.run nshards (fun k ->
-        let mk = marked.(k) in
-        let out = outbox.(k) in
-        let work = Stack.create () in
-        let push oid =
-          let s = shard_of oid in
-          if s = k then begin
-            if (not (Oid.Table.mem mk oid)) && Heap.is_live heap oid then begin
-              Oid.Table.replace mk oid ();
-              Stack.push oid work
-            end
-          end
-          else out.(s) <- oid :: out.(s)
-        in
-        List.iter push inbox.(k);
-        while not (Stack.is_empty work) do
-          let oid = Stack.pop work in
-          List.iter push (Heap.strong_refs (Heap.get heap oid))
-        done);
-    (* merge outboxes into next-round inboxes on the main domain *)
-    Array.fill inbox 0 nshards [];
-    pending := false;
-    for src = 0 to nshards - 1 do
-      for dst = 0 to nshards - 1 do
-        List.iter
-          (fun oid ->
-            if Heap.is_live heap oid then begin
-              remembered.(dst) <- Oid.Set.add oid remembered.(dst);
-              if not (Oid.Table.mem marked.(dst) oid) then begin
-                inbox.(dst) <- oid :: inbox.(dst);
-                pending := true
-              end
-            end)
-          outbox.(src).(dst);
-        outbox.(src).(dst) <- []
-      done
-    done
-  done;
-  let is_marked oid = Oid.Table.mem marked.(shard_of oid) oid in
+  let edge src target =
+    let s = shard_of target in
+    if s <> shard_of src && Heap.is_live heap target then
+      remembered.(s) <- Oid.Set.add target remembered.(s)
+  in
+  let marked = mark ~edge heap (seed_of extra_roots roots) in
+  let is_marked oid = Oid.Table.mem marked oid in
   let weak_cleared = ref 0 in
   Heap.iter
     (fun oid entry ->

@@ -15,7 +15,7 @@ val pp_stats : Format.formatter -> stats -> unit
 val reachable : ?extra_roots:Oid.t list -> Heap.t -> Roots.t -> Oid.Set.t
 (** The set of strongly reachable oids, without sweeping. *)
 
-val collect_sharded :
+val collect :
   nshards:int ->
   shard_of:(Oid.t -> int) ->
   ?extra_roots:Oid.t list ->
@@ -24,11 +24,7 @@ val collect_sharded :
   stats * Oid.Set.t array
 (** Run a full mark–sweep cycle from the named roots plus [extra_roots]
     (e.g. objects referenced by a running VM), over a store whose oids
-    [shard_of] assigns to [nshards] shards.  The mark phase runs per
-    shard on the domain pool: each shard traces the closure of its own
-    objects and exports cross-shard references to the owning shard, in
-    rounds, until no new oid crosses a boundary.  Also returns each
-    shard's remembered set — the live oids in that shard referenced from
-    {e other} shards — which is what lets later sweeps stay per-shard.
-    Weak-clear and sweep run on the calling domain (they mutate the
-    shared heap).  With one shard the mark is one sequential trace. *)
+    [shard_of] assigns to [nshards] shards.  The mark is one trace from
+    that seed.  Also returns each shard's remembered set — the live oids
+    in that shard referenced from a live object in {e another} shard —
+    which is what lets later sweeps stay per-shard. *)

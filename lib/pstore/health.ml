@@ -6,12 +6,9 @@
      Healthy --(image unreadable at open)-----------> Offline
      Degraded/Offline --(Store.repair)--------------> Healthy
 
-   State transitions happen on the calling domain only (after parallel
-   sections have joined), so [state] is a plain mutable field.  The
-   counters are bumped from pool domains while stabilise/scrub fan out,
-   so they are atomics.  [failures] counts *consecutive* exhausted
-   transient I/O failures: any successful I/O on the shard resets it,
-   so one flaky write never trips the breaker — only a run of them. *)
+   [failures] counts *consecutive* exhausted transient I/O failures:
+   any successful I/O on the shard resets it, so one flaky write never
+   trips the breaker — only a run of them. *)
 
 type state =
   | Healthy
@@ -75,7 +72,7 @@ let promote t =
   t.state <- Healthy;
   Atomic.set t.failures 0
 
-(* Failure accounting, called from pool domains. *)
+(* Failure accounting, fed by shard I/O. *)
 let note_failure t = Atomic.incr t.failures
 let note_ok t = if Atomic.get t.failures <> 0 then Atomic.set t.failures 0
 let note_degraded_read t = Atomic.incr t.degraded_reads

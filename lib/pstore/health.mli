@@ -6,11 +6,7 @@
     cannot be read at open marks it [Offline].  A shard that is not
     [Healthy] is read-only — reads serve from memory, writes raise the
     typed {!Failure.Shard_degraded} — until [Store.repair] promotes it
-    back.
-
-    State transitions happen on the calling domain only; the counters
-    are atomics because stabilise and scrub bump them from pool
-    domains. *)
+    back. *)
 
 type state =
   | Healthy
@@ -42,7 +38,7 @@ val promote : t -> unit
 (** Back to [Healthy]; resets the consecutive-failure count and counts a
     repair if the shard was demoted. *)
 
-(** {1 Failure accounting} — safe from pool domains. *)
+(** {1 Failure accounting} *)
 
 val note_failure : t -> unit
 (** One exhausted transient I/O failure on this shard. *)

@@ -57,17 +57,15 @@ let encode_entry_payload entry =
   Codec.contents w
 
 (* The per-object checksum: what the image frames store and the online
-   scrubber recomputes.  The encode buffer is reused — one per domain,
-   since sharded scrubbers recompute CRCs from pool workers — so a
-   budgeted scrub step allocates per-object payload bytes, not a fresh
-   4 KiB buffer per object visited. *)
-let crc_scratch = Domain.DLS.new_key (fun () -> Codec.writer ())
+   scrubber recomputes.  The encode buffer is reused, so a budgeted scrub
+   step allocates per-object payload bytes, not a fresh 4 KiB buffer per
+   object visited. *)
+let crc_scratch = Codec.writer ()
 
 let entry_crc entry =
-  let w = Domain.DLS.get crc_scratch in
-  Codec.reset w;
-  encode_entry_into w entry;
-  Codec.crc32 (Codec.contents w)
+  Codec.reset crc_scratch;
+  encode_entry_into crc_scratch entry;
+  Codec.crc32 (Codec.contents crc_scratch)
 
 let decode_entry_payload payload =
   let open Codec in

@@ -139,8 +139,6 @@ let hist_capacity = 512
 
 type t = {
   counters : int Atomic.t array;
-      (* atomics, not plain ints: shard counters are bumped from pool
-         domains during parallel stabilise/scrub/gc *)
   hists : hist array;
   mutable ring : event array;  (* dummy-filled; [ring_len] entries valid *)
   mutable ring_len : int;

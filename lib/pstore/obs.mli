@@ -99,9 +99,10 @@ val set_ring_capacity : t -> int -> unit
 
 val incr : t -> op -> unit
 val add : t -> op -> int -> unit
-(** Counter bumps are atomic and safe from pool domains; histograms,
-    the trace ring, and the tracing switch remain single-domain state
-    (the store never enables tracing on per-shard [Obs.t]s). *)
+(** A store has one [Obs.t] for all its shards: each shard's image
+    loads and saves, journal appends and I/O retries count here, and
+    with tracing on the image loads and saves also record spans in this
+    ring. *)
 
 val record : t -> op -> ?oid:Oid.t -> ?bytes:int -> ?label:string -> float -> unit
 (** Record a duration (ns) into the op's histogram and the trace ring.

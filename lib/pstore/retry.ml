@@ -20,10 +20,7 @@
    truncating back to a savepoint from [on_retry] before the next
    attempt.  [on_exhausted] fires once when the budget runs out — the
    store's circuit breaker counts these per shard and demotes a shard
-   whose failures keep exhausting the budget.
-
-   Stats are atomics and the label table is mutex-guarded: sharded
-   stores run retries from pool domains. *)
+   whose failures keep exhausting the budget. *)
 
 type policy = {
   retries : int; (* extra attempts after the first failure *)
@@ -74,9 +71,7 @@ let retries_c = Atomic.make 0
 let absorbed_c = Atomic.make 0
 let exhausted_c = Atomic.make 0
 
-(* Per-label retry counters, for `shell health`.  Guarded: pool domains
-   retry concurrently. *)
-let labels_m = Mutex.create ()
+(* Per-label retry counters, for `shell health`. *)
 let by_label : (string, int) Hashtbl.t = Hashtbl.create 8
 
 let stats () =
@@ -92,20 +87,14 @@ let reset_stats () =
   Atomic.set retries_c 0;
   Atomic.set absorbed_c 0;
   Atomic.set exhausted_c 0;
-  Mutex.lock labels_m;
-  Hashtbl.reset by_label;
-  Mutex.unlock labels_m
+  Hashtbl.reset by_label
 
 let counters () =
-  Mutex.lock labels_m;
   let l = Hashtbl.fold (fun label n acc -> (label, n) :: acc) by_label [] in
-  Mutex.unlock labels_m;
   List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
 let bump_label label =
-  Mutex.lock labels_m;
-  Hashtbl.replace by_label label (1 + Option.value ~default:0 (Hashtbl.find_opt by_label label));
-  Mutex.unlock labels_m
+  Hashtbl.replace by_label label (1 + Option.value ~default:0 (Hashtbl.find_opt by_label label))
 
 let transient = function
   | Faults.Fault_injected _ | Sys_error _ | Unix.Unix_error _ -> true

@@ -3,10 +3,7 @@
 
     Retries only exceptions that plausibly denote a transient
     environmental failure: {!Faults.Fault_injected}, [Sys_error] and
-    [Unix.Unix_error].  Everything else propagates immediately.
-
-    Domain-safe: stats are atomics and the label table is mutex-guarded,
-    so sharded stores may retry from pool domains. *)
+    [Unix.Unix_error].  Everything else propagates immediately. *)
 
 type policy = {
   retries : int;  (** extra attempts after the first failure *)

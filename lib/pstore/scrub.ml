@@ -41,6 +41,20 @@ let create () =
 let passes state = state.passes
 let pending state = List.length state.queue
 
+(* One progress record for several scrubbers: the counts and the queue
+   add up, and a pass is complete once every scrubber has completed it. *)
+let merge states =
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 states in
+  {
+    queue = List.concat_map (fun s -> s.queue) states;
+    passes = List.fold_left (fun acc s -> min acc s.passes) max_int states;
+    scanned = sum (fun s -> s.scanned);
+    verified = sum (fun s -> s.verified);
+    primed = sum (fun s -> s.primed);
+    quarantined = sum (fun s -> s.quarantined);
+    ref_errors = sum (fun s -> s.ref_errors);
+  }
+
 let pp_progress ppf state =
   Format.fprintf ppf "pass %d (%d queued); scanned %d, verified %d, primed %d, quarantined %d, ref errors %d"
     state.passes (List.length state.queue) state.scanned state.verified state.primed

@@ -47,4 +47,10 @@ val passes : state -> int
 val pending : state -> int
 (** Oids left in the current pass. *)
 
+val merge : state list -> state
+(** The progress of several scrubbers (one per shard) as one: queued
+    oids and lifetime counts are summed, and {!passes} is the smallest
+    pass count among them.  For reporting only: stepping the result
+    advances none of them.  The list must not be empty. *)
+
 val pp_progress : Format.formatter -> state -> unit

@@ -18,8 +18,9 @@
    The object space is partitioned into N shards (N fixed at creation).
    Each shard owns an oid-hash slice of the objects plus the key-hashed
    roots and blobs, and carries its own image file, journal, quarantine
-   set, checksum table, scrub cursor and counters, so stabilise and GC
-   mark can run shard-wise on the domain pool.  One code path serves
+   set, checksum table, scrub cursor and health counters.  Shard passes
+   (open, stabilise, compaction, scrub) visit the shards in turn, in one
+   plain loop on the calling thread.  One code path serves
    every N; N = 1, the default, is its one-shard case.  [Manifest] makes
    the three decisions that depend on N:
    - file names: one shard keeps its image at [path] and its journal at
@@ -61,14 +62,11 @@ type durability =
   | Snapshot
   | Journalled
 
-(* Per-shard state.  The [sobs] counters are bumped from pool domains
-   (counters are atomic; tracing is never enabled on a shard Obs) and
-   delta-merged into the store-level [obs] after each parallel section. *)
+(* Per-shard state.  Shard I/O counts into the store's single [obs]. *)
 type shard = {
   sq : Quarantine.t; (* corrupt objects, isolated not fatal *)
   scrcs : int32 Oid.Table.t; (* per-object checksums, primed by the scrubber *)
   sscrub : Scrub.state;
-  sobs : Obs.t;
   shealth : Health.t; (* fault-domain state machine *)
   mutable swal : Journal.t option;
   mutable spending : Journal.op list; (* newest first *)
@@ -199,8 +197,6 @@ let make_shard () =
     sq = Quarantine.create ();
     scrcs = Oid.Table.create 64;
     sscrub = Scrub.create ();
-    (* counters only — no ring, tracing never enabled *)
-    sobs = Obs.create ~ring_capacity:0 ();
     shealth = Health.create ();
     swal = None;
     spending = [];
@@ -326,28 +322,6 @@ let bump_epoch store = store.side_epoch <- store.side_epoch + 1
 
 let backing store = store.backing
 
-(* -- shard Obs merging ----------------------------------------------------
-
-   Parallel sections bump per-shard counters from pool domains; the
-   store-level [obs] (which tests and tooling read) receives the deltas
-   once the section is over, on the calling domain. *)
-
-let merged_ops =
-  [| Obs.Journal_append; Obs.Group_commit; Obs.Image_save; Obs.Image_load; Obs.Retry |]
-
-let shard_counts store =
-  Array.map (fun sh -> Array.map (fun op -> Obs.count sh.sobs op) merged_ops) store.shards
-
-let merge_shard_counts store before =
-  Array.iteri
-    (fun i sh ->
-      Array.iteri
-        (fun j op ->
-          let d = Obs.count sh.sobs op - before.(i).(j) in
-          if d > 0 then Obs.add store.obs op d)
-        merged_ops)
-    store.shards
-
 (* -- durability mode ------------------------------------------------------ *)
 
 let durability store = store.durability
@@ -424,8 +398,7 @@ let policy_for store cls =
    service.  [Store.repair] is the way back.
 
    The hot-path cost while everything is healthy is one int load
-   ([store.unhealthy = 0]); state transitions happen on the calling
-   domain only, never from the pool. *)
+   ([store.unhealthy = 0]). *)
 
 let refresh_unhealthy store =
   store.unhealthy <-
@@ -497,10 +470,10 @@ let note_read_key store key =
     end
   end
 
-(* The circuit breaker: after a failed stabilise/compaction, demote (on
-   the calling domain) every shard whose consecutive exhausted-failure
-   count crossed the threshold.  Successful shard I/O resets the count
-   from the pool, so only a persistent run of failures trips it. *)
+(* The circuit breaker: after a failed stabilise/compaction, demote
+   every shard whose consecutive exhausted-failure count crossed the
+   threshold.  Successful shard I/O resets the count, so only a
+   persistent run of failures trips it. *)
 let trip_breakers store =
   if store.breaker > 0 && has_neighbour store then begin
     Array.iter
@@ -547,12 +520,12 @@ let first_unhealthy store =
     store.shards;
   !found
 
-(* Run one shard's I/O under its class policy.  Runs on pool domains:
-   retries happen in place (after [undo] rolls partial effects back),
-   exhaustion feeds the shard's consecutive-failure counter — the
-   circuit breaker's input — and success resets it.  Only the counters
-   are touched here; the breaker trip itself (a state transition)
-   happens later on the calling domain, in [trip_breakers].  A shard
+(* Run one shard's I/O under its class policy.  Retries happen in place
+   (after [undo] rolls partial effects back), exhaustion feeds the
+   shard's consecutive-failure counter — the circuit breaker's input —
+   and success resets it.  Only the counters are touched here; the
+   breaker trip itself (a state transition) happens once the whole
+   stabilise has given up, in [trip_breakers].  A shard
    without a neighbour is the whole store: its failures go straight to
    the whole-stabilise retry. *)
 let shard_io store sh cls ?(undo = fun () -> ()) f =
@@ -568,7 +541,7 @@ let shard_io store sh cls ?(undo = fun () -> ()) f =
   end
   | Some policy ->
     let v =
-      Retry.run ~policy ~obs:sh.sobs ~label:(Retry.class_name cls)
+      Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name cls)
         ~on_retry:(fun _ _ -> undo ())
         ~on_exhausted:(fun _ -> Health.note_failure sh.shealth)
         f
@@ -1155,7 +1128,7 @@ let gc store =
       if journalling store then store.needs_full <- true;
       let extra_roots = quarantine_roots store @ pinned_oids store in
       let stats, remembered =
-        Gc.collect_sharded ~nshards:(nshards store) ~shard_of:(shard_ix_oid store) ~extra_roots
+        Gc.collect ~nshards:(nshards store) ~shard_of:(shard_ix_oid store) ~extra_roots
           store.heap store.roots
       in
       Array.iteri (fun k r -> store.shards.(k).sremembered <- r) remembered;
@@ -1201,8 +1174,7 @@ let contents store =
 
 let default_scrub_budget = 256
 
-(* Each shard's scrubber steps in turn on the calling domain, with its
-   share of the budget.  A shard starting a fresh pass reseeds from its
+(* Each shard's scrubber steps in turn, with its share of the budget.  A shard starting a fresh pass reseeds from its
    own oids; the heap is listed at most once per call. *)
 let scrub ?(budget = default_scrub_budget) store =
   Obs.span store.obs Obs.Scrub_step (fun () ->
@@ -1246,7 +1218,8 @@ let scrub ?(budget = default_scrub_budget) store =
       if newly <> [] then bump_epoch store;
       { !total with Scrub.newly_quarantined = newly })
 
-let scrub_progress store = store.shards.(0).sscrub
+let scrub_progress store =
+  Scrub.merge (Array.to_list (Array.map (fun sh -> sh.sscrub) store.shards))
 
 let wal_depth store =
   Array.fold_left
@@ -1276,8 +1249,8 @@ let shard_contents store c k =
   else c
 
 let sync_dirty_shards store =
-  Dpool.run (nshards store) (fun k ->
-      let sh = store.shards.(k) in
+  Array.iteri
+    (fun k sh ->
       if sh.sdirty && Health.healthy sh.shealth then
         Faults.with_shard_scope k (fun () ->
             shard_io store sh Retry.Journal_append (fun () ->
@@ -1285,31 +1258,30 @@ let sync_dirty_shards store =
                 | Some w -> Journal.sync w
                 | None -> ());
                 sh.sdirty <- false)))
+    store.shards
 
-(* Snapshot mode: every stabilise rewrites all shard images (in
-   parallel) and then commits them together.  Unhealthy shards are
+(* Snapshot mode: every stabilise rewrites all shard images and then
+   commits them together.  Unhealthy shards are
    skipped — their old-epoch image stays referenced untouched; an
    OFFLINE shard's slice of the heap is empty, and writing that empty
    slice out would turn a recoverable image into a lost one. *)
 let save_snapshot store path =
   let c = contents store in
-  let n = nshards store in
-  let before = shard_counts store in
-  Fun.protect ~finally:(fun () -> merge_shard_counts store before) @@ fun () ->
   let epochs' =
     Array.map (fun sh -> if Health.healthy sh.shealth then sh.sepoch + 1 else sh.sepoch)
       store.shards
   in
-  Dpool.run n (fun k ->
-      let sh = store.shards.(k) in
+  Array.iteri
+    (fun k sh ->
       if Health.healthy sh.shealth then
         Faults.with_shard_scope k (fun () ->
             shard_io store sh Retry.Image_save (fun () ->
                 ignore
-                  (Image.save ~obs:sh.sobs (image_file store path k epochs'.(k))
+                  (Image.save ~obs:store.obs (image_file store path k epochs'.(k))
                      (shard_contents store c k)
-                    : int32))));
-  let m = { Manifest.nshards = n; marker_epoch = -1; epochs = epochs' } in
+                    : int32))))
+    store.shards;
+  let m = { Manifest.nshards = nshards store; marker_epoch = -1; epochs = epochs' } in
   Manifest.commit path m;
   Array.iteri (fun k sh -> sh.sepoch <- epochs'.(k)) store.shards;
   Manifest.cleanup_stale path m
@@ -1343,23 +1315,22 @@ let append_delta ~force_sync store =
       store.shards
   in
   let msave = Option.map Manifest.Marker.position marker in
-  let before = shard_counts store in
   match
-    if have_pending then
-      Dpool.run (nshards store) (fun k ->
-          let sh = store.shards.(k) in
-          match saves.(k) with
-          | None -> ()
-          | Some (w, pos, depth) ->
-            Faults.with_shard_scope k (fun () ->
-                (* An interrupted append may have landed a torn prefix;
-                   truncating back to the savepoint restores idempotency
-                   before each retry. *)
-                shard_io store sh Retry.Journal_append
-                  ~undo:(fun () -> try Journal.truncate_to w ~pos ~depth with _ -> ())
-                  (fun () ->
-                    Journal.append_batch ?seq:stamp w (List.rev sh.spending);
-                    sh.sdirty <- true)));
+    Array.iteri
+      (fun k sh ->
+        match saves.(k) with
+        | None -> ()
+        | Some (w, pos, depth) ->
+          Faults.with_shard_scope k (fun () ->
+              (* An interrupted append may have landed a torn prefix;
+                 truncating back to the savepoint restores idempotency
+                 before each retry. *)
+              shard_io store sh Retry.Journal_append
+                ~undo:(fun () -> try Journal.truncate_to w ~pos ~depth with _ -> ())
+                (fun () ->
+                  Journal.append_batch ?seq:stamp w (List.rev sh.spending);
+                  sh.sdirty <- true)))
+      store.shards;
     if force_sync || store.unsynced + 1 >= store.group_window then begin
       sync_dirty_shards store;
       (match (marker, msave) with
@@ -1383,7 +1354,6 @@ let append_delta ~force_sync store =
     else store.unsynced <- store.unsynced + 1
   with
   | () ->
-    merge_shard_counts store before;
     store.seq <- seq';
     Array.iteri
       (fun k sh ->
@@ -1393,7 +1363,6 @@ let append_delta ~force_sync store =
         end)
       store.shards
   | exception e ->
-    merge_shard_counts store before;
     (* Roll the whole stabilise back.  Only the shards whose journals
        took part are marked for a fresh image — a healthy shard must not
        pay for its neighbour's failure.  Under a marker those journals
@@ -1427,13 +1396,12 @@ let compact store path ~selected =
       let full = Array.for_all Fun.id selected in
       if not full then append_delta ~force_sync:true store;
       let c = contents store in
-      let before = shard_counts store in
       let new_wals = Array.make n None in
       let created_marker = ref None in
       match
-        Dpool.run n (fun k ->
+        Array.iteri
+          (fun k sh ->
             if selected.(k) then begin
-              let sh = store.shards.(k) in
               let e' = sh.sepoch + 1 in
               let wal' = wal_file store path k e' in
               if String.equal wal' (wal_file store path k sh.sepoch) then begin
@@ -1456,12 +1424,12 @@ let compact store path ~selected =
                      rewrites the same new-epoch paths from scratch. *)
                   shard_io store sh Retry.Image_save (fun () ->
                       let crc =
-                        Image.save ~obs:sh.sobs (image_file store path k e')
+                        Image.save ~obs:store.obs (image_file store path k e')
                           (shard_contents store c k)
                       in
-                      new_wals.(k) <- Some (Journal.create ~obs:sh.sobs wal' ~base_crc:crc)))
-            end);
-        merge_shard_counts store before;
+                      new_wals.(k) <- Some (Journal.create ~obs:store.obs wal' ~base_crc:crc)))
+            end)
+          store.shards;
         (* a full compaction rotates the marker: sequence numbers restart
            at zero with the fresh journals *)
         let rotate = full && gated store in
@@ -1520,7 +1488,6 @@ let compact store path ~selected =
         store.compactions <- store.compactions + 1;
         Manifest.cleanup_stale path (manifest_of store ~marker_epoch:marker_epoch')
       | exception e ->
-        merge_shard_counts store before;
         (* nothing references the new-epoch files (the manifest rename did
            not land); the old state on disk is intact.  Drop the fresh
            handles — retrying truncates and rewrites the same paths. *)
@@ -1612,9 +1579,9 @@ let stabilise ?path store =
       match run () with
       | () -> ()
       | exception e ->
-        (* The per-shard failure counters were fed while the attempts ran
-           (on pool domains); the state transition happens here, once,
-           after the whole stabilise has given up. *)
+        (* The per-shard failure counters were fed while the attempts
+           ran; the state transition happens here, once, after the whole
+           stabilise has given up. *)
         trip_breakers store;
         raise e)
 
@@ -1685,10 +1652,10 @@ let replay_journal store sh wpath (jr : Journal.replay) ~committed =
       end)
     jr.Journal.batches;
   if jr.Journal.torn then store.recovered_torn <- true;
-  sh.swal <- Some (Journal.open_for_append ~obs:sh.sobs wpath ~valid_bytes:!valid ~depth:!depth);
+  sh.swal <- Some (Journal.open_for_append ~obs:store.obs wpath ~valid_bytes:!valid ~depth:!depth);
   !depth
 
-(* Open: load every shard image (in parallel), merge, then replay each
+(* Open: load every shard image in turn, merge, then replay each
    shard's journal.  On a gated store only batches up to the marker's
    committed sequence number replay; batches past it are dropped whole —
    another shard's half of the same stabilise may be missing, and the
@@ -1718,22 +1685,20 @@ let open_file ?config path =
   | None -> ());
   let parts : Image.load_report option array = Array.make n None in
   let fails = Array.make n None in
-  let before = shard_counts store in
-  Dpool.run n (fun k ->
-      let sh = store.shards.(k) in
+  Array.iteri
+    (fun k sh ->
       Faults.with_shard_scope k (fun () ->
           match
             shard_io store sh Retry.Image_load (fun () ->
-                load_image ~obs:sh.sobs (image_file store path k m.Manifest.epochs.(k)))
+                load_image ~obs:store.obs (image_file store path k m.Manifest.epochs.(k)))
           with
           | r -> parts.(k) <- Some r
           | exception
               (( Image.Image_error _ | Codec.Decode_error _ | Sys_error _
                | Faults.Fault_injected _ | Unix.Unix_error _ ) as e) ->
-            fails.(k) <- Some e));
-  merge_shard_counts store before;
-  (* Health transitions happen here, on the calling domain, after the
-     parallel loads have joined. *)
+            fails.(k) <- Some e))
+    store.shards;
+  (* Health transitions happen here, once every shard has loaded. *)
   Array.iteri
     (fun k fail ->
       match (fail, parts.(k)) with

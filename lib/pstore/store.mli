@@ -74,8 +74,8 @@ module Config : sig
         (** shard count, fixed at store creation.  [n] shards partition
             objects by oid hash (roots and blobs by key hash), each with
             its own image, journal, quarantine set and scrub cursor, so
-            stabilise and GC mark run shard-wise on the domain pool.
-            One shard (the default) keeps its image at the backing path
+            a journalled compaction rewrites only the shards that need
+            it.  One shard (the default) keeps its image at the backing path
             and its journal at [Journal.path_for] of it; [n > 1] puts a
             manifest at the backing path naming per-shard epoch files
             (see {!Manifest}).  {!configure} on an existing store must repeat the
@@ -321,6 +321,8 @@ val scrub : ?budget:int -> t -> Scrub.report
     references. *)
 
 val scrub_progress : t -> Scrub.state
+(** The whole store's scrub progress: every shard's scrubber merged
+    with {!Scrub.merge}. *)
 
 (** {1 Retry}
 

@@ -16,9 +16,8 @@
    - losing a whole shard's files takes only that shard offline;
      repair rebuilds what the journal still proves, quarantines the
      references that stayed dead, and converges to healthy;
-   - a shard-targeted fault fires exactly once even with stabilise
-     fanned out over the domain pool, and never fires on another
-     shard's I/O. *)
+   - a shard-targeted fault fires exactly once even when stabilise
+     touches every shard, and never fires on another shard's I/O. *)
 
 open Pstore
 open Chaos_util
@@ -354,15 +353,15 @@ let crash_then_close_idempotent () =
       Store.close reopened)
     [ 8; 64; 200; 420; 4096 ]
 
-(* -- per-shard targeting under the domain pool ------------------------------ *)
+(* -- per-shard targeting --------------------------------------------------- *)
 
 let targeted_fault_fires_exactly_once () =
   with_dir @@ fun dir ->
   let store, _ = make_store ~retry:None dir in
   ignore (populate store);
   Store.stabilise store;
-  (* dirty every shard so stabilise fans all of them out over the pool,
-     racing four domains at one armed one-shot fault *)
+  (* dirty every shard so stabilise syncs all four journals while one
+     one-shot fault is armed *)
   for k = 0 to nshards - 1 do
     Store.set_root store (key_for ~tag:"p" ~count:nshards k) (Pvalue.Int 9l)
   done;

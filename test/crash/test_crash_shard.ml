@@ -15,8 +15,9 @@
      previous state) and partial (the delta was journalled through the
      old journals first: recover the NEW state even though the image
      move died);
-   - the fault layer's one-shot guarantee with real domains racing to
-     fire it. *)
+   - the fault layer's one-shot guarantee when every shard's sync could
+     fire it;
+   - GC results and remembered sets against the test's own heap walk. *)
 
 open Pstore
 open Crash_util
@@ -267,14 +268,11 @@ let reopen_appends_without_compacting () =
       Integrity.check_exn again;
       Store.close again)
 
-(* One-shot fault semantics with real domains: force the pool to spawn
-   workers so shard syncs genuinely race to fire the armed fault.  It
-   must fire exactly once (the run must not wedge or double-raise), and
-   the failed stabilise must roll back whole. *)
+(* One-shot fault semantics: every shard has a delta to write, so each
+   shard's I/O could fire the armed fault.  It must fire exactly once
+   (the stabilise must not wedge or double-raise), and the failed
+   stabilise must roll back whole. *)
 let fault_fires_once_across_domains () =
-  let saved = Dpool.parallelism () in
-  Dpool.set_limit nshards;
-  Fun.protect ~finally:(fun () -> Dpool.set_limit (max 1 saved)) @@ fun () ->
   with_dir (fun dir ->
       let path, store, oids = setup_spread dir in
       let before = fingerprint store in
@@ -330,6 +328,98 @@ let hot_shard_compacts_alone () =
       check_output "the hot writes survive a reopen" expected (fingerprint reopened);
       Store.close reopened)
 
+(* GC results and remembered sets, pinned against a walk the test does
+   itself.  A fixed graph on 4 shards: a live chain and a fan array give
+   cross-shard edges, a dead chain points into the live one (an edge
+   from garbage, which no remembered set may count), and two weak cells
+   sit behind a root, one whose target is only weakly held and must be
+   cleared.  The expected [Gc.stats] and per-shard remembered counts come
+   from a reachability walk over [Store.heap] taken before the sweep: a
+   remembered set holds the live oids of its shard that some live object
+   on another shard references strongly. *)
+let gc_remembered_sets_match_a_walk () =
+  with_dir (fun dir ->
+      let store = make_store dir in
+      let node i next = Store.alloc_record store "Node" [| Pvalue.Int (Int32.of_int i); next |] in
+      let chain = Array.make 24 Pvalue.Null in
+      for i = 23 downto 0 do
+        chain.(i) <- Pvalue.Ref (node i (if i = 23 then Pvalue.Null else chain.(i + 1)))
+      done;
+      Store.set_root store "chain" chain.(0);
+      let fan =
+        Store.alloc_array store "Node"
+          (Array.init 9 (fun i -> if i < 8 then chain.(3 * i) else Pvalue.Null))
+      in
+      Store.set_root store "fan" (Pvalue.Ref fan);
+      (* a record only its own shard references: no remembered set holds it
+         (the misses allocated on the way are garbage) *)
+      let rec local () =
+        let o = node 300 Pvalue.Null in
+        if Store.shard_of store o = Store.shard_of store fan then o else local ()
+      in
+      Store.set_elem store fan 8 (Pvalue.Ref (local ()));
+      let dead = ref chain.(5) in
+      for i = 0 to 9 do
+        dead := Pvalue.Ref (node (100 + i) !dead)
+      done;
+      let doomed = node 200 Pvalue.Null in
+      let weak_live = Store.alloc_weak store chain.(7) in
+      let weak_dead = Store.alloc_weak store (Pvalue.Ref doomed) in
+      Store.set_root store "weaks"
+        (Pvalue.Ref (Store.alloc_array store "Weak" [| Pvalue.Ref weak_live; Pvalue.Ref weak_dead |]));
+      let heap = Store.heap store in
+      let reached = Hashtbl.create 64 in
+      let rec visit oid =
+        if Heap.is_live heap oid && not (Hashtbl.mem reached oid) then begin
+          Hashtbl.replace reached oid ();
+          List.iter visit (Heap.strong_refs (Heap.get heap oid))
+        end
+      in
+      List.iter
+        (fun name ->
+          match Store.root store name with
+          | Some (Pvalue.Ref oid) -> visit oid
+          | _ -> ())
+        (Store.root_names store);
+      let live = Hashtbl.length reached in
+      let weak_cleared =
+        Hashtbl.fold
+          (fun oid () n ->
+            match Heap.get heap oid with
+            | Heap.Weak { Heap.target = Pvalue.Ref t } when not (Hashtbl.mem reached t) -> n + 1
+            | _ -> n)
+          reached 0
+      in
+      let remembered = Array.make nshards Oid.Set.empty in
+      Hashtbl.iter
+        (fun oid () ->
+          List.iter
+            (fun target ->
+              let k = Store.shard_of store target in
+              if Hashtbl.mem reached target && k <> Store.shard_of store oid then
+                remembered.(k) <- Oid.Set.add target remembered.(k))
+            (Heap.strong_refs (Heap.get heap oid)))
+        reached;
+      let swept = Heap.size heap - live in
+      check_int "the fixture clears one weak cell" 1 weak_cleared;
+      check_bool "the fixture has garbage" true (swept > 10);
+      Array.iteri
+        (fun k r -> check_bool (sp "shard %d is referenced from another shard" k) true
+            (not (Oid.Set.is_empty r)))
+        remembered;
+      let stats = Store.gc store in
+      check_int "live" live stats.Gc.live;
+      check_int "swept" swept stats.Gc.swept;
+      check_int "weak cells cleared" weak_cleared stats.Gc.weak_cleared;
+      List.iter
+        (fun (info : Store.shard_info) ->
+          check_int
+            (sp "shard %d remembered set" info.Store.shard)
+            (Oid.Set.cardinal remembered.(info.Store.shard))
+            info.Store.remembered)
+        (Store.shard_info store);
+      Store.close store)
+
 let deterministic =
   [
     test "torn append sweep: all-or-nothing across shards" torn_append_rolls_back_whole_stabilise;
@@ -338,6 +428,7 @@ let deterministic =
     test "reopen appends to recovered journals without compacting" reopen_appends_without_compacting;
     test "one-shot fault under racing domains" fault_fires_once_across_domains;
     test "a hot shard compacts alone" hot_shard_compacts_alone;
+    test "gc remembered sets match a heap walk" gc_remembered_sets_match_a_walk;
   ]
 
 let suite =

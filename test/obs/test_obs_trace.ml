@@ -107,7 +107,7 @@ let pp_event_is_readable () =
    (the quarantine check plus the raw heap read).  Best-of-k interleaved
    rounds, so scheduler noise hits both sides alike.  Rounds are timed in
    process CPU time: `dune runtest` runs suites side by side, and a round
-   preempted by a multi-domain neighbour must not count its time off the
+   preempted by a neighbouring suite must not count its time off the
    CPU (timed on the wall clock next to the crash suite, 6 of 25 runs
    failed on a 2-CPU host).  The bound is deliberately generous (2x, or
    at most 25 ns per op): it catches a clock read or an allocation

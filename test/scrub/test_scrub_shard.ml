@@ -1,13 +1,13 @@
-(* Parallel scrubbing on a sharded store.
+(* Scrubbing on a sharded store.
 
-   Each shard's scrubber runs on the domain pool against its own slice
-   of the heap, with its own CRC table and quarantine set.  The delicate
-   case is a dangling reference whose target lives in ANOTHER shard: the
-   finding shard must not touch the owner's tables from a pool domain,
-   so the store routes the quarantine to the owning shard after the
-   parallel step.  These tests pin that routing, in-memory corruption
-   detection under real domains, and the shard-locality of the
-   quarantine invariant. *)
+   Each shard's scrubber steps in turn over its own slice of the heap,
+   with its own CRC table and quarantine set.  The delicate case is a
+   dangling reference whose target lives in ANOTHER shard: the finding
+   shard does not touch the owner's tables, so the store routes the
+   quarantine to the owning shard after the step.  These tests pin that
+   routing, in-memory corruption detection on every shard, the
+   shard-locality of the quarantine invariant, and whole-store progress
+   reporting. *)
 
 open Pstore
 open Scrub_util
@@ -65,10 +65,6 @@ let cross_shard_dangling_target_quarantined () =
   | Ok _ | Error _ -> Alcotest.fail "dereferencing the hole did not report quarantine"
 
 let parallel_scrub_detects_corruption () =
-  (* force real pool workers so shard scrubbers genuinely interleave *)
-  let saved = Dpool.parallelism () in
-  Dpool.set_limit nshards;
-  Fun.protect ~finally:(fun () -> Dpool.set_limit (max 1 saved)) @@ fun () ->
   let store = sharded_store () in
   let oids = alloc_nodes store 64 in
   ignore (scrub_pass store : (Oid.t * string) list) (* prime every CRC *);
@@ -91,6 +87,17 @@ let budget_splits_across_shards () =
   let newly = scrub_pass store in
   check_int "healthy store quarantines nothing" 0 (List.length newly);
   check_int "healthy store stays clean" 0 (Store.stats store).Store.quarantined
+
+(* The progress line covers the whole store, not shard 0: after one
+   small step every shard has scanned its share, and what is still
+   queued across all shards is exactly what the step left. *)
+let progress_counts_every_shard () =
+  let store = sharded_store () in
+  ignore (alloc_nodes store 64 : Oid.t array);
+  let r = Store.scrub ~budget:4 store in
+  let progress = Store.scrub_progress store in
+  check_int "queued across shards" (64 - r.Scrub.scanned) (Scrub.pending progress);
+  check_int "no shard has finished a pass" 0 (Scrub.passes progress)
 
 let sharded_matches_flat_verdict () =
   (* the same damage on a flat and a sharded store quarantines the same
@@ -117,4 +124,5 @@ let suite =
     test "parallel scrub detects in-memory corruption" parallel_scrub_detects_corruption;
     test "budget splits across shards" budget_splits_across_shards;
     test "sharded and flat scrubs agree" sharded_matches_flat_verdict;
+    test "scrub progress counts every shard" progress_counts_every_shard;
   ]
