@@ -51,14 +51,6 @@ let store_arg =
 (* -- init ------------------------------------------------------------------ *)
 
 let init_cmd =
-  let journalled_arg =
-    Arg.(
-      value & flag
-      & info [ "journalled" ]
-          ~doc:
-            "Use write-ahead-journal durability (persists across sessions; every later \
-             stabilise appends a fsynced delta instead of rewriting the image)")
-  in
   let shards_arg =
     Arg.(
       value & opt int 1
@@ -66,25 +58,27 @@ let init_cmd =
           ~doc:
             "Partition the object space into $(docv) shards (fixed for the store's \
              lifetime), each with its own image file, journal, quarantine set and health \
-             state, so a journalled compaction rewrites only the shards that need it and a \
-             failing shard is demoted alone.  1 (the default) keeps the flat single-file \
-             layout")
+             state, so a compaction rewrites only the shards that need it and a \
+             failing shard is demoted alone.  1 (the default) keeps the flat layout: the \
+             image at STORE and its journal at STORE.wal")
   in
-  let run path journalled shards =
+  let run path shards =
     if shards < 1 then begin
       Printf.eprintf "hpjava: --shards must be >= 1\n";
       exit 2
     end;
     let store, vm = session_of ~create:true ~shards path in
-    if journalled then Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
     Store.stabilise store;
     Printf.printf "initialised %s: %d classes, %d objects%s\n" path
       (List.length vm.Rt.load_order) (Store.size store)
       (if shards > 1 then Printf.sprintf ", %d shards" shards else "")
   in
   Cmd.v
-    (Cmd.info "init" ~doc:"Create and bootstrap a store")
-    Term.(const run $ store_arg $ journalled_arg $ shards_arg)
+    (Cmd.info "init"
+       ~doc:
+         "Create and bootstrap a store: the image plus its write-ahead journal, so every \
+          later stabilise appends a fsynced delta instead of rewriting the image")
+    Term.(const run $ store_arg $ shards_arg)
 
 (* -- compile ----------------------------------------------------------------- *)
 

@@ -12,7 +12,7 @@
 
    The commit/abort machinery itself lives in the store layer: this
    module wraps [Store.Session.atomically] (whole-store rollback plus
-   the journalled commit barrier — the single-owner transaction on the
+   the commit barrier — the single-owner transaction on the
    default session) and adds the VM lifecycle on top. *)
 
 open Pstore

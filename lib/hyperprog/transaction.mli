@@ -8,8 +8,7 @@
 
     There is exactly one commit/abort notion in the system, and it lives
     in the store layer: {!transact} is [Store.Session.atomically]
-    (whole-store rollback, then the journalled commit barrier on
-    success) plus the VM lifecycle.  The snapshot-isolated multi-client
+    (whole-store rollback, then the commit barrier on success) plus the VM lifecycle.  The snapshot-isolated multi-client
     variant is [Store.open_session] / [Store.Session.commit]; this
     module is the single-owner form on the default session, and — like
     every default-session write — it refuses to run while snapshot
@@ -27,9 +26,8 @@ val fresh_vm : Store.t -> Rt.t
     and installing the hyper-programming runtime. *)
 
 val transact : Store.t -> (Rt.t -> 'a) -> 'a outcome
-(** Run the body atomically ([Store.Session.atomically]): on a
-    journalled, backed store a successful transaction ends with the
-    commit barrier — the delta is fsynced to the write-ahead journal, so
+(** Run the body atomically ([Store.Session.atomically]): on a backed
+    store a successful transaction ends with the commit barrier — the delta is fsynced to the write-ahead journal, so
     commits survive a crash without a full snapshot.  An abort after a
     body that stabilised forces one full compaction, so the store
     reopens to its pre-transaction state.

@@ -546,8 +546,8 @@ let run ~store_path ~input ~echo =
   in
   (* The interactive shell absorbs transient I/O hiccups with bounded
      retries; the `health` command surfaces the counters.  Configured
-     through the unified record so the recovered durability mode (and
-     everything else) is kept as-is. *)
+     through the unified record so everything else recovered at open is
+     kept as-is. *)
   Store.configure store
     { (Store.config store) with Store.Config.retry = Some Retry.default_policy };
   match Session.create ~echo store with

@@ -9,8 +9,8 @@
 
      path             the manifest (magic "HPJMANIF")
      path.s<k>.<e>    shard [k]'s image at epoch [e]
-     path.s<k>.<e>.wal   its journal (journalled mode)
-     path.marker.<m>  the commit marker (journalled mode)
+     path.s<k>.<e>.wal   its journal
+     path.marker.<m>  the commit marker
 
    Epochs make image replacement atomic without renaming over live
    files: a compaction writes the new images at epoch [e+1], then
@@ -36,7 +36,7 @@ let magic = "HPJMANIF"
 
 type t = {
   nshards : int;
-  marker_epoch : int;  (* -1 when the store is in snapshot mode *)
+  marker_epoch : int;  (* -1: no marker yet (one shard, or a legacy pre-journal manifest) *)
   epochs : int array;  (* current image epoch per shard *)
 }
 
@@ -99,18 +99,18 @@ let decode data =
 
 (* Same atomic protocol as [Image.save]: temp file, fsync, rename,
    directory fsync.  The rename IS the sharded store's commit point. *)
-let save ?(durable = true) path m =
+let save path m =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
      Faults.output_string oc (encode m);
-     if durable then Faults.fsync_channel oc;
+     Faults.fsync_channel oc;
      close_out oc
    with e ->
      close_out_noerr oc;
      raise e);
   Faults.rename tmp path;
-  if durable then Faults.fsync_dir (Filename.dirname (if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path))
+  Faults.fsync_dir (Filename.dirname (if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path))
 
 let read_file path =
   let ic = open_in_bin path in

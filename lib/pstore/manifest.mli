@@ -11,8 +11,8 @@
       path             manifest (magic "HPJMANIF"): N, marker epoch,
                        per-shard image epochs
       path.s<k>.<e>    shard k's image at epoch e (ordinary v2 image)
-      path.s<k>.<e>.wal   shard k's journal (journalled mode)
-      path.marker.<m>  commit marker m (journalled mode)
+      path.s<k>.<e>.wal   shard k's journal
+      path.marker.<m>  commit marker m
     v}
 
     A one-shard store keeps the flat names: its image is [path] itself
@@ -22,7 +22,10 @@
 
 type t = {
   nshards : int;
-  marker_epoch : int;  (** current marker file index; [-1] in snapshot mode *)
+  marker_epoch : int;
+      (** current marker file index; [-1] = no marker yet (a layout with
+          one shard, or a legacy manifest written before every store
+          journalled) *)
   epochs : int array;  (** current image epoch of each shard *)
 }
 
@@ -64,14 +67,11 @@ val layout : string -> t
     ([marker_epoch = -1], epoch [0]) when [path] is not a manifest. *)
 
 val commit : string -> t -> unit
-(** The commit point of a compaction: {!save} the manifest.  A one-shard
-    store has none to write — its image rename already committed. *)
+(** The commit point of a compaction: atomically replace the manifest
+    (tmp + fsync + rename + dir fsync).  A one-shard store has none to
+    write — its image rename already committed. *)
 
 (** {1 Manifest I/O} *)
-
-val save : ?durable:bool -> string -> t -> unit
-(** Atomically replace the manifest (tmp + fsync + rename + dir fsync) —
-    the commit point of shard-image compaction. *)
 
 val load : string -> t
 (** @raise Codec.Decode_error if unreadable or not a manifest. *)

@@ -33,17 +33,14 @@ type policy = {
 let default_policy =
   { retries = 3; base_delay = 0.001; max_delay = 0.05; jitter = true; deadline = 1.0 }
 
-(* The I/O classes a store threads retry policies through.  One default
-   policy covers them all; per-class overrides tune hot or risky paths
-   (see [Store.Config.retry_overrides]). *)
+(* The I/O classes a store threads its one retry policy through; each
+   class names the retries it absorbed in [counters]. *)
 type io_class =
   | Stabilise
   | Image_load
   | Image_save
   | Journal_append
-  | Journal_replay
   | Marker
-  | Scrub
   | Compaction
 
 let class_name = function
@@ -51,13 +48,8 @@ let class_name = function
   | Image_load -> "image-load"
   | Image_save -> "image-save"
   | Journal_append -> "journal-append"
-  | Journal_replay -> "journal-replay"
   | Marker -> "marker"
-  | Scrub -> "scrub"
   | Compaction -> "compaction"
-
-let all_classes =
-  [ Stabilise; Image_load; Image_save; Journal_append; Journal_replay; Marker; Scrub; Compaction ]
 
 type stats = {
   attempts : int;
@@ -106,7 +98,7 @@ let delay_for policy n =
 
 let run ?(policy = default_policy) ?(on_retry = fun _ _ -> ()) ?(on_exhausted = fun _ -> ())
     ?obs ~label f =
-  let started = Unix.gettimeofday () in
+  let started = Monotonic_clock.now () in
   let give_up e =
     if transient e then begin
       Atomic.incr exhausted_c;
@@ -124,7 +116,8 @@ let run ?(policy = default_policy) ?(on_retry = fun _ _ -> ()) ?(on_exhausted = 
       let delay = delay_for policy n in
       (* The deadline bounds the whole run: if sleeping would cross it,
          the budget is exhausted now, not one nap later. *)
-      if Unix.gettimeofday () -. started +. delay > policy.deadline then give_up e
+      let elapsed = Int64.to_float (Int64.sub (Monotonic_clock.now ()) started) /. 1e9 in
+      if elapsed +. delay > policy.deadline then give_up e
       else begin
         Atomic.incr retries_c;
         (match obs with Some o -> Obs.incr o Obs.Retry | None -> ());

@@ -14,9 +14,10 @@ type policy = {
           backoff] instead of sleeping the full capped value, so
           concurrent retriers decorrelate *)
   deadline : float;
-      (** wall-clock budget in seconds for the whole run (attempts plus
-          sleeps); once elapsed + next delay would cross it the budget
-          counts as exhausted.  [infinity] = attempts-only bound *)
+      (** budget in seconds for the whole run (attempts plus sleeps),
+          measured on the monotonic clock; once elapsed + next delay
+          would cross it the budget counts as exhausted.  [infinity] =
+          attempts-only bound *)
 }
 
 val default_policy : policy
@@ -24,22 +25,18 @@ val default_policy : policy
 
 (** {1 I/O classes}
 
-    The store threads retry through every I/O class below; a per-class
-    policy override (see [Store.Config.retry_overrides]) tunes one class
-    without touching the rest. *)
+    The store threads its one retry policy through every I/O class
+    below; {!class_name} is the label its retries are counted under. *)
 
 type io_class =
   | Stabilise  (** the whole stabilise attempt (outermost wrapper) *)
   | Image_load
   | Image_save
   | Journal_append
-  | Journal_replay
   | Marker  (** commit-marker append + fsync *)
-  | Scrub
   | Compaction
 
 val class_name : io_class -> string
-val all_classes : io_class list
 
 type stats = {
   attempts : int;

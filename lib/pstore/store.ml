@@ -7,13 +7,15 @@
    roots contributed by a running VM (static fields, stack frames) that the
    garbage collector must honour even though they are not named roots.
 
-   Durability comes in two modes.  [Snapshot] (the default) rewrites the
-   whole image on every stabilise.  [Journalled] pairs the image with a
-   write-ahead journal: mutations made through this module are buffered as
-   journal ops, stabilise appends and fsyncs just the delta, and the image
-   is rewritten only at compaction points (first stabilise, journal over
-   the compaction limit, or after operations the journal cannot express —
-   a GC sweep, or direct heap surgery flagged via [mark_dirty]).
+   Every backed store journals: the image is paired with a write-ahead
+   journal, mutations made through this module are buffered as journal
+   ops, stabilise appends and fsyncs just the delta, and the image is
+   rewritten only at compaction points (first stabilise, journal over the
+   compaction limit, or after operations the journal cannot express — a
+   GC sweep, or direct heap surgery flagged via [mark_dirty]).  While the
+   store owes a full compaction ([needs_full]: unbacked, never
+   stabilised, or after such an operation) nothing is buffered, because
+   that compaction writes the heap itself.
 
    The object space is partitioned into N shards (N fixed at creation).
    Each shard owns an oid-hash slice of the objects plus the key-hashed
@@ -35,7 +37,7 @@
    failures surface from the whole stabilise, and an unreadable image
    fails the open.
 
-   Multi-shard journalled crash atomicity: every stabilise gets a
+   Multi-shard crash atomicity: every stabilise gets a
    store-level sequence number; the delta lands as one seq-stamped batch
    record per dirty shard, and the sequence number is committed by
    appending it to the store's commit-marker file only after every dirty
@@ -50,7 +52,7 @@
    default session the store holds.  Whole-store rollback
    ([with_rollback]) restores an in-memory image taken at entry and, if
    the body stabilised, forces one full compaction — the same path on
-   every layout and durability mode.
+   every layout.
 
    Every operation is counted through the store's [Obs.t].  Counting is a
    single array increment; latency timing and trace events only happen
@@ -58,9 +60,9 @@
    [Obs.enabled] explicitly rather than paying a closure on the untraced
    path. *)
 
-type durability =
-  | Snapshot
-  | Journalled
+(* Vestigial: every store journals.  [Config.durability] still names
+   this type, and [configure] ignores it. *)
+type durability = Journalled
 
 (* Per-shard state.  Shard I/O counts into the store's single [obs]. *)
 type shard = {
@@ -91,7 +93,6 @@ type t = {
   mutable committed : int; (* highest seq durably recorded in the marker *)
   mutable side_epoch : int; (* bumped on events that invalidate side caches *)
   mutable retry : Retry.policy option; (* transient-I/O retry, opt-in *)
-  mutable retry_overrides : (Retry.io_class * Retry.policy) list;
   mutable breaker : int; (* consecutive exhausted failures before demotion; 0 = off *)
   mutable salvage_degrade : int; (* salvaged entries per shard load that demote; 0 = off *)
   mutable unhealthy : int; (* shards currently not Healthy (hot-path gate) *)
@@ -100,7 +101,6 @@ type t = {
   mutable pins : (unit -> Oid.t list) list;
   mutable stabilise_count : int;
   mutable gc_count : int;
-  mutable durability : durability;
   mutable needs_full : bool; (* journal can't express state since last image *)
   mutable compaction_limit : int;
   mutable group_window : int; (* stabilises per fsync; 1 = every stabilise *)
@@ -167,7 +167,6 @@ module Config = struct
     compaction_limit : int;
     group_window : int;
     retry : Retry.policy option;
-    retry_overrides : (Retry.io_class * Retry.policy) list;
     breaker : int;
     salvage_degrade : int;
     backing : string option;
@@ -178,11 +177,10 @@ module Config = struct
 
   let default =
     {
-      durability = Snapshot;
+      durability = Journalled;
       compaction_limit = default_compaction_limit;
       group_window = 1;
       retry = None;
-      retry_overrides = [];
       breaker = default_breaker;
       salvage_degrade = default_salvage_degrade;
       backing = None;
@@ -238,7 +236,6 @@ let make ?(obs = Obs.create ()) nshards =
       committed = 0;
       side_epoch = 0;
       retry = None;
-      retry_overrides = [];
       breaker = default_breaker;
       salvage_degrade = default_salvage_degrade;
       unhealthy = 0;
@@ -247,7 +244,6 @@ let make ?(obs = Obs.create ()) nshards =
       pins = [];
       stabilise_count = 0;
       gc_count = 0;
-      durability = Snapshot;
       needs_full = true;
       compaction_limit = default_compaction_limit;
       group_window = 1;
@@ -322,53 +318,13 @@ let bump_epoch store = store.side_epoch <- store.side_epoch + 1
 
 let backing store = store.backing
 
-(* -- durability mode ------------------------------------------------------ *)
-
-let durability store = store.durability
-
-let journalling store =
-  match store.durability with
-  | Journalled -> true
-  | Snapshot -> false
-
-let set_durability store mode =
-  if mode <> store.durability then begin
-    (match mode with
-    | Journalled ->
-      (* The journal only describes mutations made while journalling, so
-         the first stabilise must write a full image. *)
-      store.needs_full <- true
-    | Snapshot ->
-      Array.iter
-        (fun sh ->
-          (match sh.swal with Some w -> Journal.close w | None -> ());
-          sh.swal <- None;
-          sh.spending <- [];
-          sh.spending_count <- 0;
-          sh.sdirty <- false)
-        store.shards;
-      (match store.marker with Some m -> Manifest.Marker.close m | None -> ());
-      store.marker <- None;
-      store.unsynced <- 0;
-      (match store.backing with
-      | Some path ->
-        let remove f = if Sys.file_exists f then try Sys.remove f with Sys_error _ -> () in
-        Array.iteri (fun k sh -> remove (wal_file store path k sh.sepoch)) store.shards;
-        if store.marker_epoch >= 0 then remove (Manifest.marker_path path store.marker_epoch);
-        if Manifest.is_manifest path then
-          (try Manifest.save path (manifest_of store ~marker_epoch:(-1)) with Sys_error _ -> ())
-      | None -> ());
-      store.marker_epoch <- -1);
-    store.durability <- mode
-  end
-
 let set_compaction_limit store n =
   if n < 0 then invalid_arg "Store.set_compaction_limit: negative";
   store.compaction_limit <- n
 
 let group_window store = store.group_window
 
-(* Group commit: with window n > 1, journalled stabilise coalesces each
+(* Group commit: with window n > 1, stabilise coalesces each
    delta into one batch record (per dirty shard) and fsyncs only every
    n-th stabilise (and at compaction and close).  A crash can lose up to
    n-1 recent batches, but each lost batch vanishes whole — never a
@@ -378,15 +334,9 @@ let set_group_window store n =
   if n < 1 then invalid_arg "Store.set_group_window: window must be >= 1";
   store.group_window <- n
 
+(* One policy governs every I/O class ([None] = fail fast, the
+   crash-injection tests' contract). *)
 let retry_policy store = store.retry
-
-(* The policy that governs one I/O class: its override if one is
-   configured, else the store-wide default policy ([None] = fail fast,
-   the crash-injection tests' contract). *)
-let policy_for store cls =
-  match List.assoc_opt cls store.retry_overrides with
-  | Some p -> Some p
-  | None -> store.retry
 
 (* -- shard health (fault domains) -----------------------------------------
 
@@ -529,7 +479,7 @@ let first_unhealthy store =
    without a neighbour is the whole store: its failures go straight to
    the whole-stabilise retry. *)
 let shard_io store sh cls ?(undo = fun () -> ()) f =
-  match if has_neighbour store then policy_for store cls else None with
+  match if has_neighbour store then store.retry else None with
   | None -> begin
     match f () with
     | v ->
@@ -558,11 +508,9 @@ let configure store (c : Config.t) =
          "Store.configure: shard count is fixed at store creation (store has %d, config asks for \
           %d)"
          (nshards store) c.Config.shards);
-  set_durability store c.Config.durability;
   set_compaction_limit store c.Config.compaction_limit;
   set_group_window store c.Config.group_window;
   store.retry <- c.Config.retry;
-  store.retry_overrides <- c.Config.retry_overrides;
   if c.Config.breaker < 0 then invalid_arg "Store.configure: negative breaker threshold";
   store.breaker <- c.Config.breaker;
   if c.Config.salvage_degrade < 0 then
@@ -578,11 +526,10 @@ let configure store (c : Config.t) =
 
 let config store : Config.t =
   {
-    Config.durability = store.durability;
+    Config.durability = Journalled;
     compaction_limit = store.compaction_limit;
     group_window = store.group_window;
     retry = store.retry;
-    retry_overrides = store.retry_overrides;
     breaker = store.breaker;
     salvage_degrade = store.salvage_degrade;
     backing = store.backing;
@@ -864,9 +811,10 @@ let capture_blob store epoch key =
 (* Apply one op to the shared state.  While snapshot sessions are open,
    the target's pre-image is first captured for them and stamped with
    the epoch being written; then the state is mutated and the op handed
-   to the journal buffer.  Allocations are journalled with a copy of the
-   entry: the live entry is mutable, and later mutations arrive as their
-   own records. *)
+   to the journal buffer — unless the store owes a full compaction, which
+   writes the heap itself and would discard the buffer.  Allocations are
+   journalled with a copy of the entry: the live entry is mutable, and
+   later mutations arrive as their own records. *)
 let apply_op store op =
   let capture = sessions_open store in
   let epoch = store.mvcc.commit_seq + 1 in
@@ -899,7 +847,7 @@ let apply_op store op =
   | Journal.Remove_blob key ->
     if capture then capture_blob store epoch key;
     Hashtbl.remove store.blobs key);
-  if journalling store then
+  if not store.needs_full then
     record store
       (match op with
       | Journal.Alloc (oid, entry) -> Journal.Alloc (oid, Journal.copy_entry entry)
@@ -1125,7 +1073,7 @@ let gc store =
       bump_epoch store;
       (* A sweep removes objects and clears weak cells behind the journal's
          back; the next stabilise must therefore compact. *)
-      if journalling store then store.needs_full <- true;
+      store.needs_full <- true;
       let extra_roots = quarantine_roots store @ pinned_oids store in
       let stats, remembered =
         Gc.collect ~nshards:(nshards store) ~shard_of:(shard_ix_oid store) ~extra_roots
@@ -1260,32 +1208,6 @@ let sync_dirty_shards store =
                 sh.sdirty <- false)))
     store.shards
 
-(* Snapshot mode: every stabilise rewrites all shard images and then
-   commits them together.  Unhealthy shards are
-   skipped — their old-epoch image stays referenced untouched; an
-   OFFLINE shard's slice of the heap is empty, and writing that empty
-   slice out would turn a recoverable image into a lost one. *)
-let save_snapshot store path =
-  let c = contents store in
-  let epochs' =
-    Array.map (fun sh -> if Health.healthy sh.shealth then sh.sepoch + 1 else sh.sepoch)
-      store.shards
-  in
-  Array.iteri
-    (fun k sh ->
-      if Health.healthy sh.shealth then
-        Faults.with_shard_scope k (fun () ->
-            shard_io store sh Retry.Image_save (fun () ->
-                ignore
-                  (Image.save ~obs:store.obs (image_file store path k epochs'.(k))
-                     (shard_contents store c k)
-                    : int32))))
-    store.shards;
-  let m = { Manifest.nshards = nshards store; marker_epoch = -1; epochs = epochs' } in
-  Manifest.commit path m;
-  Array.iteri (fun k sh -> sh.sepoch <- epochs'.(k)) store.shards;
-  Manifest.cleanup_stale path m
-
 (* The journalled append path.  Each dirty shard gets one batch record.
    On a gated store one store-level sequence number covers the whole
    stabilise: every batch is stamped with it, and it is committed by
@@ -1339,7 +1261,7 @@ let append_delta ~force_sync store =
           Manifest.Marker.append marker seq';
           Manifest.Marker.sync marker
         in
-        (match policy_for store Retry.Marker with
+        (match store.retry with
         | None -> commit ()
         | Some policy ->
           Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name Retry.Marker)
@@ -1442,7 +1364,7 @@ let compact store path ~selected =
         let commit () =
           Manifest.commit path { Manifest.nshards = n; marker_epoch = marker_epoch'; epochs = epochs' }
         in
-        (match policy_for store Retry.Compaction with
+        (match store.retry with
         | None -> commit ()
         | Some policy ->
           Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name Retry.Compaction)
@@ -1515,41 +1437,38 @@ let per_shard_limit store =
    retry compacts instead of appending after torn bytes), and a failed
    compaction just rewrites the same new files from scratch. *)
 let stabilise_once store path =
-  match store.durability with
-  | Snapshot -> save_snapshot store path
-  | Journalled ->
-    let active sh = Health.healthy sh.shealth in
-    (* Missing files of a DEMOTED shard don't force anything: that shard
-       is out of service and its rebuild is [repair]'s job.  Only a
-       healthy shard without a journal makes appending impossible. *)
-    let any_missing =
-      marker_missing store || Array.exists (fun sh -> active sh && sh.swal = None) store.shards
-    in
-    let limit = per_shard_limit store in
-    let over sh =
-      (match sh.swal with
-      | Some w -> Journal.depth w
-      | None -> 0)
-      + sh.spending_count
-      > limit
-    in
-    let want sh = active sh && (over sh || sh.sneeds_full) in
-    if store.needs_full || any_missing then begin
-      (* A full compaction rewrites every shard and rotates the marker —
-         it cannot proceed around a dead shard.  Refuse with the typed
-         error naming the shard that must be repaired first. *)
-      (if store.unhealthy > 0 then
-         match first_unhealthy store with
-         | Some (k, st) -> refuse_write store k st
-         | None -> ());
-      compact store path ~selected:(Array.make (nshards store) true)
-    end
-    else if Array.exists want store.shards then
-      (* Per-shard compaction: only the shards over their slice of the
-         limit (or owing a quarantine-change image) pay the rewrite — the
-         hot shard compacts while cold shards keep their journals. *)
-      compact store path ~selected:(Array.map want store.shards)
-    else append_delta ~force_sync:false store
+  let active sh = Health.healthy sh.shealth in
+  (* Missing files of a DEMOTED shard don't force anything: that shard
+     is out of service and its rebuild is [repair]'s job.  Only a
+     healthy shard without a journal makes appending impossible. *)
+  let any_missing =
+    marker_missing store || Array.exists (fun sh -> active sh && sh.swal = None) store.shards
+  in
+  let limit = per_shard_limit store in
+  let over sh =
+    (match sh.swal with
+    | Some w -> Journal.depth w
+    | None -> 0)
+    + sh.spending_count
+    > limit
+  in
+  let want sh = active sh && (over sh || sh.sneeds_full) in
+  if store.needs_full || any_missing then begin
+    (* A full compaction rewrites every shard and rotates the marker —
+       it cannot proceed around a dead shard.  Refuse with the typed
+       error naming the shard that must be repaired first. *)
+    (if store.unhealthy > 0 then
+       match first_unhealthy store with
+       | Some (k, st) -> refuse_write store k st
+       | None -> ());
+    compact store path ~selected:(Array.make (nshards store) true)
+  end
+  else if Array.exists want store.shards then
+    (* Per-shard compaction: only the shards over their slice of the
+       limit (or owing a quarantine-change image) pay the rewrite — the
+       hot shard compacts while cold shards keep their journals. *)
+    compact store path ~selected:(Array.map want store.shards)
+  else append_delta ~force_sync:false store
 
 let stabilise ?path store =
   let path =
@@ -1561,18 +1480,13 @@ let stabilise ?path store =
     | None, None -> invalid_arg "Store.stabilise: no backing file"
   in
   store.stabilise_count <- store.stabilise_count + 1;
-  let mode =
-    match store.durability with
-    | Snapshot -> "snapshot"
-    | Journalled -> "journalled"
-  in
-  Obs.span store.obs Obs.Stabilise ~label:mode (fun () ->
+  Obs.span store.obs Obs.Stabilise (fun () ->
       let attempt () = stabilise_once store path in
       let run () =
-        match policy_for store Retry.Stabilise with
+        match store.retry with
         | None -> attempt ()
         | Some policy ->
-          Retry.run ~policy ~obs:store.obs ~label:"stabilise"
+          Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name Retry.Stabilise)
             ~on_retry:(fun _ _ -> store.io_retries <- store.io_retries + 1)
             attempt
       in
@@ -1679,7 +1593,6 @@ let open_file ?config path =
   (match config with
   | Some (c : Config.t) ->
     store.retry <- c.Config.retry;
-    store.retry_overrides <- c.Config.retry_overrides;
     store.breaker <- c.Config.breaker;
     store.salvage_degrade <- c.Config.salvage_degrade
   | None -> ());
@@ -1742,13 +1655,13 @@ let open_file ?config path =
      epoch files through the manifest rename. *)
   Array.iteri (fun k sh -> sh.sepoch <- m.Manifest.epochs.(k)) store.shards;
   (* Which journal batches count as committed: on a gated store, those
-     the marker records ([None]: no marker, snapshot mode, or a marker
-     too damaged to trust any batch); a lone journal replays them all. *)
+     the marker records ([None]: no marker — a store written before every
+     store journalled — or a marker too damaged to trust any batch); a
+     lone journal replays them all. *)
   let committed =
     if not (gated store) then Some max_int
     else if m.Manifest.marker_epoch < 0 then None
     else begin
-      store.durability <- Journalled;
       store.marker_epoch <- m.Manifest.marker_epoch;
       let mpath = Manifest.marker_path path m.Manifest.marker_epoch in
       match Manifest.Marker.read mpath with
@@ -1778,9 +1691,6 @@ let open_file ?config path =
           let wpath = wal_file store path k m.Manifest.epochs.(k) in
           match Journal.read wpath with
           | Some jr ->
-            (* a readable journal is what marks a lone-journal store as
-               journalled; a gated store's marker already said so *)
-            store.durability <- Journalled;
             if Int32.equal jr.Journal.base_crc r.Image.lr_crc then
               store.replayed <- store.replayed + replay_journal store sh wpath jr ~committed
             else all_good := false
@@ -1800,9 +1710,9 @@ let open_file ?config path =
   Manifest.cleanup_stale path m;
   store
 
-(* Both [close] and [crash] are idempotent and safe on any durability
-   mode: each drops the journal handles (a no-op when there are none, as
-   in snapshot mode or after a previous close/crash).  [close]
+(* Both [close] and [crash] are idempotent: each drops the journal
+   handles (a no-op when there are none, as on an unbacked store or after
+   a previous close/crash).  [close]
    additionally seals a final observability snapshot and empties the
    trace ring; [crash] drops the ring without snapshotting, exactly as a
    process crash would lose in-flight trace state. *)
@@ -1858,7 +1768,7 @@ type repair_report = {
   r_restored : int; (* heap entries recovered from its on-disk image *)
   r_replayed : int; (* journal ops re-applied on top of them *)
   r_lost : int; (* referenced oids that stayed unrecoverable (quarantined) *)
-  r_ms : float; (* wall-clock repair time, milliseconds *)
+  r_ms : float; (* repair time on the monotonic clock, milliseconds *)
 }
 
 (* Rebuild an OFFLINE shard's slice of the heap from whatever survives on
@@ -1944,7 +1854,7 @@ let repair store k =
   | was ->
     Some
       (Obs.span store.obs Obs.Repair (fun () ->
-           let t0 = Unix.gettimeofday () in
+           let t0 = Monotonic_clock.now () in
            let restored = ref 0 and replayed = ref 0 in
            (match was with
            | Health.Offline _ -> rebuild_offline_shard store k ~restored ~replayed
@@ -1963,10 +1873,10 @@ let repair store k =
            (* Durable rewrite: the shard owes the disk a fresh image
               covering everything that happened while it was out of
               service (buffered pending ops, salvage quarantine, the
-              rebuild).  On a journalled backed store, pay it now. *)
+              rebuild).  On a backed store, pay it now. *)
            sh.sneeds_full <- true;
            (match store.backing with
-           | Some path when store.durability = Journalled -> begin
+           | Some path -> begin
              match
                if store.needs_full || marker_missing store then begin
                  if store.unhealthy = 0 then
@@ -1984,14 +1894,14 @@ let repair store k =
                refresh_unhealthy store;
                raise e
            end
-           | _ -> ());
+           | None -> ());
            {
              r_shard = k;
              r_was = was;
              r_restored = !restored;
              r_replayed = !replayed;
              r_lost = lost;
-             r_ms = (Unix.gettimeofday () -. t0) *. 1000.;
+             r_ms = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e6;
            }))
 
 let repair_all store = List.filter_map (repair store) (List.init (nshards store) Fun.id)
@@ -2087,7 +1997,7 @@ let restore_contents store (restored : Image.contents) =
    body may do anything a top-level caller may, stabilise and gc
    included.  If it stabilised, the disk now holds state the abort threw
    away, so one full compaction writes the entry state back — on every
-   layout and durability mode alike. *)
+   layout alike. *)
 let with_rollback store f =
   (* Rolling shared state back out from under a pinned snapshot would
      falsify it (and the versions/stamps describing it). *)
@@ -2131,15 +2041,6 @@ let with_rollback store f =
      group-commit journal.  First committer wins: a commit whose write
      set overlaps anything committed after its snapshot raises the typed
      [Failure.Commit_conflict] and aborts, touching nothing. *)
-
-(* The commit barrier: on a journalled, backed store a committed delta
-   must be durable before control returns — a cheap journal fsync, not a
-   full image write.  Snapshot-mode and unbacked stores stabilise when
-   the owner chooses, as they always have. *)
-let commit_barrier store =
-  match store.durability, store.backing with
-  | Journalled, Some _ -> stabilise store
-  | (Journalled | Snapshot), _ -> ()
 
 (* Pin a snapshot of the committed state as of now.  Any unsealed direct
    writes are sealed first, so the new session's epoch cleanly separates
@@ -2257,7 +2158,7 @@ module Session = struct
 
   let commit s =
     match s.s_kind with
-    | Direct -> commit_barrier s.s_store
+    | Direct -> if s.s_store.backing <> None then stabilise s.s_store
     | Snapshot_session snap ->
       check_live s "commit";
       let store = s.s_store in
@@ -2296,7 +2197,10 @@ module Session = struct
            end);
           drop_buffer s;
           unpin s `Committed;
-          if ops <> [] then commit_barrier store)
+          (* the commit barrier: a committed delta on a backed store is
+             durable before control returns — a journal fsync, not a
+             full image write *)
+          if ops <> [] && store.backing <> None then stabilise store)
 
   (* Open a session, run the body, then commit — or abort if the body
      raises.  A body that already closed its session is left alone. *)
@@ -2360,7 +2264,7 @@ module Session = struct
   let atomically store f =
     match with_rollback store f with
     | Ok v ->
-      commit_barrier store;
+      if store.backing <> None then stabilise store;
       Ok v
     | Error _ as e -> e
 end

@@ -21,14 +21,19 @@ type store = t
 
 (** {1 Durability}
 
-    [Snapshot] (the default) rewrites the full image on every stabilise.
-    [Journalled] buffers mutations as write-ahead journal ops: stabilise
-    appends and fsyncs just the delta since the last stabilise, and the
-    full image is rewritten only at compaction points. *)
+    Every backed store journals: mutations are buffered as write-ahead
+    journal ops, stabilise appends and fsyncs just the delta since the
+    last stabilise, and the full image is rewritten only at compaction
+    points.  While the store owes a full compaction (it is unbacked, has
+    never stabilised, or ran an operation the journal cannot express,
+    such as {!gc}) nothing is buffered: that compaction writes the heap
+    itself.
 
-type durability =
-  | Snapshot
-  | Journalled
+    [durability] has one constructor and {!configure} ignores
+    [Config.durability].  Both stay only because the frozen benchmark
+    fixtures name them; they go with its next change. *)
+
+type durability = Journalled
 
 (** {1 Configuration}
 
@@ -39,7 +44,7 @@ type durability =
 
 module Config : sig
   type t = {
-    durability : durability;
+    durability : durability;  (** ignored: every store journals *)
     compaction_limit : int;
         (** journal records tolerated before stabilise compacts *)
     group_window : int;
@@ -53,9 +58,6 @@ module Config : sig
         (** transient-I/O retry, threaded through every I/O class
             (stabilise, image load/save, journal append, commit marker,
             compaction); [None] = fail fast *)
-    retry_overrides : (Retry.io_class * Retry.policy) list;
-        (** per-class policy overrides; a class not listed here uses
-            [retry] *)
     breaker : int;
         (** circuit breaker: consecutive exhausted transient failures on
             one shard before it is demoted to degraded ([0] = never).
@@ -84,23 +86,25 @@ module Config : sig
   }
 
   val default : t
-  (** Snapshot durability, default compaction limit, no retry (and no
-      per-class overrides), breaker threshold 3, salvage-degrade
-      threshold 8, backing untouched, {!Obs.default_ring_capacity} ring,
-      tracing off. *)
+  (** Default compaction limit, group window 1, no retry, breaker
+      threshold 3, salvage-degrade threshold 8, backing untouched,
+      {!Obs.default_ring_capacity} ring, tracing off, one shard. *)
 end
 
 val create : ?config:Config.t -> unit -> t
-(** A fresh, empty, unbacked store (snapshot durability unless [config]
-    says otherwise). *)
+(** A fresh, empty store, unbacked unless [config] names a backing
+    file.  Its first stabilise writes the full image and creates the
+    journal. *)
 
 val open_file : ?config:Config.t -> string -> t
 (** Recover a store from a stabilised image.  If a write-ahead journal
     paired with the image exists it is replayed on top (truncating at the
-    first torn record) and the store reopens in journalled mode; a crash
-    that left a complete-but-unrenamed snapshot is promoted.  An explicit
-    [config] is applied after recovery, so its durability wins over the
-    recovered mode.
+    first torn record); a crash that left a complete-but-unrenamed image
+    is promoted.  A store without a usable journal (missing, stale, or
+    written before every store journalled) opens from its image alone,
+    and its next stabilise compacts and creates the journal.  An explicit
+    [config] is applied after recovery, so its tunables win over the
+    recovered state.
 
     On a store of several shards, shard faults are contained: an
     unreadable shard image takes only that shard {e offline} (see
@@ -112,8 +116,7 @@ val open_file : ?config:Config.t -> string -> t
 
 val configure : t -> Config.t -> unit
 (** Apply a whole configuration.  [backing = None] keeps the current
-    backing file; switching durability (entering [Journalled] forces a full image at the
-    next stabilise, entering [Snapshot] discards the journal). *)
+    backing file; [durability] is ignored. *)
 
 val config : t -> Config.t
 (** The store's current configuration ([backing] is the current backing
@@ -123,16 +126,14 @@ val close : t -> unit
 (** Release the journal file handle, if any, and seal the observability
     state: a final counter snapshot is recorded ({!Obs.flush}) and the
     trace ring is emptied.  The store stays usable in memory; the next
-    journalled stabilise recreates the handle by compaction.  Idempotent,
-    and safe on any durability mode. *)
+    stabilise recreates the handle by compaction.  Idempotent. *)
 
 val crash : t -> unit
 (** Test support: simulate a process crash.  The journal descriptor is
     closed without flushing, so buffered-but-unsynced bytes are lost, and
     in-flight trace state is dropped without a final snapshot
     ({!Obs.drop}).  The in-memory store should be discarded and the image
-    reopened.  Idempotent, safe on any durability mode, and safe after
-    {!close}. *)
+    reopened.  Idempotent, and safe after {!close}. *)
 
 val heap : t -> Heap.t
 val roots : t -> Roots.t
@@ -225,7 +226,6 @@ val repair_all : t -> repair_report list
 (** Repair every unhealthy shard, in shard order. *)
 
 val backing : t -> string option
-val durability : t -> durability
 val group_window : t -> int
 
 val set_group_window : t -> int -> unit
@@ -330,10 +330,10 @@ val scrub_progress : t -> Scrub.state
     failures, threaded through every I/O class: the whole stabilise,
     per-shard image loads and saves, journal appends (made idempotent by
     truncating to a savepoint between attempts), the commit marker and
-    compaction commits.  Per-class policies come from
-    [Config.retry_overrides]; exhausted budgets feed the per-shard
-    circuit breaker.  Off by default so crash-injection tests observe
-    raw failures.  Configured via [Config.retry] / [Config.retry_overrides]. *)
+    compaction commits.  One policy governs every class; exhausted
+    budgets feed the per-shard circuit breaker.  Off by default so
+    crash-injection tests observe raw failures.  Configured via
+    [Config.retry]. *)
 
 val retry_policy : t -> Retry.policy option
 
@@ -370,11 +370,12 @@ val contents : t -> Image.contents
     fingerprint of the whole persistent state. *)
 
 val stabilise : ?path:string -> t -> unit
-(** Make the store durable at [path] (or the backing file).  Snapshot
-    mode writes the whole image atomically; journalled mode appends the
+(** Make the store durable at [path] (or the backing file): append the
     mutation delta to the write-ahead journal as one atomic batch record
-    and fsyncs (every [group_window]-th stabilise when group commit is
-    on), compacting into a fresh image when required.
+    and fsync (every [group_window]-th stabilise when group commit is
+    on), compacting into a fresh image and journal when required — the
+    first stabilise, a journal over the compaction limit, or after an
+    operation the journal cannot express.
     @raise Invalid_argument if no path is available. *)
 
 type stats = {
@@ -424,9 +425,8 @@ val with_rollback : t -> (unit -> 'a) -> ('a, exn) result
     and blobs are restored to their state at entry (oids included) from
     an in-memory image taken at entry.  The body may stabilise and gc
     like any top-level caller; if it stabilised, the abort forces one
-    full compaction (a full image rewrite on a snapshot-mode store), so
-    the store reopens to its pre-transaction state on every layout and
-    durability mode.
+    full compaction, so the store reopens to its pre-transaction state
+    on every layout.
     @raise Invalid_argument while snapshot sessions are open — a
     whole-store rollback would rewrite state under their snapshots.
     @raise e if that forced compaction fails (e.g.
@@ -460,7 +460,8 @@ val with_rollback : t -> (unit -> 'a) -> ('a, exn) result
     The {e default session} ({!default_session}) is the other kind: the
     handle the store holds and its single-owner operations use.  Its
     reads and writes hit the shared state directly — no snapshot, no
-    buffer — and its [commit] is just the durability barrier.  Each
+    buffer — and its [commit] is just the durability barrier (stabilise
+    a backed store).  Each
     operation has one definition for both kinds; only resolving an oid
     or key differs.
 
@@ -549,8 +550,10 @@ module Session : sig
 
   val commit : t -> unit
   (** Publish the session's buffered writes atomically and close the
-      session.  On the default session this is just the durability
-      barrier (stabilise a journalled backed store).
+      session, then stabilise a backed store, so a committed session is
+      durable when this returns (a journal fsync, not an image write;
+      under group commit, within the window).  On the default session
+      this is just the durability barrier: stabilise a backed store.
       @raise Failure.Commit_conflict if first-committer-wins detection
       refuses the commit; the session is aborted first, having changed
       nothing.

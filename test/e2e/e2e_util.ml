@@ -7,12 +7,12 @@ include Test_support.Subprocess
 
 let with_dir f = with_dir ~prefix:"e2e" f
 
-(* A sandbox with an initialised journalled store; returns the store
+(* A sandbox with a store made by plain `hpjava init`; returns the store
    path and a place to drop source files. *)
 let with_store f =
   with_dir @@ fun dir ->
   let store = Filename.concat dir "store.hpj" in
-  expect_ok (hpjava [ "init"; "--journalled"; store ]);
+  expect_ok (hpjava [ "init"; store ]);
   f ~dir ~store
 
 let write_src ~dir name source =

@@ -27,7 +27,7 @@ let sp = Printf.sprintf
 (* ---------------------------------------------------------------------- *)
 
 type op =
-  | Init  (* creates the store, journalled durability *)
+  | Init  (* creates the store and its journal *)
   | Compile of { cls : string; file : string; source : string }
   | Run of { cls : string }
   | New of { cls : string; root : string; arg : string }
@@ -433,7 +433,7 @@ let play ?crash_at ?(kill_byte = 256) ~bin ~dir scenario =
     path
   in
   let argv_of = function
-    | Init -> ([ "init"; "--journalled"; store ], None)
+    | Init -> ([ "init"; store ], None)
     | Compile { file; source; _ } -> ([ "compile"; store; write_src file source ], None)
     | Run { cls } -> ([ "run"; store; cls ], None)
     | New { cls; root; arg } -> ([ "new"; store; cls; root; arg ], None)

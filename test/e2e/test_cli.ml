@@ -131,7 +131,7 @@ let evolve_via_cli () =
 let sharded_init_and_check () =
   with_dir @@ fun dir ->
   let store = Filename.concat dir "sharded.hpj" in
-  let init = hpjava [ "init"; "--journalled"; "--shards"; "4"; store ] in
+  let init = hpjava [ "init"; "--shards"; "4"; store ] in
   expect_ok init;
   expect_stdout_has init "4 shards";
   let src = write_src ~dir "Person.java" person_source in
@@ -146,7 +146,7 @@ let sharded_init_and_check () =
   expect_stdout_has check "shard 3 (healthy):";
   (* a flat store must NOT suddenly grow shard lines *)
   let flat = Filename.concat dir "flat.hpj" in
-  expect_ok (hpjava [ "init"; "--journalled"; flat ]);
+  expect_ok (hpjava [ "init"; flat ]);
   let fcheck = hpjava [ "check"; flat ] in
   expect_ok fcheck;
   expect_stdout_lacks fcheck "shard 0 (healthy):";
@@ -162,7 +162,7 @@ let sharded_init_and_check () =
 let offline_shard_maintenance_and_repair () =
   with_dir @@ fun dir ->
   let store = Filename.concat dir "frag.hpj" in
-  expect_ok (hpjava [ "init"; "--journalled"; "--shards"; "4"; store ]);
+  expect_ok (hpjava [ "init"; "--shards"; "4"; store ]);
   let src = write_src ~dir "Person.java" person_source in
   expect_ok (hpjava [ "compile"; store; src ]);
   List.iter

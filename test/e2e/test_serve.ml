@@ -73,7 +73,7 @@ let second_serve_on_the_socket_fails () =
   with_served @@ fun ~dir ~store:_ ~server:_ ~socket:_ ->
   (* a second server over the same store must not silently wedge *)
   let store2 = Filename.concat dir "other.hpj" in
-  expect_ok (hpjava [ "init"; "--journalled"; store2 ]);
+  expect_ok (hpjava [ "init"; store2 ]);
   let sock2 = Filename.concat dir "hp2.sock" in
   let second = Workload.Subproc.spawn ~bin [ "serve"; store2; "--socket"; sock2 ] in
   if not (Workload.Subproc.wait_output ~timeout_s:30. second "listening on") then

@@ -20,7 +20,6 @@ let incremental_updates_compose () =
       compaction_limit = 128;
       group_window = 1;
       retry = Some Retry.default_policy;
-      retry_overrides = [];
       breaker = Store.Config.default.Store.Config.breaker;
       salvage_degrade = Store.Config.default.Store.Config.salvage_degrade;
       backing = None;
@@ -56,23 +55,21 @@ let open_file_config_wins_over_recovery () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
+      Store.stabilise ~path store;
       let a = Store.alloc_record store "A" [| Pvalue.Int 1l |] in
       Store.set_root store "a" (Pvalue.Ref a);
-      Store.stabilise ~path store;
+      Store.stabilise store;
       Store.close store;
-      (* default open recovers the journalled mode from the WAL... *)
-      let recovered = Store.open_file path in
-      check_bool "recovery restores journalled mode" true
-        (Store.durability recovered = Store.Journalled);
-      Store.close recovered;
-      (* ...but an explicit config is applied after recovery, so it wins *)
+      (* an explicit config is applied after recovery: the journal still
+         replays, and the config's window wins *)
       let overridden =
-        Store.open_file
-          ~config:{ Store.Config.default with durability = Store.Snapshot }
-          path
+        Store.open_file ~config:{ Store.Config.default with group_window = 4 } path
       in
-      check_bool "explicit config overrides the recovered mode" true
-        (Store.durability overridden = Store.Snapshot);
+      check_bool "the journal replayed" true
+        ((Store.stats overridden).Store.journal_replayed > 0);
+      check_bool "the journalled root is present" true
+        (Store.root overridden "a" = Some (Pvalue.Ref a));
+      check_int "explicit config sets the window" 4 (Store.group_window overridden);
       Store.close overridden)
 
 let construction_config_reaches_obs () =

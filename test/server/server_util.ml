@@ -24,7 +24,7 @@ type server = {
 
 let spawn_server ~dir =
   let store = Filename.concat dir "store.hpj" in
-  expect_ok (hpjava [ "init"; "--journalled"; store ]);
+  expect_ok (hpjava [ "init"; store ]);
   let socket = Filename.concat dir "hp.sock" in
   let proc =
     Workload.Subproc.spawn

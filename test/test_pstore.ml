@@ -272,7 +272,6 @@ let journalled_roundtrip () =
       check_int "still one compaction" 1 (Store.stats store).Store.compactions;
       Store.close store;
       let store2 = Store.open_file path in
-      check_bool "journalled on reopen" true (Store.durability store2 = Store.Journalled);
       check_int "replayed" 2 (Store.stats store2).Store.journal_replayed;
       check_output "string preserved" "persist me" (Store.get_string store2 s);
       check_bool "root preserved" true (Store.root store2 "n" = Some (Pvalue.Int 5l));
@@ -296,6 +295,39 @@ let journal_compaction_bounds_depth () =
       Store.close store;
       let s2 = Store.open_file path in
       check_bool "final value durable" true (Store.root s2 "x" = Some (Pvalue.Int 50l));
+      Store.close s2)
+
+(* Journal ops are buffered only while the journal can use them.  A
+   store that owes a full compaction — unbacked, or after a gc — writes
+   that compaction from the heap, so a buffer would never be written. *)
+let journalled_store () =
+  Store.create ~config:{ Store.Config.default with Store.Config.durability = Store.Journalled } ()
+
+let unbacked_store_buffers_nothing () =
+  let store = journalled_store () in
+  for i = 1 to 1000 do
+    Store.set_root store "r" (Pvalue.Int (Int32.of_int i))
+  done;
+  check_int "nothing buffered" 0 (Store.stats store).Store.pending_ops
+
+let writes_after_gc_ride_the_compaction () =
+  with_store_files (fun path ->
+      let store = journalled_store () in
+      Store.stabilise ~path store;
+      ignore (Store.gc store);
+      for i = 1 to 10 do
+        Store.set_root store (Printf.sprintf "k%d" i) (Pvalue.Int (Int32.of_int i))
+      done;
+      check_int "nothing buffered after gc" 0 (Store.stats store).Store.pending_ops;
+      let compactions = (Store.stats store).Store.compactions in
+      Store.stabilise store;
+      check_int "one compaction" (compactions + 1) (Store.stats store).Store.compactions;
+      Store.close store;
+      let s2 = Store.open_file path in
+      for i = 1 to 10 do
+        check_bool "write durable" true
+          (Store.root s2 (Printf.sprintf "k%d" i) = Some (Pvalue.Int (Int32.of_int i)))
+      done;
       Store.close s2)
 
 let rollback_truncates_journal () =
@@ -433,6 +465,8 @@ let suite =
     test "image round trip" image_roundtrip;
     test "journalled round trip" journalled_roundtrip;
     test "compaction bounds the journal" journal_compaction_bounds_depth;
+    test "an unbacked store buffers no journal ops" unbacked_store_buffers_nothing;
+    test "writes after gc ride the next compaction" writes_after_gc_ride_the_compaction;
     test "rollback truncates the journal" rollback_truncates_journal;
     test "rollback restores a gc'd, stabilised store in memory and on disk"
       rollback_restores_gc_and_stabilise;
@@ -578,9 +612,9 @@ let with_store_dir f =
 (* One shard keeps the flat file names through every path that writes:
    stabilise, an over-limit compaction, gc, a rollback whose body
    stabilised, close and reopen.  Afterwards the directory holds the
-   image and, when journalled, its journal — no manifest, no epoch
-   files, no commit marker. *)
-let one_shard_layout durability () =
+   image and its journal — no manifest, no epoch files, no commit
+   marker. *)
+let one_shard_layout () =
   with_store_dir (fun dir ->
       let path = Filename.concat dir "store.img" in
       let store =
@@ -588,8 +622,7 @@ let one_shard_layout durability () =
           ~config:
             {
               Store.Config.default with
-              Store.Config.durability;
-              compaction_limit = 2;
+              Store.Config.compaction_limit = 2;
               backing = Some path;
             }
           ()
@@ -603,9 +636,8 @@ let one_shard_layout durability () =
         Store.set_root store "n" (Pvalue.Int (Int32.of_int i))
       done;
       Store.stabilise store;
-      if durability = Store.Journalled then
-        check_bool "four ops over a limit of two compact" true
-          ((Store.stats store).Store.compactions > compactions);
+      check_bool "four ops over a limit of two compact" true
+        ((Store.stats store).Store.compactions > compactions);
       check_int "gc swept the garbage" 1 (Store.gc store).Gc.swept;
       Store.stabilise store;
       (match
@@ -621,13 +653,7 @@ let one_shard_layout durability () =
       check_bool "last value reopens" true (Store.root reopened "n" = Some (Pvalue.Int 4l));
       check_bool "aborted root stays gone" true (Store.root reopened "aborted" = None);
       Store.close reopened;
-      let expected =
-        Filename.basename path
-        ::
-        (match durability with
-        | Store.Journalled -> [ Filename.basename (Journal.path_for path) ]
-        | Store.Snapshot -> [])
-      in
+      let expected = [ Filename.basename path; Filename.basename (Journal.path_for path) ] in
       Alcotest.(check (list string))
         "only the flat files" (List.sort compare expected)
         (List.sort compare (Array.to_list (Sys.readdir dir)));
@@ -669,7 +695,6 @@ let one_shard_never_demotes () =
 
 let layout =
   [
-    test "snapshot: one shard keeps flat files" (one_shard_layout Store.Snapshot);
-    test "journalled: one shard keeps flat files" (one_shard_layout Store.Journalled);
+    test "journalled: one shard keeps flat files" one_shard_layout;
     test "one shard never demotes" one_shard_never_demotes;
   ]

@@ -164,20 +164,13 @@ let journalled_commit_is_durable () =
 (* An aborted transaction must leave the store on disk reopening to the
    pre-transaction state — even when the transaction body itself
    stabilised part of its work.  Checked on every layout (flat and
-   sharded) under both durability modes. *)
+   sharded). *)
 let journalled_abort_leaves_replayable_journal () =
   List.iter
-    (fun (shards, durability) ->
-      let cfg =
-        Printf.sprintf "%d shard(s), %s: " shards
-          (match durability with
-          | Store.Snapshot -> "snapshot"
-          | Store.Journalled -> "journalled")
-      in
+    (fun shards ->
+      let cfg = Printf.sprintf "%d shard(s): " shards in
       with_store_file (fun path ->
-          let store =
-            Store.create ~config:{ Store.Config.default with Store.Config.shards; durability } ()
-          in
+          let store = Store.create ~config:{ Store.Config.default with Store.Config.shards } () in
           ignore (Transaction.fresh_vm store);
           let keep = Store.alloc_string store "keep" in
           Store.set_root store "keep" (Pvalue.Ref keep);
@@ -205,7 +198,7 @@ let journalled_abort_leaves_replayable_journal () =
           Integrity.check_exn replica;
           Store.close replica;
           Store.close store))
-    [ (1, Store.Snapshot); (1, Store.Journalled); (4, Store.Snapshot); (4, Store.Journalled) ]
+    [ 1; 4 ]
 
 let suite =
   [
