@@ -446,8 +446,7 @@ let run_session ~input ~echo store session =
           pruned.Registry.cleared_slots pruned.Registry.removed_origins
     | "scrub" :: rest -> begin
       match (match rest with b :: _ -> int_of_string_opt b | [] -> Some Store.default_scrub_budget) with
-      | None -> say "scrub: bad budget\n"
-      | Some budget ->
+      | Some budget when budget > 0 ->
         let report = Store.scrub ~budget store in
         say "scanned %d object%s: %d verified, %d primed%s\n" report.Scrub.scanned
           (if report.Scrub.scanned = 1 then "" else "s")
@@ -456,6 +455,7 @@ let run_session ~input ~echo store session =
         List.iter
           (fun (oid, reason) -> say "quarantined @%d: %s\n" (Oid.to_int oid) reason)
           report.Scrub.newly_quarantined
+      | _ -> say "scrub: bad budget\n"
     end
     | "health" :: _ -> cmd_health ?session:(active_session ()) store
     | "repair" :: rest -> cmd_repair store rest

@@ -103,6 +103,7 @@ type t = {
   mutable gc_count : int;
   mutable needs_full : bool; (* journal can't express state since last image *)
   mutable compaction_limit : int;
+  mutable scrub_next : int; (* first shard to get a share of a scrub budget's remainder *)
   mutable group_window : int; (* stabilises per fsync; 1 = every stabilise *)
   mutable unsynced : int; (* group-committed batches not yet fsynced *)
   mutable compactions : int;
@@ -246,6 +247,7 @@ let make ?(obs = Obs.create ()) nshards =
       gc_count = 0;
       needs_full = true;
       compaction_limit = default_compaction_limit;
+      scrub_next = 0;
       group_window = 1;
       unsynced = 0;
       compactions = 0;
@@ -317,10 +319,6 @@ let invalidation_epoch store = store.side_epoch
 let bump_epoch store = store.side_epoch <- store.side_epoch + 1
 
 let backing store = store.backing
-
-let set_compaction_limit store n =
-  if n < 0 then invalid_arg "Store.set_compaction_limit: negative";
-  store.compaction_limit <- n
 
 let group_window store = store.group_window
 
@@ -501,6 +499,18 @@ let shard_io store sh cls ?(undo = fun () -> ()) f =
 
 (* -- configuration --------------------------------------------------------- *)
 
+(* Every tunable is checked before any is applied, so a rejected
+   configuration changes nothing; [open_file] checks its [?config] before
+   it touches disk.  [shards] is checked where it matters: by [make] at
+   creation and against the store's own count by [configure]. *)
+let check_config ctx (c : Config.t) =
+  let bad what = invalid_arg (Printf.sprintf "Store.%s: %s" ctx what) in
+  if c.Config.compaction_limit < 0 then bad "negative compaction limit";
+  if c.Config.group_window < 1 then bad "group window must be >= 1";
+  if c.Config.breaker < 0 then bad "negative breaker threshold";
+  if c.Config.salvage_degrade < 0 then bad "negative salvage_degrade threshold";
+  if c.Config.trace_ring < 0 then bad "negative trace ring capacity"
+
 let configure store (c : Config.t) =
   if c.Config.shards <> nshards store then
     invalid_arg
@@ -508,13 +518,11 @@ let configure store (c : Config.t) =
          "Store.configure: shard count is fixed at store creation (store has %d, config asks for \
           %d)"
          (nshards store) c.Config.shards);
-  set_compaction_limit store c.Config.compaction_limit;
-  set_group_window store c.Config.group_window;
+  check_config "configure" c;
+  store.compaction_limit <- c.Config.compaction_limit;
+  store.group_window <- c.Config.group_window;
   store.retry <- c.Config.retry;
-  if c.Config.breaker < 0 then invalid_arg "Store.configure: negative breaker threshold";
   store.breaker <- c.Config.breaker;
-  if c.Config.salvage_degrade < 0 then
-    invalid_arg "Store.configure: negative salvage_degrade threshold";
   store.salvage_degrade <- c.Config.salvage_degrade;
   (* [backing = None] leaves the current backing alone: store identity is
      not a tunable, and [open_file ?config] must not clear the path it
@@ -1122,34 +1130,49 @@ let contents store =
 
 let default_scrub_budget = 256
 
-(* Each shard's scrubber steps in turn, with its share of the budget.  A shard starting a fresh pass reseeds from its
-   own oids; the heap is listed at most once per call. *)
+(* Each shard's scrubber steps in turn, with its share of the budget:
+   [budget / n] each, and one more for the [budget mod n] shards from
+   [scrub_next] on, which then moves past them — so repeated small
+   budgets visit every shard.  A shard with no share this call does not
+   step.  A shard starting a fresh pass reseeds from its own oids; the
+   heap is listed at most once per call.  The store-wide pass completes
+   when its slowest shard completes one. *)
 let scrub ?(budget = default_scrub_budget) store =
+  if budget <= 0 then invalid_arg "Store.scrub: budget must be positive";
   Obs.span store.obs Obs.Scrub_step (fun () ->
       let n = nshards store in
-      let per = max 1 ((budget + n - 1) / n) in
+      let first = store.scrub_next in
+      store.scrub_next <- (first + (budget mod n)) mod n;
+      let share k = (budget / n) + if (k - first + n) mod n < budget mod n then 1 else 0 in
+      let passes () =
+        Array.fold_left (fun acc sh -> min acc (Scrub.passes sh.sscrub)) max_int store.shards
+      in
+      let passes_before = passes () in
       let all = lazy (List.sort Oid.compare (Heap.oids store.heap)) in
       let total =
-        ref { Scrub.scanned = 0; verified = 0; primed = 0; newly_quarantined = []; pass_complete = true }
+        ref { Scrub.scanned = 0; verified = 0; primed = 0; newly_quarantined = []; pass_complete = false }
       in
       Array.iteri
         (fun k sh ->
-          let owned () = List.filter (fun oid -> shard_ix_oid store oid = k) (Lazy.force all) in
-          let r =
-            Scrub.step sh.sscrub ~heap:store.heap ~crcs:sh.scrcs ~quarantine:sh.sq ~reseed:owned
-              ~foreign:(fun oid -> shard_ix_oid store oid <> k)
-              ~budget:per
-          in
-          let acc = !total in
-          total :=
-            {
-              Scrub.scanned = acc.scanned + r.scanned;
-              verified = acc.verified + r.verified;
-              primed = acc.primed + r.primed;
-              newly_quarantined = acc.newly_quarantined @ r.newly_quarantined;
-              pass_complete = acc.pass_complete && r.pass_complete;
-            })
+          if share k > 0 then begin
+            let owned () = List.filter (fun oid -> shard_ix_oid store oid = k) (Lazy.force all) in
+            let r =
+              Scrub.step sh.sscrub ~heap:store.heap ~crcs:sh.scrcs ~quarantine:sh.sq ~reseed:owned
+                ~foreign:(fun oid -> shard_ix_oid store oid <> k)
+                ~budget:(share k)
+            in
+            let acc = !total in
+            total :=
+              {
+                acc with
+                Scrub.scanned = acc.scanned + r.scanned;
+                verified = acc.verified + r.verified;
+                primed = acc.primed + r.primed;
+                newly_quarantined = acc.newly_quarantined @ r.newly_quarantined;
+              }
+          end)
         store.shards;
+      total := { !total with Scrub.pass_complete = passes () > passes_before };
       (* A dangling target another shard owns was only reported by the
          shard that found it; quarantine it in its owner here (several
          shards may have reported the same target — dedup first). *)
@@ -1532,6 +1555,26 @@ let bump_past_references store =
   iter_referenced_oids store (fun o -> if Oid.to_int o >= !bump then bump := Oid.to_int o + 1);
   Heap.set_next_oid store.heap !bump
 
+(* References from survivors into the shards [lost_in] selects that
+   have no live object are permanently lost; quarantine them (the owning
+   shard's next compaction persists that) so reads fail with the typed
+   reason instead of a bare dangling error. *)
+let quarantine_lost_refs store ~lost_in reason =
+  let lost = ref Oid.Set.empty in
+  iter_referenced_oids store (fun o ->
+      if
+        lost_in (shard_ix_oid store o)
+        && (not (Heap.is_live store.heap o))
+        && not (is_quarantined store o)
+      then lost := Oid.Set.add o !lost);
+  Oid.Set.iter
+    (fun o ->
+      let sh = shard_oid store o in
+      Quarantine.add sh.sq o reason;
+      sh.sneeds_full <- true)
+    !lost;
+  Oid.Set.cardinal !lost
+
 (* Load one image file.  A crash between writing an image and renaming
    it can leave the complete image under the temp name; promote it
    rather than fail. *)
@@ -1582,6 +1625,7 @@ let replay_journal store sh wpath (jr : Journal.replay) ~committed =
    degraded.  The rest of the store loads and serves normally.  Without
    a neighbour an unreadable image fails the open. *)
 let open_file ?config path =
+  Option.iter (check_config "open_file") config;
   let obs = Obs.create () in
   let m = Manifest.layout path in
   let n = m.Manifest.nshards in
@@ -1703,7 +1747,21 @@ let open_file ?config path =
   Array.iter
     (fun sh -> if not (Quarantine.is_empty sh.sq) then sh.sneeds_full <- true)
     store.shards;
-  if store.unhealthy > 0 then bump_past_references store;
+  (* A demoted shard's deferred delta dies with the process, while its
+     healthy neighbours made theirs durable: a surviving reference may
+     name an object only the demoted shard had allocated.  Such targets
+     are lost as if their shard had been; quarantine them, and keep the
+     allocator past every reference so the hole never aliases a fresh
+     object.  (An offline shard's targets wait for [repair].) *)
+  let lost =
+    if has_neighbour store then
+      quarantine_lost_refs store
+        ~lost_in:(fun k ->
+          match Health.state store.shards.(k).shealth with Health.Offline _ -> false | _ -> true)
+        "lost in a crash while its shard was demoted"
+    else 0
+  in
+  if store.unhealthy > 0 || lost > 0 then bump_past_references store;
   Option.iter (fun (c : Config.t) -> configure store { c with Config.shards = n }) config;
   (* Files from epochs this manifest superseded (a crash mid-compaction
      leaves them behind) are unreferenced — sweep them now. *)
@@ -1829,23 +1887,6 @@ let rebuild_offline_shard store k ~restored ~replayed =
           jr.Journal.batches
       end)
 
-(* References from survivors into shard [k] that still have no live
-   object after the rebuild are permanently lost; quarantine them so
-   reads fail with the typed reason instead of a bare dangling error. *)
-let quarantine_lost_refs store k =
-  let sh = store.shards.(k) in
-  let lost = ref Oid.Set.empty in
-  iter_referenced_oids store (fun o ->
-      if
-        shard_ix_oid store o = k
-        && (not (Heap.is_live store.heap o))
-        && not (Quarantine.mem sh.sq o)
-      then lost := Oid.Set.add o !lost);
-  Oid.Set.iter
-    (fun o -> Quarantine.add sh.sq o "lost with its shard (unrecovered by repair)")
-    !lost;
-  Oid.Set.cardinal !lost
-
 let repair store k =
   check_shard_index store k;
   let sh = store.shards.(k) in
@@ -1861,7 +1902,9 @@ let repair store k =
            | _ -> ());
            let lost =
              match was with
-             | Health.Offline _ -> quarantine_lost_refs store k
+             | Health.Offline _ ->
+               quarantine_lost_refs store ~lost_in:(fun j -> j = k)
+                 "lost with its shard (unrecovered by repair)"
              | _ -> 0
            in
            Health.promote sh.shealth;

@@ -39,8 +39,10 @@ type durability = Journalled
 
     All store tunables in one record, applied atomically with
     {!configure} or at construction time via [?config] on {!create} and
-    {!open_file}.  This record is the only way to retune a live store —
-    the per-knob setters it replaced are gone. *)
+    {!open_file}: the whole record is checked before any of it is
+    applied, so a rejected record changes nothing.  This record is the
+    only way to retune a live store — the per-knob setters it replaced
+    are gone. *)
 
 module Config : sig
   type t = {
@@ -104,7 +106,7 @@ val open_file : ?config:Config.t -> string -> t
     written before every store journalled) opens from its image alone,
     and its next stabilise compacts and creates the journal.  An explicit
     [config] is applied after recovery, so its tunables win over the
-    recovered state.
+    recovered state; it is checked before anything is read or opened.
 
     On a store of several shards, shard faults are contained: an
     unreadable shard image takes only that shard {e offline} (see
@@ -112,11 +114,16 @@ val open_file : ?config:Config.t -> string -> t
     a salvage-heavy shard load opens that shard {e degraded} — the other
     shards load and serve normally.
     @raise Image.Image_error on a corrupt one-shard image with nothing
-    to recover. *)
+    to recover.
+    @raise Invalid_argument on a bad [config], even for a missing [path]. *)
 
 val configure : t -> Config.t -> unit
 (** Apply a whole configuration.  [backing = None] keeps the current
-    backing file; [durability] is ignored. *)
+    backing file; [durability] is ignored.
+    @raise Invalid_argument, having changed nothing, on a negative
+    compaction limit, breaker, salvage-degrade threshold or trace-ring
+    capacity, a group window below 1, or a shard count other than the
+    store's. *)
 
 val config : t -> Config.t
 (** The store's current configuration ([backing] is the current backing
@@ -318,7 +325,12 @@ val scrub : ?budget:int -> t -> Scrub.report
 (** Scan at most [budget] (default {!default_scrub_budget}) objects,
     resuming where the last call stopped; quarantines objects whose
     recorded checksum no longer matches and targets of dangling
-    references. *)
+    references.  On a sharded store the budget is split exactly: each
+    shard gets [budget / n], and the remainder goes to the next
+    [budget mod n] shards in rotation, so repeated small budgets reach
+    every shard.  [pass_complete] reports that the slowest shard
+    finished a pass.
+    @raise Invalid_argument if [budget <= 0]. *)
 
 val scrub_progress : t -> Scrub.state
 (** The whole store's scrub progress: every shard's scrubber merged

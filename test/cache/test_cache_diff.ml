@@ -80,8 +80,7 @@ type sys = {
 let config_for ~cached =
   {
     Store.Config.default with
-    Store.Config.durability = Store.Journalled;
-    group_window = (if cached then 4 else 1);
+    Store.Config.group_window = (if cached then 4 else 1);
   }
 
 let apply_caching sys =

@@ -2,5 +2,4 @@ let () =
   Alcotest.run "chaos"
     [
       ("fault-domain behaviours", Test_chaos_faults.suite);
-      ("seeded fault schedules", Test_chaos_sched.suite);
     ]

@@ -3,7 +3,6 @@ let () =
     [
       ("matrix: fault point x mutation kind", Test_crash_recovery.matrix);
       ("recovery behaviours", Test_crash_recovery.suite);
-      ("seeded crash properties", Test_crash_matrix.suite);
       ("sharded crash atomicity", Test_crash_shard.suite);
       ("group commit", Test_crash_group.suite);
     ]

@@ -36,7 +36,6 @@ type fixture = {
 let build_fixture dir =
   let path = Filename.concat dir "store.img" in
   let store = Store.create () in
-  Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
   let anchor = Store.alloc_string store "anchor-contents" in
   Store.set_root store "anchor" (Pvalue.Ref anchor);
   let rec0 = Store.alloc_record store "Base" [| Pvalue.Int 1l; Pvalue.Null |] in
@@ -154,7 +153,6 @@ let truncation_at_every_offset () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "store.img" in
   let store = Store.create () in
-  Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
   let r = Store.alloc_record store "Node" [| Pvalue.Null; Pvalue.Null |] in
   Store.set_root store "node" (Pvalue.Ref r);
   Store.stabilise ~path store;
@@ -212,7 +210,6 @@ let stats_report_recovery () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "store.img" in
   let store = Store.create () in
-  Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
   Store.set_root store "a" (Pvalue.Int 1l);
   Store.stabilise ~path store;
   Store.set_root store "b" (Pvalue.Int 2l);
@@ -252,7 +249,6 @@ let stale_journal_discarded () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "store.img" in
   let store = Store.create () in
-  Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
   Store.set_root store "a" (Pvalue.Int 1l);
   Store.stabilise ~path store;
   Store.set_root store "b" (Pvalue.Int 2l);
@@ -337,7 +333,6 @@ let registry_links_survive_crash () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "store.img" in
   let store = Store.create () in
-  Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
   let vm = Minijava.Boot.vm_for store in
   Hyperprog.Dynamic_compiler.install vm;
   let target = Store.alloc_string store "hyper-linked target" in

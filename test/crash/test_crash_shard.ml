@@ -4,11 +4,10 @@
    shard plus a store-level commit-marker record; the marker is the only
    witness that every shard's half landed.  These suites drive faults
    into every gap of that protocol and require recovery to land on a
-   whole stabilise — never one shard's half of it:
+   whole stabilise — never one shard's half of it (the randomized
+   schedules over every configuration live in test/model):
 
-   - a seeded matrix (the single-shard harness's generator re-run over a
-     4-shard store, with the same CRASH_SEED replay contract);
-   - a deterministic byte-budget sweep that tears the append path at
+   - a byte-budget sweep that tears the append path at
      every offset — inside a shard's batch, between shards, inside the
      marker record;
    - compaction crashes, full (manifest rename never lands: recover the
@@ -17,6 +16,8 @@
      move died);
    - the fault layer's one-shot guarantee when every shard's sync could
      fire it;
+   - a crash after a demotion, whose lost allocations recovery
+     quarantines;
    - GC results and remembered sets against the test's own heap walk. *)
 
 open Pstore
@@ -28,100 +29,13 @@ let nshards = 4
 let shard_config ?(compaction_limit = 32) path =
   {
     Store.Config.default with
-    Store.Config.durability = Store.Journalled;
-    compaction_limit;
+    Store.Config.compaction_limit;
     backing = Some path;
     shards = nshards;
   }
 
 let make_store dir =
   Store.create ~config:(shard_config (Filename.concat dir "store.img")) ()
-
-(* -- seeded matrix over a sharded store ----------------------------------- *)
-
-(* The reference run doubles as a shard-count-equivalence check: the same
-   program on a single-shard store must fingerprint identically (shard
-   assignment is a storage layout, not a semantics). *)
-let reference_run ops dir =
-  let store = make_store dir in
-  let records = ref [] in
-  List.iter (Test_crash_matrix.exec store records ignore) ops;
-  Store.stabilise store;
-  let fp = fingerprint store in
-  let flat = with_dir (fun flat_dir ->
-      let flat = Test_crash_matrix.make_store flat_dir in
-      let records = ref [] in
-      List.iter (Test_crash_matrix.exec flat records ignore) ops;
-      Store.stabilise flat;
-      let ffp = fingerprint flat in
-      Store.close flat;
-      ffp)
-  in
-  check_output "1-shard and 4-shard runs fingerprint identically" flat fp;
-  Store.close store;
-  let reopened = Store.open_file (Filename.concat dir "store.img") in
-  check_output "clean sharded reopen is byte-identical" fp (fingerprint reopened);
-  check_int "reopen keeps the shard count" nshards (Store.shards reopened);
-  Integrity.check_exn reopened;
-  Store.close reopened
-
-let crash_run ops seed dir =
-  let n_stabs =
-    List.length (List.filter (fun op -> op = Test_crash_matrix.Stabilise) ops)
-  in
-  let crash_at = 1 + (seed mod (n_stabs - 1)) in
-  let fault = Test_crash_matrix.pick_fault seed in
-  let store = make_store dir in
-  let records = ref [] in
-  let candidates = ref [ fingerprint store ] in
-  let note () = candidates := !candidates @ [ fingerprint store ] in
-  let stabs = ref 0 in
-  (try
-     List.iter
-       (fun op ->
-         match op with
-         | Test_crash_matrix.Stabilise ->
-           if !stabs = crash_at then begin
-             (match Faults.with_fault fault (fun () -> Store.stabilise store) with
-             | Ok () -> ()
-             | Error (Faults.Fault_injected _) -> ()
-             | Error e -> raise e);
-             raise Exit
-           end
-           else begin
-             Store.stabilise store;
-             incr stabs;
-             candidates := [ fingerprint store ]
-           end
-         | op -> Test_crash_matrix.exec store records note op)
-       ops
-   with Exit -> ());
-  Store.crash store;
-  let reopened = Store.open_file (Filename.concat dir "store.img") in
-  let fp = fingerprint reopened in
-  check_bool
-    (sp "seed %d: recovered state is one the program passed through" seed)
-    true
-    (List.exists (String.equal fp) !candidates);
-  check_int (sp "seed %d: recovery quarantines nothing" seed) 0
-    (Store.stats reopened).Store.quarantined;
-  Integrity.check_exn reopened;
-  Store.close reopened
-
-let run_seed seed =
-  try
-    let ops = Test_crash_matrix.gen_program (Random.State.make [| seed; 77 |]) in
-    with_dir (reference_run ops);
-    with_dir (crash_run ops seed)
-  with e ->
-    Printf.eprintf
-      "sharded crash matrix failed at seed %d\n\
-       replay exactly with: CRASH_SEED=%d dune exec test/crash/test_crash_main.exe\n"
-      seed seed;
-    raise e
-
-let seeds = 120
-let batch = 30
 
 (* -- deterministic protocol tears ----------------------------------------- *)
 
@@ -288,6 +202,31 @@ let fault_fires_once_across_domains () =
       Integrity.check_exn reopened;
       Store.close reopened)
 
+(* A demoted shard defers its delta; a crash then loses it while the
+   healthy shards' deltas survive.  A surviving root can therefore name
+   an object whose allocation died with the demoted shard: recovery must
+   quarantine the hole (reads get a typed error, integrity holds) and
+   never hand the oid out again. *)
+let crash_after_demotion_quarantines_lost_targets () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "store.img" in
+      let store = Store.create ~config:(shard_config path) () in
+      Store.stabilise store;
+      let oid = Store.alloc_record store "Node" [| Pvalue.Int 1l |] in
+      let home = Store.shard_of store oid in
+      let name = key_for ~tag:"lost" ~count:nshards ((home + 1) mod nshards) in
+      Store.set_root store name (Pvalue.Ref oid);
+      Store.degrade_shard store home "test: deferred delta";
+      Store.stabilise store (* the root's shard persists; the object's does not *);
+      Store.crash store;
+      let reopened = Store.open_file path in
+      check_bool "the root survived" true (Store.root reopened name = Some (Pvalue.Ref oid));
+      check_bool "the lost target is quarantined" true (Store.is_quarantined reopened oid);
+      Integrity.check_exn reopened;
+      let fresh = Store.alloc_record reopened "Node" [| Pvalue.Int 2l |] in
+      check_bool "the lost oid is not reused" true (Oid.compare fresh oid > 0);
+      Store.close reopened)
+
 (* A hot shard rewrites only its own bytes.  With compaction_limit 0
    every stabilise compacts, but only the shards that have something to
    write: a burst confined to shard 0's oids must advance shard 0's image
@@ -420,7 +359,7 @@ let gc_remembered_sets_match_a_walk () =
         (Store.shard_info store);
       Store.close store)
 
-let deterministic =
+let suite =
   [
     test "torn append sweep: all-or-nothing across shards" torn_append_rolls_back_whole_stabilise;
     test "full compaction crash recovers last stabilise" full_compaction_crash_recovers_last_stabilise;
@@ -428,19 +367,7 @@ let deterministic =
     test "reopen appends to recovered journals without compacting" reopen_appends_without_compacting;
     test "one-shot fault under racing domains" fault_fires_once_across_domains;
     test "a hot shard compacts alone" hot_shard_compacts_alone;
+    test "a crash after demotion quarantines lost targets"
+      crash_after_demotion_quarantines_lost_targets;
     test "gc remembered sets match a heap walk" gc_remembered_sets_match_a_walk;
   ]
-
-let suite =
-  deterministic
-  @
-  match Option.bind (Sys.getenv_opt "CRASH_SEED") int_of_string_opt with
-  | Some seed -> [ test (sp "seed %d (CRASH_SEED)" seed) (fun () -> run_seed seed) ]
-  | None ->
-    List.init (seeds / batch) (fun b ->
-        let lo = b * batch in
-        let hi = lo + batch - 1 in
-        test (sp "seeds %d-%d" lo hi) (fun () ->
-            for seed = lo to hi do
-              run_seed seed
-            done))

@@ -2,5 +2,4 @@ let () =
   Alcotest.run "mvcc"
     [
       ("snapshot sessions", Test_mvcc_sessions.suite);
-      ("seeded interleavings", Test_mvcc_prop.suite);
     ]

@@ -10,18 +10,15 @@ let incremental_updates_compose () =
   (* three one-knob [{ config with ... }] updates land on the same state
      as one whole-record configure *)
   let stepwise = Store.create () in
-  Store.configure stepwise { (Store.config stepwise) with Store.Config.durability = Store.Journalled };
   Store.configure stepwise { (Store.config stepwise) with Store.Config.compaction_limit = 128 };
   Store.configure stepwise { (Store.config stepwise) with Store.Config.retry = (Some Retry.default_policy) };
   let unified = Store.create () in
   Store.configure unified
     {
-      Store.Config.durability = Store.Journalled;
+      Store.Config.default with
       compaction_limit = 128;
       group_window = 1;
       retry = Some Retry.default_policy;
-      breaker = Store.Config.default.Store.Config.breaker;
-      salvage_degrade = Store.Config.default.Store.Config.salvage_degrade;
       backing = None;
       trace_ring = Obs.default_ring_capacity;
       tracing = false;
@@ -34,7 +31,6 @@ let configure_config_is_identity () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       Store.configure store { (Store.config store) with Store.Config.retry = (Some Retry.default_policy) };
       let before = Store.config store in
       Store.configure store before;
@@ -54,7 +50,6 @@ let default_config_leaves_backing_alone () =
 let open_file_config_wins_over_recovery () =
   with_store_file (fun path ->
       let store = Store.create () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       Store.stabilise ~path store;
       let a = Store.alloc_record store "A" [| Pvalue.Int 1l |] in
       Store.set_root store "a" (Pvalue.Ref a);
@@ -91,6 +86,27 @@ let construction_config_reaches_obs () =
   check_bool "tracing reads back" true c.Store.Config.tracing;
   check_int "ring reads back" 4 c.Store.Config.trace_ring
 
+(* A rejected record changes nothing: every field is checked before any
+   is applied — here the bad breaker comes after two good knobs. *)
+let rejected_configure_changes_nothing () =
+  let store = Store.create () in
+  let before = Store.config store in
+  (match
+     Store.configure store
+       { before with Store.Config.group_window = 5; compaction_limit = 7; breaker = -1 }
+   with
+  | () -> Alcotest.fail "a negative breaker was accepted"
+  | exception Invalid_argument _ -> ());
+  check_bool "the config is unchanged" true (Store.config store = before)
+
+(* open_file checks its config before it touches disk: a bad one on a
+   path that does not exist is an argument error, not a missing file. *)
+let open_file_checks_config_first () =
+  with_store_file (fun path ->
+      match Store.open_file ~config:{ Store.Config.default with breaker = -1 } path with
+      | _ -> Alcotest.fail "a negative breaker was accepted"
+      | exception Invalid_argument _ -> ())
+
 let suite =
   [
     test "incremental one-knob updates compose" incremental_updates_compose;
@@ -100,4 +116,6 @@ let suite =
       open_file_config_wins_over_recovery;
     test "construction config reaches the observability state"
       construction_config_reaches_obs;
+    test "a rejected configure changes nothing" rejected_configure_changes_nothing;
+    test "open_file checks its config before touching disk" open_file_checks_config_first;
   ]

@@ -37,7 +37,6 @@ let quarantine_hits_are_counted () =
 let monotonic_across_stabilise_and_reopen () =
   with_store_file (fun path ->
       let store = Store.create () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       let a = Store.alloc_record store "A" [| Pvalue.Int 1l |] in
       Store.set_root store "a" (Pvalue.Ref a);
       let before = Obs.total (Store.obs store) in

@@ -80,8 +80,8 @@ let parallel_scrub_detects_corruption () =
 let budget_splits_across_shards () =
   let store = sharded_store () in
   ignore (alloc_nodes store 64 : Oid.t array);
-  (* a tiny budget still makes progress on every shard (ceil division,
-     minimum one object per shard per step) and the pass completes *)
+  (* a tiny budget still makes progress on every shard (an exact split:
+     one object per shard) and the pass completes *)
   let r = Store.scrub ~budget:4 store in
   check_bool "small step scans something" true (r.Scrub.scanned > 0);
   let newly = scrub_pass store in
@@ -98,6 +98,21 @@ let progress_counts_every_shard () =
   let progress = Store.scrub_progress store in
   check_int "queued across shards" (64 - r.Scrub.scanned) (Scrub.pending progress);
   check_int "no shard has finished a pass" 0 (Scrub.passes progress)
+
+(* The budget bounds the whole step, split exactly across the shards.
+   The remainder rotates, so four steps of budget 1 seed and scan every
+   shard once; a budget below 1 is refused. *)
+let budget_is_exact_and_rotates () =
+  let store = sharded_store () in
+  ignore (alloc_nodes store 64 : Oid.t array);
+  for _ = 1 to nshards do
+    check_int "a budget of one scans one object" 1 (Store.scrub ~budget:1 store).Scrub.scanned
+  done;
+  check_int "every shard took its turn" (64 - nshards)
+    (Scrub.pending (Store.scrub_progress store));
+  match Store.scrub ~budget:0 store with
+  | _ -> Alcotest.fail "a zero budget was accepted"
+  | exception Invalid_argument _ -> ()
 
 let sharded_matches_flat_verdict () =
   (* the same damage on a flat and a sharded store quarantines the same
@@ -123,6 +138,7 @@ let suite =
     test "cross-shard dangling target routed to owner" cross_shard_dangling_target_quarantined;
     test "parallel scrub detects in-memory corruption" parallel_scrub_detects_corruption;
     test "budget splits across shards" budget_splits_across_shards;
+    test "the budget is exact and its remainder rotates" budget_is_exact_and_rotates;
     test "sharded and flat scrubs agree" sharded_matches_flat_verdict;
     test "scrub progress counts every shard" progress_counts_every_shard;
   ]

@@ -102,7 +102,6 @@ let quarantine_survives_reopen () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       let victim = Store.alloc_string store "victim" in
       let sibling = Store.alloc_string store "sibling" in
       Store.set_root store "s" (Pvalue.Ref sibling);
@@ -148,7 +147,6 @@ let transient_fsync_absorbed () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       ignore (Store.alloc_string store "first");
       Store.stabilise store;
       (* arm a transient failure *)
@@ -174,7 +172,6 @@ let short_write_absorbed () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       ignore (Store.alloc_string store "first");
       Store.stabilise store;
       Store.configure store { (Store.config store) with Store.Config.retry = (Some Retry.default_policy) };
@@ -206,7 +203,6 @@ let no_policy_means_raw_failures () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       ignore (Store.alloc_string store "x");
       Store.stabilise store;
       check_bool "retry is opt-in" true (Store.retry_policy store = None);
@@ -231,7 +227,6 @@ let close_and_crash_are_idempotent () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       ignore (Store.alloc_string store "durable");
       Store.stabilise store;
       Store.close store;

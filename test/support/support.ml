@@ -99,6 +99,33 @@ let with_store_file ?prefix f =
   let path = temp_store_path ?prefix () in
   Fun.protect ~finally:(fun () -> remove_store_artifacts path) (fun () -> f path)
 
+(* -- fault domains --------------------------------------------------------- *)
+
+(* Full retry budget, no sleeping, no deadline: fault schedules inject
+   many faults, so backoff must cost nothing. *)
+let fast_policy =
+  {
+    Retry.retries = 3;
+    base_delay = 0.;
+    max_delay = 0.;
+    jitter = false;
+    deadline = infinity;
+  }
+
+(* A root/blob key that hashes to shard [k] of [count]. *)
+let key_for ?(tag = "k") ~count k =
+  let rec go i =
+    let name = Printf.sprintf "%s%d-%d" tag k i in
+    if Manifest.shard_of_key ~count name = k then name else go (i + 1)
+  in
+  go 0
+
+(* Transient-looking failures: everything the retry layer classifies as
+   retryable, which is also everything an injected fault can surface as. *)
+let transient = function
+  | Faults.Fault_injected _ | Sys_error _ | Unix.Unix_error _ -> true
+  | _ -> false
+
 (* -- store fingerprints --------------------------------------------------- *)
 
 (* A deterministic byte-exact digest of everything persistent: heap

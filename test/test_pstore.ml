@@ -258,7 +258,6 @@ let with_store_files f =
 let journalled_roundtrip () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       let s = Store.alloc_string store "persist me" in
       Store.set_root store "s" (Pvalue.Ref s);
       Store.stabilise ~path store;
@@ -282,7 +281,6 @@ let journalled_roundtrip () =
 let journal_compaction_bounds_depth () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       Store.configure store { (Store.config store) with Store.Config.compaction_limit = 10 };
       Store.stabilise ~path store;
       for i = 1 to 50 do
@@ -301,7 +299,7 @@ let journal_compaction_bounds_depth () =
    store that owes a full compaction — unbacked, or after a gc — writes
    that compaction from the heap, so a buffer would never be written. *)
 let journalled_store () =
-  Store.create ~config:{ Store.Config.default with Store.Config.durability = Store.Journalled } ()
+  Store.create ()
 
 let unbacked_store_buffers_nothing () =
   let store = journalled_store () in
@@ -333,7 +331,6 @@ let writes_after_gc_ride_the_compaction () =
 let rollback_truncates_journal () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       let keep = Store.alloc_string store "keep" in
       Store.set_root store "keep" (Pvalue.Ref keep);
       Store.stabilise ~path store;
@@ -373,7 +370,6 @@ let rollback_truncates_journal () =
 let rollback_restores_gc_and_stabilise () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       let junk = Store.alloc_string store "junk" in
       Store.stabilise ~path store;
       let fp_before = Image.encode (Store.contents store) in
@@ -400,7 +396,6 @@ let rollback_restores_gc_and_stabilise () =
 let rollback_compacts_over_limit () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       Store.configure store { (Store.config store) with Store.Config.compaction_limit = 0 };
       Store.stabilise ~path store;
       let compactions () = (Store.stats store).Store.compactions in
@@ -669,8 +664,7 @@ let one_shard_never_demotes () =
           ~config:
             {
               Store.Config.default with
-              Store.Config.durability = Store.Journalled;
-              breaker = 1;
+              Store.Config.breaker = 1;
               backing = Some path;
             }
           ()

@@ -110,6 +110,10 @@ let scrub_and_health_report () =
   check_bool "health shows store retries" true (contains output "io retries absorbed");
   check_bool "health shows retry totals" true (contains output "retry totals:")
 
+let scrub_rejects_a_bad_budget () =
+  let output, _ = run_script "scrub 0\nquit\n" in
+  check_bool "a zero budget is refused" true (contains output "scrub: bad budget")
+
 let unknown_commands_are_safe () =
   let script = "frobnicate\nhelp\nroots\nquit\n" in
   let output, _ = run_script script in
@@ -123,6 +127,7 @@ let suite =
     test "browse and insert by row" browse_and_insert_by_row;
     test "compile errors are reported" errors_are_reported;
     test "scrub and health report" scrub_and_health_report;
+    test "scrub refuses a bad budget" scrub_rejects_a_bad_budget;
     test "unknown commands are safe" unknown_commands_are_safe;
   ]
 

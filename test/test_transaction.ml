@@ -146,7 +146,6 @@ let with_backing f =
 let journalled_commit_is_durable () =
   with_backing (fun path ->
       let store = fresh_store () in
-      Store.configure store { (Store.config store) with Store.Config.durability = Store.Journalled };
       ignore (Transaction.fresh_vm store);
       Store.stabilise ~path store;
       let compactions_before = (Store.stats store).Store.compactions in
