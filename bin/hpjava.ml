@@ -171,9 +171,12 @@ let roots_cmd =
 
 let gc_cmd =
   let run path =
-    let store, _vm = session_of path in
+    let store, vm = session_of path in
     let stats = Store.gc store in
     Format.printf "%a@." Gc.pp_stats stats;
+    (* Keep the registry consistent with what the GC reclaimed, as the
+       shell's gc does. *)
+    ignore (Registry.prune vm);
     Store.stabilise store
   in
   Cmd.v (Cmd.info "gc" ~doc:"Garbage-collect the store") Term.(const run $ store_arg)

@@ -1,213 +1,8 @@
-(* The persistent compiled-class cache.
+(* Vestigial: every compile now runs the compiler.  Only the frozen
+   benchmark (bench/hpbench/w_compile.ml) still names this module;
+   ROADMAP item 5 deletes it with that benchmark change. *)
 
-   Dynamic compilation is the hottest expensive path in the system: every
-   Go-button press, every evolve, every linguistic-reflection call ends in
-   [Jcompiler.compile_units].  But hyper-program sources are highly
-   repetitive — the same textual form is regenerated and recompiled again
-   and again across sessions.  This cache keys the *result* of a compile
-   (the encoded class-file batch) by a content hash of the source unit
-   plus a fingerprint of the class environment it was compiled against,
-   and stores it as an ordinary store blob, so it survives stabilise and
-   reopen like everything else in the orthogonally persistent world.
+type stats = { hits : int; misses : int }
 
-   Correctness rests on the key, not on explicit invalidation:
-
-   - the key covers every source string (order and content);
-   - the key covers the class files of every loaded class the sources
-     could see — EXCLUDING the classes the sources themselves define,
-     since those are outputs of the compile, not inputs (including them
-     would make every second compile a spurious miss after the first
-     redefinition);
-   - any change to a visible class (schema evolution, redefinition)
-     changes its encoded class file, hence the fingerprint, hence the key.
-
-   [Evolution] additionally calls {!purge} after a successful evolve —
-   belt and braces, and it keeps dead generations from accumulating.
-
-   Anything unexpected during key computation (unparsable source, decode
-   failure on a cached blob) falls back to the real compiler, so the
-   cached system is observably identical to a cold one — the property the
-   differential suite in [test/cache] locks in. *)
-
-open Pstore
-open Minijava
-
-let blob_prefix = "hyper.ccache:"
-let index_blob = "hyper.ccache.index"
-let default_capacity = 32
-
-type stats = {
-  hits : int;
-  misses : int;
-  entries : int;
-  capacity : int;
-}
-
-type state = {
-  mutable enabled : bool;
-  mutable hits : int;
-  mutable misses : int;
-  mutable lru : string list; (* resident keys (hex), most recent first *)
-  (* class-file digest memo: name -> (classfile as last seen, digest).
-     Checked by physical equality, so a redefinition (new classfile
-     record) forces a re-hash while steady-state lookups cost nothing. *)
-  digests : (string, Classfile.t * string) Hashtbl.t;
-  (* defined-class-names memo: source text -> names.  Extracting the
-     names means parsing the source; repeated sources are the whole
-     point of this cache, so steady-state hits must not re-parse. *)
-  names : (string, string list) Hashtbl.t;
-  capacity : int;
-}
-
-let state_key : state Props.key = Props.new_key ()
-
-(* The resident-key index is persisted so a reopened store knows which
-   ccache blobs it holds (recency is rebuilt as the cache is used). *)
-let load_index store =
-  match Store.blob store index_blob with
-  | None -> []
-  | Some s ->
-    String.split_on_char '\n' s
-    |> List.filter (fun k -> Store.blob store (blob_prefix ^ k) <> None)
-
-let state_of vm =
-  let store = vm.Rt.store in
-  Props.get_or_create (Store.props store) state_key (fun () ->
-      {
-        enabled = true;
-        hits = 0;
-        misses = 0;
-        lru = load_index store;
-        digests = Hashtbl.create 64;
-        names = Hashtbl.create 16;
-        capacity = default_capacity;
-      })
-
-let enabled vm = (state_of vm).enabled
-let set_enabled vm flag = (state_of vm).enabled <- flag
-
-let stats vm =
-  let s = state_of vm in
-  { hits = s.hits; misses = s.misses; entries = List.length s.lru; capacity = s.capacity }
-
-(* -- the cache key -------------------------------------------------------- *)
-
-let classfile_digest s name (cf : Classfile.t) =
-  match Hashtbl.find_opt s.digests name with
-  | Some (seen, d) when seen == cf -> d
-  | _ ->
-    let d = Digest.string (Classfile.encode cf) in
-    Hashtbl.replace s.digests name (cf, d);
-    d
-
-(* Hash of sources + visible class environment.  May raise (e.g. the
-   source does not even parse); the caller falls back to a real compile,
-   which reports the error exactly as a cold system would. *)
-let names_of_source s src =
-  match Hashtbl.find_opt s.names src with
-  | Some ns -> ns
-  | None ->
-    let ns = Jcompiler.class_names_of_source src in
-    if Hashtbl.length s.names >= 256 then Hashtbl.reset s.names;
-    Hashtbl.add s.names src ns;
-    ns
-
-let key_of s vm sources =
-  let defined = List.concat_map (names_of_source s) sources in
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun name ->
-      if not (List.mem name defined) then
-        match Rt.find_class vm name with
-        | Some rc ->
-          Buffer.add_string buf name;
-          Buffer.add_char buf '\000';
-          Buffer.add_string buf (classfile_digest s name rc.Rt.rc_classfile)
-        | None -> ())
-    vm.Rt.load_order;
-  List.iter
-    (fun src ->
-      Buffer.add_string buf (string_of_int (String.length src));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf src)
-    sources;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* -- residency ------------------------------------------------------------ *)
-
-let save_index store s =
-  Store.set_blob store index_blob (String.concat "\n" s.lru)
-
-let touch s key = s.lru <- key :: List.filter (fun k -> k <> key) s.lru
-
-let insert store s key data =
-  Store.set_blob store (blob_prefix ^ key) data;
-  touch s key;
-  (* keep the [capacity] most recent; evicted entries lose their blobs *)
-  let rec split n = function
-    | [] -> ([], [])
-    | l when n = 0 -> ([], l)
-    | k :: rest ->
-      let keep, drop = split (n - 1) rest in
-      (k :: keep, drop)
-  in
-  let keep, drop = split s.capacity s.lru in
-  List.iter (fun k -> Store.remove_blob store (blob_prefix ^ k)) drop;
-  s.lru <- keep;
-  save_index store s
-
-let forget store s key =
-  Store.remove_blob store (blob_prefix ^ key);
-  s.lru <- List.filter (fun k -> k <> key) s.lru;
-  save_index store s
-
-let purge vm =
-  let store = vm.Rt.store in
-  let s = state_of vm in
-  List.iter
-    (fun k -> if String.length k >= String.length blob_prefix
-              && String.sub k 0 (String.length blob_prefix) = blob_prefix
-              then Store.remove_blob store k)
-    (Store.blob_keys store);
-  Store.remove_blob store index_blob;
-  s.lru <- [];
-  Hashtbl.reset s.digests
-
-(* -- the cached compile --------------------------------------------------- *)
-
-let cached vm sources ~compile =
-  let s = state_of vm in
-  if not s.enabled then compile ()
-  else begin
-    let store = vm.Rt.store in
-    let obs = Store.obs store in
-    match key_of s vm sources with
-    | exception _ -> compile () (* unhashable input: report errors cold *)
-    | key -> begin
-      match Store.blob store (blob_prefix ^ key) with
-      | Some data -> begin
-        match Classfile.decode_batch data with
-        | cfs ->
-          s.hits <- s.hits + 1;
-          Obs.incr obs Obs.Cache_hit;
-          touch s key;
-          Linker.load_or_redefine_batch vm cfs
-        | exception _ ->
-          (* a corrupt entry is just a miss; drop it and recompile *)
-          forget store s key;
-          s.misses <- s.misses + 1;
-          Obs.incr obs Obs.Cache_miss;
-          let rcs = compile () in
-          insert store s key
-            (Classfile.encode_batch (List.map (fun rc -> rc.Rt.rc_classfile) rcs));
-          rcs
-      end
-      | None ->
-        s.misses <- s.misses + 1;
-        Obs.incr obs Obs.Cache_miss;
-        let rcs = compile () in
-        insert store s key
-          (Classfile.encode_batch (List.map (fun rc -> rc.Rt.rc_classfile) rcs));
-        rcs
-    end
-  end
+let stats _ = { hits = 0; misses = 0 }
+let cached _ _ ~compile = compile ()

@@ -1,50 +1,11 @@
-(** The persistent compiled-class cache.
+(** Vestigial pass-through, kept only because the frozen benchmark
+    (bench/hpbench/w_compile.ml) names it; ROADMAP item 5 deletes it.
+    Nothing in the library, the CLI or the tests calls it. *)
 
-    Keys the result of a dynamic compile (the encoded class-file batch)
-    by a content hash of the sources plus a fingerprint of the visible
-    class environment, and stores it in the store's blob table
-    ([hyper.ccache:<hex>]), so cached compiles survive stabilise and
-    reopen.  The environment fingerprint excludes the classes the sources
-    themselves define (they are outputs, not inputs), and any schema
-    change to a visible class changes its class file and therefore the
-    key — stale entries can never hit.  [Evolution] also calls {!purge}
-    after a successful evolve.
+type stats = { hits : int; misses : int }
 
-    A hit decodes the batch and relinks it through
-    [Linker.load_or_redefine_batch]; a miss (or any failure computing the
-    key or decoding an entry) falls through to the real compiler, so a
-    cached system is observably identical to a cold one. *)
+val stats : Minijava.Rt.t -> stats
+(** Always zero: there is no compile cache. *)
 
-open Minijava
-
-val blob_prefix : string
-(** ["hyper.ccache:"] — every cache blob key starts with this (the
-    resident-key index, {!index_blob}, shares the prefix). *)
-
-val index_blob : string
-
-val default_capacity : int
-(** Resident entries retained per store (LRU beyond that). *)
-
-type stats = {
-  hits : int;
-  misses : int;
-  entries : int;  (** resident cache entries *)
-  capacity : int;
-}
-
-val enabled : Rt.t -> bool
-(** Per-store switch, on by default.  State lives in [Store.props], so a
-    cached and a cold store can coexist in one process. *)
-
-val set_enabled : Rt.t -> bool -> unit
-
-val stats : Rt.t -> stats
-
-val purge : Rt.t -> unit
-(** Drop every cache blob and the index (schema-evolution hook). *)
-
-val cached : Rt.t -> string list -> compile:(unit -> Rt.rclass list) -> Rt.rclass list
-(** [cached vm sources ~compile] answers from the cache when possible,
-    otherwise runs [compile] and remembers its result.  Bumps the store's
-    [Obs.Cache_hit] / [Obs.Cache_miss] counters. *)
+val cached : Minijava.Rt.t -> string list -> compile:(unit -> 'a) -> 'a
+(** [cached vm sources ~compile] is [compile ()]. *)

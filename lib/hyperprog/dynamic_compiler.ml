@@ -149,20 +149,17 @@ and compile_with_mode ?(mode = Auto) vm sources =
     | Forked -> "forked"
     | Auto -> "auto"
   in
-  (* The compile cache sits outside the [Compile] span: a hit is a relink,
-     not a compile, and is counted as [Cache_hit] instead. *)
-  Compile_cache.cached vm sources ~compile:(fun () ->
-      Obs.span (Store.obs Rt.(vm.store)) Obs.Compile ~label:mode_label (fun () ->
-          match mode with
-          | Direct -> compile_direct vm sources
-          | Forked -> compile_forked vm sources
-          | Auto -> begin
-            (* Figure 9: try the direct invocation, ignore errors, fall back to
-               forking.  Compile errors in the source itself are not caught —
-               only failures of the invocation mechanism are. *)
-            try compile_direct vm sources with
-            | Failure _ -> compile_forked vm sources
-          end))
+  Obs.span (Store.obs Rt.(vm.store)) Obs.Compile ~label:mode_label (fun () ->
+      match mode with
+      | Direct -> compile_direct vm sources
+      | Forked -> compile_forked vm sources
+      | Auto -> begin
+        (* Figure 9: try the direct invocation, ignore errors, fall back to
+           forking.  Compile errors in the source itself are not caught —
+           only failures of the invocation mechanism are. *)
+        try compile_direct vm sources with
+        | Failure _ -> compile_forked vm sources
+      end)
 
 (* Compile plain source strings.  [names] documents the expected class
    names (as in Figure 9's compileClasses(String[], String[])); mismatches

@@ -83,10 +83,6 @@ let evolve ?converter ?mode vm ~class_name ~new_source () =
   let affected = class_name :: loaded_subclasses vm class_name in
   let old_version_blob = archive_old_version vm class_name old_rc.Rt.rc_classfile in
   let instances = count_instances vm affected in
-  (* Schema change: results compiled against the old shape of [class_name]
-     must never be replayed (the key fingerprint already prevents hits,
-     but purging also stops dead generations from accumulating). *)
-  Compile_cache.purge vm;
   (* The dynamic compiler redefines the class; the linker migrates the
      instances (see Linker.load_or_redefine_batch). *)
   ignore (Dynamic_compiler.compile_strings ?mode vm ~names:[ class_name ] [ new_source ]);

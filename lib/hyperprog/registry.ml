@@ -360,7 +360,10 @@ type prune_stats = {
    and drop hyper.origin blobs that name a collected program.  The
    emptied weak cells themselves become garbage for the next GC pass.
    Quarantined programs are NOT pruned: they are live-but-corrupt, and
-   their registry entry is what lets repair tools find them. *)
+   their registry entry is what lets repair tools find them.  Stores
+   written before the compile cache was removed also carry its
+   [hyper.ccache:*] entries and [hyper.ccache.index]; nothing reads
+   them, so they go too. *)
 let prune vm =
   clear_memo vm;
   let store = Rt.(vm.store) in
@@ -390,7 +393,9 @@ let prune vm =
   let removed = ref 0 in
   List.iter
     (fun key ->
-      if String.starts_with ~prefix:origin_prefix key then begin
+      if String.starts_with ~prefix:"hyper.ccache:" key || key = "hyper.ccache.index" then
+        Store.remove_blob store key
+      else if String.starts_with ~prefix:origin_prefix key then begin
         let dead =
           match Option.bind (Store.blob store key) int_of_string_opt with
           | None -> true

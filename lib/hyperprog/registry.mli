@@ -94,4 +94,5 @@ type prune_stats = {
 
 val prune : Rt.t -> prune_stats
 (** Null out weak slots whose program was collected and drop origin
-    blobs naming collected programs.  Quarantined programs are kept. *)
+    blobs naming collected programs.  Quarantined programs are kept.
+    Also drops the compile-cache blobs older stores carry (not counted). *)

@@ -41,7 +41,7 @@ let help_text =
   health                   store health: shard states, scrub progress, quarantine, retries
   repair [N|all]           repair a degraded/offline shard (default: every unhealthy one)
   stats                    operation counters (and latencies while tracing is on)
-  cache [on|off]           compile-cache and getLink-memo statistics / toggle both
+  cache [on|off]           getLink-memo statistics / toggle the memo
   trace on|off|dump        toggle span tracing / dump the in-memory trace ring
   log                      show the session event log
   help | quit
@@ -463,21 +463,14 @@ let run_session ~input ~echo store session =
     | "cache" :: rest -> begin
       match rest with
       | [] ->
-        let cc = Compile_cache.stats vm in
         let lm = Registry.memo_stats vm in
-        say "compile cache (%s): %d hits, %d misses, %d/%d entries resident\n"
-          (if Compile_cache.enabled vm then "on" else "off")
-          cc.Compile_cache.hits cc.Compile_cache.misses cc.Compile_cache.entries
-          cc.Compile_cache.capacity;
-        say "getLink memo   (%s): %d hits, %d misses, %d/%d entries\n"
+        say "getLink memo (%s): %d hits, %d misses, %d/%d entries\n"
           (if Registry.memo_enabled vm then "on" else "off")
           lm.Registry.hits lm.Registry.misses lm.Registry.entries lm.Registry.capacity
       | "on" :: _ ->
-        Compile_cache.set_enabled vm true;
         Registry.set_memo_enabled vm true;
         say "caches on\n"
       | "off" :: _ ->
-        Compile_cache.set_enabled vm false;
         Registry.set_memo_enabled vm false;
         say "caches off\n"
       | _ -> say "usage: cache [on|off]\n"

@@ -1,19 +1,18 @@
-(* The differential suite locking in cache transparency.
+(* The differential suite locking in getLink-memo and group-commit
+   transparency.
 
    Two complete hyper-programming systems execute the same seeded,
    randomized interleaving of compile / evolve / getLink / go /
    quarantine / gc+prune / stabilise / reopen operations:
 
-   - CACHED: compile cache on, getLink memo on, journal group commit on
-     (window 4) — every optimisation this PR adds;
-   - COLD: every cache off, group window 1 — the pre-cache system.
+   - CACHED: getLink memo on, journal group commit on (window 4);
+   - COLD: memo off, group window 1.
 
    Every operation's observable result is rendered to a string, and the
    two observation logs must be byte-identical — including BrokenLink
    placeholders and quarantine degradation, which is exactly where a
-   stale cache would first diverge.  At the end (and again after a final
-   reopen) the two stores' persistent fingerprints must match, modulo
-   the [hyper.ccache:*] blobs that only the cached store carries. *)
+   stale memo would first diverge.  At the end (and again after a final
+   reopen) the two stores' full persistent fingerprints must match. *)
 
 open Pstore
 open Minijava
@@ -83,9 +82,7 @@ let config_for ~cached =
     Store.Config.group_window = (if cached then 4 else 1);
   }
 
-let apply_caching sys =
-  Compile_cache.set_enabled sys.vm sys.cached;
-  Registry.set_memo_enabled sys.vm sys.cached
+let apply_caching sys = Registry.set_memo_enabled sys.vm sys.cached
 
 let make_sys ~cached path =
   let config = { (config_for ~cached) with Store.Config.backing = Some path } in
@@ -187,11 +184,9 @@ let run_op sys op =
     reopen sys;
     Printf.sprintf "reopen -> %d objects" (Store.size sys.store)
 
-let is_ccache_blob key = String.starts_with ~prefix:"hyper.ccache" key
-
 let final_fingerprint sys =
   Store.stabilise sys.store;
-  fingerprint_filtered ~drop:is_ccache_blob sys.store
+  fingerprint sys.store
 
 (* -- the differential driver ---------------------------------------------- *)
 
@@ -217,24 +212,19 @@ let run_seed seed =
           reopen cold;
           check_output
             (Printf.sprintf "seed %d: state still matches after reopen" seed)
-            (final_fingerprint cold) (final_fingerprint cached);
-          let s = Compile_cache.stats cached.vm in
-          ignore s))
+            (final_fingerprint cold) (final_fingerprint cached)))
 
 let differential seed () = run_seed seed
 
 let caches_actually_hit () =
   (* sanity for the whole exercise: a cached system running a realistic
-     sequence must actually hit, or the differential proves nothing *)
+     sequence must actually hit the memo, or the differential proves nothing *)
   with_store_file (fun path ->
       let sys = make_sys ~cached:true path in
       List.iter
         (fun op -> ignore (run_op sys op))
         [ Compile_hp; Compile_hp; Get_link (0, 0); Get_link (0, 0); Go; Go ];
-      let cc = Compile_cache.stats sys.vm in
-      let lm = Registry.memo_stats sys.vm in
-      check_bool "compile cache hit" true (cc.Compile_cache.hits > 0);
-      check_bool "getLink memo hit" true (lm.Registry.hits > 0))
+      check_bool "getLink memo hit" true ((Registry.memo_stats sys.vm).Registry.hits > 0))
 
 let suite =
   [

@@ -1,7 +1,7 @@
-(* Unit tests for the two hot-path caches: the persistent compile cache
-   (hits, persistence across reopen, evolution purge, corruption
-   fallback, LRU eviction) and the registry's getLink memo (hits,
-   explicit flushes, epoch invalidation, boundedness). *)
+(* Unit tests for the registry's getLink memo (hits, explicit flushes,
+   epoch invalidation, boundedness and the off switch), and for the
+   uncached compile path in front of it: every compile runs the
+   compiler, stores nothing of its own and sees the current schema. *)
 
 open Pstore
 open Minijava
@@ -10,130 +10,84 @@ open Cache_util
 
 let password = Registry.built_in_password
 
+(* -- the compile path ----------------------------------------------------- *)
+
 let source_v n body =
   Printf.sprintf "public class K%d { public static int v() { return %s; } }" n body
 
-(* -- compile cache -------------------------------------------------------- *)
+let compile_cache_blobs store =
+  List.filter (String.starts_with ~prefix:"hyper.ccache") (Store.blob_keys store)
 
-let second_compile_hits () =
+let repeated_compile_runs_compiler () =
   let store, vm = fresh_hyper_vm () in
+  let obs = Store.obs store in
   let src = source_v 0 "41" in
-  let rcs1 = Dynamic_compiler.compile_strings vm ~names:[ "K0" ] [ src ] in
-  let compiles_before = Obs.count (Store.obs store) Obs.Compile in
-  let rcs2 = Dynamic_compiler.compile_strings vm ~names:[ "K0" ] [ src ] in
-  let s = Compile_cache.stats vm in
-  check_int "one miss" 1 s.Compile_cache.misses;
-  check_int "one hit" 1 s.Compile_cache.hits;
-  check_int "the hit did not invoke the compiler" compiles_before
-    (Obs.count (Store.obs store) Obs.Compile);
-  check_output "same classes"
-    (String.concat "," (List.map (fun rc -> rc.Rt.rc_name) rcs1))
-    (String.concat "," (List.map (fun rc -> rc.Rt.rc_name) rcs2))
+  for i = 1 to 3 do
+    let rcs = Dynamic_compiler.compile_strings vm ~names:[ "K0" ] [ src ] in
+    check_bool "K0 linked" true (List.exists (fun rc -> rc.Rt.rc_name = "K0") rcs);
+    check_int (Printf.sprintf "compile %d ran the compiler" i) i (Obs.count obs Obs.Compile)
+  done;
+  check_int "no cache lookups counted" 0
+    (Obs.count obs Obs.Cache_hit + Obs.count obs Obs.Cache_miss)
 
-let cache_survives_reopen () =
+let compile_leaves_no_blobs_across_reopen () =
   with_store_file (fun path ->
-      let config =
-        { Store.Config.default with Store.Config.backing = Some path }
-      in
+      let config = { Store.Config.default with Store.Config.backing = Some path } in
       let store = Store.create ~config () in
       let vm = Boot.boot_fresh store in
       Dynamic_compiler.install vm;
       let src = source_v 1 "7" in
       ignore (Dynamic_compiler.compile_strings vm ~names:[ "K1" ] [ src ]);
+      check_int "compiling wrote no compile-cache blobs" 0
+        (List.length (compile_cache_blobs store));
       Store.stabilise store;
       Store.close store;
       let store2 = Store.open_file path in
+      check_int "no compile-cache blobs after reopen" 0
+        (List.length (compile_cache_blobs store2));
       let vm2 = Boot.vm_for store2 in
       Dynamic_compiler.install vm2;
-      let compiles_before = Obs.count (Store.obs store2) Obs.Compile in
+      let before = Obs.count (Store.obs store2) Obs.Compile in
       ignore (Dynamic_compiler.compile_strings vm2 ~names:[ "K1" ] [ src ]);
-      let s = Compile_cache.stats vm2 in
-      check_int "hit from the reopened store's blob" 1 s.Compile_cache.hits;
-      check_int "no compiler invocation after reopen" compiles_before
-        (Obs.count (Store.obs store2) Obs.Compile))
+      check_int "the reopened store compiles afresh" (before + 1)
+        (Obs.count (Store.obs store2) Obs.Compile);
+      check_output "the recompiled class runs" "7"
+        (Pvalue.to_string (Vm.call_static vm2 ~cls:"K1" ~name:"v" ~desc:"()I" []));
+      Store.close store2)
 
-let ccache_blobs store =
-  List.filter
-    (String.starts_with ~prefix:Compile_cache.blob_prefix)
-    (Store.blob_keys store)
-
-let evolution_purges () =
-  let store, vm = fresh_hyper_vm () in
-  let hp, _, _ = marry_example vm in
-  ignore (Dynamic_compiler.compile_hyper_programs vm [ hp ]);
-  check_bool "cache populated" true (ccache_blobs store <> []);
-  let result =
-    Evolution.evolve vm ~class_name:"Person"
-      ~new_source:
-        {|public class Person {
-  private String name;
-  private Person spouse;
-  private int age;
-  public Person(String n) { name = n; }
-  public String getName() { return name; }
-  public Person getSpouse() { return spouse; }
-  public static void marry(Person a, Person b) { a.spouse = b; b.spouse = a; }
-  public String toString() { return "Person(" + name + ")"; }
-}|}
-      ()
+let compile_after_evolution_sees_new_schema () =
+  let _store, vm = fresh_hyper_vm () in
+  ignore (marry_example vm);
+  let uses_age =
+    "public class UsesAge { public static void main(String[] args) {\n\
+    \  System.println(\"age=\" + new Person(\"z\").getAge()); } }"
   in
+  expect_compile_error (fun () ->
+      Dynamic_compiler.compile_strings vm ~names:[ "UsesAge" ] [ uses_age ]);
+  (* the evolved Person gains an [age] field and its getter *)
+  let at = index_of person_source "  public String getName()" in
+  let new_source =
+    String.sub person_source 0 at ^ "  private int age;\n  public int getAge() { return age; }\n"
+    ^ String.sub person_source at (String.length person_source - at)
+  in
+  let result = Evolution.evolve vm ~class_name:"Person" ~new_source () in
   check_output "evolved the right class" "Person" result.Evolution.class_name;
-  (* the evolve's own recompile may repopulate one entry; everything
-     compiled against the old schema must be gone *)
-  check_bool "at most the evolve's own entry survives" true
-    (List.length (ccache_blobs store) <= 1)
+  ignore (Dynamic_compiler.compile_strings vm ~names:[ "UsesAge" ] [ uses_age ]);
+  Dynamic_compiler.run_main vm ~cls:"UsesAge" [];
+  check_output "compiled against the evolved Person" "age=0\n" (Rt.take_output vm)
 
-let corrupt_entry_falls_back () =
+let compile_error_on_every_attempt () =
   let store, vm = fresh_hyper_vm () in
-  let src = source_v 2 "13" in
-  ignore (Dynamic_compiler.compile_strings vm ~names:[ "K2" ] [ src ]);
-  (match ccache_blobs store with
-  | [ key ] -> Store.set_blob store key "garbage, not a classfile batch"
-  | keys -> Alcotest.failf "expected one cache blob, found %d" (List.length keys));
-  let rcs = Dynamic_compiler.compile_strings vm ~names:[ "K2" ] [ src ] in
-  check_bool "fell back to a real compile" true
-    (List.exists (fun rc -> rc.Rt.rc_name = "K2") rcs);
-  let s = Compile_cache.stats vm in
-  check_int "the corrupt entry counted as a miss" 2 s.Compile_cache.misses;
-  (* and the corrupt blob was replaced by a good one *)
-  match ccache_blobs store with
-  | [ key ] ->
-    check_bool "refreshed entry decodes" true
-      (match Classfile.decode_batch (Option.get (Store.blob store key)) with
-      | _ -> true
-      | exception _ -> false)
-  | keys -> Alcotest.failf "expected one cache blob after refresh, found %d" (List.length keys)
-
-let lru_eviction_bounds_residency () =
-  let store, vm = fresh_hyper_vm () in
-  let src0 = source_v 0 "0" in
-  ignore (Dynamic_compiler.compile_strings vm ~names:[ "K0" ] [ src0 ]);
-  let first_key =
-    match ccache_blobs store with
-    | [ k ] -> k
-    | _ -> Alcotest.fail "expected exactly one cache blob"
-  in
-  for i = 1 to Compile_cache.default_capacity do
-    ignore
-      (Dynamic_compiler.compile_strings vm ~names:[] [ source_v (i mod 7) (string_of_int i) ])
+  let obs = Store.obs store in
+  for i = 1 to 2 do
+    expect_compile_error (fun () ->
+        Dynamic_compiler.compile_strings vm ~names:[ "K2" ] [ "public class K2 { int" ]);
+    check_int (Printf.sprintf "attempt %d ran the compiler" i) i (Obs.count obs Obs.Compile)
   done;
-  let s = Compile_cache.stats vm in
-  check_bool "residency bounded by capacity" true
-    (s.Compile_cache.entries <= s.Compile_cache.capacity);
-  check_int "blob count matches the index" s.Compile_cache.entries
-    (List.length (ccache_blobs store));
-  check_bool "the oldest entry was evicted" true (Store.blob store first_key = None)
-
-let disabled_cache_always_compiles () =
-  let store, vm = fresh_hyper_vm () in
-  Compile_cache.set_enabled vm false;
-  let src = source_v 3 "3" in
-  ignore (Dynamic_compiler.compile_strings vm ~names:[ "K3" ] [ src ]);
-  ignore (Dynamic_compiler.compile_strings vm ~names:[ "K3" ] [ src ]);
-  let s = Compile_cache.stats vm in
-  check_int "no hits" 0 s.Compile_cache.hits;
-  check_int "no misses counted either" 0 s.Compile_cache.misses;
-  check_int "no cache blobs written" 0 (List.length (ccache_blobs store))
+  check_bool "no K2 was linked" false (Rt.is_loaded vm "K2");
+  ignore (Dynamic_compiler.compile_strings vm ~names:[ "K2" ] [ source_v 2 "13" ]);
+  check_output "the corrected source compiles and runs" "13"
+    (Pvalue.to_string (Vm.call_static vm ~cls:"K2" ~name:"v" ~desc:"()I" []))
 
 (* -- getLink memo --------------------------------------------------------- *)
 
@@ -215,12 +169,12 @@ let disabled_memo_takes_slow_path () =
 
 let compile_suite =
   [
-    test "a second compile of the same source hits" second_compile_hits;
-    test "the cache survives stabilise and reopen" cache_survives_reopen;
-    test "evolution purges the cache" evolution_purges;
-    test "a corrupt entry falls back to the compiler" corrupt_entry_falls_back;
-    test "LRU eviction bounds residency" lru_eviction_bounds_residency;
-    test "a disabled cache always compiles" disabled_cache_always_compiles;
+    test "a repeated compile runs the compiler each time" repeated_compile_runs_compiler;
+    test "compiles leave no cache blobs across stabilise and reopen"
+      compile_leaves_no_blobs_across_reopen;
+    test "a compile after evolution sees the new schema"
+      compile_after_evolution_sees_new_schema;
+    test "a compile error is reported on every attempt" compile_error_on_every_attempt;
   ]
 
 let memo_suite =

@@ -126,6 +126,25 @@ let evolve_via_cli () =
   expect_ok census;
   expect_stdout_has census "Person"
 
+(* -- gc prunes the registry, legacy compile-cache blobs included -------- *)
+
+let gc_removes_legacy_compile_cache_blobs () =
+  with_store @@ fun ~dir:_ ~store ->
+  let legacy = [ ("hyper.ccache:0123abcd", "stale batch"); ("hyper.ccache.index", "0123abcd") ] in
+  let s = Pstore.Store.open_file store in
+  List.iter (fun (k, v) -> Pstore.Store.set_blob s k v) legacy;
+  Pstore.Store.stabilise s;
+  Pstore.Store.close s;
+  expect_ok (hpjava [ "gc"; store ]);
+  let s = Pstore.Store.open_file store in
+  List.iter
+    (fun (k, _) -> check_bool (k ^ " removed") true (Pstore.Store.blob s k = None))
+    legacy;
+  Pstore.Store.close s;
+  let check = hpjava [ "check"; store ] in
+  expect_ok check;
+  expect_stdout_has check "integrity ok"
+
 (* -- sharded init: persisted shard count, per-shard check breakdown ------- *)
 
 let sharded_init_and_check () =
@@ -206,4 +225,5 @@ let suite =
     test "sharded init persists and check prints per-shard lines" sharded_init_and_check;
     test "offline shard: maintenance mode, repair all, healthy check"
       offline_shard_maintenance_and_repair;
+    test "gc removes legacy compile-cache blobs" gc_removes_legacy_compile_cache_blobs;
   ]

@@ -43,12 +43,10 @@ let trace_toggles_and_dumps () =
 
 let cache_toggles_and_reports () =
   let r = shell "cache\ncache off\ncache\ncache on\ncache\nquit\n" in
-  expect_stdout_has r "compile cache (on)";
-  expect_stdout_has r "getLink memo";
+  expect_stdout_has r "getLink memo (on)";
   expect_stdout_has r "caches off";
-  expect_stdout_has r "compile cache (off)";
-  expect_stdout_has r "caches on";
-  expect_stdout_has r "entries resident"
+  expect_stdout_has r "getLink memo (off)";
+  expect_stdout_has r "caches on"
 
 let gc_reports_sweep_counts () =
   let r = shell "gc\nquit\n" in
@@ -81,7 +79,7 @@ let suite =
     test "health reports quarantine set and retry counters" health_reports_quarantine_and_retries;
     test "stats reports operation counters" stats_reports_operation_counters;
     test "trace on|off|dump toggles and dumps the span ring" trace_toggles_and_dumps;
-    test "cache on|off toggles both caches and reports stats" cache_toggles_and_reports;
+    test "cache on|off toggles the getLink memo and reports stats" cache_toggles_and_reports;
     test "gc reports live/swept counts" gc_reports_sweep_counts;
     test "maintenance sequence leaves a healthy store" maintenance_sequence_keeps_store_healthy;
     test "unknown command is reported" unknown_command_is_reported;

@@ -133,16 +133,6 @@ let transient = function
    with equal fingerprints agree on all reachable state and oid identity. *)
 let fingerprint store = Image.encode (Store.contents store)
 
-(* As {!fingerprint}, but blind to blob keys matching [drop] — used by the
-   differential cache suite, where the compile cache's [hyper.ccache:*]
-   blobs are the one legitimate divergence between a cached and a cold
-   store. *)
-let fingerprint_filtered ~drop store =
-  let c = Store.contents store in
-  let blobs = Hashtbl.create 16 in
-  Hashtbl.iter (fun k v -> if not (drop k) then Hashtbl.replace blobs k v) c.Image.blobs;
-  Image.encode { c with Image.blobs }
-
 (* -- scrubbing ------------------------------------------------------------ *)
 
 (* Drive the scrubber until it reports a completed pass, collecting every

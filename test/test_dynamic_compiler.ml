@@ -146,6 +146,20 @@ let recompilation_replaces_class () =
   ignore (Dynamic_compiler.go vm hp2 ~argv:[]);
   check_output "v2 replaced v1" "v2\n" (Rt.take_output vm)
 
+let go_reruns_static_initialisers_in mode () =
+  (* Each Go relinks the principal class, so its statics start afresh
+     even when the program is unchanged. *)
+  let _store, vm = fresh_hyper_vm () in
+  let text =
+    "public class Counter {\n  static int n;\n\
+    \  public static void main(String[] args) { n = n + 1; System.println(\"n=\" + n); }\n}\n"
+  in
+  let hp = Storage_form.create vm ~class_name:"Counter" ~text ~links:[] in
+  for press = 1 to 3 do
+    ignore (Dynamic_compiler.go ~mode vm hp ~argv:[]);
+    check_output (Printf.sprintf "press %d" press) "n=1\n" (Rt.take_output vm)
+  done
+
 let suite =
   [
     test "direct compilation runs MarryExample" (run_marry Dynamic_compiler.Direct);
@@ -160,6 +174,10 @@ let suite =
     test "compileClass(HyperProgram) from MiniJava" java_level_compile_hyper_program;
     test "forked universe is isolated" forked_universe_is_isolated;
     test "recompilation replaces the class" recompilation_replaces_class;
+    test "every Go re-runs the static initialisers"
+      (go_reruns_static_initialisers_in Dynamic_compiler.Direct);
+    test "every forked Go re-runs the static initialisers"
+      (go_reruns_static_initialisers_in Dynamic_compiler.Forked);
   ]
 
 let props = []

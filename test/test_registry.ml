@@ -119,6 +119,56 @@ let registry_persists () =
         (Registry.get_link vm2 ~password:Registry.built_in_password ~hp:uid ~link:0
         <> Pvalue.Null))
 
+let prune_drops_legacy_compile_cache_blobs () =
+  (* Stores written while a persistent compile cache existed carry its
+     entries and index; gc + prune must clear them, and the store must
+     still reopen and run a Go. *)
+  with_store_file (fun path ->
+      let config = { Store.Config.default with Store.Config.backing = Some path } in
+      let store = Store.create ~config () in
+      let vm = Boot.boot_fresh store in
+      Dynamic_compiler.install vm;
+      let legacy = [ ("hyper.ccache:0123abcd", "stale batch"); ("hyper.ccache.index", "0123abcd") ] in
+      List.iter (fun (k, v) -> Store.set_blob store k v) legacy;
+      Store.stabilise store;
+      ignore (Store.gc store);
+      ignore (Registry.prune vm);
+      Store.stabilise store;
+      Store.close store;
+      let store = Store.open_file path in
+      List.iter (fun (k, _) -> check_bool (k ^ " removed") true (Store.blob store k = None)) legacy;
+      let vm = Boot.vm_for store in
+      Dynamic_compiler.install vm;
+      let text = "public class G { public static void main(String[] args) { System.println(\"go\"); } }" in
+      let hp = Storage_form.create vm ~class_name:"G" ~text ~links:[] in
+      check_output "Go ran the principal" "G" (Dynamic_compiler.go vm hp ~argv:[]);
+      check_output "its output" "go\n" (Rt.take_output vm);
+      Store.close store)
+
+let prune_keeps_live_origins_and_other_blobs () =
+  (* The legacy cleanup matches the compile cache's own keys only: a
+     live program's origin record and unrelated blobs survive prune. *)
+  let store, vm = fresh_hyper_vm () in
+  let text = "public class Kept { public static void main(String[] args) { } }" in
+  let hp = Storage_form.create vm ~class_name:"Kept" ~text ~links:[] in
+  Store.set_root store "kept" (Pvalue.Ref hp);
+  ignore (Dynamic_compiler.go vm hp ~argv:[]);
+  let uid = Dynamic_compiler.origin_uid_of_class vm "Kept" in
+  check_bool "Go recorded an origin" true (uid <> None);
+  let others = [ ("user.notes", "keep me"); ("hyper.ccache-notes", "not the cache's") ] in
+  List.iter (fun (k, v) -> Store.set_blob store k v) others;
+  Store.set_blob store "hyper.ccache:feed" "stale batch";
+  ignore (Store.gc store);
+  let stats = Registry.prune vm in
+  check_int "no live slot cleared" 0 stats.Registry.cleared_slots;
+  check_int "no live origin removed" 0 stats.Registry.removed_origins;
+  check_bool "the origin record stays" true
+    (Dynamic_compiler.origin_uid_of_class vm "Kept" = uid);
+  List.iter
+    (fun (k, v) -> check_bool (k ^ " stays") true (Store.blob store k = Some v))
+    others;
+  check_bool "the legacy entry goes" true (Store.blob store "hyper.ccache:feed" = None)
+
 let suite =
   [
     test "passwords are checked" passwords_checked;
@@ -129,6 +179,8 @@ let suite =
     test "links keep entities reachable" linked_entities_stay_reachable;
     test "registry grows beyond initial capacity" registry_grows;
     test "registry persists across sessions" registry_persists;
+    test "prune drops legacy compile-cache blobs" prune_drops_legacy_compile_cache_blobs;
+    test "prune keeps live origins and other blobs" prune_keeps_live_origins_and_other_blobs;
   ]
 
 let props = []
