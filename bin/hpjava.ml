@@ -92,7 +92,7 @@ let compile_cmd =
     let source = really_input_string ic (in_channel_length ic) in
     close_in ic;
     (try
-       let rcs = Jcompiler.compile_and_load ~redefine:true vm [ source ] in
+       let rcs = Dynamic_compiler.compile_strings ~mode:Direct vm ~names:[] [ source ] in
        List.iter (fun rc -> Printf.printf "compiled %s\n" rc.Rt.rc_name) rcs;
        Store.stabilise store
      with Jcompiler.Compile_error e ->

@@ -177,7 +177,9 @@ let append t ops =
       | None -> ())
     ops
 
-(* Group commit: the whole delta as ONE framed record.  The frame's CRC
+(* A stabilise's whole delta as ONE framed record (the batch record;
+   [Obs.Group_commit] counts them).  It makes a stabilise atomic; the
+   caller fsyncs it before the stabilise returns.  The frame's CRC
    covers every op, so a crash mid-write tears the batch atomically —
    replay recovers the pre-batch state, never a prefix.  A single op
    keeps the plain framing (byte-compatible with pre-batch journals)
@@ -201,8 +203,8 @@ let sync t = Faults.fsync_channel t.oc
 
 let depth t = t.count
 
-(* [pos_out] counts buffered bytes, so a savepoint costs no write: a
-   batch the group window deferred stays in the buffer until its sync. *)
+(* [pos_out] counts buffered bytes, so a savepoint costs no write: the
+   batch being appended stays in the buffer until its sync. *)
 let position t = pos_out t.oc
 
 let truncate_to t ~pos ~depth =
@@ -214,7 +216,7 @@ let truncate_to t ~pos ~depth =
 let close t = close_out_noerr t.oc
 
 (* Simulate a process crash: close the descriptor without flushing, so
-   buffered-but-unsynced bytes are lost exactly as they would be. *)
+   buffered bytes are lost exactly as they would be. *)
 let crash t = try Unix.close (Unix.descr_of_out_channel t.oc) with _ -> ()
 
 (* -- recovery ------------------------------------------------------------ *)

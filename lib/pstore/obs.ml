@@ -140,7 +140,7 @@ let hist_capacity = 512
 type t = {
   counters : int Atomic.t array;
   hists : hist array;
-  mutable ring : event array;  (* dummy-filled; [ring_len] entries valid *)
+  ring : event array;  (* dummy-filled; [ring_len] entries valid *)
   mutable ring_len : int;
   mutable ring_next : int;
   mutable seq : int;
@@ -171,14 +171,6 @@ let create ?(ring_capacity = default_ring_capacity) () =
 
 let enabled t = t.tracing
 let set_enabled t on = t.tracing <- on
-
-let ring_capacity t = Array.length t.ring
-
-let set_ring_capacity t n =
-  if n < 0 then invalid_arg "Obs.set_ring_capacity: negative";
-  t.ring <- Array.make n dummy_event;
-  t.ring_len <- 0;
-  t.ring_next <- 0
 
 (* -- recording ------------------------------------------------------------ *)
 

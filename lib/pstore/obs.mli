@@ -83,17 +83,13 @@ val default_ring_capacity : int
 (** 256 events. *)
 
 val create : ?ring_capacity:int -> unit -> t
+(** [ring_capacity] (default {!default_ring_capacity}) bounds the trace
+    ring; [0] disables event capture while keeping latency histograms. *)
 
 (** {1 Tracing switch} *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
-
-val ring_capacity : t -> int
-
-val set_ring_capacity : t -> int -> unit
-(** Resize (and clear) the trace ring.  [0] disables event capture while
-    keeping latency histograms. *)
 
 (** {1 Recording} *)
 
@@ -126,7 +122,7 @@ val latency : t -> op -> latency option
 (** [None] until at least one span of this class was timed. *)
 
 val events : t -> event list
-(** Ring contents, oldest first (at most {!ring_capacity}). *)
+(** Ring contents, oldest first (at most the ring's capacity). *)
 
 val clear_events : t -> unit
 
@@ -134,7 +130,7 @@ val clear_events : t -> unit
 
 val reset : t -> unit
 (** Zero counters and histograms, clear the ring, forget any snapshot.
-    The tracing switch and ring capacity are kept. *)
+    The tracing switch is kept. *)
 
 val flush : t -> unit
 (** Seal a final counter {!snapshot}, clear the ring, and stop tracing:

@@ -74,7 +74,7 @@ type shard = {
   mutable spending : Journal.op list; (* newest first *)
   mutable spending_count : int;
   mutable sepoch : int; (* current on-disk image epoch of this shard *)
-  mutable sdirty : bool; (* journal has appended-but-unsynced bytes *)
+  mutable sdirty : bool; (* journal has appended bytes not yet fsynced *)
   mutable sneeds_full : bool; (* this shard's journal can't express its state *)
   mutable sremembered : Oid.Set.t; (* live oids here referenced from other shards *)
 }
@@ -94,7 +94,6 @@ type t = {
   mutable side_epoch : int; (* bumped on events that invalidate side caches *)
   mutable retry : Retry.policy option; (* transient-I/O retry, opt-in *)
   mutable breaker : int; (* consecutive exhausted failures before demotion; 0 = off *)
-  mutable salvage_degrade : int; (* salvaged entries per shard load that demote; 0 = off *)
   mutable unhealthy : int; (* shards currently not Healthy (hot-path gate) *)
   mutable io_retries : int;
   mutable backing : string option;
@@ -104,8 +103,6 @@ type t = {
   mutable needs_full : bool; (* journal can't express state since last image *)
   mutable compaction_limit : int;
   mutable scrub_next : int; (* first shard to get a share of a scrub budget's remainder *)
-  mutable group_window : int; (* stabilises per fsync; 1 = every stabilise *)
-  mutable unsynced : int; (* group-committed batches not yet fsynced *)
   mutable compactions : int;
   mutable replayed : int;
   mutable recovered_torn : bool;
@@ -160,7 +157,10 @@ type store = t
 let default_compaction_limit = 4096
 let max_shards = 64
 let default_breaker = 3
-let default_salvage_degrade = 8
+
+(* A shard whose image load had to salvage this many entries opens
+   degraded (given a neighbour, see [open_file]). *)
+let salvage_heavy = 8
 
 module Config = struct
   type nonrec t = {
@@ -169,10 +169,7 @@ module Config = struct
     group_window : int;
     retry : Retry.policy option;
     breaker : int;
-    salvage_degrade : int;
     backing : string option;
-    trace_ring : int;
-    tracing : bool;
     shards : int;
   }
 
@@ -183,10 +180,7 @@ module Config = struct
       group_window = 1;
       retry = None;
       breaker = default_breaker;
-      salvage_degrade = default_salvage_degrade;
       backing = None;
-      trace_ring = Obs.default_ring_capacity;
-      tracing = false;
       shards = 1;
     }
 end
@@ -238,7 +232,6 @@ let make ?(obs = Obs.create ()) nshards =
       side_epoch = 0;
       retry = None;
       breaker = default_breaker;
-      salvage_degrade = default_salvage_degrade;
       unhealthy = 0;
       io_retries = 0;
       backing = None;
@@ -248,8 +241,6 @@ let make ?(obs = Obs.create ()) nshards =
       needs_full = true;
       compaction_limit = default_compaction_limit;
       scrub_next = 0;
-      group_window = 1;
-      unsynced = 0;
       compactions = 0;
       replayed = 0;
       recovered_torn = false;
@@ -319,18 +310,6 @@ let invalidation_epoch store = store.side_epoch
 let bump_epoch store = store.side_epoch <- store.side_epoch + 1
 
 let backing store = store.backing
-
-let group_window store = store.group_window
-
-(* Group commit: with window n > 1, stabilise coalesces each
-   delta into one batch record (per dirty shard) and fsyncs only every
-   n-th stabilise (and at compaction and close).  A crash can lose up to
-   n-1 recent batches, but each lost batch vanishes whole — never a
-   prefix of a delta, and on a sharded store never one shard's half of
-   a stabilise (the commit marker gates replay). *)
-let set_group_window store n =
-  if n < 1 then invalid_arg "Store.set_group_window: window must be >= 1";
-  store.group_window <- n
 
 (* One policy governs every I/O class ([None] = fail fast, the
    crash-injection tests' contract). *)
@@ -506,10 +485,9 @@ let shard_io store sh cls ?(undo = fun () -> ()) f =
 let check_config ctx (c : Config.t) =
   let bad what = invalid_arg (Printf.sprintf "Store.%s: %s" ctx what) in
   if c.Config.compaction_limit < 0 then bad "negative compaction limit";
-  if c.Config.group_window < 1 then bad "group window must be >= 1";
-  if c.Config.breaker < 0 then bad "negative breaker threshold";
-  if c.Config.salvage_degrade < 0 then bad "negative salvage_degrade threshold";
-  if c.Config.trace_ring < 0 then bad "negative trace ring capacity"
+  if c.Config.group_window <> 1 then
+    bad "group commit was removed: every stabilise fsyncs, so group_window must be 1";
+  if c.Config.breaker < 0 then bad "negative breaker threshold"
 
 let configure store (c : Config.t) =
   if c.Config.shards <> nshards store then
@@ -520,29 +498,20 @@ let configure store (c : Config.t) =
          (nshards store) c.Config.shards);
   check_config "configure" c;
   store.compaction_limit <- c.Config.compaction_limit;
-  store.group_window <- c.Config.group_window;
   store.retry <- c.Config.retry;
   store.breaker <- c.Config.breaker;
-  store.salvage_degrade <- c.Config.salvage_degrade;
   (* [backing = None] leaves the current backing alone: store identity is
      not a tunable, and [open_file ?config] must not clear the path it
      just opened. *)
-  (match c.Config.backing with Some p -> store.backing <- Some p | None -> ());
-  if Obs.ring_capacity store.obs <> c.Config.trace_ring then
-    Obs.set_ring_capacity store.obs c.Config.trace_ring;
-  Obs.set_enabled store.obs c.Config.tracing
+  match c.Config.backing with Some p -> store.backing <- Some p | None -> ()
 
 let config store : Config.t =
   {
-    Config.durability = Journalled;
+    Config.default with
     compaction_limit = store.compaction_limit;
-    group_window = store.group_window;
     retry = store.retry;
     breaker = store.breaker;
-    salvage_degrade = store.salvage_degrade;
     backing = store.backing;
-    trace_ring = Obs.ring_capacity store.obs;
-    tracing = Obs.enabled store.obs;
     shards = nshards store;
   }
 
@@ -1236,11 +1205,10 @@ let sync_dirty_shards store =
    stabilise: every batch is stamped with it, and it is committed by
    appending it to the marker only after every dirty journal is fsynced.
    A lone journal needs no marker, so its batches carry no number.
-   [force_sync] bypasses the group window (compaction uses it: the delta
-   must be durable before images start moving).  On failure the whole
+   Every append is fsynced before it returns.  On failure the whole
    stabilise rolls back (see below), and [sneeds_full] routes the retry
    through compaction. *)
-let append_delta ~force_sync store =
+let append_delta store =
   let marker = store.marker in
   (* A demoted shard takes no part: its pending ops stay buffered (they
      describe heap state that [repair]'s rewrite will persist) and its
@@ -1276,27 +1244,23 @@ let append_delta ~force_sync store =
                   Journal.append_batch ?seq:stamp w (List.rev sh.spending);
                   sh.sdirty <- true)))
       store.shards;
-    if force_sync || store.unsynced + 1 >= store.group_window then begin
-      sync_dirty_shards store;
-      (match (marker, msave) with
-      | Some marker, Some pos when seq' > store.committed ->
-        let commit () =
-          Manifest.Marker.append marker seq';
-          Manifest.Marker.sync marker
-        in
-        (match store.retry with
-        | None -> commit ()
-        | Some policy ->
-          Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name Retry.Marker)
-            ~on_retry:(fun _ _ ->
-              store.io_retries <- store.io_retries + 1;
-              try Manifest.Marker.truncate_to marker ~pos with _ -> ())
-            commit);
-        store.committed <- seq'
-      | _ -> ());
-      store.unsynced <- 0
-    end
-    else store.unsynced <- store.unsynced + 1
+    sync_dirty_shards store;
+    match (marker, msave) with
+    | Some marker, Some pos when seq' > store.committed ->
+      let commit () =
+        Manifest.Marker.append marker seq';
+        Manifest.Marker.sync marker
+      in
+      (match store.retry with
+      | None -> commit ()
+      | Some policy ->
+        Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name Retry.Marker)
+          ~on_retry:(fun _ _ ->
+            store.io_retries <- store.io_retries + 1;
+            try Manifest.Marker.truncate_to marker ~pos with _ -> ())
+          commit);
+      store.committed <- seq'
+    | _ -> ()
   with
   | () ->
     store.seq <- seq';
@@ -1339,7 +1303,7 @@ let compact store path ~selected =
   Obs.span store.obs Obs.Compaction (fun () ->
       let n = nshards store in
       let full = Array.for_all Fun.id selected in
-      if not full then append_delta ~force_sync:true store;
+      if not full then append_delta store;
       let c = contents store in
       let new_wals = Array.make n None in
       let created_marker = ref None in
@@ -1351,14 +1315,11 @@ let compact store path ~selected =
               let wal' = wal_file store path k e' in
               if String.equal wal' (wal_file store path k sh.sepoch) then begin
                 (* The new journal takes the old one's name (the flat
-                   names), so the old handle goes first — after the
-                   batches the group window deferred land.  A crash
+                   names), so the old handle goes first.  A crash
                    before the new header lands leaves a journal naming
                    the old image's checksum, which recovery discards. *)
                 (match sh.swal with
-                | Some w ->
-                  if store.unsynced > 0 then (try Journal.sync w with _ -> ());
-                  Journal.close w
+                | Some w -> Journal.close w
                 | None -> ());
                 sh.swal <- None;
                 sh.sdirty <- false
@@ -1429,7 +1390,6 @@ let compact store path ~selected =
             end)
           store.shards;
         store.needs_full <- false;
-        store.unsynced <- 0;
         store.compactions <- store.compactions + 1;
         Manifest.cleanup_stale path (manifest_of store ~marker_epoch:marker_epoch')
       | exception e ->
@@ -1491,7 +1451,7 @@ let stabilise_once store path =
        limit (or owing a quarantine-change image) pay the rewrite — the
        hot shard compacts while cold shards keep their journals. *)
     compact store path ~selected:(Array.map want store.shards)
-  else append_delta ~force_sync:false store
+  else append_delta store
 
 let stabilise ?path store =
   let path =
@@ -1620,8 +1580,8 @@ let replay_journal store sh wpath (jr : Journal.replay) ~committed =
 
    Shard faults are contained at open, given a neighbour to keep
    serving: an unreadable image takes ONLY that shard offline (its slice
-   of the heap stays empty until [repair]); a salvage-heavy load — more
-   than [salvage_degrade] quarantined entries — opens the shard
+   of the heap stays empty until [repair]); a salvage-heavy load — at
+   least [salvage_heavy] quarantined entries — opens the shard
    degraded.  The rest of the store loads and serves normally.  Without
    a neighbour an unreadable image fails the open. *)
 let open_file ?config path =
@@ -1632,14 +1592,13 @@ let open_file ?config path =
   let store = make ~obs n in
   store.backing <- Some path;
   (* The full configuration is applied last (it must win over recovered
-     state), but the load below already consults the retry policies and
-     health thresholds — install those up front. *)
-  (match config with
-  | Some (c : Config.t) ->
-    store.retry <- c.Config.retry;
-    store.breaker <- c.Config.breaker;
-    store.salvage_degrade <- c.Config.salvage_degrade
-  | None -> ());
+     state), but the load below already consults the retry policy and
+     the breaker — install those up front. *)
+  Option.iter
+    (fun (c : Config.t) ->
+      store.retry <- c.Config.retry;
+      store.breaker <- c.Config.breaker)
+    config;
   let parts : Image.load_report option array = Array.make n None in
   let fails = Array.make n None in
   Array.iteri
@@ -1663,8 +1622,7 @@ let open_file ?config path =
       | Some e, _ ->
         Health.offline store.shards.(k).shealth ("image load failed: " ^ Printexc.to_string e)
       | None, Some r
-        when has_neighbour store && store.salvage_degrade > 0
-             && r.Image.lr_salvaged >= store.salvage_degrade ->
+        when has_neighbour store && r.Image.lr_salvaged >= salvage_heavy ->
         Health.degrade store.shards.(k).shealth
           (Printf.sprintf "salvage-heavy image load: %d entries quarantined" r.Image.lr_salvaged)
       | _ -> ())
@@ -1775,11 +1733,10 @@ let open_file ?config path =
    trace ring; [crash] drops the ring without snapshotting, exactly as a
    process crash would lose in-flight trace state. *)
 let close store =
-  (* durability barrier: flush deferred batches, then commit the current
-     sequence number before the handles go *)
+  (* durability barrier: sync any shard a failed sync left dirty, then
+     commit the current sequence number before the handles go *)
   (try
-     if store.unsynced > 0 || Array.exists (fun sh -> sh.sdirty) store.shards then
-       sync_dirty_shards store;
+     if Array.exists (fun sh -> sh.sdirty) store.shards then sync_dirty_shards store;
      match store.marker with
      | Some m when store.seq > store.committed ->
        Manifest.Marker.append m store.seq;
@@ -1799,7 +1756,6 @@ let close store =
   | Some m -> ( try Manifest.Marker.close m with _ -> ())
   | None -> ());
   store.marker <- None;
-  store.unsynced <- 0;
   Obs.flush store.obs
 
 let crash store =
@@ -1815,7 +1771,6 @@ let crash store =
   | Some m -> ( try Manifest.Marker.crash m with _ -> ())
   | None -> ());
   store.marker <- None;
-  store.unsynced <- 0;
   Obs.drop store.obs
 
 (* -- repair ---------------------------------------------------------------- *)
@@ -1960,7 +1915,6 @@ type stats = {
   recovered_torn_tail : bool;
   quarantined : int;
   io_retries : int;
-  unsynced_batches : int;
   unhealthy_shards : int;
 }
 
@@ -1976,7 +1930,6 @@ let stats store =
     recovered_torn_tail = store.recovered_torn;
     quarantined = quarantined_total store;
     io_retries = store.io_retries;
-    unsynced_batches = store.unsynced;
     unhealthy_shards = store.unhealthy;
   }
 

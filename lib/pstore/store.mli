@@ -29,6 +29,9 @@ type store = t
     such as {!gc}) nothing is buffered: that compaction writes the heap
     itself.
 
+    A stabilise, and so a session commit on a backed store, returns
+    only after its fsync: a stabilise that returned survives any crash.
+
     [durability] has one constructor and {!configure} ignores
     [Config.durability].  Both stay only because the frozen benchmark
     fixtures name them; they go with its next change. *)
@@ -50,12 +53,10 @@ module Config : sig
     compaction_limit : int;
         (** journal records tolerated before stabilise compacts *)
     group_window : int;
-        (** group commit: journalled stabilises per fsync.  [1] (the
-            default) fsyncs every stabilise; [n > 1] coalesces each
-            delta into one atomic batch record and fsyncs every n-th
-            stabilise (and at compaction/close), trading bounded recent
-            durability for throughput — a crash can lose up to [n - 1]
-            whole batches, never part of one *)
+        (** vestigial: must be [1].  Group commit, which deferred the
+            fsync of up to [n - 1] stabilises, was removed; every
+            stabilise fsyncs.  The field stays only because the frozen
+            benchmark fixtures name it, and goes with its next change *)
     retry : Retry.policy option;
         (** transient-I/O retry, threaded through every I/O class
             (stabilise, image load/save, journal append, commit marker,
@@ -65,15 +66,9 @@ module Config : sig
             one shard before it is demoted to degraded ([0] = never).
             Demotion needs a neighbour shard that keeps serving, so a
             one-shard store never trips *)
-    salvage_degrade : int;
-        (** an open that had to salvage at least this many entries from
-            one shard's image opens that shard degraded ([0] = never);
-            again only with a neighbour shard *)
     backing : string option;
         (** [Some p] points the store at a backing file; [None] leaves
             the current backing untouched (identity is not a tunable) *)
-    trace_ring : int;  (** trace-ring capacity, in events *)
-    tracing : bool;  (** latency histograms + trace ring on/off *)
     shards : int;
         (** shard count, fixed at store creation.  [n] shards partition
             objects by oid hash (roots and blobs by key hash), each with
@@ -88,9 +83,8 @@ module Config : sig
   }
 
   val default : t
-  (** Default compaction limit, group window 1, no retry, breaker
-      threshold 3, salvage-degrade threshold 8, backing untouched,
-      {!Obs.default_ring_capacity} ring, tracing off, one shard. *)
+  (** Default compaction limit, no retry, breaker threshold 3, backing
+      untouched, one shard. *)
 end
 
 val create : ?config:Config.t -> unit -> t
@@ -111,8 +105,9 @@ val open_file : ?config:Config.t -> string -> t
     On a store of several shards, shard faults are contained: an
     unreadable shard image takes only that shard {e offline} (see
     {!health}; its slice of the store stays empty until {!repair}), and
-    a salvage-heavy shard load opens that shard {e degraded} — the other
-    shards load and serve normally.
+    a salvage-heavy shard load (8 or more corrupt entries salvaged from
+    its image) opens that shard {e degraded} — the other shards load
+    and serve normally.
     @raise Image.Image_error on a corrupt one-shard image with nothing
     to recover.
     @raise Invalid_argument on a bad [config], even for a missing [path]. *)
@@ -121,9 +116,8 @@ val configure : t -> Config.t -> unit
 (** Apply a whole configuration.  [backing = None] keeps the current
     backing file; [durability] is ignored.
     @raise Invalid_argument, having changed nothing, on a negative
-    compaction limit, breaker, salvage-degrade threshold or trace-ring
-    capacity, a group window below 1, or a shard count other than the
-    store's. *)
+    compaction limit or breaker, a group window other than 1, or a
+    shard count other than the store's. *)
 
 val config : t -> Config.t
 (** The store's current configuration ([backing] is the current backing
@@ -137,7 +131,7 @@ val close : t -> unit
 
 val crash : t -> unit
 (** Test support: simulate a process crash.  The journal descriptor is
-    closed without flushing, so buffered-but-unsynced bytes are lost, and
+    closed without flushing, so buffered bytes are lost, and
     in-flight trace state is dropped without a final snapshot
     ({!Obs.drop}).  The in-memory store should be discarded and the image
     reopened.  Idempotent, and safe after {!close}. *)
@@ -148,7 +142,7 @@ val roots : t -> Roots.t
 val obs : t -> Obs.t
 (** The store's observability state: operation counters (always on),
     latency histograms and the bounded trace ring (on when tracing is
-    enabled via {!configure} or [Obs.set_enabled]). *)
+    enabled via [Obs.set_enabled]). *)
 
 val props : t -> Props.t
 (** A typed property bag for per-store transient state attached by
@@ -233,11 +227,6 @@ val repair_all : t -> repair_report list
 (** Repair every unhealthy shard, in shard order. *)
 
 val backing : t -> string option
-val group_window : t -> int
-
-val set_group_window : t -> int -> unit
-(** See {!Config.t}[.group_window].
-    @raise Invalid_argument if the window is < 1. *)
 
 val mark_dirty : t -> unit
 (** Tell the store its heap was mutated behind its back (direct record
@@ -384,10 +373,9 @@ val contents : t -> Image.contents
 val stabilise : ?path:string -> t -> unit
 (** Make the store durable at [path] (or the backing file): append the
     mutation delta to the write-ahead journal as one atomic batch record
-    and fsync (every [group_window]-th stabilise when group commit is
-    on), compacting into a fresh image and journal when required — the
-    first stabilise, a journal over the compaction limit, or after an
-    operation the journal cannot express.
+    and fsync it before returning, compacting into a fresh image and
+    journal when required — the first stabilise, a journal over the
+    compaction limit, or after an operation the journal cannot express.
     @raise Invalid_argument if no path is available. *)
 
 type stats = {
@@ -401,8 +389,6 @@ type stats = {
   recovered_torn_tail : bool;  (** open_file dropped a torn journal tail *)
   quarantined : int;  (** objects currently quarantined *)
   io_retries : int;  (** stabilise retries absorbed by the retry policy *)
-  unsynced_batches : int;
-      (** group-committed batches written but not yet fsynced *)
   unhealthy_shards : int;  (** shards currently degraded or offline *)
 }
 
@@ -563,9 +549,9 @@ module Session : sig
   val commit : t -> unit
   (** Publish the session's buffered writes atomically and close the
       session, then stabilise a backed store, so a committed session is
-      durable when this returns (a journal fsync, not an image write;
-      under group commit, within the window).  On the default session
-      this is just the durability barrier: stabilise a backed store.
+      durable when this returns (a journal fsync, not an image write).
+      On the default session this is just the durability barrier:
+      stabilise a backed store.
       @raise Failure.Commit_conflict if first-committer-wins detection
       refuses the commit; the session is aborted first, having changed
       nothing.

@@ -152,7 +152,7 @@ let exec c (req : Protocol.request) : Protocol.response =
            (Store.Session.id s) root uid (Oid.to_int hp))
     end
   | Compile { source } ->
-    let rcs = Jcompiler.compile_and_load ~redefine:true c.vm [ source ] in
+    let rcs = Dynamic_compiler.compile_strings ~mode:Direct c.vm ~names:[] [ source ] in
     Store.stabilise c.store;
     Ok_text
       (Printf.sprintf "compiled %s"

@@ -1,12 +1,11 @@
-(* The differential suite locking in getLink-memo and group-commit
-   transparency.
+(* The differential suite locking in getLink-memo transparency.
 
    Two complete hyper-programming systems execute the same seeded,
    randomized interleaving of compile / evolve / getLink / go /
    quarantine / gc+prune / stabilise / reopen operations:
 
-   - CACHED: getLink memo on, journal group commit on (window 4);
-   - COLD: memo off, group window 1.
+   - CACHED: getLink memo on;
+   - COLD: memo off.
 
    Every operation's observable result is rendered to a string, and the
    two observation logs must be byte-identical — including BrokenLink
@@ -76,17 +75,12 @@ type sys = {
   mutable mary : Oid.t;
 }
 
-let config_for ~cached =
-  {
-    Store.Config.default with
-    Store.Config.group_window = (if cached then 4 else 1);
-  }
-
 let apply_caching sys = Registry.set_memo_enabled sys.vm sys.cached
 
 let make_sys ~cached path =
-  let config = { (config_for ~cached) with Store.Config.backing = Some path } in
-  let store = Store.create ~config () in
+  let store =
+    Store.create ~config:{ Store.Config.default with Store.Config.backing = Some path } ()
+  in
   let vm = Boot.boot_fresh store in
   Dynamic_compiler.install vm;
   let sys = { path; cached; store; vm; mary = Oid.of_int 0 } in
@@ -100,7 +94,7 @@ let make_sys ~cached path =
 let reopen sys =
   Store.stabilise sys.store;
   Store.close sys.store;
-  let store = Store.open_file ~config:(config_for ~cached:sys.cached) sys.path in
+  let store = Store.open_file sys.path in
   let vm = Boot.vm_for store in
   Dynamic_compiler.install vm;
   sys.store <- store;

@@ -1,20 +1,11 @@
-(* Crash semantics of journal group commit.
+(* Crash semantics of the journal's batch records.
 
-   A journalled stabilise now coalesces its whole multi-op delta into ONE
-   batch record (journal tag 7), and a group window > 1 defers the fsync.
-   The contract under crash:
-
-   - ATOMICITY: a crash mid-batch tears the batch as a unit.  Recovery
-     lands exactly on a stabilise-boundary state — never on a prefix of
-     a delta's mutations, which the old one-record-per-op journal
-     permitted.
-
-   - BOUNDED LOSS: with window n, a crash loses at most the n-1 whole
-     batches since the last fsync; everything up to that fsync is
-     durable.
-
-   Checked with window 1 (fsync every stabilise) and with group commit
-   (window > 1). *)
+   A journalled stabilise coalesces its whole multi-op delta into ONE
+   batch record (journal tag 7) and fsyncs it before returning.  The
+   contract under crash is ATOMICITY: a crash mid-batch tears the batch
+   as a unit.  Recovery lands exactly on a stabilise-boundary state —
+   never on a prefix of a delta's mutations, which the old
+   one-record-per-op journal permitted. *)
 
 open Pstore
 open Crash_util
@@ -23,15 +14,10 @@ let sp = Printf.sprintf
 
 let image dir = Filename.concat dir "store.img"
 
-let make_store ?(window = 1) dir =
-  let config =
-    {
-      Store.Config.default with
-      Store.Config.group_window = window;
-      backing = Some (image dir);
-    }
-  in
-  Store.create ~config ()
+let store_config ?(shards = 1) ?(compaction_limit = Store.Config.default.compaction_limit) dir =
+  { Store.Config.default with Store.Config.shards; compaction_limit; backing = Some (image dir) }
+
+let make_store ?shards dir = Store.create ~config:(store_config ?shards dir) ()
 
 (* One multi-op delta: alloc + root + field write + blob write, so every
    stabilise carries a batch of at least four journal ops. *)
@@ -86,7 +72,7 @@ let torn_batch_recovers_pre_batch_state () =
         (fingerprint reopened);
       Store.close reopened)
 
-(* -- fault-injected crash mid-stabilise, all three modes ------------------ *)
+(* -- fault-injected crash mid-stabilise ------------------------------------ *)
 
 let pick_fault seed =
   match seed mod 4 with
@@ -98,9 +84,9 @@ let pick_fault seed =
 (* Crash one seed-chosen way during a stabilise carrying a multi-op
    delta: the reopened store holds the pre-batch state or the complete
    post-batch state — nothing in between. *)
-let crash_mid_batch ~window seed =
+let crash_mid_batch seed =
   with_dir (fun dir ->
-      let store = make_store ~window dir in
+      let store = make_store dir in
       mutate store 0;
       Store.stabilise store;
       let fp_base = fingerprint store in
@@ -117,91 +103,103 @@ let crash_mid_batch ~window seed =
       Store.crash store;
       let reopened = Store.open_file (image dir) in
       let fp = fingerprint reopened in
-      check_bool
-        (sp "seed %d: all-or-nothing (window %d)" seed window)
-        true
+      check_bool (sp "seed %d: all-or-nothing" seed) true
         (String.equal fp fp_base || String.equal fp fp_post);
       Integrity.check_exn reopened;
       Store.close reopened)
 
 let crash_matrix () =
+  for seed = 0 to 23 do
+    crash_mid_batch seed
+  done
+
+(* -- a returned stabilise is durable ---------------------------------------- *)
+
+(* Crash right after each of several stabilises, on one shard and on
+   four: every reopen recovers exactly the state that stabilise
+   returned on.  [step] makes the change and the stabilise. *)
+let crash_after_each ?compaction_limit ~shards step =
+  with_dir (fun dir ->
+      let config = store_config ?compaction_limit ~shards dir in
+      let store = ref (Store.create ~config ()) in
+      mutate !store 0;
+      Store.stabilise !store;
+      for i = 1 to 4 do
+        step !store i;
+        let fp = fingerprint !store in
+        Store.crash !store;
+        store := Store.open_file ~config (image dir);
+        check_output (sp "%d shards: step %d survives the crash" shards i) fp (fingerprint !store)
+      done;
+      Store.close !store)
+
+let returned_stabilise_survives_crash () =
   List.iter
-    (fun window ->
-      for seed = 0 to 23 do
-        crash_mid_batch ~window seed
-      done)
+    (fun shards ->
+      crash_after_each ~shards (fun store i ->
+          mutate store i;
+          Store.stabilise store))
     [ 1; 4 ]
 
-(* -- bounded loss with a deferred fsync ----------------------------------- *)
+let returned_session_commit_survives_crash () =
+  List.iter
+    (fun shards ->
+      crash_after_each ~shards (fun store i ->
+          let s = Store.open_session store in
+          Store.Session.set_root s (sp "s%d" i) (Pvalue.Int (Int32.of_int i));
+          Store.Session.set_blob s (sp "sb%d" i) (sp "session-%d" i);
+          Store.Session.commit s))
+    [ 1; 4 ]
 
-(* Window 3, five stabilises, then a crash.  Stabilise 3 fsyncs, 4 and 5
-   only buffer: recovery must land on a batch boundary at or after the
-   fsync barrier — whole batches may be lost, prefixes and pre-barrier
-   states may not. *)
-let deferred_fsync_loses_whole_batches_only () =
-  with_dir (fun dir ->
-      let store = make_store ~window:3 dir in
-      mutate store 0;
-      Store.stabilise store (* compaction: durable *);
-      let boundary = ref [] in
-      for i = 1 to 5 do
-        mutate store i;
-        Store.stabilise store;
-        boundary := !boundary @ [ fingerprint store ]
-      done;
-      check_int "two batches still unsynced at the crash"
-        2 (Store.stats store).Store.unsynced_batches;
-      Store.crash store;
-      let reopened = Store.open_file (image dir) in
-      let fp = fingerprint reopened in
-      (* stabilise 3 hit the window: its fsync is the durability floor *)
-      let acceptable = [ List.nth !boundary 2; List.nth !boundary 3; List.nth !boundary 4 ] in
-      check_bool "recovered at or after the last fsync, on a batch boundary" true
-        (List.exists (String.equal fp) acceptable);
-      Integrity.check_exn reopened;
-      Store.close reopened)
+(* With a compaction limit of 1 every stabilise compacts: fully on one
+   shard, and on four only the shards over their slice, after the
+   delta of the others went to their journals.  A crash right after
+   either recovers what it returned on. *)
+let returned_compaction_survives_crash () =
+  List.iter
+    (fun shards ->
+      let compactions = ref 0 in
+      crash_after_each ~compaction_limit:1 ~shards (fun store i ->
+          mutate store i;
+          let before = (Store.stats store).Store.compactions in
+          Store.stabilise store;
+          compactions := !compactions + (Store.stats store).Store.compactions - before);
+      check_int (sp "%d shards: every stabilise compacted" shards) 4 !compactions)
+    [ 1; 4 ]
 
-(* A clean close, by contrast, syncs the tail: nothing is lost. *)
-let clean_close_flushes_the_window () =
-  with_dir (fun dir ->
-      let store = make_store ~window:8 dir in
-      mutate store 0;
-      Store.stabilise store;
-      for i = 1 to 3 do
-        mutate store i;
-        Store.stabilise store
-      done;
-      let fp = fingerprint store in
-      check_bool "batches pending at close" true
-        ((Store.stats store).Store.unsynced_batches > 0);
-      Store.close store;
-      let reopened = Store.open_file (image dir) in
-      check_output "close flushed every deferred batch" fp (fingerprint reopened);
-      check_int "nothing left unsynced" 0 (Store.stats reopened).Store.unsynced_batches;
-      Store.close reopened)
-
-(* -- configuration plumbing ----------------------------------------------- *)
-
-let window_configuration () =
-  let store = Store.create () in
-  check_int "default window" 1 (Store.group_window store);
-  Store.set_group_window store 6;
-  check_int "setter round-trips" 6 (Store.group_window store);
-  check_int "config reads it back" 6 (Store.config store).Store.Config.group_window;
-  Store.configure store { (Store.config store) with Store.Config.group_window = 2 };
-  check_int "configure applies it" 2 (Store.group_window store);
-  check_bool "window < 1 is rejected" true
-    (match Store.set_group_window store 0 with
-    | () -> false
-    | exception Invalid_argument _ -> true)
+(* A stabilise whose fsync failed keeps its delta buffered: the next
+   stabilise that returns makes both deltas durable. *)
+let stabilise_after_a_failed_one_survives_crash () =
+  List.iter
+    (fun shards ->
+      with_dir (fun dir ->
+          let store = make_store ~shards dir in
+          mutate store 0;
+          Store.stabilise store;
+          mutate store 1;
+          (match Faults.with_fault Faults.Fsync_fails (fun () -> Store.stabilise store) with
+          | Error (Faults.Fault_injected _) -> ()
+          | Ok () -> Alcotest.failf "%d shards: the fsync fault never fired" shards
+          | Error e -> raise e);
+          mutate store 2;
+          Store.stabilise store;
+          let fp = fingerprint store in
+          Store.crash store;
+          let reopened = Store.open_file (image dir) in
+          check_output (sp "%d shards: the later stabilise survives the crash" shards) fp
+            (fingerprint reopened);
+          Integrity.check_exn reopened;
+          Store.close reopened))
+    [ 1; 4 ]
 
 let suite =
   [
     test "a torn batch recovers the pre-batch state at every cut"
       torn_batch_recovers_pre_batch_state;
-    test "crash mid-batch is all-or-nothing across durability modes" crash_matrix;
-    test "a deferred fsync loses whole batches only"
-      deferred_fsync_loses_whole_batches_only;
-    test "a clean close flushes the group window" clean_close_flushes_the_window;
-    test "the group window is a first-class config knob" window_configuration;
+    test "crash mid-batch is all-or-nothing" crash_matrix;
+    test "a stabilise that returned survives a crash" returned_stabilise_survives_crash;
+    test "a session commit that returned survives a crash" returned_session_commit_survives_crash;
+    test "a compacting stabilise that returned survives a crash" returned_compaction_survives_crash;
+    test "a stabilise after a failed one survives a crash"
+      stabilise_after_a_failed_one_survives_crash;
   ]

@@ -4,5 +4,5 @@ let () =
       ("matrix: fault point x mutation kind", Test_crash_recovery.matrix);
       ("recovery behaviours", Test_crash_recovery.suite);
       ("sharded crash atomicity", Test_crash_shard.suite);
-      ("group commit", Test_crash_group.suite);
+      ("batch records", Test_crash_group.suite);
     ]

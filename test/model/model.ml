@@ -59,28 +59,16 @@ let lost (st : state) =
 
 (* -- durability ------------------------------------------------------------
 
-   One event per durability step, oldest first: the states the disk may
-   hold after it.  A crash may land on any state of any event since the
-   last fsync barrier — the barrier, each whole batch the group window
-   has not synced yet, each failed attempt that may have passed its
-   commit point.  A clean close syncs the window, so it lands on the last
-   successful stabilise or a failed attempt after it.  [fp] is a state's
-   byte-exact fingerprint, known while no shard is demoted. *)
+   The states the disk may hold, oldest first; a crash or a clean close
+   lands on one of them.  Every stabilise that returned fsynced, so it
+   is a barrier: its states replace the list.  A failed attempt may
+   have passed its commit point, so its states join the list.  [fp] is
+   a state's byte-exact fingerprint, known while no shard is demoted. *)
 
 type cand = {
   state : state;
   fp : string option;
 }
-
-type event = {
-  ok : bool;  (* a stabilise that returned *)
-  states : cand list;
-}
-
-let since_last_ok events =
-  List.fold_left (fun acc e -> if e.ok then [ e ] else acc @ [ e ]) [] events
-
-let states events = List.concat_map (fun e -> e.states) events
 
 (* What a stabilise leaves on disk: [live] on the shards that took part,
    [prev] on the rest.  Keys live on one shard each: roots and blobs by

@@ -1,7 +1,7 @@
 (* One model-based checker for the store contract.
 
-   A case is an op list for one configuration: shards {1, 4} x group
-   window {1, 3} x retry {none, zero-delay} x breaker {0, 2}.  After
+   A case is an op list for one configuration: shards {1, 4} x retry
+   {none, zero-delay} x breaker {0, 2}.  After
    every op — writes, sessions, stabilise and commit under faults, gc,
    scrub, crash, close, repair — the store must agree with the pure
    model (model.ml): reads, commit outcomes, refusals, where a reopen
@@ -20,7 +20,6 @@ let sp = Printf.sprintf
 
 type config = {
   shards : int;
-  window : int;
   retry : bool;
   breaker : int;
 }
@@ -29,17 +28,12 @@ let configs =
   List.concat_map
     (fun shards ->
       List.concat_map
-        (fun window ->
-          List.concat_map
-            (fun retry -> List.map (fun breaker -> { shards; window; retry; breaker }) [ 0; 2 ])
-            [ false; true ])
-        [ 1; 3 ])
+        (fun retry -> List.map (fun breaker -> { shards; retry; breaker }) [ 0; 2 ])
+        [ false; true ])
     [ 1; 4 ]
 
 let config_name c =
-  sp "shards %d, window %d, retry %s, breaker %d" c.shards c.window
-    (if c.retry then "fast" else "none")
-    c.breaker
+  sp "shards %d, retry %s, breaker %d" c.shards (if c.retry then "fast" else "none") c.breaker
 
 (* A small compaction limit, so compactions (full and per shard) land
    between faults and crashes. *)
@@ -47,7 +41,6 @@ let store_config c path =
   {
     Store.Config.default with
     Store.Config.compaction_limit = 8;
-    group_window = c.window;
     retry = (if c.retry then Some fast_policy else None);
     breaker = c.breaker;
     backing = Some path;
@@ -216,15 +209,22 @@ type run = {
   path : string;
   mutable store : Store.t;
   mutable live : state;  (* the committed state *)
-  mutable events : event list;  (* oldest first; see model.ml *)
+  mutable legal : cand list;  (* where a reopen may land, oldest first; see model.ml *)
   mutable sessions : (Store.Session.t * session) list;  (* newest first *)
   mutable step : int;
   mutable torn_commit : bool;  (* the last op was a commit whose stabilise failed *)
+  mutable torn_stabilise : bool;  (* the last op was a stabilise that failed *)
 }
 
 (* The cross-axis case the slice must reach: crashes right after a
-   session commit failed mid-stabilise, on 4 shards with window 3. *)
+   session commit failed mid-stabilise, on 4 shards. *)
 let torn_crashes = ref 0
+
+(* And, on 4 shards, crashes right after a stabilise failed, which the
+   model lets land before or after that attempt, and shards the breaker
+   demoted. *)
+let failed_stabilise_crashes = ref 0
+let demotions = ref 0
 
 (* What a handle reads, shaped as a model state: roots, blobs, and the
    fields of the records roots name. *)
@@ -257,8 +257,7 @@ let refused r shard =
 
 (* A durability step ended with [live] on disk on the shards of one of
    [took_part] and the last durable state elsewhere.  A stabilise that
-   returned leaving no batch unsynced is a barrier: it replaces the
-   events. *)
+   returned is a barrier: its states replace the legal ones. *)
 let persist r ~ok took_part =
   let fp =
     if List.for_all (Array.for_all Fun.id) took_part && Store.healthy r.store then
@@ -269,11 +268,10 @@ let persist r ~ok took_part =
     List.concat_map
       (fun c ->
         List.map (fun t -> persisted ~count:r.cfg.shards ~took_part:t c.state r.live) took_part)
-      (states (since_last_ok r.events))
+      r.legal
   in
-  let e = { ok; states = List.map (fun state -> { state; fp }) (List.sort_uniq compare states) } in
-  r.events <-
-    (if ok && (Store.stats r.store).Store.unsynced_batches = 0 then [ e ] else r.events @ [ e ])
+  let cands = List.map (fun state -> { state; fp }) (List.sort_uniq compare states) in
+  r.legal <- (if ok then cands else r.legal @ cands)
 
 (* Run a durability step with [fault] armed; the outcome comes back as
    data, with the shard health from before the step. *)
@@ -292,6 +290,7 @@ let outcome r ~before = function
        healthy before it or only those still healthy; and healthy shards
        keep accepting writes *)
     let after = healthy_shards r.store in
+    if r.cfg.shards = 4 && after <> before then incr demotions;
     persist r ~ok:false [ before; after ];
     Array.iteri
       (fun k ok ->
@@ -305,7 +304,6 @@ let outcome r ~before = function
 
 (* Reopen after a crash or a clean close and check where it landed. *)
 let reopen r ~crash =
-  let legal = states (if crash then r.events else since_last_ok r.events) in
   let s = Store.open_file ~config:(store_config r.cfg r.path) r.path in
   r.store <- s;
   if not (Store.healthy s) then fail "the reopened store is not healthy";
@@ -314,18 +312,18 @@ let reopen r ~crash =
   let fp = fingerprint s in
   let seen = observe (Store.default_session s) in
   let matches c = match c.fp with Some f -> String.equal f fp | None -> State.equal ( = ) c.state seen in
-  match List.find_opt matches legal with
+  match List.find_opt matches r.legal with
   | None ->
     fail "%s landed on none of %d legal states (against the newest, %s)"
       (if crash then "a crash" else "a clean close")
-      (List.length legal)
-      (diff (List.nth legal (List.length legal - 1)).state seen)
+      (List.length r.legal)
+      (diff (List.nth r.legal (List.length r.legal - 1)).state seen)
   | Some c ->
     if List.map fst (Store.quarantined s) <> lost c.state then
       fail "recovery quarantined %d objects, the model predicted %d"
         (List.length (Store.quarantined s)) (List.length (lost c.state));
     r.live <- c.state;
-    r.events <- [ { ok = true; states = [ { c with fp = Some fp } ] } ];
+    r.legal <- [ { c with fp = Some fp } ];
     r.sessions <- []
 
 let session r i =
@@ -430,6 +428,7 @@ let exec r op =
       (session r i)
   | Stabilise fault ->
     let before, res = durably r fault (fun () -> Store.stabilise s) in
+    r.torn_stabilise <- (match res with Error e -> transient e | Ok () -> false);
     outcome r ~before res
   | Gc -> (
     match Store.gc s with
@@ -445,7 +444,8 @@ let exec r op =
     if rep.Scrub.scanned > budget then fail "scrub ~budget:%d scanned %d" budget rep.Scrub.scanned;
     if rep.Scrub.newly_quarantined <> [] then fail "scrub quarantined an intact object"
   | Crash ->
-    if r.torn_commit && r.cfg.shards = 4 && r.cfg.window = 3 then incr torn_crashes;
+    if r.torn_commit && r.cfg.shards = 4 then incr torn_crashes;
+    if r.torn_stabilise && r.cfg.shards = 4 then incr failed_stabilise_crashes;
     Store.crash s;
     reopen r ~crash:true
   | Close ->
@@ -471,10 +471,11 @@ let run cfg ops =
       path;
       store;
       live = State.empty;
-      events = [ { ok = true; states = [ { state = State.empty; fp = Some (fingerprint store) } ] } ];
+      legal = [ { state = State.empty; fp = Some (fingerprint store) } ];
       sessions = [];
       step = 0;
       torn_commit = false;
+      torn_stabilise = false;
     }
   in
   Fun.protect ~finally:(fun () ->
@@ -483,7 +484,10 @@ let run cfg ops =
   @@ fun () ->
   List.iter
     (fun op ->
-      if op <> Crash then r.torn_commit <- false;
+      if op <> Crash then begin
+        r.torn_commit <- false;
+        r.torn_stabilise <- false
+      end;
       r.step <- r.step + 1;
       exec r op;
       let seen = observe (Store.default_session r.store) in
@@ -504,7 +508,8 @@ let check cfg (quiet, ops) =
 (* -- alcotest wiring ------------------------------------------------------------ *)
 
 let seed = Option.value ~default:20 (Option.bind (Sys.getenv_opt "STORE_SEED") int_of_string_opt)
-let count = if Sys.getenv_opt "STORE_FULL" <> None then 160 else 14
+(* Cases per configuration: 224 in all for the slice, 2,560 for @model. *)
+let count = if Sys.getenv_opt "STORE_FULL" <> None then 320 else 28
 
 let () = Printexc.register_printer (function Violation m -> Some m | _ -> None)
 
@@ -522,7 +527,11 @@ let () =
       ("configurations", List.mapi property configs);
       ( "coverage",
         [
-          test "a crash inside a session commit on 4 shards, window 3" (fun () ->
+          test "a crash inside a session commit on 4 shards" (fun () ->
               check_bool "reached" true (!torn_crashes > 0));
+          test "a crash right after a failed stabilise on 4 shards" (fun () ->
+              check_bool "reached" true (!failed_stabilise_crashes > 0));
+          test "a breaker demotion on 4 shards" (fun () ->
+              check_bool "reached" true (!demotions > 0));
         ] );
     ]

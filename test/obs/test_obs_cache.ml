@@ -1,5 +1,5 @@
-(* Observability of the getLink memo and group commit: the cache-hit /
-   cache-miss / group-commit op classes.  Counters are monotone,
+(* Observability of the getLink memo and the journal's batch records:
+   the cache-hit / cache-miss / group-commit op classes.  Counters are monotone,
    hits + misses account for every memo lookup, and — as for
    every other op class — the tracing-off path records no latency and
    no trace events. *)
@@ -56,14 +56,9 @@ let counters_are_monotone () =
 
 let group_commit_counted_per_batch () =
   with_store_file (fun path ->
-      let config =
-        {
-          Store.Config.default with
-          Store.Config.group_window = 4;
-          backing = Some path;
-        }
+      let store =
+        Store.create ~config:{ Store.Config.default with Store.Config.backing = Some path } ()
       in
-      let store = Store.create ~config () in
       let obs = Store.obs store in
       let a = Store.alloc_record store "A" [| Pvalue.Int 0l; Pvalue.Null |] in
       Store.set_root store "a" (Pvalue.Ref a);

@@ -17,11 +17,8 @@ let incremental_updates_compose () =
     {
       Store.Config.default with
       compaction_limit = 128;
-      group_window = 1;
       retry = Some Retry.default_policy;
       backing = None;
-      trace_ring = Obs.default_ring_capacity;
-      tracing = false;
       shards = 1;
     };
   check_bool "three one-knob updates equal one record" true
@@ -56,35 +53,59 @@ let open_file_config_wins_over_recovery () =
       Store.stabilise store;
       Store.close store;
       (* an explicit config is applied after recovery: the journal still
-         replays, and the config's window wins *)
+         replays, and the config's compaction limit wins *)
       let overridden =
-        Store.open_file ~config:{ Store.Config.default with group_window = 4 } path
+        Store.open_file ~config:{ Store.Config.default with compaction_limit = 7 } path
       in
       check_bool "the journal replayed" true
         ((Store.stats overridden).Store.journal_replayed > 0);
       check_bool "the journalled root is present" true
         (Store.root overridden "a" = Some (Pvalue.Ref a));
-      check_int "explicit config sets the window" 4 (Store.group_window overridden);
+      check_int "explicit config sets the compaction limit" 7
+        (Store.config overridden).Store.Config.compaction_limit;
       Store.close overridden)
 
-let construction_config_reaches_obs () =
-  let store =
-    Store.create
-      ~config:{ Store.Config.default with tracing = true; trace_ring = 4 }
-      ()
+(* Group commit is gone: a group window other than 1 is refused on
+   every path a config enters, naming the removal, and changes nothing. *)
+let group_window_is_refused () =
+  let window3 c = { c with Store.Config.group_window = 3 } in
+  let refuses what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted group_window = 3" what
+    | exception Invalid_argument msg ->
+      check_bool (what ^ " names the removal") true (contains msg "group commit was removed")
   in
+  refuses "create" (fun () -> Store.create ~config:(window3 Store.Config.default) ());
+  let store = Store.create () in
+  let before = Store.config store in
+  refuses "configure" (fun () -> Store.configure store (window3 before));
+  check_bool "configure left the config unchanged" true (Store.config store = before);
+  with_store_file (fun path ->
+      Store.configure store { before with Store.Config.backing = Some path };
+      Store.set_root store "r" (Pvalue.Int 1l);
+      Store.stabilise store;
+      Store.close store;
+      refuses "open_file" (fun () ->
+          Store.open_file ~config:(window3 Store.Config.default) path);
+      let reopened = Store.open_file path in
+      check_bool "the store on disk is untouched" true
+        (Store.root reopened "r" = Some (Pvalue.Int 1l));
+      check_int "the reopened window is 1" 1 (Store.config reopened).Store.Config.group_window;
+      Store.close reopened)
+
+(* Tracing has one switch, [Obs.set_enabled]: no configuration turns it
+   off or resizes the store's trace ring. *)
+let configure_leaves_tracing_alone () =
+  let store = Store.create () in
   let obs = Store.obs store in
-  check_bool "tracing enabled at construction" true (Obs.enabled obs);
-  check_int "ring capacity applied" 4 (Obs.ring_capacity obs);
-  for _ = 1 to 10 do
+  Obs.set_enabled obs true;
+  Store.configure store Store.Config.default;
+  check_bool "tracing survives a whole-record configure" true (Obs.enabled obs);
+  for _ = 1 to Obs.default_ring_capacity + 10 do
     ignore (Store.alloc_string store "x")
   done;
-  check_int "ring bounded by the configured capacity" 4
-    (List.length (Obs.events obs));
-  (* and the config reads back what the obs state says *)
-  let c = Store.config store in
-  check_bool "tracing reads back" true c.Store.Config.tracing;
-  check_int "ring reads back" 4 c.Store.Config.trace_ring
+  check_int "the ring keeps its default capacity" Obs.default_ring_capacity
+    (List.length (Obs.events obs))
 
 (* A rejected record changes nothing: every field is checked before any
    is applied — here the bad breaker comes after two good knobs. *)
@@ -93,7 +114,12 @@ let rejected_configure_changes_nothing () =
   let before = Store.config store in
   (match
      Store.configure store
-       { before with Store.Config.group_window = 5; compaction_limit = 7; breaker = -1 }
+       {
+         before with
+         Store.Config.compaction_limit = 7;
+         retry = Some Retry.default_policy;
+         breaker = -1;
+       }
    with
   | () -> Alcotest.fail "a negative breaker was accepted"
   | exception Invalid_argument _ -> ());
@@ -114,8 +140,8 @@ let suite =
     test "the default config leaves backing alone" default_config_leaves_backing_alone;
     test "open_file applies an explicit config after recovery"
       open_file_config_wins_over_recovery;
-    test "construction config reaches the observability state"
-      construction_config_reaches_obs;
+    test "a group window other than 1 is refused everywhere" group_window_is_refused;
     test "a rejected configure changes nothing" rejected_configure_changes_nothing;
     test "open_file checks its config before touching disk" open_file_checks_config_first;
+    test "configure leaves the tracing switch alone" configure_leaves_tracing_alone;
   ]

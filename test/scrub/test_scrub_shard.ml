@@ -133,6 +133,91 @@ let sharded_matches_flat_verdict () =
     (fun a b -> check_bool "same oid quarantined" true (Oid.compare a b = 0))
     flat_q sharded_q
 
+(* -- salvage-heavy demotion at open ------------------------------------------ *)
+
+(* A backed store of [shards] shards holding [corrupt] rooted string
+   victims on shard [target] and one intact record there.  After a clean
+   close, each victim's payload is damaged in that shard's image, and
+   [f] gets the reopened store and the intact record. *)
+let with_salvaged_shard ~shards ~corrupt f =
+  with_dir ~prefix:"scrub" @@ fun dir ->
+  let path = Filename.concat dir "store.hpj" in
+  let target = shards - 1 in
+  let store =
+    Store.create ~config:{ Store.Config.default with Store.Config.shards; backing = Some path } ()
+  in
+  let on_target oid = Store.shard_of store oid = target in
+  let rec alloc_on make =
+    let oid = make () in
+    if on_target oid then oid else alloc_on make
+  in
+  let victims =
+    List.init corrupt (fun i ->
+        let text = Printf.sprintf "salvage-victim-%02d" i in
+        let oid = alloc_on (fun () -> Store.alloc_string store text) in
+        Store.set_root store text (Pvalue.Ref oid);
+        text)
+  in
+  let intact = alloc_on (fun () -> Store.alloc_record store "Node" [| Pvalue.Int 42l |]) in
+  Store.set_root store "intact" (Pvalue.Ref intact);
+  Store.stabilise store;
+  Store.close store;
+  let m = Manifest.layout path in
+  let image = Manifest.image_file ~count:shards path target m.Manifest.epochs.(target) in
+  let bytes = Bytes.of_string (read_file image) in
+  List.iter
+    (fun text ->
+      let at = index_of (Bytes.to_string bytes) text + 3 in
+      Bytes.set bytes at (Char.chr (Char.code (Bytes.get bytes at) lxor 0xff)))
+    victims;
+  write_file image (Bytes.to_string bytes);
+  let reopened = Store.open_file path in
+  check_int "every damaged entry was salvaged" corrupt (List.length (Store.quarantined reopened));
+  f reopened ~target intact
+
+let seven_salvaged_entries_stay_healthy () =
+  with_salvaged_shard ~shards:nshards ~corrupt:7 (fun store ~target:_ _ ->
+      check_bool "below the threshold every shard stays healthy" true (Store.healthy store))
+
+let eight_salvaged_entries_demote_one_shard () =
+  with_salvaged_shard ~shards:nshards ~corrupt:8 (fun store ~target intact ->
+      List.iter
+        (fun (h : Store.shard_health) ->
+          match h.Store.h_state with
+          | Health.Healthy ->
+            if h.Store.h_shard = target then Alcotest.fail "the salvaged shard stayed healthy"
+          | Health.Degraded reason when h.Store.h_shard = target ->
+            check_bool "the reason names the salvage" true
+              (contains reason "salvage-heavy image load")
+          | Health.Degraded _ | Health.Offline _ ->
+            Alcotest.failf "shard %d was demoted too" h.Store.h_shard)
+        (Store.health store);
+      check_bool "an intact object on the demoted shard still reads" true
+        (Store.field store intact 0 = Pvalue.Int 42l);
+      match Store.set_field store intact 0 (Pvalue.Int 1l) with
+      | () -> Alcotest.fail "a write to the demoted shard was accepted"
+      | exception Failure.Shard_degraded { shard; _ } ->
+        check_int "the refusal names the demoted shard" target shard)
+
+(* Repair promotes the demoted shard and rewrites its image, so the
+   store reopens healthy with the damaged entries still quarantined. *)
+let salvage_demoted_shard_repairs () =
+  with_salvaged_shard ~shards:nshards ~corrupt:8 (fun store ~target intact ->
+      check_bool "repair had work to do" true (Store.repair store target <> None);
+      check_bool "every shard is healthy again" true (Store.healthy store);
+      Store.set_field store intact 0 (Pvalue.Int 1l);
+      Store.stabilise store;
+      Store.close store;
+      let reopened = Store.open_file (Option.get (Store.backing store)) in
+      check_bool "the repaired store reopens healthy" true (Store.healthy reopened);
+      check_int "the damaged entries stay quarantined" 8 (List.length (Store.quarantined reopened));
+      check_bool "the write after repair is durable" true
+        (Store.field reopened intact 0 = Pvalue.Int 1l))
+
+let one_shard_store_has_no_neighbour_to_demote_for () =
+  with_salvaged_shard ~shards:1 ~corrupt:8 (fun store ~target:_ _ ->
+      check_bool "a lone shard opens healthy" true (Store.healthy store))
+
 let suite =
   [
     test "cross-shard dangling target routed to owner" cross_shard_dangling_target_quarantined;
@@ -141,4 +226,9 @@ let suite =
     test "the budget is exact and its remainder rotates" budget_is_exact_and_rotates;
     test "sharded and flat scrubs agree" sharded_matches_flat_verdict;
     test "scrub progress counts every shard" progress_counts_every_shard;
+    test "seven salvaged entries leave the shard healthy" seven_salvaged_entries_stay_healthy;
+    test "eight salvaged entries demote that shard alone" eight_salvaged_entries_demote_one_shard;
+    test "a one-shard store does not demote on salvage"
+      one_shard_store_has_no_neighbour_to_demote_for;
+    test "a salvage-demoted shard repairs and reopens healthy" salvage_demoted_shard_repairs;
   ]

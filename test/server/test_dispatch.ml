@@ -1,0 +1,40 @@
+(* In-process dispatch: a wire request runs through the same layers as
+   the shell and the Go button, so its work shows in the store's
+   counters like theirs does. *)
+
+open Server_util
+open Pstore
+open Minijava
+open Hyperprog
+
+let request c req =
+  match Protocol.decode_response (Server.Dispatch.handle c (Protocol.encode_request req)) with
+  | Ok resp -> resp
+  | Error msg -> Alcotest.failf "undecodable response: %s" msg
+
+let wire_compile_is_counted () =
+  with_dir ~prefix:"dispatch" @@ fun dir ->
+  let backing = Some (Filename.concat dir "s") in
+  let store = Store.create ~config:{ Store.Config.default with Store.Config.backing } () in
+  let vm = Boot.boot_fresh store in
+  Dynamic_compiler.install vm;
+  let c = Server.Dispatch.create ~vm ~store ~name:"test" in
+  let password = Registry.built_in_password in
+  (match request c (Protocol.Hello { version = Protocol.version; password }) with
+  | Protocol.Hello_ok _ -> ()
+  | other -> Alcotest.failf "hello: %s" (Protocol.describe_response other));
+  let obs = Store.obs store in
+  let before = Obs.count obs Obs.Compile in
+  let source = "public class Wc { public static int v() { return 1; } }" in
+  (match request c (Protocol.Compile { source }) with
+  | Protocol.Ok_text text -> check_bool "the answer names the class" true (contains text "Wc")
+  | other -> Alcotest.failf "compile: %s" (Protocol.describe_response other));
+  check_int "one wire compile is one counted compile" (before + 1) (Obs.count obs Obs.Compile);
+  (match request c (Protocol.Compile { source = "public class Bad { int x = ; }" }) with
+  | Protocol.Refused { code; _ } ->
+    check_output "a bad source is a compile refusal" Protocol.code_compile code
+  | other -> Alcotest.failf "bad compile: %s" (Protocol.describe_response other));
+  check_int "a refused compile is counted too" (before + 2) (Obs.count obs Obs.Compile)
+
+let suite =
+  ("dispatch", [ test "wire compiles are counted, refused ones too" wire_compile_is_counted ])
