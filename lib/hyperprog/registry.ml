@@ -27,25 +27,8 @@ let field vm oid name = Store.field Rt.(vm.store) oid (Rt.field_slot vm Hyper_sr
 let set_field vm oid name v =
   Store.set_field Rt.(vm.store) oid (Rt.field_slot vm Hyper_src.registry_class name) v
 
-(* -- getLink memoisation ---------------------------------------------------
-
-   Compiled textual forms call getLink on every hyper-link dereference,
-   and the resolution walks the registry object, a weak cell, the
-   hyper-program's storage form and the link's health checks — a dozen
-   store reads for an answer that almost never changes.  A bounded
-   per-store memo caches the full [try_get_link] result per (hp, link).
-
-   Invalidation is two-tier.  Registry-API mutations ([add_hp], [prune])
-   flush explicitly.  Everything that can change an answer WITHOUT going
-   through this module — quarantine add/clear (operator or scrubber), a
-   GC sweep clearing weak targets, transaction rollback, evolution's
-   in-place instance surgery — bumps [Store.invalidation_epoch], which is
-   revalidated before every memo read.  Storage forms are immutable after
-   creation (editing builds a fresh instance), so a cached link list
-   cannot go stale behind our back.  Raw field writes to the registry
-   object itself (not expressible through this module's API) are the one
-   untracked path. *)
-
+(* Kept only because the frozen benchmark reads it: there is no getLink
+   memo, so every count is zero. *)
 type memo_stats = {
   hits : int;
   misses : int;
@@ -53,63 +36,10 @@ type memo_stats = {
   capacity : int;
 }
 
-type memo = {
-  mutable m_enabled : bool;
-  mutable m_hits : int;
-  mutable m_misses : int;
-  mutable m_epoch : int; (* Store.invalidation_epoch at last validation *)
-  m_table : (int * int, (Pvalue.t, Failure.t) result) Hashtbl.t;
-  mutable m_password : string option; (* the registry password, as last read *)
-  m_capacity : int;
-}
+let memo_stats _vm = { hits = 0; misses = 0; entries = 0; capacity = 0 }
 
-let memo_capacity = 512
-let memo_key : memo Props.key = Props.new_key ()
-
-let memo_of vm =
-  let store = Rt.(vm.store) in
-  Props.get_or_create (Store.props store) memo_key (fun () ->
-      {
-        m_enabled = true;
-        m_hits = 0;
-        m_misses = 0;
-        m_epoch = Store.invalidation_epoch store;
-        m_table = Hashtbl.create 64;
-        m_password = None;
-        m_capacity = memo_capacity;
-      })
-
-let memo_flush m =
-  Hashtbl.reset m.m_table;
-  m.m_password <- None
-
-(* Flush when a side channel (quarantine, gc, rollback, mark_dirty)
-   invalidated reads since the memo was last used. *)
-let memo_validate vm m =
-  let epoch = Store.invalidation_epoch Rt.(vm.store) in
-  if epoch <> m.m_epoch then begin
-    memo_flush m;
-    m.m_epoch <- epoch
-  end
-
-let clear_memo vm = memo_flush (memo_of vm)
-let memo_enabled vm = (memo_of vm).m_enabled
-
-let set_memo_enabled vm flag =
-  let m = memo_of vm in
-  if not flag then memo_flush m;
-  m.m_enabled <- flag
-
-let memo_stats vm =
-  let m = memo_of vm in
-  {
-    hits = m.m_hits;
-    misses = m.m_misses;
-    entries = Hashtbl.length m.m_table;
-    capacity = m.m_capacity;
-  }
-
-(* Get or create the registry object rooted at [root_name]. *)
+(* Get or create the registry object rooted at [root_name].  The lookups
+   below take the oid it returns, so one root lookup serves a getLink. *)
 let ensure vm =
   let store = Rt.(vm.store) in
   match Store.root store root_name with
@@ -126,59 +56,37 @@ let ensure vm =
     Store.set_root store root_name (Pvalue.Ref oid);
     oid
 
-let read_password vm =
-  let reg = ensure vm in
+let password_ok vm reg password =
   match field vm reg "password" with
-  | Pvalue.Ref soid -> Some (Store.get_string Rt.(vm.store) soid)
-  | _ -> None
+  | Pvalue.Ref soid -> String.equal (Store.get_string Rt.(vm.store) soid) password
+  | _ -> false
 
-let check_password_m vm m password =
-  let stored =
-    if m.m_enabled then begin
-      match m.m_password with
-      | Some _ as s -> s
-      | None ->
-        let s = read_password vm in
-        m.m_password <- s;
-        s
-    end
-    else read_password vm
-  in
-  match stored with
-  | Some s -> String.equal s password
-  | None -> false
+let check_password vm password = password_ok vm (ensure vm) password
 
-let check_password vm password =
-  let m = memo_of vm in
-  memo_validate vm m;
-  check_password_m vm m password
-
-let count vm =
-  let reg = ensure vm in
+let count_in vm reg =
   match field vm reg "count" with
   | Pvalue.Int n -> Int32.to_int n
   | _ -> 0
+
+let count vm = count_in vm (ensure vm)
 
 let programs_array vm reg =
   match field vm reg "programs" with
   | Pvalue.Ref arr -> arr
   | _ -> Rt.jerror "java.lang.InternalError" "registry programs array missing"
 
-(* The weak cell at index i, if any. *)
-let weak_at vm idx =
-  let reg = ensure vm in
+(* The hyper-program at index i: Null if it has been garbage collected
+   or was never registered. *)
+let hp_in vm reg idx =
+  let store = Rt.(vm.store) in
   let arr = programs_array vm reg in
-  if idx < 0 || idx >= count vm then None
+  if idx < 0 || idx >= count_in vm reg then Pvalue.Null
   else
-    match Store.elem Rt.(vm.store) arr idx with
-    | Pvalue.Ref cell -> Some cell
-    | _ -> None
+    match Store.elem store arr idx with
+    | Pvalue.Ref cell -> (Store.get_weak store cell).Pstore.Heap.target
+    | _ -> Pvalue.Null
 
-(* The hyper-program at index i: Null if it has been garbage collected. *)
-let hp_at vm idx =
-  match weak_at vm idx with
-  | None -> Pvalue.Null
-  | Some cell -> (Store.get_weak Rt.(vm.store) cell).Pstore.Heap.target
+let hp_at vm idx = hp_in vm (ensure vm) idx
 
 let grow vm reg needed =
   let store = Rt.(vm.store) in
@@ -195,21 +103,20 @@ let grow vm reg needed =
 (* Register a hyper-program (idempotent).  Returns its unique id — its
    offset in the persistent vector, as in the paper. *)
 let add_hp vm ~password hp_oid =
-  if not (check_password vm password) then bad_password ();
+  let reg = ensure vm in
+  if not (password_ok vm reg password) then bad_password ();
   let store = Rt.(vm.store) in
   let existing = Storage_form.uid vm hp_oid in
   let still_there =
     existing >= 0
     &&
-    match hp_at vm existing with
+    match hp_in vm reg existing with
     | Pvalue.Ref oid -> Oid.equal oid hp_oid
     | _ -> false
   in
   if still_there then existing
   else begin
-    clear_memo vm;
-    let reg = ensure vm in
-    let n = count vm in
+    let n = count_in vm reg in
     grow vm reg (n + 1);
     let arr = programs_array vm reg in
     let cell = Store.alloc_weak store (Pvalue.Ref hp_oid) in
@@ -239,8 +146,8 @@ let link_damage vm link_oid =
 
 (* Retrieve a HyperLinkHP instance (the getLink of Figure 9), reporting
    failure as data rather than raising: broken links degrade. *)
-let resolve_link vm ~hp ~link =
-  match hp_at vm hp with
+let resolve_link vm reg ~hp ~link =
+  match hp_in vm reg hp with
   | Pvalue.Ref hp_oid -> begin
     match Storage_form.link_oids vm hp_oid with
     | exception Quarantine.Quarantined (oid, reason) ->
@@ -262,31 +169,15 @@ let resolve_link vm ~hp ~link =
   | _ -> Error (Failure.Collected hp)
 
 let try_get_link vm ~password ~hp ~link =
+  let reg = ensure vm in
+  if not (password_ok vm reg password) then bad_password ();
   let obs = Store.obs Rt.(vm.store) in
-  let m = memo_of vm in
-  memo_validate vm m;
-  if not (check_password_m vm m password) then bad_password ();
   (* the span label costs a [sprintf]: only pay it while tracing *)
   let label =
     if Obs.enabled obs then Some (Printf.sprintf "hp=%d link=%d" hp link)
     else None
   in
-  Obs.span obs Obs.Get_link ?label (fun () ->
-      if not m.m_enabled then resolve_link vm ~hp ~link
-      else begin
-        match Hashtbl.find_opt m.m_table (hp, link) with
-        | Some r ->
-          m.m_hits <- m.m_hits + 1;
-          Obs.incr obs Obs.Cache_hit;
-          r
-        | None ->
-          let r = resolve_link vm ~hp ~link in
-          m.m_misses <- m.m_misses + 1;
-          Obs.incr obs Obs.Cache_miss;
-          if Hashtbl.length m.m_table >= m.m_capacity then Hashtbl.reset m.m_table;
-          Hashtbl.replace m.m_table (hp, link) r;
-          r
-      end)
+  Obs.span obs Obs.Get_link ?label (fun () -> resolve_link vm reg ~hp ~link)
 
 (* A hyper.BrokenLink instance standing in for an unreachable target:
    compiled textual forms receive it from getLink instead of an
@@ -322,8 +213,9 @@ let get_link vm ~password ~hp ~link =
 
 (* Live registered programs: (uid, oid) pairs whose weak target survives. *)
 let live_programs vm =
-  List.init (count vm) (fun i ->
-      match hp_at vm i with
+  let reg = ensure vm in
+  List.init (count_in vm reg) (fun i ->
+      match hp_in vm reg i with
       | Pvalue.Ref oid -> Some (i, oid)
       | _ -> None)
   |> List.filter_map Fun.id
@@ -365,12 +257,11 @@ type prune_stats = {
    [hyper.ccache:*] entries and [hyper.ccache.index]; nothing reads
    them, so they go too. *)
 let prune vm =
-  clear_memo vm;
   let store = Rt.(vm.store) in
   let reg = ensure vm in
   let arr = programs_array vm reg in
   let cleared = ref 0 in
-  for i = 0 to count vm - 1 do
+  for i = 0 to count_in vm reg - 1 do
     match Store.elem store arr i with
     | Pvalue.Ref cell ->
       let dead =
@@ -399,7 +290,7 @@ let prune vm =
         let dead =
           match Option.bind (Store.blob store key) int_of_string_opt with
           | None -> true
-          | Some uid -> ( match hp_at vm uid with Pvalue.Ref _ -> false | _ -> true)
+          | Some uid -> ( match hp_in vm reg uid with Pvalue.Ref _ -> false | _ -> true)
         in
         if dead then begin
           Store.remove_blob store key;

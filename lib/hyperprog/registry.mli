@@ -44,7 +44,9 @@ val try_get_link :
 (** Like {!get_link}, but failures come back as data: [Collected] for a
     garbage-collected program, [Bad_index] for a link number the program
     does not have, [Quarantined]/[Dangling] for an unreadable link or
-    target.
+    target.  Every call reads the registry and the program's current
+    link vector, so the answer is always the link the program names
+    now.
     @raise Rt.Jerror [java.lang.SecurityException] on a bad password. *)
 
 val get_link : Rt.t -> password:string -> hp:int -> link:int -> Pvalue.t
@@ -57,15 +59,7 @@ val get_link : Rt.t -> password:string -> hp:int -> link:int -> Pvalue.t
 val live_programs : Rt.t -> (int * Oid.t) list
 (** Registered programs whose weak target is still alive. *)
 
-(** {1 getLink memoisation}
-
-    A bounded per-store memo of {!try_get_link} results keyed by
-    [(hp, link)], on by default.  Registry mutations ({!add_hp},
-    {!prune}) flush it; side channels — quarantine add/clear, GC sweeps,
-    rollback, evolution's instance surgery — are caught by revalidating
-    against [Store.invalidation_epoch] before every read, so broken-link
-    degradation surfaces exactly as it would cold.  State lives in
-    [Store.props]: per store, never persisted. *)
+(** {1 Benchmark stub} *)
 
 type memo_stats = {
   hits : int;
@@ -74,12 +68,10 @@ type memo_stats = {
   capacity : int;
 }
 
-val memo_enabled : Rt.t -> bool
-val set_memo_enabled : Rt.t -> bool -> unit
 val memo_stats : Rt.t -> memo_stats
-
-val clear_memo : Rt.t -> unit
-(** Flush the memo (also called internally by {!add_hp} / {!prune}). *)
+(** Always zero: there is no getLink memo, and every {!try_get_link}
+    reads the registry.  Kept only for the frozen benchmark that reads
+    it. *)
 
 (** {1 Maintenance} *)
 

@@ -31,25 +31,6 @@ let help_text =
    observer until exit. *)
 let say fmt = Printf.ksprintf (fun s -> print_string s; flush stdout) fmt
 
-let split_args line = String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-
-let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i >= n then ()
-    else if i + 1 < n && s.[i] = '\\' && s.[i + 1] = 'n' then begin
-      Buffer.add_char buf '\n';
-      go (i + 2)
-    end
-    else begin
-      Buffer.add_char buf s.[i];
-      go (i + 1)
-    end
-  in
-  go 0;
-  Buffer.contents buf
-
 let run ~client ~input =
   let pending : (string * string) option ref = ref None in
   let root = ref "" in
@@ -62,7 +43,7 @@ let run ~client ~input =
   let interactive = Unix.isatty (Unix.descr_of_in_channel input) in
   say "connected: session %d on %s\n" (Client.session client) (Client.server client);
   let handle line =
-    match split_args line with
+    match Shell.split_args line with
     | [] -> ()
     | "help" :: _ -> print_string help_text
     | ("quit" | "exit") :: _ -> quit := true
@@ -73,7 +54,7 @@ let run ~client ~input =
     | "edit" :: _ -> say "usage: edit ROOT\n"
     | "type" :: _ ->
       let text = if String.length line > 5 then String.sub line 5 (String.length line - 5) else "" in
-      Buffer.add_string buf (unescape text);
+      Buffer.add_string buf (Shell.unescape text);
       Buffer.add_char buf '\n'
     | "save" :: _ ->
       if !root = "" then say "no edit open (use `edit ROOT` first)\n"

@@ -41,7 +41,6 @@ let help_text =
   health                   store health: shard states, scrub progress, quarantine, retries
   repair [N|all]           repair a degraded/offline shard (default: every unhealthy one)
   stats                    operation counters (and latencies while tracing is on)
-  cache [on|off]           getLink-memo statistics / toggle the memo
   trace on|off|dump        toggle span tracing / dump the in-memory trace ring
   log                      show the session event log
   help | quit
@@ -460,21 +459,6 @@ let run_session ~input ~echo store session =
     | "health" :: _ -> cmd_health ?session:(active_session ()) store
     | "repair" :: rest -> cmd_repair store rest
     | "stats" :: _ -> cmd_stats ?session:(active_session ()) store
-    | "cache" :: rest -> begin
-      match rest with
-      | [] ->
-        let lm = Registry.memo_stats vm in
-        say "getLink memo (%s): %d hits, %d misses, %d/%d entries\n"
-          (if Registry.memo_enabled vm then "on" else "off")
-          lm.Registry.hits lm.Registry.misses lm.Registry.entries lm.Registry.capacity
-      | "on" :: _ ->
-        Registry.set_memo_enabled vm true;
-        say "caches on\n"
-      | "off" :: _ ->
-        Registry.set_memo_enabled vm false;
-        say "caches off\n"
-      | _ -> say "usage: cache [on|off]\n"
-    end
     | [ "trace"; "on" ] ->
       Obs.set_enabled (Store.obs store) true;
       say "tracing on\n"

@@ -10,6 +10,13 @@
 
 val help_text : string
 
+val split_args : string -> string list
+(** A command line's words, split on spaces (runs of spaces give no
+    empty words). *)
+
+val unescape : string -> string
+(** [type] text with each backslash-n escape expanded to a newline. *)
+
 val run : store_path:string -> input:in_channel -> echo:bool -> unit
 (** Open (or create) the store, run commands from [input] until [quit] or
     end of file, then stabilise.  Prompts only when [input] is a tty. *)

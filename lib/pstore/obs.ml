@@ -25,8 +25,6 @@ type op =
   | Get_link
   | Compile
   | Transaction
-  | Cache_hit
-  | Cache_miss
   | Group_commit
   | Repair
   | Degraded_op
@@ -39,7 +37,7 @@ let all_ops =
   [
     Get; Set; Alloc; Root_lookup; Stabilise; Journal_append; Compaction;
     Image_save; Image_load; Scrub_step; Retry; Quarantine_hit; Gc; Get_link;
-    Compile; Transaction; Cache_hit; Cache_miss; Group_commit; Repair;
+    Compile; Transaction; Group_commit; Repair;
     Degraded_op; Session_commit; Conflict; Net_request; Net_error;
   ]
 
@@ -60,15 +58,13 @@ let op_index = function
   | Get_link -> 13
   | Compile -> 14
   | Transaction -> 15
-  | Cache_hit -> 16
-  | Cache_miss -> 17
-  | Group_commit -> 18
-  | Repair -> 19
-  | Degraded_op -> 20
-  | Session_commit -> 21
-  | Conflict -> 22
-  | Net_request -> 23
-  | Net_error -> 24
+  | Group_commit -> 16
+  | Repair -> 17
+  | Degraded_op -> 18
+  | Session_commit -> 19
+  | Conflict -> 20
+  | Net_request -> 21
+  | Net_error -> 22
 
 let n_ops = List.length all_ops
 
@@ -89,8 +85,6 @@ let op_name = function
   | Get_link -> "get-link"
   | Compile -> "compile"
   | Transaction -> "transaction"
-  | Cache_hit -> "cache-hit"
-  | Cache_miss -> "cache-miss"
   | Group_commit -> "group-commit"
   | Repair -> "repair"
   | Degraded_op -> "degraded-op"

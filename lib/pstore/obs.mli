@@ -32,8 +32,6 @@ type op =
   | Get_link  (** registry link retrievals *)
   | Compile  (** dynamic-compiler invocations *)
   | Transaction
-  | Cache_hit  (** getLink-memo lookups answered from the memo *)
-  | Cache_miss  (** getLink-memo lookups that fell through to the slow path *)
   | Group_commit  (** multi-op journal deltas coalesced into one batch record *)
   | Repair  (** shard repairs (promotions back to healthy) *)
   | Degraded_op

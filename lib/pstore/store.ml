@@ -86,12 +86,10 @@ type t = {
   mutable blobs : (string, string) Hashtbl.t;
   shards : shard array; (* length >= 1, fixed at creation *)
   obs : Obs.t;
-  props : Props.t; (* transient per-store state attached by higher layers *)
   mutable marker : Manifest.Marker.t option; (* multi-shard commit marker *)
   mutable marker_epoch : int; (* current marker file index; -1 = none yet *)
   mutable seq : int; (* store-level stabilise sequence number *)
   mutable committed : int; (* highest seq durably recorded in the marker *)
-  mutable side_epoch : int; (* bumped on events that invalidate side caches *)
   mutable retry : Retry.policy option; (* transient-I/O retry, opt-in *)
   mutable breaker : int; (* consecutive exhausted failures before demotion; 0 = off *)
   mutable unhealthy : int; (* shards currently not Healthy (hot-path gate) *)
@@ -224,12 +222,10 @@ let make ?(obs = Obs.create ()) nshards =
       blobs = Hashtbl.create 16;
       shards = Array.init nshards (fun _ -> make_shard ());
       obs;
-      props = Props.create ();
       marker = None;
       marker_epoch = -1;
       seq = 0;
       committed = 0;
-      side_epoch = 0;
       retry = None;
       breaker = default_breaker;
       unhealthy = 0;
@@ -267,7 +263,6 @@ let make ?(obs = Obs.create ()) nshards =
 let heap store = store.heap
 let roots store = store.roots
 let obs store = store.obs
-let props store = store.props
 
 (* -- shard routing -------------------------------------------------------- *)
 
@@ -301,13 +296,6 @@ let manifest_of store ~marker_epoch =
     marker_epoch;
     epochs = Array.map (fun sh -> sh.sepoch) store.shards;
   }
-
-(* Side-cache invalidation: higher layers (the registry's getLink memo)
-   stamp their cached entries with this epoch; any event that can change
-   what a read observes without going through their own API — quarantine
-   churn, a GC sweep, rollback, direct heap surgery — bumps it. *)
-let invalidation_epoch store = store.side_epoch
-let bump_epoch store = store.side_epoch <- store.side_epoch + 1
 
 let backing store = store.backing
 
@@ -531,7 +519,6 @@ let mark_dirty store =
   if store.mvcc.open_sessions <> [] then
     invalid_arg "Store.mark_dirty: open snapshot sessions pin the object graph; commit or abort them first";
   store.needs_full <- true;
-  bump_epoch store;
   (* Direct heap surgery invalidates every recorded checksum; the
      scrubber re-primes them on its next pass. *)
   Array.iter (fun sh -> Oid.Table.reset sh.scrcs) store.shards
@@ -654,14 +641,12 @@ let quarantine_oid store oid reason =
   let sh = shard_oid store oid in
   Quarantine.add sh.sq oid reason;
   Oid.Table.remove sh.scrcs oid;
-  bump_epoch store;
   sh.sneeds_full <- true
 
 let clear_quarantine store oid =
   let sh = shard_oid store oid in
   if Quarantine.mem sh.sq oid then begin
     Quarantine.remove sh.sq oid;
-    bump_epoch store;
     sh.sneeds_full <- true
   end
 
@@ -1047,7 +1032,6 @@ let gc store =
      | None -> ());
   Obs.span store.obs Obs.Gc (fun () ->
       store.gc_count <- store.gc_count + 1;
-      bump_epoch store;
       (* A sweep removes objects and clears weak cells behind the journal's
          back; the next stabilise must therefore compact. *)
       store.needs_full <- true;
@@ -1155,7 +1139,6 @@ let scrub ?(budget = default_scrub_budget) store =
           Oid.Table.remove sh.scrcs oid;
           sh.sneeds_full <- true)
         newly;
-      if newly <> [] then bump_epoch store;
       { !total with Scrub.newly_quarantined = newly })
 
 let scrub_progress store =
@@ -1733,17 +1716,13 @@ let open_file ?config path =
    trace ring; [crash] drops the ring without snapshotting, exactly as a
    process crash would lose in-flight trace state. *)
 let close store =
-  (* durability barrier: sync any shard a failed sync left dirty, then
-     commit the current sequence number before the handles go *)
-  (try
-     if Array.exists (fun sh -> sh.sdirty) store.shards then sync_dirty_shards store;
-     match store.marker with
-     | Some m when store.seq > store.committed ->
-       Manifest.Marker.append m store.seq;
-       Manifest.Marker.sync m;
-       store.committed <- store.seq
-     | _ -> ()
+  (* durability barrier: sync any shard a failed sync left dirty before
+     the handles go.  The marker needs no commit here: a stabilise
+     commits its sequence number before it returns, a failed one leaves
+     [seq] unchanged and a full compaction resets both to 0. *)
+  (try if Array.exists (fun sh -> sh.sdirty) store.shards then sync_dirty_shards store
    with _ -> ());
+  if store.marker <> None then assert (store.seq = store.committed);
   Array.iter
     (fun sh ->
       (match sh.swal with
@@ -1864,7 +1843,6 @@ let repair store k =
            in
            Health.promote sh.shealth;
            refresh_unhealthy store;
-           bump_epoch store;
            (* The shard's recorded checksums describe entries from before
               the outage; let the scrubber re-prime them. *)
            Oid.Table.reset sh.scrcs;
@@ -1973,7 +1951,6 @@ let shard_info store =
 let clear_pins store = store.pins <- []
 
 let restore_contents store (restored : Image.contents) =
-  bump_epoch store;
   Heap.replace_all store.heap ~from:restored.Image.heap;
   Roots.replace_all store.roots ~from:restored.Image.roots;
   Hashtbl.reset store.blobs;
@@ -2186,10 +2163,7 @@ module Session = struct
                    | _ -> Obs.Set);
                  apply_op store op)
                ops;
-             store.mvcc.commit_seq <- store.mvcc.commit_seq + 1;
-             (* committed writes invalidate side caches: the registry's
-                getLink memo revalidates against this epoch *)
-             bump_epoch store
+             store.mvcc.commit_seq <- store.mvcc.commit_seq + 1
            end);
           drop_buffer s;
           unpin s `Committed;

@@ -144,18 +144,6 @@ val obs : t -> Obs.t
     latency histograms and the bounded trace ring (on when tracing is
     enabled via [Obs.set_enabled]). *)
 
-val props : t -> Props.t
-(** A typed property bag for per-store transient state attached by
-    higher layers (memo tables, cached fingerprints).  Never stabilised;
-    a reopened store starts empty. *)
-
-val invalidation_epoch : t -> int
-(** Side-cache invalidation stamp.  Bumped by every event that can
-    change what a read observes without going through a higher layer's
-    own API: quarantine add/clear (including the scrubber's), a GC
-    sweep, transaction rollback, and {!mark_dirty}.  Caches attached via
-    {!props} stamp entries with this epoch and flush on mismatch. *)
-
 val shards : t -> int
 (** The store's shard count (>= 1). *)
 

@@ -180,7 +180,6 @@ let maintenance_shell_script budget =
       "stabilise";
       "trace dump";
       "trace off";
-      "cache";
       "gc";
       "quit";
       "";

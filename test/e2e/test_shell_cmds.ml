@@ -1,5 +1,5 @@
 (* Subprocess-level coverage of the shell's maintenance commands: scrub,
-   health, stats, trace on|off|dump, cache on|off, gc.  Scripts are piped
+   health, stats, trace on|off|dump, gc.  Scripts are piped
    through stdin; assertions are output-shape checks (the counters move
    with unrelated work), never string-exact transcripts. *)
 
@@ -41,12 +41,43 @@ let trace_toggles_and_dumps () =
   let bad = shell "trace sideways\nquit\n" in
   expect_stdout_has bad "usage: trace on|off|dump"
 
-let cache_toggles_and_reports () =
-  let r = shell "cache\ncache off\ncache\ncache on\ncache\nquit\n" in
-  expect_stdout_has r "getLink memo (on)";
-  expect_stdout_has r "caches off";
-  expect_stdout_has r "getLink memo (off)";
-  expect_stdout_has r "caches on"
+(* The get-link line of each `stats` in a transcript, in order. *)
+let get_link_lines (r : Workload.Subproc.result) =
+  String.split_on_char '\n' r.Workload.Subproc.stdout
+  |> List.filter (fun l -> String.starts_with ~prefix:"get-link" (String.trim l))
+
+let go_fetches_object_links_through_get_link () =
+  (* an object link compiles to a getLink call, so the real binary's
+     counter moves only once the program runs *)
+  with_store @@ fun ~dir ~store ->
+  expect_ok (hpjava [ "compile"; store; write_src ~dir "Person.java" person_source ]);
+  expect_ok (hpjava [ "new"; store; "Person"; "ann"; "ann" ]);
+  let script =
+    String.concat "\n"
+      [
+        "stats";
+        "edit Greet";
+        "type public class Greet {\\n  public static void main(String[] args) {\\n    \
+         System.println(";
+        "link root ann";
+        "type .getName());\\n  }\\n}\\n";
+        "compile";
+        "stats";
+        "go";
+        "stats";
+        "quit";
+        "";
+      ]
+  in
+  let r = hpjava ~stdin_text:script [ "shell"; store ] in
+  expect_ok r;
+  expect_stdout_has r "ran Greet.main";
+  expect_stdout_has r "ann\n";
+  match get_link_lines r with
+  | [ line ] ->
+    if not (String.ends_with ~suffix:" 1" (String.trim line)) then
+      Alcotest.failf "expected one getLink, got %S" line
+  | lines -> Alcotest.failf "expected one get-link line (after go), got %d" (List.length lines)
 
 let gc_reports_sweep_counts () =
   let r = shell "gc\nquit\n" in
@@ -59,7 +90,7 @@ let maintenance_sequence_keeps_store_healthy () =
   with_store @@ fun ~dir:_ ~store ->
   let script =
     "scrub 128\nhealth\ntrace on\nstats\ncensus\nstabilise\ntrace dump\ntrace off\n\
-     cache\ngc\nquit\n"
+     gc\nquit\n"
   in
   let r = hpjava ~stdin_text:script [ "shell"; store ] in
   expect_ok r;
@@ -79,7 +110,7 @@ let suite =
     test "health reports quarantine set and retry counters" health_reports_quarantine_and_retries;
     test "stats reports operation counters" stats_reports_operation_counters;
     test "trace on|off|dump toggles and dumps the span ring" trace_toggles_and_dumps;
-    test "cache on|off toggles the getLink memo and reports stats" cache_toggles_and_reports;
+    test "go fetches each object link through getLink" go_fetches_object_links_through_get_link;
     test "gc reports live/swept counts" gc_reports_sweep_counts;
     test "maintenance sequence leaves a healthy store" maintenance_sequence_keeps_store_healthy;
     test "unknown command is reported" unknown_command_is_reported;

@@ -160,10 +160,10 @@ let ops_gen ~quiet shards =
   (* A session commit under a fault (mostly one that outlasts every
      retry), perhaps a second faulted stabilise, then a crash or a
      close: the cross-axis cases no single-feature schedule reached. *)
+  let exhausting =
+    map (fun n -> { target = None; kind = Faults.Intr_storm (64 + n) }) (int_bound 63)
+  in
   let torn_commit =
-    let exhausting =
-      map (fun n -> { target = None; kind = Faults.Intr_storm (64 + n) }) (int_bound 63)
-    in
     let+ i = int_bound 5
     and+ f = frequency [ (3, exhausting); (1, fault_gen shards) ]
     and+ g = opt ~ratio:0.5 (fault_gen shards)
@@ -172,8 +172,17 @@ let ops_gen ~quiet shards =
     @ Option.fold ~none:[] ~some:(fun g -> [ Stabilise (Some g) ]) g
     @ [ (if close then Close else Crash) ]
   in
+  (* Two stabilises that outlast every retry, each with a write to the
+     same root pending, then a third write to it: with the breaker on,
+     the root's shard is demoted by then and must refuse the write. *)
+  let demoted_write =
+    let+ i = int_bound 5 and+ f = exhausting and+ g = exhausting in
+    [ Set_root i; Stabilise (Some f); Set_root i; Stabilise (Some g); Set_root i ]
+  in
   let group = map (fun op -> [ op ]) one in
-  let group = if quiet then group else frequency [ (24, group); (1, torn_commit) ] in
+  let group =
+    if quiet then group else frequency [ (24, group); (1, torn_commit); (1, demoted_write) ]
+  in
   map List.concat (list_size (int_range 8 36) group)
 
 (* Shrink by deleting runs of ops, halving the run length down to one;
@@ -226,6 +235,9 @@ let torn_crashes = ref 0
 let failed_stabilise_crashes = ref 0
 let demotions = ref 0
 
+(* And writes a demoted shard refused, on 4 shards. *)
+let refusals = ref 0
+
 (* What a handle reads, shaped as a model state: roots, blobs, and the
    fields of the records roots name. *)
 let observe h : state =
@@ -253,7 +265,8 @@ let observe h : state =
 let healthy_shards s = Array.init (Store.shards s) (Store.shard_healthy s)
 
 let refused r shard =
-  if Store.shard_healthy r.store shard then fail "a refusal named healthy shard %d" shard
+  if Store.shard_healthy r.store shard then fail "a refusal named healthy shard %d" shard;
+  if r.cfg.shards = 4 then incr refusals
 
 (* A durability step ended with [live] on disk on the shards of one of
    [took_part] and the last durable state elsewhere.  A stabilise that
@@ -533,5 +546,7 @@ let () =
               check_bool "reached" true (!failed_stabilise_crashes > 0));
           test "a breaker demotion on 4 shards" (fun () ->
               check_bool "reached" true (!demotions > 0));
+          test "a write refused by a demoted shard on 4 shards" (fun () ->
+              check_bool "reached" true (!refusals > 0));
         ] );
     ]

@@ -5,5 +5,5 @@ let () =
       ("tracing", Test_obs_trace.suite);
       ("config", Test_obs_config.suite);
       ("failures", Test_obs_failure.suite);
-      ("cache ops", Test_obs_cache.suite);
+      ("op classes", Test_obs_ops.suite);
     ]

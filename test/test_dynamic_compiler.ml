@@ -160,6 +160,84 @@ let go_reruns_static_initialisers_in mode () =
     check_output (Printf.sprintf "press %d" press) "n=1\n" (Rt.take_output vm)
   done
 
+(* -- the compile path: every compile runs the compiler, stores nothing
+   of its own and sees the current schema -------------------------------- *)
+
+let source_v n body =
+  Printf.sprintf "public class K%d { public static int v() { return %s; } }" n body
+
+let compile_cache_blobs store =
+  List.filter (String.starts_with ~prefix:"hyper.ccache") (Store.blob_keys store)
+
+let repeated_compile_runs_compiler () =
+  let store, vm = fresh_hyper_vm () in
+  let obs = Store.obs store in
+  let src = source_v 0 "41" in
+  for i = 1 to 3 do
+    let rcs = Dynamic_compiler.compile_strings vm ~names:[ "K0" ] [ src ] in
+    check_bool "K0 linked" true (List.exists (fun rc -> rc.Rt.rc_name = "K0") rcs);
+    check_int (Printf.sprintf "compile %d ran the compiler" i) i (Obs.count obs Obs.Compile)
+  done
+
+let compile_leaves_no_blobs_across_reopen () =
+  with_store_file (fun path ->
+      let config = { Store.Config.default with Store.Config.backing = Some path } in
+      let store = Store.create ~config () in
+      let vm = Boot.boot_fresh store in
+      Dynamic_compiler.install vm;
+      let src = source_v 1 "7" in
+      ignore (Dynamic_compiler.compile_strings vm ~names:[ "K1" ] [ src ]);
+      check_int "compiling wrote no compile-cache blobs" 0
+        (List.length (compile_cache_blobs store));
+      Store.stabilise store;
+      Store.close store;
+      let store2 = Store.open_file path in
+      check_int "no compile-cache blobs after reopen" 0
+        (List.length (compile_cache_blobs store2));
+      let vm2 = Boot.vm_for store2 in
+      Dynamic_compiler.install vm2;
+      let before = Obs.count (Store.obs store2) Obs.Compile in
+      ignore (Dynamic_compiler.compile_strings vm2 ~names:[ "K1" ] [ src ]);
+      check_int "the reopened store compiles afresh" (before + 1)
+        (Obs.count (Store.obs store2) Obs.Compile);
+      check_output "the recompiled class runs" "7"
+        (Pvalue.to_string (Vm.call_static vm2 ~cls:"K1" ~name:"v" ~desc:"()I" []));
+      Store.close store2)
+
+let compile_after_evolution_sees_new_schema () =
+  let _store, vm = fresh_hyper_vm () in
+  ignore (marry_example vm);
+  let uses_age =
+    "public class UsesAge { public static void main(String[] args) {\n\
+    \  System.println(\"age=\" + new Person(\"z\").getAge()); } }"
+  in
+  expect_compile_error (fun () ->
+      Dynamic_compiler.compile_strings vm ~names:[ "UsesAge" ] [ uses_age ]);
+  (* the evolved Person gains an [age] field and its getter *)
+  let at = index_of person_source "  public String getName()" in
+  let new_source =
+    String.sub person_source 0 at ^ "  private int age;\n  public int getAge() { return age; }\n"
+    ^ String.sub person_source at (String.length person_source - at)
+  in
+  let result = Evolution.evolve vm ~class_name:"Person" ~new_source () in
+  check_output "evolved the right class" "Person" result.Evolution.class_name;
+  ignore (Dynamic_compiler.compile_strings vm ~names:[ "UsesAge" ] [ uses_age ]);
+  Dynamic_compiler.run_main vm ~cls:"UsesAge" [];
+  check_output "compiled against the evolved Person" "age=0\n" (Rt.take_output vm)
+
+let compile_error_on_every_attempt () =
+  let store, vm = fresh_hyper_vm () in
+  let obs = Store.obs store in
+  for i = 1 to 2 do
+    expect_compile_error (fun () ->
+        Dynamic_compiler.compile_strings vm ~names:[ "K2" ] [ "public class K2 { int" ]);
+    check_int (Printf.sprintf "attempt %d ran the compiler" i) i (Obs.count obs Obs.Compile)
+  done;
+  check_bool "no K2 was linked" false (Rt.is_loaded vm "K2");
+  ignore (Dynamic_compiler.compile_strings vm ~names:[ "K2" ] [ source_v 2 "13" ]);
+  check_output "the corrected source compiles and runs" "13"
+    (Pvalue.to_string (Vm.call_static vm ~cls:"K2" ~name:"v" ~desc:"()I" []))
+
 let suite =
   [
     test "direct compilation runs MarryExample" (run_marry Dynamic_compiler.Direct);
@@ -178,6 +256,12 @@ let suite =
       (go_reruns_static_initialisers_in Dynamic_compiler.Direct);
     test "every forked Go re-runs the static initialisers"
       (go_reruns_static_initialisers_in Dynamic_compiler.Forked);
+    test "a repeated compile runs the compiler each time" repeated_compile_runs_compiler;
+    test "compiles leave no cache blobs across stabilise and reopen"
+      compile_leaves_no_blobs_across_reopen;
+    test "a compile after evolution sees the new schema"
+      compile_after_evolution_sees_new_schema;
+    test "a compile error is reported on every attempt" compile_error_on_every_attempt;
   ]
 
 let props = []

@@ -41,6 +41,269 @@ let get_link_retrieves () =
   expect_jerror "java.lang.IndexOutOfBoundsException" (fun () ->
       ignore (Registry.get_link vm ~password:Registry.built_in_password ~hp:uid ~link:99))
 
+let link_value vm ~hp ~link =
+  match Registry.try_get_link vm ~password:Registry.built_in_password ~hp ~link with
+  | Ok v -> v
+  | Error f -> Alcotest.failf "expected link %d to resolve, got %s" link (Failure.describe f)
+
+(* A registered MarryExample with its links 0 and 2 resolved. *)
+let registered_marry vm =
+  let hp, _, _ = marry_example vm in
+  let uid = Registry.add_hp vm ~password:Registry.built_in_password hp in
+  let link0 = link_value vm ~hp:uid ~link:0 in
+  let link2 = link_value vm ~hp:uid ~link:2 in
+  check_bool "links 0 and 2 differ" false (Pvalue.equal link0 link2);
+  (hp, uid, link0, link2)
+
+let the_links vm hp =
+  Vm.call_virtual vm ~recv:(Pvalue.Ref hp) ~name:"getTheLinks" ~desc:"()Ljava.util.Vector;" []
+
+(* [hp.getTheLinks().setElementAt(link, i)], run by the VM: a plain
+   element write to the program's public link vector. *)
+let set_link vm hp i link =
+  ignore
+    (Vm.call_virtual vm ~recv:(the_links vm hp) ~name:"setElementAt"
+       ~desc:"(Ljava.lang.Object;I)V"
+       [ link; Pvalue.Int (Int32.of_int i) ])
+
+let set_link0 vm hp link = set_link vm hp 0 link
+
+let check_link0 vm uid what expected =
+  check_bool what true (Pvalue.equal (link_value vm ~hp:uid ~link:0) expected)
+
+(* getLink answers with the link the program names now, however the
+   link vector changed since the last call. *)
+let get_link_follows_rewritten_links () =
+  let _store, vm = fresh_hyper_vm () in
+  let hp, uid, _, link2 = registered_marry vm in
+  set_link0 vm hp link2;
+  check_link0 vm uid "link 0 is now link 2's HyperLinkHP" link2
+
+let get_link_follows_a_committed_session () =
+  let store, vm = fresh_hyper_vm () in
+  let hp, uid, link0, link2 = registered_marry vm in
+  let field cls oid name = Store.field store oid (Rt.field_slot vm cls name) in
+  let arr =
+    oid_of (field "java.util.Vector" (oid_of (field Hyper_src.hyper_program_class hp "theLinks")) "data")
+  in
+  let h = Store.open_session store in
+  Store.Session.set_elem h arr 0 link2;
+  check_link0 vm uid "an uncommitted rewrite is not seen" link0;
+  Store.Session.commit h;
+  check_link0 vm uid "the committed rewrite is seen" link2
+
+let get_link_follows_a_rollback () =
+  let store, vm = fresh_hyper_vm () in
+  let hp, uid, link0, link2 = registered_marry vm in
+  (match
+     Store.with_rollback store (fun () ->
+         set_link0 vm hp link2;
+         check_link0 vm uid "the rewrite is seen inside the transaction" link2;
+         failwith "abort")
+   with
+  | Error (Stdlib.Failure _) -> ()
+  | _ -> Alcotest.fail "expected the transaction to abort");
+  check_link0 vm uid "the rollback restored link 0" link0
+
+let get_link_sees_quarantine_and_its_clear () =
+  let store, vm = fresh_hyper_vm () in
+  let hp, _, mary = marry_example vm in
+  let uid = Registry.add_hp vm ~password:Registry.built_in_password hp in
+  ignore (link_value vm ~hp:uid ~link:2);
+  Store.quarantine_oid store (oid_of mary) "unit-test damage";
+  (match Registry.try_get_link vm ~password:Registry.built_in_password ~hp:uid ~link:2 with
+  | Error (Failure.Quarantined _) -> ()
+  | Ok _ -> Alcotest.fail "a link to a quarantined target resolved"
+  | Error f -> Alcotest.failf "expected Quarantined, got %s" (Failure.describe f));
+  Store.clear_quarantine store (oid_of mary);
+  ignore (link_value vm ~hp:uid ~link:2)
+
+let get_link_reports_collected_after_gc_and_prune () =
+  (* the hyper-program is only weakly registered: once nothing else
+     references it, a GC collects it *)
+  let store, vm = fresh_hyper_vm () in
+  let hp, _, _ = marry_example vm in
+  let uid = Registry.add_hp vm ~password:Registry.built_in_password hp in
+  ignore (link_value vm ~hp:uid ~link:0);
+  ignore (Store.gc store);
+  ignore (Registry.prune vm);
+  match Registry.try_get_link vm ~password:Registry.built_in_password ~hp:uid ~link:0 with
+  | Error (Failure.Collected _) -> ()
+  | Ok _ -> Alcotest.fail "a link of a collected program resolved"
+  | Error f -> Alcotest.failf "expected Collected, got %s" (Failure.describe f)
+
+let get_link_sees_a_program_registered_later () =
+  let _store, vm = fresh_hyper_vm () in
+  let _, uid, link0, _ = registered_marry vm in
+  let later = uid + 1 in
+  (match Registry.try_get_link vm ~password:Registry.built_in_password ~hp:later ~link:0 with
+  | Error (Failure.Collected _) -> ()
+  | Ok _ -> Alcotest.fail "an unregistered uid resolved"
+  | Error f -> Alcotest.failf "expected Collected, got %s" (Failure.describe f));
+  let ann = new_person vm "ann" in
+  let links = [ { Storage_form.link = Hyperlink.L_object (oid_of ann); label = "ann"; pos = 13 } ] in
+  let hp2 = Storage_form.create vm ~class_name:"Later" ~text:"public class Later { }" ~links in
+  check_int "the next uid" later (Registry.add_hp vm ~password:Registry.built_in_password hp2);
+  let link = link_value vm ~hp:later ~link:0 in
+  let obj = Vm.call_virtual vm ~recv:link ~name:"getObject" ~desc:"()Ljava.lang.Object;" [] in
+  check_bool "the new program's link reaches ann" true (Pvalue.equal obj ann);
+  check_link0 vm uid "the first program's link 0 is unchanged" link0
+
+(* -- getLink against a model of the link vectors ------------------------- *)
+
+(* A seeded workload over a backed store rewrites the rooted
+   MarryExample's link vector, registers unrooted one-link programs,
+   quarantines and clears mary, collects garbage, stabilises and
+   reopens.  After every step each getLink must give what a plain model
+   of the vectors predicts.  The model learns the HyperLinkHP instances
+   through the VM ([getTheLinks().elementAt(i)], [getObject()]), never
+   through the registry. *)
+
+type step =
+  | Rewrite of int * int (* slot, original link *)
+  | Add_unrooted
+  | Quarantine_mary
+  | Clear_mary
+  | Gc_prune
+  | Stabilise
+  | Reopen
+
+let gen_steps rng n =
+  List.init n (fun _ ->
+      match Random.State.int rng 10 with
+      | 0 | 1 | 2 -> Rewrite (Random.State.int rng 3, Random.State.int rng 3)
+      | 3 -> Add_unrooted
+      | 4 -> Quarantine_mary
+      | 5 -> Clear_mary
+      | 6 -> Gc_prune
+      | 7 -> Stabilise
+      | _ -> Reopen)
+
+type model_sys = {
+  path : string;
+  mutable store : Store.t;
+  mutable vm : Rt.t;
+  mary : Pvalue.t;
+  originals : Pvalue.t array; (* MarryExample's links, rooted so gc keeps them *)
+  slots : int array; (* slot i holds [originals.(slots.(i))] *)
+  mutable unrooted : (int * Pvalue.t * bool) list; (* uid, its link, collected *)
+}
+
+let element_at vm vector i =
+  Vm.call_virtual vm ~recv:vector ~name:"elementAt" ~desc:"(I)Ljava.lang.Object;"
+    [ Pvalue.Int (Int32.of_int i) ]
+
+let get_object vm link =
+  Vm.call_virtual vm ~recv:link ~name:"getObject" ~desc:"()Ljava.lang.Object;" []
+
+let make_model_sys path =
+  let store =
+    Store.create ~config:{ Store.Config.default with Store.Config.backing = Some path } ()
+  in
+  let vm = Boot.boot_fresh store in
+  Dynamic_compiler.install vm;
+  let hp, _, mary = marry_example vm in
+  Store.set_root store "hp" (Pvalue.Ref hp);
+  check_int "MarryExample is uid 0" 0 (Registry.add_hp vm ~password:Registry.built_in_password hp);
+  let originals = Array.init 3 (element_at vm (the_links vm hp)) in
+  Array.iteri (fun k l -> Store.set_root store (Printf.sprintf "link%d" k) l) originals;
+  { path; store; vm; mary; originals; slots = [| 0; 1; 2 |]; unrooted = [] }
+
+let reopen_model_sys sys =
+  Store.stabilise sys.store;
+  Store.close sys.store;
+  sys.store <- Store.open_file sys.path;
+  sys.vm <- Boot.vm_for sys.store;
+  Dynamic_compiler.install sys.vm
+
+let hp_root sys =
+  match Store.root sys.store "hp" with
+  | Some (Pvalue.Ref hp) -> hp
+  | _ -> Alcotest.fail "the hp root is gone"
+
+let run_step sys = function
+  | Rewrite (slot, k) ->
+    set_link sys.vm (hp_root sys) slot sys.originals.(k);
+    sys.slots.(slot) <- k
+  | Add_unrooted ->
+    let text = "public class Unrooted { }" in
+    let links =
+      [ { Storage_form.link = Hyperlink.L_object (oid_of sys.mary); label = "mary"; pos = 16 } ]
+    in
+    let hp = Storage_form.create sys.vm ~class_name:"Unrooted" ~text ~links in
+    let uid = Registry.add_hp sys.vm ~password:Registry.built_in_password hp in
+    let link = element_at sys.vm (the_links sys.vm hp) 0 in
+    sys.unrooted <- sys.unrooted @ [ (uid, link, false) ]
+  | Quarantine_mary -> Store.quarantine_oid sys.store (oid_of sys.mary) "model damage"
+  | Clear_mary -> Store.clear_quarantine sys.store (oid_of sys.mary)
+  | Gc_prune ->
+    ignore (Store.gc sys.store);
+    ignore (Registry.prune sys.vm);
+    sys.unrooted <- List.map (fun (uid, link, _) -> (uid, link, true)) sys.unrooted
+  | Stabilise -> Store.stabilise sys.store
+  | Reopen -> reopen_model_sys sys
+
+let render_outcome = function
+  | Ok v -> Printf.sprintf "ok %s" (Pvalue.to_string v)
+  | Error (Failure.Quarantined _) -> "quarantined"
+  | Error (Failure.Bad_index _) -> "bad-index"
+  | Error (Failure.Collected _) -> "collected"
+  | Error f -> Failure.describe f
+
+(* The model's answer for a live link whose target may be mary. *)
+let expected_link sys link =
+  let mary = oid_of sys.mary in
+  if Store.is_quarantined sys.store mary && Pvalue.equal (get_object sys.vm link) sys.mary
+  then "quarantined"
+  else Printf.sprintf "ok %s" (Pvalue.to_string link)
+
+let check_against_model sys ~seed ~step seen =
+  let check hp link expected =
+    let actual =
+      render_outcome
+        (Registry.try_get_link sys.vm ~password:Registry.built_in_password ~hp ~link)
+    in
+    Hashtbl.replace seen (List.hd (String.split_on_char ' ' actual)) ();
+    if actual <> expected then
+      Alcotest.failf "seed %d, step %d: getLink %d %d gave %s, the model %s" seed step hp
+        link actual expected
+  in
+  Array.iteri (fun i k -> check 0 i (expected_link sys sys.originals.(k))) sys.slots;
+  check 0 3 "bad-index";
+  List.iter
+    (fun (uid, link, collected) ->
+      if collected then check uid 0 "collected"
+      else begin
+        check uid 0 (expected_link sys link);
+        check uid 1 "bad-index"
+      end)
+    sys.unrooted
+
+(* Runs one seeded workload; returns the outcome kinds it saw. *)
+let run_model_seed seed =
+  let seen = Hashtbl.create 4 in
+  with_store_file (fun path ->
+      let sys = make_model_sys path in
+      check_against_model sys ~seed ~step:0 seen;
+      List.iteri
+        (fun i step ->
+          run_step sys step;
+          check_against_model sys ~seed ~step:(i + 1) seen)
+        (gen_steps (Random.State.make [| seed |]) 30);
+      Store.close sys.store);
+  seen
+
+let get_link_matches_model seed () = ignore (run_model_seed seed)
+
+let model_reaches_every_outcome () =
+  let seen = Hashtbl.create 4 in
+  List.iter
+    (fun seed -> Hashtbl.iter (fun k () -> Hashtbl.replace seen k ()) (run_model_seed seed))
+    [ 1; 2; 3; 4 ];
+  List.iter
+    (fun kind -> check_bool (kind ^ " reached") true (Hashtbl.mem seen kind))
+    [ "ok"; "quarantined"; "bad-index"; "collected" ]
+
 let weak_registry_allows_collection () =
   let _store, vm = fresh_hyper_vm () in
   let hp, _, _ = marry_example vm in
@@ -107,17 +370,15 @@ let registry_persists () =
       let store = Store.create () in
       let vm = Boot.boot_fresh store in
       Dynamic_compiler.install vm;
-      let hp, _, _ = marry_example vm in
+      let hp, uid, _, link2 = registered_marry vm in
       Store.set_root store "hp" (Pvalue.Ref hp);
-      let uid = Registry.add_hp vm ~password:Registry.built_in_password hp in
+      set_link0 vm hp link2;
       Store.stabilise ~path store;
       let store2 = Store.open_file path in
       let vm2 = Boot.vm_for store2 in
       Dynamic_compiler.install vm2;
       check_int "count survives" 1 (Registry.count vm2);
-      check_bool "link retrievable after reopen" true
-        (Registry.get_link vm2 ~password:Registry.built_in_password ~hp:uid ~link:0
-        <> Pvalue.Null))
+      check_link0 vm2 uid "the rewritten link 0 survives reopen" link2)
 
 let prune_drops_legacy_compile_cache_blobs () =
   (* Stores written while a persistent compile cache existed carry its
@@ -174,6 +435,21 @@ let suite =
     test "passwords are checked" passwords_checked;
     test "uid allocation is idempotent" uid_allocation_idempotent;
     test "getLink retrieves the HyperLinkHP" get_link_retrieves;
+    test "getLink follows a rewritten link vector" get_link_follows_rewritten_links;
+    test "getLink follows a link vector rewritten in a committed session"
+      get_link_follows_a_committed_session;
+    test "getLink follows a rolled-back rewrite back" get_link_follows_a_rollback;
+    test "getLink reports a quarantined target until it is cleared"
+      get_link_sees_quarantine_and_its_clear;
+    test "getLink reports a program collected by gc and prune"
+      get_link_reports_collected_after_gc_and_prune;
+    test "getLink sees a program registered after earlier lookups"
+      get_link_sees_a_program_registered_later;
+    test "getLink matches the link-vector model (seed 1)" (get_link_matches_model 1);
+    test "getLink matches the link-vector model (seed 2)" (get_link_matches_model 2);
+    test "getLink matches the link-vector model (seed 3)" (get_link_matches_model 3);
+    test "getLink matches the link-vector model (seed 4)" (get_link_matches_model 4);
+    test "the model workload reaches every getLink outcome" model_reaches_every_outcome;
     test "weak registry allows collection" weak_registry_allows_collection;
     test "rooted programs survive gc" rooted_programs_survive;
     test "links keep entities reachable" linked_entities_stay_reachable;
