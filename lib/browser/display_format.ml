@@ -28,8 +28,6 @@ let create_registry () : registry = Hashtbl.create 16
 
 let register registry ~class_name format = Hashtbl.replace registry class_name format
 
-let unregister registry ~class_name = Hashtbl.remove registry class_name
-
 (* Lookup walks the superclass chain so a format registered for a base
    class applies to subclasses too. *)
 let lookup vm registry class_name =

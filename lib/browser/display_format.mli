@@ -18,7 +18,6 @@ type registry
 
 val create_registry : unit -> registry
 val register : registry -> class_name:string -> t -> unit
-val unregister : registry -> class_name:string -> unit
 
 val lookup : Rt.t -> registry -> string -> t
 (** Lookup walks the superclass chain, so a format registered for a base

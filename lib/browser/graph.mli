@@ -4,10 +4,6 @@
 
 open Pstore
 
-val inbound_counts : Store.t -> int Oid.Table.t
-(** Inbound strong-reference counts over the whole heap; named roots
-    count as referrers. *)
-
 val shared_objects : Store.t -> Oid.Set.t
 (** Objects referenced from at least two places. *)
 

@@ -3,6 +3,5 @@
 
 open Pstore
 
-val panel : ?shared:Oid.Set.t -> Ocb.t -> Ocb.panel -> string
 val browser : ?max_panels:int -> Ocb.t -> string
 val census : Store.t -> string

@@ -33,7 +33,6 @@ type 'a t = { mutable lines : 'a line list }
 type 'a clipboard
 
 val create : unit -> 'a t
-val of_lines : (string * (int * 'a link) list) list -> 'a t
 val lines : 'a t -> (string * (int * 'a link) list) list
 val line_count : 'a t -> int
 val line_text : 'a t -> int -> string
@@ -56,7 +55,6 @@ val remove_link_at : 'a t -> pos -> 'a link option
 
 val link_at : 'a t -> pos -> 'a link option
 
-val copy : 'a t -> pos -> pos -> 'a clipboard
 val cut : 'a t -> pos -> pos -> 'a clipboard
 val paste : 'a t -> pos -> 'a clipboard -> pos
 (** Clipboard contents carry both text and links. *)

@@ -38,7 +38,6 @@ let keyword = { default with bold = true; foreground = Blue }
 let string_lit = { default with foreground = Green }
 let comment = { default with italic = true; foreground = Cyan }
 let link_button = { default with underline = true; foreground = Magenta; background = White }
-let error = { default with foreground = Red; bold = true }
 
 let equal (a : t) (b : t) = a = b
 
@@ -70,9 +69,3 @@ let ansi face =
   end
 
 let ansi_reset = "\027[0m"
-
-let pp ppf face =
-  Format.fprintf ppf "{font=%s size=%d%s%s%s}" face.font face.size
-    (if face.bold then " bold" else "")
-    (if face.italic then " italic" else "")
-    (if face.underline then " underline" else "")

@@ -32,7 +32,6 @@ val keyword : t
 val string_lit : t
 val comment : t
 val link_button : t
-val error : t
 
 val equal : t -> t -> bool
 
@@ -40,4 +39,3 @@ val ansi : t -> string
 (** ANSI escape prefix for a face; [""] for the default face. *)
 
 val ansi_reset : string
-val pp : Format.formatter -> t -> unit

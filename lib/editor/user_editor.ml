@@ -36,10 +36,8 @@ let create ?(class_name = "") vm =
       else "[" ^ l.Basic_editor.label ^ "]");
   { window; vm; class_name; last_error = None; stored_as = None }
 
-let window ed = ed.window
 let buffer ed = Window_editor.buffer ed.window
 let class_name ed = ed.class_name
-let set_class_name ed name = ed.class_name <- name
 let last_error ed = ed.last_error
 
 (* -- composing --------------------------------------------------------------- *)

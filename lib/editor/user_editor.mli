@@ -12,10 +12,8 @@ open Hyperprog
 type t
 
 val create : ?class_name:string -> Rt.t -> t
-val window : t -> Hyperlink.t Window_editor.t
 val buffer : t -> Hyperlink.t Basic_editor.t
 val class_name : t -> string
-val set_class_name : t -> string -> unit
 
 val last_error : t -> string option
 (** The last compile or insertion error, if any. *)
@@ -26,7 +24,6 @@ val type_text : t -> string -> unit
 val move_cursor : t -> Basic_editor.pos -> unit
 
 val editing_form : t -> Editing_form.t
-val load_form : t -> Editing_form.t -> unit
 
 val insert_link :
   ?check:bool -> ?label:string -> t -> Hyperlink.t -> (unit, string) result
@@ -39,9 +36,6 @@ val press_button : t -> Basic_editor.pos -> Hyperlink.t option
 
 val drag_link : t -> from:Basic_editor.pos -> to_:Basic_editor.pos -> (unit, string) result
 (** Move a link button (the Section 5.4.1 drag-and-drop interaction). *)
-
-val highlight : t -> unit
-(** Re-apply Java syntax highlighting faces. *)
 
 val save : t -> Pstore.Oid.t
 (** Store the buffer as a fresh storage-form instance. *)

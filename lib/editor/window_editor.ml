@@ -47,11 +47,6 @@ let set_cursor w pos =
   else if line >= w.top_line + w.height then w.top_line <- line - w.height + 1
 
 let set_selection w range = w.selection <- range
-let selection w = w.selection
-
-let resize w ~width ~height =
-  w.width <- width;
-  w.height <- height
 
 let scroll_to w line = w.top_line <- max 0 line
 

@@ -19,9 +19,7 @@ val set_cursor : 'a t -> Basic_editor.pos -> unit
     visible. *)
 
 val set_selection : 'a t -> (Basic_editor.pos * Basic_editor.pos) option -> unit
-val selection : 'a t -> (Basic_editor.pos * Basic_editor.pos) option
 
-val resize : 'a t -> width:int -> height:int -> unit
 val scroll_to : 'a t -> int -> unit
 
 val set_render_label : 'a t -> ('a Basic_editor.link -> string) -> unit
@@ -33,7 +31,6 @@ val set_face : 'a t -> line:int -> start:int -> len:int -> Face.t -> unit
     higher layers re-apply styling. *)
 
 val clear_faces : ?line:int -> 'a t -> unit
-val face_at : 'a t -> line:int -> col:int -> Face.t
 
 val insert_at_cursor : 'a t -> string -> unit
 val insert_link_at_cursor : 'a t -> 'a Basic_editor.link -> unit
@@ -41,6 +38,5 @@ val delete_selection : 'a t -> unit
 val backspace : 'a t -> unit
 
 val render_line : 'a t -> int -> segment list
-val render_visible : 'a t -> segment list list
 val render_ansi : 'a t -> string
 val render_plain : 'a t -> string

@@ -20,8 +20,6 @@ type t = {
   class_name : string;
 }
 
-let empty = { lines = [ { text = ""; links = [] } ]; class_name = "" }
-
 let sort_links links = List.stable_sort (fun a b -> Int.compare a.offset b.offset) links
 
 let line_count form = List.length form.lines
@@ -104,18 +102,6 @@ let to_storage vm form =
   Storage_form.create vm ~class_name:form.class_name ~text ~links
 
 (* -- inspection --------------------------------------------------------------- *)
-
-let pp ppf form =
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i (line : line) ->
-      Format.fprintf ppf "%2d: %S" i line.text;
-      List.iter
-        (fun l -> Format.fprintf ppf " [%d:%s]" l.offset l.label)
-        line.links;
-      Format.pp_print_cut ppf ())
-    form.lines;
-  Format.fprintf ppf "@]"
 
 let equal a b =
   a.class_name = b.class_name

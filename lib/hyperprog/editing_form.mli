@@ -24,10 +24,8 @@ type t = {
   class_name : string;
 }
 
-val empty : t
 val line_count : t -> int
 val total_links : t -> int
-val sort_links : link list -> link list
 
 (** Flat representation: one text string with absolute link positions —
     the shape shared with the storage form. *)
@@ -45,5 +43,4 @@ val of_storage : Rt.t -> Oid.t -> t
 val to_storage : Rt.t -> t -> Oid.t
 (** Create a fresh storage-form instance from an editing form. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

@@ -18,13 +18,8 @@ type result = {
   old_version_blob : string;  (** archive key of the previous class file *)
 }
 
-val is_bootstrap : string -> bool
-(** Bootstrap classes (java, hyper and compiler packages) cannot be evolved. *)
-
 val source_of_class : Rt.t -> string -> string option
 (** The stored source of a loaded class. *)
-
-val loaded_subclasses : Rt.t -> string -> string list
 
 val evolve :
   ?converter:string ->

@@ -160,9 +160,8 @@ let link_census vm ~uid hp_oid =
            Registry.try_get_link vm ~password:Registry.built_in_password ~hp:uid ~link:i ))
 
 let live_page vm ~uid =
-  match List.assoc_opt uid (Registry.live_programs vm) with
-  | None -> None
-  | Some hp_oid ->
+  match Registry.hp_at vm uid with
+  | Pvalue.Ref hp_oid ->
     let href i _link = Printf.sprintf "/hp/%d/link/%d" uid i in
     let census = link_census vm ~uid hp_oid in
     let rows =
@@ -183,6 +182,7 @@ let live_page vm ~uid =
          (Printf.sprintf "<pre>%s</pre>\n<h2>hyper-links (%d, %d broken)</h2>\n<ul>\n%s\n</ul>"
             (render_body ~href (flat_of vm hp_oid))
             (List.length census) broken rows))
+  | _ -> None
 
 let live_link_page vm ~uid ~link =
   let title = Printf.sprintf "hyper-program %d, link %d" uid link in

@@ -21,9 +21,6 @@ val export_form : Editing_form.t -> string
 val export : Rt.t -> Pstore.Oid.t -> string
 (** Render a storage-form hyper-program as a full HTML page. *)
 
-val index_page : (string * string) list -> string
-(** An index page over (name, href) entries. *)
-
 val export_all : Rt.t -> dir:string -> string list
 (** Write one page per live registered hyper-program plus an index into
     [dir]; returns the exported names. *)

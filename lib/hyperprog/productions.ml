@@ -14,10 +14,6 @@ type verdict =
   | Legal
   | Illegal of string
 
-let verdict_is_legal = function
-  | Legal -> true
-  | Illegal _ -> false
-
 (* Which parser roles may realise each production.  A hyper-link for a
    value (object, literal, field access, array access) is textually an
    expression, so it must sit where a primary expression is accepted; a
@@ -78,8 +74,6 @@ let check_flat ~env (flat : Editing_form.flat) : verdict list =
                  role
                  (Hyperlink.production_name production)))
       links
-
-let check_form ~env form = check_flat ~env (Editing_form.to_flat form)
 
 (* Would inserting [link] at [pos] in [flat] be syntactically legal?
 

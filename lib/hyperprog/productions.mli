@@ -12,29 +12,11 @@ type verdict =
   | Legal
   | Illegal of string
 
-val verdict_is_legal : verdict -> bool
-
-val compatible_roles : Hyperlink.production -> Ast.hyper_role list
-(** The parser roles that may realise each production. *)
-
-val flatten_with_placeholders : Editing_form.flat -> string
-(** The hyper-program text with [#<i>] inserted at the i-th link. *)
-
-val check_flat : env:Jtype.class_env -> Editing_form.flat -> verdict list
-(** One verdict per link, in link order.  If the program does not parse,
-    every link is [Illegal] with the parse error. *)
-
-val check_form : env:Jtype.class_env -> Editing_form.t -> verdict list
-
 val insertion_legal :
   env:Jtype.class_env -> Editing_form.flat -> pos:int -> link:Hyperlink.t -> verdict
 (** Would inserting [link] at [pos] be syntactically legal?  Advisory on
     incomplete programs: if neither the program nor the program-plus-link
     parses, the insertion is allowed (composition is still in progress). *)
-
-val table1_cases : Rt.t -> (string * Hyperlink.t * string) list
-(** Canonical (kind name, link, context) triples for the 11 rows of
-    Table 1. *)
 
 val table1 : Rt.t -> env:Jtype.class_env -> (string * string * bool) list
 (** Evaluate the Table 1 matrix: (kind, production, legal-in-context). *)

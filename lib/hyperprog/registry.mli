@@ -10,9 +10,6 @@
 open Pstore
 open Minijava
 
-val root_name : string
-(** The persistent root under which the registry lives. *)
-
 val built_in_password : string
 (** The password "built into the system" (paper Section 4.2). *)
 

@@ -178,9 +178,6 @@ let create vm ~class_name ~text ~(links : link_spec list) =
 
 let text vm hp_oid = get_string_field vm hp_oid Hyper_src.hyper_program_class "theText"
 
-let set_text vm hp_oid new_text =
-  set_field vm hp_oid Hyper_src.hyper_program_class "theText" (Rt.jstring vm new_text)
-
 let class_name vm hp_oid =
   get_string_field vm hp_oid Hyper_src.hyper_program_class "className"
 

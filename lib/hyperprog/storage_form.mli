@@ -22,9 +22,6 @@ val create : Rt.t -> class_name:string -> text:string -> links:link_spec list ->
     [hyper.HyperLinkHP] per link (sorted by position).  [class_name] is
     the principal class (may be [""] to default to the first class). *)
 
-val make_link : Rt.t -> link_spec -> Pvalue.t
-(** Allocate a single [hyper.HyperLinkHP] instance. *)
-
 val read_link : Rt.t -> Oid.t -> link_spec
 (** Decode a [hyper.HyperLinkHP] instance back into a {!link_spec}. *)
 
@@ -32,7 +29,6 @@ val link_flags : Rt.t -> Oid.t -> bool * bool
 (** The paper's [(isSpecial, isPrimitive)] display flags of a link. *)
 
 val text : Rt.t -> Oid.t -> string
-val set_text : Rt.t -> Oid.t -> string -> unit
 val class_name : Rt.t -> Oid.t -> string
 
 val uid : Rt.t -> Oid.t -> int

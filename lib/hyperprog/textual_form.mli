@@ -14,24 +14,17 @@ open Minijava
 
 exception Textual_error of string
 
-val literal_source : Pvalue.t -> string
-(** Java literal text for a primitive value.
-    @raise Textual_error on references. *)
-
-val broken_placeholder : link_index:int -> string -> string
-(** The expression spliced in for a link whose target cannot be read:
-    [((java.lang.Object) null /* broken hyper-link N: reason */)]. *)
-
 val link_expression :
   Rt.t -> password:string -> hp_uid:int -> link_index:int -> Hyperlink.t -> string
 (** The textual equivalent of one hyper-link (paper Section 4.2).  When
-    the link's target store object is quarantined or dangling this is
-    {!broken_placeholder} instead. *)
+    the link's target store object is quarantined or dangling this is a
+    placeholder instead:
+    [((java.lang.Object) null /* broken hyper-link N: reason */)]. *)
 
 val generate : Rt.t -> Oid.t -> string
 (** Generate the whole textual form of a registered hyper-program.
     Damage degrades instead of raising: links whose target entity cannot
-    be read splice in {!broken_placeholder}, and links whose own
+    be read splice in that placeholder, and links whose own
     [HyperLinkHP] instance cannot be read are reported in a leading
     comment (and skipped).
     @raise Textual_error if the program has no uid (register it with

@@ -54,13 +54,6 @@ let front_editor session =
   | (_, ed) :: _ -> Some ed
   | [] -> None
 
-let editor session id = List.assoc_opt id session.editors
-
-let select_editor session id =
-  match List.partition (fun (i, _) -> i = id) session.editors with
-  | [ e ], rest -> session.editors <- e :: rest
-  | _ -> ()
-
 (* -- the browser-to-editor link protocol ------------------------------------------ *)
 
 (* Translate a browser entity (the value half of a row) into a

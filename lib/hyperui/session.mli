@@ -27,17 +27,12 @@ val events : t -> string list
 
 val new_editor : ?class_name:string -> t -> int * Editor.User_editor.t
 val front_editor : t -> Editor.User_editor.t option
-val editor : t -> int -> Editor.User_editor.t option
-val select_editor : t -> int -> unit
 
 (** {1 The browser-to-editor link protocol} *)
 
 type half =
   | Value_half  (** right half: link to the value *)
   | Location_half  (** left half: link to the location *)
-
-val link_of_entity : t -> Browser.Ocb.entity -> Hyperlink.t option
-val link_of_location : Browser.Ocb.location -> Hyperlink.t
 
 val insert_link_from_browser : ?half:half -> ?check:bool -> t -> (Hyperlink.t, string) result
 (** The Insert Link button: link the entity displayed in the front-most

@@ -8,8 +8,6 @@
     plus store maintenance ([roots], [census], [gc], [stabilise]).  Type
     [help] in the shell for the full list. *)
 
-val help_text : string
-
 val split_args : string -> string list
 (** A command line's words, split on spaces (runs of spaces give no
     empty words). *)

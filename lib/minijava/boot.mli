@@ -9,8 +9,6 @@ val boot_fresh : Pstore.Store.t -> Rt.t
 (** Create a VM over an empty store: install natives, compile and link
     the bootstrap library. *)
 
-val reopen : Pstore.Store.t -> Rt.t
-(** Create a VM over a store that already holds persisted classes. *)
-
 val vm_for : Pstore.Store.t -> Rt.t
-(** {!boot_fresh} or {!reopen}, depending on the store's contents. *)
+(** {!boot_fresh} on an empty store; otherwise relink the classes the
+    store already holds. *)

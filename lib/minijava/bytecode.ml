@@ -108,89 +108,3 @@ type code = {
   instrs : instr array;
   handlers : handler list;
 }
-
-let cmpop_name = function
-  | Ceq -> "eq"
-  | Cne -> "ne"
-  | Clt -> "lt"
-  | Cle -> "le"
-  | Cgt -> "gt"
-  | Cge -> "ge"
-
-let numkind_name = function
-  | Nint -> "i"
-  | Nlong -> "l"
-  | Nfloat -> "f"
-  | Ndouble -> "d"
-
-let pp_const ppf = function
-  | Kint n -> Format.fprintf ppf "int %ld" n
-  | Klong n -> Format.fprintf ppf "long %Ld" n
-  | Kfloat f -> Format.fprintf ppf "float %g" f
-  | Kdouble f -> Format.fprintf ppf "double %g" f
-  | Kbool b -> Format.fprintf ppf "bool %b" b
-  | Kchar c -> Format.fprintf ppf "char %d" c
-  | Kbyte b -> Format.fprintf ppf "byte %d" b
-  | Kshort s -> Format.fprintf ppf "short %d" s
-  | Kstr s -> Format.fprintf ppf "str %S" s
-  | Knull -> Format.pp_print_string ppf "null"
-
-let pp_instr ppf = function
-  | Const c -> Format.fprintf ppf "const %a" pp_const c
-  | Load n -> Format.fprintf ppf "load %d" n
-  | Store n -> Format.fprintf ppf "store %d" n
-  | Dup -> Format.pp_print_string ppf "dup"
-  | Pop -> Format.pp_print_string ppf "pop"
-  | Add k -> Format.fprintf ppf "%sadd" (numkind_name k)
-  | Sub k -> Format.fprintf ppf "%ssub" (numkind_name k)
-  | Mul k -> Format.fprintf ppf "%smul" (numkind_name k)
-  | Div k -> Format.fprintf ppf "%sdiv" (numkind_name k)
-  | Rem k -> Format.fprintf ppf "%srem" (numkind_name k)
-  | Neg k -> Format.fprintf ppf "%sneg" (numkind_name k)
-  | Band k -> Format.fprintf ppf "%sand" (numkind_name k)
-  | Bor k -> Format.fprintf ppf "%sor" (numkind_name k)
-  | Bxor k -> Format.fprintf ppf "%sxor" (numkind_name k)
-  | Shl k -> Format.fprintf ppf "%sshl" (numkind_name k)
-  | Shr k -> Format.fprintf ppf "%sshr" (numkind_name k)
-  | Ushr k -> Format.fprintf ppf "%sushr" (numkind_name k)
-  | Bnot k -> Format.fprintf ppf "%snot" (numkind_name k)
-  | Conv (a, b) -> Format.fprintf ppf "%s2%s" (numkind_name a) (numkind_name b)
-  | Trunc Tbyte -> Format.pp_print_string ppf "i2b"
-  | Trunc Tshort -> Format.pp_print_string ppf "i2s"
-  | Trunc Tchar -> Format.pp_print_string ppf "i2c"
-  | Not -> Format.pp_print_string ppf "not"
-  | Cmp (op, _) -> Format.fprintf ppf "cmp %s" (cmpop_name op)
-  | Concat -> Format.pp_print_string ppf "concat"
-  | To_string -> Format.pp_print_string ppf "tostring"
-  | Get_static (c, f) -> Format.fprintf ppf "getstatic %s.%s" c f
-  | Put_static (c, f) -> Format.fprintf ppf "putstatic %s.%s" c f
-  | Get_field (c, f) -> Format.fprintf ppf "getfield %s.%s" c f
-  | Put_field (c, f) -> Format.fprintf ppf "putfield %s.%s" c f
-  | Array_load -> Format.pp_print_string ppf "aload"
-  | Array_store -> Format.pp_print_string ppf "astore"
-  | Array_len -> Format.pp_print_string ppf "arraylen"
-  | New_obj c -> Format.fprintf ppf "new %s" c
-  | New_array d -> Format.fprintf ppf "newarray %s" d
-  | New_multi_array (d, n) -> Format.fprintf ppf "multianewarray %s %d" d n
-  | Invoke_static (c, m, d) -> Format.fprintf ppf "invokestatic %s.%s%s" c m d
-  | Invoke_virtual (c, m, d) -> Format.fprintf ppf "invokevirtual %s.%s%s" c m d
-  | Invoke_special (c, d) -> Format.fprintf ppf "invokespecial %s.<init>%s" c d
-  | Check_cast d -> Format.fprintf ppf "checkcast %s" d
-  | Instance_of d -> Format.fprintf ppf "instanceof %s" d
-  | Jump t -> Format.fprintf ppf "goto %d" t
-  | Jump_if_false t -> Format.fprintf ppf "iffalse %d" t
-  | Jump_if_true t -> Format.fprintf ppf "iftrue %d" t
-  | Ret -> Format.pp_print_string ppf "return"
-  | Ret_val -> Format.pp_print_string ppf "retval"
-  | Throw -> Format.pp_print_string ppf "athrow"
-  | Trap msg -> Format.fprintf ppf "trap %S" msg
-
-let pp_code ppf { max_locals; instrs; handlers } =
-  Format.fprintf ppf "@[<v>max_locals=%d@," max_locals;
-  Array.iteri (fun i instr -> Format.fprintf ppf "%4d: %a@," i pp_instr instr) instrs;
-  List.iter
-    (fun h ->
-      Format.fprintf ppf "handler [%d,%d) -> %d catch %s in slot %d@," h.h_start h.h_stop
-        h.h_target h.h_desc h.h_slot)
-    handlers;
-  Format.fprintf ppf "@]"

@@ -113,9 +113,3 @@ type code = {
   instrs : instr array;
   handlers : handler list;
 }
-
-val cmpop_name : cmpop -> string
-val numkind_name : numkind -> string
-val pp_const : Format.formatter -> const -> unit
-val pp_instr : Format.formatter -> instr -> unit
-val pp_code : Format.formatter -> code -> unit

@@ -5,5 +5,4 @@
     assignment expressions need no stack juggling; statement contexts
     emit an explicit [Pop]. *)
 
-val compile_method : Tast.tmethod -> Classfile.meth
 val compile_class : Tast.tclass -> Classfile.t

@@ -32,8 +32,6 @@ let compile_units ~env (sources : string list) : Classfile.t list =
   in
   List.map Compile.compile_class tclasses
 
-let compile_unit ~env source = compile_units ~env [ source ]
-
 (* Compile against a VM's loaded classes and link the result into it.
    Returns the classes in definition order.  With [redefine] (default
    false), classes that are already loaded are redefined in place and

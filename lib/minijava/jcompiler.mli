@@ -17,8 +17,6 @@ val compile_units : env:Jtype.class_env -> string list -> Classfile.t list
     each other.
     @raise Compile_error on lexical, syntactic or type errors. *)
 
-val compile_unit : env:Jtype.class_env -> string -> Classfile.t list
-
 val compile_and_load : ?persist:bool -> ?redefine:bool -> Rt.t -> string list -> Rt.rclass list
 (** Compile against a VM's loaded classes and link the result into it.
     [persist] (default true) writes class files to the store.  With

@@ -171,14 +171,3 @@ type class_info = {
 }
 
 type class_env = { find_class : string -> class_info option }
-
-let empty_env = { find_class = (fun _ -> None) }
-
-let chain_env first second =
-  {
-    find_class =
-      (fun name ->
-        match first.find_class name with
-        | Some _ as r -> r
-        | None -> second.find_class name);
-  }

@@ -74,8 +74,3 @@ type class_info = {
 }
 
 type class_env = { find_class : string -> class_info option }
-
-val empty_env : class_env
-
-val chain_env : class_env -> class_env -> class_env
-(** Lookup in the first environment, falling back to the second. *)

@@ -73,11 +73,6 @@ let load_batch ?(persist = true) vm (cfs : Classfile.t list) =
   if persist then List.iter (persist_class vm) ordered;
   rcs
 
-let load_class ?persist vm cf =
-  match load_batch ?persist vm [ cf ] with
-  | [ rc ] -> rc
-  | _ -> assert false
-
 (* -- redefinition -----------------------------------------------------------
    Redefining a loaded class (the fresh-class-loader analog, and the
    mechanism behind schema evolution): the old definition is swapped out,

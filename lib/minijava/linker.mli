@@ -12,12 +12,7 @@
 
 exception Link_error of string
 
-val class_blob_prefix : string
 val order_blob : string
-
-val sort_batch : Classfile.t list -> Classfile.t list
-(** Topological sort by the in-batch extends/implements relation.
-    @raise Link_error on inheritance cycles. *)
 
 val load_batch : ?persist:bool -> Rt.t -> Classfile.t list -> Rt.rclass list
 (** Define a batch; superclasses and interfaces outside the batch must
@@ -26,19 +21,12 @@ val load_batch : ?persist:bool -> Rt.t -> Classfile.t list -> Rt.rclass list
     @raise Link_error on missing dependencies.
     @raise Rt.Jerror [LinkageError] on duplicate definitions. *)
 
-val load_class : ?persist:bool -> Rt.t -> Classfile.t -> Rt.rclass
-
 val load_or_redefine_batch : ?persist:bool -> Rt.t -> Classfile.t list -> Rt.rclass list
 (** As {!load_batch}, but classes already loaded are redefined: subclass
     layouts are rebuilt and store instances reconstructed in place,
     copying fields by name with safe numeric widenings and defaulting the
     rest. *)
 
-val migrate_value : Rt.t -> Pstore.Pvalue.t -> Jtype.t -> Pstore.Pvalue.t
-val rebuild_layout : Rt.t -> Rt.rclass -> unit
-
 val relink_persisted : Rt.t -> Rt.rclass list
 (** Relink every class persisted in the store, in original definition
     order (used when reopening a store). *)
-
-val persist_class : Rt.t -> Classfile.t -> unit

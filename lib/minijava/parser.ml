@@ -864,14 +864,6 @@ let parse_expression source =
   | tok -> parse_error (peek_pos st) "trailing token '%s' after expression" (Token.to_string tok));
   (e, List.rev st.hypers)
 
-let parse_type_string source =
-  let st = make_state (Lexer.tokenize source) in
-  let ty = parse_type st in
-  (match peek st with
-  | Token.Eof -> ()
-  | tok -> parse_error (peek_pos st) "trailing token '%s' after type" (Token.to_string tok));
-  (ty, List.rev st.hypers)
-
 let parse_statements source =
   let st = make_state (Lexer.tokenize source) in
   let rec go acc =

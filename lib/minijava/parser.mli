@@ -16,5 +16,4 @@ val parse_unit : string -> result
     @raise Parse_error or {!Lexer.Lex_error} on malformed input. *)
 
 val parse_expression : string -> Ast.expr * (int * Ast.hyper_role) list
-val parse_type_string : string -> Ast.type_expr * (int * Ast.hyper_role) list
 val parse_statements : string -> Ast.stmt list * (int * Ast.hyper_role) list

@@ -23,10 +23,6 @@ val ctor_mirror : Rt.t -> cls:string -> desc:string -> Pvalue.t
 val mirror_field : Rt.t -> string -> Pvalue.t -> string -> string
 (** Read a string field of a mirror instance. *)
 
-val alloc_with_fields : Rt.t -> string -> (string * Pvalue.t) list -> Pvalue.t
-(** Allocate an instance and set named fields, bypassing constructors
-    (for system objects). *)
-
 val box : Rt.t -> Pvalue.t -> Pvalue.t
 (** Box a primitive in its wrapper class; references pass through. *)
 

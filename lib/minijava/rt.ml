@@ -275,13 +275,6 @@ let dispatch vm runtime_class name desc = resolve_method vm runtime_class name d
 
 (* -- the runtime class of a store value ------------------------------------ *)
 
-let runtime_class_name vm v =
-  match v with
-  | Pvalue.Null -> npe ()
-  | Pvalue.Ref oid -> Store.class_of vm.store oid
-  | _ ->
-    jerror "java.lang.InternalError" "primitive value %s has no class" (Pvalue.to_string v)
-
 (* Class of a record/array/string for dispatch purposes: arrays dispatch
    Object methods; strings dispatch on java.lang.String. *)
 let dispatch_class_name vm v =

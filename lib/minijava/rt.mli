@@ -85,9 +85,6 @@ val native_key : string -> string -> string -> string
 val create : Store.t -> t
 (** A VM over a store; registers the GC pin callback. *)
 
-val pinned_oids : t -> Oid.t list
-(** Oids reachable only through VM state (the GC pin set). *)
-
 val register_native : t -> cls:string -> name:string -> desc:string -> native_fn -> unit
 
 val find_class : t -> string -> rclass option
@@ -96,8 +93,6 @@ val get_class : t -> string -> rclass
 (** @raise Jerror [NoClassDefFoundError] when not loaded. *)
 
 val is_loaded : t -> string -> bool
-
-val rmethod_of_classfile : string -> Classfile.meth -> rmethod
 
 val default_value : Jtype.t -> Pvalue.t
 (** The Java default value of a field/array slot of this type. *)
@@ -111,9 +106,6 @@ val define_class : t -> Classfile.t -> rclass
 val field_slot : t -> string -> string -> int
 (** Instance-field slot by declaring class and name.
     @raise Jerror [NoSuchFieldError]. *)
-
-val static_slot : t -> string -> string -> rclass * int
-(** Walks the super chain: a static may be referenced via a subclass. *)
 
 val get_static : t -> string -> string -> Pvalue.t
 val set_static : t -> string -> string -> Pvalue.t -> unit
@@ -129,7 +121,6 @@ val dispatch : t -> string -> string -> string -> rmethod
 
 (** {1 Values and objects} *)
 
-val runtime_class_name : t -> Pvalue.t -> string
 val dispatch_class_name : t -> Pvalue.t -> string
 (** Class used for dispatch: strings dispatch on [java.lang.String],
     arrays on [java.lang.Object]. *)
@@ -151,9 +142,6 @@ val alloc_array : t -> string -> int -> Pvalue.t
     @raise Jerror [NegativeArraySizeException]. *)
 
 (** {1 Runtime subtyping} *)
-
-val is_subtype : t -> sub:string -> super:string -> bool
-(** Over type descriptors; arrays are covariant for references. *)
 
 val is_class_subtype : t -> string -> string -> bool
 

@@ -5,10 +5,6 @@
     hooks, string internals) are native.  Compiled by the system's own
     compiler at first boot; the class files persist in the store. *)
 
-val java_lang : string
-(** Object, String, System, Math, Class, the primitive wrappers and
-    StringBuffer. *)
-
 val java_lang_reflect : string
 (** Method, Field, Constructor. *)
 

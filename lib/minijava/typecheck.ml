@@ -1341,6 +1341,3 @@ let check_units ~env (units : (Ast.comp_unit * string option) list) : Tast.tclas
           { Tast.tc_info = ci; tc_methods = methods; tc_source = source })
         cu.Ast.cu_classes infos)
     per_unit_infos
-
-let check_unit ~env ?source (cu : Ast.comp_unit) : Tast.tclass list =
-  check_units ~env [ (cu, source) ]

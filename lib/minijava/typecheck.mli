@@ -6,12 +6,6 @@
 
 exception Type_error of Lexer.pos * string
 
-val check_unit : env:Jtype.class_env -> ?source:string -> Ast.comp_unit -> Tast.tclass list
-(** Check a compilation unit against an environment of already-available
-    classes.  [source] is recorded in each produced class as the
-    association from executable program back to source program.
-    @raise Type_error on ill-typed input. *)
-
 val check_units :
   env:Jtype.class_env -> (Ast.comp_unit * string option) list -> Tast.tclass list
 (** Check a batch of compilation units together; classes in different

@@ -9,20 +9,10 @@
 
 open Pstore
 
-val max_frame_depth : int
-
 (** {1 Value coercions} *)
 
 val as_int : Pvalue.t -> int32
 (** Accepts [Int], [Byte], [Short] and [Char] values. *)
-
-val as_long : Pvalue.t -> int64
-val as_float : Pvalue.t -> float
-val as_double : Pvalue.t -> float
-val as_bool : Pvalue.t -> bool
-
-val round_float : float -> float
-(** Round to 32-bit (Java [float]) precision. *)
 
 val java_string_of_double : float -> string
 val string_of_char_code : int -> string
@@ -35,19 +25,9 @@ exception Jthrow of Pvalue.t
     unwinds across frames; the public entry points convert an uncaught
     one into {!Rt.Jerror}. *)
 
-val protect : Rt.t -> (unit -> 'a) -> 'a
-(** Convert an escaping {!Jthrow} into {!Rt.Jerror}. *)
-
-val throwable_of_trap : Rt.t -> string -> string -> Pvalue.t option
-(** Construct a Throwable instance for an internal trap, when the
-    exception classes are available. *)
-
 val call_method : Rt.t -> Rt.rmethod -> Pvalue.t list -> Pvalue.t
 (** Invoke a method (receiver first for instance methods); runs natives
     through the VM's native registry.  Returns [Null] for void. *)
-
-val ensure_initialized : Rt.t -> string -> unit
-(** Run a class's [<clinit>] on first use (superclasses first). *)
 
 val to_string : Rt.t -> Pvalue.t -> string
 (** The string form of any value; objects dispatch [toString()]. *)

@@ -43,8 +43,6 @@ exception Commit_conflict of {
     reached the heap or the journal — so the caller retries by opening a
     fresh session and re-applying its intent against the new state. *)
 
-val pp : Format.formatter -> t -> unit
-
 val describe : t -> string
 (** One-line human rendering, e.g.
     ["quarantined @7: checksum mismatch"]. *)

@@ -23,7 +23,7 @@ let pp_stats ppf { live; swept; weak_cleared } =
    arbitrarily deep (a million-element linked list is ordinary data), so
    recursion over the object graph would overflow the OCaml stack.
    [edge] sees every strong reference out of a marked object. *)
-let mark ?(edge = fun _ _ -> ()) heap seed =
+let mark ~edge heap seed =
   let marked = Oid.Table.create 1024 in
   let work = Stack.create () in
   let push oid =
@@ -43,12 +43,6 @@ let mark ?(edge = fun _ _ -> ()) heap seed =
   done;
   marked
 
-let seed_of extra_roots roots = List.rev_append extra_roots (Roots.ref_oids roots)
-
-let reachable ?(extra_roots = []) heap roots =
-  let marked = mark heap (seed_of extra_roots roots) in
-  Oid.Table.fold (fun oid () acc -> Oid.Set.add oid acc) marked Oid.Set.empty
-
 (* One mark from the seed.  An edge that crosses a shard boundary to a
    live oid puts that oid in its owning shard's remembered set, which is
    what keeps later sweeps per-shard.  Weak-clear and sweep are one
@@ -60,7 +54,7 @@ let collect ~nshards ~shard_of ?(extra_roots = []) heap roots =
     if s <> shard_of src && Heap.is_live heap target then
       remembered.(s) <- Oid.Set.add target remembered.(s)
   in
-  let marked = mark ~edge heap (seed_of extra_roots roots) in
+  let marked = mark ~edge heap (List.rev_append extra_roots (Roots.ref_oids roots)) in
   let is_marked oid = Oid.Table.mem marked oid in
   let weak_cleared = ref 0 in
   Heap.iter

@@ -12,9 +12,6 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val reachable : ?extra_roots:Oid.t list -> Heap.t -> Roots.t -> Oid.Set.t
-(** The set of strongly reachable oids, without sweeping. *)
-
 val collect :
   nshards:int ->
   shard_of:(Oid.t -> int) ->

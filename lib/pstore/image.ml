@@ -276,12 +276,6 @@ let load_report ?obs path =
   | None -> read ()
   | Some o -> Obs.span o Obs.Image_load ~label:(Filename.basename path) read
 
-let load_with_crc ?obs path =
-  let r = load_report ?obs path in
-  (r.lr_contents, r.lr_crc)
-
-let load path = fst (load_with_crc path)
-
 (* One shard's view of whole-store contents: entries, roots, blobs and
    quarantined oids selected by the shard predicates.  Heap entries are
    shared by reference — a slice is a transient encode/save input, never

@@ -40,12 +40,6 @@ val encode_entry : Codec.writer -> Heap.entry -> unit
 val decode_entry : Codec.reader -> Heap.entry
 (** @raise Codec.Decode_error on truncation or checksum mismatch. *)
 
-val encode_entry_payload : Heap.entry -> string
-(** The raw (unframed) per-object encoding, over which {!entry_crc} is
-    computed. *)
-
-val decode_entry_payload : string -> Heap.entry
-
 val entry_crc : Heap.entry -> int32
 (** The per-object checksum: CRC-32 of the entry's encoded payload.  This
     is what the image frames store and the online scrubber recomputes. *)
@@ -57,10 +51,6 @@ val save : ?durable:bool -> ?obs:Obs.t -> string -> contents -> int32
     [obs], when given, records the write as an [Image_save] span with the
     encoded byte count. *)
 
-val load_with_crc : ?obs:Obs.t -> string -> contents * int32
-(** Like {!load}, also returning the image checksum.  [obs] records the
-    read as an [Image_load] span. *)
-
 type load_report = {
   lr_contents : contents;
   lr_crc : int32;
@@ -71,9 +61,8 @@ type load_report = {
 }
 
 val load_report : ?obs:Obs.t -> string -> load_report
-(** Like {!load_with_crc}, also reporting the salvage count. *)
-
-val load : string -> contents
+(** Read an image: its contents, its checksum and the salvage count.
+    [obs] records the read as an [Image_load] span. *)
 
 val slice :
   keep_oid:(Oid.t -> bool) -> keep_key:(string -> bool) -> contents -> contents

@@ -29,8 +29,6 @@ type t = {
   epochs : int array;  (** current image epoch of each shard *)
 }
 
-val magic : string
-
 (** {1 Shard assignment} *)
 
 val shard_of_oid : count:int -> Oid.t -> int

@@ -169,7 +169,6 @@ let set_enabled t on = t.tracing <- on
 (* -- recording ------------------------------------------------------------ *)
 
 let incr t op = Atomic.incr (Array.unsafe_get t.counters (op_index op))
-let add t op n = ignore (Atomic.fetch_and_add t.counters.(op_index op) n)
 
 (* CLOCK_MONOTONIC: a stepped wall clock must not record a negative or
    inflated span. *)

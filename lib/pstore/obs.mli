@@ -92,7 +92,6 @@ val set_enabled : t -> bool -> unit
 (** {1 Recording} *)
 
 val incr : t -> op -> unit
-val add : t -> op -> int -> unit
 (** A store has one [Obs.t] for all its shards: each shard's image
     loads and saves, journal appends and I/O retries count here, and
     with tracing on the image loads and saves also record spans in this

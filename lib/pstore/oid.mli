@@ -8,7 +8,6 @@ type t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val to_int : t -> int
 val of_int : int -> t

@@ -14,42 +14,6 @@ type t =
   | Double of float
   | Ref of Oid.t
 
-type tag =
-  | TNull
-  | TBool
-  | TByte
-  | TShort
-  | TChar
-  | TInt
-  | TLong
-  | TFloat
-  | TDouble
-  | TRef
-
-let tag = function
-  | Null -> TNull
-  | Bool _ -> TBool
-  | Byte _ -> TByte
-  | Short _ -> TShort
-  | Char _ -> TChar
-  | Int _ -> TInt
-  | Long _ -> TLong
-  | Float _ -> TFloat
-  | Double _ -> TDouble
-  | Ref _ -> TRef
-
-let tag_name = function
-  | TNull -> "null"
-  | TBool -> "boolean"
-  | TByte -> "byte"
-  | TShort -> "short"
-  | TChar -> "char"
-  | TInt -> "int"
-  | TLong -> "long"
-  | TFloat -> "float"
-  | TDouble -> "double"
-  | TRef -> "reference"
-
 let is_primitive = function
   | Null | Ref _ -> false
   | Bool _ | Byte _ | Short _ | Char _ | Int _ | Long _ | Float _ | Double _ -> true

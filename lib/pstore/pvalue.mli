@@ -16,10 +16,6 @@ type t =
   | Double of float
   | Ref of Oid.t
 
-type tag = TNull | TBool | TByte | TShort | TChar | TInt | TLong | TFloat | TDouble | TRef
-
-val tag : t -> tag
-val tag_name : tag -> string
 val is_primitive : t -> bool
 
 val byte : int -> t

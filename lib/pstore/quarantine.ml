@@ -22,11 +22,6 @@ let mem t oid = Oid.Table.mem t oid
 let size t = Oid.Table.length t
 let is_empty t = Oid.Table.length t = 0
 
-let check t oid =
-  match Oid.Table.find_opt t oid with
-  | Some reason -> raise (Quarantined (oid, reason))
-  | None -> ()
-
 (* Sorted for deterministic display and serialisation. *)
 let to_list t =
   Oid.Table.fold (fun oid reason acc -> (oid, reason) :: acc) t []

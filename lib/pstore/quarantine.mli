@@ -22,9 +22,6 @@ val mem : t -> Oid.t -> bool
 val size : t -> int
 val is_empty : t -> bool
 
-val check : t -> Oid.t -> unit
-(** @raise Quarantined if the oid is quarantined. *)
-
 val to_list : t -> (Oid.t * string) list
 (** Sorted by oid, for deterministic display and serialisation. *)
 

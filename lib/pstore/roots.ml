@@ -10,23 +10,11 @@ let set roots name v = Hashtbl.replace roots name v
 
 let find roots name = Hashtbl.find_opt roots name
 
-let get roots name =
-  match find roots name with
-  | Some v -> v
-  | None -> raise Not_found
-
-let mem roots name = Hashtbl.mem roots name
-
 let remove roots name = Hashtbl.remove roots name
-
-let names roots =
-  Hashtbl.fold (fun name _ acc -> name :: acc) roots [] |> List.sort String.compare
 
 let iter f roots = Hashtbl.iter f roots
 
 let fold f roots init = Hashtbl.fold f roots init
-
-let size roots = Hashtbl.length roots
 
 let ref_oids roots =
   Hashtbl.fold

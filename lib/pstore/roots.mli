@@ -9,15 +9,9 @@ val create : unit -> t
 val set : t -> string -> Pvalue.t -> unit
 val find : t -> string -> Pvalue.t option
 
-val get : t -> string -> Pvalue.t
-(** @raise Not_found if the root is not bound. *)
-
-val mem : t -> string -> bool
 val remove : t -> string -> unit
-val names : t -> string list
 val iter : (string -> Pvalue.t -> unit) -> t -> unit
 val fold : (string -> Pvalue.t -> 'a -> 'a) -> t -> 'a -> 'a
-val size : t -> int
 
 val ref_oids : t -> Oid.t list
 (** Oids directly referenced from roots (the GC mark seed). *)

@@ -332,11 +332,6 @@ let degrade_shard store k reason =
   Health.degrade store.shards.(k).shealth reason;
   refresh_unhealthy store
 
-let offline_shard store k reason =
-  check_shard_index store k;
-  Health.offline store.shards.(k).shealth reason;
-  refresh_unhealthy store
-
 let refuse_write store k st =
   let sh = store.shards.(k) in
   Health.note_refused_write sh.shealth;
@@ -1056,11 +1051,6 @@ let gc store =
           List.iter (Oid.Table.remove sh.scrcs) stale)
         store.shards;
       stats)
-
-let reachable store =
-  Gc.reachable
-    ~extra_roots:(quarantine_roots store @ pinned_oids store)
-    store.heap store.roots
 
 (* The per-shard quarantine sets merged into a fresh one, so fingerprints
    are identical whatever the shard count. *)
@@ -2042,7 +2032,6 @@ module Session = struct
   type nonrec t = session
 
   let id s = s.s_id
-  let store s = s.s_store
 
   let is_snapshot s =
     match s.s_kind with
@@ -2063,14 +2052,6 @@ module Session = struct
 
     let session s = s
   end)
-
-  let write_set s =
-    let keys =
-      List.sort_uniq String.compare
-        (Hashtbl.fold (fun k _ acc -> k :: acc) s.s_root_over []
-        @ Hashtbl.fold (fun k _ acc -> k :: acc) s.s_blob_over [])
-    in
-    (Oid.Set.elements s.s_written, keys)
 
   (* -- close-out: commit / abort ------------------------------------------ *)
 

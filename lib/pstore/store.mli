@@ -184,9 +184,6 @@ val degrade_shard : t -> int -> string -> unit
 (** Operator override: demote a healthy shard to degraded (no-op on an
     already-demoted shard).  @raise Invalid_argument on a bad index. *)
 
-val offline_shard : t -> int -> string -> unit
-(** Operator override: take a shard offline (no-op if already offline). *)
-
 type repair_report = {
   r_shard : int;
   r_was : Health.state;  (** the state the shard was repaired out of *)
@@ -342,7 +339,6 @@ val blob_keys : t -> string list
     stack frames).  The GC honours them in addition to named roots. *)
 
 val add_pin : t -> (unit -> Oid.t list) -> unit
-val pinned_oids : t -> Oid.t list
 
 (** {1 Garbage collection and stabilisation} *)
 
@@ -350,8 +346,6 @@ val gc : t -> Gc.stats
 (** Mark-and-sweep from the named roots and pins.
     @raise Invalid_argument while snapshot sessions are open — they pin
     the object graph. *)
-
-val reachable : t -> Oid.Set.t
 
 val contents : t -> Image.contents
 (** The store's heap, roots and blobs, viewed as image contents (shared,
@@ -465,7 +459,6 @@ module Session : sig
   (** Session ids are per-store, starting at 1; the default session is
       id 0. *)
 
-  val store : t -> store
   val is_snapshot : t -> bool
   (** [false] exactly for the default session. *)
 
@@ -519,18 +512,11 @@ module Session : sig
   val set_field : t -> Oid.t -> int -> Pvalue.t -> unit
   val set_elem : t -> Oid.t -> int -> Pvalue.t -> unit
   val alloc_record : t -> string -> Pvalue.t array -> Oid.t
-  val alloc_array : t -> string -> Pvalue.t array -> Oid.t
   val alloc_string : t -> string -> Oid.t
-  val alloc_weak : t -> Pvalue.t -> Oid.t
   val set_root : t -> string -> Pvalue.t -> unit
   val remove_root : t -> string -> unit
   val set_blob : t -> string -> string -> unit
   val remove_blob : t -> string -> unit
-
-  val write_set : t -> Oid.t list * string list
-  (** The oids (pre-existing objects mutated; ascending) and root/blob
-      keys (sorted) this session has written — the set conflict
-      detection will check at commit. *)
 
   (** {2 Commit and abort} *)
 

@@ -46,7 +46,6 @@ exception Closed
 (** The peer hung up (EOF / EPIPE / ECONNRESET). *)
 
 val really_write : Unix.file_descr -> string -> unit
-val really_read : Unix.file_descr -> int -> string
 val write_frame : Unix.file_descr -> string -> unit
 
 val read_frame : Unix.file_descr -> string

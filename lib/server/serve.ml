@@ -156,8 +156,9 @@ let rec pump ~vm ~store ~name conn =
       end
       else if String.length conn.input > max_http_request then close_conn conn
 
-let handle_readable ~vm ~store ~name conn =
-  let chunk = Bytes.create 65536 in
+(* [chunk] is the loop's one read buffer: the loop is single-threaded,
+   and each read is copied out before the next one. *)
+let handle_readable ~vm ~store ~name ~chunk conn =
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 -> close_conn conn (* EOF — mid-request disconnects land here too *)
   | n ->
@@ -191,6 +192,7 @@ let run ?tcp_port ~socket ~store ~vm () =
     | Some port -> Printf.sprintf " and 127.0.0.1:%d" port);
   flush stdout;
   let conns : conn list ref = ref [] in
+  let chunk = Bytes.create 65536 in
   let accept lfd =
     match Unix.accept lfd with
     | fd, _addr ->
@@ -208,7 +210,7 @@ let run ?tcp_port ~socket ~store ~vm () =
           if List.memq fd listeners then accept fd
           else
             match List.find_opt (fun c -> c.fd == fd) !conns with
-            | Some conn -> handle_readable ~vm ~store ~name conn
+            | Some conn -> handle_readable ~vm ~store ~name ~chunk conn
             | None -> ())
         readable
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

@@ -18,7 +18,7 @@
    invariant: every root bound by a previously COMPLETED step must
    survive; only the killed step's effects may be missing. *)
 
-module Subproc = Workload.Subproc
+module Subproc = Test_support.Subproc
 
 let sp = Printf.sprintf
 

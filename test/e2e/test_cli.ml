@@ -90,7 +90,7 @@ let corrupt_store_is_one_line_error () =
   expect_fail r;
   (* one line, no backtrace dump *)
   let lines =
-    String.split_on_char '\n' (String.trim r.Workload.Subproc.stderr)
+    String.split_on_char '\n' (String.trim r.Test_support.Subproc.stderr)
     |> List.filter (fun l -> String.trim l <> "")
   in
   check_int "single-line stderr" 1 (List.length lines)

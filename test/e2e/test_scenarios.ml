@@ -6,7 +6,7 @@
    @e2e-full alias) widens the sweep beyond the time-boxed default. *)
 
 open E2e_util
-module Subproc = Workload.Subproc
+module Subproc = Test_support.Subproc
 
 let seed_of_env default =
   match Sys.getenv_opt "E2E_SEED" with

@@ -42,8 +42,8 @@ let trace_toggles_and_dumps () =
   expect_stdout_has bad "usage: trace on|off|dump"
 
 (* The get-link line of each `stats` in a transcript, in order. *)
-let get_link_lines (r : Workload.Subproc.result) =
-  String.split_on_char '\n' r.Workload.Subproc.stdout
+let get_link_lines (r : Test_support.Subproc.result) =
+  String.split_on_char '\n' r.Test_support.Subproc.stdout
   |> List.filter (fun l -> String.starts_with ~prefix:"get-link" (String.trim l))
 
 let go_fetches_object_links_through_get_link () =

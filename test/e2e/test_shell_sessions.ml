@@ -13,8 +13,8 @@ let shell script =
   expect_ok r;
   r
 
-let stdout_lines (r : Workload.Subproc.result) =
-  String.split_on_char '\n' r.Workload.Subproc.stdout
+let stdout_lines (r : Test_support.Subproc.result) =
+  String.split_on_char '\n' r.Test_support.Subproc.stdout
 
 (* Every "live objects: N" line of a transcript, in order. *)
 let live_object_lines r =
@@ -74,7 +74,7 @@ let first_committer_wins_shape () =
   in
   match root_c with
   | [ line ] ->
-    if not (Workload.Subproc.contains line "200") || Workload.Subproc.contains line "900"
+    if not (Test_support.Subproc.contains line "200") || Test_support.Subproc.contains line "900"
     then Alcotest.failf "contended root did not keep the winner's value: %S" line
   | _ -> Alcotest.failf "expected exactly one roots line for c, got %d" (List.length root_c)
 

@@ -1,8 +1,7 @@
-(* Pretty-printer from MiniJava AST back to source text.  Used by the
-   parser round-trip property tests and by the schema-evolution tool, which
-   rewrites class sources and recompiles them through linguistic
-   reflection. *)
+(* Pretty-printer from MiniJava AST back to source text, for the parser
+   round-trip property tests. *)
 
+open Minijava
 open Format
 
 let prim_name = function
@@ -280,7 +279,4 @@ let pp_unit ppf cu =
   pp_print_list ~pp_sep:pp_print_cut pp_class ppf cu.Ast.cu_classes
 
 let unit_to_string cu = Format.asprintf "@[<v>%a@]@." pp_unit cu
-let class_to_string cd = Format.asprintf "@[<v>%a@]@." pp_class cd
 let expr_to_string e = Format.asprintf "%a" pp_expr e
-let type_to_string ty = Format.asprintf "%a" pp_type ty
-let stmt_to_string s = Format.asprintf "@[<v>%a@]" pp_stmt s

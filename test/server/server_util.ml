@@ -17,7 +17,7 @@ let full_mode () = Sys.getenv_opt "SERVER_FUZZ_FULL" = Some "1"
 (* -- a live server over a fresh store -------------------------------------- *)
 
 type server = {
-  proc : Workload.Subproc.proc;
+  proc : Test_support.Subproc.proc;
   socket : string;
   store : string;
 }
@@ -27,23 +27,23 @@ let spawn_server ~dir =
   expect_ok (hpjava [ "init"; store ]);
   let socket = Filename.concat dir "hp.sock" in
   let proc =
-    Workload.Subproc.spawn
-      ~bin:(Workload.Subproc.locate ())
+    Test_support.Subproc.spawn
+      ~bin:(Test_support.Subproc.locate ())
       [ "serve"; store; "--socket"; socket ]
   in
-  if not (Workload.Subproc.wait_output ~timeout_s:30. proc "listening on") then
+  if not (Test_support.Subproc.wait_output ~timeout_s:30. proc "listening on") then
     Alcotest.failf "`hpjava serve` never came up:\n%s"
-      (Workload.Subproc.describe (Workload.Subproc.terminate proc));
+      (Test_support.Subproc.describe (Test_support.Subproc.terminate proc));
   { proc; socket; store }
 
 let with_server f =
   with_dir ~prefix:"server" @@ fun dir ->
   let srv = spawn_server ~dir in
   Fun.protect
-    ~finally:(fun () -> ignore (Workload.Subproc.terminate srv.proc))
+    ~finally:(fun () -> ignore (Test_support.Subproc.terminate srv.proc))
     (fun () -> f srv)
 
-let server_alive srv = Workload.Subproc.alive srv.proc
+let server_alive srv = Test_support.Subproc.alive srv.proc
 
 (* -- raw sockets (the fuzzer's view) ---------------------------------------- *)
 
@@ -134,7 +134,7 @@ let probe ?(timeout_s = 5.) srv =
   in
   attempt "(no stats read)";
   if not (server_alive srv) then
-    Alcotest.failf "server died:\n%s" (Workload.Subproc.describe (Workload.Subproc.collect srv.proc))
+    Alcotest.failf "server died:\n%s" (Test_support.Subproc.describe (Test_support.Subproc.collect srv.proc))
 
 (* -- misc ------------------------------------------------------------------- *)
 

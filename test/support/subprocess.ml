@@ -1,42 +1,42 @@
-(* Alcotest-flavoured wrappers over the workload library's subprocess
-   driver: every E2E suite drives the real bin/hpjava binary through
-   these, never the in-process APIs — the point of the E2E layer is
-   that it can only observe what a user at a prompt could. *)
+(* Alcotest-flavoured wrappers over {!Subproc}: every E2E suite drives
+   the real bin/hpjava binary through these, never the in-process APIs —
+   the point of the E2E layer is that it can only observe what a user at
+   a prompt could. *)
 
-let bin = lazy (Workload.Subproc.locate ())
+let bin = lazy (Subproc.locate ())
 
 let hpjava ?env ?stdin_text ?timeout_s args =
-  Workload.Subproc.run ?env ?stdin_text ?timeout_s ~bin:(Lazy.force bin) args
+  Subproc.run ?env ?stdin_text ?timeout_s ~bin:(Lazy.force bin) args
 
 (* -- assertions ------------------------------------------------------------ *)
 
-let expect_ok (r : Workload.Subproc.result) =
-  if not (Workload.Subproc.ok r) then
-    Alcotest.failf "expected success:\n%s" (Workload.Subproc.describe r)
+let expect_ok (r : Subproc.result) =
+  if not (Subproc.ok r) then
+    Alcotest.failf "expected success:\n%s" (Subproc.describe r)
 
 (* Any nonzero exit is a correct failure report; a signal or a zero exit
    is not.  [stderr_has] additionally pins the one-line message. *)
-let expect_fail ?stderr_has (r : Workload.Subproc.result) =
-  (match Workload.Subproc.exit_code r with
-  | Some 0 -> Alcotest.failf "expected a nonzero exit:\n%s" (Workload.Subproc.describe r)
+let expect_fail ?stderr_has (r : Subproc.result) =
+  (match Subproc.exit_code r with
+  | Some 0 -> Alcotest.failf "expected a nonzero exit:\n%s" (Subproc.describe r)
   | Some _ -> ()
-  | None -> Alcotest.failf "expected a nonzero exit, not a signal:\n%s" (Workload.Subproc.describe r));
-  if String.trim r.Workload.Subproc.stderr = "" then
-    Alcotest.failf "failure carried no stderr message:\n%s" (Workload.Subproc.describe r);
+  | None -> Alcotest.failf "expected a nonzero exit, not a signal:\n%s" (Subproc.describe r));
+  if String.trim r.Subproc.stderr = "" then
+    Alcotest.failf "failure carried no stderr message:\n%s" (Subproc.describe r);
   match stderr_has with
-  | Some needle when not (Workload.Subproc.contains r.Workload.Subproc.stderr needle) ->
-    Alcotest.failf "stderr does not mention %S:\n%s" needle (Workload.Subproc.describe r)
+  | Some needle when not (Subproc.contains r.Subproc.stderr needle) ->
+    Alcotest.failf "stderr does not mention %S:\n%s" needle (Subproc.describe r)
   | _ -> ()
 
-let expect_killed ~signal (r : Workload.Subproc.result) =
-  match Workload.Subproc.signalled r with
+let expect_killed ~signal (r : Subproc.result) =
+  match Subproc.signalled r with
   | Some s when s = signal -> ()
-  | _ -> Alcotest.failf "expected death by signal %d:\n%s" signal (Workload.Subproc.describe r)
+  | _ -> Alcotest.failf "expected death by signal %d:\n%s" signal (Subproc.describe r)
 
-let expect_stdout_has (r : Workload.Subproc.result) needle =
-  if not (Workload.Subproc.contains r.Workload.Subproc.stdout needle) then
-    Alcotest.failf "stdout does not mention %S:\n%s" needle (Workload.Subproc.describe r)
+let expect_stdout_has (r : Subproc.result) needle =
+  if not (Subproc.contains r.Subproc.stdout needle) then
+    Alcotest.failf "stdout does not mention %S:\n%s" needle (Subproc.describe r)
 
-let expect_stdout_lacks (r : Workload.Subproc.result) needle =
-  if Workload.Subproc.contains r.Workload.Subproc.stdout needle then
-    Alcotest.failf "stdout unexpectedly mentions %S:\n%s" needle (Workload.Subproc.describe r)
+let expect_stdout_lacks (r : Subproc.result) needle =
+  if Subproc.contains r.Subproc.stdout needle then
+    Alcotest.failf "stdout unexpectedly mentions %S:\n%s" needle (Subproc.describe r)

@@ -87,6 +87,30 @@ let per_kind_urls () =
   in
   List.iter (fun (link, url) -> check_output url url (Html_export.link_url link)) checks
 
+(* The dashboard's program page reads one registry slot: a live uid
+   renders, and a collected, negative or never-allocated uid gives
+   [None]. *)
+let live_page_only_for_live_uids () =
+  let _store, vm = fresh_hyper_vm () in
+  let kept, _, _ = marry_example vm in
+  let dropped =
+    Storage_form.create vm ~class_name:"Dropped" ~text:"public class Dropped {}\n" ~links:[]
+  in
+  Store.set_root vm.Rt.store "kept" (Pvalue.Ref kept);
+  Store.set_root vm.Rt.store "dropped" (Pvalue.Ref dropped);
+  let kept_uid = Registry.add_hp vm ~password:Registry.built_in_password kept in
+  let dropped_uid = Registry.add_hp vm ~password:Registry.built_in_password dropped in
+  (match Html_export.live_page vm ~uid:kept_uid with
+  | Some page -> check_bool "title names the program" true (contains page "MarryExample")
+  | None -> Alcotest.fail "a live uid gave no page");
+  Store.remove_root vm.Rt.store "dropped";
+  ignore (Store.gc vm.Rt.store);
+  check_bool "collected" true (Registry.hp_at vm dropped_uid = Pvalue.Null);
+  check_bool "collected uid" true (Html_export.live_page vm ~uid:dropped_uid = None);
+  check_bool "live uid survives the gc" true (Html_export.live_page vm ~uid:kept_uid <> None);
+  check_bool "negative uid" true (Html_export.live_page vm ~uid:(-1) = None);
+  check_bool "uid = count" true (Html_export.live_page vm ~uid:(Registry.count vm) = None)
+
 let suite =
   [
     test "export MarryExample" export_marry;
@@ -95,6 +119,7 @@ let suite =
     test "hostile text exports inert" export_escapes_hostile_text;
     test "export-all writes pages and index" export_all_to_directory;
     test "per-kind URLs" per_kind_urls;
+    test "live page only for live uids" live_page_only_for_live_uids;
   ]
 
 let props = []
