@@ -46,8 +46,15 @@ type t = {
   mutable max_array_rows : int;
 }
 
-let create ?(formats = Display_format.create_registry ()) vm =
-  { vm; formats; panels = []; next_id = 1; on_open = []; max_array_rows = 64 }
+let create vm =
+  {
+    vm;
+    formats = Display_format.create_registry ();
+    panels = [];
+    next_id = 1;
+    on_open = [];
+    max_array_rows = 64;
+  }
 
 let vm b = b.vm
 let panels b = b.panels

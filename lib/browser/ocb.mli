@@ -37,7 +37,7 @@ type panel = {
 
 type t
 
-val create : ?formats:Display_format.registry -> Rt.t -> t
+val create : Rt.t -> t
 val vm : t -> Rt.t
 val panels : t -> panel list
 (** Front-most first. *)

@@ -34,10 +34,10 @@ let panel ?(shared = Oid.Set.empty) b p =
   Buffer.add_string buf ("+" ^ String.make 58 '-' ^ "\n");
   Buffer.contents buf
 
-(* Render the whole browser: front-most panel first. *)
-let browser ?(max_panels = 4) b =
+(* Render the whole browser: the four front-most panels, front first. *)
+let browser b =
   let shared = Graph.shared_objects (Ocb.vm b).Minijava.Rt.store in
-  let visible = List.filteri (fun i _ -> i < max_panels) (Ocb.panels b) in
+  let visible = List.filteri (fun i _ -> i < 4) (Ocb.panels b) in
   String.concat "\n" (List.map (panel ~shared b) visible)
 
 (* A store census block (class name, instance count). *)

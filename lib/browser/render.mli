@@ -3,5 +3,7 @@
 
 open Pstore
 
-val browser : ?max_panels:int -> Ocb.t -> string
+val browser : Ocb.t -> string
+(** The four front-most panels, front first. *)
+
 val census : Store.t -> string

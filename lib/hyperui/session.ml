@@ -234,12 +234,12 @@ let output session = Rt.take_output session.vm
 
 (* -- rendering ------------------------------------------------------------------ *)
 
-let render ?(ansi = false) session =
+let render session =
   let buf = Buffer.create 2048 in
   (match front_editor session with
   | Some ed ->
     Buffer.add_string buf "=== editor ===\n";
-    Buffer.add_string buf (Editor.User_editor.render ~ansi ed)
+    Buffer.add_string buf (Editor.User_editor.render ed)
   | None -> ());
   Buffer.add_string buf "\n=== browser ===\n";
   Buffer.add_string buf (Browser.Render.browser session.browser);

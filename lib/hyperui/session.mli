@@ -65,5 +65,6 @@ val edit_class : t -> string -> (int * Editor.User_editor.t, string) result
 val output : t -> string
 (** Drain the program output (System.out) produced so far. *)
 
-val render : ?ansi:bool -> t -> string
-(** Render the front editor and the browser panels. *)
+val render : t -> string
+(** Render the front editor (plain text, no ANSI styling) and the
+    browser panels. *)

@@ -161,6 +161,12 @@ let load_or_redefine_batch ?persist vm (cfs : Classfile.t list) =
   let redefined = List.filter (Rt.is_loaded vm) names in
   if redefined = [] then load_batch ?persist vm cfs
   else begin
+    (* Reconstructing instances below mutates records behind the store's
+       journal, so the store is flagged for a full snapshot at its next
+       stabilise.  Flag it first: the store refuses while snapshot
+       sessions are open, and a refusal must find the class, its blob
+       and its instances untouched. *)
+    Pstore.Store.mark_dirty vm.Rt.store;
     (* Affected classes: redefined ones plus their loaded subclasses. *)
     let subclasses =
       List.filter
@@ -189,10 +195,7 @@ let load_or_redefine_batch ?persist vm (cfs : Classfile.t list) =
         subclasses
     in
     List.iter (fun cls -> rebuild_layout vm (Rt.get_class vm cls)) ordered_subclasses;
-    (* Reconstruct store instances of every affected class in place.
-       This mutates records behind the store's journal, so flag the store
-       for a full snapshot at its next stabilise. *)
-    Pstore.Store.mark_dirty vm.Rt.store;
+    (* Reconstruct store instances of every affected class in place. *)
     let heap = Pstore.Store.heap vm.Rt.store in
     Pstore.Heap.iter
       (fun _oid entry ->

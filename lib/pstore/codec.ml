@@ -176,3 +176,18 @@ let get_frame r =
   match checked_frame r with
   | Ok payload -> payload
   | Error msg -> decode_error "%s" msg
+
+(* The lenient scan behind journal and marker recovery: a crash
+   mid-append leaves a frame whose length runs past end-of-file or whose
+   checksum does not match, and the scan simply stops there.  Nothing
+   before the torn frame is affected. *)
+let scan_frames data ~pos decode =
+  let rec go pos acc =
+    let r = { data; pos } in
+    if remaining r < 8 then (List.rev acc, pos, not (at_end r))
+    else
+      match Result.map decode (checked_frame r) with
+      | Ok v -> go r.pos ((v, r.pos) :: acc)
+      | Error _ | (exception Decode_error _) -> (List.rev acc, pos, true)
+  in
+  go pos []

@@ -68,3 +68,11 @@ val checked_frame : reader -> (string, string) result
     with the reader advanced past the frame, so salvage loops can skip
     the corrupt frame and keep reading.
     @raise Decode_error if the frame structure itself is unreadable. *)
+
+val scan_frames : string -> pos:int -> (string -> 'a) -> ('a * int) list * int * bool
+(** [scan_frames data ~pos decode] decodes the frames of [data] from
+    offset [pos] leniently, stopping at the first torn one (bad length,
+    short payload, checksum mismatch, or a payload [decode] rejects with
+    {!Decode_error}) rather than raising.  Returns each decoded payload
+    with its frame's end offset, the end offset of the last good frame
+    ([pos] if none), and whether a torn tail was dropped. *)

@@ -29,7 +29,7 @@ let with_shard_scope k f =
 
 (* Bytes written while the current fault has been armed. *)
 let written = ref 0
-let fired_count = Atomic.make 0
+let fired_count = ref 0
 
 let arm ?shard f =
   current := Some f;
@@ -41,11 +41,11 @@ let disarm () =
   target := None
 
 let armed () = !current
-let fired () = Atomic.get fired_count
+let fired () = !fired_count
 
 let fire msg =
   disarm ();
-  Atomic.incr fired_count;
+  incr fired_count;
   raise (Fault_injected msg)
 
 (* The armed fault, if it applies to I/O issued from the current scope.
@@ -62,7 +62,7 @@ let in_scope () =
    ride out.  The op never happened — no partial bytes land. *)
 let storm_fire op n =
   if n <= 1 then disarm () else current := Some (Intr_storm (n - 1));
-  Atomic.incr fired_count;
+  incr fired_count;
   raise (Unix.Unix_error (Unix.EINTR, op, ""))
 
 let with_fault f body =
@@ -107,7 +107,7 @@ let output_string oc s =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
       Stdlib.output_string oc (Bytes.unsafe_to_string b);
       current := None;
-      Atomic.incr fired_count
+      incr fired_count
     end
     else begin
       Stdlib.output_string oc s;
@@ -123,7 +123,7 @@ let output_string oc s =
       (* The torn prefix must reach the OS before the process dies,
          or there would be nothing torn to recover from. *)
       partial_write oc s (budget - !written);
-      Atomic.incr fired_count;
+      incr fired_count;
       Unix.kill (Unix.getpid ()) Sys.sigkill
     end
 
@@ -156,7 +156,7 @@ let corrupt_entry heap oid =
   in
   Heap.remove heap oid;
   Heap.insert heap oid corrupted;
-  Atomic.incr fired_count
+  incr fired_count
 
 let rename src dst =
   match in_scope () with
@@ -178,3 +178,71 @@ let fsync_dir path =
   | _ ->
     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
     Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+
+(* -- whole files ------------------------------------------------------------ *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let remove path = Sys.remove path
+
+(* Truncate [path], write [data] and fsync it; the channel stays open. *)
+let create_synced path data =
+  let oc = open_out_bin path in
+  (try
+     output_string oc data;
+     fsync_channel oc
+   with e ->
+     close_out_noerr oc;
+     raise e);
+  oc
+
+(* Crash-atomic replace: write a temp file, fsync it, rename it over the
+   target, then fsync the directory so the rename itself is durable.
+   Rename alone is not crash-atomic on ext4: the new name can be lost on
+   power failure if the directory entry was never flushed. *)
+let replace_file path data =
+  let tmp = path ^ ".tmp" in
+  close_out (create_synced tmp data);
+  rename tmp path;
+  fsync_dir (Filename.dirname path)
+
+(* -- append-only logs --------------------------------------------------------
+
+   A header, then [Codec.put_frame] records.  The writer is a seekable
+   channel, never O_APPEND: [pos_out] on an append-mode channel reads 0
+   until the first write, which would poison the savepoints a failed
+   append truncates back to.  [pos_out] counts buffered bytes, so a
+   savepoint costs no write. *)
+
+type log = out_channel
+
+let create_log path ~header = create_synced path header
+
+let append_frame oc payload =
+  let w = Codec.writer () in
+  Codec.put_frame w payload;
+  output_string oc (Codec.contents w)
+
+let sync_log = fsync_channel
+let log_position = pos_out
+
+let truncate_log oc pos =
+  flush oc;
+  Unix.ftruncate (Unix.descr_of_out_channel oc) pos;
+  seek_out oc pos
+
+let reopen_log path ~valid_bytes =
+  Unix.truncate path valid_bytes;
+  let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 path in
+  seek_out oc valid_bytes;
+  oc
+
+let close_log = close_out_noerr
+
+(* A process crash: close the descriptor without flushing, so buffered
+   bytes are lost exactly as they would be. *)
+let crash_log oc = try Unix.close (Unix.descr_of_out_channel oc) with _ -> ()

@@ -1,11 +1,15 @@
-(** Fault injection for durability testing.
+(** Fault injection for durability testing, and the store's file I/O.
 
-    All file I/O performed by {!Image} and {!Journal} goes through the
-    wrappers below.  With no fault armed they are plain pass-throughs
-    costing one reference read, so production pays nothing.  Tests arm a
-    fault to simulate a crash mid-write: the wrapper performs the partial
-    effect (some bytes land on disk, the rename never happens, ...) and
-    raises {!Fault_injected}, after which the injector disarms itself so
+    Every file the store writes, replaces, truncates or removes goes
+    through the functions below: {!replace_file} for images and the
+    manifest, the append-only log functions for journals and commit
+    markers, {!remove} for stale epoch files and {!rename} for the
+    promotion of a complete temp image.  With no fault armed they are
+    plain file operations costing one reference read, so production
+    pays nothing.  Tests arm a fault to simulate a crash mid-write: the
+    write, rename or fsync underneath performs the partial effect (some
+    bytes land on disk, the rename never happens, ...) and raises
+    {!Fault_injected}, after which the injector disarms itself so
     recovery I/O runs clean.  The injector is process-wide state for a
     single thread. *)
 
@@ -68,13 +72,54 @@ val corrupt_entry : Heap.t -> Oid.t -> unit
     scrubber's checksum pass is what must catch it.
     @raise Heap.Heap_error if the oid is not live. *)
 
-(** {1 Wrapped I/O} *)
+(** {1 Whole files} *)
 
-val output_string : out_channel -> string -> unit
+val read_file : string -> string
+(** The whole file.  @raise Sys_error if it cannot be read. *)
+
+val replace_file : string -> string -> unit
+(** Crash-atomic replace: write [path.tmp], fsync it, rename it over
+    [path], then fsync the directory so the rename itself is durable.
+    A crash leaves either the old file or the new one at [path]. *)
+
 val rename : string -> string -> unit
 
-val fsync_channel : out_channel -> unit
-(** Flush the channel and fsync its descriptor. *)
+val remove : string -> unit
+(** @raise Sys_error if the file cannot be removed. *)
 
-val fsync_dir : string -> unit
-(** Fsync a directory, making renames within it durable. *)
+(** {1 Append-only logs}
+
+    A header, then checksummed {!Codec.put_frame} records: the layout
+    of the write-ahead journal and the commit marker.  {!Codec.scan_frames}
+    reads one back. *)
+
+type log
+(** An open log writer, positioned at its end. *)
+
+val create_log : string -> header:string -> log
+(** Truncate [path], write [header] and fsync it. *)
+
+val reopen_log : string -> valid_bytes:int -> log
+(** Reopen an existing log for appending, physically truncating it to
+    [valid_bytes] first (dropping a torn tail). *)
+
+val append_frame : log -> string -> unit
+(** Append one frame around the payload, as a single write.  Not
+    durable until {!sync_log}. *)
+
+val sync_log : log -> unit
+(** Flush and fsync. *)
+
+val log_position : log -> int
+(** The end offset, buffered bytes included: a savepoint for
+    {!truncate_log}. *)
+
+val truncate_log : log -> int -> unit
+(** Discard everything after a savepoint. *)
+
+val close_log : log -> unit
+(** Flush and close, ignoring errors. *)
+
+val crash_log : log -> unit
+(** Test support: close the descriptor {e without} flushing, losing any
+    buffered bytes, exactly as a process crash does. *)

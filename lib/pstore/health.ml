@@ -17,21 +17,21 @@ type state =
 
 type t = {
   mutable state : state;
-  failures : int Atomic.t; (* consecutive exhausted transient failures *)
-  trips : int Atomic.t; (* circuit-breaker demotions *)
-  degraded_reads : int Atomic.t; (* reads served while not healthy *)
-  refused_writes : int Atomic.t; (* writes rejected with Shard_degraded *)
-  repairs : int Atomic.t;
+  mutable failures : int; (* consecutive exhausted transient failures *)
+  mutable trips : int; (* circuit-breaker demotions *)
+  mutable degraded_reads : int; (* reads served while not healthy *)
+  mutable refused_writes : int; (* writes rejected with Shard_degraded *)
+  mutable repairs : int;
 }
 
 let create () =
   {
     state = Healthy;
-    failures = Atomic.make 0;
-    trips = Atomic.make 0;
-    degraded_reads = Atomic.make 0;
-    refused_writes = Atomic.make 0;
-    repairs = Atomic.make 0;
+    failures = 0;
+    trips = 0;
+    degraded_reads = 0;
+    refused_writes = 0;
+    repairs = 0;
   }
 
 let state t = t.state
@@ -57,28 +57,28 @@ let degrade t reason =
   match t.state with
   | Healthy ->
     t.state <- Degraded reason;
-    Atomic.incr t.trips
+    t.trips <- t.trips + 1
   | Degraded _ | Offline _ -> ()
 
 let offline t reason =
   match t.state with
   | Healthy | Degraded _ ->
     t.state <- Offline reason;
-    Atomic.incr t.trips
+    t.trips <- t.trips + 1
   | Offline _ -> ()
 
 let promote t =
-  if not (healthy t) then Atomic.incr t.repairs;
+  if not (healthy t) then t.repairs <- t.repairs + 1;
   t.state <- Healthy;
-  Atomic.set t.failures 0
+  t.failures <- 0
 
 (* Failure accounting, fed by shard I/O. *)
-let note_failure t = Atomic.incr t.failures
-let note_ok t = if Atomic.get t.failures <> 0 then Atomic.set t.failures 0
-let note_degraded_read t = Atomic.incr t.degraded_reads
-let note_refused_write t = Atomic.incr t.refused_writes
-let failures t = Atomic.get t.failures
-let trips t = Atomic.get t.trips
-let degraded_reads t = Atomic.get t.degraded_reads
-let refused_writes t = Atomic.get t.refused_writes
-let repairs t = Atomic.get t.repairs
+let note_failure t = t.failures <- t.failures + 1
+let note_ok t = t.failures <- 0
+let note_degraded_read t = t.degraded_reads <- t.degraded_reads + 1
+let note_refused_write t = t.refused_writes <- t.refused_writes + 1
+let failures t = t.failures
+let trips t = t.trips
+let degraded_reads t = t.degraded_reads
+let refused_writes t = t.refused_writes
+let repairs t = t.repairs

@@ -1,7 +1,7 @@
 (* Stabilisation: the whole store (heap, roots, blobs, quarantine) is
-   serialised into a single image and written atomically (temp file +
-   rename).  Oids are preserved verbatim so hyper-links survive a
-   close/reopen.
+   serialised into a single image and written atomically
+   ([Faults.replace_file]).  Oids are preserved verbatim so hyper-links
+   survive a close/reopen.
 
    Format v2 checksums every object individually: each heap entry is a
    [length][crc32][payload] frame (the same framing the write-ahead
@@ -223,31 +223,13 @@ let crc_of_encoded data =
   if String.length data < 4 then image_error "truncated image";
   Codec.get_i32 (Codec.reader (String.sub data (String.length data - 4) 4))
 
-(* Crash-atomic save: write a temp file, fsync it, rename it over the
-   target, then fsync the directory so the rename itself is durable.
-   Rename alone is not crash-atomic on ext4: the new name can be lost on
-   power failure if the directory entry was never flushed. *)
-let save ?(durable = true) ?obs path contents =
+(* Crash-atomic save through [Faults.replace_file]. *)
+let save ~obs path contents =
   let data = encode contents in
-  let write () =
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    (try
-       Faults.output_string oc data;
-       if durable then Faults.fsync_channel oc;
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    Faults.rename tmp path;
-    if durable then Faults.fsync_dir (Filename.dirname path);
-    crc_of_encoded data
-  in
-  match obs with
-  | None -> write ()
-  | Some o ->
-    Obs.span o Obs.Image_save ~bytes:(String.length data)
-      ~label:(Filename.basename path) write
+  Obs.span obs Obs.Image_save ~bytes:(String.length data) ~label:(Filename.basename path)
+    (fun () ->
+      Faults.replace_file path data;
+      crc_of_encoded data)
 
 (* A load that also reports how many entries the decoder had to salvage
    around: the sharded open uses the count to judge whether a shard's
@@ -258,23 +240,11 @@ type load_report = {
   lr_salvaged : int;
 }
 
-let load_report ?obs path =
-  let read () =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let data =
-      try really_input_string ic len
-      with e ->
-        close_in_noerr ic;
-        raise e
-    in
-    close_in ic;
-    let contents, salvaged = decode_with_salvage data in
-    { lr_contents = contents; lr_crc = crc_of_encoded data; lr_salvaged = salvaged }
-  in
-  match obs with
-  | None -> read ()
-  | Some o -> Obs.span o Obs.Image_load ~label:(Filename.basename path) read
+let load_report ~obs path =
+  Obs.span obs Obs.Image_load ~label:(Filename.basename path) (fun () ->
+      let data = Faults.read_file path in
+      let contents, salvaged = decode_with_salvage data in
+      { lr_contents = contents; lr_crc = crc_of_encoded data; lr_salvaged = salvaged })
 
 (* One shard's view of whole-store contents: entries, roots, blobs and
    quarantined oids selected by the shard predicates.  Heap entries are

@@ -44,12 +44,10 @@ val entry_crc : Heap.entry -> int32
 (** The per-object checksum: CRC-32 of the entry's encoded payload.  This
     is what the image frames store and the online scrubber recomputes. *)
 
-val save : ?durable:bool -> ?obs:Obs.t -> string -> contents -> int32
-(** Crash-atomic write (temp file, fsync, rename, directory fsync) through
-    the {!Faults} layer.  Returns the image's checksum, which names this
-    snapshot for journal pairing.  [?durable:false] skips the fsyncs.
-    [obs], when given, records the write as an [Image_save] span with the
-    encoded byte count. *)
+val save : obs:Obs.t -> string -> contents -> int32
+(** Crash-atomic write ({!Faults.replace_file}).  Returns the image's
+    checksum, which names this snapshot for journal pairing.  The write
+    is recorded as an [Image_save] span with the encoded byte count. *)
 
 type load_report = {
   lr_contents : contents;
@@ -60,9 +58,9 @@ type load_report = {
           demote a shard whose image needed salvage-heavy recovery. *)
 }
 
-val load_report : ?obs:Obs.t -> string -> load_report
-(** Read an image: its contents, its checksum and the salvage count.
-    [obs] records the read as an [Image_load] span. *)
+val load_report : obs:Obs.t -> string -> load_report
+(** Read an image: its contents, its checksum and the salvage count,
+    recorded as an [Image_load] span. *)
 
 val slice :
   keep_oid:(Oid.t -> bool) -> keep_key:(string -> bool) -> contents -> contents

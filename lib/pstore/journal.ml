@@ -1,12 +1,12 @@
 (* The write-ahead journal: a header naming the base image by checksum,
    then length-prefixed, CRC-protected mutation records.
 
-   Record framing is [u32 length][u32 crc32(payload)][payload].  The
-   framing is what makes recovery possible without trusting the tail of
-   the file: a crash mid-append leaves a record whose length runs past
-   end-of-file or whose checksum does not match, and replay simply stops
-   there.  Nothing before the torn record is affected, so everything up to
-   the last successful sync is recovered intact.
+   Record framing is [u32 length][u32 crc32(payload)][payload], written
+   by [Faults.append_frame] and read back by the lenient
+   [Codec.scan_frames].  The framing is what makes recovery possible
+   without trusting the tail of the file: replay stops at the first torn
+   record, so everything up to the last successful sync is recovered
+   intact.
 
    A record payload holds either one op (tag 0-6) or a GROUP-COMMIT
    batch (tag 7): a whole multi-op stabilise delta in a single frame.
@@ -27,9 +27,9 @@ type op =
   | Remove_blob of string
 
 type t = {
-  oc : out_channel;
+  log : Faults.log;
   mutable count : int;
-  obs : Obs.t option; (* bumps Journal_append per record written *)
+  obs : Obs.t; (* bumps Journal_append per record written *)
 }
 
 let path_for image_path = image_path ^ ".wal"
@@ -141,17 +141,11 @@ let encode_batch ?seq ops =
   put_list w (fun w op -> put_string w (encode_op op)) ops;
   contents w
 
-(* Record framing is the shared [Codec.put_frame] layout, the same one
-   protecting each image entry: length, crc32, payload. *)
-let frame payload =
-  let w = Codec.writer () in
-  Codec.put_frame w payload;
-  Codec.contents w
-
 (* -- writing ------------------------------------------------------------- *)
 
-let create ?obs path ~base_crc =
-  let oc = open_out_bin path in
+(* Records are [Faults.append_frame] frames, the [Codec.put_frame] layout
+   that also protects each image entry: length, crc32, payload. *)
+let create ~obs path ~base_crc =
   let header =
     let open Codec in
     let w = writer () in
@@ -159,22 +153,14 @@ let create ?obs path ~base_crc =
     put_i32 w base_crc;
     contents w
   in
-  (try
-     Faults.output_string oc header;
-     Faults.fsync_channel oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  { oc; count = 0; obs }
+  { log = Faults.create_log path ~header; count = 0; obs }
 
 let append t ops =
   List.iter
     (fun op ->
-      Faults.output_string t.oc (frame (encode_op op));
+      Faults.append_frame t.log (encode_op op);
       t.count <- t.count + 1;
-      match t.obs with
-      | Some o -> Obs.incr o Obs.Journal_append
-      | None -> ())
+      Obs.incr t.obs Obs.Journal_append)
     ops
 
 (* A stabilise's whole delta as ONE framed record (the batch record;
@@ -191,33 +177,20 @@ let append_batch ?seq t ops =
   | [], _ -> ()
   | [ _ ], None -> append t ops
   | ops, seq ->
-    Faults.output_string t.oc (frame (encode_batch ?seq ops));
+    Faults.append_frame t.log (encode_batch ?seq ops);
     t.count <- t.count + List.length ops;
-    (match t.obs with
-    | Some o ->
-      Obs.incr o Obs.Journal_append;
-      Obs.incr o Obs.Group_commit
-    | None -> ())
+    Obs.incr t.obs Obs.Journal_append;
+    Obs.incr t.obs Obs.Group_commit
 
-let sync t = Faults.fsync_channel t.oc
-
+let sync t = Faults.sync_log t.log
 let depth t = t.count
-
-(* [pos_out] counts buffered bytes, so a savepoint costs no write: the
-   batch being appended stays in the buffer until its sync. *)
-let position t = pos_out t.oc
+let position t = Faults.log_position t.log
 
 let truncate_to t ~pos ~depth =
-  flush t.oc;
-  Unix.ftruncate (Unix.descr_of_out_channel t.oc) pos;
-  seek_out t.oc pos;
+  Faults.truncate_log t.log pos;
   t.count <- depth
 
-let close t = close_out_noerr t.oc
-
-(* Simulate a process crash: close the descriptor without flushing, so
-   buffered bytes are lost exactly as they would be. *)
-let crash t = try Unix.close (Unix.descr_of_out_channel t.oc) with _ -> ()
+let log t = t.log
 
 (* -- recovery ------------------------------------------------------------ *)
 
@@ -229,7 +202,6 @@ type batch = {
 
 type replay = {
   base_crc : int32;
-  records : (op * int) list;
   batches : batch list;
   torn : bool;
   valid_bytes : int;
@@ -238,66 +210,18 @@ type replay = {
 let read path =
   if not (Sys.file_exists path) then None
   else begin
-    let ic = open_in_bin path in
-    let data =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let len = String.length data in
-    if len < header_size || not (String.equal (String.sub data 0 (String.length magic)) magic)
-    then None
+    let data = Faults.read_file path in
+    if String.length data < header_size || not (String.starts_with ~prefix:magic data) then None
     else begin
-      let base_crc =
-        Codec.get_i32 (Codec.reader (String.sub data (String.length magic) 4))
-      in
-      let records = ref [] in
-      let batches = ref [] in
-      let pos = ref header_size in
-      let torn = ref false in
-      let valid = ref header_size in
-      (try
-         while not !torn && !pos + 8 <= len do
-           let r = Codec.reader (String.sub data !pos 8) in
-           let payload_len = Codec.get_int r in
-           let crc = Codec.get_i32 r in
-           if payload_len < 0 || !pos + 8 + payload_len > len then torn := true
-           else begin
-             let payload = String.sub data (!pos + 8) payload_len in
-             if not (Int32.equal (Codec.crc32 payload) crc) then torn := true
-             else begin
-               let seq, ops = decode_record payload in
-               pos := !pos + 8 + payload_len;
-               valid := !pos;
-               (* every op of a batch shares the batch's end offset: a
-                  truncation point is always a whole-record boundary *)
-               List.iter (fun op -> records := (op, !pos) :: !records) ops;
-               batches := { b_seq = seq; b_ops = ops; b_end = !pos } :: !batches
-             end
-           end
-         done;
-         if !pos < len && not !torn then torn := true
-       with Codec.Decode_error _ -> torn := true);
-      Some
-        {
-          base_crc;
-          records = List.rev !records;
-          batches = List.rev !batches;
-          torn = !torn;
-          valid_bytes = !valid;
-        }
+      let base_crc = Codec.get_i32 (Codec.reader (String.sub data (String.length magic) 4)) in
+      let records, valid_bytes, torn = Codec.scan_frames data ~pos:header_size decode_record in
+      let batches = List.map (fun ((b_seq, b_ops), b_end) -> { b_seq; b_ops; b_end }) records in
+      Some { base_crc; batches; torn; valid_bytes }
     end
   end
 
-(* Seek rather than O_APPEND: [pos_out] on an append-mode channel reads 0
-   until the first write, which would poison both the reported journal
-   size and — worse — the [position] savepoints the sharded commit
-   protocol truncates back to on a failed append. *)
-let open_for_append ?obs path ~valid_bytes ~depth =
-  Unix.truncate path valid_bytes;
-  let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 path in
-  seek_out oc valid_bytes;
-  { oc; count = depth; obs }
+let open_for_append ~obs path ~valid_bytes ~depth =
+  { log = Faults.reopen_log path ~valid_bytes; count = depth; obs }
 
 (* Inserted entries are copied: a journal op may alias a live heap object
    (the store records allocations by reference), and replay must not give

@@ -31,9 +31,9 @@ val header_size : int
 (** Byte size of the journal header (magic + base checksum): the
     truncation floor when no record survives recovery. *)
 
-val create : ?obs:Obs.t -> string -> base_crc:int32 -> t
-(** Truncate [path] and write a fresh header naming the base image.
-    [obs], when given, has its [Journal_append] counter bumped once per
+val create : obs:Obs.t -> string -> base_crc:int32 -> t
+(** Truncate [path] and write a fresh header naming the base image,
+    fsynced.  [obs] has its [Journal_append] counter bumped once per
     record appended. *)
 
 val append_batch : ?seq:int -> t -> op list -> unit
@@ -61,11 +61,8 @@ val position : t -> int
 val truncate_to : t -> pos:int -> depth:int -> unit
 (** Discard everything after a savepoint (transaction abort). *)
 
-val close : t -> unit
-
-val crash : t -> unit
-(** Test support: close the descriptor {e without} flushing, losing any
-    buffered bytes — exactly what a process crash does. *)
+val log : t -> Faults.log
+(** The underlying log, for {!Faults.close_log} and {!Faults.crash_log}. *)
 
 (** {1 Recovery} *)
 
@@ -79,19 +76,18 @@ type batch = {
 
 type replay = {
   base_crc : int32;  (** checksum of the image this journal extends *)
-  records : (op * int) list;
-      (** good records in order, each with its end byte offset *)
-  batches : batch list;  (** the same records with batch structure kept *)
+  batches : batch list;  (** good records in order *)
   torn : bool;  (** a torn or corrupt tail was dropped *)
   valid_bytes : int;  (** end offset of the last good record *)
 }
 
 val read : string -> replay option
-(** Parse a journal leniently: stop at the first torn record (bad length,
-    short payload, checksum mismatch, undecodable body) rather than
-    raising.  [None] if the file is missing or its header is unreadable. *)
+(** Parse a journal leniently ({!Codec.scan_frames}): stop at the first
+    torn record (bad length, short payload, checksum mismatch,
+    undecodable body) rather than raising.  [None] if the file is
+    missing or its header is unreadable. *)
 
-val open_for_append : ?obs:Obs.t -> string -> valid_bytes:int -> depth:int -> t
+val open_for_append : obs:Obs.t -> string -> valid_bytes:int -> depth:int -> t
 (** Reopen an existing journal for appending, physically truncating any
     torn tail beyond [valid_bytes] first. *)
 

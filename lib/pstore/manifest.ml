@@ -97,26 +97,9 @@ let decode data =
     { nshards; marker_epoch; epochs }
   end
 
-(* Same atomic protocol as [Image.save]: temp file, fsync, rename,
-   directory fsync.  The rename IS the sharded store's commit point. *)
-let save path m =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     Faults.output_string oc (encode m);
-     Faults.fsync_channel oc;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  Faults.rename tmp path;
-  Faults.fsync_dir (Filename.dirname (if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path))
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* The rename inside [Faults.replace_file] IS the sharded store's commit
+   point. *)
+let save path m = Faults.replace_file path (encode m)
 
 (* Is the file at [path] a shard manifest (vs a flat image)? *)
 let is_manifest path =
@@ -131,7 +114,7 @@ let is_manifest path =
         try String.equal (really_input_string ic (String.length magic)) magic
         with End_of_file -> false))
 
-let load path = decode (read_file path)
+let load path = decode (Faults.read_file path)
 
 let layout path =
   if is_manifest path then load path else { nshards = 1; marker_epoch = -1; epochs = [| 0 |] }
@@ -172,7 +155,7 @@ let cleanup_stale path m =
       Array.iter
         (fun name ->
           if is_shard_file name && not (Hashtbl.mem keep name) then
-            try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+            try Faults.remove (Filename.concat dir name) with Sys_error _ -> ())
         names
   end
 
@@ -181,43 +164,14 @@ let cleanup_stale path m =
 module Marker = struct
   let magic = "HPJMARK1"
 
-  type t = { oc : out_channel }
+  type t = Faults.log
 
-  let frame_seq seq =
-    let open Codec in
-    let w = writer () in
-    let body =
-      let b = writer () in
-      put_i64 b (Int64.of_int seq);
-      contents b
-    in
-    put_frame w body;
-    contents w
+  let create path = Faults.create_log path ~header:magic
 
-  let create path =
-    let oc = open_out_bin path in
-    (try
-       Faults.output_string oc magic;
-       Faults.fsync_channel oc
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    { oc }
-
-  let append t seq = Faults.output_string t.oc (frame_seq seq)
-  let sync t = Faults.fsync_channel t.oc
-
-  let position t =
-    flush t.oc;
-    pos_out t.oc
-
-  let truncate_to t ~pos =
-    flush t.oc;
-    Unix.ftruncate (Unix.descr_of_out_channel t.oc) pos;
-    seek_out t.oc pos
-
-  let close t = close_out_noerr t.oc
-  let crash t = try Unix.close (Unix.descr_of_out_channel t.oc) with _ -> ()
+  let append t seq =
+    let w = Codec.writer () in
+    Codec.put_i64 w (Int64.of_int seq);
+    Faults.append_frame t (Codec.contents w)
 
   type replay = {
     committed : int;  (* last good sequence number; 0 if none *)
@@ -228,42 +182,17 @@ module Marker = struct
   let read path =
     if not (Sys.file_exists path) then None
     else begin
-      let data = read_file path in
-      let len = String.length data in
-      let hlen = String.length magic in
-      if len < hlen || not (String.equal (String.sub data 0 hlen) magic) then None
+      let data = Faults.read_file path in
+      if not (String.starts_with ~prefix:magic data) then None
       else begin
-        let committed = ref 0 in
-        let pos = ref hlen in
-        let valid = ref hlen in
-        let stop = ref false in
-        (try
-           while (not !stop) && !pos + 8 <= len do
-             let r = Codec.reader (String.sub data !pos 8) in
-             let payload_len = Codec.get_int r in
-             let crc = Codec.get_i32 r in
-             if payload_len < 0 || !pos + 8 + payload_len > len then stop := true
-             else begin
-               let payload = String.sub data (!pos + 8) payload_len in
-               if not (Int32.equal (Codec.crc32 payload) crc) then stop := true
-               else begin
-                 committed := Int64.to_int (Codec.get_i64 (Codec.reader payload));
-                 pos := !pos + 8 + payload_len;
-                 valid := !pos
-               end
-             end
-           done
-         with Codec.Decode_error _ -> ());
-        Some { committed = !committed; valid_bytes = !valid }
+        let seqs, valid_bytes, _torn =
+          Codec.scan_frames data ~pos:(String.length magic) (fun payload ->
+              Int64.to_int (Codec.get_i64 (Codec.reader payload)))
+        in
+        let committed = List.fold_left (fun _ (seq, _) -> seq) 0 seqs in
+        Some { committed; valid_bytes }
       end
     end
 
-  (* Seek rather than O_APPEND — see Journal.open_for_append: [pos_out]
-     on an append-mode channel reads 0 until the first write, which would
-     corrupt the rollback savepoints taken right after a reopen. *)
-  let open_for_append path ~valid_bytes =
-    Unix.truncate path valid_bytes;
-    let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 path in
-    seek_out oc valid_bytes;
-    { oc }
+  let open_for_append path ~valid_bytes = Faults.reopen_log path ~valid_bytes
 end

@@ -66,7 +66,7 @@ val layout : string -> t
 
 val commit : string -> t -> unit
 (** The commit point of a compaction: atomically replace the manifest
-    (tmp + fsync + rename + dir fsync).  A one-shard store has none to
+    ({!Faults.replace_file}).  A one-shard store has none to
     write — its image rename already committed. *)
 
 (** {1 Manifest I/O} *)
@@ -92,26 +92,16 @@ val cleanup_stale : string -> t -> unit
     all-or-nothing under crashes. *)
 
 module Marker : sig
-  type t
+  type t = Faults.log
+  (** Written with {!Faults.sync_log}, {!Faults.truncate_log} and the
+      rest of the log functions. *)
 
   val create : string -> t
   (** Truncate and write the marker header, fsynced. *)
 
   val append : t -> int -> unit
-  (** Append a committed-sequence record.  Not durable until {!sync}. *)
-
-  val sync : t -> unit
-
-  val position : t -> int
-  (** Current end offset: a savepoint for {!truncate_to}. *)
-
-  val truncate_to : t -> pos:int -> unit
-  (** Discard records after a savepoint (failed-stabilise rollback). *)
-
-  val close : t -> unit
-
-  val crash : t -> unit
-  (** Close without flushing, losing buffered bytes (test support). *)
+  (** Append a committed-sequence record.  Not durable until
+      {!Faults.sync_log}. *)
 
   type replay = {
     committed : int;  (** last good sequence number; [0] if none *)
@@ -119,8 +109,9 @@ module Marker : sig
   }
 
   val read : string -> replay option
-  (** Lenient scan, stopping at the first torn record.  [None] if the
-      file is missing or its header is unreadable. *)
+  (** Lenient scan ({!Codec.scan_frames}), stopping at the first torn
+      record.  [None] if the file is missing or its header is
+      unreadable. *)
 
   val open_for_append : string -> valid_bytes:int -> t
   (** Reopen, physically truncating any torn tail first. *)

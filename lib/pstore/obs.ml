@@ -132,7 +132,7 @@ type hist = {
 let hist_capacity = 512
 
 type t = {
-  counters : int Atomic.t array;
+  counters : int array;
   hists : hist array;
   ring : event array;  (* dummy-filled; [ring_len] entries valid *)
   mutable ring_len : int;
@@ -153,7 +153,7 @@ let fresh_hist () =
 let create ?(ring_capacity = default_ring_capacity) () =
   if ring_capacity < 0 then invalid_arg "Obs.create: negative ring capacity";
   {
-    counters = Array.init n_ops (fun _ -> Atomic.make 0);
+    counters = Array.make n_ops 0;
     hists = Array.init n_ops (fun _ -> fresh_hist ());
     ring = Array.make ring_capacity dummy_event;
     ring_len = 0;
@@ -168,7 +168,9 @@ let set_enabled t on = t.tracing <- on
 
 (* -- recording ------------------------------------------------------------ *)
 
-let incr t op = Atomic.incr (Array.unsafe_get t.counters (op_index op))
+let incr t op =
+  let i = op_index op in
+  Array.unsafe_set t.counters i (Array.unsafe_get t.counters i + 1)
 
 (* CLOCK_MONOTONIC: a stepped wall clock must not record a negative or
    inflated span. *)
@@ -210,7 +212,7 @@ let span t op ?oid ?bytes ?label f =
 
 (* -- reading -------------------------------------------------------------- *)
 
-let count t op = Atomic.get t.counters.(op_index op)
+let count t op = t.counters.(op_index op)
 
 let counts t =
   List.filter_map
@@ -219,7 +221,7 @@ let counts t =
       if n > 0 then Some (op, n) else None)
     all_ops
 
-let total t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.counters
+let total t = Array.fold_left ( + ) 0 t.counters
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -256,7 +258,7 @@ let clear_events t =
 (* -- lifecycle ------------------------------------------------------------ *)
 
 let reset t =
-  Array.iter (fun c -> Atomic.set c 0) t.counters;
+  Array.fill t.counters 0 n_ops 0;
   Array.iteri (fun i _ -> t.hists.(i) <- fresh_hist ()) t.hists;
   clear_events t;
   t.seq <- 0;

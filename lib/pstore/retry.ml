@@ -58,27 +58,27 @@ type stats = {
   exhausted : int; (* operations that failed even after all retries *)
 }
 
-let attempts_c = Atomic.make 0
-let retries_c = Atomic.make 0
-let absorbed_c = Atomic.make 0
-let exhausted_c = Atomic.make 0
+let attempts_c = ref 0
+let retries_c = ref 0
+let absorbed_c = ref 0
+let exhausted_c = ref 0
 
 (* Per-label retry counters, for `shell health`. *)
 let by_label : (string, int) Hashtbl.t = Hashtbl.create 8
 
 let stats () =
   {
-    attempts = Atomic.get attempts_c;
-    retries = Atomic.get retries_c;
-    absorbed = Atomic.get absorbed_c;
-    exhausted = Atomic.get exhausted_c;
+    attempts = !attempts_c;
+    retries = !retries_c;
+    absorbed = !absorbed_c;
+    exhausted = !exhausted_c;
   }
 
 let reset_stats () =
-  Atomic.set attempts_c 0;
-  Atomic.set retries_c 0;
-  Atomic.set absorbed_c 0;
-  Atomic.set exhausted_c 0;
+  attempts_c := 0;
+  retries_c := 0;
+  absorbed_c := 0;
+  exhausted_c := 0;
   Hashtbl.reset by_label
 
 let counters () =
@@ -101,16 +101,16 @@ let run ?(policy = default_policy) ?(on_retry = fun _ _ -> ()) ?(on_exhausted = 
   let started = Monotonic_clock.now () in
   let give_up e =
     if transient e then begin
-      Atomic.incr exhausted_c;
+      incr exhausted_c;
       (try on_exhausted e with _ -> ())
     end;
     raise e
   in
   let rec attempt n =
-    Atomic.incr attempts_c;
+    incr attempts_c;
     match f () with
     | v ->
-      if n > 0 then Atomic.incr absorbed_c;
+      if n > 0 then incr absorbed_c;
       v
     | exception e when transient e && n < policy.retries ->
       let delay = delay_for policy n in
@@ -119,7 +119,7 @@ let run ?(policy = default_policy) ?(on_retry = fun _ _ -> ()) ?(on_exhausted = 
       let elapsed = Int64.to_float (Int64.sub (Monotonic_clock.now ()) started) /. 1e9 in
       if elapsed +. delay > policy.deadline then give_up e
       else begin
-        Atomic.incr retries_c;
+        incr retries_c;
         (match obs with Some o -> Obs.incr o Obs.Retry | None -> ());
         bump_label label;
         (* A broken retry observer must not turn a retryable failure

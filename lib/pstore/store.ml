@@ -1200,7 +1200,7 @@ let append_delta store =
         | _ -> None)
       store.shards
   in
-  let msave = Option.map Manifest.Marker.position marker in
+  let msave = Option.map Faults.log_position marker in
   match
     Array.iteri
       (fun k sh ->
@@ -1222,7 +1222,7 @@ let append_delta store =
     | Some marker, Some pos when seq' > store.committed ->
       let commit () =
         Manifest.Marker.append marker seq';
-        Manifest.Marker.sync marker
+        Faults.sync_log marker
       in
       (match store.retry with
       | None -> commit ()
@@ -1230,7 +1230,7 @@ let append_delta store =
         Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name Retry.Marker)
           ~on_retry:(fun _ _ ->
             store.io_retries <- store.io_retries + 1;
-            try Manifest.Marker.truncate_to marker ~pos with _ -> ())
+            try Faults.truncate_log marker pos with _ -> ())
           commit);
       store.committed <- seq'
     | _ -> ()
@@ -1261,7 +1261,7 @@ let append_delta store =
         | None -> ())
       saves;
     (match (marker, msave) with
-    | Some m, Some pos -> ( try Manifest.Marker.truncate_to m ~pos with _ -> ())
+    | Some m, Some pos -> ( try Faults.truncate_log m pos with _ -> ())
     | _ -> ());
     raise e
 
@@ -1291,9 +1291,7 @@ let compact store path ~selected =
                    names), so the old handle goes first.  A crash
                    before the new header lands leaves a journal naming
                    the old image's checksum, which recovery discards. *)
-                (match sh.swal with
-                | Some w -> Journal.close w
-                | None -> ());
+                Option.iter (fun w -> Faults.close_log (Journal.log w)) sh.swal;
                 sh.swal <- None;
                 sh.sdirty <- false
               end;
@@ -1333,9 +1331,7 @@ let compact store path ~selected =
         Array.iteri
           (fun k sh ->
             if selected.(k) then begin
-              (match sh.swal with
-              | Some w -> Journal.close w
-              | None -> ());
+              Option.iter (fun w -> Faults.close_log (Journal.log w)) sh.swal;
               sh.swal <- new_wals.(k);
               sh.sdirty <- false;
               sh.sneeds_full <- false;
@@ -1343,9 +1339,7 @@ let compact store path ~selected =
             end)
           store.shards;
         if full then begin
-          (match store.marker with
-          | Some m -> Manifest.Marker.close m
-          | None -> ());
+          Option.iter Faults.close_log store.marker;
           store.marker <- !created_marker;
           store.marker_epoch <- marker_epoch';
           store.seq <- 0;
@@ -1369,14 +1363,8 @@ let compact store path ~selected =
         (* nothing references the new-epoch files (the manifest rename did
            not land); the old state on disk is intact.  Drop the fresh
            handles — retrying truncates and rewrites the same paths. *)
-        Array.iter
-          (function
-            | Some w -> ( try Journal.close w with _ -> ())
-            | None -> ())
-          new_wals;
-        (match !created_marker with
-        | Some m -> ( try Manifest.Marker.close m with _ -> ())
-        | None -> ());
+        Array.iter (Option.iter (fun w -> Faults.close_log (Journal.log w))) new_wals;
+        Option.iter Faults.close_log !created_marker;
         if full then store.needs_full <- true
         else Array.iteri (fun k sh -> if selected.(k) then sh.sneeds_full <- true) store.shards;
         raise e)
@@ -1521,29 +1509,54 @@ let load_image ~obs file =
       r
     | exception _ -> raise e)
 
-(* Replay one shard's journal [jr] on top of its loaded image, keeping
-   only the batches numbered at most [committed] (a lone journal's
-   batches carry no number and always replay), then reopen the journal
-   for appending after the last replayed batch.  Returns the ops
-   replayed. *)
-let replay_journal store sh wpath (jr : Journal.replay) ~committed =
-  let stop = ref false in
-  let valid = ref Journal.header_size in
-  let depth = ref 0 in
-  List.iter
-    (fun (b : Journal.batch) ->
-      if not !stop then begin
-        match b.Journal.b_seq with
-        | Some s when s > committed -> stop := true
-        | _ ->
-          List.iter (fun op -> Journal.apply op store.heap store.roots store.blobs) b.Journal.b_ops;
-          depth := !depth + List.length b.Journal.b_ops;
-          valid := b.Journal.b_end
+(* The batches of [jr] that recovery replays: on a gated store those up
+   to the first one numbered past [committed] — another shard's half of
+   that stabilise may be missing, and the marker is the only witness
+   that all halves landed.  A lone journal's batches carry no number and
+   all replay. *)
+let committed_batches (jr : Journal.replay) ~committed =
+  let rec go = function
+    | { Journal.b_seq = Some s; _ } :: _ when s > committed -> []
+    | b :: rest -> b :: go rest
+    | [] -> []
+  in
+  go jr.Journal.batches
+
+let ops_of batches = List.concat_map (fun (b : Journal.batch) -> b.Journal.b_ops) batches
+
+(* Merge one shard image's tables into the store's: its entries at oids
+   not already live, the oid counter, roots, blobs, and its quarantine
+   set into the shard's.  Returns the entries inserted. *)
+let merge_shard store sh (c : Image.contents) =
+  let inserted = ref 0 in
+  Heap.iter
+    (fun oid entry ->
+      if not (Heap.is_live store.heap oid) then begin
+        Heap.insert store.heap oid entry;
+        incr inserted
       end)
-    jr.Journal.batches;
+    c.Image.heap;
+  if Heap.next_oid c.Image.heap > Heap.next_oid store.heap then
+    Heap.set_next_oid store.heap (Heap.next_oid c.Image.heap);
+  Roots.iter (Roots.set store.roots) c.Image.roots;
+  Hashtbl.iter (Hashtbl.replace store.blobs) c.Image.blobs;
+  List.iter (fun (oid, reason) -> Quarantine.add sh.sq oid reason) (Quarantine.to_list c.Image.quarantine);
+  !inserted
+
+(* Replay one shard's journal [jr] on top of its loaded image, then
+   reopen the journal for appending after the last replayed batch.
+   Returns the ops replayed. *)
+let replay_journal store sh wpath (jr : Journal.replay) ~committed =
+  let batches = committed_batches jr ~committed in
+  let ops = ops_of batches in
+  List.iter (fun op -> Journal.apply op store.heap store.roots store.blobs) ops;
+  let valid_bytes =
+    List.fold_left (fun _ (b : Journal.batch) -> b.Journal.b_end) Journal.header_size batches
+  in
   if jr.Journal.torn then store.recovered_torn <- true;
-  sh.swal <- Some (Journal.open_for_append ~obs:store.obs wpath ~valid_bytes:!valid ~depth:!depth);
-  !depth
+  sh.swal <-
+    Some (Journal.open_for_append ~obs:store.obs wpath ~valid_bytes ~depth:(List.length ops));
+  List.length ops
 
 (* Open: load every shard image in turn, merge, then replay each
    shard's journal.  On a gated store only batches up to the marker's
@@ -1608,21 +1621,14 @@ let open_file ?config path =
     (fun k part ->
       match part with
       | None -> ()
+      | Some (r : Image.load_report) when !adopted ->
+        ignore (merge_shard store store.shards.(k) r.Image.lr_contents)
       | Some (r : Image.load_report) ->
         let c = r.Image.lr_contents in
-        if not !adopted then begin
-          adopted := true;
-          store.heap <- c.Image.heap;
-          store.roots <- c.Image.roots;
-          store.blobs <- c.Image.blobs
-        end
-        else begin
-          Heap.iter (fun oid entry -> Heap.insert store.heap oid entry) c.Image.heap;
-          if Heap.next_oid c.Image.heap > Heap.next_oid store.heap then
-            Heap.set_next_oid store.heap (Heap.next_oid c.Image.heap);
-          Roots.iter (Roots.set store.roots) c.Image.roots;
-          Hashtbl.iter (Hashtbl.replace store.blobs) c.Image.blobs
-        end;
+        adopted := true;
+        store.heap <- c.Image.heap;
+        store.roots <- c.Image.roots;
+        store.blobs <- c.Image.blobs;
         Quarantine.replace_all store.shards.(k).sq ~from:c.Image.quarantine)
     parts;
   (* Epochs are persistent state: a compaction that forgot them would
@@ -1699,10 +1705,21 @@ let open_file ?config path =
   Manifest.cleanup_stale path m;
   store
 
-(* Both [close] and [crash] are idempotent: each drops the journal
-   handles (a no-op when there are none, as on an unbacked store or after
-   a previous close/crash).  [close]
-   additionally seals a final observability snapshot and empties the
+(* Drop every journal and marker handle through [drop]: [close] closes
+   them, [crash] abandons their buffered bytes.  A no-op when there are
+   none, as on an unbacked store or after a previous close or crash, so
+   both are idempotent. *)
+let release_handles store drop =
+  Array.iter
+    (fun sh ->
+      Option.iter (fun w -> drop (Journal.log w)) sh.swal;
+      sh.swal <- None;
+      sh.sdirty <- false)
+    store.shards;
+  Option.iter drop store.marker;
+  store.marker <- None
+
+(* [close] also seals a final observability snapshot and empties the
    trace ring; [crash] drops the ring without snapshotting, exactly as a
    process crash would lose in-flight trace state. *)
 let close store =
@@ -1713,33 +1730,11 @@ let close store =
   (try if Array.exists (fun sh -> sh.sdirty) store.shards then sync_dirty_shards store
    with _ -> ());
   if store.marker <> None then assert (store.seq = store.committed);
-  Array.iter
-    (fun sh ->
-      (match sh.swal with
-      | Some w -> ( try Journal.close w with _ -> ())
-      | None -> ());
-      sh.swal <- None;
-      sh.sdirty <- false)
-    store.shards;
-  (match store.marker with
-  | Some m -> ( try Manifest.Marker.close m with _ -> ())
-  | None -> ());
-  store.marker <- None;
+  release_handles store Faults.close_log;
   Obs.flush store.obs
 
 let crash store =
-  Array.iter
-    (fun sh ->
-      (match sh.swal with
-      | Some w -> ( try Journal.crash w with _ -> ())
-      | None -> ());
-      sh.swal <- None;
-      sh.sdirty <- false)
-    store.shards;
-  (match store.marker with
-  | Some m -> ( try Manifest.Marker.crash m with _ -> ())
-  | None -> ());
-  store.marker <- None;
+  release_handles store Faults.crash_log;
   Obs.drop store.obs
 
 (* -- repair ---------------------------------------------------------------- *)
@@ -1765,26 +1760,13 @@ let rebuild_offline_shard store k ~restored ~replayed =
   | Some path ->
     let sh = store.shards.(k) in
     let img =
-      try Some (Image.load_report (image_file store path k sh.sepoch)) with _ -> None
+      try Some (Image.load_report ~obs:store.obs (image_file store path k sh.sepoch))
+      with _ -> None
     in
-    (match img with
-    | Some (r : Image.load_report) ->
-      let c = r.Image.lr_contents in
-      Heap.iter
-        (fun oid entry ->
-          if not (Heap.is_live store.heap oid) then begin
-            Heap.insert store.heap oid entry;
-            incr restored
-          end)
-        c.Image.heap;
-      if Heap.next_oid c.Image.heap > Heap.next_oid store.heap then
-        Heap.set_next_oid store.heap (Heap.next_oid c.Image.heap);
-      Roots.iter (Roots.set store.roots) c.Image.roots;
-      Hashtbl.iter (Hashtbl.replace store.blobs) c.Image.blobs;
-      List.iter
-        (fun (oid, reason) -> Quarantine.add sh.sq oid reason)
-        (Quarantine.to_list c.Image.quarantine)
-    | None -> ());
+    Option.iter
+      (fun (r : Image.load_report) ->
+        restored := !restored + merge_shard store sh r.Image.lr_contents)
+      img;
     (match Journal.read (wal_file store path k sh.sepoch) with
     | None -> ()
     | Some jr ->
@@ -1793,23 +1775,13 @@ let rebuild_offline_shard store k ~restored ~replayed =
         | Some r -> Int32.equal jr.Journal.base_crc r.Image.lr_crc
         | None -> true (* no image to pair against: best-effort salvage *)
       in
-      if fresh then begin
-        let stop = ref false in
+      if fresh then
         List.iter
-          (fun (b : Journal.batch) ->
-            if not !stop then begin
-              match b.Journal.b_seq with
-              | Some s when s > store.committed -> stop := true
-              | _ ->
-                List.iter
-                  (fun op ->
-                    match Journal.apply op store.heap store.roots store.blobs with
-                    | () -> incr replayed
-                    | exception _ -> ())
-                  b.Journal.b_ops
-            end)
-          jr.Journal.batches
-      end)
+          (fun op ->
+            match Journal.apply op store.heap store.roots store.blobs with
+            | () -> incr replayed
+            | exception _ -> ())
+          (ops_of (committed_batches jr ~committed:store.committed)))
 
 let repair store k =
   check_shard_index store k;

@@ -14,12 +14,12 @@ type refusal = {
   message : string;
 }
 
-let refusals = Atomic.make 0
-let refusal_count () = Atomic.get refusals
+let refusals = ref 0
+let refusal_count () = !refusals
 
 let validate vm ~version ~password =
   if version <> Protocol.version then begin
-    Atomic.incr refusals;
+    incr refusals;
     Error
       {
         code = Protocol.code_proto;
@@ -29,7 +29,7 @@ let validate vm ~version ~password =
       }
   end
   else if not (Registry.check_password vm password) then begin
-    Atomic.incr refusals;
+    incr refusals;
     Error { code = Protocol.code_auth; message = "registry password refused" }
   end
   else Ok ()

@@ -5,4 +5,5 @@ let () =
       ("recovery behaviours", Test_crash_recovery.suite);
       ("sharded crash atomicity", Test_crash_shard.suite);
       ("batch records", Test_crash_group.suite);
+      ("on-disk format", Test_crash_format.suite);
     ]

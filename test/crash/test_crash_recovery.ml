@@ -183,7 +183,7 @@ let truncation_at_every_offset () =
   let wal_data = read_file wal_path in
   let ends =
     match Journal.read wal_path with
-    | Some replay -> List.map snd replay.Journal.records
+    | Some replay -> List.map (fun (b : Journal.batch) -> b.Journal.b_end) replay.Journal.batches
     | None -> Alcotest.fail "journal unreadable"
   in
   check_int "one record per stabilise" (List.length ops) (List.length ends);

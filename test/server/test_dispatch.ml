@@ -36,5 +36,44 @@ let wire_compile_is_counted () =
   | other -> Alcotest.failf "bad compile: %s" (Protocol.describe_response other));
   check_int "a refused compile is counted too" (before + 2) (Obs.count obs Obs.Compile)
 
+(* Every connection holds a snapshot session, which pins the object
+   graph, so a wire compile that redefines a loaded class is refused.
+   The refusal must leave the VM's class, the store's instances and the
+   class blob exactly as they were. *)
+let refused_redefinition_changes_nothing () =
+  with_dir ~prefix:"dispatch" @@ fun dir ->
+  let backing = Some (Filename.concat dir "s") in
+  let store = Store.create ~config:{ Store.Config.default with Store.Config.backing } () in
+  let vm = Boot.boot_fresh store in
+  Dynamic_compiler.install vm;
+  let getter = "public static int get(Pt p) { return p.a; }" in
+  ignore (Jcompiler.compile_and_load vm [ "public class Pt { public int a; " ^ getter ^ " }" ]);
+  let pt = Vm.new_instance vm ~cls:"Pt" ~desc:"()V" [] in
+  let oid = match pt with Pvalue.Ref o -> o | _ -> Alcotest.fail "Pt is not an object" in
+  Store.set_field store oid (Rt.field_slot vm "Pt" "a") (Pvalue.Int 7l);
+  Store.set_root store "pt" pt;
+  Store.stabilise store;
+  let blob = Store.blob store "minijava.class:Pt" in
+  let c = Server.Dispatch.create ~vm ~store ~name:"test" in
+  let password = Registry.built_in_password in
+  (match request c (Protocol.Hello { version = Protocol.version; password }) with
+  | Protocol.Hello_ok _ -> ()
+  | other -> Alcotest.failf "hello: %s" (Protocol.describe_response other));
+  (match
+     request c (Protocol.Compile { source = "public class Pt { public int b; public int a; " ^ getter ^ " }" })
+   with
+  | Protocol.Refused { message; _ } ->
+    check_bool "refused because sessions pin the graph" true (contains message "snapshot sessions")
+  | other -> Alcotest.failf "redefinition: %s" (Protocol.describe_response other));
+  check_int "the VM keeps the old layout" 1 (Array.length (Rt.get_class vm "Pt").Rt.rc_layout);
+  check_bool "the instance still reads 7" true
+    (Pvalue.equal (Pvalue.Int 7l) (Vm.call_static vm ~cls:"Pt" ~name:"get" ~desc:"(LPt;)I" [ pt ]));
+  check_bool "the class blob is unchanged" true (Store.blob store "minijava.class:Pt" = blob)
+
 let suite =
-  ("dispatch", [ test "wire compiles are counted, refused ones too" wire_compile_is_counted ])
+  ( "dispatch",
+    [
+      test "wire compiles are counted, refused ones too" wire_compile_is_counted;
+      test "a refused redefinition leaves the class and its instances intact"
+        refused_redefinition_changes_nothing;
+    ] )
