@@ -6,6 +6,7 @@ type writer = Buffer.t
 type reader = {
   data : string;
   mutable pos : int;
+  lim : int;  (* reading stops here: [String.length data] or a prefix *)
 }
 
 exception Decode_error of string
@@ -18,9 +19,13 @@ let contents w = Buffer.contents w
 
 let reset w = Buffer.clear w
 
-let reader data = { data; pos = 0 }
+let reader data = { data; pos = 0; lim = String.length data }
 
-let remaining r = String.length r.data - r.pos
+let prefix_reader data len =
+  if len < 0 || len > String.length data then invalid_arg "Codec.prefix_reader";
+  { data; pos = 0; lim = len }
+
+let remaining r = r.lim - r.pos
 
 let at_end r = remaining r = 0
 
@@ -65,7 +70,7 @@ let put_option w put_elem = function
 (* -- reading ------------------------------------------------------------ *)
 
 let get_u8 r =
-  if r.pos >= String.length r.data then decode_error "get_u8: end of input";
+  if r.pos >= r.lim then decode_error "get_u8: end of input";
   let c = Char.code r.data.[r.pos] in
   r.pos <- r.pos + 1;
   c
@@ -128,24 +133,68 @@ let get_option r get_elem =
 
 (* -- CRC-32 (IEEE 802.3 polynomial) -------------------------------------- *)
 
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref (Int32.of_int n) in
-      for _ = 0 to 7 do
-        if Int32.logand !c 1l <> 0l then
-          c := Int32.logxor 0xedb88320l (Int32.shift_right_logical !c 1)
-        else c := Int32.shift_right_logical !c 1
-      done;
-      !c)
+(* Slicing-by-8: table [k] (entries [256k .. 256k+255]) advances a byte
+   through [k] further zero bytes, so the main loop folds eight input
+   bytes per step with eight lookups.  The state is an immediate [int]
+   holding 32 bits, so the loop allocates nothing. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to (8 * 256) - 1 do
+    let c = t.(i - 256) in
+    t.(i) <- (c lsr 8) lxor t.(c land 0xff)
+  done;
+  t
 
-let crc32 s =
-  let c = ref 0xffffffffl in
-  String.iter
-    (fun ch ->
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xffl) in
-      c := Int32.logxor crc_table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xffffffffl
+let[@inline] tbl k i = Array.unsafe_get crc_tables ((k lsl 8) lor i)
+let[@inline] byte b i = Char.code (Bytes.unsafe_get b i)
+
+let crc_bytes b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Codec.crc32_sub";
+  let c = ref 0xffffffff in
+  let i = ref pos in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    let j = !i in
+    let lo =
+      !c
+      lxor (byte b j lor (byte b (j + 1) lsl 8) lor (byte b (j + 2) lsl 16)
+           lor (byte b (j + 3) lsl 24))
+    in
+    c :=
+      tbl 7 (lo land 0xff)
+      lxor tbl 6 ((lo lsr 8) land 0xff)
+      lxor tbl 5 ((lo lsr 16) land 0xff)
+      lxor tbl 4 (lo lsr 24)
+      lxor tbl 3 (byte b (j + 4))
+      lxor tbl 2 (byte b (j + 5))
+      lxor tbl 1 (byte b (j + 6))
+      lxor tbl 0 (byte b (j + 7));
+    i := j + 8
+  done;
+  for j = stop8 to pos + len - 1 do
+    c := tbl 0 ((!c lxor byte b j) land 0xff) lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xffffffff)
+
+let crc32_sub s ~pos ~len = crc_bytes (Bytes.unsafe_of_string s) ~pos ~len
+
+let crc32 s = crc32_sub s ~pos:0 ~len:(String.length s)
+
+(* The writer's bytes followed by their CRC-32 (little-endian), built in
+   one copy. *)
+let contents_with_crc w =
+  let n = Buffer.length w in
+  let b = Bytes.create (n + 4) in
+  Buffer.blit w 0 b 0 n;
+  Bytes.set_int32_le b n (crc_bytes b ~pos:0 ~len:n);
+  Bytes.unsafe_to_string b
 
 (* -- checksummed frames ---------------------------------------------------
 
@@ -159,15 +208,18 @@ let put_frame w payload =
   put_i32 w (crc32 payload);
   put_bytes w payload
 
-(* Read a frame, verifying its checksum.  On a checksum mismatch the
-   reader is still advanced past the frame, so salvage loops can report
-   the bad frame and continue with the next one. *)
-let checked_frame r =
+let read_frame r =
   let len = get_int r in
   if len < 0 || len > remaining r then
     decode_error "frame length %d exceeds %d remaining bytes" len (remaining r);
   let stored = get_i32 r in
-  let payload = get_bytes r len in
+  (stored, get_bytes r len)
+
+(* Read a frame, verifying its checksum.  On a checksum mismatch the
+   reader is still advanced past the frame, so salvage loops can report
+   the bad frame and continue with the next one. *)
+let checked_frame r =
+  let stored, payload = read_frame r in
   let actual = crc32 payload in
   if Int32.equal stored actual then Ok payload
   else Error (Printf.sprintf "frame checksum mismatch: stored %ld, computed %ld" stored actual)
@@ -177,13 +229,15 @@ let get_frame r =
   | Ok payload -> payload
   | Error msg -> decode_error "%s" msg
 
+let trusted_frame r = snd (read_frame r)
+
 (* The lenient scan behind journal and marker recovery: a crash
    mid-append leaves a frame whose length runs past end-of-file or whose
    checksum does not match, and the scan simply stops there.  Nothing
    before the torn frame is affected. *)
 let scan_frames data ~pos decode =
   let rec go pos acc =
-    let r = { data; pos } in
+    let r = { data; pos; lim = String.length data } in
     if remaining r < 8 then (List.rev acc, pos, not (at_end r))
     else
       match Result.map decode (checked_frame r) with

@@ -18,6 +18,12 @@ val reset : writer -> unit
     paths that would otherwise allocate a fresh writer per item. *)
 
 val reader : string -> reader
+
+val prefix_reader : string -> int -> reader
+(** [prefix_reader s n] reads the first [n] bytes of [s] as if they were
+    all of it, without copying them.
+    @raise Invalid_argument if [n] is not in [0, String.length s]. *)
+
 val remaining : reader -> int
 val at_end : reader -> bool
 
@@ -50,7 +56,18 @@ val get_array : reader -> (reader -> 'a) -> 'a array
 val get_option : reader -> (reader -> 'a) -> 'a option
 
 val crc32 : string -> int32
-(** CRC-32 checksum (IEEE 802.3 polynomial) of a byte string. *)
+(** CRC-32 checksum (IEEE 802.3 polynomial) of a byte string.  A
+    slicing-by-8 loop over immediate [int] state: it allocates nothing
+    but its result, however long the input. *)
+
+val crc32_sub : string -> pos:int -> len:int -> int32
+(** [crc32_sub s ~pos ~len] is [crc32 (String.sub s pos len)], without
+    the copy.
+    @raise Invalid_argument if the range is not inside [s]. *)
+
+val contents_with_crc : writer -> string
+(** {!contents} followed by the CRC-32 of those bytes as a little-endian
+    [u32] ({!put_i32}), built with one copy of the writer's bytes. *)
 
 (** {1 Checksummed frames}
 
@@ -68,6 +85,11 @@ val checked_frame : reader -> (string, string) result
     with the reader advanced past the frame, so salvage loops can skip
     the corrupt frame and keep reading.
     @raise Decode_error if the frame structure itself is unreadable. *)
+
+val trusted_frame : reader -> string
+(** Read a frame without recomputing its checksum, for bytes that an
+    enclosing checksum (an image's trailer) has already verified.
+    @raise Decode_error on a bad length or truncation. *)
 
 val scan_frames : string -> pos:int -> (string -> 'a) -> ('a * int) list * int * bool
 (** [scan_frames data ~pos decode] decodes the frames of [data] from

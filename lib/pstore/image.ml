@@ -7,11 +7,13 @@
    [length][crc32][payload] frame (the same framing the write-ahead
    journal uses, via {!Codec.put_frame}), and the tail section (roots,
    blobs, quarantine) is one more such frame.  A whole-image CRC trailer
-   still identifies the image for journal pairing.  The per-entry frames
-   are what make salvage possible: when the whole-image checksum fails,
-   [decode] walks the entry frames, quarantines exactly the objects whose
-   frames are corrupt, and loads everything else — one flipped bit costs
-   one object, not the store.
+   identifies the image for journal pairing and is the check on a clean
+   load: when it matches, [decode] reads every frame without recomputing
+   its CRC, so each byte is hashed once.  The per-entry frames are checked
+   only when salvaging, and they are what make salvage possible: when the
+   whole-image checksum fails, [decode] walks the entry frames,
+   quarantines exactly the objects whose frames are corrupt, and loads
+   everything else — one flipped bit costs one object, not the store.
 
    Blobs are named byte strings used by higher layers for non-object
    state; the MiniJava runtime stores its compiled class files there,
@@ -140,23 +142,27 @@ let encode { heap; roots; blobs; quarantine } =
       put_string tail reason)
     quarantined;
   put_frame w (contents tail);
-  let body = contents w in
-  let trailer = writer () in
-  put_i32 trailer (crc32 body);
-  body ^ Codec.contents trailer
+  contents_with_crc w
+
+(* The CRC that [encode] appended: identifies this image so a journal can
+   name the exact snapshot it extends. *)
+let crc_of_encoded data =
+  if String.length data < 4 then image_error "truncated image";
+  String.get_int32_le data (String.length data - 4)
 
 let decode_with_salvage data =
   let open Codec in
-  if String.length data < String.length magic + 1 + 4 then image_error "truncated image";
-  let body = String.sub data 0 (String.length data - 4) in
-  let crc_reader = reader (String.sub data (String.length data - 4) 4) in
-  let stored_crc = get_i32 crc_reader in
-  let actual_crc = crc32 body in
+  let body_len = String.length data - 4 in
+  if body_len < String.length magic + 1 then image_error "truncated image";
+  let stored_crc = crc_of_encoded data in
+  let actual_crc = crc32_sub data ~pos:0 ~len:body_len in
   let checksum_ok = Int32.equal stored_crc actual_crc in
   let fail_checksum () =
     image_error "checksum mismatch: stored %ld, computed %ld" stored_crc actual_crc
   in
-  (* On a whole-image mismatch we attempt salvage: per-entry frames
+  (* A matching trailer covers every frame's bytes with the same 32-bit
+     strength, so a clean load reads the frames without re-hashing them.
+     On a whole-image mismatch we attempt salvage: per-entry frames
      localise the damage.  Salvage is accepted only if it actually finds
      corrupt entry frames and the tail frame still verifies; corruption
      anywhere else (header, oid fields, tail) means nothing can be
@@ -164,7 +170,7 @@ let decode_with_salvage data =
   let quarantine = Quarantine.create () in
   let salvaged = ref 0 in
   try
-    let r = reader body in
+    let r = prefix_reader data body_len in
     let file_magic = get_bytes r (String.length magic) in
     if not (String.equal file_magic magic) then
       if checksum_ok then image_error "bad magic %S" file_magic else fail_checksum ();
@@ -176,8 +182,10 @@ let decode_with_salvage data =
     let heap = Heap.create () in
     let n_entries = get_int r in
     for _ = 1 to n_entries do
-      let oid = Oid.of_int (Int64.to_int (get_i64 r)) in
-      match checked_frame r with
+      let n = Int64.to_int (get_i64 r) in
+      if n < 0 then decode_error "Image: negative oid %d" n;
+      let oid = Oid.of_int n in
+      match if checksum_ok then Ok (trusted_frame r) else checked_frame r with
       | Ok payload -> begin
         match decode_entry_payload payload with
         | entry -> Heap.insert heap oid entry
@@ -190,7 +198,7 @@ let decode_with_salvage data =
         incr salvaged
     done;
     Heap.set_next_oid heap next;
-    let tail = reader (get_frame r) in
+    let tail = reader (if checksum_ok then trusted_frame r else get_frame r) in
     let roots = Roots.create () in
     let n_roots = get_int tail in
     for _ = 1 to n_roots do
@@ -216,12 +224,6 @@ let decode_with_salvage data =
   with Codec.Decode_error _ when not checksum_ok -> fail_checksum ()
 
 let decode data = fst (decode_with_salvage data)
-
-(* The CRC that [encode] appended: identifies this image so a journal can
-   name the exact snapshot it extends. *)
-let crc_of_encoded data =
-  if String.length data < 4 then image_error "truncated image";
-  Codec.get_i32 (Codec.reader (String.sub data (String.length data - 4) 4))
 
 (* Crash-atomic save through [Faults.replace_file]. *)
 let save ~obs path contents =

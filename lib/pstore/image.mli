@@ -24,7 +24,9 @@ val encode : contents -> string
 (** Serialise to bytes (deterministic: entries sorted by oid). *)
 
 val decode : string -> contents
-(** Decode an image.  If the whole-image checksum fails, a salvage pass
+(** Decode an image.  The whole-image checksum is checked first; when it
+    matches, entry frames are read without recomputing their own
+    checksums.  If the whole-image checksum fails, a salvage pass
     loads every entry whose own frame still verifies and quarantines the
     corrupt ones; salvage is accepted only when at least one corrupt
     entry frame is found and the tail section verifies.

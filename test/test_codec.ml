@@ -88,6 +88,57 @@ let crc32_known_values () =
   Alcotest.(check int32) "empty" 0l (Codec.crc32 "");
   check_bool "differs" true (Codec.crc32 "a" <> Codec.crc32 "b")
 
+(* A plain bitwise CRC-32: the reference the table-driven loop must equal. *)
+let crc32_reference s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xffffffff)
+
+(* Lengths 0..64 at start offsets 0..7 cover the 8-byte body, the
+   bytewise tail and every split between them. *)
+let crc32_matches_bitwise_reference () =
+  let rng = Random.State.make [| 30 |] in
+  let random_string n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let buf = random_string (64 + 7) in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      let expected = crc32_reference (String.sub buf pos len) in
+      let name = Printf.sprintf "pos %d len %d" pos len in
+      Alcotest.(check int32) name expected (Codec.crc32 (String.sub buf pos len));
+      Alcotest.(check int32) (name ^ " sub") expected (Codec.crc32_sub buf ~pos ~len)
+    done
+  done;
+  for i = 1 to 200 do
+    let s = random_string (Random.State.int rng 4097) in
+    Alcotest.(check int32) (Printf.sprintf "random %d" i) (crc32_reference s) (Codec.crc32 s)
+  done
+
+let minor_words f =
+  let before = Stdlib.Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Stdlib.Gc.minor_words () -. before
+
+(* Allocation counts do not depend on the host.  A checksum loop over
+   boxed state allocates words per byte checked (a fresh boot image took
+   over 3 million minor words to decode that way), so these bounds catch
+   one coming back where a timing could not. *)
+let checksum_allocation_bounds () =
+  let s = String.make (64 * 1024) 'x' in
+  let crc_words = minor_words (fun () -> Codec.crc32 s) in
+  if crc_words > 16. then Alcotest.failf "crc32 of 64 KiB allocated %.0f minor words" crc_words;
+  let store, _vm = fresh_vm () in
+  let data = Image.encode (Store.contents store) in
+  let decode_words = minor_words (fun () -> Image.decode data) in
+  if decode_words > 20_000. then
+    Alcotest.failf "decode of a %d-byte boot image allocated %.0f minor words"
+      (String.length data) decode_words
+
 (* Every strict prefix of an encoded value must fail with Decode_error —
    never an unhandled exception, never a silently wrong value. *)
 let pvalue_truncation_at_every_offset () =
@@ -183,6 +234,60 @@ let image_salvage_is_precise () =
     | _ -> false);
   check_bool "blob intact" true (Hashtbl.find_opt salvaged.Image.blobs "b" = Some "blob")
 
+(* What a damaged image loads as, one region at a time.  Whether a clean
+   load re-hashes each frame is a speed choice; these outcomes are not. *)
+let image_damage_by_region () =
+  with_dir (fun dir ->
+      let store = fresh_store () in
+      let victim = Store.alloc_string store "victim-payload" in
+      let sibling = Store.alloc_string store "sibling" in
+      Store.set_root store "r" (Pvalue.Ref (Store.alloc_record store "C" [| Pvalue.Ref sibling |]));
+      Store.set_blob store "b" "blob";
+      let path = Filename.concat dir "image" in
+      ignore (Image.save ~obs:(Obs.create ()) path (Store.contents store));
+      let data = read_file path in
+      (* Header: magic, version, next oid, entry count.  Then each entry
+         is [i64 oid][u32 len][u32 crc][payload]; then the tail frame
+         [u32 len][u32 crc][payload]; then the 4-byte trailer. *)
+      let header_len = 8 + 1 + 8 + 4 in
+      let frame_end off = off + 8 + Int32.to_int (String.get_int32_le data off) in
+      let rec entries off n acc =
+        if n = 0 then (List.rev acc, off)
+        else
+          let oid = Oid.of_int (Int64.to_int (String.get_int64_le data off)) in
+          entries (frame_end (off + 8)) (n - 1) ((oid, off) :: acc)
+      in
+      let entry_offsets, tail_off =
+        entries header_len (Int32.to_int (String.get_int32_le data (header_len - 4))) []
+      in
+      let victim_off = List.assoc victim entry_offsets in
+      let cases =
+        [
+          ("header", 0, 0xff, None);
+          (* A huge oid that collides with no other. *)
+          ("oid high byte", victim_off + 7, 0x01, None);
+          (* Bit 62: the oid decodes as a negative int. *)
+          ("oid sign bit", victim_off + 7, 0x40, None);
+          ("entry payload", index_of data "victim-payload" + 3, 0xff, Some victim);
+          ("tail frame", tail_off + 8 + 2, 0xff, None);
+          ("trailer", String.length data - 2, 0xff, None);
+        ]
+      in
+      List.iter
+        (fun (region, off, mask, expected) ->
+          let corrupt = Bytes.of_string data in
+          Bytes.set corrupt off (Char.chr (Char.code (Bytes.get corrupt off) lxor mask));
+          write_file path (Bytes.to_string corrupt);
+          match (Image.load_report ~obs:(Obs.create ()) path, expected) with
+          | report, Some oid ->
+            let q = report.Image.lr_contents.Image.quarantine in
+            check_int (region ^ ": salvaged") 1 report.Image.lr_salvaged;
+            check_int (region ^ ": quarantined") 1 (Quarantine.size q);
+            check_bool (region ^ ": victim quarantined") true (Quarantine.mem q oid)
+          | _, None -> Alcotest.failf "%s: damaged image loaded" region
+          | exception Image.Image_error _ when expected = None -> ())
+        cases)
+
 let suite =
   [
     test "integer round trips" roundtrip_ints;
@@ -192,9 +297,12 @@ let suite =
     test "truncated input fails cleanly" truncated_input_fails;
     test "invalid boolean byte fails" bad_bool_fails;
     test "crc32 known values" crc32_known_values;
+    test "crc32 equals a bitwise reference" crc32_matches_bitwise_reference;
+    test "checksum allocation bounds" checksum_allocation_bounds;
     test "pvalue truncation at every offset" pvalue_truncation_at_every_offset;
     test "image truncation and corruption detected" image_truncation_and_corruption;
     test "image salvage is precise" image_salvage_is_precise;
+    test "image damage by region" image_damage_by_region;
   ]
 
 (* Property: any sequence of puts reads back identically. *)
