@@ -2,9 +2,10 @@
 
    A fresh store is booted by compiling the runtime library from source
    with the system's own compiler and persisting the resulting class files
-   in the store.  A store that already contains classes is reopened by
-   relinking the persisted class files — no recompilation, the paper's
-   persistent-classes property. *)
+   in the store: one blob per class, and one per unit text that those
+   classes name by key (see Linker).  A store that already contains classes
+   is reopened by relinking the persisted class files — no recompilation,
+   the paper's persistent-classes property. *)
 
 let boot_fresh store =
   let vm = Rt.create store in

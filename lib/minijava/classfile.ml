@@ -2,7 +2,11 @@
    compiler produces and the class loader consumes; stored in the
    persistent store's blob table they make classes persistent.  Each class
    file optionally carries its source text — the paper's "association from
-   executable programs to source programs". *)
+   executable programs to source programs".  The encoded source field is
+   tagged: 0 for none, 1 for the text inline, 2 for the key of a blob that
+   holds the text.  The store's class blobs use the key form, so the text
+   of a compilation unit is stored once however many classes it defines
+   (see Linker); batches and evolution archives carry the text inline. *)
 
 open Pstore
 
@@ -348,7 +352,7 @@ let decode_method r =
   let m_code = get_option r decode_code in
   { m_name; m_desc; m_static; m_native; m_abstract; m_public; m_code }
 
-let encode cf =
+let encode ?source_key cf =
   let open Codec in
   let w = writer () in
   put_bytes w magic;
@@ -359,10 +363,15 @@ let encode cf =
   put_list w (fun w s -> put_string w s) cf.cf_interfaces;
   put_list w encode_field cf.cf_fields;
   put_list w encode_method cf.cf_methods;
-  put_option w (fun w s -> put_string w s) cf.cf_source;
+  (match cf.cf_source, source_key with
+  | None, _ -> put_u8 w 0
+  | Some text, None -> put_u8 w 1; put_string w text
+  | Some _, Some key -> put_u8 w 2; put_string w key);
   contents w
 
-let decode data =
+let no_resolver key = Codec.decode_error "Classfile: source is stored under key %s" key
+
+let decode ?(source = no_resolver) data =
   let open Codec in
   let r = reader data in
   let m = get_bytes r (String.length magic) in
@@ -374,7 +383,13 @@ let decode data =
   let cf_interfaces = get_list r get_string in
   let cf_fields = get_list r decode_field in
   let cf_methods = get_list r decode_method in
-  let cf_source = get_option r get_string in
+  let cf_source =
+    match get_u8 r with
+    | 0 -> None
+    | 1 -> Some (get_string r)
+    | 2 -> Some (source (get_string r))
+    | n -> Codec.decode_error "Classfile: bad source tag %d" n
+  in
   { cf_name; cf_interface; cf_abstract; cf_super; cf_interfaces; cf_fields; cf_methods; cf_source }
 
 (* Encode a batch of class files, as produced for one compilation. *)

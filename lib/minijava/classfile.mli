@@ -2,7 +2,9 @@
     the class loader consumes.  Stored in the persistent store's blob
     table they make classes persistent.  Each class file optionally
     carries its source text: the paper's "association from executable
-    programs to source programs". *)
+    programs to source programs".  Encoded, the text is either inline or
+    named by the key of the blob that holds it; decoding resolves the key,
+    so [cf_source] always holds the text. *)
 
 type field = {
   f_name : string;
@@ -36,9 +38,15 @@ type t = {
 val to_class_info : t -> Jtype.class_info
 (** The type checker's view of the class. *)
 
-val encode : t -> string
-val decode : string -> t
-(** @raise Pstore.Codec.Decode_error on malformed input. *)
+val encode : ?source_key:string -> t -> string
+(** Carries [cf_source] inline, or, given [source_key], names it by that
+    key: the text must then be stored under the key, where {!decode}'s
+    [source] finds it. *)
+
+val decode : ?source:(string -> string) -> string -> t
+(** [source key] returns the text a class file names by [key].
+    @raise Pstore.Codec.Decode_error on malformed input, or on a source
+    named by key when [source] is not given. *)
 
 val encode_batch : t list -> string
 val decode_batch : string -> t list

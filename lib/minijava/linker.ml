@@ -4,7 +4,17 @@
    definitions so superclasses and interfaces come first.  Every defined
    class is also written to the persistent store's blob table, making
    classes persistent: a store reopened later can relink them without
-   recompiling (see Boot). *)
+   recompiling (see Boot).  Three kinds of blob hold them:
+
+   - [minijava.class:<name>], one class file each;
+   - [minijava.source:<hex MD5 of the text>], one compilation unit's
+     source text each, named by key from the class files of every class
+     the unit defines, so a unit's text is stored once;
+   - [minijava.class-order], the persisted class names in definition
+     order, one a line.
+
+   A unit blob is written only when its key is absent, and removed when a
+   redefinition leaves no loaded class naming its text. *)
 
 exception Link_error of string
 
@@ -12,6 +22,8 @@ let link_error fmt = Format.kasprintf (fun s -> raise (Link_error s)) fmt
 
 let class_blob_prefix = "minijava.class:"
 let order_blob = "minijava.class-order"
+let source_blob_prefix = "minijava.source:"
+let source_key text = source_blob_prefix ^ Digest.to_hex (Digest.string text)
 
 (* Topologically sort a batch by the extends/implements relation,
    considering only dependencies inside the batch. *)
@@ -38,18 +50,42 @@ let sort_batch (cfs : Classfile.t list) =
   List.iter (fun cf -> visit [] cf.Classfile.cf_name) cfs;
   List.rev !result
 
-let persist_class vm (cf : Classfile.t) =
+(* Write a batch's class files to the store.  The classes of one unit
+   share one source text, so each distinct text is hashed once per batch
+   and its blob written only if absent; the class-order blob is rewritten
+   once, and only if the batch adds a name. *)
+let persist_batch vm (cfs : Classfile.t list) =
   let open Pstore in
-  Store.set_blob vm.Rt.store (class_blob_prefix ^ cf.Classfile.cf_name) (Classfile.encode cf);
-  let order =
-    match Store.blob vm.Rt.store order_blob with
-    | Some s -> s
-    | None -> ""
+  let store = vm.Rt.store in
+  let keys = ref [] in
+  let key_of text =
+    match List.find_opt (fun (t, _) -> String.equal t text) !keys with
+    | Some (_, key) -> key
+    | None ->
+      let key = source_key text in
+      if Store.blob store key = None then Store.set_blob store key text;
+      keys := (text, key) :: !keys;
+      key
   in
-  let names = String.split_on_char '\n' order |> List.filter (fun s -> s <> "") in
-  if not (List.mem cf.Classfile.cf_name names) then
-    Store.set_blob vm.Rt.store order_blob
-      (String.concat "\n" (names @ [ cf.Classfile.cf_name ]))
+  List.iter
+    (fun cf ->
+      let source_key = Option.map key_of cf.Classfile.cf_source in
+      Store.set_blob store (class_blob_prefix ^ cf.Classfile.cf_name)
+        (Classfile.encode ?source_key cf))
+    cfs;
+  let names =
+    match Store.blob store order_blob with
+    | Some s -> String.split_on_char '\n' s |> List.filter (fun s -> s <> "")
+    | None -> []
+  in
+  let added =
+    List.filter_map
+      (fun cf ->
+        let name = cf.Classfile.cf_name in
+        if List.mem name names then None else Some name)
+      cfs
+  in
+  if added <> [] then Store.set_blob store order_blob (String.concat "\n" (names @ added))
 
 (* Define a batch of class files.  [persist] (default true) writes them
    to the store's blob table. *)
@@ -70,7 +106,7 @@ let load_batch ?(persist = true) vm (cfs : Classfile.t list) =
         deps)
     ordered;
   let rcs = List.map (Rt.define_class vm) ordered in
-  if persist then List.iter (persist_class vm) ordered;
+  if persist then persist_batch vm ordered;
   rcs
 
 (* -- redefinition -----------------------------------------------------------
@@ -154,12 +190,34 @@ let inheritance_depth vm name =
   in
   go name 0
 
+(* Remove the unit blob of each replaced source text that no loaded
+   class still carries. *)
+let remove_orphan_sources vm texts =
+  let open Pstore in
+  let carried text =
+    Hashtbl.fold
+      (fun _ rc found ->
+        found
+        ||
+        match rc.Rt.rc_classfile.Classfile.cf_source with
+        | Some t -> String.equal t text
+        | None -> false)
+      vm.Rt.classes false
+  in
+  List.iter
+    (fun text ->
+      if not (carried text) then begin
+        let key = source_key text in
+        if Store.blob vm.Rt.store key <> None then Store.remove_blob vm.Rt.store key
+      end)
+    texts
+
 (* Link a batch, redefining any classes that are already loaded.
    Returns the linked classes. *)
-let load_or_redefine_batch ?persist vm (cfs : Classfile.t list) =
+let load_or_redefine_batch ?(persist = true) vm (cfs : Classfile.t list) =
   let names = List.map (fun cf -> cf.Classfile.cf_name) cfs in
   let redefined = List.filter (Rt.is_loaded vm) names in
-  if redefined = [] then load_batch ?persist vm cfs
+  if redefined = [] then load_batch ~persist vm cfs
   else begin
     (* Reconstructing instances below mutates records behind the store's
        journal, so the store is flagged for a full snapshot at its next
@@ -176,6 +234,11 @@ let load_or_redefine_batch ?persist vm (cfs : Classfile.t list) =
         vm.Rt.load_order
     in
     let affected = redefined @ subclasses in
+    let old_sources =
+      redefined
+      |> List.filter_map (fun cls -> (Rt.get_class vm cls).Rt.rc_classfile.Classfile.cf_source)
+      |> List.sort_uniq String.compare
+    in
     let old_indexes =
       List.map
         (fun cls -> (cls, Hashtbl.copy (Rt.get_class vm cls).Rt.rc_layout_index))
@@ -187,7 +250,8 @@ let load_or_redefine_batch ?persist vm (cfs : Classfile.t list) =
         vm.Rt.load_order <-
           List.filter (fun n -> not (String.equal n cls)) vm.Rt.load_order)
       redefined;
-    let rcs = load_batch ?persist vm cfs in
+    let rcs = load_batch ~persist vm cfs in
+    if persist then remove_orphan_sources vm old_sources;
     (* Rebuild subclass layouts, parents before children. *)
     let ordered_subclasses =
       List.sort
@@ -213,16 +277,23 @@ let load_or_redefine_batch ?persist vm (cfs : Classfile.t list) =
   end
 
 (* Relink all classes previously persisted in the store, in their
-   original definition order. *)
+   original definition order.  The store hands out the one string it
+   holds under a key, so the classes of one unit share one source
+   string. *)
 let relink_persisted vm =
   let open Pstore in
   match Store.blob vm.Rt.store order_blob with
   | None -> []
   | Some order ->
     let names = String.split_on_char '\n' order |> List.filter (fun s -> s <> "") in
+    let source key =
+      match Store.blob vm.Rt.store key with
+      | Some text -> text
+      | None -> link_error "missing source blob %s" key
+    in
     List.map
       (fun name ->
         match Store.blob vm.Rt.store (class_blob_prefix ^ name) with
-        | Some data -> Rt.define_class vm (Classfile.decode data)
+        | Some data -> Rt.define_class vm (Classfile.decode ~source data)
         | None -> link_error "missing class blob for %s" name)
       names

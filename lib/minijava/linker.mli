@@ -2,7 +2,10 @@
 
     Batches are ordered by the extends/implements relation; every defined
     class is also written to the store's blob table, making classes
-    persistent — a reopened store relinks them without recompiling.
+    persistent — a reopened store relinks them without recompiling.  A
+    class blob names its compilation unit's source by the key of a
+    [minijava.source:<hex MD5>] blob, so each unit's text is stored once;
+    a redefinition removes a unit blob that no loaded class still names.
 
     Redefinition (the fresh-class-loader analog and the mechanism behind
     schema evolution) swaps a loaded class, rebuilds the instance layouts
@@ -29,4 +32,7 @@ val load_or_redefine_batch : ?persist:bool -> Rt.t -> Classfile.t list -> Rt.rcl
 
 val relink_persisted : Rt.t -> Rt.rclass list
 (** Relink every class persisted in the store, in original definition
-    order (used when reopening a store). *)
+    order (used when reopening a store).  The classes of one unit share
+    one source string.
+    @raise Link_error naming the blob when a class or unit blob is
+    missing. *)

@@ -53,21 +53,19 @@ let encode_entry_into w entry =
     put_u8 w 3;
     Pvalue.encode w cell.Heap.target
 
-let encode_entry_payload entry =
-  let w = Codec.writer () in
-  encode_entry_into w entry;
-  Codec.contents w
+(* One reused encode buffer for every entry payload, so an image encode,
+   a journal append or a budgeted scrub step allocates per-object payload
+   bytes, not a fresh 4 KiB buffer per object. *)
+let scratch = Codec.writer ()
+
+let entry_payload entry =
+  Codec.reset scratch;
+  encode_entry_into scratch entry;
+  Codec.contents scratch
 
 (* The per-object checksum: what the image frames store and the online
-   scrubber recomputes.  The encode buffer is reused, so a budgeted scrub
-   step allocates per-object payload bytes, not a fresh 4 KiB buffer per
-   object visited. *)
-let crc_scratch = Codec.writer ()
-
-let entry_crc entry =
-  Codec.reset crc_scratch;
-  encode_entry_into crc_scratch entry;
-  Codec.crc32 (Codec.contents crc_scratch)
+   scrubber recomputes. *)
+let entry_crc entry = Codec.crc32 (entry_payload entry)
 
 let decode_entry_payload payload =
   let open Codec in
@@ -89,7 +87,7 @@ let decode_entry_payload payload =
   if not (at_end r) then Codec.decode_error "Image: trailing bytes in entry";
   entry
 
-let encode_entry w entry = Codec.put_frame w (encode_entry_payload entry)
+let encode_entry w entry = Codec.put_frame w (entry_payload entry)
 let decode_entry r = decode_entry_payload (Codec.get_frame r)
 
 (* -- whole-image format ---------------------------------------------------- *)

@@ -145,6 +145,22 @@ let gc_removes_legacy_compile_cache_blobs () =
   expect_ok check;
   expect_stdout_has check "integrity ok"
 
+(* -- each unit's source is stored once -------------------------------------- *)
+
+(* Class blobs name their compilation unit's text by key instead of each
+   carrying a copy, so a fresh image holds the runtime library's five
+   unit texts once (about 60 kB), not once per class (about 520 kB). *)
+let fresh_image_stores_unit_sources_once () =
+  with_dir @@ fun dir ->
+  let store = Filename.concat dir "fresh.hpj" in
+  expect_ok (hpjava [ "init"; store ]);
+  let size = file_size store in
+  if size > 64 * 1024 then Alcotest.failf "a fresh image is %d bytes, over 64 KiB" size;
+  let r = hpjava [ "source"; store; "java.lang.String" ] in
+  expect_ok r;
+  expect_stdout_has r "package java.lang;";
+  expect_stdout_has r "class String"
+
 (* -- sharded init: persisted shard count, per-shard check breakdown ------- *)
 
 let sharded_init_and_check () =
@@ -226,4 +242,5 @@ let suite =
     test "offline shard: maintenance mode, repair all, healthy check"
       offline_shard_maintenance_and_repair;
     test "gc removes legacy compile-cache blobs" gc_removes_legacy_compile_cache_blobs;
+    test "a fresh image stores each unit's source once" fresh_image_stores_unit_sources_once;
   ]

@@ -123,6 +123,191 @@ let redefinition_widens_types () =
   check_bool "int widened to long" true (Pvalue.equal n (Pvalue.Long 9L));
   check_bool "incompatible type reset" true (Pvalue.equal s (Pvalue.Int 0l))
 
+(* -- unit source blobs ------------------------------------------------------
+   A class blob names its compilation unit's text by key; each distinct
+   text is stored once, as [minijava.source:<hex MD5>]. *)
+
+let source_prefix = "minijava.source:"
+let source_key text = source_prefix ^ Digest.to_hex (Digest.string text)
+
+let source_blobs store =
+  Store.blob_keys store
+  |> List.filter (String.starts_with ~prefix:source_prefix)
+  |> List.sort String.compare
+
+let loaded_sources vm =
+  List.filter_map
+    (fun name -> (Rt.get_class vm name).Rt.rc_classfile.Classfile.cf_source)
+    vm.Rt.load_order
+  |> List.sort_uniq String.compare
+
+(* The unit blobs are exactly the distinct texts of the loaded classes,
+   one blob each, each holding its text. *)
+let check_unit_blobs vm =
+  let store = vm.Rt.store in
+  let texts = loaded_sources vm in
+  Alcotest.(check (list string))
+    "one unit blob per distinct source" (List.sort String.compare (List.map source_key texts))
+    (source_blobs store);
+  List.iter
+    (fun text ->
+      check_bool "unit blob holds its text" true (Store.blob store (source_key text) = Some text))
+    texts
+
+(* Is this class blob in the by-key form?  Only that form needs a source
+   resolver to decode. *)
+let names_source_by_key store name =
+  let data = Option.get (Store.blob store ("minijava.class:" ^ name)) in
+  match Classfile.decode data with
+  | _ -> false
+  | exception Codec.Decode_error _ -> true
+
+let reopen path =
+  let store = Store.open_file path in
+  let vm = Boot.vm_for store in
+  (store, vm)
+
+let unit_sources_stored_once () =
+  with_store_file (fun path ->
+      let store = Store.create () in
+      let vm = Boot.boot_fresh store in
+      Hyperprog.Dynamic_compiler.install vm;
+      Store.stabilise ~path store;
+      check_unit_blobs vm;
+      check_bool "fewer units than classes" true
+        (List.length (source_blobs store) < List.length vm.Rt.load_order);
+      (* The class-order blob lists every persisted class once, in
+         definition order. *)
+      check_output "class order" (String.concat "\n" vm.Rt.load_order)
+        (Option.get (Store.blob store Linker.order_blob));
+      let store2, vm2 = reopen path in
+      check_unit_blobs vm2;
+      List.iter
+        (fun name ->
+          let cf = (Rt.get_class vm name).Rt.rc_classfile in
+          let cf2 = (Rt.get_class vm2 name).Rt.rc_classfile in
+          check_bool ("same source " ^ name) true (cf.Classfile.cf_source = cf2.Classfile.cf_source);
+          check_bool ("by key " ^ name) true
+            (cf.Classfile.cf_source = None || names_source_by_key store2 name))
+        vm.Rt.load_order;
+      (* Relink gives every class of a unit the one string stored for it. *)
+      let source name = Option.get (Rt.get_class vm2 name).Rt.rc_classfile.Classfile.cf_source in
+      check_bool "java.lang.Object and java.lang.String share one string" true
+        (source "java.lang.Object" == source "java.lang.String"))
+
+let inline_blobs_still_relink () =
+  with_store_file (fun path ->
+      let store = Store.create () in
+      let vm = Boot.boot_fresh store in
+      compile_into vm [ person_source ];
+      (* Rewrite the store as an older linker left it: every class file
+         carries its source inline, and there are no unit blobs. *)
+      List.iter
+        (fun name ->
+          Store.set_blob store ("minijava.class:" ^ name)
+            (Classfile.encode (Rt.get_class vm name).Rt.rc_classfile))
+        vm.Rt.load_order;
+      List.iter (Store.remove_blob store) (source_blobs store);
+      Store.stabilise ~path store;
+      let store2, vm2 = reopen path in
+      check_int "no unit blobs" 0 (List.length (source_blobs store2));
+      List.iter
+        (fun name ->
+          check_bool ("same source " ^ name) true
+            ((Rt.get_class vm name).Rt.rc_classfile.Classfile.cf_source
+            = (Rt.get_class vm2 name).Rt.rc_classfile.Classfile.cf_source))
+        vm.Rt.load_order;
+      check_bool "Person inline" false (names_source_by_key store2 "Person");
+      (* Persisting a class again moves it, and only it, to the key form. *)
+      ignore (Jcompiler.compile_and_load ~redefine:true vm2 [ person_source ]);
+      check_bool "Person by key" true (names_source_by_key store2 "Person");
+      check_bool "java.lang.Object still inline" false
+        (names_source_by_key store2 "java.lang.Object");
+      Alcotest.(check (list string))
+        "one unit blob" [ source_key person_source ] (source_blobs store2))
+
+let redefinition_leaves_no_orphans () =
+  let store, vm = fresh_vm () in
+  let v1 = "public class A { public int x; }\npublic class B { }" in
+  let a2 = "public class A { public long x; }" in
+  let b2 = "public class B { public int y; }" in
+  compile_into vm [ v1 ];
+  check_unit_blobs vm;
+  (* B still carries v1, so its blob stays. *)
+  ignore (Jcompiler.compile_and_load ~redefine:true vm [ a2 ]);
+  check_bool "v1 kept while B names it" true (Store.blob store (source_key v1) <> None);
+  check_unit_blobs vm;
+  ignore (Jcompiler.compile_and_load ~redefine:true vm [ b2 ]);
+  check_bool "v1 removed" true (Store.blob store (source_key v1) = None);
+  check_unit_blobs vm;
+  (* An unchanged re-run leaves the stored text alone: the blob is the
+     same string, not a rewrite of an equal one. *)
+  let stored = Option.get (Store.blob store (source_key b2)) in
+  let b2_again = String.init (String.length b2) (String.get b2) in
+  ignore (Jcompiler.compile_and_load ~redefine:true vm [ b2_again ]);
+  check_bool "unit blob not rewritten" true (Option.get (Store.blob store (source_key b2)) == stored);
+  check_unit_blobs vm
+
+let missing_unit_blob_fails_relink () =
+  with_store_file (fun path ->
+      let store = Store.create () in
+      let vm = Boot.boot_fresh store in
+      compile_into vm [ person_source ];
+      Store.remove_blob store (source_key person_source);
+      Store.stabilise ~path store;
+      let store2 = Store.open_file path in
+      match Boot.vm_for store2 with
+      | _ -> Alcotest.fail "expected Link_error"
+      | exception Linker.Link_error msg ->
+        check_bool "names the key" true (contains msg (source_key person_source)))
+
+let rolled_back_compile_keeps_unit_blobs () =
+  let store, vm = fresh_vm () in
+  compile_into vm [ person_source ];
+  let before = List.map (fun k -> (k, Store.blob store k)) (source_blobs store) in
+  let changed = person_source ^ "class Extra { }\n" in
+  let inside = ref [] in
+  (match
+     Store.with_rollback store (fun () ->
+         ignore (Jcompiler.compile_and_load ~redefine:true vm [ changed ]);
+         inside := source_blobs store;
+         failwith "abort")
+   with
+  | Ok () -> Alcotest.fail "expected the body to abort"
+  | Error _ -> ());
+  check_bool "the compile wrote the new unit" true (List.mem (source_key changed) !inside);
+  check_bool "the compile removed the old unit" false (List.mem (source_key person_source) !inside);
+  check_bool "unit blobs restored" true
+    (before = List.map (fun k -> (k, Store.blob store k)) (source_blobs store))
+
+(* What the paper's tools read of a class's source — the browser's
+   Display Class panel, the source text, the hyper-code origin — is the
+   same after a stabilise and a reopen. *)
+let source_views_survive_reopen () =
+  with_store_file (fun path ->
+      let store = Store.create () in
+      let vm = Boot.boot_fresh store in
+      Hyperprog.Dynamic_compiler.install vm;
+      let hp, _, _ = marry_example vm in
+      ignore (Hyperprog.Dynamic_compiler.compile_hyper_program vm hp);
+      let views vm =
+        let b = Browser.Ocb.create vm in
+        List.map
+          (fun cls ->
+            let rows = Browser.Ocb.rows b (Browser.Ocb.open_class b cls) in
+            ( List.map (fun r -> (r.Browser.Ocb.row_label, r.Browser.Ocb.row_display)) rows,
+              (Rt.get_class vm cls).Rt.rc_classfile.Classfile.cf_source,
+              Store.blob vm.Rt.store ("hyper.origin:" ^ cls) ))
+          [ "Person"; "MarryExample"; "java.lang.String" ]
+      in
+      let before = views vm in
+      Store.stabilise ~path store;
+      let _store2, vm2 = reopen path in
+      Hyperprog.Dynamic_compiler.install vm2;
+      check_bool "class panels, sources and origins unchanged" true (before = views vm2);
+      check_bool "origin recovers the hyper-program" true
+        (Hyperprog.Dynamic_compiler.hyper_program_of_class vm2 "MarryExample" <> None))
+
 let suite =
   [
     test "batch is ordered by inheritance" batch_ordering;
@@ -133,6 +318,12 @@ let suite =
     test "redefinition migrates instances by field name" redefinition_migrates_instances;
     test "redefinition rebuilds subclass layouts" redefinition_rebuilds_subclass_layouts;
     test "redefinition widens compatible field types" redefinition_widens_types;
+    test "each unit's source is stored once" unit_sources_stored_once;
+    test "inline class blobs still relink" inline_blobs_still_relink;
+    test "redefinition leaves no orphan unit blob" redefinition_leaves_no_orphans;
+    test "a missing unit blob fails relink" missing_unit_blob_fails_relink;
+    test "a rolled-back compile keeps the unit blobs" rolled_back_compile_keeps_unit_blobs;
+    test "source views survive a reopen" source_views_survive_reopen;
   ]
 
 let props = []
