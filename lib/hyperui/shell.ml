@@ -498,8 +498,9 @@ let run_session ~input ~echo store session =
            say "refused: shard %d is %s (run `repair %d` or `repair all`)\n"
              shard state shard
          | Invalid_argument msg ->
-           (* e.g. gc / mark_dirty refused while a snapshot session is
-              open — operator guidance, not a shell crash *)
+           (* e.g. gc, or a class redefinition's mark_dirty (an
+              unchanged recompile makes none), refused while a snapshot
+              session is open — operator guidance, not a shell crash *)
            say "refused: %s\n" msg)
        | exception End_of_file -> quit := true
      done

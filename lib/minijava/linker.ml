@@ -14,7 +14,9 @@
      order, one a line.
 
    A unit blob is written only when its key is absent, and removed when a
-   redefinition leaves no loaded class naming its text. *)
+   redefinition leaves no loaded class naming its text.  A class blob is
+   written only when its stored bytes differ from the new encoding, so
+   re-persisting an unchanged class journals nothing. *)
 
 exception Link_error of string
 
@@ -52,8 +54,10 @@ let sort_batch (cfs : Classfile.t list) =
 
 (* Write a batch's class files to the store.  The classes of one unit
    share one source text, so each distinct text is hashed once per batch
-   and its blob written only if absent; the class-order blob is rewritten
-   once, and only if the batch adds a name. *)
+   and its blob written only if absent; a class blob is written only if
+   its stored bytes differ, so an older store's inline-source blob still
+   moves to the keyed form; the class-order blob is rewritten once, and
+   only if the batch adds a name. *)
 let persist_batch vm (cfs : Classfile.t list) =
   let open Pstore in
   let store = vm.Rt.store in
@@ -70,8 +74,9 @@ let persist_batch vm (cfs : Classfile.t list) =
   List.iter
     (fun cf ->
       let source_key = Option.map key_of cf.Classfile.cf_source in
-      Store.set_blob store (class_blob_prefix ^ cf.Classfile.cf_name)
-        (Classfile.encode ?source_key cf))
+      let key = class_blob_prefix ^ cf.Classfile.cf_name in
+      let data = Classfile.encode ?source_key cf in
+      if Store.blob store key <> Some data then Store.set_blob store key data)
     cfs;
   let names =
     match Store.blob store order_blob with
@@ -114,7 +119,33 @@ let load_batch ?(persist = true) vm (cfs : Classfile.t list) =
    mechanism behind schema evolution): the old definition is swapped out,
    the new one linked, the instance layouts of loaded subclasses rebuilt,
    and every store instance of an affected class reconstructed in place —
-   oids are preserved, so references and hyper-links stay valid. *)
+   oids are preserved, so references and hyper-links stay valid.
+
+   A batch whose every class file is byte-identical to the loaded one (a
+   Go on an unchanged program) is not relinked: the loaded classes stay,
+   their instances are untouched, and only their statics are reset, so
+   the static initialisers run afresh as they would after a relink. *)
+
+(* Is [cf] already loaded with exactly these bytes? *)
+let loaded_unchanged vm (cf : Classfile.t) =
+  match Rt.find_class vm cf.Classfile.cf_name with
+  | Some rc -> String.equal (Classfile.encode rc.Rt.rc_classfile) (Classfile.encode cf)
+  | None -> false
+
+(* An unchanged batch: the loaded classes, in the order [load_batch]
+   would return them, with their statics reset. *)
+let rerun_batch ~persist vm cfs =
+  let ordered = sort_batch cfs in
+  let rcs =
+    List.map
+      (fun cf ->
+        let rc = Rt.get_class vm cf.Classfile.cf_name in
+        Rt.reset_statics rc;
+        rc)
+      ordered
+  in
+  if persist then persist_batch vm ordered;
+  rcs
 
 (* Best-effort value migration when a field keeps its name but changes
    type: identical tags copy, safe numeric widenings convert, anything
@@ -218,6 +249,7 @@ let load_or_redefine_batch ?(persist = true) vm (cfs : Classfile.t list) =
   let names = List.map (fun cf -> cf.Classfile.cf_name) cfs in
   let redefined = List.filter (Rt.is_loaded vm) names in
   if redefined = [] then load_batch ~persist vm cfs
+  else if List.for_all (loaded_unchanged vm) cfs then rerun_batch ~persist vm cfs
   else begin
     (* Reconstructing instances below mutates records behind the store's
        journal, so the store is flagged for a full snapshot at its next

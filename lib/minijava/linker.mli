@@ -11,7 +11,9 @@
     schema evolution) swaps a loaded class, rebuilds the instance layouts
     of its loaded subclasses, and reconstructs every store instance IN
     PLACE — oids are preserved, so references and hyper-links stay
-    valid. *)
+    valid.  A batch whose every class file is byte-identical to the loaded
+    one is not redefined: the loaded classes stay, with their statics
+    reset, and nothing is written to the store that is already there. *)
 
 exception Link_error of string
 
@@ -28,7 +30,12 @@ val load_or_redefine_batch : ?persist:bool -> Rt.t -> Classfile.t list -> Rt.rcl
 (** As {!load_batch}, but classes already loaded are redefined: subclass
     layouts are rebuilt and store instances reconstructed in place,
     copying fields by name with safe numeric widenings and defaulting the
-    rest. *)
+    rest.  If every class file equals the loaded one byte for byte, the
+    loaded classes are returned instead, their statics reset to defaults
+    and their static initialisers due to run again; no instance is
+    touched and the store is not flagged for a full image.
+    @raise Invalid_argument when a redefinition meets open snapshot
+    sessions (see {!Pstore.Store.mark_dirty}). *)
 
 val relink_persisted : Rt.t -> Rt.rclass list
 (** Relink every class persisted in the store, in original definition

@@ -154,6 +154,18 @@ let default_value (ty : Jtype.t) =
   | Jtype.Class _ | Jtype.Array _ | Jtype.Null_t -> Pvalue.Null
   | Jtype.Void -> invalid_arg "default_value: void"
 
+(* A class file's static fields, in slot order. *)
+let static_fields (cf : Classfile.t) =
+  List.filter (fun f -> f.Classfile.f_static) cf.Classfile.cf_fields
+
+let fresh_statics cf =
+  Array.of_list
+    (List.map (fun f -> default_value (Jtype.of_descriptor f.Classfile.f_desc)) (static_fields cf))
+
+let reset_statics rc =
+  rc.rc_statics <- fresh_statics rc.rc_classfile;
+  rc.rc_initialized <- false
+
 (* Define a class from its class file.  The superclass must already be
    defined (the linker orders a batch accordingly). *)
 let define_class vm (cf : Classfile.t) =
@@ -178,19 +190,10 @@ let define_class vm (cf : Classfile.t) =
   let layout = Array.append super_layout (Array.of_list own_instance_fields) in
   let layout_index = Hashtbl.create 16 in
   Array.iteri (fun i f -> Hashtbl.replace layout_index f.rf_name i) layout;
-  let static_fields =
-    cf.Classfile.cf_fields
-    |> List.filter (fun f -> f.Classfile.f_static)
-    |> List.map (fun f ->
-           {
-             rf_name = f.Classfile.f_name;
-             rf_type = Jtype.of_descriptor f.Classfile.f_desc;
-             rf_static = true;
-           })
-  in
   let static_index = Hashtbl.create 8 in
-  List.iteri (fun i f -> Hashtbl.replace static_index f.rf_name i) static_fields;
-  let statics = Array.of_list (List.map (fun f -> default_value f.rf_type) static_fields) in
+  List.iteri
+    (fun i f -> Hashtbl.replace static_index f.Classfile.f_name i)
+    (static_fields cf);
   let methods = Hashtbl.create 16 in
   List.iter
     (fun m ->
@@ -208,7 +211,7 @@ let define_class vm (cf : Classfile.t) =
       rc_layout = layout;
       rc_layout_index = layout_index;
       rc_static_index = static_index;
-      rc_statics = statics;
+      rc_statics = fresh_statics cf;
       rc_methods = methods;
       rc_classfile = cf;
       rc_initialized = false;

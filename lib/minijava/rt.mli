@@ -101,6 +101,11 @@ val define_class : t -> Classfile.t -> rclass
 (** Define a class; its superclass must already be defined.
     @raise Jerror [LinkageError] on duplicates. *)
 
+val reset_statics : rclass -> unit
+(** Put a class's statics back to their defaults and mark it
+    uninitialised, as {!define_class} leaves a new class, so its static
+    initialiser runs again on first use. *)
+
 (** {1 Member access} *)
 
 val field_slot : t -> string -> string -> int

@@ -447,7 +447,10 @@ val with_rollback : t -> (unit -> 'a) -> ('a, exn) result
 
     GC, [with_rollback] and [mark_dirty] refuse to run while snapshot
     sessions are open (they would invalidate pinned views); commit or
-    abort every session first. *)
+    abort every session first.  So a class redefinition, which calls
+    [mark_dirty], is refused under an open session; recompiling a class
+    byte-identical to the loaded one is not a redefinition and calls
+    nothing here. *)
 
 module Session : sig
   type t

@@ -70,10 +70,40 @@ let refused_redefinition_changes_nothing () =
     (Pvalue.equal (Pvalue.Int 7l) (Vm.call_static vm ~cls:"Pt" ~name:"get" ~desc:"(LPt;)I" [ pt ]));
   check_bool "the class blob is unchanged" true (Store.blob store "minijava.class:Pt" = blob)
 
+(* An identical source is not a redefinition: the wire compile succeeds
+   while the connection's session is open, and changes nothing. *)
+let identical_compile_is_answered () =
+  with_dir ~prefix:"dispatch" @@ fun dir ->
+  let backing = Some (Filename.concat dir "s") in
+  let store = Store.create ~config:{ Store.Config.default with Store.Config.backing } () in
+  let vm = Boot.boot_fresh store in
+  Dynamic_compiler.install vm;
+  let source = "public class Pt { public int a; public static int get(Pt p) { return p.a; } }" in
+  ignore (Jcompiler.compile_and_load vm [ source ]);
+  let pt = Vm.new_instance vm ~cls:"Pt" ~desc:"()V" [] in
+  let oid = match pt with Pvalue.Ref o -> o | _ -> Alcotest.fail "Pt is not an object" in
+  Store.set_field store oid (Rt.field_slot vm "Pt" "a") (Pvalue.Int 7l);
+  Store.set_root store "pt" pt;
+  Store.stabilise store;
+  let blob = Store.blob store "minijava.class:Pt" in
+  let c = Server.Dispatch.create ~vm ~store ~name:"test" in
+  let password = Registry.built_in_password in
+  (match request c (Protocol.Hello { version = Protocol.version; password }) with
+  | Protocol.Hello_ok _ -> ()
+  | other -> Alcotest.failf "hello: %s" (Protocol.describe_response other));
+  (match request c (Protocol.Compile { source }) with
+  | Protocol.Ok_text text -> check_output "the answer" "compiled Pt" text
+  | other -> Alcotest.failf "identical compile: %s" (Protocol.describe_response other));
+  check_bool "the instance still reads 7" true
+    (Pvalue.equal (Pvalue.Int 7l) (Vm.call_static vm ~cls:"Pt" ~name:"get" ~desc:"(LPt;)I" [ pt ]));
+  check_bool "the class blob is unchanged" true (Store.blob store "minijava.class:Pt" = blob)
+
 let suite =
   ( "dispatch",
     [
       test "wire compiles are counted, refused ones too" wire_compile_is_counted;
       test "a refused redefinition leaves the class and its instances intact"
         refused_redefinition_changes_nothing;
+      test "an identical wire compile is answered while a session is open"
+        identical_compile_is_answered;
     ] )

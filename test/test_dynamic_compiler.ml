@@ -160,6 +160,31 @@ let go_reruns_static_initialisers_in mode () =
     check_output (Printf.sprintf "press %d" press) "n=1\n" (Rt.take_output vm)
   done
 
+(* Each Go compiles, but an unchanged program is not relinked, so its
+   presses after the first leave the store nothing to compact. *)
+let unchanged_go_compacts_nothing_in mode () =
+  with_store_file (fun path ->
+      let store =
+        Store.create ~config:{ Store.Config.default with Store.Config.backing = Some path } ()
+      in
+      let vm = Boot.boot_fresh store in
+      Dynamic_compiler.install vm;
+      let text =
+        "public class Again { public static void main(String[] args) { System.println(\"again\"); } }"
+      in
+      let hp = Storage_form.create vm ~class_name:"Again" ~text ~links:[] in
+      let press () =
+        ignore (Dynamic_compiler.go ~mode vm hp ~argv:[]);
+        check_output "the program ran" "again\n" (Rt.take_output vm);
+        Store.stabilise store
+      in
+      press ();
+      let compactions () = (Store.stats store).Store.compactions in
+      let after_first = compactions () in
+      press ();
+      press ();
+      check_int "presses 2 and 3 compact nothing" after_first (compactions ()))
+
 (* -- the compile path: every compile runs the compiler, stores nothing
    of its own and sees the current schema -------------------------------- *)
 
@@ -256,6 +281,10 @@ let suite =
       (go_reruns_static_initialisers_in Dynamic_compiler.Direct);
     test "every forked Go re-runs the static initialisers"
       (go_reruns_static_initialisers_in Dynamic_compiler.Forked);
+    test "an unchanged Go compacts nothing"
+      (unchanged_go_compacts_nothing_in Dynamic_compiler.Direct);
+    test "an unchanged forked Go compacts nothing"
+      (unchanged_go_compacts_nothing_in Dynamic_compiler.Forked);
     test "a repeated compile runs the compiler each time" repeated_compile_runs_compiler;
     test "compiles leave no cache blobs across stabilise and reopen"
       compile_leaves_no_blobs_across_reopen;

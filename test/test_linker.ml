@@ -280,6 +280,61 @@ let rolled_back_compile_keeps_unit_blobs () =
   check_bool "unit blobs restored" true
     (before = List.map (fun k -> (k, Store.blob store k)) (source_blobs store))
 
+(* -- unchanged batches ------------------------------------------------------
+   A batch whose every class file is byte-identical to the loaded one is
+   not relinked: its instances are not touched, it journals nothing and
+   the store owes no full image.  A batch with one changed class takes
+   the redefinition path whole. *)
+
+let backed_vm path =
+  let store = Store.create ~config:{ Store.Config.default with Store.Config.backing = Some path } () in
+  (store, Boot.boot_fresh store)
+
+let compactions store = (Store.stats store).Store.compactions
+
+let identical_recompile_touches_nothing () =
+  with_store_file (fun path ->
+      let store, vm = backed_vm path in
+      compile_into vm [ person_source ];
+      let people = List.init 3 (fun i -> oid_of (new_person vm (Printf.sprintf "p%d" i))) in
+      List.iteri (fun i p -> Store.set_root store (Printf.sprintf "p%d" i) (Pvalue.Ref p)) people;
+      Store.stabilise store;
+      let fields () = List.map (fun p -> (Store.get_record store p).Heap.fields) people in
+      let before = fields () in
+      let person = Rt.get_class vm "Person" in
+      let compacted = compactions store in
+      ignore (Jcompiler.compile_and_load ~redefine:true vm [ person_source ]);
+      check_int "the recompile journals nothing" 0 (Store.stats store).Store.pending_ops;
+      check_bool "the loaded class stays" true (Rt.get_class vm "Person" == person);
+      Store.stabilise store;
+      List.iter2
+        (fun f f' -> check_bool "the instance's fields are untouched" true (f == f'))
+        before (fields ());
+      check_int "no compaction" compacted (compactions store);
+      check_output "an instance still answers" "p1"
+        (Rt.ocaml_string vm
+           (Vm.call_virtual vm ~recv:(Pvalue.Ref (List.nth people 1)) ~name:"getName"
+              ~desc:"()Ljava.lang.String;" [])))
+
+let mixed_batch_still_redefines () =
+  with_store_file (fun path ->
+      let store, vm = backed_vm path in
+      let b = "public class B { public int y; }" in
+      compile_into vm [ "public class A { public int x; }"; b ];
+      let a = oid_of (Vm.new_instance vm ~cls:"A" ~desc:"()V" []) in
+      Store.set_root store "a" (Pvalue.Ref a);
+      Store.set_field store a (Rt.field_slot vm "A" "x") (Pvalue.Int 7l);
+      Store.stabilise store;
+      let compacted = compactions store in
+      ignore
+        (Jcompiler.compile_and_load ~redefine:true vm
+           [ "public class A { public int w; public int x; }"; b ]);
+      check_int "A's instance is reshaped" 2 (Array.length (Store.get_record store a).Heap.fields);
+      check_bool "x migrated" true
+        (Pvalue.equal (Pvalue.Int 7l) (Store.field store a (Rt.field_slot vm "A" "x")));
+      Store.stabilise store;
+      check_int "the next stabilise compacts" (compacted + 1) (compactions store))
+
 (* What the paper's tools read of a class's source — the browser's
    Display Class panel, the source text, the hyper-code origin — is the
    same after a stabilise and a reopen. *)
@@ -324,6 +379,9 @@ let suite =
     test "a missing unit blob fails relink" missing_unit_blob_fails_relink;
     test "a rolled-back compile keeps the unit blobs" rolled_back_compile_keeps_unit_blobs;
     test "source views survive a reopen" source_views_survive_reopen;
+    test "an identical recompile touches no instance and compacts nothing"
+      identical_recompile_touches_nothing;
+    test "a batch with one changed class still redefines" mixed_batch_still_redefines;
   ]
 
 let props = []
