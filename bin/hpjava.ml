@@ -305,8 +305,13 @@ let print_hp_cmd =
   let run path root =
     let _store, vm = session_of path in
     match Store.root vm.Rt.store root with
-    | Some (Pvalue.Ref hp) when Storage_form.is_hyper_program vm hp ->
-      print_string (Hyper_source.of_storage vm hp)
+    | Some (Pvalue.Ref hp) when Storage_form.is_hyper_program vm hp -> begin
+      match Hyper_source.of_storage vm hp with
+      | source -> print_string source
+      | exception Hyper_source.Format_error msg ->
+        Printf.eprintf "cannot print %s as hyper-source: %s\n" root msg;
+        exit 1
+    end
     | _ ->
       Printf.eprintf "root %s does not hold a hyper-program\n" root;
       exit 1

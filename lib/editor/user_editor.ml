@@ -47,12 +47,14 @@ let type_text ed s = Window_editor.insert_at_cursor ed.window s
 let move_cursor ed pos = Window_editor.set_cursor ed.window pos
 
 (* Editing form <-> editor buffer. *)
-let editing_form ed =
+let flat ed =
   let text, links = Basic_editor.to_flat (buffer ed) in
   let flat_links =
     List.map (fun (pos, l) -> (pos, l.Basic_editor.payload, l.Basic_editor.label)) links
   in
-  Editing_form.of_flat ~class_name:ed.class_name { Editing_form.text; flat_links }
+  { Editing_form.text; flat_links }
+
+let editing_form ed = Editing_form.of_flat ~class_name:ed.class_name (flat ed)
 
 let load_form ed form =
   let { Editing_form.text; flat_links } = Editing_form.to_flat form in
@@ -74,10 +76,6 @@ let insert_link ?(check = true) ?label ed link =
   let legal =
     if not check then Productions.Legal
     else begin
-      let form = editing_form ed in
-      let flat = Editing_form.to_flat form in
-      let text, _ = Basic_editor.to_flat (buffer ed) in
-      ignore text;
       let cursor = Window_editor.cursor ed.window in
       (* absolute position of the cursor in the flat text *)
       let abs_pos =
@@ -87,7 +85,7 @@ let insert_link ?(check = true) ?label ed link =
         in
         go 0 0
       in
-      Productions.insertion_legal ~env:(Rt.class_env ed.vm) flat ~pos:abs_pos ~link
+      Productions.insertion_legal ~env:(Rt.class_env ed.vm) (flat ed) ~pos:abs_pos ~link
     end
   in
   match legal with

@@ -36,6 +36,42 @@ type flat = {
   flat_links : (int * Hyperlink.t * string) list; (* (absolute pos, link, label) *)
 }
 
+(* -- the splice --------------------------------------------------------------
+   The one loop that lays insertions into a text at link positions, for
+   every form that shows a hyper-program as one string: the textual form,
+   HTML, plain text, .hp and the parser's placeholder text. *)
+
+exception Bad_link_position of { pos : int; text_length : int }
+
+type 'a origin =
+  | Text of int (* offset in the input text where the segment starts *)
+  | Inserted of 'a
+
+let splice ?(transform = Fun.id) text (insertions : (int * string * 'a) list) =
+  let len = String.length text in
+  let buf = Buffer.create (len + 64) in
+  let segments = ref [] in
+  let emit origin s =
+    if s <> "" then begin
+      segments := (Buffer.length buf, String.length s, origin) :: !segments;
+      Buffer.add_string buf s
+    end
+  in
+  let add_text cursor n = emit (Text cursor) (transform (String.sub text cursor n)) in
+  let rec go cursor = function
+    | [] -> add_text cursor (len - cursor)
+    | (pos, insertion, tag) :: rest ->
+      if pos < 0 || pos > len then raise (Bad_link_position { pos; text_length = len });
+      add_text cursor (pos - cursor);
+      emit (Inserted tag) insertion;
+      go pos rest
+  in
+  go 0 (List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) insertions);
+  (Buffer.contents buf, List.rev !segments)
+
+let flat_link (s : Storage_form.link_spec) =
+  (s.Storage_form.pos, s.Storage_form.link, s.Storage_form.label)
+
 let to_flat form =
   let buf = Buffer.create 256 in
   let links = ref [] in
@@ -82,13 +118,14 @@ let of_flat ~class_name { text; flat_links } =
 
 (* -- storage-form conversion ------------------------------------------------ *)
 
+(* A link whose record cannot be read is left out: the editing form has
+   no way to show it, and the other links keep their places. *)
 let of_storage vm hp_oid =
   let text = Storage_form.text vm hp_oid in
-  let specs = Storage_form.links vm hp_oid in
   let flat_links =
-    List.map
-      (fun (s : Storage_form.link_spec) -> (s.Storage_form.pos, s.Storage_form.link, s.Storage_form.label))
-      specs
+    List.filter_map
+      (fun (_, _, r) -> Result.to_option (Result.map flat_link r))
+      (Storage_form.readable_links vm hp_oid)
   in
   of_flat ~class_name:(Storage_form.class_name vm hp_oid) { text; flat_links }
 

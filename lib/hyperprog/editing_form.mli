@@ -34,11 +34,33 @@ type flat = {
   flat_links : (int * Hyperlink.t * string) list;  (** (absolute pos, link, label) *)
 }
 
+exception Bad_link_position of { pos : int; text_length : int }
+
+type 'a origin =
+  | Text of int  (** offset in the input text where the segment starts *)
+  | Inserted of 'a  (** the tag of the insertion *)
+
+val splice :
+  ?transform:(string -> string) ->
+  string ->
+  (int * string * 'a) list ->
+  string * (int * int * 'a origin) list
+(** The one splice of every form that shows a hyper-program as one
+    string: each [(pos, insertion, tag)] goes in at [pos], in position
+    order (ties keep list order), text passes through [transform] (say,
+    HTML escaping), and the output's non-empty [(start, length, origin)]
+    segments come back in order.
+    @raise Bad_link_position if a position is outside the text. *)
+
+val flat_link : Storage_form.link_spec -> int * Hyperlink.t * string
+(** A stored link as a {!flat} link. *)
+
 val to_flat : t -> flat
 val of_flat : class_name:string -> flat -> t
 
 val of_storage : Rt.t -> Oid.t -> t
-(** Load a storage-form hyper-program into the editing form. *)
+(** Load a storage-form hyper-program into the editing form.  A link
+    whose [HyperLinkHP] record cannot be read is left out. *)
 
 val to_storage : Rt.t -> t -> Oid.t
 (** Create a fresh storage-form instance from an editing form. *)

@@ -46,27 +46,14 @@ let render_anchor ?(href = fun _ link -> link_url link) i link label =
   Printf.sprintf "<a class=\"hyperlink\" href=\"%s\">%s</a>" (escape (href i link))
     (escape label)
 
-(* Render a hyper-program body: text with anchors spliced in at link
-   positions.  [href] maps (link number, link) to the URL to emit —
-   the live dashboard points links at its own pages. *)
-let render_body ?href (flat : Editing_form.flat) =
-  let expansions =
-    List.mapi
-      (fun i (pos, link, label) -> (pos, render_anchor ?href i link label))
-      flat.Editing_form.flat_links
-    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  let text = flat.Editing_form.text in
-  let buf = Buffer.create (String.length text + 256) in
-  let rec go cursor = function
-    | [] -> Buffer.add_string buf (escape (String.sub text cursor (String.length text - cursor)))
-    | (pos, anchor) :: rest ->
-      Buffer.add_string buf (escape (String.sub text cursor (pos - cursor)));
-      Buffer.add_string buf anchor;
-      go pos rest
-  in
-  go 0 expansions;
-  Buffer.contents buf
+(* Render a hyper-program body: escaped text with anchors spliced in at
+   link positions.  [links] are (link number, (pos, link, label)) pairs;
+   [href] maps (link number, link) to the URL to emit — the live
+   dashboard points links at its own pages. *)
+let render_body ?href text links =
+  fst
+    (Editing_form.splice ~transform:escape text
+       (List.map (fun (i, (pos, link, label)) -> (pos, render_anchor ?href i link label, ())) links))
 
 let page_style =
   "body { font-family: monospace; background: #fdfdfd; }\n\
@@ -74,28 +61,39 @@ let page_style =
    a.hyperlink { background: #dde8ff; border: 1px solid #88a; border-radius: 3px;\n\
   \  padding: 0 0.3em; text-decoration: none; }\n"
 
-(* A full HTML page for one hyper-program. *)
-let page ~title body =
+(* The one page template: a titled HTML page around [body_html]. *)
+let page ~title body_html =
   Printf.sprintf
     "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>%s</title>\n<style>\n%s</style></head>\n\
-     <body>\n<h1>%s</h1>\n<pre>%s</pre>\n</body></html>\n"
-    (escape title) page_style (escape title) body
+     <body>\n<h1>%s</h1>\n%s\n</body></html>\n"
+    (escape title) page_style (escape title) body_html
 
 let export_form form =
   let flat = Editing_form.to_flat form in
-  page ~title:form.Editing_form.class_name (render_body flat)
+  page ~title:form.Editing_form.class_name
+    (Printf.sprintf "<pre>%s</pre>"
+       (render_body flat.Editing_form.text (List.mapi (fun i l -> (i, l)) flat.Editing_form.flat_links)))
 
-let flat_of vm hp_oid =
-  {
-    Editing_form.text = Storage_form.text vm hp_oid;
-    flat_links =
-      List.map
-        (fun (s : Storage_form.link_spec) ->
-          (s.Storage_form.pos, s.Storage_form.link, s.Storage_form.label))
-        (Storage_form.links vm hp_oid);
-  }
+let readable links =
+  List.filter_map
+    (fun (i, _, r) -> Result.to_option (Result.map (fun s -> (i, Editing_form.flat_link s)) r))
+    links
 
-let export vm hp_oid = page ~title:(Storage_form.class_name vm hp_oid) (render_body (flat_of vm hp_oid))
+(* A link whose record cannot be read is named after the text. *)
+let export vm hp_oid =
+  let links = Storage_form.readable_links vm hp_oid in
+  let unreadable =
+    List.filter_map
+      (function
+        | i, _, Error reason ->
+          Some (Printf.sprintf "\n<p>%s</p>" (escape (Storage_form.describe_unreadable i reason)))
+        | _, _, Ok _ -> None)
+      links
+  in
+  page ~title:(Storage_form.class_name vm hp_oid)
+    (Printf.sprintf "<pre>%s</pre>%s"
+       (render_body (Storage_form.text vm hp_oid) (readable links))
+       (String.concat "" unreadable))
 
 (* An index page over several hyper-programs. *)
 let index_page (entries : (string * string) list) =
@@ -110,17 +108,21 @@ let index_page (entries : (string * string) list) =
      <body><h1>Published hyper-programs</h1><ul>\n%s\n</ul></body></html>\n"
     items
 
+let display_name vm uid hp_oid =
+  let name = Storage_form.class_name vm hp_oid in
+  if name = "" then Printf.sprintf "hp%d" uid else name
+
 (* Export every live registered hyper-program into a directory. *)
 let export_all vm ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let entries =
     List.map
       (fun (uid, hp_oid) ->
-        let name = Storage_form.class_name vm hp_oid in
-        let name = if name = "" then Printf.sprintf "hp%d" uid else name in
+        let name = display_name vm uid hp_oid in
         let file = Printf.sprintf "%s.html" name in
+        let html = export vm hp_oid in
         let oc = open_out (Filename.concat dir file) in
-        output_string oc (export vm hp_oid);
+        output_string oc html;
         close_out oc;
         (name, file))
       (Registry.live_programs vm)
@@ -139,31 +141,29 @@ let export_all vm ~dir =
    pages — class names, labels, program text, failure reasons (including
    the BrokenLink placeholder's) — is user-controlled and escaped. *)
 
-let html_page ~title body_html =
-  Printf.sprintf
-    "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>%s</title>\n<style>\n%s</style></head>\n\
-     <body>\n<h1>%s</h1>\n%s\n<p><a href=\"/\">index</a></p>\n</body></html>\n"
-    (escape title) page_style (escape title) body_html
+(* A dashboard page: the page template with a link back to the index. *)
+let live_html ~title body_html = page ~title (body_html ^ "\n<p><a href=\"/\">index</a></p>")
 
-let display_name vm uid hp_oid =
-  let name = Storage_form.class_name vm hp_oid in
-  if name = "" then Printf.sprintf "hp%d" uid else name
+(* The broken-link census from one read of a program's links: each
+   link's number, label, and the value getLink answers or why it cannot.
+   Salvage reads only — never an exception. *)
+let census vm links =
+  List.map
+    (fun (i, oid, r) ->
+      match r with
+      | Ok (s : Storage_form.link_spec) ->
+        (i, s.Storage_form.label, Result.map_error Failure.describe (Registry.link_status vm oid))
+      | Error reason -> (i, "", Error (Storage_form.describe_unreadable i reason)))
+    links
 
-(* One salvage read per link: Ok with the printed value, or the typed
-   Failure — never an exception (the built-in password is always
-   accepted). *)
-let link_census vm ~uid hp_oid =
-  Storage_form.links vm hp_oid
-  |> List.mapi (fun i (s : Storage_form.link_spec) ->
-         ( i,
-           s.Storage_form.label,
-           Registry.try_get_link vm ~password:Registry.built_in_password ~hp:uid ~link:i ))
+let broken census = List.length (List.filter (fun (_, _, s) -> Result.is_error s) census)
 
 let live_page vm ~uid =
   match Registry.hp_at vm uid with
   | Pvalue.Ref hp_oid ->
     let href i _link = Printf.sprintf "/hp/%d/link/%d" uid i in
-    let census = link_census vm ~uid hp_oid in
+    let links = Storage_form.readable_links vm hp_oid in
+    let census = census vm links in
     let rows =
       census
       |> List.map (fun (i, label, status) ->
@@ -171,30 +171,26 @@ let live_page vm ~uid =
                uid i i (escape label)
                (match status with
                | Ok v -> Printf.sprintf "ok: <code>%s</code>" (escape (Pvalue.to_string v))
-               | Error f ->
-                 Printf.sprintf "<b>broken</b>: %s" (escape (Failure.describe f))))
+               | Error reason -> Printf.sprintf "<b>broken</b>: %s" (escape reason)))
       |> String.concat "\n"
     in
-    let broken = List.length (List.filter (fun (_, _, s) -> Result.is_error s) census) in
     Some
-      (html_page
+      (live_html
          ~title:(Printf.sprintf "hyper-program %d: %s" uid (display_name vm uid hp_oid))
          (Printf.sprintf "<pre>%s</pre>\n<h2>hyper-links (%d, %d broken)</h2>\n<ul>\n%s\n</ul>"
-            (render_body ~href (flat_of vm hp_oid))
-            (List.length census) broken rows))
+            (render_body ~href (Storage_form.text vm hp_oid) (readable links))
+            (List.length census) (broken census) rows))
   | _ -> None
 
 let live_link_page vm ~uid ~link =
   let title = Printf.sprintf "hyper-program %d, link %d" uid link in
-  match Registry.try_get_link vm ~password:Registry.built_in_password ~hp:uid ~link with
-  | Ok v ->
-    html_page ~title
-      (Printf.sprintf "<p>value: <code>%s</code></p>\n<p><a href=\"/hp/%d\">back to the program</a></p>"
-         (escape (Pvalue.to_string v)) uid)
-  | Error f ->
-    html_page ~title
-      (Printf.sprintf "<p><b>broken link</b>: %s</p>\n<p><a href=\"/hp/%d\">back to the program</a></p>"
-         (escape (Failure.describe f)) uid)
+  let answer =
+    match Registry.try_get_link vm ~password:Registry.built_in_password ~hp:uid ~link with
+    | Ok v -> Printf.sprintf "value: <code>%s</code>" (escape (Pvalue.to_string v))
+    | Error f -> Printf.sprintf "<b>broken link</b>: %s" (escape (Failure.describe f))
+  in
+  live_html ~title
+    (Printf.sprintf "<p>%s</p>\n<p><a href=\"/hp/%d\">back to the program</a></p>" answer uid)
 
 let live_index vm =
   let programs = Registry.live_programs vm in
@@ -202,17 +198,21 @@ let live_index vm =
   let rows =
     programs
     |> List.map (fun (uid, hp_oid) ->
-           let census = link_census vm ~uid hp_oid in
-           let broken = List.length (List.filter (fun (_, _, s) -> Result.is_error s) census) in
-           total_broken := !total_broken + broken;
-           Printf.sprintf "<li><a href=\"/hp/%d\">%s</a> — %d link%s%s</li>" uid
-             (escape (display_name vm uid hp_oid))
-             (List.length census)
-             (if List.length census = 1 then "" else "s")
-             (if broken > 0 then Printf.sprintf ", <b>%d broken</b>" broken else ""))
+           match (display_name vm uid hp_oid, census vm (Storage_form.readable_links vm hp_oid)) with
+           | exception Quarantine.Quarantined (_, reason) ->
+             (* the program's own record is damaged: one row says so *)
+             Printf.sprintf "<li><a href=\"/hp/%d\">hp%d</a> — <b>unreadable</b>: %s</li>" uid uid
+               (escape reason)
+           | name, census ->
+             let broken = broken census in
+             total_broken := !total_broken + broken;
+             Printf.sprintf "<li><a href=\"/hp/%d\">%s</a> — %d link%s%s</li>" uid (escape name)
+               (List.length census)
+               (if List.length census = 1 then "" else "s")
+               (if broken > 0 then Printf.sprintf ", <b>%d broken</b>" broken else ""))
     |> String.concat "\n"
   in
-  html_page ~title:"Live hyper-programs"
+  live_html ~title:"Live hyper-programs"
     (Printf.sprintf "<p>%d program%s, %d broken link%s</p>\n<ul>\n%s\n</ul>"
        (List.length programs)
        (if List.length programs = 1 then "" else "s")
@@ -224,30 +224,22 @@ let live_index vm =
    hindered by the presence of hyper-links"): links become bracketed
    footnote indices, with the link descriptions listed after the text. *)
 let plain_text vm hp_oid =
-  let text = Storage_form.text vm hp_oid in
-  let links = Storage_form.links vm hp_oid in
-  let buf = Buffer.create (String.length text + 256) in
-  let expansions =
-    List.mapi
-      (fun i (s : Storage_form.link_spec) -> (s.Storage_form.pos, Printf.sprintf "[%d]" (i + 1)))
-      links
-    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+  let links = Storage_form.readable_links vm hp_oid in
+  let text, _ =
+    Editing_form.splice (Storage_form.text vm hp_oid)
+      (List.map (fun (i, (pos, _, _)) -> (pos, Printf.sprintf "[%d]" (i + 1), ())) (readable links))
   in
-  let rec go cursor = function
-    | [] -> Buffer.add_substring buf text cursor (String.length text - cursor)
-    | (pos, marker) :: rest ->
-      Buffer.add_substring buf text cursor (pos - cursor);
-      Buffer.add_string buf marker;
-      go pos rest
-  in
-  go 0 expansions;
-  if links <> [] then begin
-    Buffer.add_string buf "---\n";
-    List.iteri
-      (fun i (s : Storage_form.link_spec) ->
-        Buffer.add_string buf
-          (Format.asprintf "[%d] %s = %a\n" (i + 1) s.Storage_form.label Hyperlink.pp
-             s.Storage_form.link))
-      links
-  end;
-  Buffer.contents buf
+  match links with
+  | [] -> text
+  | _ ->
+    text ^ "---\n"
+    ^ String.concat ""
+        (List.map
+           (fun (i, _, r) ->
+             match r with
+             | Ok (s : Storage_form.link_spec) ->
+               Format.asprintf "[%d] %s = %a\n" (i + 1) s.Storage_form.label Hyperlink.pp
+                 s.Storage_form.link
+             | Error reason ->
+               Printf.sprintf "[%d] %s\n" (i + 1) (Storage_form.describe_unreadable i reason))
+           links)

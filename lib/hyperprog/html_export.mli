@@ -19,7 +19,8 @@ val export_form : Editing_form.t -> string
 (** Render an editing-form hyper-program as a full HTML page. *)
 
 val export : Rt.t -> Pstore.Oid.t -> string
-(** Render a storage-form hyper-program as a full HTML page. *)
+(** Render a storage-form hyper-program as a full HTML page; a link
+    whose record cannot be read is named after the text. *)
 
 val export_all : Rt.t -> dir:string -> string list
 (** Write one page per live registered hyper-program plus an index into
@@ -27,7 +28,8 @@ val export_all : Rt.t -> dir:string -> string list
 
 val plain_text : Rt.t -> Pstore.Oid.t -> string
 (** Plain-text printing: links become bracketed footnote indices with
-    their descriptions listed after the text. *)
+    their descriptions listed after the text (an unreadable link only
+    in the footnotes). *)
 
 (** {1 The live dashboard}
 
@@ -40,7 +42,8 @@ val plain_text : Rt.t -> Pstore.Oid.t -> string
 
 val live_index : Rt.t -> string
 (** All live registered hyper-programs with per-program link and
-    broken-link counts. *)
+    broken-link counts; a program whose own record cannot be read gets
+    a row saying so. *)
 
 val live_page : Rt.t -> uid:int -> string option
 (** One program's page, links pointing at [/hp/<uid>/link/<i>]; [None]

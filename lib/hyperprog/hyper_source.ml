@@ -247,26 +247,27 @@ let print_link vm = function
   | Hyperlink.L_array_element { array; index } ->
     Printf.sprintf "element %s %d" (print_target vm array) index
 
+(* A link whose record cannot be read has no spec to print, so the
+   program is refused rather than written with a hole in it. *)
 let of_storage vm hp_oid =
-  let buf = Buffer.create 512 in
-  let class_name = Storage_form.class_name vm hp_oid in
-  if class_name <> "" then Buffer.add_string buf (Printf.sprintf "//! class: %s\n" class_name);
-  let links = Storage_form.links vm hp_oid in
-  List.iteri
-    (fun i (spec : Storage_form.link_spec) ->
-      Buffer.add_string buf
-        (Printf.sprintf "//! link %d: %s\n" i (print_link vm spec.Storage_form.link)))
-    links;
-  (* splice #<i> markers into the text *)
-  let text = Storage_form.text vm hp_oid in
-  let expansions = List.mapi (fun i (s : Storage_form.link_spec) -> (s.Storage_form.pos, Printf.sprintf "#<%d>" i)) links in
-  let sorted = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) expansions in
-  let rec go cursor = function
-    | [] -> Buffer.add_substring buf text cursor (String.length text - cursor)
-    | (pos, marker) :: rest ->
-      Buffer.add_substring buf text cursor (pos - cursor);
-      Buffer.add_string buf marker;
-      go pos rest
+  let links =
+    List.map
+      (function
+        | _, _, Ok spec -> spec
+        | i, _, Error reason -> format_error "hyper-link %d cannot be read: %s" i reason)
+      (Storage_form.readable_links vm hp_oid)
   in
-  go 0 sorted;
-  Buffer.contents buf
+  let class_name = Storage_form.class_name vm hp_oid in
+  String.concat ""
+    ((if class_name = "" then [] else [ Printf.sprintf "//! class: %s\n" class_name ])
+    @ List.mapi
+        (fun i (s : Storage_form.link_spec) ->
+          Printf.sprintf "//! link %d: %s\n" i (print_link vm s.Storage_form.link))
+        links
+    @ [
+        Productions.flatten_with_placeholders
+          {
+            Editing_form.text = Storage_form.text vm hp_oid;
+            flat_links = List.map Editing_form.flat_link links;
+          };
+      ])

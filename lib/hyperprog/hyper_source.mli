@@ -41,4 +41,6 @@ val to_storage : Rt.t -> string -> Oid.t
 val of_storage : Rt.t -> Oid.t -> string
 (** Print a storage-form hyper-program as [.hp] source.  Object links
     print as [root:NAME] when a persistent root points at the object,
-    otherwise as a raw [@OID]. *)
+    otherwise as a raw [@OID].
+    @raise Format_error if a link's record cannot be read (a [.hp] file
+    cannot represent such a link). *)

@@ -32,21 +32,11 @@ let compatible_roles = function
    syntactic, necessary but not sufficient. *)
 
 (* Flatten a hyper-program, inserting `#<i>` at the position of the i-th
-   link. *)
+   link: the one writer of the markers that .hp files carry too. *)
 let flatten_with_placeholders (flat : Editing_form.flat) =
-  let expansions = List.mapi (fun i (pos, _, _) -> (pos, Printf.sprintf "#<%d>" i)) flat.Editing_form.flat_links in
-  let sorted = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) expansions in
-  let text = flat.Editing_form.text in
-  let buf = Buffer.create (String.length text + 16) in
-  let rec go cursor = function
-    | [] -> Buffer.add_substring buf text cursor (String.length text - cursor)
-    | (pos, s) :: rest ->
-      Buffer.add_substring buf text cursor (pos - cursor);
-      Buffer.add_string buf s;
-      go pos rest
-  in
-  go 0 sorted;
-  Buffer.contents buf
+  fst
+    (Editing_form.splice flat.Editing_form.text
+       (List.mapi (fun i (pos, _, _) -> (pos, Printf.sprintf "#<%d>" i, ())) flat.Editing_form.flat_links))
 
 (* Check every link of a flattened hyper-program for syntactic legality.
    Returns one verdict per link, in link order. *)

@@ -12,6 +12,10 @@ type verdict =
   | Legal
   | Illegal of string
 
+val flatten_with_placeholders : Editing_form.flat -> string
+(** The text with [#<i>] at the [i]-th link's position, as [.hp] files
+    write it. *)
+
 val insertion_legal :
   env:Jtype.class_env -> Editing_form.flat -> pos:int -> link:Hyperlink.t -> verdict
 (** Would inserting [link] at [pos] be syntactically legal?  Advisory on

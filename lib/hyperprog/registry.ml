@@ -144,6 +144,11 @@ let link_damage vm link_oid =
   end
   | Ok _ -> None
 
+let link_status vm link_oid =
+  match link_damage vm link_oid with
+  | Some damage -> Error damage
+  | None -> Ok (Pvalue.Ref link_oid)
+
 (* Retrieve a HyperLinkHP instance (the getLink of Figure 9), reporting
    failure as data rather than raising: broken links degrade. *)
 let resolve_link vm reg ~hp ~link =
@@ -159,11 +164,7 @@ let resolve_link vm reg ~hp ~link =
         Error
           (Failure.Bad_index
              { container = Printf.sprintf "hyper-program %d" hp; index = link })
-      | Some link_oid -> begin
-        match link_damage vm link_oid with
-        | Some damage -> Error damage
-        | None -> Ok (Pvalue.Ref link_oid)
-      end
+      | Some link_oid -> link_status vm link_oid
     end
   end
   | _ -> Error (Failure.Collected hp)

@@ -46,6 +46,9 @@ val try_get_link :
     now.
     @raise Rt.Jerror [java.lang.SecurityException] on a bad password. *)
 
+val link_status : Rt.t -> Oid.t -> (Pvalue.t, Failure.t) result
+(** What {!try_get_link} answers for a [HyperLinkHP] instance in hand. *)
+
 val get_link : Rt.t -> password:string -> hp:int -> link:int -> Pvalue.t
 (** Retrieve a [HyperLinkHP] instance (Figure 9's [getLink]).
     A quarantined or dangling target degrades to a [hyper.BrokenLink]

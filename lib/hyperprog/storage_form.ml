@@ -206,6 +206,20 @@ let link_oids vm hp_oid =
 
 let links vm hp_oid = List.map (read_link vm) (link_oids vm hp_oid)
 
+(* One link record at a time: a damaged record is data, not an exception,
+   and every link keeps its getLink index. *)
+let readable_links vm hp_oid =
+  List.mapi
+    (fun i oid ->
+      match read_link vm oid with
+      | spec -> (i, oid, Ok spec)
+      | exception Quarantine.Quarantined (_, reason) -> (i, oid, Error reason)
+      | exception Pstore.Heap.Heap_error _ -> (i, oid, Error "dangling reference"))
+    (link_oids vm hp_oid)
+
+(* How every form names a link it could not read. *)
+let describe_unreadable index reason = Printf.sprintf "unreadable hyper-link %d: %s" index reason
+
 (* Is this store object a HyperProgram instance? *)
 let is_hyper_program vm oid =
   match Store.find Rt.(vm.store) oid with

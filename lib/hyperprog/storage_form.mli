@@ -22,9 +22,6 @@ val create : Rt.t -> class_name:string -> text:string -> links:link_spec list ->
     [hyper.HyperLinkHP] per link (sorted by position).  [class_name] is
     the principal class (may be [""] to default to the first class). *)
 
-val read_link : Rt.t -> Oid.t -> link_spec
-(** Decode a [hyper.HyperLinkHP] instance back into a {!link_spec}. *)
-
 val link_flags : Rt.t -> Oid.t -> bool * bool
 (** The paper's [(isSpecial, isPrimitive)] display flags of a link. *)
 
@@ -41,5 +38,13 @@ val link_oids : Rt.t -> Oid.t -> Oid.t list
 
 val links : Rt.t -> Oid.t -> link_spec list
 (** All links, decoded, in vector order. *)
+
+val readable_links : Rt.t -> Oid.t -> (int * Oid.t * (link_spec, string) result) list
+(** The one link reader of every form: each link's getLink index and
+    [HyperLinkHP] oid with its spec, in vector order, or [Error reason]
+    for a record that is quarantined or dangling. *)
+
+val describe_unreadable : int -> string -> string
+(** How every form names link [i] whose record cannot be read. *)
 
 val is_hyper_program : Rt.t -> Oid.t -> bool

@@ -74,11 +74,9 @@ let broken_placeholder ~link_index reason =
    {!broken_placeholder} instead of raising. *)
 let link_expression vm ~password ~hp_uid ~link_index (link : Hyperlink.t) =
   let retrieval = get_link_call ~password ~hp_uid ~link_index in
-  match target_oid_of link with
-  | Some oid when target_damage vm oid <> None ->
-    let reason = Option.get (target_damage vm oid) in
-    broken_placeholder ~link_index reason
-  | _ -> begin
+  match Option.bind (target_oid_of link) (target_damage vm) with
+  | Some reason -> broken_placeholder ~link_index reason
+  | None -> begin
     match link with
     | Hyperlink.L_static_method { cls; name; _ } ->
       (* "fully qualified method name" — no store retrieval needed *)
@@ -105,90 +103,17 @@ let needs_retrieval = function
   | Hyperlink.L_instance_method _ | Hyperlink.L_constructor _ | Hyperlink.L_static_field _ ->
     false
 
-(* Splice expansion strings into the storage-form text at their
-   positions.  Positions index the text *without* the links. *)
-let splice text (expansions : (int * string) list) =
-  let sorted = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) expansions in
-  let buf = Buffer.create (String.length text + 64) in
-  let len = String.length text in
-  let rec go cursor = function
-    | [] -> Buffer.add_substring buf text cursor (len - cursor)
-    | (pos, expansion) :: rest ->
-      if pos < cursor || pos > len then textual_error "link position %d out of range" pos;
-      Buffer.add_substring buf text cursor (pos - cursor);
-      Buffer.add_string buf expansion;
-      go pos rest
-  in
-  go 0 sorted;
-  Buffer.contents buf
-
-(* Insert the DynamicCompiler import after any package declaration. *)
-let add_import text =
-  let import_line = "import compiler.DynamicCompiler;\n" in
-  let lines = String.split_on_char '\n' text in
-  match lines with
-  | first :: rest
-    when String.length (String.trim first) >= 7
-         && String.sub (String.trim first) 0 7 = "package" ->
-    String.concat "\n" ((first ^ "\n" ^ String.trim import_line) :: rest)
-  | _ -> import_line ^ text
-
-(* Read link specs one at a time: a quarantined or dangling HyperLinkHP
-   instance is reported as data instead of killing the whole translation,
-   and surviving links keep their original indices (their getLink
-   numbering). *)
-let readable_links vm hp_oid =
-  Storage_form.link_oids vm hp_oid
-  |> List.mapi (fun i oid ->
-         match Storage_form.read_link vm oid with
-         | spec -> (i, Ok spec)
-         | exception Quarantine.Quarantined (_, reason) -> (i, Error reason)
-         | exception Pstore.Heap.Heap_error _ -> (i, Error "dangling reference"))
-
-let ok_specs links = List.filter_map (fun (_, r) -> Result.to_option r) links
-
-(* Generate the textual form of a registered hyper-program (its uid must
-   have been allocated by Registry.add_hp).  Links whose HyperLinkHP
-   instance cannot be read are reported in a header comment; links whose
-   target entity cannot be read splice in {!broken_placeholder}. *)
-let generate vm hp_oid =
-  let hp_uid = Storage_form.uid vm hp_oid in
-  if hp_uid < 0 then
-    textual_error "hyper-program is not registered; call Registry.add_hp first";
-  let text = Storage_form.text vm hp_oid in
-  let links = readable_links vm hp_oid in
-  let expansions =
-    List.filter_map
-      (fun (link_index, r) ->
-        match r with
-        | Ok (spec : Storage_form.link_spec) ->
-          Some
-            ( spec.Storage_form.pos,
-              link_expression vm ~password:Registry.built_in_password ~hp_uid ~link_index
-                spec.Storage_form.link )
-        | Error _ -> None)
-      links
-  in
-  let body = splice text expansions in
-  let body =
-    if List.exists (fun spec -> needs_retrieval spec.Storage_form.link) (ok_specs links)
-    then add_import body
-    else body
-  in
-  let unreadable =
-    List.filter_map
-      (fun (i, r) -> match r with Error reason -> Some (i, reason) | Ok _ -> None)
-      links
-  in
-  match unreadable with
-  | [] -> body
-  | _ ->
-    String.concat ""
-      (List.map
-         (fun (i, reason) ->
-           Printf.sprintf "/* unreadable hyper-link %d: %s */\n" i (comment_safe reason))
-         unreadable)
-    ^ body
+(* Where the DynamicCompiler import goes in [body]: after a package line,
+   else at the top.  Returns the offset and the text inserted there. *)
+let add_import body =
+  let import = "import compiler.DynamicCompiler;" in
+  let first_end = String.index_opt body '\n' in
+  let first = match first_end with Some i -> String.sub body 0 i | None -> body in
+  if not (String.starts_with ~prefix:"package" (String.trim first)) then (0, import ^ "\n")
+  else
+    match first_end with
+    | Some i -> (i + 1, import ^ "\n")
+    | None -> (String.length body, "\n" ^ import)
 
 (* ---------------------------------------------------------------------- *)
 (* Source maps: textual form -> hyper-program positions                    *)
@@ -204,27 +129,22 @@ let generate vm hp_oid =
 type origin =
   | From_text of int (* offset in the storage-form text *)
   | From_link of int (* index of the hyper-link whose expansion covers it *)
-  | From_header (* the generated import line *)
+  | From_header (* the generated import line and unreadable-link comments *)
 
 type source_map = {
-  (* (start offset in textual form, length, origin at segment start);
-     sorted by start offset, contiguous. *)
-  segments : (int * int * origin) list;
+  (* The splice's segments, (start offset in the textual form, length,
+     origin), tagged with getLink indices; offsets no segment covers are
+     the generated header. *)
+  segments : (int * int * int Editing_form.origin) list;
 }
 
 (* Attribute a textual-form offset to its origin. *)
 let map_offset map offset =
-  let rec go = function
-    | [] -> From_header
-    | (start, len, origin) :: rest ->
-      if offset >= start && offset < start + len then begin
-        match origin with
-        | From_text base -> From_text (base + (offset - start))
-        | other -> other
-      end
-      else go rest
-  in
-  go map.segments
+  let covers (start, len, _) = offset >= start && offset < start + len in
+  match List.find_opt covers map.segments with
+  | Some (start, _, Editing_form.Text base) -> From_text (base + (offset - start))
+  | Some (_, _, Editing_form.Inserted link) -> From_link link
+  | None -> From_header
 
 (* Line/column <-> offset conversions over a text. *)
 let offset_of_pos text (pos : Lexer.pos) =
@@ -249,84 +169,73 @@ let pos_of_offset text offset =
     text;
   { Lexer.line = !line; col = offset - !bol + 1 }
 
-(* As [splice], but also produce the source map. *)
-let splice_mapped text (expansions : (int * string) list) =
-  let sorted = List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) expansions in
-  let buf = Buffer.create (String.length text + 64) in
-  let segments = ref [] in
-  let len = String.length text in
-  let emit_text orig_start n =
-    if n > 0 then begin
-      segments := (Buffer.length buf, n, From_text orig_start) :: !segments;
-      Buffer.add_substring buf text orig_start n
-    end
-  in
-  let rec go cursor idx = function
-    | [] -> emit_text cursor (len - cursor)
-    | (pos, expansion) :: rest ->
-      if pos < cursor || pos > len then textual_error "link position %d out of range" pos;
-      emit_text cursor (pos - cursor);
-      segments := (Buffer.length buf, String.length expansion, From_link idx) :: !segments;
-      Buffer.add_string buf expansion;
-      go pos (idx + 1) rest
-  in
-  go 0 0 sorted;
-  (Buffer.contents buf, { segments = List.rev !segments })
+(* Move the segments at or after [at] by [by]; a segment that spans [at]
+   is split there. *)
+let shift_from ~at ~by segments =
+  List.concat_map
+    (fun ((start, len, origin) as segment) ->
+      if start >= at then [ (start + by, len, origin) ]
+      else if start + len <= at then [ segment ]
+      else
+        let rest =
+          match origin with Editing_form.Text base -> Editing_form.Text (base + at - start) | o -> o
+        in
+        [ (start, at - start, origin); (at + by, start + len - at, rest) ])
+    segments
 
-let shift_map map by =
-  { segments = List.map (fun (s, l, o) -> (s + by, l, o)) map.segments }
-
-(* Generate the textual form together with its source map. *)
+(* Generate the textual form of a registered hyper-program (its uid must
+   have been allocated by Registry.add_hp) together with its source map.
+   Links whose HyperLinkHP instance cannot be read are reported in a
+   header comment; links whose target entity cannot be read splice in
+   {!broken_placeholder}.  Every link keeps its getLink index. *)
 let generate_mapped vm hp_oid =
   let hp_uid = Storage_form.uid vm hp_oid in
   if hp_uid < 0 then
     textual_error "hyper-program is not registered; call Registry.add_hp first";
   let text = Storage_form.text vm hp_oid in
-  (* Unreadable links are silently skipped here: the source map must stay
-     an exact account of the spliced text.  [generate] reports them.
-     Surviving links keep their original getLink indices. *)
-  let readable =
-    List.filter_map
-      (fun (i, r) -> match r with Ok spec -> Some (i, spec) | Error _ -> None)
-      (readable_links vm hp_oid)
-  in
-  let links = List.map snd readable in
+  let links = Storage_form.readable_links vm hp_oid in
   let expansions =
-    List.map
-      (fun (link_index, (spec : Storage_form.link_spec)) ->
-        ( spec.Storage_form.pos,
-          link_expression vm ~password:Registry.built_in_password ~hp_uid ~link_index
-            spec.Storage_form.link ))
-      readable
+    List.filter_map
+      (function
+        | link_index, _, Ok (spec : Storage_form.link_spec) ->
+          Some
+            ( spec.Storage_form.pos,
+              link_expression vm ~password:Registry.built_in_password ~hp_uid ~link_index
+                spec.Storage_form.link,
+              link_index )
+        | _, _, Error _ -> None)
+      links
   in
-  let body, map = splice_mapped text expansions in
-  if List.exists (fun spec -> needs_retrieval spec.Storage_form.link) links then begin
-    let with_import = add_import body in
-    (* add_import inserts a prefix (and possibly keeps a package line
-       first); the inserted length is the size difference, always at a
-       single point: after the package line or at offset 0. *)
-    let inserted = String.length with_import - String.length body in
-    let insertion_point =
-      (* find where the texts diverge *)
-      let rec go i =
-        if i >= String.length body then i
-        else if body.[i] = with_import.[i] then go (i + 1)
-        else i
-      in
-      go 0
-    in
-    let map =
-      {
-        segments =
-          List.map
-            (fun (s, l, o) -> if s >= insertion_point then (s + inserted, l, o) else (s, l, o))
-            map.segments;
-      }
-    in
-    ignore shift_map;
-    (with_import, map)
-  end
-  else (body, map)
+  let body, segments = Editing_form.splice text expansions in
+  let header =
+    String.concat ""
+      (List.filter_map
+         (function
+           | i, _, Error reason ->
+             Some
+               (Printf.sprintf "/* %s */\n"
+                  (Storage_form.describe_unreadable i (comment_safe reason)))
+           | _, _, Ok _ -> None)
+         links)
+  in
+  let needs_import =
+    List.exists
+      (function
+        | _, _, Ok spec -> needs_retrieval spec.Storage_form.link | _, _, Error _ -> false)
+      links
+  in
+  let at, import = if needs_import then add_import body else (0, "") in
+  let textual =
+    String.concat ""
+      [ header; String.sub body 0 at; import; String.sub body at (String.length body - at) ]
+  in
+  let hlen = String.length header in
+  let segments =
+    segments |> shift_from ~at:0 ~by:hlen |> shift_from ~at:(hlen + at) ~by:(String.length import)
+  in
+  (textual, { segments })
+
+let generate vm hp_oid = fst (generate_mapped vm hp_oid)
 
 (* Explain a position in the textual form in hyper-program terms. *)
 type explained =
@@ -341,11 +250,10 @@ let explain vm hp_oid map ~textual ~(pos : Lexer.pos) =
     let text = Storage_form.text vm hp_oid in
     In_text (pos_of_offset text orig)
   | From_link idx ->
-    let links = Storage_form.links vm hp_oid in
     let label =
-      match List.nth_opt links idx with
-      | Some spec -> spec.Storage_form.label
-      | None -> string_of_int idx
+      match List.nth_opt (Storage_form.readable_links vm hp_oid) idx with
+      | Some (_, _, Ok spec) -> spec.Storage_form.label
+      | Some (_, _, Error _) | None -> string_of_int idx
     in
     In_link (idx, label)
   | From_header -> In_generated

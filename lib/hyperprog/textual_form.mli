@@ -26,7 +26,8 @@ val generate : Rt.t -> Oid.t -> string
     Damage degrades instead of raising: links whose target entity cannot
     be read splice in that placeholder, and links whose own
     [HyperLinkHP] instance cannot be read are reported in a leading
-    comment (and skipped).
+    comment (and skipped); the others keep their getLink indices.  This
+    is the text of {!generate_mapped}.
     @raise Textual_error if the program has no uid (register it with
     {!Registry.add_hp} first, or use
     {!Dynamic_compiler.generate_textual_form}). *)
@@ -35,8 +36,8 @@ val generate : Rt.t -> Oid.t -> string
 
 type origin =
   | From_text of int  (** offset in the storage-form text *)
-  | From_link of int  (** index of the covering hyper-link *)
-  | From_header  (** the generated import line *)
+  | From_link of int  (** getLink index of the covering hyper-link *)
+  | From_header  (** the generated import line or unreadable-link comments *)
 
 type source_map
 
@@ -47,7 +48,7 @@ val offset_of_pos : string -> Lexer.pos -> int
 val pos_of_offset : string -> int -> Lexer.pos
 
 val generate_mapped : Rt.t -> Oid.t -> string * source_map
-(** As {!generate}, but also return the source map. *)
+(** The one generator: the textual form and its source map. *)
 
 type explained =
   | In_text of Lexer.pos  (** a position within the hyper-program's text *)

@@ -58,7 +58,7 @@ let front_editor session =
 
 (* Translate a browser entity (the value half of a row) into a
    hyper-link. *)
-let link_of_entity session = function
+let link_of_entity = function
   | Browser.Ocb.E_object oid -> Some (Hyperlink.L_object oid)
   | Browser.Ocb.E_value v when Pvalue.is_primitive v -> Some (Hyperlink.L_primitive v)
   | Browser.Ocb.E_value _ -> None
@@ -67,9 +67,7 @@ let link_of_entity session = function
     if static then Some (Hyperlink.L_static_method { cls; name; desc })
     else Some (Hyperlink.L_instance_method { cls; name; desc })
   | Browser.Ocb.E_constructor { cls; desc } -> Some (Hyperlink.L_constructor { cls; desc })
-  | Browser.Ocb.E_roots ->
-    ignore session;
-    None
+  | Browser.Ocb.E_roots -> None
 
 (* Translate a browser location (the left half of a row). *)
 let link_of_location = function
@@ -92,7 +90,7 @@ let insert_link_from_browser ?(half = Value_half) ?check session =
   | Some ed, Some panel -> begin
     let link =
       match half, panel.Browser.Ocb.entity with
-      | Value_half, entity -> link_of_entity session entity
+      | Value_half, entity -> link_of_entity entity
       | Location_half, entity -> begin
         (* The location half of the selected row, if any. *)
         match panel.Browser.Ocb.selected with
@@ -103,7 +101,7 @@ let insert_link_from_browser ?(half = Value_half) ?check session =
         end
         | None -> begin
           match entity with
-          | Browser.Ocb.E_object _ -> link_of_entity session entity
+          | Browser.Ocb.E_object _ -> link_of_entity entity
           | _ -> None
         end
       end
@@ -133,7 +131,7 @@ let insert_link_from_row ?(half = Value_half) ?check session ~row =
     | Some r -> begin
       let link =
         match half with
-        | Value_half -> Option.bind r.Browser.Ocb.row_value (link_of_entity session)
+        | Value_half -> Option.bind r.Browser.Ocb.row_value link_of_entity
         | Location_half -> Option.map link_of_location r.Browser.Ocb.row_location
       in
       match link with

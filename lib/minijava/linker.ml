@@ -56,8 +56,8 @@ let sort_batch (cfs : Classfile.t list) =
    share one source text, so each distinct text is hashed once per batch
    and its blob written only if absent; a class blob is written only if
    its stored bytes differ, so an older store's inline-source blob still
-   moves to the keyed form; the class-order blob is rewritten once, and
-   only if the batch adds a name. *)
+   moves to the keyed form; the class-order blob is read only if some
+   class had no blob, and rewritten once, only if the batch adds a name. *)
 let persist_batch vm (cfs : Classfile.t list) =
   let open Pstore in
   let store = vm.Rt.store in
@@ -71,26 +71,31 @@ let persist_batch vm (cfs : Classfile.t list) =
       keys := (text, key) :: !keys;
       key
   in
-  List.iter
-    (fun cf ->
-      let source_key = Option.map key_of cf.Classfile.cf_source in
-      let key = class_blob_prefix ^ cf.Classfile.cf_name in
-      let data = Classfile.encode ?source_key cf in
-      if Store.blob store key <> Some data then Store.set_blob store key data)
-    cfs;
-  let names =
-    match Store.blob store order_blob with
-    | Some s -> String.split_on_char '\n' s |> List.filter (fun s -> s <> "")
-    | None -> []
-  in
-  let added =
-    List.filter_map
+  (* Write each class blob that differs; keep the classes that had none,
+     the only ones the class order can be missing. *)
+  let fresh =
+    List.filter
       (fun cf ->
-        let name = cf.Classfile.cf_name in
-        if List.mem name names then None else Some name)
+        let source_key = Option.map key_of cf.Classfile.cf_source in
+        let key = class_blob_prefix ^ cf.Classfile.cf_name in
+        let data = Classfile.encode ?source_key cf in
+        let old = Store.blob store key in
+        if old <> Some data then Store.set_blob store key data;
+        old = None)
       cfs
   in
-  if added <> [] then Store.set_blob store order_blob (String.concat "\n" (names @ added))
+  if fresh <> [] then begin
+    let names =
+      match Store.blob store order_blob with
+      | Some s -> String.split_on_char '\n' s |> List.filter (fun s -> s <> "")
+      | None -> []
+    in
+    let added =
+      List.map (fun cf -> cf.Classfile.cf_name) fresh
+      |> List.filter (fun name -> not (List.mem name names))
+    in
+    if added <> [] then Store.set_blob store order_blob (String.concat "\n" (names @ added))
+  end
 
 (* Define a batch of class files.  [persist] (default true) writes them
    to the store's blob table. *)

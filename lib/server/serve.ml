@@ -41,12 +41,15 @@ let http_response ~status ~body =
     "HTTP/1.0 %s\r\nContent-Type: text/html; charset=utf-8\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
     status (String.length body) body
 
-let not_found path =
-  http_response ~status:"404 Not Found"
+let error_page ~status detail =
+  http_response ~status
     ~body:
-      (Printf.sprintf
-         "<!DOCTYPE html>\n<html><body><h1>404</h1><p>no page at %s</p></body></html>\n"
-         (Html_export.escape path))
+      (Printf.sprintf "<!DOCTYPE html>\n<html><body><h1>%s</h1>%s</body></html>\n"
+         (String.sub status 0 3) detail)
+
+let not_found path =
+  error_page ~status:"404 Not Found"
+    (Printf.sprintf "<p>no page at %s</p>" (Html_export.escape path))
 
 (* Routes: /  /index.html  /hp/<uid>  /hp/<uid>/link/<i> — all read-only. *)
 let http_route vm path =
@@ -70,12 +73,17 @@ let http_route vm path =
   end
   | _ -> not_found path
 
+(* A page that raises — a damaged program record, say — answers 500 and
+   the loop goes on serving, as [Dispatch.exec_catching] does for wire
+   requests. *)
 let http_answer vm request =
-  match String.split_on_char ' ' (List.hd (String.split_on_char '\r' request)) with
-  | ("GET" | "HEAD") :: path :: _ -> http_route vm path
-  | _ ->
-    http_response ~status:"400 Bad Request"
-      ~body:"<!DOCTYPE html>\n<html><body><h1>400</h1></body></html>\n"
+  try
+    match String.split_on_char ' ' (List.hd (String.split_on_char '\r' request)) with
+    | ("GET" | "HEAD") :: path :: _ -> http_route vm path
+    | _ -> error_page ~status:"400 Bad Request" ""
+  with e ->
+    error_page ~status:"500 Internal Server Error"
+      (Printf.sprintf "<p>%s</p>" (Html_export.escape (Printexc.to_string e)))
 
 (* -- the loop ---------------------------------------------------------------- *)
 

@@ -95,6 +95,33 @@ let corrupt_store_is_one_line_error () =
   in
   check_int "single-line stderr" 1 (List.length lines)
 
+(* -- a store with an unreadable link record ----------------------------------
+
+   The store is built in-process (there is no command that quarantines a
+   chosen record), then only the binary is driven. *)
+
+let with_unreadable_link f =
+  with_store @@ fun ~dir ~store ->
+  ignore (damage_marry store ~damaged:`Link0);
+  f ~dir ~store
+
+let export_html_names_unreadable_link () =
+  with_unreadable_link @@ fun ~dir ~store ->
+  let out = Filename.concat dir "html" in
+  expect_ok (hpjava [ "export-html"; store; out ]);
+  let page = read_file (Filename.concat out "MarryExample.html") in
+  check_bool "names the unreadable link" true (contains page "unreadable hyper-link 0");
+  check_bool "link 1 shown" true (contains page ">vangelis</a>");
+  check_bool "link 2 shown" true (contains page ">mary</a>")
+
+let print_hp_refuses_unreadable_link () =
+  with_unreadable_link @@ fun ~dir:_ ~store ->
+  let r = hpjava [ "print-hp"; store; "marry" ] in
+  expect_fail ~stderr_has:"hyper-link 0 cannot be read" r;
+  check_bool "exit 1" true (Test_support.Subproc.exit_code r = Some 1);
+  check_int "single-line stderr" 1
+    (List.length (String.split_on_char '\n' (String.trim r.Test_support.Subproc.stderr)))
+
 (* -- evolve round trip through the CLI ------------------------------------- *)
 
 let evolve_via_cli () =
@@ -243,4 +270,7 @@ let suite =
       offline_shard_maintenance_and_repair;
     test "gc removes legacy compile-cache blobs" gc_removes_legacy_compile_cache_blobs;
     test "a fresh image stores each unit's source once" fresh_image_stores_unit_sources_once;
+    test "export-html names an unreadable link and exits 0" export_html_names_unreadable_link;
+    test "print-hp refuses an unreadable link in one line, exit 1"
+      print_hp_refuses_unreadable_link;
   ]

@@ -116,6 +116,61 @@ let comment_for_unreadable_link () =
   check_bool "unreadable link reported" true (contains form "unreadable hyper-link 0");
   check_bool "rest of the program generated" true (contains form "MarryExample")
 
+(* -- every form reads links through one reader ---------------------------- *)
+
+(* MarryExample with link 0's HyperLinkHP record quarantined: links 1
+   and 2 stay readable at their getLink indices. *)
+let unreadable_link0 () =
+  let store, vm = fresh_hyper_vm () in
+  let hp, _, _ = marry_example vm in
+  Store.set_root store "program" (Pvalue.Ref hp);
+  let uid = Registry.add_hp vm ~password:Registry.built_in_password hp in
+  Store.quarantine_oid store (List.hd (Storage_form.link_oids vm hp)) "link record corrupt (test)";
+  (vm, hp, uid)
+
+let textual_form_has_one_generator () =
+  let vm, hp, _ = unreadable_link0 () in
+  let textual, map = Textual_form.generate_mapped vm hp in
+  check_output "generate is the mapped text" textual (Textual_form.generate vm hp);
+  check_bool "the header comment names link 0" true (contains textual "unreadable hyper-link 0");
+  check_bool "the header maps to the header" true
+    (Textual_form.map_offset map 0 = Textual_form.From_header);
+  match Textual_form.map_offset map (index_of textual "getLink") with
+  | Textual_form.From_link 1 -> ()
+  | Textual_form.From_link k -> Alcotest.failf "link 1's getLink maps to link %d" k
+  | _ -> Alcotest.fail "link 1's getLink maps to no link"
+
+let explain_error_reads_the_readable_spec () =
+  let vm, hp, _ = unreadable_link0 () in
+  let textual = Textual_form.generate vm hp in
+  let pos = Textual_form.pos_of_offset textual (index_of textual "getLink") in
+  let msg = Dynamic_compiler.explain_error vm hp { Jcompiler.pos; message = "bad link" } in
+  check_bool "blames link 1 by its label" true (contains msg "in hyper-link 1 [vangelis]")
+
+let pages_name_the_unreadable_link () =
+  let vm, hp, uid = unreadable_link0 () in
+  let names_it what page =
+    check_bool (what ^ " shows link 1") true (contains page "vangelis");
+    check_bool (what ^ " shows link 2") true (contains page "mary");
+    check_bool (what ^ " names link 0") true (contains page "unreadable hyper-link 0")
+  in
+  names_it "live page" (Option.get (Html_export.live_page vm ~uid));
+  names_it "export" (Html_export.export vm hp);
+  names_it "plain text" (Html_export.plain_text vm hp);
+  check_bool "live page links link 1" true
+    (contains
+       (Option.get (Html_export.live_page vm ~uid))
+       (Printf.sprintf "/hp/%d/link/1\">vangelis" uid));
+  check_bool "index counts link 0 as broken" true
+    (contains (Html_export.live_index vm) "3 links, <b>1 broken</b>")
+
+let editing_form_keeps_readable_links () =
+  let vm, hp, _ = unreadable_link0 () in
+  let flat = Editing_form.to_flat (Editing_form.of_storage vm hp) in
+  Alcotest.(check (list string))
+    "the two readable links" [ "vangelis"; "mary" ]
+    (List.map (fun (_, _, label) -> label) flat.Editing_form.flat_links)
+
 (* -- editor -------------------------------------------------------------- *)
 
 let editor_marks_broken_buttons () =
@@ -175,6 +230,10 @@ let suite =
     test "prune clears dead registry entries" prune_clears_dead_entries;
     test "textual form splices a placeholder" placeholder_for_quarantined_target;
     test "unreadable links become a comment" comment_for_unreadable_link;
+    test "the textual form has one generator" textual_form_has_one_generator;
+    test "explain_error reads the readable spec" explain_error_reads_the_readable_spec;
+    test "pages name an unreadable link" pages_name_the_unreadable_link;
+    test "the editing form keeps the readable links" editing_form_keeps_readable_links;
     test "editor marks broken link buttons" editor_marks_broken_buttons;
     test "browser renders quarantined objects" browser_renders_quarantined_objects;
   ]

@@ -22,9 +22,12 @@ type server = {
   store : string;
 }
 
-let spawn_server ~dir =
+(* Serve an existing store file; [prepare] runs on it first (after
+   `hpjava init`), for a store built in-process. *)
+let spawn_server ?(prepare = ignore) ~dir () =
   let store = Filename.concat dir "store.hpj" in
   expect_ok (hpjava [ "init"; store ]);
+  prepare store;
   let socket = Filename.concat dir "hp.sock" in
   let proc =
     Test_support.Subproc.spawn
@@ -36,9 +39,9 @@ let spawn_server ~dir =
       (Test_support.Subproc.describe (Test_support.Subproc.terminate proc));
   { proc; socket; store }
 
-let with_server f =
+let with_server ?prepare f =
   with_dir ~prefix:"server" @@ fun dir ->
-  let srv = spawn_server ~dir in
+  let srv = spawn_server ?prepare ~dir () in
   Fun.protect
     ~finally:(fun () -> ignore (Test_support.Subproc.terminate srv.proc))
     (fun () -> f srv)

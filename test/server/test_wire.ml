@@ -197,6 +197,23 @@ let test_dashboard_escapes_hostile_source () =
   check_bool "quotes are escaped" true (contains page "&quot;quoted&quot;");
   Client.close c
 
+(* A page that raises answers 500 and the server goes on serving: the
+   program's own HyperProgram record is quarantined, so its page cannot
+   be rendered at all. *)
+let test_page_failure_answers_500 () =
+  let uid = ref (-1) in
+  with_server ~prepare:(fun store -> uid := damage_marry store ~damaged:`Program) @@ fun srv ->
+  let page = http_get srv.socket (Printf.sprintf "/hp/%d" !uid) in
+  check_bool "the page answers 500" true (contains page "HTTP/1.0 500");
+  let c = Client.connect (Client.unix_addr srv.socket) in
+  check_bool "a wire hello still answers" true
+    (contains (expect_ok_text c Protocol.Stats) "open sessions:");
+  Client.close c;
+  let index = http_get srv.socket "/" in
+  check_bool "the index still serves" true (contains index "HTTP/1.0 200");
+  check_bool "the index names the damage" true (contains index "record corrupt (test)");
+  check_bool "server alive" true (server_alive srv)
+
 let suite =
   ( "wire",
     [
@@ -206,4 +223,5 @@ let suite =
       test "typed errors leave the connection serving" test_typed_errors;
       test "dashboard serves live pages" test_dashboard;
       test "dashboard escapes hostile source" test_dashboard_escapes_hostile_source;
+      test "a failing page answers 500 and the server serves on" test_page_failure_answers_500;
     ] )

@@ -233,6 +233,29 @@ let marry_example vm =
   let hp = Hyperprog.Storage_form.create vm ~class_name:"MarryExample" ~text ~links in
   (hp, vangelis, mary)
 
+(* Put one damaged MarryExample program into the store file at [path]
+   (made by `hpjava init`), for the suites that then drive the binary:
+   the program is rooted at "marry" and registered, then either its
+   link-0 [HyperLinkHP] record ([`Link0]) or its [HyperProgram] record
+   ([`Program]) is quarantined, and the store is stabilised and closed.
+   Returns the program's registry uid. *)
+let damage_marry path ~damaged =
+  let store = Store.open_file path in
+  let vm = Boot.vm_for store in
+  Hyperprog.Dynamic_compiler.install vm;
+  let hp, _, _ = marry_example vm in
+  Store.set_root store "marry" (Pvalue.Ref hp);
+  let uid = Hyperprog.Registry.add_hp vm ~password:Hyperprog.Registry.built_in_password hp in
+  let oid =
+    match damaged with
+    | `Link0 -> List.hd (Hyperprog.Storage_form.link_oids vm hp)
+    | `Program -> hp
+  in
+  Store.quarantine_oid store oid "record corrupt (test)";
+  Store.stabilise store;
+  Store.close store;
+  uid
+
 (* -- expectation helpers -------------------------------------------------- *)
 
 (* Expect a Java-level error of the given class. *)

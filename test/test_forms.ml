@@ -148,6 +148,47 @@ let flat_conversion_inverse () =
   Alcotest.(check (list int)) "positions back" [ 1; 4; 8 ]
     (List.map (fun (p, _, _) -> p) flat.Editing_form.flat_links)
 
+(* -- the splice every form shares ------------------------------------------------ *)
+
+let splice_orders_and_reports_origins () =
+  let out, segments =
+    Editing_form.splice ~transform:String.uppercase_ascii "ab<c"
+      [ (3, "[y]", "y"); (1, "[x]", "x"); (3, "[z]", "z"); (4, "", "empty") ]
+  in
+  check_output "position order, ties in list order, text transformed" "A[x]B<[y][z]C" out;
+  check_bool "segments in output order, empty ones left out" true
+    (segments
+    = [
+        (0, 1, Editing_form.Text 0);
+        (1, 3, Editing_form.Inserted "x");
+        (4, 2, Editing_form.Text 1);
+        (6, 3, Editing_form.Inserted "y");
+        (9, 3, Editing_form.Inserted "z");
+        (12, 1, Editing_form.Text 3);
+      ])
+
+(* A stored position outside the text is refused with the splice's one
+   typed error by every form, not an [Invalid_argument] from a substring. *)
+let link_position_past_the_text () =
+  let store, vm = fresh_hyper_vm () in
+  let text = "class C { }" in
+  let links =
+    [ { Storage_form.link = Hyperlink.L_primitive (Pvalue.Int 1l); label = "one"; pos = 40 } ]
+  in
+  let hp = Storage_form.create vm ~class_name:"C" ~text ~links in
+  Store.set_root store "c" (Pvalue.Ref hp);
+  let uid = Registry.add_hp vm ~password:Registry.built_in_password hp in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a link past the text" what
+    | exception Editing_form.Bad_link_position { pos = 40; text_length = 11 } -> ()
+  in
+  refused "HTML export" (fun () -> ignore (Html_export.export vm hp));
+  refused "live page" (fun () -> ignore (Html_export.live_page vm ~uid));
+  refused "plain text" (fun () -> ignore (Html_export.plain_text vm hp));
+  refused ".hp" (fun () -> ignore (Hyper_source.of_storage vm hp));
+  refused "textual form" (fun () -> ignore (Textual_form.generate vm hp))
+
 let suite =
   [
     test "storage form structure (Figures 4-6)" storage_form_structure;
@@ -157,6 +198,8 @@ let suite =
     test "editing form from storage (Figure 11)" editing_form_from_storage;
     test "editing <-> storage round trip" editing_storage_roundtrip;
     test "flat conversion is an inverse" flat_conversion_inverse;
+    test "the splice orders insertions and reports origins" splice_orders_and_reports_origins;
+    test "a link position past the text is one typed error" link_position_past_the_text;
   ]
 
 (* Property: random (text, links) round-trips through the editing form. *)

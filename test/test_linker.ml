@@ -193,7 +193,15 @@ let unit_sources_stored_once () =
       (* Relink gives every class of a unit the one string stored for it. *)
       let source name = Option.get (Rt.get_class vm2 name).Rt.rc_classfile.Classfile.cf_source in
       check_bool "java.lang.Object and java.lang.String share one string" true
-        (source "java.lang.Object" == source "java.lang.String"))
+        (source "java.lang.Object" == source "java.lang.String");
+      (* A batch whose classes are all listed leaves the class-order blob
+         as it was: the very string, not a rewrite of it. *)
+      ignore (Jcompiler.compile_and_load ~redefine:true vm2 [ person_source ]);
+      let order = Option.get (Store.blob store2 Linker.order_blob) in
+      check_output "Person listed last" (String.concat "\n" vm2.Rt.load_order) order;
+      ignore (Jcompiler.compile_and_load ~redefine:true vm2 [ person_source ]);
+      check_bool "an already-listed batch keeps the order string" true
+        (Option.get (Store.blob store2 Linker.order_blob) == order))
 
 let inline_blobs_still_relink () =
   with_store_file (fun path ->
