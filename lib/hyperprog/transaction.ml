@@ -10,10 +10,10 @@
    the restored state, so classes, data and hyper-programs all revert
    together.
 
-   The commit/abort machinery itself lives in the store layer: this
-   module wraps [Store.Session.atomically] (whole-store rollback plus
-   the commit barrier — the single-owner transaction on the
-   default session) and adds the VM lifecycle on top. *)
+   The commit/abort machinery itself lives in the store layer: a
+   transaction is [Store.with_rollback] (whole-store rollback on the
+   default session) followed, on success, by the commit barrier — a
+   stabilise of a backed store — with the VM lifecycle on top. *)
 
 open Pstore
 open Minijava
@@ -33,12 +33,14 @@ let fresh_vm store =
 let transact store (body : Rt.t -> 'a) : 'a outcome =
   Obs.span (Store.obs store) Obs.Transaction (fun () ->
       match
-        Store.Session.atomically store (fun () ->
+        Store.with_rollback store (fun () ->
             let vm = fresh_vm store in
             let value = body vm in
             (value, vm))
       with
-      | Ok (value, vm) -> Committed (value, vm)
+      | Ok (value, vm) ->
+        if Store.backing store <> None then Store.stabilise store;
+        Committed (value, vm)
       | Error e ->
         (* The store is back to its pre-transaction image; discard the
            transaction's VM and boot one over the restored state. *)

@@ -7,12 +7,13 @@
     together — and a fresh VM is booted from the restored state.
 
     There is exactly one commit/abort notion in the system, and it lives
-    in the store layer: {!transact} is [Store.Session.atomically]
-    (whole-store rollback, then the commit barrier on success) plus the VM lifecycle.  The snapshot-isolated multi-client
-    variant is [Store.open_session] / [Store.Session.commit]; this
-    module is the single-owner form on the default session, and — like
-    every default-session write — it refuses to run while snapshot
-    sessions are open. *)
+    in the store layer: {!transact} is [Store.with_rollback]
+    (whole-store rollback), then the commit barrier on success (a
+    stabilise of a backed store), plus the VM lifecycle.  The
+    snapshot-isolated multi-client variant is [Store.open_session] /
+    [Store.Session.commit]; this module is the single-owner form on the
+    default session, and — like every default-session write — it
+    refuses to run while snapshot sessions are open. *)
 
 open Pstore
 open Minijava
@@ -26,11 +27,12 @@ val fresh_vm : Store.t -> Rt.t
     and installing the hyper-programming runtime. *)
 
 val transact : Store.t -> (Rt.t -> 'a) -> 'a outcome
-(** Run the body atomically ([Store.Session.atomically]): on a backed
-    store a successful transaction ends with the commit barrier — the delta is fsynced to the write-ahead journal, so
-    commits survive a crash without a full snapshot.  An abort after a
-    body that stabilised forces one full compaction, so the store
-    reopens to its pre-transaction state.
+(** Run the body under [Store.with_rollback]: on a backed store a
+    successful transaction ends with the commit barrier — the delta is
+    fsynced to the write-ahead journal, so commits survive a crash
+    without a full snapshot.  An abort after a body that stabilised
+    forces one full compaction, so the store reopens to its
+    pre-transaction state.
     @raise Invalid_argument (from the store) while snapshot sessions are
     open. *)
 

@@ -125,10 +125,10 @@ let cmd_health ?session store =
   end;
   say "degraded ops: %d\n" (Obs.count (Store.obs store) Obs.Degraded_op);
   say "io retries absorbed by this store: %d\n" stats.Store.io_retries;
-  let rs = Retry.stats () in
-  say "retry totals: %d attempts, %d retried, %d absorbed, %d exhausted\n" rs.Retry.attempts
-    rs.Retry.retries rs.Retry.absorbed rs.Retry.exhausted;
-  List.iter (fun (label, n) -> say "  %s: %d\n" label n) (Retry.counters ())
+  say "retry totals: %s\n"
+    (if (Store.config store).Store.Config.retry then
+       "on, a failed stabilise re-runs up to 3 times"
+     else "off, a failed stabilise raises")
 
 let cmd_repair store rest =
   let render (r : Store.repair_report) =
@@ -522,12 +522,11 @@ let run ~store_path ~input ~echo =
       s
     end
   in
-  (* The interactive shell absorbs transient I/O hiccups with bounded
-     retries; the `health` command surfaces the counters.  Configured
-     through the unified record so everything else recovered at open is
-     kept as-is. *)
-  Store.configure store
-    { (Store.config store) with Store.Config.retry = Some Retry.default_policy };
+  (* The interactive shell absorbs transient I/O hiccups by re-running a
+     failed stabilise; the `health` command surfaces the count.
+     Configured through the unified record so everything else recovered
+     at open is kept as-is. *)
+  Store.configure store { (Store.config store) with Store.Config.retry = true };
   match Session.create ~echo store with
   | session -> run_session ~input ~echo store session
   | exception Failure.Shard_degraded { shard; state; _ } ->

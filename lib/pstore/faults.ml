@@ -58,8 +58,8 @@ let in_scope () =
   | armed -> armed
 
 (* An EINTR storm is not one-shot: it fires [n] times before disarming,
-   modelling a burst of interrupted syscalls that a retry policy must
-   ride out.  The op never happened — no partial bytes land. *)
+   modelling a burst of interrupted syscalls that a retried stabilise
+   must ride out.  The op never happened — no partial bytes land. *)
 let storm_fire op n =
   if n <= 1 then disarm () else current := Some (Intr_storm (n - 1));
   incr fired_count;

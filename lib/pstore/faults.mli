@@ -40,8 +40,8 @@ type fault =
       (** The next [n] wrapped I/O calls raise [Unix_error (EINTR, ...)]
           without performing the operation, then the injector disarms.
           Not one-shot: a storm models a burst of interrupted syscalls
-          that a retry policy must ride out (or a circuit breaker must
-          trip on). *)
+          that a retried stabilise must ride out (or a circuit breaker
+          must trip on). *)
 
 val arm : ?shard:int -> fault -> unit
 (** Arm a fault.  Faults are one-shot (except {!Intr_storm}): firing

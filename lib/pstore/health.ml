@@ -6,9 +6,10 @@
      Healthy --(image unreadable at open)-----------> Offline
      Degraded/Offline --(Store.repair)--------------> Healthy
 
-   [failures] counts *consecutive* exhausted transient I/O failures:
-   any successful I/O on the shard resets it, so one flaky write never
-   trips the breaker — only a run of them. *)
+   [failures] counts *consecutive* failed attempts at the shard's I/O
+   (one per stabilise attempt that raised a transient error there): any
+   successful I/O on the shard resets it, so one flaky write never trips
+   the breaker — only a run of them. *)
 
 type state =
   | Healthy
@@ -17,7 +18,7 @@ type state =
 
 type t = {
   mutable state : state;
-  mutable failures : int; (* consecutive exhausted transient failures *)
+  mutable failures : int; (* consecutive failed attempts *)
   mutable trips : int; (* circuit-breaker demotions *)
   mutable degraded_reads : int; (* reads served while not healthy *)
   mutable refused_writes : int; (* writes rejected with Shard_degraded *)

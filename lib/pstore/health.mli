@@ -1,7 +1,8 @@
 (** Per-shard health tracking: the fault-domain state machine.
 
-    Each shard of a sharded store carries one tracker.  Repeated
-    exhausted transient I/O failures (the circuit breaker) or a
+    Each shard of a sharded store carries one tracker.  A run of
+    consecutive failed attempts at the shard's I/O (the circuit
+    breaker) or a
     salvage-heavy image load demote a shard to [Degraded]; an image that
     cannot be read at open marks it [Offline].  A shard that is not
     [Healthy] is read-only — reads serve from memory, writes raise the
@@ -41,7 +42,7 @@ val promote : t -> unit
 (** {1 Failure accounting} *)
 
 val note_failure : t -> unit
-(** One exhausted transient I/O failure on this shard. *)
+(** One failed attempt: shard I/O that raised a transient error. *)
 
 val note_ok : t -> unit
 (** Successful shard I/O: resets the consecutive-failure count. *)
@@ -50,7 +51,7 @@ val note_degraded_read : t -> unit
 val note_refused_write : t -> unit
 
 val failures : t -> int
-(** Consecutive exhausted transient failures since the last success. *)
+(** Consecutive failed attempts since the last success. *)
 
 val trips : t -> int
 (** Demotions (circuit-breaker trips + open-time demotions) so far. *)

@@ -26,7 +26,7 @@ type op =
   | Image_save
   | Image_load
   | Scrub_step
-  | Retry  (** transient-I/O retries absorbed *)
+  | Retry  (** stabilise re-runs after a transient failure *)
   | Quarantine_hit  (** reads refused because the target is quarantined *)
   | Gc
   | Get_link  (** registry link retrievals *)

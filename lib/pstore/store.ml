@@ -90,10 +90,9 @@ type t = {
   mutable marker_epoch : int; (* current marker file index; -1 = none yet *)
   mutable seq : int; (* store-level stabilise sequence number *)
   mutable committed : int; (* highest seq durably recorded in the marker *)
-  mutable retry : Retry.policy option; (* transient-I/O retry, opt-in *)
-  mutable breaker : int; (* consecutive exhausted failures before demotion; 0 = off *)
+  mutable retry : bool; (* re-run a transiently failed stabilise, opt-in *)
+  mutable breaker : int; (* consecutive failed attempts before demotion; 0 = off *)
   mutable unhealthy : int; (* shards currently not Healthy (hot-path gate) *)
-  mutable io_retries : int;
   mutable backing : string option;
   mutable pins : (unit -> Oid.t list) list;
   mutable stabilise_count : int;
@@ -156,6 +155,9 @@ let default_compaction_limit = 4096
 let max_shards = 64
 let default_breaker = 3
 
+(* The re-runs a transiently failed stabilise gets with [retry] on. *)
+let retries = 3
+
 (* A shard whose image load had to salvage this many entries opens
    degraded (given a neighbour, see [open_file]). *)
 let salvage_heavy = 8
@@ -165,7 +167,7 @@ module Config = struct
     durability : durability;
     compaction_limit : int;
     group_window : int;
-    retry : Retry.policy option;
+    retry : bool;
     breaker : int;
     backing : string option;
     shards : int;
@@ -176,7 +178,7 @@ module Config = struct
       durability = Journalled;
       compaction_limit = default_compaction_limit;
       group_window = 1;
-      retry = None;
+      retry = false;
       breaker = default_breaker;
       backing = None;
       shards = 1;
@@ -226,10 +228,9 @@ let make ?(obs = Obs.create ()) nshards =
       marker_epoch = -1;
       seq = 0;
       committed = 0;
-      retry = None;
+      retry = false;
       breaker = default_breaker;
       unhealthy = 0;
-      io_retries = 0;
       backing = None;
       pins = [];
       stabilise_count = 0;
@@ -276,10 +277,10 @@ let shard_oid store oid = Array.unsafe_get store.shards (shard_ix_oid store oid)
 let shard_key store key = store.shards.(shard_ix_key store key)
 
 (* The neighbour predicate.  Demoting a shard — the circuit breaker, a
-   salvage-heavy or unreadable image at open — and retrying one shard's
-   I/O apart from the rest only make sense while another shard keeps
-   serving.  A shard without a neighbour also owns the whole store, so
-   its image is the store's contents, not a slice of them. *)
+   salvage-heavy or unreadable image at open — only makes sense while
+   another shard keeps serving.  A shard without a neighbour also owns
+   the whole store, so its image is the store's contents, not a slice
+   of them. *)
 let has_neighbour store = Array.length store.shards > 1
 
 (* The layout rules, from [Manifest]. *)
@@ -299,14 +300,10 @@ let manifest_of store ~marker_epoch =
 
 let backing store = store.backing
 
-(* One policy governs every I/O class ([None] = fail fast, the
-   crash-injection tests' contract). *)
-let retry_policy store = store.retry
-
 (* -- shard health (fault domains) -----------------------------------------
 
-   Each shard is a fault domain: repeated exhausted transient I/O
-   failures (the circuit breaker), a salvage-heavy image load, or an
+   Each shard is a fault domain: a run of failed attempts at its I/O
+   (the circuit breaker), a salvage-heavy image load, or an
    unreadable image at open demote ONLY that shard.  A demoted shard is
    read-only — reads serve from memory, writes raise the typed
    [Failure.Shard_degraded] — while every other shard keeps full
@@ -380,8 +377,8 @@ let note_read_key store key =
     end
   end
 
-(* The circuit breaker: after a failed stabilise/compaction, demote
-   every shard whose consecutive exhausted-failure count crossed the
+(* The circuit breaker: after a stabilise has given up, demote every
+   shard whose count of consecutive failed attempts crossed the
    threshold.  Successful shard I/O resets the count, so only a
    persistent run of failures trips it. *)
 let trip_breakers store =
@@ -399,7 +396,7 @@ let trip_breakers store =
 type shard_health = {
   h_shard : int;
   h_state : Health.state;
-  h_failures : int; (* consecutive exhausted transient failures *)
+  h_failures : int; (* consecutive failed attempts *)
   h_trips : int;
   h_degraded_reads : int;
   h_refused_writes : int;
@@ -430,34 +427,27 @@ let first_unhealthy store =
     store.shards;
   !found
 
-(* Run one shard's I/O under its class policy.  Retries happen in place
-   (after [undo] rolls partial effects back), exhaustion feeds the
-   shard's consecutive-failure counter — the circuit breaker's input —
-   and success resets it.  Only the counters are touched here; the
-   breaker trip itself (a state transition) happens once the whole
-   stabilise has given up, in [trip_breakers].  A shard
-   without a neighbour is the whole store: its failures go straight to
-   the whole-stabilise retry. *)
-let shard_io store sh cls ?(undo = fun () -> ()) f =
-  match if has_neighbour store then store.retry else None with
-  | None -> begin
-    match f () with
-    | v ->
-      Health.note_ok sh.shealth;
-      v
-    | exception e ->
-      if Retry.transient e then Health.note_failure sh.shealth;
-      raise e
-  end
-  | Some policy ->
-    let v =
-      Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name cls)
-        ~on_retry:(fun _ _ -> undo ())
-        ~on_exhausted:(fun _ -> Health.note_failure sh.shealth)
-        f
-    in
+(* A failure a re-run may not meet again: an injected fault (the test
+   stand-in for flaky media), [Sys_error] or [Unix_error] (an EINTR
+   storm, a full disk that drains).  Anything else is a logic error that
+   a re-run would only repeat. *)
+let transient = function
+  | Faults.Fault_injected _ | Sys_error _ | Unix.Unix_error _ -> true
+  | _ -> false
+
+(* Run one shard's I/O, feeding its consecutive-failure counter — the
+   circuit breaker's input: a transient failure counts one failed
+   attempt, success resets it.  Nothing is retried here; the breaker
+   trip itself happens once the whole stabilise has given up, in
+   [trip_breakers]. *)
+let shard_io sh f =
+  match f () with
+  | v ->
     Health.note_ok sh.shealth;
     v
+  | exception e ->
+    if transient e then Health.note_failure sh.shealth;
+    raise e
 
 (* -- configuration --------------------------------------------------------- *)
 
@@ -1166,7 +1156,7 @@ let sync_dirty_shards store =
     (fun k sh ->
       if sh.sdirty && Health.healthy sh.shealth then
         Faults.with_shard_scope k (fun () ->
-            shard_io store sh Retry.Journal_append (fun () ->
+            shard_io sh (fun () ->
                 (match sh.swal with
                 | Some w -> Journal.sync w
                 | None -> ());
@@ -1179,8 +1169,8 @@ let sync_dirty_shards store =
    appending it to the marker only after every dirty journal is fsynced.
    A lone journal needs no marker, so its batches carry no number.
    Every append is fsynced before it returns.  On failure the whole
-   stabilise rolls back (see below), and [sneeds_full] routes the retry
-   through compaction. *)
+   stabilise rolls back (see below), and [sneeds_full] routes the
+   shards that took part through compaction at the next attempt. *)
 let append_delta store =
   let marker = store.marker in
   (* A demoted shard takes no part: its pending ops stay buffered (they
@@ -1206,32 +1196,17 @@ let append_delta store =
       (fun k sh ->
         match saves.(k) with
         | None -> ()
-        | Some (w, pos, depth) ->
+        | Some (w, _, _) ->
           Faults.with_shard_scope k (fun () ->
-              (* An interrupted append may have landed a torn prefix;
-                 truncating back to the savepoint restores idempotency
-                 before each retry. *)
-              shard_io store sh Retry.Journal_append
-                ~undo:(fun () -> try Journal.truncate_to w ~pos ~depth with _ -> ())
-                (fun () ->
+              shard_io sh (fun () ->
                   Journal.append_batch ?seq:stamp w (List.rev sh.spending);
                   sh.sdirty <- true)))
       store.shards;
     sync_dirty_shards store;
-    match (marker, msave) with
-    | Some marker, Some pos when seq' > store.committed ->
-      let commit () =
-        Manifest.Marker.append marker seq';
-        Faults.sync_log marker
-      in
-      (match store.retry with
-      | None -> commit ()
-      | Some policy ->
-        Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name Retry.Marker)
-          ~on_retry:(fun _ _ ->
-            store.io_retries <- store.io_retries + 1;
-            try Faults.truncate_log marker pos with _ -> ())
-          commit);
+    match marker with
+    | Some marker when seq' > store.committed ->
+      Manifest.Marker.append marker seq';
+      Faults.sync_log marker;
       store.committed <- seq'
     | _ -> ()
   with
@@ -1296,10 +1271,11 @@ let compact store path ~selected =
                 sh.sdirty <- false
               end;
               Faults.with_shard_scope k (fun () ->
-                  (* Idempotent under retry: the image write is tmp+rename
-                     and the journal create truncates — each attempt
-                     rewrites the same new-epoch paths from scratch. *)
-                  shard_io store sh Retry.Image_save (fun () ->
+                  (* Idempotent under a re-run: the image write is
+                     tmp+rename and the journal create truncates — each
+                     attempt rewrites the same new-epoch paths from
+                     scratch. *)
+                  shard_io sh (fun () ->
                       let crc =
                         Image.save ~obs:store.obs (image_file store path k e')
                           (shard_contents store c k)
@@ -1316,15 +1292,7 @@ let compact store path ~selected =
         let epochs' =
           Array.mapi (fun k sh -> if selected.(k) then sh.sepoch + 1 else sh.sepoch) store.shards
         in
-        let commit () =
-          Manifest.commit path { Manifest.nshards = n; marker_epoch = marker_epoch'; epochs = epochs' }
-        in
-        (match store.retry with
-        | None -> commit ()
-        | Some policy ->
-          Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name Retry.Compaction)
-            ~on_retry:(fun _ _ -> store.io_retries <- store.io_retries + 1)
-            commit);
+        Manifest.commit path { Manifest.nshards = n; marker_epoch = marker_epoch'; epochs = epochs' };
         (marker_epoch', epochs')
       with
       | marker_epoch', epochs' ->
@@ -1362,7 +1330,7 @@ let compact store path ~selected =
       | exception e ->
         (* nothing references the new-epoch files (the manifest rename did
            not land); the old state on disk is intact.  Drop the fresh
-           handles — retrying truncates and rewrites the same paths. *)
+           handles — a re-run truncates and rewrites the same paths. *)
         Array.iter (Option.iter (fun w -> Faults.close_log (Journal.log w))) new_wals;
         Option.iter Faults.close_log !created_marker;
         if full then store.needs_full <- true
@@ -1376,10 +1344,11 @@ let per_shard_limit store =
   (store.compaction_limit + n - 1) / n
 
 (* One stabilisation attempt.  Every failure path is idempotent, which
-   is what makes the retry wrapper below safe: a failed journal append
-   has truncated back and marked its shards for a fresh image (so a
-   retry compacts instead of appending after torn bytes), and a failed
-   compaction just rewrites the same new files from scratch. *)
+   is what makes re-running it whole safe (see [stabilise]): a failed
+   journal append has marked the shards that took part for a fresh
+   image (so the next attempt compacts them instead of appending after
+   torn bytes), and a failed compaction just rewrites the same new files
+   from scratch. *)
 let stabilise_once store path =
   let active sh = Health.healthy sh.shealth in
   (* Missing files of a DEMOTED shard don't force anything: that shard
@@ -1425,23 +1394,22 @@ let stabilise ?path store =
   in
   store.stabilise_count <- store.stabilise_count + 1;
   Obs.span store.obs Obs.Stabilise (fun () ->
-      let attempt () = stabilise_once store path in
-      let run () =
-        match store.retry with
-        | None -> attempt ()
-        | Some policy ->
-          Retry.run ~policy ~obs:store.obs ~label:(Retry.class_name Retry.Stabilise)
-            ~on_retry:(fun _ _ -> store.io_retries <- store.io_retries + 1)
-            attempt
+      (* The store's one retry boundary: with [retry] on, a transient
+         failure re-runs the whole attempt at once, up to [retries] more
+         times.  The per-shard failure counters were fed while the
+         attempts ran; the breaker trips here, once, after the whole
+         stabilise has given up. *)
+      let rec attempt n =
+        match stabilise_once store path with
+        | () -> ()
+        | exception e when store.retry && n < retries && transient e ->
+          Obs.incr store.obs Obs.Retry;
+          attempt (n + 1)
+        | exception e ->
+          trip_breakers store;
+          raise e
       in
-      match run () with
-      | () -> ()
-      | exception e ->
-        (* The per-shard failure counters were fed while the attempts
-           ran; the state transition happens here, once, after the whole
-           stabilise has given up. *)
-        trip_breakers store;
-        raise e)
+      attempt 0)
 
 (* -- open / recovery ------------------------------------------------------ *)
 
@@ -1577,21 +1545,13 @@ let open_file ?config path =
   let n = m.Manifest.nshards in
   let store = make ~obs n in
   store.backing <- Some path;
-  (* The full configuration is applied last (it must win over recovered
-     state), but the load below already consults the retry policy and
-     the breaker — install those up front. *)
-  Option.iter
-    (fun (c : Config.t) ->
-      store.retry <- c.Config.retry;
-      store.breaker <- c.Config.breaker)
-    config;
   let parts : Image.load_report option array = Array.make n None in
   let fails = Array.make n None in
   Array.iteri
     (fun k sh ->
       Faults.with_shard_scope k (fun () ->
           match
-            shard_io store sh Retry.Image_load (fun () ->
+            shard_io sh (fun () ->
                 load_image ~obs:store.obs (image_file store path k m.Manifest.epochs.(k)))
           with
           | r -> parts.(k) <- Some r
@@ -1869,7 +1829,7 @@ let stats store =
     compactions = store.compactions;
     recovered_torn_tail = store.recovered_torn;
     quarantined = quarantined_total store;
-    io_retries = store.io_retries;
+    io_retries = Obs.count store.obs Obs.Retry;
     unhealthy_shards = store.unhealthy;
   }
 
@@ -1972,8 +1932,8 @@ let with_rollback store f =
      epoch at open, reads a byte-stable view of that instant (plus its
      own writes), buffers every write privately, and publishes them all
      at once at [Session.commit] — through the same [apply_op] the
-     default session writes through, and made durable through the
-     group-commit journal.  First committer wins: a commit whose write
+     default session writes through, and made durable by the stabilise
+     that ends the commit.  First committer wins: a commit whose write
      set overlaps anything committed after its snapshot raises the typed
      [Failure.Commit_conflict] and aborts, touching nothing. *)
 
@@ -2175,19 +2135,4 @@ module Session = struct
     let blobs = Hashtbl.create 16 in
     List.iter (fun k -> Option.iter (Hashtbl.replace blobs k) (resolve_blob s k)) (blob_keys s);
     { Image.heap; roots; blobs; quarantine = merged_quarantine store }
-
-  (* -- the single-owner transaction --------------------------------------- *)
-
-  (* Run [f] against the shared store with whole-store rollback on
-     exception, then pay the commit barrier on success.  This is the
-     commit/abort notion [Hyperprog.Transaction] wraps: an atomic block
-     over the default session, not a snapshot session (it sees and
-     mutates live state, and concurrent snapshot sessions are refused by
-     [with_rollback]). *)
-  let atomically store f =
-    match with_rollback store f with
-    | Ok v ->
-      if store.backing <> None then stabilise store;
-      Ok v
-    | Error _ as e -> e
 end

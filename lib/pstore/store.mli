@@ -57,13 +57,15 @@ module Config : sig
             fsync of up to [n - 1] stabilises, was removed; every
             stabilise fsyncs.  The field stays only because the frozen
             benchmark fixtures name it, and goes with its next change *)
-    retry : Retry.policy option;
-        (** transient-I/O retry, threaded through every I/O class
-            (stabilise, image load/save, journal append, commit marker,
-            compaction); [None] = fail fast *)
+    retry : bool;
+        (** re-run a stabilise that failed with a transient error (an
+            injected fault, [Sys_error] or [Unix_error]) at once, up to
+            3 more times; [false] = fail fast.  This is the store's only
+            retry: no other I/O is retried *)
     breaker : int;
-        (** circuit breaker: consecutive exhausted transient failures on
-            one shard before it is demoted to degraded ([0] = never).
+        (** circuit breaker: consecutive failed attempts at one shard's
+            I/O before it is demoted to degraded ([0] = never); the trip
+            happens once the whole stabilise has given up.
             Demotion needs a neighbour shard that keeps serving, so a
             one-shard store never trips *)
     backing : string option;
@@ -154,7 +156,7 @@ val shard_of : t -> Oid.t -> int
 
     On a sharded store each shard is a fault domain with a three-state
     health machine: [Healthy], [Degraded reason] (the circuit breaker
-    tripped on repeated exhausted transient I/O failures, or the open
+    tripped on a run of failed attempts at the shard's I/O, or the open
     had to salvage heavily around its image), or [Offline reason] (its
     image was unreadable at open).  A shard that is not healthy is
     read-only: reads keep serving from memory (counted as degraded
@@ -165,7 +167,7 @@ val shard_of : t -> Oid.t -> int
 type shard_health = {
   h_shard : int;
   h_state : Health.state;
-  h_failures : int;  (** consecutive exhausted transient I/O failures *)
+  h_failures : int;  (** consecutive failed attempts at this shard's I/O *)
   h_trips : int;  (** demotions so far (breaker trips + open demotions) *)
   h_degraded_reads : int;  (** reads served while not healthy *)
   h_refused_writes : int;  (** writes refused with [Shard_degraded] *)
@@ -310,19 +312,6 @@ val scrub_progress : t -> Scrub.state
 (** The whole store's scrub progress: every shard's scrubber merged
     with {!Scrub.merge}. *)
 
-(** {1 Retry}
-
-    Opt-in bounded retry with full-jitter backoff for transient I/O
-    failures, threaded through every I/O class: the whole stabilise,
-    per-shard image loads and saves, journal appends (made idempotent by
-    truncating to a savepoint between attempts), the commit marker and
-    compaction commits.  One policy governs every class; exhausted
-    budgets feed the per-shard circuit breaker.  Off by default so
-    crash-injection tests observe raw failures.  Configured via
-    [Config.retry]. *)
-
-val retry_policy : t -> Retry.policy option
-
 (** {1 Blobs}
 
     Named byte strings for non-object state; the MiniJava runtime keeps its
@@ -370,7 +359,9 @@ type stats = {
   compactions : int;
   recovered_torn_tail : bool;  (** open_file dropped a torn journal tail *)
   quarantined : int;  (** objects currently quarantined *)
-  io_retries : int;  (** stabilise retries absorbed by the retry policy *)
+  io_retries : int;
+      (** stabilise re-runs after a transient failure ([Config.retry]);
+          the store's [Obs.Retry] count *)
   unhealthy_shards : int;  (** shards currently degraded or offline *)
 }
 
@@ -428,8 +419,8 @@ val with_rollback : t -> (unit -> 'a) -> ('a, exn) result
       snapshot;
     - {b atomic publication} — {!Session.commit} validates the whole
       buffer against shard health and quarantine, then applies it through
-      the same path direct writes take and the group-commit journal, so a
-      committed session is exactly as durable as the same writes made
+      the same path direct writes take and stabilises a backed store, so
+      a committed session is exactly as durable as the same writes made
       directly;
     - {b first-committer-wins} — if any object or root/blob key this
       session wrote was committed by someone else after this session's
@@ -566,12 +557,6 @@ module Session : sig
       or aborted its session is left alone.  [Failure.Commit_conflict]
       from the final commit propagates to the caller, the session having
       been aborted. *)
-
-  val atomically : store -> (unit -> 'a) -> ('a, exn) result
-  (** The single-owner transaction: run the thunk against the shared
-      store under {!with_rollback}, then pay the commit barrier on
-      success.  This is what {!Hyperprog.Transaction.transact} wraps.
-      Refused (by [with_rollback]) while snapshot sessions are open. *)
 end
 
 val open_session : t -> Session.t

@@ -1,6 +1,6 @@
 (* Shared plumbing for the chaos suites: scratch directories and
-   sharded store configs with the circuit breaker armed and the
-   zero-delay retry policy. *)
+   sharded store configs with the circuit breaker armed and retry
+   on. *)
 
 open Pstore
 include Test_support.Support
@@ -8,7 +8,7 @@ include Test_support.Support
 let with_dir f = with_dir ~prefix:"chaos" f
 let sp = Printf.sprintf
 
-let chaos_config ?(shards = 4) ?(breaker = 2) ?(retry = Some fast_policy)
+let chaos_config ?(shards = 4) ?(breaker = 2) ?(retry = true)
     ?(compaction_limit = 32) path =
   {
     Store.Config.default with

@@ -5,6 +5,8 @@
 
    - an EINTR storm small enough for the retry budget is absorbed —
      nothing degrades, nothing is lost;
+   - a storm that outlasts it fires once per stabilise attempt: the
+     whole stabilise is the one retry boundary;
    - a storm that exhausts the budget trips the per-shard circuit
      breaker: exactly that shard goes degraded read-only while the
      other N-1 shards keep full service, and repair promotes it back;
@@ -55,11 +57,10 @@ let eintr_storm_absorbed () =
   ignore (populate store);
   Store.stabilise store;
   Store.set_root store (key_for ~count:nshards 1) (Pvalue.Int 7l);
-  let before = (Retry.stats ()).Retry.absorbed in
   Faults.arm ~shard:1 (Faults.Intr_storm 2);
   Store.stabilise store;
   check_bool "storm consumed" true (Faults.armed () = None);
-  check_bool "retries absorbed the storm" true ((Retry.stats ()).Retry.absorbed > before);
+  check_bool "retries absorbed the storm" true ((Store.stats store).Store.io_retries >= 1);
   check_bool "no shard demoted" true (Store.healthy store);
   check_int "no degraded traffic" 0 (Store.stats store).Store.unhealthy_shards;
   let fp = fingerprint store in
@@ -67,6 +68,26 @@ let eintr_storm_absorbed () =
   let reopened = Store.open_file path in
   check_output "absorbed faults leave no durable trace" fp (fingerprint reopened);
   Store.close reopened
+
+(* The whole stabilise is the only retry boundary: a storm that
+   outlasts it fires once per attempt (1 + 3 re-runs), and each re-run
+   is counted once, on the store's own counter. *)
+let storm_spends_one_budget () =
+  with_dir @@ fun dir ->
+  let store, _ = make_store dir in
+  ignore (populate store);
+  Store.stabilise store;
+  Store.set_root store (key_for ~count:nshards 1) (Pvalue.Int 7l);
+  let before = Faults.fired () in
+  Faults.arm ~shard:1 (Faults.Intr_storm 1000);
+  (match Store.stabilise store with
+  | () -> Alcotest.fail "the storm should outlast the retry budget"
+  | exception e -> check_bool "failure is transient-shaped" true (transient e));
+  Faults.disarm ();
+  check_int "one fire per attempt" 4 (Faults.fired () - before);
+  check_int "three re-runs on the store's obs" 3 (Obs.count (Store.obs store) Obs.Retry);
+  check_int "the same three in stats" 3 (Store.stats store).Store.io_retries;
+  Store.close store
 
 (* -- circuit breaker + degraded mode + repair ------------------------------ *)
 
@@ -77,9 +98,9 @@ let breaker_trips_and_repair_converges () =
   Store.stabilise store;
   let key1 = key_for ~count:nshards 1 in
   Store.set_root store key1 (Pvalue.Int 41l);
-  (* more fires than the whole retry budget (outer stabilise x inner
-     append, 4 x 4 attempts): the budget exhausts and the breaker
-     (threshold 2) trips on this shard alone *)
+  (* more fires than the whole retry budget (4 stabilise attempts):
+     the budget exhausts and the breaker (threshold 2) trips on this
+     shard alone *)
   Faults.arm ~shard:1 (Faults.Intr_storm 1000);
   (match Store.stabilise store with
   | () -> Alcotest.fail "stabilise should have exhausted its retries"
@@ -147,7 +168,7 @@ let repair_on_healthy_store_is_a_noop () =
 
 let fsync_failure_mid_group_commit () =
   with_dir @@ fun dir ->
-  let store, path = make_store ~retry:None dir in
+  let store, path = make_store ~retry:false dir in
   ignore (populate store);
   Store.stabilise store;
   (* dirty three shards so the stabilise is a real multi-shard group
@@ -321,7 +342,7 @@ let crash_then_close_idempotent () =
   List.iter
     (fun kill_byte ->
       with_dir @@ fun dir ->
-      let store, path = make_store ~retry:None dir in
+      let store, path = make_store ~retry:false dir in
       ignore (populate store);
       Store.stabilise store;
       let fp_committed = fingerprint store in
@@ -357,7 +378,7 @@ let crash_then_close_idempotent () =
 
 let targeted_fault_fires_exactly_once () =
   with_dir @@ fun dir ->
-  let store, _ = make_store ~retry:None dir in
+  let store, _ = make_store ~retry:false dir in
   ignore (populate store);
   Store.stabilise store;
   (* dirty every shard so stabilise syncs all four journals while one
@@ -402,6 +423,7 @@ let out_of_scope_fault_never_fires () =
 let suite =
   [
     test "an absorbable EINTR storm degrades nothing" eintr_storm_absorbed;
+    test "an outlasting storm spends one budget of 4 attempts" storm_spends_one_budget;
     test "an exhausting storm trips one breaker; repair converges"
       breaker_trips_and_repair_converges;
     test "repair on a healthy store is a no-op" repair_on_healthy_store_is_a_noop;

@@ -1,7 +1,7 @@
 (* One model-based checker for the store contract.
 
    A case is an op list for one configuration: shards {1, 4} x retry
-   {none, zero-delay} x breaker {0, 2}.  After
+   {off, on} x breaker {0, 2}.  After
    every op — writes, sessions, stabilise and commit under faults, gc,
    scrub, crash, close, repair — the store must agree with the pure
    model (model.ml): reads, commit outcomes, refusals, where a reopen
@@ -33,7 +33,7 @@ let configs =
     [ 1; 4 ]
 
 let config_name c =
-  sp "shards %d, retry %s, breaker %d" c.shards (if c.retry then "fast" else "none") c.breaker
+  sp "shards %d, retry %s, breaker %d" c.shards (if c.retry then "on" else "off") c.breaker
 
 (* A small compaction limit, so compactions (full and per shard) land
    between faults and crashes. *)
@@ -41,7 +41,7 @@ let store_config c path =
   {
     Store.Config.default with
     Store.Config.compaction_limit = 8;
-    retry = (if c.retry then Some fast_policy else None);
+    retry = c.retry;
     breaker = c.breaker;
     backing = Some path;
     shards = c.shards;

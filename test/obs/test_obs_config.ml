@@ -11,13 +11,13 @@ let incremental_updates_compose () =
      as one whole-record configure *)
   let stepwise = Store.create () in
   Store.configure stepwise { (Store.config stepwise) with Store.Config.compaction_limit = 128 };
-  Store.configure stepwise { (Store.config stepwise) with Store.Config.retry = (Some Retry.default_policy) };
+  Store.configure stepwise { (Store.config stepwise) with Store.Config.retry = true };
   let unified = Store.create () in
   Store.configure unified
     {
       Store.Config.default with
       compaction_limit = 128;
-      retry = Some Retry.default_policy;
+      retry = true;
       backing = None;
       shards = 1;
     };
@@ -28,7 +28,7 @@ let configure_config_is_identity () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      Store.configure store { (Store.config store) with Store.Config.retry = (Some Retry.default_policy) };
+      Store.configure store { (Store.config store) with Store.Config.retry = true };
       let before = Store.config store in
       Store.configure store before;
       check_bool "configure (config s) changes nothing" true
@@ -117,7 +117,7 @@ let rejected_configure_changes_nothing () =
        {
          before with
          Store.Config.compaction_limit = 7;
-         retry = Some Retry.default_policy;
+         retry = true;
          breaker = -1;
        }
    with

@@ -150,8 +150,7 @@ let transient_fsync_absorbed () =
       ignore (Store.alloc_string store "first");
       Store.stabilise store;
       (* arm a transient failure *)
-      Store.configure store { (Store.config store) with Store.Config.retry = (Some Retry.default_policy) };
-      Retry.reset_stats ();
+      Store.configure store { (Store.config store) with Store.Config.retry = true };
       ignore (Store.alloc_string store "second");
       Faults.arm Faults.Fsync_fails;
       Store.stabilise store;
@@ -159,11 +158,8 @@ let transient_fsync_absorbed () =
       let stats = Store.stats store in
       check_bool "a retry was recorded" true (stats.Store.io_retries >= 1);
       check_bool "within the bound" true (stats.Store.io_retries <= 3);
-      let rs = Retry.stats () in
-      check_bool "operation absorbed" true (rs.Retry.absorbed >= 1);
-      check_int "nothing exhausted" 0 rs.Retry.exhausted;
-      check_bool "label counted" true
-        (List.mem_assoc "stabilise" (Retry.counters ()));
+      check_int "counted on the store's obs" stats.Store.io_retries
+        (Obs.count (Store.obs store) Obs.Retry);
       Store.close store;
       let store2 = Store.open_file path in
       check_int "both objects durable" 2 (Store.size store2))
@@ -174,7 +170,7 @@ let short_write_absorbed () =
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
       ignore (Store.alloc_string store "first");
       Store.stabilise store;
-      Store.configure store { (Store.config store) with Store.Config.retry = (Some Retry.default_policy) };
+      Store.configure store { (Store.config store) with Store.Config.retry = true };
       ignore (Store.alloc_string store "second");
       (* the journal append tears mid-record; the retry compacts *)
       Faults.arm (Faults.Short_write 3);
@@ -191,7 +187,7 @@ let rename_failure_absorbed_in_snapshot_mode () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      Store.configure store { (Store.config store) with Store.Config.retry = (Some Retry.default_policy) };
+      Store.configure store { (Store.config store) with Store.Config.retry = true };
       ignore (Store.alloc_string store "snapshot payload");
       Faults.arm Faults.Rename_fails;
       Store.stabilise store;
@@ -205,7 +201,7 @@ let no_policy_means_raw_failures () =
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
       ignore (Store.alloc_string store "x");
       Store.stabilise store;
-      check_bool "retry is opt-in" true (Store.retry_policy store = None);
+      check_bool "retry is opt-in" true ((Store.config store).Store.Config.retry = false);
       ignore (Store.alloc_string store "y");
       Faults.arm Faults.Fsync_fails;
       (match Store.stabilise store with

@@ -101,17 +101,6 @@ let with_store_file ?prefix f =
 
 (* -- fault domains --------------------------------------------------------- *)
 
-(* Full retry budget, no sleeping, no deadline: fault schedules inject
-   many faults, so backoff must cost nothing. *)
-let fast_policy =
-  {
-    Retry.retries = 3;
-    base_delay = 0.;
-    max_delay = 0.;
-    jitter = false;
-    deadline = infinity;
-  }
-
 (* A root/blob key that hashes to shard [k] of [count]. *)
 let key_for ?(tag = "k") ~count k =
   let rec go i =
@@ -120,8 +109,8 @@ let key_for ?(tag = "k") ~count k =
   in
   go 0
 
-(* Transient-looking failures: everything the retry layer classifies as
-   retryable, which is also everything an injected fault can surface as. *)
+(* Transient-looking failures: everything a retried stabilise re-runs
+   on, which is also everything an injected fault can surface as. *)
 let transient = function
   | Faults.Fault_injected _ | Sys_error _ | Unix.Unix_error _ -> true
   | _ -> false
