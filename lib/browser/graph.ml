@@ -81,19 +81,6 @@ let path_to store target =
   in
   bfs ()
 
-(* Count instances per class, for the browser's store summary. *)
-let census store =
-  let counts = Hashtbl.create 64 in
-  Heap.iter
-    (fun _ entry ->
-      let key =
-        match entry with
-        | Heap.Record r -> r.Heap.class_name
-        | Heap.Array a -> a.Heap.elem_type ^ "[]"
-        | Heap.Str _ -> "java.lang.String"
-        | Heap.Weak _ -> "<weak>"
-      in
-      Hashtbl.replace counts key (1 + Option.value (Hashtbl.find_opt counts key) ~default:0))
-    (Store.heap store);
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+(* Instances per class, for the browser's store summary: the counts the
+   heap keeps, so the cost grows with the classes, not the objects. *)
+let census store = Heap.class_counts (Store.heap store)

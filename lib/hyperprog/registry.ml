@@ -154,18 +154,14 @@ let link_status vm link_oid =
 let resolve_link vm reg ~hp ~link =
   match hp_in vm reg hp with
   | Pvalue.Ref hp_oid -> begin
-    match Storage_form.link_oids vm hp_oid with
+    match Storage_form.link_oid vm hp_oid link with
     | exception Quarantine.Quarantined (oid, reason) ->
       (* the hyper-program's own storage form is damaged *)
       Error (Failure.Quarantined { oid; reason })
-    | link_oids -> begin
-      match List.nth_opt link_oids link with
-      | None ->
-        Error
-          (Failure.Bad_index
-             { container = Printf.sprintf "hyper-program %d" hp; index = link })
-      | Some link_oid -> link_status vm link_oid
-    end
+    | None ->
+      Error
+        (Failure.Bad_index { container = Printf.sprintf "hyper-program %d" hp; index = link })
+    | Some link_oid -> link_status vm link_oid
   end
   | _ -> Error (Failure.Collected hp)
 

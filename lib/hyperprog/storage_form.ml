@@ -186,23 +186,36 @@ let uid vm hp_oid = get_int_field vm hp_oid Hyper_src.hyper_program_class "uid"
 let set_uid vm hp_oid u =
   set_field vm hp_oid Hyper_src.hyper_program_class "uid" (Pvalue.Int (Int32.of_int u))
 
-(* Oids of the HyperLinkHP instances, in vector order. *)
-let link_oids vm hp_oid =
-  let vector = get_field vm hp_oid Hyper_src.hyper_program_class "theLinks" in
-  match vector with
+(* The link vector's backing array and element count; [None] for a
+   program without a vector. *)
+let link_vector vm hp_oid =
+  match get_field vm hp_oid Hyper_src.hyper_program_class "theLinks" with
   | Pvalue.Ref vec_oid -> begin
     let data = get_field vm vec_oid "java.util.Vector" "data" in
     let count = get_int_field vm vec_oid "java.util.Vector" "count" in
     match data with
-    | Pvalue.Ref arr_oid ->
-      List.init count (fun i ->
-          match Store.elem Rt.(vm.store) arr_oid i with
-          | Pvalue.Ref oid -> oid
-          | v -> storage_error "link vector holds non-reference %s" (Pvalue.to_string v))
+    | Pvalue.Ref arr_oid -> Some (arr_oid, count)
     | _ -> storage_error "vector data is not an array"
   end
-  | Pvalue.Null -> []
+  | Pvalue.Null -> None
   | _ -> storage_error "theLinks is not a Vector"
+
+let link_at vm arr_oid i =
+  match Store.elem Rt.(vm.store) arr_oid i with
+  | Pvalue.Ref oid -> oid
+  | v -> storage_error "link vector holds non-reference %s" (Pvalue.to_string v)
+
+(* Oids of the HyperLinkHP instances, in vector order. *)
+let link_oids vm hp_oid =
+  match link_vector vm hp_oid with
+  | Some (arr_oid, count) -> List.init count (link_at vm arr_oid)
+  | None -> []
+
+(* One link's oid, reading only the vector's count and element [i]. *)
+let link_oid vm hp_oid i =
+  match link_vector vm hp_oid with
+  | Some (arr_oid, count) when i >= 0 && i < count -> Some (link_at vm arr_oid i)
+  | Some _ | None -> None
 
 let links vm hp_oid = List.map (read_link vm) (link_oids vm hp_oid)
 

@@ -36,6 +36,10 @@ val set_uid : Rt.t -> Oid.t -> int -> unit
 val link_oids : Rt.t -> Oid.t -> Oid.t list
 (** Oids of the [HyperLinkHP] instances, in vector order. *)
 
+val link_oid : Rt.t -> Oid.t -> int -> Oid.t option
+(** The oid of link [i] alone ([None] when [i] is out of range), read
+    from the vector's count and that one element. *)
+
 val links : Rt.t -> Oid.t -> link_spec list
 (** All links, decoded, in vector order. *)
 

@@ -12,7 +12,8 @@ module Protocol = Server.Protocol
 
 let help_text =
   {|commands:
-  roots | census | programs      browse the served store (snapshot view)
+  roots | programs               browse the served store (snapshot view)
+  census                         instances per class in the store's shared heap
   root NAME                      show one root
   get-link HP LINK               resolve a registered hyper-link
   edit ROOT                      start an edit buffer bound to root ROOT

@@ -1,13 +1,15 @@
 (** The store heap: a table from {!Oid.t} to objects.
 
     Object kinds: records (class instances), arrays, immutable strings and
-    weak cells.  Records have mutable class name and field array so schema
-    evolution can update instances in place without changing their oid. *)
+    weak cells.  Records have a mutable field array so schema evolution can
+    reshape instances in place without changing their oid; a record's class
+    name is fixed.  The heap keeps a live count per class beside its
+    table (see {!class_counts}). *)
 
 exception Heap_error of string
 
 type record = {
-  mutable class_name : string;
+  class_name : string;
   mutable fields : Pvalue.t array;
 }
 
@@ -72,6 +74,13 @@ val set_field : t -> Oid.t -> int -> Pvalue.t -> unit
 val set_elem : t -> Oid.t -> int -> Pvalue.t -> unit
 
 val remove : t -> Oid.t -> unit
+
+val class_counts : t -> (string * int) list
+(** Live entries per {!entry_class}, sorted by class; classes with no
+    live entry are absent.  Read from counts that {!insert}, {!remove}
+    and {!replace_all} keep, so the time is linear in the number of
+    classes, not of entries, and the answer always equals a walk. *)
+
 val iter : (Oid.t -> entry -> unit) -> t -> unit
 val fold : (Oid.t -> entry -> 'a -> 'a) -> t -> 'a -> 'a
 val oids : t -> Oid.t list

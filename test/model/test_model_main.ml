@@ -3,11 +3,12 @@
    A case is an op list for one configuration: shards {1, 4} x retry
    {off, on} x breaker {0, 2}.  After
    every op — writes, sessions, stabilise and commit under faults, gc,
-   scrub, crash, close, repair — the store must agree with the pure
-   model (model.ml): reads, commit outcomes, refusals, where a reopen
-   lands, integrity.  Every case ends with repair, stabilise and close;
-   a quiet one (no fault, no crash) must fingerprint the same on one
-   shard as on four.  A failure shrinks to a minimal op list, printed
+   rollback, scrub, crash, close, repair — the store must agree with the
+   pure model (model.ml): reads, commit outcomes, refusals, where a
+   reopen lands, integrity; and the heap's class counts must equal a
+   walk.  Every case ends with repair, stabilise and close; a quiet one
+   (no fault, no crash) must fingerprint the same on one shard as on
+   four.  A failure shrinks to a minimal op list, printed
    with [STORE_SEED=N dune build @model], which replays it.  Plain
    [dune runtest] runs a slice of every configuration; the alias sets
    STORE_FULL for the full count. *)
@@ -70,6 +71,7 @@ type op =
   | Abort of int
   | Stabilise of fault option
   | Gc
+  | Rollback  (* with_rollback over an alloc and a root write, then a raise *)
   | Scrub of int
   | Crash
   | Close
@@ -101,6 +103,7 @@ let rec show_op op =
   | Abort s -> sp "abort s%d" s
   | Stabilise f -> "stabilise" ^ under f
   | Gc -> "gc"
+  | Rollback -> "rollback"
   | Scrub b -> sp "scrub %d" b
   | Crash -> "crash"
   | Close -> "close"
@@ -151,6 +154,7 @@ let ops_gen ~quiet shards =
          (1, map (fun s -> Abort s) pick);
          (4, map (fun f -> Stabilise f) fault);
          (1, return Gc);
+         (1, return Rollback);
          (1, map (fun b -> Scrub b) (oneofl [ 1; 2; 3; 5; 16 ]));
          (1, return Close);
          (1, return Repair);
@@ -452,6 +456,17 @@ let exec r op =
     | exception Failure.Shard_degraded { shard; _ } ->
       if r.sessions <> [] then fail "gc checked shard health before open sessions";
       refused r shard)
+  | Rollback -> (
+    let body () =
+      let oid = Store.alloc_record s "Node" [| Pvalue.Null; Pvalue.Null |] in
+      Store.set_root s (sp "r%d" (Oid.to_int oid)) (Pvalue.Ref oid);
+      failwith "rolled back"
+    in
+    match Store.with_rollback s body with
+    | Ok _ -> fail "the rollback body returned"
+    | Error _ -> if r.sessions <> [] then fail "a rollback ran with sessions open"
+    | exception Invalid_argument _ ->
+      if r.sessions = [] then fail "a rollback was refused with no session open")
   | Scrub budget ->
     let rep = Store.scrub ~budget s in
     if rep.Scrub.scanned > budget then fail "scrub ~budget:%d scanned %d" budget rep.Scrub.scanned;
@@ -508,7 +523,10 @@ let run cfg ops =
         fail "after step %d (%s) direct reads diverge: %s" r.step (show_op op) (diff r.live seen);
       if Store.open_session_count r.store <> List.length r.sessions then
         fail "after step %d the store has %d sessions open, the model %d" r.step
-          (Store.open_session_count r.store) (List.length r.sessions))
+          (Store.open_session_count r.store) (List.length r.sessions);
+      let heap = Store.heap r.store in
+      if Heap.class_counts heap <> census_walk heap then
+        fail "after step %d (%s) the class counts differ from a heap walk" r.step (show_op op))
     (ops @ [ Repair; Stabilise None; Close ]);
   fingerprint r.store
 

@@ -122,6 +122,21 @@ let transient = function
    with equal fingerprints agree on all reachable state and oid identity. *)
 let fingerprint store = Image.encode (Store.contents store)
 
+(* What the heap's class counts must equal: a walk of its entries keyed
+   by [Heap.entry_class], sorted by class. *)
+let census_walk heap =
+  let module M = Map.Make (String) in
+  Heap.fold
+    (fun _ entry m ->
+      M.update (Heap.entry_class entry) (fun n -> Some (1 + Option.value n ~default:0)) m)
+    heap M.empty
+  |> M.bindings
+
+(* Fail unless the class counts of [store]'s heap equal a walk. *)
+let check_census what store =
+  let heap = Store.heap store in
+  Alcotest.(check (list (pair string int))) what (census_walk heap) (Heap.class_counts heap)
+
 (* -- scrubbing ------------------------------------------------------------ *)
 
 (* Drive the scrubber until it reports a completed pass, collecting every

@@ -151,6 +151,97 @@ let census_counts () =
   | None -> Alcotest.fail "Person missing from census");
   check_bool "strings counted" true (List.mem_assoc "java.lang.String" census)
 
+(* -- the census's class counts ------------------------------------------- *)
+
+(* The heap keeps its class counts through every way an entry enters or
+   leaves it; each case compares them with a walk. *)
+
+let persons store = List.assoc_opt "Person" (Graph.census store)
+
+let counts_after_gc () =
+  let store, _vm, _b, _, _ = setup () in
+  Alcotest.(check (option int)) "two persons" (Some 2) (persons store);
+  Store.remove_root store "vangelis";
+  Store.remove_root store "mary";
+  ignore (Store.gc store);
+  check_census "after a gc sweep" store;
+  Alcotest.(check (option int)) "the swept class is gone" None (persons store)
+
+let counts_after_abort () =
+  let store = fresh_store () in
+  let vm0 = Hyperprog.Transaction.fresh_vm store in
+  compile_into vm0 [ person_source ];
+  Store.set_root store "zara" (new_person vm0 "zara");
+  match
+    Hyperprog.Transaction.transact store (fun vm ->
+        ignore (new_person vm "ghost");
+        failwith "abort")
+  with
+  | Hyperprog.Transaction.Committed _ -> Alcotest.fail "expected abort"
+  | Hyperprog.Transaction.Aborted (_, vm) ->
+    check_census "after a rollback" store;
+    Alcotest.(check (option int)) "the ghost is rolled back" (Some 1) (persons store);
+    ignore (new_person vm "later");
+    check_census "after an insert that follows the rollback" store
+
+let counts_after_replay () =
+  with_store_file @@ fun path ->
+  let store = Store.create () in
+  Store.set_root store "keep" (Pvalue.Ref (Store.alloc_string store "kept"));
+  Store.stabilise ~path store;
+  Store.set_root store "r" (Pvalue.Ref (Store.alloc_record store "Base" [| Pvalue.Null |]));
+  Store.set_root store "a" (Pvalue.Ref (Store.alloc_array store "int" [| Pvalue.Int 1l |]));
+  Store.stabilise store;
+  Store.crash store;
+  let store = Store.open_file path in
+  Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
+  check_bool "the journal replayed" true ((Store.stats store).Store.journal_replayed > 0);
+  check_census "after a journal replay" store;
+  Alcotest.(check (list (pair string int)))
+    "one of each" [ ("Base", 1); ("int[]", 1); ("java.lang.String", 1) ] (Graph.census store)
+
+let counts_after_corruption () =
+  let store, _vm, _b, vangelis, _ = setup () in
+  Faults.corrupt_entry (Store.heap store) (oid_of vangelis);
+  check_census "after a record corruption" store;
+  Alcotest.(check (option int)) "one person left" (Some 1) (persons store);
+  Alcotest.(check (option int)) "under its flipped class" (Some 1)
+    (List.assoc_opt "Qerson" (Graph.census store))
+
+let counts_after_evolve () =
+  let store, vm = fresh_hyper_vm () in
+  compile_into vm [ "public class Point { public int x; }" ];
+  for i = 1 to 3 do
+    Store.set_root store (Printf.sprintf "p%d" i) (Vm.new_instance vm ~cls:"Point" ~desc:"()V" [])
+  done;
+  let r =
+    Hyperprog.Evolution.evolve vm ~class_name:"Point"
+      ~new_source:"public class Point { public int x; public int y; }" ()
+  in
+  check_int "three instances reshaped" 3 r.Hyperprog.Evolution.instances_updated;
+  check_census "after an evolve" store;
+  Alcotest.(check (option int)) "still three points" (Some 3)
+    (List.assoc_opt "Point" (Graph.census store))
+
+(* Minor words one census allocates over [n] instances of one class. *)
+let census_words n =
+  let store = Store.create () in
+  for _ = 1 to n do
+    ignore (Store.alloc_record store "Item" [||])
+  done;
+  ignore (Graph.census store);
+  let before = Stdlib.Gc.minor_words () in
+  ignore (Sys.opaque_identity (Graph.census store));
+  Stdlib.Gc.minor_words () -. before
+
+(* A walk allocates per object; the counts allocate per class. *)
+let census_cost_is_flat () =
+  let small = census_words 1_000 and large = census_words 10_000 in
+  check_bool
+    (Printf.sprintf "minor words: %.0f over 1,000 objects, %.0f over 10,000" small large)
+    true
+    (Float.abs (large -. small) <= 16.)
+
 let method_invocation () =
   let _store, _vm, b, vangelis, _ = setup () in
   let result =
@@ -200,6 +291,12 @@ let suite =
     test "string panels" string_panels;
     test "sharing and identity" sharing_and_identity;
     test "store census" census_counts;
+    test "census counts after a gc sweep" counts_after_gc;
+    test "census counts after a transaction abort" counts_after_abort;
+    test "census counts after a journal replay" counts_after_replay;
+    test "census counts after a record corruption" counts_after_corruption;
+    test "census counts after an evolve" counts_after_evolve;
+    test "a census allocates the same on 1,000 and 10,000 objects" census_cost_is_flat;
     test "method invocation from the browser" method_invocation;
     test "text rendering" rendering;
     test "close and bring-to-front" close_and_front;
