@@ -40,7 +40,7 @@ let as_int = Vm.as_int
 let rec install vm =
   if not (hyper_classes_loaded vm) then
     ignore (Jcompiler.compile_and_load vm Hyper_src.all_units);
-  ignore (Registry.ensure vm);
+  Registry.upgrade vm;
   register_natives vm
 
 and register_natives vm =

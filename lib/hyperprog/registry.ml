@@ -9,7 +9,14 @@
    hyper-program strongly references its HyperLinkHP instances, which
    strongly reference the linked entities — so the entities stay reachable
    as long as either the hyper-program or the compiled form's user keeps
-   them. *)
+   them.
+
+   The vector is chunked: [programs] is a directory of chunk arrays of
+   [chunk_size] weak-cell slots, and uid [n] lives at chunk
+   [n / chunk_size], slot [n mod chunk_size].  A publish writes one
+   chunk slot, so while snapshot sessions are open the store keeps a
+   pre-image of one chunk, not of the whole vector.  The Java class is
+   unchanged: the directory and the chunks are both [Object[]]. *)
 
 open Pstore
 open Minijava
@@ -38,6 +45,10 @@ type memo_stats = {
 
 let memo_stats _vm = { hits = 0; misses = 0; entries = 0; capacity = 0 }
 
+let chunk_size = 64
+
+let object_array store elems = Store.alloc_array store "Ljava.lang.Object;" elems
+
 (* Get or create the registry object rooted at [root_name].  The lookups
    below take the oid it returns, so one root lookup serves a getLink. *)
 let ensure vm =
@@ -48,10 +59,8 @@ let ensure vm =
     let reg = Rt.alloc_object vm Hyper_src.registry_class in
     let oid = match reg with Pvalue.Ref oid -> oid | _ -> assert false in
     set_field vm oid "password" (Rt.jstring vm built_in_password);
-    let arr =
-      Store.alloc_array store "Ljava.lang.Object;" (Array.make 8 Pvalue.Null)
-    in
-    set_field vm oid "programs" (Pvalue.Ref arr);
+    let dir = object_array store (Array.make 8 Pvalue.Null) in
+    set_field vm oid "programs" (Pvalue.Ref dir);
     set_field vm oid "count" (Pvalue.Int 0l);
     Store.set_root store root_name (Pvalue.Ref oid);
     oid
@@ -75,29 +84,82 @@ let programs_array vm reg =
   | Pvalue.Ref arr -> arr
   | _ -> Rt.jerror "java.lang.InternalError" "registry programs array missing"
 
+(* Where uid [idx]'s weak cell lives: its chunk, its slot and the cell.
+   [None] for a uid never registered or a slot [prune] emptied. *)
+let cell_in vm reg idx =
+  let store = Rt.(vm.store) in
+  if idx < 0 || idx >= count_in vm reg then None
+  else
+    match Store.elem store (programs_array vm reg) (idx / chunk_size) with
+    | Pvalue.Ref chunk -> (
+      let slot = idx mod chunk_size in
+      match Store.elem store chunk slot with
+      | Pvalue.Ref cell -> Some (chunk, slot, cell)
+      | _ -> None)
+    | _ -> None
+
 (* The hyper-program at index i: Null if it has been garbage collected
    or was never registered. *)
 let hp_in vm reg idx =
-  let store = Rt.(vm.store) in
-  let arr = programs_array vm reg in
-  if idx < 0 || idx >= count_in vm reg then Pvalue.Null
-  else
-    match Store.elem store arr idx with
-    | Pvalue.Ref cell -> (Store.get_weak store cell).Pstore.Heap.target
-    | _ -> Pvalue.Null
+  match cell_in vm reg idx with
+  | Some (_, _, cell) -> (Store.get_weak Rt.(vm.store) cell).Pstore.Heap.target
+  | None -> Pvalue.Null
 
 let hp_at vm idx = hp_in vm (ensure vm) idx
 
-let grow vm reg needed =
+(* The chunk holding slot [c] of the directory, allocated on first use;
+   the directory doubles when [c] is past its end. *)
+let chunk_for vm reg c =
   let store = Rt.(vm.store) in
-  let arr = programs_array vm reg in
-  let len = Store.array_length store arr in
-  if needed > len then begin
-    let bigger = Store.alloc_array store "Ljava.lang.Object;" (Array.make (max needed (2 * len)) Pvalue.Null) in
-    for i = 0 to len - 1 do
-      Store.set_elem store bigger i (Store.elem store arr i)
-    done;
-    set_field vm reg "programs" (Pvalue.Ref bigger)
+  let dir = programs_array vm reg in
+  let len = Store.array_length store dir in
+  let dir =
+    if c < len then dir
+    else begin
+      let bigger = object_array store (Array.make (max (c + 1) (2 * len)) Pvalue.Null) in
+      for i = 0 to len - 1 do
+        Store.set_elem store bigger i (Store.elem store dir i)
+      done;
+      set_field vm reg "programs" (Pvalue.Ref bigger);
+      bigger
+    end
+  in
+  match Store.elem store dir c with
+  | Pvalue.Ref chunk -> chunk
+  | _ ->
+    let chunk = object_array store (Array.make chunk_size Pvalue.Null) in
+    Store.set_elem store dir c (Pvalue.Ref chunk);
+    chunk
+
+(* Stores written before the vector was chunked hold the weak cells
+   directly in [programs].  The first slot whose entry is readable
+   tells the layouts apart: a chunk is an array, a cell is weak.  A
+   flat vector is rewritten into chunks, each uid keeping its cell. *)
+let upgrade vm =
+  let store = Rt.(vm.store) in
+  let reg = ensure vm in
+  let flat = programs_array vm reg in
+  let n = min (count_in vm reg) (Store.array_length store flat) in
+  let rec is_flat i =
+    i < n
+    &&
+    match Store.elem store flat i with
+    | Pvalue.Ref oid -> (
+      match Store.try_get store oid with
+      | Ok (Pstore.Heap.Weak _) -> true
+      | Ok _ -> false
+      | Error _ -> is_flat (i + 1))
+    | _ -> is_flat (i + 1)
+  in
+  if is_flat 0 then begin
+    let chunk c =
+      object_array store
+        (Array.init chunk_size (fun k ->
+             let i = (c * chunk_size) + k in
+             if i < n then Store.elem store flat i else Pvalue.Null))
+    in
+    let dir = Array.init ((n + chunk_size - 1) / chunk_size) (fun c -> Pvalue.Ref (chunk c)) in
+    set_field vm reg "programs" (Pvalue.Ref (object_array store dir))
   end
 
 (* Register a hyper-program (idempotent).  Returns its unique id — its
@@ -117,10 +179,9 @@ let add_hp vm ~password hp_oid =
   if still_there then existing
   else begin
     let n = count_in vm reg in
-    grow vm reg (n + 1);
-    let arr = programs_array vm reg in
+    let chunk = chunk_for vm reg (n / chunk_size) in
     let cell = Store.alloc_weak store (Pvalue.Ref hp_oid) in
-    Store.set_elem store arr n (Pvalue.Ref cell);
+    Store.set_elem store chunk (n mod chunk_size) (Pvalue.Ref cell);
     set_field vm reg "count" (Pvalue.Int (Int32.of_int (n + 1)));
     Storage_form.set_uid vm hp_oid n;
     n
@@ -256,11 +317,10 @@ type prune_stats = {
 let prune vm =
   let store = Rt.(vm.store) in
   let reg = ensure vm in
-  let arr = programs_array vm reg in
   let cleared = ref 0 in
   for i = 0 to count_in vm reg - 1 do
-    match Store.elem store arr i with
-    | Pvalue.Ref cell ->
+    match cell_in vm reg i with
+    | Some (chunk, slot, cell) ->
       let dead =
         match Store.try_get store cell with
         | Error (Failure.Dangling _) -> true
@@ -273,10 +333,10 @@ let prune vm =
         | Ok _ -> false
       in
       if dead then begin
-        Store.set_elem store arr i Pvalue.Null;
+        Store.set_elem store chunk slot Pvalue.Null;
         incr cleared
       end
-    | _ -> ()
+    | None -> ()
   done;
   let removed = ref 0 in
   List.iter

@@ -16,6 +16,12 @@ val built_in_password : string
 val ensure : Rt.t -> Oid.t
 (** Get or create the registry object. *)
 
+val upgrade : Rt.t -> unit
+(** Rewrite a registry written with the flat vector (weak cells held
+    directly in [programs]) into 64-slot chunks, keeping every uid.
+    Does nothing to a chunked registry.  Run once per open, by
+    [Dynamic_compiler.install]. *)
+
 val check_password : Rt.t -> string -> bool
 
 val count : Rt.t -> int

@@ -173,6 +173,7 @@ let cmd_stats ?session store =
   in
   session_banner session;
   say "live objects: %d\n" st.Store.live;
+  say "chain entries: %d\n" st.Store.chain_entries;
   if st.Store.unhealthy_shards > 0 then
     say "unhealthy shards: %d (see `health`)\n" st.Store.unhealthy_shards;
   List.iter

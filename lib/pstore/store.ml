@@ -109,10 +109,11 @@ type t = {
 
 (* MVCC snapshot-session state.  Populated only while snapshot sessions
    are open: version chains preserve pre-images for snapshot readers,
-   stamps feed first-committer-wins conflict detection, and everything
-   here is cleared the moment the last session closes — a store without
-   open sessions pays one list-emptiness check per write and nothing
-   else. *)
+   stamps feed first-committer-wins conflict detection, and both hold
+   only what the oldest open snapshot can still read — they are trimmed
+   whenever that snapshot closes, and emptied with the last one — so a
+   store without open sessions pays one list-emptiness check per write
+   and nothing else. *)
 and mvcc = {
   mutable commit_seq : int; (* committed-write epoch, monotone *)
   mutable direct_dirty : bool;
@@ -535,8 +536,10 @@ let pending_total store = Array.fold_left (fun acc sh -> acc + sh.spending_count
    epoch) and stamps the target with the writing epoch.  A snapshot
    reader resolves a target by walking its version chain for the oldest
    pre-image whose epoch is newer than its snapshot; commit uses the
-   stamps for first-committer-wins detection.  With no session open the
-   tables are empty and a write pays one list-emptiness check. *)
+   stamps for first-committer-wins detection.  Closing the oldest open
+   session trims the tables to what the next oldest can read
+   ([trim_chains]); with no session open they are empty and a write
+   pays one list-emptiness check. *)
 
 let sessions_open store = store.mvcc.open_sessions <> []
 let open_session_count store = List.length store.mvcc.open_sessions
@@ -579,6 +582,35 @@ let chain_pick snap chain =
     | (e, v) :: rest -> if e > snap then go (Some v) rest else best
   in
   go None chain
+
+(* Drop every chain entry and stamp no snapshot can read again: those
+   with epoch [e <= oldest], where [oldest] is the snapshot epoch of the
+   oldest open session ([max_int] with none open).  [chain_pick] takes
+   only entries newer than a snapshot, [conflicts] flags only stamps
+   newer than one, and a session opened later pins at least
+   [commit_seq].  Chains are newest first, so the dead entries are a
+   tail; a chain left empty goes. *)
+let trim_chains m oldest =
+  let trim_chain _ chain =
+    match List.filter (fun (e, _) -> e > oldest) chain with
+    | [] -> None
+    | kept -> Some kept
+  in
+  let trim_stamp _ e = if e > oldest then Some e else None in
+  Oid.Table.filter_map_inplace trim_chain m.versions;
+  Oid.Table.filter_map_inplace trim_stamp m.vstamps;
+  Hashtbl.filter_map_inplace trim_chain m.root_versions;
+  Hashtbl.filter_map_inplace trim_stamp m.root_stamps;
+  Hashtbl.filter_map_inplace trim_chain m.blob_versions;
+  Hashtbl.filter_map_inplace trim_stamp m.blob_stamps
+
+(* Entries in all six tables: chain entries plus stamps. *)
+let chain_entries m =
+  let chains fold tbl = fold (fun _ chain n -> n + List.length chain) tbl 0 in
+  chains Oid.Table.fold m.versions
+  + chains Hashtbl.fold m.root_versions
+  + chains Hashtbl.fold m.blob_versions
+  + Oid.Table.length m.vstamps + Hashtbl.length m.root_stamps + Hashtbl.length m.blob_stamps
 
 let snapshot_entry store snap oid =
   match Oid.Table.find_opt store.mvcc.versions oid with
@@ -1816,6 +1848,7 @@ type stats = {
   quarantined : int;
   io_retries : int;
   unhealthy_shards : int;
+  chain_entries : int;
 }
 
 let stats store =
@@ -1831,6 +1864,7 @@ let stats store =
     quarantined = quarantined_total store;
     io_retries = Obs.count store.obs Obs.Retry;
     unhealthy_shards = store.unhealthy;
+    chain_entries = chain_entries store.mvcc;
   }
 
 (* -- per-shard introspection ---------------------------------------------- *)
@@ -1987,19 +2021,23 @@ module Session = struct
 
   (* -- close-out: commit / abort ------------------------------------------ *)
 
+  (* The oldest open snapshot is the last one opened ([open_sessions]
+     is newest first); with none open, nothing old can be read. *)
+  let rec oldest_snapshot = function
+    | [] -> max_int
+    | [ s ] -> snapshot_epoch s
+    | _ :: rest -> oldest_snapshot rest
+
+  (* Closing the oldest snapshot raises the oldest pinned epoch, and
+     only then does a trim walk the chains: closing any other session,
+     or the same idle oldest staying open, costs nothing. *)
   let unpin s final_state =
     let m = s.s_store.mvcc in
+    let before = oldest_snapshot m.open_sessions in
     s.s_state <- final_state;
     m.open_sessions <- List.filter (fun o -> o != s) m.open_sessions;
-    if m.open_sessions = [] then begin
-      (* no snapshot can observe old versions any more *)
-      Oid.Table.reset m.versions;
-      Oid.Table.reset m.vstamps;
-      Hashtbl.reset m.root_versions;
-      Hashtbl.reset m.root_stamps;
-      Hashtbl.reset m.blob_versions;
-      Hashtbl.reset m.blob_stamps
-    end
+    let after = oldest_snapshot m.open_sessions in
+    if after > before then trim_chains m after
 
   let drop_buffer s =
     Oid.Table.reset s.s_overlay;

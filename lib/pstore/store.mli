@@ -363,6 +363,9 @@ type stats = {
       (** stabilise re-runs after a transient failure ([Config.retry]);
           the store's [Obs.Retry] count *)
   unhealthy_shards : int;  (** shards currently degraded or offline *)
+  chain_entries : int;
+      (** MVCC bookkeeping held for open snapshot sessions: version-chain
+          entries plus commit stamps; 0 with no session open *)
 }
 
 val stats : t -> stats
@@ -412,9 +415,9 @@ val with_rollback : t -> (unit -> 'a) -> ('a, exn) result
 
     - {b snapshot reads} — everything the session reads is the committed
       state as of open, byte-stable however much the shared store moves
-      on underneath (MVCC pre-image chains, kept only while at least one
-      session is open, so a store with no sessions pays one list check
-      per mutation and nothing more);
+      on underneath (MVCC pre-image chains, holding only what the oldest
+      open snapshot can read, so a store with no sessions pays one list
+      check per mutation and nothing more);
     - {b read-your-writes} — the session's own buffered writes shadow its
       snapshot;
     - {b atomic publication} — {!Session.commit} validates the whole

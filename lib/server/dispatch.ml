@@ -92,6 +92,7 @@ let render_stats c =
       Printf.sprintf "session commits: %d" (Obs.count o Obs.Session_commit);
       Printf.sprintf "commit conflicts: %d" (Obs.count o Obs.Conflict);
       Printf.sprintf "live objects: %d" st.Store.live;
+      Printf.sprintf "chain entries: %d" st.Store.chain_entries;
     ]
 
 let render_health c =
@@ -140,9 +141,10 @@ let exec c (req : Protocol.request) : Protocol.response =
     else begin
       let password = Option.get c.password in
       (* The storage form and registry entry are shared-state writes
-         (safe alongside snapshots: fresh objects, append-only vector);
-         only the root binding goes through the session, so that is the
-         write the commit race is decided on. *)
+         (safe alongside snapshots: fresh objects, and one new slot in
+         the registry's newest chunk); only the root binding goes
+         through the session, so that is the write the commit race is
+         decided on. *)
       let hp = Hyper_source.to_storage c.vm source in
       let uid = Registry.add_hp c.vm ~password hp in
       let s = session c in

@@ -5,8 +5,9 @@
    every op — writes, sessions, stabilise and commit under faults, gc,
    rollback, scrub, crash, close, repair — the store must agree with the
    pure model (model.ml): reads, commit outcomes, refusals, where a
-   reopen lands, integrity; and the heap's class counts must equal a
-   walk.  Every case ends with repair, stabilise and close; a quiet one
+   reopen lands, integrity; the heap's class counts must equal a walk;
+   and the MVCC tables must hold no more than the writes made since the
+   oldest open session opened.  Every case ends with repair, stabilise and close; a quiet one
    (no fault, no crash) must fingerprint the same on one shard as on
    four.  A failure shrinks to a minimal op list, printed
    with [STORE_SEED=N dune build @model], which replays it.  Plain
@@ -227,6 +228,8 @@ type run = {
   mutable step : int;
   mutable torn_commit : bool;  (* the last op was a commit whose stabilise failed *)
   mutable torn_stabilise : bool;  (* the last op was a stabilise that failed *)
+  mutable writes : int;  (* shared-state writes attempted so far *)
+  mutable opened_at : (Store.Session.t * int) list;  (* [writes] when each session opened *)
 }
 
 (* The cross-axis case the slice must reach: crashes right after a
@@ -313,6 +316,7 @@ let outcome r ~before = function
       (fun k ok ->
         if ok then begin
           let key = key_for ~tag:"probe" ~count:r.cfg.shards k in
+          r.writes <- r.writes + 2;
           Store.set_blob r.store key "x";
           Store.remove_blob r.store key
         end)
@@ -341,7 +345,8 @@ let reopen r ~crash =
         (List.length (Store.quarantined s)) (List.length (lost c.state));
     r.live <- c.state;
     r.legal <- [ { c with fp = Some fp } ];
-    r.sessions <- []
+    r.sessions <- [];
+    r.opened_at <- []
 
 let session r i =
   match r.sessions with [] -> None | l -> Some (List.nth l (i mod List.length l))
@@ -363,6 +368,7 @@ let show_clash (oids, keys) =
 let commit r (h, ms) fault =
   check_session (h, ms);
   let want = conflicts ms in
+  r.writes <- r.writes + Store.Session.buffered_ops h;
   let before, res = durably r fault (fun () -> Store.Session.commit h) in
   r.sessions <- List.filter (fun (h', _) -> Store.Session.is_open h') r.sessions;
   match res with
@@ -401,6 +407,7 @@ let write r st op =
 (* A direct write lands, or is refused on a demoted shard; [true] if it
    landed. *)
 let direct r (k, v, call) =
+  r.writes <- r.writes + 1;
   match call (Store.default_session r.store) with
   | () ->
     landed r k v;
@@ -414,6 +421,7 @@ let exec r op =
   match op with
   | Alloc rooted -> (
     let v = Pvalue.Int (Int32.of_int r.step) in
+    r.writes <- r.writes + 1;
     match Store.alloc_record s (if rooted then "Node" else "Junk") [| v; v |] with
     | exception Failure.Shard_degraded { shard; _ } -> refused r shard
     | oid ->
@@ -432,8 +440,11 @@ let exec r op =
           (write r (view ms) w))
       (session r i)
   | Open ->
-    if List.length r.sessions < 3 then
-      r.sessions <- (Store.open_session s, { snap = r.live; over = State.empty; touched = [] }) :: r.sessions
+    if List.length r.sessions < 3 then begin
+      let h = Store.open_session s in
+      r.opened_at <- (h, r.writes) :: r.opened_at;
+      r.sessions <- (h, { snap = r.live; over = State.empty; touched = [] }) :: r.sessions
+    end
   | Read i -> Option.iter check_session (session r i)
   | Commit (i, fault) -> Option.iter (fun hs -> commit r hs fault) (session r i)
   | Abort i ->
@@ -486,6 +497,22 @@ let exec r op =
     (* a repair compacts: everything is durable again *)
     if reports <> [] then persist r ~ok:true [ healthy_shards s ]
 
+(* A write adds at most one chain entry and one stamp, and only writes
+   made since the oldest open session opened can still be read, so the
+   tables hold at most two entries per such write — none with no
+   session open.  (The session reads checked at every commit, abort and
+   read catch a trim that drops too much.) *)
+let check_chains r op =
+  let held = (Store.stats r.store).Store.chain_entries in
+  let bound =
+    match List.rev r.sessions with
+    | [] -> 0
+    | (oldest, _) :: _ -> 2 * (r.writes - List.assq oldest r.opened_at)
+  in
+  if held > bound then
+    fail "after step %d (%s) the MVCC tables hold %d entries, at most %d may be read" r.step
+      (show_op op) held bound
+
 (* Run [ops] plus the convergence tail on a fresh store; the final
    fingerprint comes back for the shard-count equivalence check. *)
 let run cfg ops =
@@ -504,6 +531,8 @@ let run cfg ops =
       step = 0;
       torn_commit = false;
       torn_stabilise = false;
+      writes = 0;
+      opened_at = [];
     }
   in
   Fun.protect ~finally:(fun () ->
@@ -526,7 +555,8 @@ let run cfg ops =
           (Store.open_session_count r.store) (List.length r.sessions);
       let heap = Store.heap r.store in
       if Heap.class_counts heap <> census_walk heap then
-        fail "after step %d (%s) the class counts differ from a heap walk" r.step (show_op op))
+        fail "after step %d (%s) the class counts differ from a heap walk" r.step (show_op op);
+      check_chains r op)
     (ops @ [ Repair; Stabilise None; Close ]);
   fingerprint r.store
 

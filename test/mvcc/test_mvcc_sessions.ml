@@ -434,6 +434,69 @@ let with_session_commits_and_aborts () =
   check_bool "with_session aborts on raise" true (Store.root store "bad" = None);
   check_int "no sessions leak" 0 (Store.open_session_count store)
 
+(* -- trimming the version chains -------------------------------------- *)
+
+let chain_entries store = (Store.stats store).Store.chain_entries
+
+(* What two alternating sessions need at most: the array's and their
+   roots' last two epochs, each an entry and a stamp. *)
+let chain_bound = 16
+
+let churn_store () =
+  let store = Store.create () in
+  let arr = Store.alloc_array store "[I" (Array.make 4096 (ival 0)) in
+  Store.set_root store "arr" (Pvalue.Ref arr);
+  (store, arr)
+
+(* Two sessions alternate for 2,000 rounds: each round a direct write
+   sets element r of a 4,096-element array, then the older session
+   commits a write to its own root and reopens, closing the oldest
+   snapshot.  [each_round] sees the round, the session left open and
+   the element written. *)
+let alternating_churn store arr each_round =
+  let sessions = [| Store.open_session store; Store.open_session store |] in
+  for r = 1 to 2000 do
+    Store.set_elem store arr r (ival r);
+    let k = r mod 2 in
+    Store.Session.set_root sessions.(k) (sp "s%d" k) (ival r);
+    Store.Session.commit sessions.(k);
+    sessions.(k) <- Store.open_session store;
+    each_round r sessions.(1 - k)
+  done;
+  sessions
+
+let chains_trim_as_the_oldest_closes () =
+  let store, arr = churn_store () in
+  let sessions =
+    alternating_churn store arr (fun r older ->
+        (* the session left open opened before element r was written:
+           the trim must keep the element's pre-image for it *)
+        check_int (sp "round %d: the open session reads its snapshot" r) 0
+          (int_of (Store.Session.elem older arr r));
+        let held = chain_entries store in
+        if held > chain_bound then
+          Alcotest.failf "round %d: the MVCC tables hold %d entries; at most %d are readable" r
+            held chain_bound)
+  in
+  Array.iter Store.Session.abort sessions;
+  check_int "no session open, no entries" 0 (chain_entries store)
+
+let a_pinned_snapshot_keeps_its_versions () =
+  let store, arr = churn_store () in
+  let pinned = Store.open_session store in
+  let fp0 = session_fingerprint pinned in
+  let sessions = alternating_churn store arr (fun _ _ -> ()) in
+  check_bool "the chains grew while the snapshot was pinned" true
+    (chain_entries store > 2000);
+  check_output "the pinned snapshot is byte-identical" fp0 (session_fingerprint pinned);
+  Store.Session.abort pinned;
+  let held = chain_entries store in
+  if held > chain_bound then
+    Alcotest.failf "closing the pinned snapshot left %d entries; at most %d are readable" held
+      chain_bound;
+  Array.iter Store.Session.abort sessions;
+  check_int "no session open, no entries" 0 (chain_entries store)
+
 let suite =
   [
     test "snapshot reads are byte-stable under concurrent writers"
@@ -456,6 +519,10 @@ let suite =
     test "with_session commits on success and aborts on raise"
       with_session_commits_and_aborts;
     test "store, default session and snapshot session read alike" accessor_parity;
+    test "chains are trimmed each time the oldest snapshot closes"
+      chains_trim_as_the_oldest_closes;
+    test "a pinned snapshot keeps its versions until it closes"
+      a_pinned_snapshot_keeps_its_versions;
   ]
 
 let _ = sp

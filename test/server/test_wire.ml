@@ -38,6 +38,7 @@ let test_hello_gating () =
   (* and the connection still works afterwards *)
   let stats = expect_ok_text c Protocol.Stats in
   check_bool "stats mention sessions" true (contains stats "open sessions:");
+  check_bool "stats report the MVCC tables" true (contains stats "\nchain entries: ");
   Client.close c
 
 (* -- the acceptance race ----------------------------------------------------- *)

@@ -430,6 +430,179 @@ let prune_keeps_live_origins_and_other_blobs () =
     others;
   check_bool "the legacy entry goes" true (Store.blob store "hyper.ccache:feed" = None)
 
+(* -- the chunked vector ----------------------------------------------- *)
+
+let password = Registry.built_in_password
+
+let plain_program vm i =
+  Storage_form.create vm ~class_name:(Printf.sprintf "C%d" i)
+    ~text:(Printf.sprintf "class C%d { }" i) ~links:[]
+
+(* Every uid's program, as [hp_at] reads it. *)
+let uid_answers vm = List.init (Registry.count vm) (fun uid -> Registry.hp_at vm uid)
+
+let check_answers what expected vm =
+  List.iteri
+    (fun uid (want, got) ->
+      if not (Pvalue.equal want got) then
+        Alcotest.failf "%s: uid %d holds %s, expected %s" what uid (Pvalue.to_string got)
+          (Pvalue.to_string want))
+    (List.combine expected (uid_answers vm))
+
+(* Uids either side of the chunk boundaries (63, 64, 65 and 127, 128)
+   keep their programs through a prune and a stabilise-and-reopen;
+   unrooted programs are collected and read back as [Null]. *)
+let uids_survive_chunk_boundaries () =
+  with_store_file (fun path ->
+      let store =
+        Store.create ~config:{ Store.Config.default with Store.Config.backing = Some path } ()
+      in
+      let vm = Boot.boot_fresh store in
+      Dynamic_compiler.install vm;
+      let n = 130 in
+      let rooted uid = uid mod 5 <> 0 in
+      let hps = List.init n (plain_program vm) in
+      List.iteri
+        (fun i hp ->
+          check_int "uid in order" i (Registry.add_hp vm ~password hp);
+          if rooted i then Store.set_root store (Printf.sprintf "hp%d" i) (Pvalue.Ref hp))
+        hps;
+      let expected =
+        List.mapi (fun i hp -> if rooted i then Pvalue.Ref hp else Pvalue.Null) hps
+      in
+      check_answers "before gc" (List.map (fun hp -> Pvalue.Ref hp) hps) vm;
+      ignore (Store.gc store);
+      let pruned = Registry.prune vm in
+      check_int "one slot pruned per unrooted program" (n / 5) pruned.Registry.cleared_slots;
+      check_answers "after prune" expected vm;
+      check_int "live programs" (n - (n / 5)) (List.length (Registry.live_programs vm));
+      Store.stabilise store;
+      Store.close store;
+      let store = Store.open_file path in
+      let vm = Boot.vm_for store in
+      Dynamic_compiler.install vm;
+      check_int "count survives reopen" n (Registry.count vm);
+      check_answers "after reopen" expected vm;
+      let hp = plain_program vm n in
+      check_int "the next uid after reopen" n (Registry.add_hp vm ~password hp);
+      check_bool "it reads back" true (Pvalue.equal (Registry.hp_at vm n) (Pvalue.Ref hp));
+      Store.close store)
+
+(* Words one call allocates: minor + major - promoted.  The minor count
+   comes from [Gc.minor_words], which reads the allocation pointer;
+   [Gc.counters]'s minor count can lag it. *)
+let words_of f =
+  let mi0 = Stdlib.Gc.minor_words () and _, pro0, ma0 = Stdlib.Gc.counters () in
+  let v = f () in
+  let mi1 = Stdlib.Gc.minor_words () and _, pro1, ma1 = Stdlib.Gc.counters () in
+  (v, mi1 -. mi0 +. (ma1 -. ma0) -. (pro1 -. pro0))
+
+(* The words each of 64 consecutive [add_hp] calls allocates, made
+   after [base] programs are registered, with two snapshot sessions
+   open.  Between calls one session commits and reopens, as a wire
+   connection does after each publish, so every call writes in a fresh
+   epoch and the store keeps a pre-image of what it writes. *)
+let publish_words base =
+  let store, vm = fresh_hyper_vm () in
+  for i = 0 to base - 1 do
+    ignore (Registry.add_hp vm ~password (plain_program vm i))
+  done;
+  let hps = Array.init 64 (fun i -> plain_program vm (base + i)) in
+  let sessions = [| Store.open_session store; Store.open_session store |] in
+  let words =
+    Array.mapi
+      (fun i hp ->
+        let uid, words = words_of (fun () -> Registry.add_hp vm ~password hp) in
+        check_int "uid in order" (base + i) uid;
+        let k = i mod 2 in
+        Store.Session.commit sessions.(k);
+        sessions.(k) <- Store.open_session store;
+        words)
+      hps
+  in
+  Array.iter Store.Session.abort sessions;
+  words
+
+let mean words = Array.fold_left ( +. ) 0. words /. float_of_int (Array.length words)
+
+let median words =
+  let sorted = Array.copy words in
+  Array.sort Float.compare sorted;
+  sorted.(Array.length sorted / 2)
+
+(* A publish under open sessions copies one chunk, not the vector: its
+   allocation does not grow with the registry.  A flat vector copies
+   1,024 slots per publish at 1,000 programs and 4,096 at 4,000.  The
+   median is compared, not the mean: a resize of the store's own tables
+   lands in one window or the other (a few hundred thousand words) and
+   says nothing about the publish. *)
+let publish_allocation_is_bounded () =
+  let at_1000 = publish_words 1000 and at_4000 = publish_words 4000 in
+  if Float.abs (median at_4000 -. median at_1000) > 16. || median at_4000 > 512. then
+    Alcotest.failf
+      "words per add_hp: median %.0f (mean %.0f) at 1,000 programs, median %.0f (mean %.0f) at 4,000"
+      (median at_1000) (mean at_1000) (median at_4000) (mean at_4000)
+
+(* A store written before the vector was chunked holds the weak cells
+   directly in [programs]: build one as the flat [add_hp] did, then
+   check that [install] rewrites it and every read gives the flat
+   registry's answers. *)
+let flat_registry_is_upgraded () =
+  let store, vm = fresh_hyper_vm () in
+  let reg = Registry.ensure vm in
+  let slot name = Rt.field_slot vm Hyper_src.registry_class name in
+  let n = 70 in
+  let rooted uid = uid mod 3 <> 0 in
+  compile_into vm [ person_source ];
+  let person = new_person vm "ann" in
+  let links = [ { Storage_form.link = Hyperlink.L_object (oid_of person); label = "ann"; pos = 0 } ] in
+  let hps =
+    List.init n (fun i ->
+        Storage_form.create vm ~class_name:(Printf.sprintf "F%d" i)
+          ~text:(Printf.sprintf "class F%d { }" i) ~links)
+  in
+  let flat = Store.alloc_array store "Ljava.lang.Object;" (Array.make 128 Pvalue.Null) in
+  List.iteri
+    (fun i hp ->
+      let cell = Store.alloc_weak store (Pvalue.Ref hp) in
+      Store.set_elem store flat i (Pvalue.Ref cell);
+      Storage_form.set_uid vm hp i;
+      if rooted i then Store.set_root store (Printf.sprintf "f%d" i) (Pvalue.Ref hp))
+    hps;
+  Store.set_field store reg (slot "programs") (Pvalue.Ref flat);
+  Store.set_field store reg (slot "count") (Pvalue.Int (Int32.of_int n));
+  Store.set_root store "person" person;
+  ignore (Store.gc store);
+  (* uid 0 was collected and pruned by the flat prune: its slot is null *)
+  Store.set_elem store flat 0 Pvalue.Null;
+  Dynamic_compiler.install vm;
+  check_bool "install replaced the flat vector" false
+    (Pvalue.equal (Store.field store reg (slot "programs")) (Pvalue.Ref flat));
+  let expected = List.mapi (fun i hp -> if rooted i then Pvalue.Ref hp else Pvalue.Null) hps in
+  check_int "count kept" n (Registry.count vm);
+  check_answers "after install" expected vm;
+  check_bool "live programs" true
+    (Registry.live_programs vm
+    = List.filteri (fun i _ -> rooted i) (List.mapi (fun i hp -> (i, hp)) hps));
+  List.iteri
+    (fun uid _ ->
+      match Registry.try_get_link vm ~password ~hp:uid ~link:0 with
+      | Ok _ when rooted uid -> ()
+      | Error (Failure.Collected _) when not (rooted uid) -> ()
+      | r -> Alcotest.failf "getLink %d 0 gave %s" uid (render_outcome r))
+    hps;
+  let pruned = Registry.prune vm in
+  (* uids 0, 3, ..., 69 were collected; uid 0's slot was already empty *)
+  check_int "prune clears the other collected slots" 23 pruned.Registry.cleared_slots;
+  check_answers "after prune" expected vm;
+  let programs = Store.field store reg (slot "programs") in
+  Dynamic_compiler.install vm;
+  check_bool "a second install leaves the chunks alone" true
+    (Pvalue.equal programs (Store.field store reg (slot "programs")));
+  let hp = plain_program vm n in
+  check_int "the next uid" n (Registry.add_hp vm ~password hp);
+  check_bool "it reads back" true (Pvalue.equal (Registry.hp_at vm n) (Pvalue.Ref hp))
+
 let suite =
   [
     test "passwords are checked" passwords_checked;
@@ -457,6 +630,10 @@ let suite =
     test "registry persists across sessions" registry_persists;
     test "prune drops legacy compile-cache blobs" prune_drops_legacy_compile_cache_blobs;
     test "prune keeps live origins and other blobs" prune_keeps_live_origins_and_other_blobs;
+    test "uids keep their programs across chunk boundaries" uids_survive_chunk_boundaries;
+    test "a publish under open sessions allocates the same at 1,000 and 4,000 programs"
+      publish_allocation_is_bounded;
+    test "install upgrades a flat registry, keeping every answer" flat_registry_is_upgraded;
   ]
 
 let props = []
