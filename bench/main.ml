@@ -86,7 +86,7 @@ let table1 () =
     let rec find i = if String.sub t i (String.length pat) = pat then i else find (i + 1) in
     find 0
   in
-  let obj = Store.alloc_string vm.Rt.store "witness" in
+  let obj = Store.Session.alloc_string vm.Rt.session "witness" in
   ignore
     (run_group ~name:"table1"
        [
@@ -103,10 +103,10 @@ let table1 () =
 (* ---------------------------------------------------------------------- *)
 
 let figs_compose () =
-  let store, vm, persons = Workloads.vm_with_persons 2 in
+  let _store, vm, persons = Workloads.vm_with_persons 2 in
   let p1 = List.nth persons 0 and p2 = List.nth persons 1 in
   let hp = Workloads.marry_example vm p1 p2 in
-  Store.set_root store "hp" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "hp" (Pvalue.Ref hp);
   let form = Editing_form.of_storage vm hp in
   ignore
     (run_group ~name:"fig2-6"
@@ -128,10 +128,10 @@ let figs_compose () =
 (* ---------------------------------------------------------------------- *)
 
 let fig7 () =
-  let store, vm, persons = Workloads.vm_with_persons 2 in
+  let _store, vm, persons = Workloads.vm_with_persons 2 in
   let p1 = List.nth persons 0 and p2 = List.nth persons 1 in
   let hp = Workloads.marry_example vm p1 p2 in
-  Store.set_root store "hp" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "hp" (Pvalue.Ref hp);
   let uid = Registry.add_hp vm ~password:Registry.built_in_password hp in
   ignore
     (run_group ~name:"fig7"
@@ -170,10 +170,10 @@ let fig7 () =
 (* ---------------------------------------------------------------------- *)
 
 let fig8 () =
-  let store, vm, persons = Workloads.vm_with_persons 2 in
+  let _store, vm, persons = Workloads.vm_with_persons 2 in
   let p1 = List.nth persons 0 and p2 = List.nth persons 1 in
   let hp = Workloads.marry_example vm p1 p2 in
-  Store.set_root store "hp" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "hp" (Pvalue.Ref hp);
   Printf.printf "\n== Figure 8: the generated textual form ==\n%s"
     (Dynamic_compiler.generate_textual_form vm hp);
   let sized =
@@ -184,7 +184,7 @@ let fig8 () =
             ~name:(Printf.sprintf "Gen%d" links)
             ~lines:20 ~links
         in
-        Store.set_root store (Printf.sprintf "gen%d" links) (Pvalue.Ref hp);
+        Store.Session.set_root vm.Rt.session (Printf.sprintf "gen%d" links) (Pvalue.Ref hp);
         ignore (Registry.add_hp vm ~password:Registry.built_in_password hp);
         (links, hp))
       [ 0; 8; 32; 128 ]
@@ -203,10 +203,10 @@ let fig8 () =
 (* ---------------------------------------------------------------------- *)
 
 let fig9 () =
-  let store, vm, persons = Workloads.vm_with_persons 2 in
+  let _store, vm, persons = Workloads.vm_with_persons 2 in
   let p1 = List.nth persons 0 and p2 = List.nth persons 1 in
   let hp = Workloads.marry_example vm p1 p2 in
-  Store.set_root store "hp" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "hp" (Pvalue.Ref hp);
   let textual = Dynamic_compiler.generate_textual_form vm hp in
   let classfile =
     List.hd (Jcompiler.compile_units ~env:(Rt.class_env vm) [ textual ])
@@ -345,8 +345,8 @@ let fig12 () =
     let p2 =
       Vm.new_instance vm ~cls:"Person" ~desc:"(Ljava.lang.String;)V" [ Rt.jstring vm "b" ]
     in
-    Store.set_root store "a" p1;
-    Store.set_root store "b" p2;
+    Store.Session.set_root vm.Rt.session "a" p1;
+    Store.Session.set_root vm.Rt.session "b" p2;
     let _id, ed = Hyperui.Session.new_editor ~class_name:"MarryExample" session in
     Editor.User_editor.type_text ed
       "public class MarryExample {\n  public static void main(String[] args) {\n    ";
@@ -385,7 +385,7 @@ let concl_link_times () =
      - textual name: look the entity up by name through reflection, the
        way a conventional program would. *)
   let hp = Workloads.marry_example vm p1 (List.nth persons 1) in
-  Pstore.Store.set_root vm.Rt.store "hp" (Pvalue.Ref hp);
+  Pstore.Store.Session.set_root vm.Rt.session "hp" (Pvalue.Ref hp);
   let uid = Registry.add_hp vm ~password:Registry.built_in_password hp in
   let slot = Rt.field_slot vm "Person" "spouse" in
   ignore
@@ -399,7 +399,7 @@ let concl_link_times () =
                 Vm.call_virtual vm ~recv:link ~name:"getObject"
                   ~desc:"()Ljava.lang.Object;" []));
          Test.make ~name:"link-times: location link (field read)"
-           (Staged.stage (fun () -> Pstore.Store.field vm.Rt.store (oid_of p1) slot));
+           (Staged.stage (fun () -> Pstore.Store.Session.field vm.Rt.session (oid_of p1) slot));
          Test.make ~name:"link-times: textual name (forName + getMethod + invoke)"
            (Staged.stage (fun () ->
                 let mirror = Reflect.class_mirror vm "Person" in
@@ -472,7 +472,7 @@ let substrate_rollback () =
       let t0 = Unix.gettimeofday () in
       let result =
         Store.with_rollback store (fun () ->
-            ignore (Store.alloc_string store "transient");
+            ignore (Store.Session.alloc_string vm.Rt.session "transient");
             failwith "abort")
       in
       let dt = (Unix.gettimeofday () -. t0) *. 1e3 in

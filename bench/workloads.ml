@@ -32,7 +32,7 @@ let vm_with_persons n =
           Vm.new_instance vm ~cls:"Person" ~desc:"(Ljava.lang.String;)V"
             [ Rt.jstring vm (Printf.sprintf "p%d" i) ]
         in
-        Store.set_root store (Printf.sprintf "p%d" i) p;
+        Store.Session.set_root vm.Rt.session (Printf.sprintf "p%d" i) p;
         p)
   in
   (store, vm, persons)
@@ -87,7 +87,7 @@ let synthetic_hyper_program vm ~name ~lines ~links =
   let link_specs =
     List.rev !link_positions
     |> List.mapi (fun i pos ->
-           let target = Store.alloc_string vm.Rt.store (Printf.sprintf "target%d" i) in
+           let target = Store.Session.alloc_string vm.Rt.session (Printf.sprintf "target%d" i) in
            { Storage_form.link = Hyperlink.L_object target; label = Printf.sprintf "t%d" i; pos })
   in
   Storage_form.create vm ~class_name:name ~text ~links:link_specs
@@ -120,7 +120,7 @@ let evolution_workload vm ~instances =
   let objs =
     List.init instances (fun i ->
         let o = Vm.new_instance vm ~cls:"Evo" ~desc:"()V" [] in
-        Store.set_root vm.Rt.store (Printf.sprintf "evo%d" i) o;
+        Store.Session.set_root vm.Rt.session (Printf.sprintf "evo%d" i) o;
         o)
   in
   (source, objs)

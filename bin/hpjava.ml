@@ -136,7 +136,7 @@ let browse_cmd =
     (match root with
     | None -> ignore (Browser.Ocb.open_roots b)
     | Some name -> begin
-      match Store.root vm.Rt.store name with
+      match Store.Session.root vm.Rt.session name with
       | Some (Pvalue.Ref oid) -> ignore (Browser.Ocb.open_object b oid)
       | Some v -> Printf.printf "%s = %s\n" name (Pvalue.to_string v)
       | None ->
@@ -160,12 +160,13 @@ let census_cmd =
 
 let roots_cmd =
   let run path =
-    let store, _vm = session_of path in
+    let _store, vm = session_of path in
+    let session = vm.Rt.session in
     List.iter
       (fun name ->
-        let v = Option.value (Store.root store name) ~default:Pvalue.Null in
+        let v = Option.value (Store.Session.root session name) ~default:Pvalue.Null in
         Printf.printf "%-24s %s\n" name (Pvalue.to_string v))
-      (Store.root_names store)
+      (Store.Session.root_names session)
   in
   Cmd.v (Cmd.info "roots" ~doc:"List persistent roots") Term.(const run $ store_arg)
 
@@ -249,7 +250,7 @@ let new_cmd =
          "(" ^ String.concat "" (List.map (fun _ -> "Ljava.lang.String;") args) ^ ")V"
        in
        let obj = Vm.new_instance vm ~cls ~desc (List.map (Rt.jstring vm) args) in
-       Store.set_root store root obj;
+       Store.Session.set_root vm.Rt.session root obj;
        Store.stabilise store;
        Printf.printf "%s = %s\n" root (Vm.to_string vm obj)
      with Rt.Jerror { jclass; message; _ } ->
@@ -274,7 +275,8 @@ let run_hp_cmd =
     close_in ic;
     (try
        let hp = Hyper_source.to_storage vm source in
-       Store.set_root store ("hp:" ^ Filename.remove_extension (Filename.basename file)) (Pvalue.Ref hp);
+       let root = "hp:" ^ Filename.remove_extension (Filename.basename file) in
+       Store.Session.set_root vm.Rt.session root (Pvalue.Ref hp);
        if go then begin
          let principal = Dynamic_compiler.go vm hp ~argv:[] in
          Printf.printf "ran %s.main\n" principal
@@ -304,7 +306,7 @@ let print_hp_cmd =
   in
   let run path root =
     let _store, vm = session_of path in
-    match Store.root vm.Rt.store root with
+    match Store.Session.root vm.Rt.session root with
     | Some (Pvalue.Ref hp) when Storage_form.is_hyper_program vm hp -> begin
       match Hyper_source.of_storage vm hp with
       | source -> print_string source
@@ -511,8 +513,8 @@ let demo_cmd =
       Vm.new_instance vm ~cls:"Person" ~desc:"(Ljava.lang.String;)V" [ Rt.jstring vm name ]
     in
     let vangelis = mk "vangelis" and mary = mk "mary" in
-    Store.set_root store "vangelis" vangelis;
-    Store.set_root store "mary" mary;
+    Store.Session.set_root vm.Rt.session "vangelis" vangelis;
+    Store.Session.set_root vm.Rt.session "mary" mary;
     let b = Hyperui.Session.browser session in
     let roots_panel = Browser.Ocb.open_roots b in
     let _id, ed = Hyperui.Session.new_editor ~class_name:"MarryExample" session in

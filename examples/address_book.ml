@@ -62,7 +62,7 @@ let () =
       [ Rt.jstring vm name; Rt.jstring vm phone ]
   in
   let directory = Vm.new_instance vm ~cls:"Directory" ~desc:"()V" [] in
-  Store.set_root store "directory" directory;
+  Store.Session.set_root vm.Rt.session "directory" directory;
   let ada = new_contact "ada" "+44 1334 01" in
   let grace = new_contact "grace" "+44 1334 02" in
   let alan = new_contact "alan" "+44 1334 03" in
@@ -116,7 +116,7 @@ let () =
     ]
   in
   let hp = Storage_form.create vm ~class_name:"CallSheet" ~text ~links in
-  Store.set_root store "call-sheet" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "call-sheet" (Pvalue.Ref hp);
 
   print_endline "== textual form ==";
   print_string (Dynamic_compiler.generate_textual_form vm hp);

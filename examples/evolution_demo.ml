@@ -63,10 +63,10 @@ let () =
   in
   let staff = List.map (fun (n, s) -> new_employee n s) [ ("ada", 60000); ("alan", 45000); ("grace", 52000) ] in
   let arr =
-    Store.alloc_array store "LEmployee;"
+    Store.Session.alloc_array vm.Rt.session "LEmployee;"
       (Array.of_list staff)
   in
-  Store.set_root store "staff" (Pvalue.Ref arr);
+  Store.Session.set_root vm.Rt.session "staff" (Pvalue.Ref arr);
 
   (* A hyper-program linking directly to one employee. *)
   let ada_oid = match List.hd staff with Pvalue.Ref o -> o | _ -> assert false in
@@ -81,7 +81,7 @@ let () =
     Storage_form.create vm ~class_name:"Report" ~text
       ~links:[ { Storage_form.link = Hyperlink.L_object ada_oid; label = "ada"; pos = dot } ]
   in
-  Store.set_root store "report" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "report" (Pvalue.Ref hp);
 
   print_endline "== before evolution ==";
   ignore (Dynamic_compiler.go vm hp ~argv:[]);

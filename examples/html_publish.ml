@@ -24,7 +24,7 @@ let () =
   let greeter =
     Vm.new_instance vm ~cls:"Greeter" ~desc:"(Ljava.lang.String;)V" [ Rt.jstring vm "Hello" ]
   in
-  Store.set_root store "greeter" greeter;
+  Store.Session.set_root vm.Rt.session "greeter" greeter;
   let g_oid = match greeter with Pvalue.Ref o -> o | _ -> assert false in
 
   (* Two hyper-programs to publish. *)
@@ -54,8 +54,8 @@ let () =
   in
   (* Register them (compiling registers hyper-programs; do both). *)
   ignore (Dynamic_compiler.compile_hyper_programs vm [ hp1; hp2 ]);
-  Store.set_root store "hp1" (Pvalue.Ref hp1);
-  Store.set_root store "hp2" (Pvalue.Ref hp2);
+  Store.Session.set_root vm.Rt.session "hp1" (Pvalue.Ref hp1);
+  Store.Session.set_root vm.Rt.session "hp2" (Pvalue.Ref hp2);
 
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "hyper-html" in
   let exported = Html_export.export_all vm ~dir in

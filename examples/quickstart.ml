@@ -39,8 +39,8 @@ let () =
     Vm.new_instance vm ~cls:"Person" ~desc:"(Ljava.lang.String;)V" [ Rt.jstring vm name ]
   in
   let vangelis = new_person "vangelis" and mary = new_person "mary" in
-  Store.set_root store "vangelis" vangelis;
-  Store.set_root store "mary" mary;
+  Store.Session.set_root vm.Rt.session "vangelis" vangelis;
+  Store.Session.set_root vm.Rt.session "mary" mary;
   let v_oid = match vangelis with Pvalue.Ref o -> o | _ -> assert false in
   let m_oid = match mary with Pvalue.Ref o -> o | _ -> assert false in
 
@@ -72,7 +72,7 @@ let () =
     ]
   in
   let hp = Storage_form.create vm ~class_name:"MarryExample" ~text ~links in
-  Store.set_root store "marry-example" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "marry-example" (Pvalue.Ref hp);
 
   print_endline "== storage form ==";
   List.iter
@@ -98,13 +98,13 @@ let () =
   let vm2 = Boot.vm_for store2 in
   Dynamic_compiler.install vm2;
   let vangelis2 =
-    match Store.root store2 "vangelis" with
+    match Store.Session.root vm2.Rt.session "vangelis" with
     | Some v -> v
     | None -> failwith "root lost"
   in
   let spouse2 = Vm.call_virtual vm2 ~recv:vangelis2 ~name:"getSpouse" ~desc:"()LPerson;" [] in
   Printf.printf "after reopen: vangelis.getSpouse() = %s\n" (Vm.to_string vm2 spouse2);
-  (match Store.root store2 "marry-example" with
+  (match Store.Session.root vm2.Rt.session "marry-example" with
   | Some (Pvalue.Ref hp2) ->
     Printf.printf "hyper-program survived: class %s, %d links, uid %d\n"
       (Storage_form.class_name vm2 hp2)

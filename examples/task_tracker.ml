@@ -102,7 +102,7 @@ let () =
   Dynamic_compiler.install vm;
   ignore (Jcompiler.compile_and_load vm sources);
   let tracker = Vm.new_instance vm ~cls:"Tracker" ~desc:"()V" [] in
-  Store.set_root store "tracker" tracker;
+  Store.Session.set_root vm.Rt.session "tracker" tracker;
   let add title priority =
     Vm.call_virtual vm ~recv:tracker ~name:"add" ~desc:"(Ljava.lang.String;I)LTask;"
       [ Rt.jstring vm title; Pvalue.Int (Int32.of_int priority) ]
@@ -110,7 +110,7 @@ let () =
   ignore (add "write the design" 1);
   let review = add "review the draft" 2 in
   ignore (add "publish" 3);
-  Store.set_root store "task-review" review;
+  Store.Session.set_root vm.Rt.session "task-review" review;
   Store.stabilise ~path:store_path store;
   Printf.printf "session 1: created %d tasks, stabilised\n\n" 3;
 
@@ -122,7 +122,7 @@ let () =
   print_endline "session 2: the report hyper-program (authored as .hp source):";
   print_string report_hp;
   let report = Hyper_source.to_storage vm2 report_hp in
-  Store.set_root store2 "report" (Pvalue.Ref report);
+  Store.Session.set_root vm2.Rt.session "report" (Pvalue.Ref report);
   print_endline "\n== first report ==";
   ignore (Dynamic_compiler.go vm2 report ~argv:[]);
 

@@ -33,12 +33,14 @@ type path_step =
 let pp_step store ppf = function
   | From_root name -> Format.fprintf ppf "root %S" name
   | Via_field (holder, slot) ->
-    Format.fprintf ppf "%s%a.[%d]" (Store.class_of store holder) Oid.pp holder slot
+    let session = Store.default_session store in
+    Format.fprintf ppf "%s%a.[%d]" (Store.Session.class_of session holder) Oid.pp holder slot
   | Via_element (holder, idx) -> Format.fprintf ppf "%a[%d]" Oid.pp holder idx
 
 (* Breadth-first search for a path from the named roots to [target];
    explains reachability in the browser. *)
 let path_to store target =
+  let session = Store.default_session store in
   let visited = Oid.Table.create 256 in
   let queue = Queue.create () in
   Roots.iter
@@ -55,7 +57,7 @@ let path_to store target =
       let oid, path = Queue.pop queue in
       if Oid.equal oid target then Some (List.rev path)
       else begin
-        (match Store.get store oid with
+        (match Store.Session.get session oid with
         | Heap.Record r ->
           Array.iteri
             (fun slot v ->

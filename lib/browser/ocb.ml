@@ -91,8 +91,8 @@ let damaged_title oid = function
 
 let entity_title b = function
   | E_object oid -> begin
-    match Store.try_get b.vm.Rt.store oid with
-    | Ok _ -> Printf.sprintf "%s@%d" (Store.class_of b.vm.Rt.store oid) (Oid.to_int oid)
+    match Store.Session.try_get b.vm.Rt.session oid with
+    | Ok entry -> Printf.sprintf "%s@%d" (Heap.entry_class entry) (Oid.to_int oid)
     | Error e -> damaged_title oid e
   end
   | E_class name -> "class " ^ name
@@ -105,7 +105,7 @@ let entity_title b = function
 let display_value b ?(format = Display_format.default) v =
   match v with
   | Pvalue.Ref oid -> begin
-    match Store.try_get b.vm.Rt.store oid with
+    match Store.Session.try_get b.vm.Rt.session oid with
     | Error e -> damaged_title oid e
     | Ok (Heap.Str s) ->
       let s = if String.length s > format.Display_format.max_string then String.sub s 0 format.Display_format.max_string ^ "…" else s in
@@ -133,12 +133,12 @@ let value_entity v =
 (* -- rows ----------------------------------------------------------------------- *)
 
 let object_rows b oid =
-  match Store.try_get b.vm.Rt.store oid with
+  match Store.Session.try_get b.vm.Rt.session oid with
   | Error e ->
     (* A panel over a quarantined or dangling object degrades to a
        diagnosis instead of raising. *)
     let reason_rows =
-      match Store.quarantine_reason b.vm.Rt.store oid with
+      match Store.quarantine_reason (Store.Session.store b.vm.Rt.session) oid with
       | Some reason ->
         [ { row_label = "reason"; row_display = reason; row_value = None; row_location = None } ]
       | None -> []
@@ -222,7 +222,7 @@ let object_rows b oid =
         |> List.filter (fun (slot, rf) ->
                Display_format.visible_field format ~inherited:(slot < super_len) rf)
         |> List.map (fun (slot, rf) ->
-               let v = Store.field b.vm.Rt.store oid slot in
+               let v = Store.Session.field b.vm.Rt.session oid slot in
                {
                  row_label = rf.Rt.rf_name;
                  row_display = display_value b ~format v;
@@ -341,17 +341,17 @@ let method_rows _b (cls, name, desc, static) =
   ]
 
 let roots_rows b =
-  let store = b.vm.Rt.store in
+  let session = b.vm.Rt.session in
   List.map
     (fun name ->
-      let v = Option.value (Store.root store name) ~default:Pvalue.Null in
+      let v = Option.value (Store.Session.root session name) ~default:Pvalue.Null in
       {
         row_label = name;
         row_display = display_value b v;
         row_value = value_entity v;
         row_location = None;
       })
-    (Store.root_names store)
+    (Store.Session.root_names session)
 
 let rows b panel =
   match panel.entity with
@@ -382,8 +382,8 @@ let open_row b panel n =
 let open_class_of b panel =
   match panel.entity with
   | E_object oid -> begin
-    match Store.try_get b.vm.Rt.store oid with
-    | Ok _ -> Some (open_entity b (E_class (Store.class_of b.vm.Rt.store oid)))
+    match Store.Session.try_get b.vm.Rt.session oid with
+    | Ok entry -> Some (open_entity b (E_class (Heap.entry_class entry)))
     | Error _ -> None
   end
   | E_class _ | E_method _ | E_constructor _ | E_value _ | E_roots -> None

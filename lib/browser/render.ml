@@ -36,7 +36,7 @@ let panel ?(shared = Oid.Set.empty) b p =
 
 (* Render the whole browser: the four front-most panels, front first. *)
 let browser b =
-  let shared = Graph.shared_objects (Ocb.vm b).Minijava.Rt.store in
+  let shared = Graph.shared_objects (Store.Session.store (Ocb.vm b).Minijava.Rt.session) in
   let visible = List.filteri (fun i _ -> i < 4) (Ocb.panels b) in
   String.concat "\n" (List.map (panel ~shared b) visible)
 

@@ -23,7 +23,7 @@ type t = {
 let link_broken vm link =
   List.exists
     (fun oid ->
-      match Pstore.Store.try_get Rt.(vm.store) oid with
+      match Pstore.Store.Session.try_get Rt.(vm.session) oid with
       | Ok _ -> false
       | Error _ -> true)
     (Hyperlink.referenced_oids link)

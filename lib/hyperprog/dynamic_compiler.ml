@@ -66,7 +66,7 @@ and register_natives vm =
         let strings v =
           match v with
           | Pvalue.Ref oid ->
-            Array.to_list (Store.get_array Rt.(vm.store) oid).Pstore.Heap.elems
+            Array.to_list (Store.Session.get_array Rt.(vm.session) oid).Pstore.Heap.elems
             |> List.map (Rt.ocaml_string vm)
           | _ -> Rt.npe ()
         in
@@ -86,7 +86,7 @@ and register_natives vm =
       match args with
       | [ Pvalue.Ref arr ] ->
         let hps =
-          Array.to_list (Store.get_array Rt.(vm.store) arr).Pstore.Heap.elems
+          Array.to_list (Store.Session.get_array Rt.(vm.session) arr).Pstore.Heap.elems
           |> List.map (function
                | Pvalue.Ref oid -> oid
                | _ -> Rt.npe ())
@@ -100,7 +100,7 @@ and register_natives vm =
 
 and class_mirror_array vm rcs =
   let mirrors = List.map (fun rc -> Reflect.class_mirror vm rc.Rt.rc_name) rcs in
-  Pvalue.Ref (Store.alloc_array Rt.(vm.store) class_desc (Array.of_list mirrors))
+  Pvalue.Ref (Store.Session.alloc_array Rt.(vm.session) class_desc (Array.of_list mirrors))
 
 (* -- textual form -------------------------------------------------------------- *)
 
@@ -149,7 +149,8 @@ and compile_with_mode ?(mode = Auto) vm sources =
     | Forked -> "forked"
     | Auto -> "auto"
   in
-  Obs.span (Store.obs Rt.(vm.store)) Obs.Compile ~label:mode_label (fun () ->
+  let obs = Store.obs (Store.Session.store Rt.(vm.session)) in
+  Obs.span obs Obs.Compile ~label:mode_label (fun () ->
       match mode with
       | Direct -> compile_direct vm sources
       | Forked -> compile_forked vm sources
@@ -189,7 +190,7 @@ and compile_hyper_programs ?mode vm hp_oids =
       List.iter
         (fun rc ->
           if rc.Rt.rc_classfile.Classfile.cf_source = Some source then
-            Store.set_blob vm.Rt.store
+            Store.Session.set_blob vm.Rt.session
               ("hyper.origin:" ^ rc.Rt.rc_name)
               (string_of_int uid))
         rcs)
@@ -206,7 +207,7 @@ let compile_hyper_program ?mode vm hp_oid = compile_hyper_programs ?mode vm [ hp
    from a hyper-program, recover that hyper-program. *)
 
 let origin_uid_of_class vm cls =
-  match Store.blob vm.Rt.store ("hyper.origin:" ^ cls) with
+  match Store.Session.blob vm.Rt.session ("hyper.origin:" ^ cls) with
   | Some s -> int_of_string_opt s
   | None -> None
 

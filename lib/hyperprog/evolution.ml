@@ -52,13 +52,13 @@ let loaded_subclasses vm name =
 let archive_key name version = Printf.sprintf "minijava.class-archive:%s:v%d" name version
 
 let archive_old_version vm name cf =
-  let store = vm.Rt.store in
+  let session = vm.Rt.session in
   let rec free_version v =
-    if Store.blob store (archive_key name v) = None then v else free_version (v + 1)
+    if Store.Session.blob session (archive_key name v) = None then v else free_version (v + 1)
   in
   let v = free_version 1 in
   let key = archive_key name v in
-  Store.set_blob store key (Classfile.encode cf);
+  Store.Session.set_blob session key (Classfile.encode cf);
   key
 
 let count_instances vm classes =
@@ -68,7 +68,7 @@ let count_instances vm classes =
       match entry with
       | Pstore.Heap.Record r when List.mem r.Pstore.Heap.class_name classes -> incr n
       | _ -> ())
-    (Store.heap vm.Rt.store);
+    (Store.heap (Store.Session.store vm.Rt.session));
   !n
 
 (* The evolution driver. *)
@@ -106,7 +106,7 @@ let evolve ?converter ?mode vm ~class_name ~new_source () =
             (Vm.call_static vm ~cls:conv_rc.Rt.rc_name ~name:"convert" ~desc
                [ Pvalue.Ref oid ])
         | _ -> ())
-      (Store.heap vm.Rt.store)
+      (Store.heap (Store.Session.store vm.Rt.session))
   end);
   { class_name; instances_updated = instances; affected_classes = affected; old_version_blob }
 
@@ -118,9 +118,9 @@ let evolve_with ?converter ?mode vm ~class_name ~transform () =
 
 (* List archived versions of a class (version, class file). *)
 let archived_versions vm class_name =
-  let store = vm.Rt.store in
+  let session = vm.Rt.session in
   let rec go v acc =
-    match Store.blob store (archive_key class_name v) with
+    match Store.Session.blob session (archive_key class_name v) with
     | Some data -> go (v + 1) ((v, Classfile.decode data) :: acc)
     | None -> List.rev acc
   in

@@ -33,7 +33,7 @@ let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
 let parse_target vm word =
   if String.length word > 5 && String.sub word 0 5 = "root:" then begin
     let name = String.sub word 5 (String.length word - 5) in
-    match Store.root vm.Rt.store name with
+    match Store.Session.root vm.Rt.session name with
     | Some (Pvalue.Ref oid) -> oid
     | Some v -> format_error "root %s holds a primitive (%s), not an object" name (Pvalue.to_string v)
     | None -> format_error "no persistent root named %s" name
@@ -217,9 +217,9 @@ let to_storage vm source =
    root points at exactly that object. *)
 let print_target vm oid =
   let named =
-    Store.root_names vm.Rt.store
+    Store.Session.root_names vm.Rt.session
     |> List.find_opt (fun name ->
-           match Store.root vm.Rt.store name with
+           match Store.Session.root vm.Rt.session name with
            | Some (Pvalue.Ref o) -> Oid.equal o oid
            | _ -> false)
   in

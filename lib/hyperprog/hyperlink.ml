@@ -63,7 +63,7 @@ let production_of env link =
 let default_label vm link =
   match link with
   | L_object oid -> begin
-    match Store.get vm.Rt.store oid with
+    match Store.Session.get vm.Rt.session oid with
     | Pstore.Heap.Str s -> "\"" ^ (if String.length s > 12 then String.sub s 0 12 ^ "…" else s) ^ "\""
     | Pstore.Heap.Record r -> r.Pstore.Heap.class_name ^ "@" ^ string_of_int (Oid.to_int oid)
     | Pstore.Heap.Array _ -> "array@" ^ string_of_int (Oid.to_int oid)

@@ -108,9 +108,9 @@ let insertion_legal ~env (flat : Editing_form.flat) ~pos ~link =
 
 let table1_cases vm =
   let open Pstore in
-  let obj_oid = Store.alloc_string vm.Rt.store "witness" in
+  let obj_oid = Store.Session.alloc_string vm.Rt.session "witness" in
   let arr_oid =
-    Store.alloc_array vm.Rt.store "I" [| Pvalue.Int 1l; Pvalue.Int 2l |]
+    Store.Session.alloc_array vm.Rt.session "I" [| Pvalue.Int 1l; Pvalue.Int 2l |]
   in
   [
     ( "class",

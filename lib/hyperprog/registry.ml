@@ -29,10 +29,11 @@ let built_in_password = "passwd"
 let bad_password () =
   Rt.jerror "java.lang.SecurityException" "wrong password for the hyper-program registry"
 
-let field vm oid name = Store.field Rt.(vm.store) oid (Rt.field_slot vm Hyper_src.registry_class name)
+let field vm oid name =
+  Store.Session.field Rt.(vm.session) oid (Rt.field_slot vm Hyper_src.registry_class name)
 
 let set_field vm oid name v =
-  Store.set_field Rt.(vm.store) oid (Rt.field_slot vm Hyper_src.registry_class name) v
+  Store.Session.set_field Rt.(vm.session) oid (Rt.field_slot vm Hyper_src.registry_class name) v
 
 (* Kept only because the frozen benchmark reads it: there is no getLink
    memo, so every count is zero. *)
@@ -47,27 +48,27 @@ let memo_stats _vm = { hits = 0; misses = 0; entries = 0; capacity = 0 }
 
 let chunk_size = 64
 
-let object_array store elems = Store.alloc_array store "Ljava.lang.Object;" elems
+let object_array session elems = Store.Session.alloc_array session "Ljava.lang.Object;" elems
 
 (* Get or create the registry object rooted at [root_name].  The lookups
    below take the oid it returns, so one root lookup serves a getLink. *)
 let ensure vm =
-  let store = Rt.(vm.store) in
-  match Store.root store root_name with
+  let session = Rt.(vm.session) in
+  match Store.Session.root session root_name with
   | Some (Pvalue.Ref oid) -> oid
   | Some _ | None ->
     let reg = Rt.alloc_object vm Hyper_src.registry_class in
     let oid = match reg with Pvalue.Ref oid -> oid | _ -> assert false in
     set_field vm oid "password" (Rt.jstring vm built_in_password);
-    let dir = object_array store (Array.make 8 Pvalue.Null) in
+    let dir = object_array session (Array.make 8 Pvalue.Null) in
     set_field vm oid "programs" (Pvalue.Ref dir);
     set_field vm oid "count" (Pvalue.Int 0l);
-    Store.set_root store root_name (Pvalue.Ref oid);
+    Store.Session.set_root session root_name (Pvalue.Ref oid);
     oid
 
 let password_ok vm reg password =
   match field vm reg "password" with
-  | Pvalue.Ref soid -> String.equal (Store.get_string Rt.(vm.store) soid) password
+  | Pvalue.Ref soid -> String.equal (Store.Session.get_string Rt.(vm.session) soid) password
   | _ -> false
 
 let check_password vm password = password_ok vm (ensure vm) password
@@ -87,13 +88,13 @@ let programs_array vm reg =
 (* Where uid [idx]'s weak cell lives: its chunk, its slot and the cell.
    [None] for a uid never registered or a slot [prune] emptied. *)
 let cell_in vm reg idx =
-  let store = Rt.(vm.store) in
+  let session = Rt.(vm.session) in
   if idx < 0 || idx >= count_in vm reg then None
   else
-    match Store.elem store (programs_array vm reg) (idx / chunk_size) with
+    match Store.Session.elem session (programs_array vm reg) (idx / chunk_size) with
     | Pvalue.Ref chunk -> (
       let slot = idx mod chunk_size in
-      match Store.elem store chunk slot with
+      match Store.Session.elem session chunk slot with
       | Pvalue.Ref cell -> Some (chunk, slot, cell)
       | _ -> None)
     | _ -> None
@@ -102,7 +103,7 @@ let cell_in vm reg idx =
    or was never registered. *)
 let hp_in vm reg idx =
   match cell_in vm reg idx with
-  | Some (_, _, cell) -> (Store.get_weak Rt.(vm.store) cell).Pstore.Heap.target
+  | Some (_, _, cell) -> (Store.Session.get_weak Rt.(vm.session) cell).Pstore.Heap.target
   | None -> Pvalue.Null
 
 let hp_at vm idx = hp_in vm (ensure vm) idx
@@ -110,25 +111,25 @@ let hp_at vm idx = hp_in vm (ensure vm) idx
 (* The chunk holding slot [c] of the directory, allocated on first use;
    the directory doubles when [c] is past its end. *)
 let chunk_for vm reg c =
-  let store = Rt.(vm.store) in
+  let session = Rt.(vm.session) in
   let dir = programs_array vm reg in
-  let len = Store.array_length store dir in
+  let len = Store.Session.array_length session dir in
   let dir =
     if c < len then dir
     else begin
-      let bigger = object_array store (Array.make (max (c + 1) (2 * len)) Pvalue.Null) in
+      let bigger = object_array session (Array.make (max (c + 1) (2 * len)) Pvalue.Null) in
       for i = 0 to len - 1 do
-        Store.set_elem store bigger i (Store.elem store dir i)
+        Store.Session.set_elem session bigger i (Store.Session.elem session dir i)
       done;
       set_field vm reg "programs" (Pvalue.Ref bigger);
       bigger
     end
   in
-  match Store.elem store dir c with
+  match Store.Session.elem session dir c with
   | Pvalue.Ref chunk -> chunk
   | _ ->
-    let chunk = object_array store (Array.make chunk_size Pvalue.Null) in
-    Store.set_elem store dir c (Pvalue.Ref chunk);
+    let chunk = object_array session (Array.make chunk_size Pvalue.Null) in
+    Store.Session.set_elem session dir c (Pvalue.Ref chunk);
     chunk
 
 (* Stores written before the vector was chunked hold the weak cells
@@ -136,16 +137,16 @@ let chunk_for vm reg c =
    tells the layouts apart: a chunk is an array, a cell is weak.  A
    flat vector is rewritten into chunks, each uid keeping its cell. *)
 let upgrade vm =
-  let store = Rt.(vm.store) in
+  let session = Rt.(vm.session) in
   let reg = ensure vm in
   let flat = programs_array vm reg in
-  let n = min (count_in vm reg) (Store.array_length store flat) in
+  let n = min (count_in vm reg) (Store.Session.array_length session flat) in
   let rec is_flat i =
     i < n
     &&
-    match Store.elem store flat i with
+    match Store.Session.elem session flat i with
     | Pvalue.Ref oid -> (
-      match Store.try_get store oid with
+      match Store.Session.try_get session oid with
       | Ok (Pstore.Heap.Weak _) -> true
       | Ok _ -> false
       | Error _ -> is_flat (i + 1))
@@ -153,13 +154,13 @@ let upgrade vm =
   in
   if is_flat 0 then begin
     let chunk c =
-      object_array store
+      object_array session
         (Array.init chunk_size (fun k ->
              let i = (c * chunk_size) + k in
-             if i < n then Store.elem store flat i else Pvalue.Null))
+             if i < n then Store.Session.elem session flat i else Pvalue.Null))
     in
     let dir = Array.init ((n + chunk_size - 1) / chunk_size) (fun c -> Pvalue.Ref (chunk c)) in
-    set_field vm reg "programs" (Pvalue.Ref (object_array store dir))
+    set_field vm reg "programs" (Pvalue.Ref (object_array session dir))
   end
 
 (* Register a hyper-program (idempotent).  Returns its unique id — its
@@ -167,7 +168,7 @@ let upgrade vm =
 let add_hp vm ~password hp_oid =
   let reg = ensure vm in
   if not (password_ok vm reg password) then bad_password ();
-  let store = Rt.(vm.store) in
+  let session = Rt.(vm.session) in
   let existing = Storage_form.uid vm hp_oid in
   let still_there =
     existing >= 0
@@ -180,8 +181,8 @@ let add_hp vm ~password hp_oid =
   else begin
     let n = count_in vm reg in
     let chunk = chunk_for vm reg (n / chunk_size) in
-    let cell = Store.alloc_weak store (Pvalue.Ref hp_oid) in
-    Store.set_elem store chunk (n mod chunk_size) (Pvalue.Ref cell);
+    let cell = Store.Session.alloc_weak session (Pvalue.Ref hp_oid) in
+    Store.Session.set_elem session chunk (n mod chunk_size) (Pvalue.Ref cell);
     set_field vm reg "count" (Pvalue.Int (Int32.of_int (n + 1)));
     Storage_form.set_uid vm hp_oid n;
     n
@@ -194,12 +195,12 @@ let add_hp vm ~password hp_oid =
    checks report through the shared {!Failure.t}, so this is one match
    per hop. *)
 let link_damage vm link_oid =
-  let store = Rt.(vm.store) in
+  let session = Rt.(vm.session) in
   let slot = Rt.field_slot vm Hyper_src.hyper_link_class "hyperLinkObject" in
-  match Store.try_field store link_oid slot with
+  match Store.Session.try_field session link_oid slot with
   | Error e -> Some e
   | Ok (Pvalue.Ref target) -> begin
-    match Store.try_get store target with
+    match Store.Session.try_get session target with
     | Ok _ -> None
     | Error e -> Some e
   end
@@ -229,7 +230,7 @@ let resolve_link vm reg ~hp ~link =
 let try_get_link vm ~password ~hp ~link =
   let reg = ensure vm in
   if not (password_ok vm reg password) then bad_password ();
-  let obs = Store.obs Rt.(vm.store) in
+  let obs = Store.obs (Store.Session.store Rt.(vm.session)) in
   (* the span label costs a [sprintf]: only pay it while tracing *)
   let label =
     if Obs.enabled obs then Some (Printf.sprintf "hp=%d link=%d" hp link)
@@ -243,11 +244,13 @@ let try_get_link vm ~password ~hp ~link =
 let broken_link_value vm ~link damage =
   if not (Rt.is_loaded vm Hyper_src.broken_link_class) then Pvalue.Null
   else begin
-    let store = Rt.(vm.store) in
+    let session = Rt.(vm.session) in
     let v = Rt.alloc_object vm Hyper_src.broken_link_class in
     let oid = match v with Pvalue.Ref oid -> oid | _ -> assert false in
     let set name value =
-      Store.set_field store oid (Rt.field_slot vm Hyper_src.broken_link_class name) value
+      Store.Session.set_field session oid
+        (Rt.field_slot vm Hyper_src.broken_link_class name)
+        value
     in
     set "label" (Rt.jstring vm (Printf.sprintf "broken link %d" link));
     set "reason" (Rt.jstring vm (Failure.describe damage));
@@ -287,12 +290,12 @@ let origin_prefix = "hyper.origin:"
    its oid must be live too.  (A dangling anchor means the weak cell
    still holds a reference the GC should have cleared — corruption.) *)
 let origin_anchors vm =
-  let store = Rt.(vm.store) in
-  Store.blob_keys store
+  let session = Rt.(vm.session) in
+  Store.Session.blob_keys session
   |> List.filter_map (fun key ->
          if not (String.starts_with ~prefix:origin_prefix key) then None
          else
-           match Option.bind (Store.blob store key) int_of_string_opt with
+           match Option.bind (Store.Session.blob session key) int_of_string_opt with
            | None -> None
            | Some uid -> begin
              match hp_at vm uid with
@@ -315,25 +318,25 @@ type prune_stats = {
    [hyper.ccache:*] entries and [hyper.ccache.index]; nothing reads
    them, so they go too. *)
 let prune vm =
-  let store = Rt.(vm.store) in
+  let session = Rt.(vm.session) in
   let reg = ensure vm in
   let cleared = ref 0 in
   for i = 0 to count_in vm reg - 1 do
     match cell_in vm reg i with
     | Some (chunk, slot, cell) ->
       let dead =
-        match Store.try_get store cell with
+        match Store.Session.try_get session cell with
         | Error (Failure.Dangling _) -> true
         | Error _ -> false
         | Ok (Pstore.Heap.Weak c) -> begin
           match c.Pstore.Heap.target with
-          | Pvalue.Ref oid -> not (Store.is_live store oid)
+          | Pvalue.Ref oid -> not (Store.Session.is_live session oid)
           | _ -> true (* cleared by the GC *)
         end
         | Ok _ -> false
       in
       if dead then begin
-        Store.set_elem store chunk slot Pvalue.Null;
+        Store.Session.set_elem session chunk slot Pvalue.Null;
         incr cleared
       end
     | None -> ()
@@ -342,17 +345,17 @@ let prune vm =
   List.iter
     (fun key ->
       if String.starts_with ~prefix:"hyper.ccache:" key || key = "hyper.ccache.index" then
-        Store.remove_blob store key
+        Store.Session.remove_blob session key
       else if String.starts_with ~prefix:origin_prefix key then begin
         let dead =
-          match Option.bind (Store.blob store key) int_of_string_opt with
+          match Option.bind (Store.Session.blob session key) int_of_string_opt with
           | None -> true
           | Some uid -> ( match hp_in vm reg uid with Pvalue.Ref _ -> false | _ -> true)
         in
         if dead then begin
-          Store.remove_blob store key;
+          Store.Session.remove_blob session key;
           incr removed
         end
       end)
-    (Store.blob_keys store);
+    (Store.Session.blob_keys session);
   { cleared_slots = !cleared; removed_origins = !removed }

@@ -31,13 +31,13 @@ let kind_tag = function
   | Hyperlink.L_array_element _ -> 8
 
 let set_field vm oid cls name v =
-  Store.set_field Rt.(vm.store) oid (Rt.field_slot vm cls name) v
+  Store.Session.set_field Rt.(vm.session) oid (Rt.field_slot vm cls name) v
 
-let get_field vm oid cls name = Store.field Rt.(vm.store) oid (Rt.field_slot vm cls name)
+let get_field vm oid cls name = Store.Session.field Rt.(vm.session) oid (Rt.field_slot vm cls name)
 
 let get_string_field vm oid cls name =
   match get_field vm oid cls name with
-  | Pvalue.Ref soid -> Store.get_string Rt.(vm.store) soid
+  | Pvalue.Ref soid -> Store.Session.get_string Rt.(vm.session) soid
   | Pvalue.Null -> ""
   | v -> storage_error "field %s.%s is not a string (%s)" cls name (Pvalue.to_string v)
 
@@ -201,7 +201,7 @@ let link_vector vm hp_oid =
   | _ -> storage_error "theLinks is not a Vector"
 
 let link_at vm arr_oid i =
-  match Store.elem Rt.(vm.store) arr_oid i with
+  match Store.Session.elem Rt.(vm.session) arr_oid i with
   | Pvalue.Ref oid -> oid
   | v -> storage_error "link vector holds non-reference %s" (Pvalue.to_string v)
 
@@ -235,7 +235,7 @@ let describe_unreadable index reason = Printf.sprintf "unreadable hyper-link %d:
 
 (* Is this store object a HyperProgram instance? *)
 let is_hyper_program vm oid =
-  match Store.find Rt.(vm.store) oid with
+  match Store.Session.find Rt.(vm.session) oid with
   | Some (Pstore.Heap.Record r) ->
     String.equal r.Pstore.Heap.class_name Hyper_src.hyper_program_class
   | _ -> false

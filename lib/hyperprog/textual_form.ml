@@ -16,7 +16,7 @@ let type_source ty = Jtype.to_string ty
 
 (* The source form of the runtime class of a store object, for casts. *)
 let cast_type vm oid =
-  match Store.get Rt.(vm.store) oid with
+  match Store.Session.get Rt.(vm.session) oid with
   | Pstore.Heap.Record r -> r.Pstore.Heap.class_name
   | Pstore.Heap.Str _ -> Jtype.string_class
   | Pstore.Heap.Array a -> type_source (Jtype.of_descriptor a.Pstore.Heap.elem_type) ^ "[]"
@@ -53,7 +53,7 @@ let target_oid_of = function
 
 (* [Some reason] if the oid cannot be read (quarantined or dangling). *)
 let target_damage vm oid =
-  match Store.try_get Rt.(vm.store) oid with
+  match Store.Session.try_get Rt.(vm.session) oid with
   | Ok _ -> None
   | Error (Failure.Quarantined { reason; _ }) -> Some reason
   | Error e -> Some (Failure.describe e)

@@ -75,22 +75,21 @@ let say fmt = Printf.printf fmt
 (* Render one banner line for an open store session: `stats` and
    `health` must make clear that object counts are the session's
    snapshot view, never its dirty buffer. *)
-let session_banner = function
-  | Some s when Store.Session.is_snapshot s ->
+let session_banner s =
+  if Store.Session.is_snapshot s then begin
     let n = Store.Session.buffered_ops s in
     say "session %d (epoch %d): %d buffered op%s uncommitted; counts reflect the snapshot\n"
       (Store.Session.id s)
       (Store.Session.snapshot_epoch s)
       n
       (if n = 1 then "" else "s")
-  | Some _ | None -> ()
+  end
 
-let cmd_health ?session store =
-  let stats =
-    match session with
-    | Some s -> Store.Session.stats s
-    | None -> Store.stats store
-  in
+(* [session] is the shell's current handle: the active snapshot session,
+   or the store's default session, whose stats are the store's own. *)
+let cmd_health session =
+  let store = Store.Session.store session in
+  let stats = Store.Session.stats session in
   session_banner session;
   say "live objects: %d\n" stats.Store.live;
   say "scrub: %s\n" (Format.asprintf "%a" Scrub.pp_progress (Store.scrub_progress store));
@@ -162,15 +161,11 @@ let cmd_repair store rest =
        the shell stays up so the operator can retry *)
     say "repair failed: %s\n" (Printexc.to_string e)
 
-let cmd_stats ?session store =
-  let obs = Store.obs store in
+let cmd_stats session =
+  let obs = Store.obs (Store.Session.store session) in
   say "operations: %d (tracing %s)\n" (Obs.total obs)
     (if Obs.enabled obs then "on" else "off");
-  let st =
-    match session with
-    | Some s -> Store.Session.stats s
-    | None -> Store.stats store
-  in
+  let st = Store.Session.stats session in
   session_banner session;
   say "live objects: %d\n" st.Store.live;
   say "chain entries: %d\n" st.Store.chain_entries;
@@ -203,9 +198,9 @@ let maintenance ~input store =
       match split_args line with
       | [] -> ()
       | ("quit" | "exit") :: _ -> quit := true
-      | "health" :: _ -> cmd_health store
+      | "health" :: _ -> cmd_health (Store.default_session store)
       | "repair" :: rest -> cmd_repair store rest
-      | "stats" :: _ -> cmd_stats store
+      | "stats" :: _ -> cmd_stats (Store.default_session store)
       | cmd :: _ ->
         say "maintenance mode: %s unavailable (commands: health, repair [N|all], stats, \
              quit)\n"
@@ -457,9 +452,9 @@ let run_session ~input ~echo store session =
           report.Scrub.newly_quarantined
       | _ -> say "scrub: bad budget\n"
     end
-    | "health" :: _ -> cmd_health ?session:(active_session ()) store
+    | "health" :: _ -> cmd_health (cur ())
     | "repair" :: rest -> cmd_repair store rest
-    | "stats" :: _ -> cmd_stats ?session:(active_session ()) store
+    | "stats" :: _ -> cmd_stats (cur ())
     | [ "trace"; "on" ] ->
       Obs.set_enabled (Store.obs store) true;
       say "tracing on\n"

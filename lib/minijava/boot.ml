@@ -21,6 +21,7 @@ let reopen store =
 
 (* Boot or reopen, depending on whether the store already holds classes. *)
 let vm_for store =
-  match Pstore.Store.blob store Linker.order_blob with
+  let open Pstore in
+  match Store.Session.blob (Store.default_session store) Linker.order_blob with
   | Some _ -> reopen store
   | None -> boot_fresh store

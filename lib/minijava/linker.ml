@@ -60,14 +60,14 @@ let sort_batch (cfs : Classfile.t list) =
    class had no blob, and rewritten once, only if the batch adds a name. *)
 let persist_batch vm (cfs : Classfile.t list) =
   let open Pstore in
-  let store = vm.Rt.store in
+  let session = vm.Rt.session in
   let keys = ref [] in
   let key_of text =
     match List.find_opt (fun (t, _) -> String.equal t text) !keys with
     | Some (_, key) -> key
     | None ->
       let key = source_key text in
-      if Store.blob store key = None then Store.set_blob store key text;
+      if Store.Session.blob session key = None then Store.Session.set_blob session key text;
       keys := (text, key) :: !keys;
       key
   in
@@ -79,14 +79,14 @@ let persist_batch vm (cfs : Classfile.t list) =
         let source_key = Option.map key_of cf.Classfile.cf_source in
         let key = class_blob_prefix ^ cf.Classfile.cf_name in
         let data = Classfile.encode ?source_key cf in
-        let old = Store.blob store key in
-        if old <> Some data then Store.set_blob store key data;
+        let old = Store.Session.blob session key in
+        if old <> Some data then Store.Session.set_blob session key data;
         old = None)
       cfs
   in
   if fresh <> [] then begin
     let names =
-      match Store.blob store order_blob with
+      match Store.Session.blob session order_blob with
       | Some s -> String.split_on_char '\n' s |> List.filter (fun s -> s <> "")
       | None -> []
     in
@@ -94,7 +94,8 @@ let persist_batch vm (cfs : Classfile.t list) =
       List.map (fun cf -> cf.Classfile.cf_name) fresh
       |> List.filter (fun name -> not (List.mem name names))
     in
-    if added <> [] then Store.set_blob store order_blob (String.concat "\n" (names @ added))
+    if added <> [] then
+      Store.Session.set_blob session order_blob (String.concat "\n" (names @ added))
   end
 
 (* Define a batch of class files.  [persist] (default true) writes them
@@ -244,7 +245,8 @@ let remove_orphan_sources vm texts =
     (fun text ->
       if not (carried text) then begin
         let key = source_key text in
-        if Store.blob vm.Rt.store key <> None then Store.remove_blob vm.Rt.store key
+        let session = vm.Rt.session in
+        if Store.Session.blob session key <> None then Store.Session.remove_blob session key
       end)
     texts
 
@@ -261,7 +263,7 @@ let load_or_redefine_batch ?(persist = true) vm (cfs : Classfile.t list) =
        stabilise.  Flag it first: the store refuses while snapshot
        sessions are open, and a refusal must find the class, its blob
        and its instances untouched. *)
-    Pstore.Store.mark_dirty vm.Rt.store;
+    Pstore.Store.mark_dirty (Pstore.Store.Session.store vm.Rt.session);
     (* Affected classes: redefined ones plus their loaded subclasses. *)
     let subclasses =
       List.filter
@@ -297,7 +299,7 @@ let load_or_redefine_batch ?(persist = true) vm (cfs : Classfile.t list) =
     in
     List.iter (fun cls -> rebuild_layout vm (Rt.get_class vm cls)) ordered_subclasses;
     (* Reconstruct store instances of every affected class in place. *)
-    let heap = Pstore.Store.heap vm.Rt.store in
+    let heap = Pstore.Store.heap (Pstore.Store.Session.store vm.Rt.session) in
     Pstore.Heap.iter
       (fun _oid entry ->
         match entry with
@@ -319,18 +321,18 @@ let load_or_redefine_batch ?(persist = true) vm (cfs : Classfile.t list) =
    string. *)
 let relink_persisted vm =
   let open Pstore in
-  match Store.blob vm.Rt.store order_blob with
+  match Store.Session.blob vm.Rt.session order_blob with
   | None -> []
   | Some order ->
     let names = String.split_on_char '\n' order |> List.filter (fun s -> s <> "") in
     let source key =
-      match Store.blob vm.Rt.store key with
+      match Store.Session.blob vm.Rt.session key with
       | Some text -> text
       | None -> link_error "missing source blob %s" key
     in
     List.map
       (fun name ->
-        match Store.blob vm.Rt.store (class_blob_prefix ^ name) with
+        match Store.Session.blob vm.Rt.session (class_blob_prefix ^ name) with
         | Some data -> Rt.define_class vm (Classfile.decode ~source data)
         | None -> link_error "missing class blob for %s" name)
       names

@@ -31,11 +31,11 @@ let as_int = Vm.as_int
 let elems_of_array vm v =
   match v with
   | Pvalue.Null -> []
-  | Pvalue.Ref oid -> Array.to_list (Store.get_array vm.Rt.store oid).Heap.elems
+  | Pvalue.Ref oid -> Array.to_list (Store.Session.get_array vm.Rt.session oid).Heap.elems
   | _ -> bad_args ()
 
 let mirror_array vm elem_desc mirrors =
-  Pvalue.Ref (Store.alloc_array vm.Rt.store elem_desc (Array.of_list mirrors))
+  Pvalue.Ref (Store.Session.alloc_array vm.Rt.session elem_desc (Array.of_list mirrors))
 
 let install vm =
   let reg cls name desc fn = Rt.register_native vm ~cls ~name ~desc fn in
@@ -96,7 +96,7 @@ let install vm =
       let s = Rt.ocaml_string vm this in
       match other with
       | Pvalue.Ref oid -> begin
-        match Store.get vm.Rt.store oid with
+        match Store.Session.get vm.Rt.session oid with
         | Heap.Str t -> Pvalue.Bool (String.equal s t)
         | _ -> Pvalue.Bool false
       end
@@ -179,7 +179,7 @@ let install vm =
       Pvalue.Long (Int64.of_float (Unix.gettimeofday () *. 1000.)));
   reg "java.lang.System" "gc" "()V" (fun vm args ->
       (match args with [] -> () | _ -> bad_args ());
-      ignore (Store.gc vm.Rt.store);
+      ignore (Store.gc (Store.Session.store vm.Rt.session));
       Pvalue.Null);
 
   (* -- java.lang.Math ------------------------------------------------------ *)

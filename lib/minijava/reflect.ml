@@ -25,7 +25,7 @@ let alloc_with_fields vm cls (bindings : (string * Pvalue.t) list) =
     List.iter
       (fun (name, value) ->
         let slot = Rt.field_slot vm cls name in
-        Store.set_field vm.Rt.store oid slot value)
+        Store.Session.set_field vm.Rt.session oid slot value)
       bindings
   | _ -> assert false);
   v
@@ -72,7 +72,7 @@ let mirror_field vm mirror_cls v name =
   match v with
   | Pvalue.Ref oid ->
     let slot = Rt.field_slot vm mirror_cls name in
-    Rt.ocaml_string vm (Store.field vm.Rt.store oid slot)
+    Rt.ocaml_string vm (Store.Session.field vm.Rt.session oid slot)
   | _ -> Rt.npe ()
 
 (* -- boxing ----------------------------------------------------------------- *)
@@ -94,12 +94,13 @@ let unbox vm (v : Pvalue.t) (target : Jtype.t) =
   else
     match v with
     | Pvalue.Ref oid -> begin
-      match Store.get vm.Rt.store oid with
+      match Store.Session.get vm.Rt.session oid with
       | Heap.Record r
         when List.mem r.Heap.class_name
                [ "java.lang.Integer"; "java.lang.Long"; "java.lang.Double";
                  "java.lang.Boolean"; "java.lang.Character" ] -> begin
-        let inner = Store.field vm.Rt.store oid (Rt.field_slot vm r.Heap.class_name "value") in
+        let slot = Rt.field_slot vm r.Heap.class_name "value" in
+        let inner = Store.Session.field vm.Rt.session oid slot in
         match target, inner with
         | Jtype.Int, Pvalue.Int _ -> inner
         | Jtype.Long, Pvalue.Long _ -> inner
@@ -186,7 +187,7 @@ let field_get vm ~field_mirror_value ~receiver =
   | Some slot -> box vm rc.Rt.rc_statics.(slot)
   | None -> begin
     match receiver with
-    | Pvalue.Ref oid -> box vm (Store.field vm.Rt.store oid (Rt.field_slot vm cls name))
+    | Pvalue.Ref oid -> box vm (Store.Session.field vm.Rt.session oid (Rt.field_slot vm cls name))
     | _ -> Rt.npe ()
   end
 
@@ -201,7 +202,7 @@ let field_set vm ~field_mirror_value ~receiver ~value =
   | Some slot -> rc.Rt.rc_statics.(slot) <- value
   | None -> begin
     match receiver with
-    | Pvalue.Ref oid -> Store.set_field vm.Rt.store oid (Rt.field_slot vm cls name) value
+    | Pvalue.Ref oid -> Store.Session.set_field vm.Rt.session oid (Rt.field_slot vm cls name) value
     | _ -> Rt.npe ()
   end
 

@@ -64,7 +64,7 @@ type frame = {
 }
 
 type t = {
-  store : Store.t;
+  session : Store.Session.t; (* the handle every VM read and write goes through *)
   classes : (string, rclass) Hashtbl.t;
   natives : (string, native_fn) Hashtbl.t; (* key: "Class#method#desc" *)
   mutable frames : frame list;
@@ -84,7 +84,7 @@ let native_key cls name desc = cls ^ "#" ^ name ^ "#" ^ desc
 let rec create store =
   let vm =
     {
-      store;
+      session = Store.default_session store;
       classes = Hashtbl.create 64;
       natives = Hashtbl.create 64;
       frames = [];
@@ -284,7 +284,7 @@ let dispatch_class_name vm v =
   match v with
   | Pvalue.Null -> npe ()
   | Pvalue.Ref oid -> begin
-    match Store.get vm.store oid with
+    match Store.Session.get vm.session oid with
     | Heap.Record r -> r.Heap.class_name
     | Heap.Str _ -> Jtype.string_class
     | Heap.Array _ -> Jtype.object_class
@@ -294,20 +294,20 @@ let dispatch_class_name vm v =
 
 (* -- strings ---------------------------------------------------------------- *)
 
-let jstring vm s = Pvalue.Ref (Store.alloc_string vm.store s)
+let jstring vm s = Pvalue.Ref (Store.Session.alloc_string vm.session s)
 
 let jstring_interned vm s =
   match Hashtbl.find_opt vm.string_literals s with
   | Some oid -> Pvalue.Ref oid
   | None ->
-    let oid = Store.alloc_string vm.store s in
+    let oid = Store.Session.alloc_string vm.session s in
     Hashtbl.replace vm.string_literals s oid;
     Pvalue.Ref oid
 
 let ocaml_string vm v =
   match v with
   | Pvalue.Ref oid -> begin
-    match Store.get vm.store oid with
+    match Store.Session.get vm.session oid with
     | Heap.Str s -> s
     | _ -> jerror "java.lang.ClassCastException" "%s is not a String" (Oid.to_string oid)
   end
@@ -320,13 +320,13 @@ let alloc_object vm cls =
   let rc = get_class vm cls in
   if rc.rc_interface then jerror "java.lang.InstantiationError" "interface %s" cls;
   let fields = Array.map (fun f -> default_value f.rf_type) rc.rc_layout in
-  Pvalue.Ref (Store.alloc_record vm.store cls fields)
+  Pvalue.Ref (Store.Session.alloc_record vm.session cls fields)
 
 let alloc_array vm elem_desc len =
   if len < 0 then jerror "java.lang.NegativeArraySizeException" "%d" len;
   let elem_ty = Jtype.of_descriptor elem_desc in
   let elems = Array.make len (default_value elem_ty) in
-  Pvalue.Ref (Store.alloc_array vm.store elem_desc elems)
+  Pvalue.Ref (Store.Session.alloc_array vm.session elem_desc elems)
 
 (* -- subtyping at run time --------------------------------------------------- *)
 
@@ -362,7 +362,7 @@ let value_conforms vm v desc =
   | Pvalue.Null -> true
   | Pvalue.Ref oid -> begin
     let actual =
-      match Store.get vm.store oid with
+      match Store.Session.get vm.session oid with
       | Heap.Record r -> Jtype.descriptor (Jtype.Class r.Heap.class_name)
       | Heap.Str _ -> Jtype.descriptor (Jtype.Class Jtype.string_class)
       | Heap.Array a -> "[" ^ a.Heap.elem_type

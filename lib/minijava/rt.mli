@@ -64,7 +64,9 @@ type frame = {
 }
 
 type t = {
-  store : Store.t;
+  session : Store.Session.t;
+      (** the handle every VM read and write goes through: the store's
+          default session *)
   classes : (string, rclass) Hashtbl.t;
   natives : (string, native_fn) Hashtbl.t;
   mutable frames : frame list;
@@ -83,7 +85,8 @@ and native_fn = t -> Pvalue.t list -> Pvalue.t
 val native_key : string -> string -> string -> string
 
 val create : Store.t -> t
-(** A VM over a store; registers the GC pin callback. *)
+(** A VM over a store's default session; registers the GC pin
+    callback. *)
 
 val register_native : t -> cls:string -> name:string -> desc:string -> native_fn -> unit
 

@@ -420,7 +420,7 @@ and exec_frame vm frame code =
       match recv with
       | Pvalue.Ref oid ->
         let slot = Rt.field_slot vm c f in
-        push (Store.field vm.Rt.store oid slot);
+        push (Store.Session.field vm.Rt.session oid slot);
         next ()
       | Pvalue.Null -> Rt.npe ()
       | _ -> Rt.jerror "java.lang.InternalError" "getfield on non-object"
@@ -431,7 +431,7 @@ and exec_frame vm frame code =
       match recv with
       | Pvalue.Ref oid ->
         let slot = Rt.field_slot vm c f in
-        Store.set_field vm.Rt.store oid slot v;
+        Store.Session.set_field vm.Rt.session oid slot v;
         push v;
         next ()
       | Pvalue.Null -> Rt.npe ()
@@ -441,10 +441,10 @@ and exec_frame vm frame code =
       let idx = Int32.to_int (as_int (pop ())) in
       match pop () with
       | Pvalue.Ref oid ->
-        let len = Store.array_length vm.Rt.store oid in
+        let len = Store.Session.array_length vm.Rt.session oid in
         if idx < 0 || idx >= len then
           Rt.jerror "java.lang.ArrayIndexOutOfBoundsException" "%d (length %d)" idx len;
-        push (Store.elem vm.Rt.store oid idx);
+        push (Store.Session.elem vm.Rt.session oid idx);
         next ()
       | Pvalue.Null -> Rt.npe ()
       | _ -> Rt.jerror "java.lang.InternalError" "aload on non-array"
@@ -454,7 +454,7 @@ and exec_frame vm frame code =
       let idx = Int32.to_int (as_int (pop ())) in
       match pop () with
       | Pvalue.Ref oid ->
-        let arr = Store.get_array vm.Rt.store oid in
+        let arr = Store.Session.get_array vm.Rt.session oid in
         let len = Array.length arr.Heap.elems in
         if idx < 0 || idx >= len then
           Rt.jerror "java.lang.ArrayIndexOutOfBoundsException" "%d (length %d)" idx len;
@@ -466,7 +466,7 @@ and exec_frame vm frame code =
             (Rt.dispatch_class_name vm v)
             (Jtype.to_string (Jtype.of_descriptor arr.Heap.elem_type))
         | _ -> ());
-        Store.set_elem vm.Rt.store oid idx v;
+        Store.Session.set_elem vm.Rt.session oid idx v;
         push v;
         next ()
       | Pvalue.Null -> Rt.npe ()
@@ -475,7 +475,7 @@ and exec_frame vm frame code =
     | Bytecode.Array_len -> begin
       match pop () with
       | Pvalue.Ref oid ->
-        push (Pvalue.Int (Int32.of_int (Store.array_length vm.Rt.store oid)));
+        push (Pvalue.Int (Int32.of_int (Store.Session.array_length vm.Rt.session oid)));
         next ()
       | Pvalue.Null -> Rt.npe ()
       | _ -> Rt.jerror "java.lang.InternalError" "arraylen on non-array"
@@ -580,7 +580,7 @@ and alloc_multi vm desc sizes =
     (match arr with
     | Pvalue.Ref oid ->
       for i = 0 to len - 1 do
-        Store.set_elem vm.Rt.store oid i (alloc_multi vm elem_desc rest)
+        Store.Session.set_elem vm.Rt.session oid i (alloc_multi vm elem_desc rest)
       done
     | _ -> assert false);
     arr
@@ -611,7 +611,7 @@ and to_string vm v =
   | Pvalue.Long n -> Int64.to_string n
   | Pvalue.Float f | Pvalue.Double f -> java_string_of_double f
   | Pvalue.Ref oid -> begin
-    match Store.get vm.Rt.store oid with
+    match Store.Session.get vm.Rt.session oid with
     | Heap.Str s -> s
     | Heap.Record _ -> begin
       let cls = Rt.dispatch_class_name vm v in
@@ -637,9 +637,9 @@ let jerror_of_throwable vm obj =
     match obj with
     | Pvalue.Ref oid -> begin
       match
-        Store.field vm.Rt.store oid (Rt.field_slot vm "java.lang.Throwable" "message")
+        Store.Session.field vm.Rt.session oid (Rt.field_slot vm "java.lang.Throwable" "message")
       with
-      | Pvalue.Ref s -> (try Store.get_string vm.Rt.store s with _ -> "")
+      | Pvalue.Ref s -> (try Store.Session.get_string vm.Rt.session s with _ -> "")
       | _ -> ""
       | exception _ -> ""
     end
@@ -679,7 +679,7 @@ let run_main vm ~cls (argv : string list) =
   ensure_initialized vm cls;
   let arg_values = List.map (fun s -> Rt.jstring vm s) argv in
   let arr =
-    Store.alloc_array vm.Rt.store
+    Store.Session.alloc_array vm.Rt.session
       (Jtype.descriptor (Jtype.Class Jtype.string_class))
       (Array.of_list arg_values)
   in

@@ -1,5 +1,5 @@
 (* The unified typed failure for salvage reads: one variant shared by
-   Store.try_get / try_field and the registry's try_get_link, so the
+   Store.Session.try_get / try_field and the registry's try_get_link, so the
    layers above degrade broken links with a single match. *)
 
 type t =

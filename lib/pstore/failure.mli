@@ -1,7 +1,7 @@
 (** The unified typed failure for salvage reads.
 
-    Every [try_]-style accessor in the store stack — {!Store.try_get},
-    {!Store.try_field}, and the registry's [try_get_link] above — returns
+    Every [try_]-style accessor in the store stack — {!Store.Session.try_get},
+    {!Store.Session.try_field}, and the registry's [try_get_link] above — returns
     [('a, Failure.t) result] with this one variant, so callers render
     broken-link placeholders with a single match instead of juggling
     per-module error shapes. *)

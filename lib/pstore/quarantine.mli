@@ -11,7 +11,7 @@ exception Quarantined of Oid.t * string
 
 type t
 
-(** Salvage reads ({!Store.try_get} and friends) report their failures
+(** Salvage reads ({!Store.Session.try_get} and friends) report their failures
     through the shared {!Failure.t} variant. *)
 
 val create : unit -> t

@@ -46,10 +46,10 @@
    crash between per-shard writes rolls the whole stabilise back, never
    half of it.
 
-   Every read and write is defined once, over a session handle (the
-   [Accessors] functor): [Session] applies it to any handle, and the
-   store's single-owner names ([get], [set_field], ...) apply it to the
-   default session the store holds.  Whole-store rollback
+   The store has one data surface: every read and write of objects,
+   roots and blobs is a [Session] operation on a handle, a snapshot
+   session or the default session the store holds, and is defined once
+   for both.  Whole-store rollback
    ([with_rollback]) restores an in-memory image taken at entry and, if
    the body stabilised, forces one full compaction — the same path on
    every layout.
@@ -104,7 +104,7 @@ type t = {
   mutable replayed : int;
   mutable recovered_torn : bool;
   mvcc : mvcc; (* snapshot-session versioning state *)
-  direct : session; (* the default session the single-owner names read and write through *)
+  direct : session; (* the default session: reads and writes the shared state directly *)
 }
 
 (* MVCC snapshot-session state.  Populated only while snapshot sessions
@@ -907,118 +907,6 @@ let container_name = function
   | Heap.Array a -> a.Heap.elem_type ^ "[]"
   | Heap.Str _ -> "string"
   | Heap.Weak _ -> "weak cell"
-
-(* The accessors, once.  [Session] applies this to session handles; the
-   store's own single-owner names apply it to the store, whose handle is
-   its default session. *)
-module Accessors (H : sig
-  type t
-
-  val session : t -> session
-end) =
-struct
-  let get h oid = timed_read (H.session h) "get" oid
-
-  let find h oid =
-    let s = H.session h in
-    check_live s "find";
-    Obs.incr s.s_store.obs Obs.Get;
-    if is_quarantined s.s_store oid then None else resolve s oid
-
-  let is_live h oid = resolve (H.session h) oid <> None
-  let class_of h oid = Heap.entry_class (read (H.session h) "class_of" oid)
-  let get_record h oid = Heap.as_record oid (read (H.session h) "get_record" oid)
-  let get_array h oid = Heap.as_array oid (read (H.session h) "get_array" oid)
-  let get_string h oid = Heap.as_string oid (read (H.session h) "get_string" oid)
-  let get_weak h oid = Heap.as_weak oid (read (H.session h) "get_weak" oid)
-
-  let field h oid idx =
-    Heap.record_field oid (Heap.as_record oid (timed_read (H.session h) "field" oid)) idx
-
-  let elem h oid idx = Heap.array_elem (Heap.as_array oid (timed_read (H.session h) "elem" oid)) idx
-  let array_length h oid =
-    Array.length (Heap.as_array oid (read (H.session h) "array_length" oid)).Heap.elems
-
-  let string_value h = function
-    | Pvalue.Ref oid -> get_string h oid
-    | v -> raise (Heap.Heap_error ("expected a string reference, got " ^ Pvalue.to_string v))
-
-  let try_get h oid =
-    let s = H.session h in
-    let store = s.s_store in
-    check_live s "try_get";
-    note_read store oid;
-    Obs.incr store.obs Obs.Get;
-    match Quarantine.find (shard_oid store oid).sq oid with
-    | Some reason ->
-      Obs.incr store.obs Obs.Quarantine_hit;
-      Error (Failure.Quarantined { oid; reason })
-    | None -> (
-      match resolve s oid with
-      | Some entry -> Ok entry
-      | None -> Error (Failure.Dangling oid))
-
-  let try_field h oid idx =
-    match try_get h oid with
-    | Error e -> Error e
-    | Ok entry -> (
-      match Heap.record_field oid (Heap.as_record oid entry) idx with
-      | v -> Ok v
-      | exception Heap.Heap_error _ ->
-        Error (Failure.Bad_index { container = container_name entry; index = idx }))
-
-  let root h name =
-    let s = H.session h in
-    check_live s "root";
-    note_read_key s.s_store name;
-    Obs.incr s.s_store.obs Obs.Root_lookup;
-    resolve_root s name
-
-  let root_names h =
-    let s = H.session h in
-    check_live s "root_names";
-    let store = s.s_store in
-    visible_keys s resolve_root
-      (Roots.fold (fun k _ acc -> k :: acc) store.roots [])
-      store.mvcc.root_versions s.s_root_over
-
-  let blob h key =
-    let s = H.session h in
-    check_live s "blob";
-    note_read_key s.s_store key;
-    Obs.incr s.s_store.obs Obs.Get;
-    resolve_blob s key
-
-  let blob_keys h =
-    let s = H.session h in
-    check_live s "blob_keys";
-    let store = s.s_store in
-    visible_keys s resolve_blob
-      (Hashtbl.fold (fun k _ acc -> k :: acc) store.blobs [])
-      store.mvcc.blob_versions s.s_blob_over
-
-  let set_field h oid idx v = write (H.session h) "set_field" (Journal.Set_field (oid, idx, v))
-  let set_elem h oid idx v = write (H.session h) "set_elem" (Journal.Set_elem (oid, idx, v))
-  let set_root h name v = write (H.session h) "set_root" (Journal.Set_root (name, v))
-  let remove_root h name = write (H.session h) "remove_root" (Journal.Remove_root name)
-  let set_blob h key data = write (H.session h) "set_blob" (Journal.Set_blob (key, data))
-  let remove_blob h key = write (H.session h) "remove_blob" (Journal.Remove_blob key)
-
-  let alloc_record h class_name fields =
-    alloc (H.session h) class_name (Heap.Record { Heap.class_name; fields })
-
-  let alloc_array h elem_type elems =
-    alloc (H.session h) elem_type (Heap.Array { Heap.elem_type; elems })
-
-  let alloc_string h str = alloc (H.session h) "string" (Heap.Str str)
-  let alloc_weak h target = alloc (H.session h) "weak" (Heap.Weak { Heap.target })
-end
-
-include Accessors (struct
-  type nonrec t = t
-
-  let session store = store.direct
-end)
 
 (* -- pins (transient strong roots) --------------------------------------- *)
 
@@ -1959,7 +1847,7 @@ let with_rollback store f =
    [Session.t] is the unit of isolation.  Two kinds share the handle:
 
    - the DEFAULT session ([default_session]), which the store holds and
-     its single-owner names use: its operations apply to the shared state
+     code that owns the store alone uses: its operations apply to the shared state
      directly;
 
    - SNAPSHOT sessions ([open_session]): each pins the committed-write
@@ -2013,11 +1901,93 @@ module Session = struct
   let is_open s = s.s_state = `Live
   let buffered_ops s = s.s_nops
 
-  include Accessors (struct
-    type nonrec t = session
+  let store s = s.s_store
 
-    let session s = s
-  end)
+  (* -- reads and writes ------------------------------------------------------ *)
+
+  let get s oid = timed_read s "get" oid
+
+  let find s oid =
+    check_live s "find";
+    Obs.incr s.s_store.obs Obs.Get;
+    if is_quarantined s.s_store oid then None else resolve s oid
+
+  let is_live s oid = resolve s oid <> None
+  let class_of s oid = Heap.entry_class (read s "class_of" oid)
+  let get_record s oid = Heap.as_record oid (read s "get_record" oid)
+  let get_array s oid = Heap.as_array oid (read s "get_array" oid)
+  let get_string s oid = Heap.as_string oid (read s "get_string" oid)
+  let get_weak s oid = Heap.as_weak oid (read s "get_weak" oid)
+
+  let field s oid idx = Heap.record_field oid (Heap.as_record oid (timed_read s "field" oid)) idx
+
+  let elem s oid idx = Heap.array_elem (Heap.as_array oid (timed_read s "elem" oid)) idx
+  let array_length s oid = Array.length (Heap.as_array oid (read s "array_length" oid)).Heap.elems
+
+  let string_value s = function
+    | Pvalue.Ref oid -> get_string s oid
+    | v -> raise (Heap.Heap_error ("expected a string reference, got " ^ Pvalue.to_string v))
+
+  let try_get s oid =
+    let store = s.s_store in
+    check_live s "try_get";
+    note_read store oid;
+    Obs.incr store.obs Obs.Get;
+    match Quarantine.find (shard_oid store oid).sq oid with
+    | Some reason ->
+      Obs.incr store.obs Obs.Quarantine_hit;
+      Error (Failure.Quarantined { oid; reason })
+    | None -> (
+      match resolve s oid with
+      | Some entry -> Ok entry
+      | None -> Error (Failure.Dangling oid))
+
+  let try_field s oid idx =
+    match try_get s oid with
+    | Error e -> Error e
+    | Ok entry -> (
+      match Heap.record_field oid (Heap.as_record oid entry) idx with
+      | v -> Ok v
+      | exception Heap.Heap_error _ ->
+        Error (Failure.Bad_index { container = container_name entry; index = idx }))
+
+  let root s name =
+    check_live s "root";
+    note_read_key s.s_store name;
+    Obs.incr s.s_store.obs Obs.Root_lookup;
+    resolve_root s name
+
+  let root_names s =
+    check_live s "root_names";
+    let store = s.s_store in
+    visible_keys s resolve_root
+      (Roots.fold (fun k _ acc -> k :: acc) store.roots [])
+      store.mvcc.root_versions s.s_root_over
+
+  let blob s key =
+    check_live s "blob";
+    note_read_key s.s_store key;
+    Obs.incr s.s_store.obs Obs.Get;
+    resolve_blob s key
+
+  let blob_keys s =
+    check_live s "blob_keys";
+    let store = s.s_store in
+    visible_keys s resolve_blob
+      (Hashtbl.fold (fun k _ acc -> k :: acc) store.blobs [])
+      store.mvcc.blob_versions s.s_blob_over
+
+  let set_field s oid idx v = write s "set_field" (Journal.Set_field (oid, idx, v))
+  let set_elem s oid idx v = write s "set_elem" (Journal.Set_elem (oid, idx, v))
+  let set_root s name v = write s "set_root" (Journal.Set_root (name, v))
+  let remove_root s name = write s "remove_root" (Journal.Remove_root name)
+  let set_blob s key data = write s "set_blob" (Journal.Set_blob (key, data))
+  let remove_blob s key = write s "remove_blob" (Journal.Remove_blob key)
+
+  let alloc_record s class_name fields = alloc s class_name (Heap.Record { Heap.class_name; fields })
+  let alloc_array s elem_type elems = alloc s elem_type (Heap.Array { Heap.elem_type; elems })
+  let alloc_string s str = alloc s "string" (Heap.Str str)
+  let alloc_weak s target = alloc s "weak" (Heap.Weak { Heap.target })
 
   (* -- close-out: commit / abort ------------------------------------------ *)
 
@@ -2174,3 +2144,12 @@ module Session = struct
     List.iter (fun k -> Option.iter (Hashtbl.replace blobs k) (resolve_blob s k)) (blob_keys s);
     { Image.heap; roots; blobs; quarantine = merged_quarantine store }
 end
+
+(* The frozen benchmark (bench/hpbench) calls these five by their old
+   store-level names.  Each is the default session's operation; they go
+   when ROADMAP item 5 moves the benchmark to [Session]. *)
+let set_root store = Session.set_root store.direct
+let root store = Session.root store.direct
+let root_names store = Session.root_names store.direct
+let alloc_array store = Session.alloc_array store.direct
+let set_blob store = Session.set_blob store.direct

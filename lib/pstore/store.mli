@@ -4,15 +4,16 @@
     with stabilisation to a backing file.  Programs (hyper-programs, class
     files) live in the same store as the data they manipulate.
 
-    {b The handle-first surface.}  Every read and mutation goes through a
-    {!Session.t} handle.  {!open_session} pins a snapshot-isolated MVCC
-    session: byte-stable reads as of open, privately buffered writes,
-    published atomically by {!Session.commit} with first-committer-wins
-    conflict detection ({!Failure.Commit_conflict}).  Code that owns a
-    store alone can keep calling the single-owner operations below
-    ([get], [set_field], [set_root], ...): they are the session
-    operations of the same name, applied to the store's {e default
-    session}, which reads and writes the shared state directly. *)
+    {b One surface.}  Every read and mutation of objects, roots and
+    blobs goes through a {!Session.t} handle; [Store] itself keeps the
+    lifecycle and the store-wide operations (open, close, stabilise, gc,
+    health, repair, scrub, stats, sessions).  {!open_session} pins a
+    snapshot-isolated MVCC session: byte-stable reads as of open,
+    privately buffered writes, published atomically by {!Session.commit}
+    with first-committer-wins conflict detection
+    ({!Failure.Commit_conflict}).  {!default_session} is the handle of
+    code that owns a store alone: it reads and writes the shared state
+    directly. *)
 
 type t
 
@@ -222,57 +223,16 @@ val mark_dirty : t -> unit
     @raise Invalid_argument while snapshot sessions are open — untracked
     surgery would tear their pinned views. *)
 
-(** {1 Named roots} *)
-
-val set_root : t -> string -> Pvalue.t -> unit
-val root : t -> string -> Pvalue.t option
-val remove_root : t -> string -> unit
-val root_names : t -> string list
-
-(** {1 Allocation and access} *)
-
-val alloc_record : t -> string -> Pvalue.t array -> Oid.t
-val alloc_array : t -> string -> Pvalue.t array -> Oid.t
-val alloc_string : t -> string -> Oid.t
-val alloc_weak : t -> Pvalue.t -> Oid.t
-
-val get : t -> Oid.t -> Heap.entry
-(** @raise Quarantine.Quarantined if the oid is quarantined.
-    @raise Heap.Heap_error if it is dangling.  (So do the other accessors
-    below; use {!try_get} / {!try_field} to salvage instead.) *)
-
-val find : t -> Oid.t -> Heap.entry option
-(** [None] for dangling {e and} quarantined oids. *)
-
-val is_live : t -> Oid.t -> bool
-val class_of : t -> Oid.t -> string
-val get_record : t -> Oid.t -> Heap.record
-val get_array : t -> Oid.t -> Heap.arr
-val get_string : t -> Oid.t -> string
-val get_weak : t -> Oid.t -> Heap.weak_cell
-val field : t -> Oid.t -> int -> Pvalue.t
-val set_field : t -> Oid.t -> int -> Pvalue.t -> unit
-val elem : t -> Oid.t -> int -> Pvalue.t
-val set_elem : t -> Oid.t -> int -> Pvalue.t -> unit
-val array_length : t -> Oid.t -> int
 val size : t -> int
+(** Live heap objects. *)
 
-val string_value : t -> Pvalue.t -> string
-(** Dereference a value expected to be a string reference.
-    @raise Heap.Heap_error otherwise. *)
-
-(** {1 Salvage reads and quarantine}
+(** {1 Quarantine}
 
     Corrupt or dangling objects are isolated, not fatal: reads of a
     quarantined oid raise the typed {!Quarantine.Quarantined} error, and
-    the [try_]-style variants return the shared {!Failure.t} as data so
-    callers can render broken-link placeholders with a single match. *)
-
-val try_get : t -> Oid.t -> (Heap.entry, Failure.t) result
-
-val try_field : t -> Oid.t -> int -> (Pvalue.t, Failure.t) result
-(** Liveness, quarantine {e and} a bad field index are reported as
-    [Error] ([Failure.Bad_index] for the latter). *)
+    {!Session.try_get} / {!Session.try_field} return the shared
+    {!Failure.t} as data so callers can render broken-link placeholders
+    with a single match. *)
 
 val quarantine_oid : t -> Oid.t -> string -> unit
 (** Isolate an object (the scrubber and the image salvage loader call
@@ -311,16 +271,6 @@ val scrub : ?budget:int -> t -> Scrub.report
 val scrub_progress : t -> Scrub.state
 (** The whole store's scrub progress: every shard's scrubber merged
     with {!Scrub.merge}. *)
-
-(** {1 Blobs}
-
-    Named byte strings for non-object state; the MiniJava runtime keeps its
-    compiled class files here, making classes persistent. *)
-
-val set_blob : t -> string -> string -> unit
-val blob : t -> string -> string option
-val remove_blob : t -> string -> unit
-val blob_keys : t -> string list
 
 (** {1 Pins}
 
@@ -432,12 +382,12 @@ val with_rollback : t -> (unit -> 'a) -> ('a, exn) result
       nothing.
 
     The {e default session} ({!default_session}) is the other kind: the
-    handle the store holds and its single-owner operations use.  Its
-    reads and writes hit the shared state directly — no snapshot, no
-    buffer — and its [commit] is just the durability barrier (stabilise
-    a backed store).  Each
-    operation has one definition for both kinds; only resolving an oid
-    or key differs.
+    one handle the store holds, which code that owns the store alone
+    reads and writes through.  Its reads and writes hit the shared state
+    directly — no snapshot, no buffer — and its [commit] is just the
+    durability barrier (stabilise a backed store).  Each operation has
+    one definition for both kinds; only resolving an oid or key
+    differs.
 
     GC, [with_rollback] and [mark_dirty] refuse to run while snapshot
     sessions are open (they would invalidate pinned views); commit or
@@ -470,16 +420,25 @@ module Session : sig
   (** Writes buffered and not yet committed (always [0] for the default
       session, which never buffers). *)
 
+  val store : t -> store
+  (** The store this session reads and writes, for the store-wide
+      operations ({!stabilise}, {!gc}, {!add_pin}, ...). *)
+
   (** {2 Reads}
 
-      Same contracts as the single-owner operations of the same name
-      ([get] raises on dangling/quarantined, [find] returns [None],
-      [try_get]/[try_field] return {!Failure.t} as data, ...), evaluated
-      against the session's snapshot plus its own buffered writes.
+      Evaluated against the session's snapshot plus its own buffered
+      writes (the shared state itself, for the default session).
       @raise Invalid_argument on a committed or aborted session. *)
 
   val get : t -> Oid.t -> Heap.entry
+  (** @raise Quarantine.Quarantined if the oid is quarantined.
+      @raise Heap.Heap_error if it is dangling.  (So does every other
+      read of an oid below except [find], [is_live], [try_get] and
+      [try_field].) *)
+
   val find : t -> Oid.t -> Heap.entry option
+  (** [None] for dangling {e and} quarantined oids. *)
+
   val is_live : t -> Oid.t -> bool
   val class_of : t -> Oid.t -> string
   val get_record : t -> Oid.t -> Heap.record
@@ -489,12 +448,24 @@ module Session : sig
   val field : t -> Oid.t -> int -> Pvalue.t
   val elem : t -> Oid.t -> int -> Pvalue.t
   val array_length : t -> Oid.t -> int
+
   val string_value : t -> Pvalue.t -> string
+  (** Dereference a value expected to be a string reference.
+      @raise Heap.Heap_error otherwise. *)
+
   val try_get : t -> Oid.t -> (Heap.entry, Failure.t) result
+
   val try_field : t -> Oid.t -> int -> (Pvalue.t, Failure.t) result
+  (** Liveness, quarantine {e and} a bad field index are reported as
+      [Error] ([Failure.Bad_index] for the latter). *)
+
   val root : t -> string -> Pvalue.t option
   val root_names : t -> string list
   val blob : t -> string -> string option
+  (** Blobs are named byte strings for non-object state; the MiniJava
+      runtime keeps its compiled class files here, making classes
+      persistent. *)
+
   val blob_keys : t -> string list
 
   (** {2 Writes}
@@ -509,7 +480,9 @@ module Session : sig
   val set_field : t -> Oid.t -> int -> Pvalue.t -> unit
   val set_elem : t -> Oid.t -> int -> Pvalue.t -> unit
   val alloc_record : t -> string -> Pvalue.t array -> Oid.t
+  val alloc_array : t -> string -> Pvalue.t array -> Oid.t
   val alloc_string : t -> string -> Oid.t
+  val alloc_weak : t -> Pvalue.t -> Oid.t
   val set_root : t -> string -> Pvalue.t -> unit
   val remove_root : t -> string -> unit
   val set_blob : t -> string -> string -> unit
@@ -566,9 +539,21 @@ val open_session : t -> Session.t
 (** Pin a snapshot session on the committed state as of now. *)
 
 val default_session : t -> Session.t
-(** The store's direct-mode session (id 0, one per store) — the handle
-    its single-owner operations use. *)
+(** The store's direct-mode session (id 0, one per store). *)
 
 val open_session_count : t -> int
 (** Snapshot sessions currently open (the default session is not
     counted). *)
+
+(** {1 Benchmark aliases}
+
+    The frozen benchmark ([bench/hpbench]) calls these five by their old
+    store-level names.  Each is the {!default_session}'s operation of
+    the same name; they go when the benchmark moves to {!Session}
+    (ROADMAP item 5). *)
+
+val set_root : t -> string -> Pvalue.t -> unit
+val root : t -> string -> Pvalue.t option
+val root_names : t -> string list
+val alloc_array : t -> string -> Pvalue.t array -> Oid.t
+val set_blob : t -> string -> string -> unit

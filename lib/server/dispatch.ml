@@ -140,11 +140,15 @@ let exec c (req : Protocol.request) : Protocol.response =
     if root = "" then refused Protocol.code_refused "edit needs a nonempty root name"
     else begin
       let password = Option.get c.password in
-      (* The storage form and registry entry are shared-state writes
-         (safe alongside snapshots: fresh objects, and one new slot in
-         the registry's newest chunk); only the root binding goes
-         through the session, so that is the write the commit race is
-         decided on. *)
+      (* Only the root binding goes through the connection's session,
+         so it is the write the commit race is decided on.  The storage
+         form and the registry entry are written on the VM's default
+         session, so an Edit that is aborted or loses its commit still
+         leaves both behind.  They stay outside the session because
+         [Registry.add_hp] bumps the registry's shared [count] field:
+         inside sessions every two publishes would conflict on it, and
+         the benchmark's wire-write conflict model, which expects
+         conflicts only on shared roots, would read them as wrong. *)
       let hp = Hyper_source.to_storage c.vm source in
       let uid = Registry.add_hp c.vm ~password hp in
       let s = session c in

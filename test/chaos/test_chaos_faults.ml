@@ -36,13 +36,13 @@ let populate ?(n = 32) store =
   let oids =
     Array.init n (fun i ->
         let oid =
-          Store.alloc_record store "Node" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |]
+          Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |]
         in
-        Store.set_root store (sp "r%d" i) (Pvalue.Ref oid);
+        Store.Session.set_root (Store.default_session store) (sp "r%d" i) (Pvalue.Ref oid);
         oid)
   in
   Array.iteri
-    (fun i oid -> if i + 1 < n then Store.set_field store oid 1 (Pvalue.Ref oids.(i + 1)))
+    (fun i oid -> if i + 1 < n then Store.Session.set_field (Store.default_session store) oid 1 (Pvalue.Ref oids.(i + 1)))
     oids;
   oids
 
@@ -56,7 +56,7 @@ let eintr_storm_absorbed () =
   let store, path = make_store dir in
   ignore (populate store);
   Store.stabilise store;
-  Store.set_root store (key_for ~count:nshards 1) (Pvalue.Int 7l);
+  Store.Session.set_root (Store.default_session store) (key_for ~count:nshards 1) (Pvalue.Int 7l);
   Faults.arm ~shard:1 (Faults.Intr_storm 2);
   Store.stabilise store;
   check_bool "storm consumed" true (Faults.armed () = None);
@@ -77,7 +77,7 @@ let storm_spends_one_budget () =
   let store, _ = make_store dir in
   ignore (populate store);
   Store.stabilise store;
-  Store.set_root store (key_for ~count:nshards 1) (Pvalue.Int 7l);
+  Store.Session.set_root (Store.default_session store) (key_for ~count:nshards 1) (Pvalue.Int 7l);
   let before = Faults.fired () in
   Faults.arm ~shard:1 (Faults.Intr_storm 1000);
   (match Store.stabilise store with
@@ -97,7 +97,7 @@ let breaker_trips_and_repair_converges () =
   ignore (populate store);
   Store.stabilise store;
   let key1 = key_for ~count:nshards 1 in
-  Store.set_root store key1 (Pvalue.Int 41l);
+  Store.Session.set_root (Store.default_session store) key1 (Pvalue.Int 41l);
   (* more fires than the whole retry budget (4 stabilise attempts):
      the budget exhausts and the breaker (threshold 2) trips on this
      shard alone *)
@@ -116,16 +116,16 @@ let breaker_trips_and_repair_converges () =
       | Health.Offline _ -> Alcotest.fail "a breaker trip must degrade, not offline")
     (shard_states store);
   (* reads keep serving everywhere, including the demoted shard *)
-  check_bool "degraded shard still reads" true (Store.root store key1 = Some (Pvalue.Int 41l));
+  check_bool "degraded shard still reads" true (Store.Session.root (Store.default_session store) key1 = Some (Pvalue.Int 41l));
   (* writes to the demoted shard are refused with the typed failure... *)
-  (match Store.set_root store key1 (Pvalue.Int 42l) with
+  (match Store.Session.set_root (Store.default_session store) key1 (Pvalue.Int 42l) with
   | () -> Alcotest.fail "a degraded shard must refuse writes"
   | exception Failure.Shard_degraded { shard; state; _ } ->
     check_int "the failure names the shard" 1 shard;
     check_output "the failure names the state" "degraded" state);
   (* ...while the other shards keep full service *)
   for k = 0 to nshards - 1 do
-    if k <> 1 then Store.set_root store (key_for ~count:nshards k) (Pvalue.Int (Int32.of_int k))
+    if k <> 1 then Store.Session.set_root (Store.default_session store) (key_for ~count:nshards k) (Pvalue.Int (Int32.of_int k))
   done;
   Store.stabilise store (* works around the demoted shard *);
   let h = List.nth (Store.health store) 1 in
@@ -145,7 +145,7 @@ let breaker_trips_and_repair_converges () =
     check_bool "repair time measured" true (r.Store.r_ms >= 0.));
   check_bool "store healthy again" true (Store.healthy store);
   check_int "repair counted" 1 (List.nth (Store.health store) 1).Store.h_repairs;
-  Store.set_root store key1 (Pvalue.Int 42l) (* writes accepted again *);
+  Store.Session.set_root (Store.default_session store) key1 (Pvalue.Int 42l) (* writes accepted again *);
   Store.stabilise store;
   let fp = fingerprint store in
   Store.close store;
@@ -175,7 +175,7 @@ let fsync_failure_mid_group_commit () =
      commit, then fail shard 2's journal fsync with no retry to absorb
      it: the whole batch must abort cleanly *)
   for k = 0 to 2 do
-    Store.set_root store (key_for ~count:nshards k) (Pvalue.Int (Int32.of_int (100 + k)))
+    Store.Session.set_root (Store.default_session store) (key_for ~count:nshards k) (Pvalue.Int (Int32.of_int (100 + k)))
   done;
   Faults.arm ~shard:2 Faults.Fsync_fails;
   (match Store.stabilise store with
@@ -189,7 +189,7 @@ let fsync_failure_mid_group_commit () =
   check_output "all three writes committed atomically" fp (fingerprint reopened);
   for k = 0 to 2 do
     check_bool (sp "root of shard %d present" k) true
-      (Store.root reopened (key_for ~count:nshards k) = Some (Pvalue.Int (Int32.of_int (100 + k))))
+      (Store.Session.root (Store.default_session reopened) (key_for ~count:nshards k) = Some (Pvalue.Int (Int32.of_int (100 + k))))
   done;
   Integrity.check_exn reopened;
   Store.close reopened
@@ -204,7 +204,7 @@ let torn_marker_recovers_committed_state () =
   let fp_committed = fingerprint store in
   (* a second stabilise whose marker record we will tear off *)
   for k = 0 to nshards - 1 do
-    Store.set_root store (key_for ~tag:"t" ~count:nshards k) (Pvalue.Int (Int32.of_int k))
+    Store.Session.set_root (Store.default_session store) (key_for ~tag:"t" ~count:nshards k) (Pvalue.Int (Int32.of_int k))
   done;
   Store.stabilise store;
   Store.close store;
@@ -248,10 +248,10 @@ let whole_shard_loss_offline_then_repair () =
   (* N-1 shards keep full service *)
   for k = 0 to nshards - 1 do
     if k <> victim then
-      Store.set_root store (key_for ~tag:"post" ~count:nshards k) (Pvalue.Int (Int32.of_int k))
+      Store.Session.set_root (Store.default_session store) (key_for ~tag:"post" ~count:nshards k) (Pvalue.Int (Int32.of_int k))
   done;
   Store.stabilise store;
-  (match Store.set_root store vkey (Pvalue.Int 1l) with
+  (match Store.Session.set_root (Store.default_session store) vkey (Pvalue.Int 1l) with
   | () -> Alcotest.fail "an offline shard must refuse writes"
   | exception Failure.Shard_degraded { state; _ } ->
     check_output "the refusal names the offline state" "offline" state);
@@ -270,7 +270,7 @@ let whole_shard_loss_offline_then_repair () =
     check_int "quarantine holds exactly the lost references" r.Store.r_lost
       (Store.stats store).Store.quarantined);
   check_bool "store healthy after repair" true (Store.healthy store);
-  Store.set_root store vkey (Pvalue.Int 2l) (* the shard accepts writes again *);
+  Store.Session.set_root (Store.default_session store) vkey (Pvalue.Int 2l) (* the shard accepts writes again *);
   Store.stabilise store;
   Integrity.check_exn store (* lost refs are quarantined: non-fatal *);
   let fp = fingerprint store in
@@ -290,7 +290,7 @@ let lost_image_journal_replays_recent_ops () =
   (* post-compaction mutations: these live only in the victim's journal,
      which survives the image loss *)
   let vkey = key_for ~tag:"fresh" ~count:nshards victim in
-  Store.set_root store vkey (Pvalue.Int 77l);
+  Store.Session.set_root (Store.default_session store) vkey (Pvalue.Int 77l);
   Store.stabilise store;
   Store.close store;
   let image, _wal = shard_files path victim in
@@ -302,7 +302,7 @@ let lost_image_journal_replays_recent_ops () =
   | Some r -> check_bool "the surviving journal was replayed" true (r.Store.r_replayed > 0));
   check_bool "store healthy after repair" true (Store.healthy store);
   check_bool "the journal-only root came back" true
-    (Store.root store vkey = Some (Pvalue.Int 77l));
+    (Store.Session.root (Store.default_session store) vkey = Some (Pvalue.Int 77l));
   Store.stabilise store;
   Integrity.check_exn store;
   Store.close store
@@ -347,7 +347,7 @@ let crash_then_close_idempotent () =
       Store.stabilise store;
       let fp_committed = fingerprint store in
       for k = 0 to nshards - 1 do
-        Store.set_root store (key_for ~tag:"c" ~count:nshards k) (Pvalue.Int 5l)
+        Store.Session.set_root (Store.default_session store) (key_for ~tag:"c" ~count:nshards k) (Pvalue.Int 5l)
       done;
       Faults.arm (Faults.Fail_after_bytes kill_byte);
       (* on failure the append path truncates every journal and the
@@ -384,7 +384,7 @@ let targeted_fault_fires_exactly_once () =
   (* dirty every shard so stabilise syncs all four journals while one
      one-shot fault is armed *)
   for k = 0 to nshards - 1 do
-    Store.set_root store (key_for ~tag:"p" ~count:nshards k) (Pvalue.Int 9l)
+    Store.Session.set_root (Store.default_session store) (key_for ~tag:"p" ~count:nshards k) (Pvalue.Int 9l)
   done;
   let before = Faults.fired () in
   Faults.arm ~shard:2 Faults.Fsync_fails;
@@ -412,7 +412,7 @@ let out_of_scope_fault_never_fires () =
      must not fire and must not consume budget on foreign I/O *)
   Faults.arm ~shard:3 Faults.Fsync_fails;
   let before = Faults.fired () in
-  Store.set_root store (key_for ~count:nshards 0) (Pvalue.Int 11l);
+  Store.Session.set_root (Store.default_session store) (key_for ~count:nshards 0) (Pvalue.Int 11l);
   Store.stabilise store;
   ignore (Store.scrub ~budget:64 store);
   check_int "no fire on out-of-scope I/O" 0 (Faults.fired () - before);

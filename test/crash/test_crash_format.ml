@@ -37,32 +37,32 @@ let script ~shards dir =
   let s = Store.create ~config () in
   let people =
     List.init 6 (fun i ->
-        let name = Store.alloc_string s (Printf.sprintf "p%d" i) in
-        Store.alloc_record s "Person" [| Pvalue.Ref name; Pvalue.Int (Int32.of_int i) |])
+        let name = Store.Session.alloc_string (Store.default_session s) (Printf.sprintf "p%d" i) in
+        Store.Session.alloc_record (Store.default_session s) "Person" [| Pvalue.Ref name; Pvalue.Int (Int32.of_int i) |])
   in
-  List.iteri (fun i o -> Store.set_root s (Printf.sprintf "r%d" i) (Pvalue.Ref o)) people;
-  Store.set_blob s "class:Person" "v1";
+  List.iteri (fun i o -> Store.Session.set_root (Store.default_session s) (Printf.sprintf "r%d" i) (Pvalue.Ref o)) people;
+  Store.Session.set_blob (Store.default_session s) "class:Person" "v1";
   Store.stabilise s;
   step ();
   (* single-op appends *)
   let p0 = List.hd people in
-  Store.set_field s p0 1 (Pvalue.Int 100l);
+  Store.Session.set_field (Store.default_session s) p0 1 (Pvalue.Int 100l);
   Store.stabilise s;
   step ();
-  Store.set_root s "extra" (Pvalue.Int 7l);
+  Store.Session.set_root (Store.default_session s) "extra" (Pvalue.Int 7l);
   Store.stabilise s;
   step ();
-  Store.set_blob s "class:Person" "v2";
+  Store.Session.set_blob (Store.default_session s) "class:Person" "v2";
   Store.stabilise s;
   step ();
   (* a delta past the compaction limit *)
   for i = 0 to 23 do
-    ignore (Store.alloc_record s "Pt" [| Pvalue.Int (Int32.of_int i) |])
+    ignore (Store.Session.alloc_record (Store.default_session s) "Pt" [| Pvalue.Int (Int32.of_int i) |])
   done;
   Store.stabilise s;
   step ();
   (* gc cannot be journalled: the next stabilise compacts *)
-  Store.remove_root s "r5";
+  Store.Session.remove_root (Store.default_session s) "r5";
   ignore (Store.gc s);
   Store.stabilise s;
   step ();
@@ -77,7 +77,7 @@ let script ~shards dir =
   (* an aborted transaction that had stabilised *)
   (match
      Store.with_rollback s (fun () ->
-         Store.set_root s "doomed" (Pvalue.Int 1l);
+         Store.Session.set_root (Store.default_session s) "doomed" (Pvalue.Int 1l);
          Store.stabilise s;
          failwith "abort")
    with
@@ -96,15 +96,15 @@ let script ~shards dir =
   (* reopen, append, crash with a delta buffered *)
   let s = Store.open_file ~config path in
   step ();
-  Store.set_root s "after-reopen" (Pvalue.Int 3l);
+  Store.Session.set_root (Store.default_session s) "after-reopen" (Pvalue.Int 3l);
   Store.stabilise s;
   step ();
-  Store.set_root s "lost" (Pvalue.Int 4l);
+  Store.Session.set_root (Store.default_session s) "lost" (Pvalue.Int 4l);
   Store.crash s;
   step ();
   let s = Store.open_file ~config path in
   step ();
-  Store.set_root s "after-crash" (Pvalue.Int 5l);
+  Store.Session.set_root (Store.default_session s) "after-crash" (Pvalue.Int 5l);
   Store.stabilise s;
   Store.close s;
   step ();

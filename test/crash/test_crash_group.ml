@@ -23,11 +23,11 @@ let make_store ?shards dir = Store.create ~config:(store_config ?shards dir) ()
    stabilise carries a batch of at least four journal ops. *)
 let mutate store i =
   let oid =
-    Store.alloc_record store "G" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |]
+    Store.Session.alloc_record (Store.default_session store) "G" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |]
   in
-  Store.set_root store (sp "g%d" i) (Pvalue.Ref oid);
-  Store.set_field store oid 1 (Pvalue.Int (Int32.of_int (i * 7)));
-  Store.set_blob store (sp "gb%d" i) (sp "payload-%d" i)
+  Store.Session.set_root (Store.default_session store) (sp "g%d" i) (Pvalue.Ref oid);
+  Store.Session.set_field (Store.default_session store) oid 1 (Pvalue.Int (Int32.of_int (i * 7)));
+  Store.Session.set_blob (Store.default_session store) (sp "gb%d" i) (sp "payload-%d" i)
 
 (* -- atomicity under every possible torn write ---------------------------- *)
 

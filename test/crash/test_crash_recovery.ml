@@ -36,19 +36,19 @@ type fixture = {
 let build_fixture dir =
   let path = Filename.concat dir "store.img" in
   let store = Store.create () in
-  let anchor = Store.alloc_string store "anchor-contents" in
-  Store.set_root store "anchor" (Pvalue.Ref anchor);
-  let rec0 = Store.alloc_record store "Base" [| Pvalue.Int 1l; Pvalue.Null |] in
-  Store.set_root store "rec0" (Pvalue.Ref rec0);
+  let anchor = Store.Session.alloc_string (Store.default_session store) "anchor-contents" in
+  Store.Session.set_root (Store.default_session store) "anchor" (Pvalue.Ref anchor);
+  let rec0 = Store.Session.alloc_record (Store.default_session store) "Base" [| Pvalue.Int 1l; Pvalue.Null |] in
+  Store.Session.set_root (Store.default_session store) "rec0" (Pvalue.Ref rec0);
   let arr0 =
-    Store.alloc_array store "int" [| Pvalue.Int 1l; Pvalue.Int 2l; Pvalue.Int 3l |]
+    Store.Session.alloc_array (Store.default_session store) "int" [| Pvalue.Int 1l; Pvalue.Int 2l; Pvalue.Int 3l |]
   in
-  Store.set_root store "arr0" (Pvalue.Ref arr0);
-  Store.set_root store "victim1" (Pvalue.Int 11l);
-  Store.set_root store "victim2" (Pvalue.Int 22l);
-  Store.set_blob store "keep" "keep-data";
-  Store.set_blob store "victim_blob1" "vb1";
-  Store.set_blob store "victim_blob2" "vb2";
+  Store.Session.set_root (Store.default_session store) "arr0" (Pvalue.Ref arr0);
+  Store.Session.set_root (Store.default_session store) "victim1" (Pvalue.Int 11l);
+  Store.Session.set_root (Store.default_session store) "victim2" (Pvalue.Int 22l);
+  Store.Session.set_blob (Store.default_session store) "keep" "keep-data";
+  Store.Session.set_blob (Store.default_session store) "victim_blob1" "vb1";
+  Store.Session.set_blob (Store.default_session store) "victim_blob2" "vb2";
   Store.stabilise ~path store;
   { store; path; anchor; rec0; arr0 }
 
@@ -57,19 +57,19 @@ let build_fixture dir =
 let mutations : (string * (fixture -> int -> unit)) list =
   [
     ( "set_root",
-      fun fx i -> Store.set_root fx.store (sp "extra%d" i) (Pvalue.Int (Int32.of_int i)) );
-    ("remove_root", fun fx i -> Store.remove_root fx.store (sp "victim%d" i));
+      fun fx i -> Store.Session.set_root (Store.default_session fx.store) (sp "extra%d" i) (Pvalue.Int (Int32.of_int i)) );
+    ("remove_root", fun fx i -> Store.Session.remove_root (Store.default_session fx.store) (sp "victim%d" i));
     ( "alloc_record",
-      fun fx i -> ignore (Store.alloc_record fx.store "Extra" [| Pvalue.Int (Int32.of_int i) |]) );
+      fun fx i -> ignore (Store.Session.alloc_record (Store.default_session fx.store) "Extra" [| Pvalue.Int (Int32.of_int i) |]) );
     ( "alloc_array",
-      fun fx i -> ignore (Store.alloc_array fx.store "int" [| Pvalue.Int (Int32.of_int i) |]) );
-    ("alloc_string", fun fx i -> ignore (Store.alloc_string fx.store (sp "fresh-%d" i)));
+      fun fx i -> ignore (Store.Session.alloc_array (Store.default_session fx.store) "int" [| Pvalue.Int (Int32.of_int i) |]) );
+    ("alloc_string", fun fx i -> ignore (Store.Session.alloc_string (Store.default_session fx.store) (sp "fresh-%d" i)));
     ( "set_field",
-      fun fx i -> Store.set_field fx.store fx.rec0 0 (Pvalue.Int (Int32.of_int (100 + i))) );
+      fun fx i -> Store.Session.set_field (Store.default_session fx.store) fx.rec0 0 (Pvalue.Int (Int32.of_int (100 + i))) );
     ( "set_elem",
-      fun fx i -> Store.set_elem fx.store fx.arr0 (i - 1) (Pvalue.Int (Int32.of_int (200 + i))) );
-    ("set_blob", fun fx i -> Store.set_blob fx.store (sp "blob%d" i) (sp "payload-%d" i));
-    ("remove_blob", fun fx i -> Store.remove_blob fx.store (sp "victim_blob%d" i));
+      fun fx i -> Store.Session.set_elem (Store.default_session fx.store) fx.arr0 (i - 1) (Pvalue.Int (Int32.of_int (200 + i))) );
+    ("set_blob", fun fx i -> Store.Session.set_blob (Store.default_session fx.store) (sp "blob%d" i) (sp "payload-%d" i));
+    ("remove_blob", fun fx i -> Store.Session.remove_blob (Store.default_session fx.store) (sp "victim_blob%d" i));
   ]
 
 (* Fault points hit by the journal-append path. *)
@@ -121,12 +121,12 @@ let run_scenario ~mode ~fault_name ~fault ~mutate () =
     true
     (String.equal fp2 fp_before || String.equal fp2 fp_after);
   (* previously-stabilised facts, oid identity included *)
-  check_bool "anchor root intact" true (Store.root store2 "anchor" = Some (Pvalue.Ref fx.anchor));
-  check_output "anchor contents intact" "anchor-contents" (Store.get_string store2 fx.anchor);
-  check_bool "rec0 root intact" true (Store.root store2 "rec0" = Some (Pvalue.Ref fx.rec0));
-  check_bool "arr0 root intact" true (Store.root store2 "arr0" = Some (Pvalue.Ref fx.arr0));
-  check_int "arr0 length intact" 3 (Store.array_length store2 fx.arr0);
-  check_output "kept blob intact" "keep-data" (Option.get (Store.blob store2 "keep"));
+  check_bool "anchor root intact" true (Store.Session.root (Store.default_session store2) "anchor" = Some (Pvalue.Ref fx.anchor));
+  check_output "anchor contents intact" "anchor-contents" (Store.Session.get_string (Store.default_session store2) fx.anchor);
+  check_bool "rec0 root intact" true (Store.Session.root (Store.default_session store2) "rec0" = Some (Pvalue.Ref fx.rec0));
+  check_bool "arr0 root intact" true (Store.Session.root (Store.default_session store2) "arr0" = Some (Pvalue.Ref fx.arr0));
+  check_int "arr0 length intact" 3 (Store.Session.array_length (Store.default_session store2) fx.arr0);
+  check_output "kept blob intact" "keep-data" (Option.get (Store.Session.blob (Store.default_session store2) "keep"));
   Integrity.check_exn store2
 
 let matrix =
@@ -153,21 +153,21 @@ let truncation_at_every_offset () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "store.img" in
   let store = Store.create () in
-  let r = Store.alloc_record store "Node" [| Pvalue.Null; Pvalue.Null |] in
-  Store.set_root store "node" (Pvalue.Ref r);
+  let r = Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Null; Pvalue.Null |] in
+  Store.Session.set_root (Store.default_session store) "node" (Pvalue.Ref r);
   Store.stabilise ~path store;
   let fps = ref [ fingerprint store ] in
   (* one journal record per stabilise, varied kinds *)
   let ops =
     [
-      (fun () -> Store.set_root store "a" (Pvalue.Int 1l));
-      (fun () -> Store.set_field store r 0 (Pvalue.Int 2l));
-      (fun () -> Store.set_blob store "b" "blob-data");
-      (fun () -> ignore (Store.alloc_string store "another"));
-      (fun () -> Store.set_field store r 1 (Pvalue.Ref r));
-      (fun () -> Store.remove_root store "a");
-      (fun () -> Store.remove_blob store "b");
-      (fun () -> Store.set_root store "z" (Pvalue.Double 0.5));
+      (fun () -> Store.Session.set_root (Store.default_session store) "a" (Pvalue.Int 1l));
+      (fun () -> Store.Session.set_field (Store.default_session store) r 0 (Pvalue.Int 2l));
+      (fun () -> Store.Session.set_blob (Store.default_session store) "b" "blob-data");
+      (fun () -> ignore (Store.Session.alloc_string (Store.default_session store) "another"));
+      (fun () -> Store.Session.set_field (Store.default_session store) r 1 (Pvalue.Ref r));
+      (fun () -> Store.Session.remove_root (Store.default_session store) "a");
+      (fun () -> Store.Session.remove_blob (Store.default_session store) "b");
+      (fun () -> Store.Session.set_root (Store.default_session store) "z" (Pvalue.Double 0.5));
     ]
   in
   List.iter
@@ -210,10 +210,10 @@ let stats_report_recovery () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "store.img" in
   let store = Store.create () in
-  Store.set_root store "a" (Pvalue.Int 1l);
+  Store.Session.set_root (Store.default_session store) "a" (Pvalue.Int 1l);
   Store.stabilise ~path store;
-  Store.set_root store "b" (Pvalue.Int 2l);
-  Store.set_root store "c" (Pvalue.Int 3l);
+  Store.Session.set_root (Store.default_session store) "b" (Pvalue.Int 2l);
+  Store.Session.set_root (Store.default_session store) "c" (Pvalue.Int 3l);
   Store.stabilise store;
   (* clean reopen: both records replay, no torn tail *)
   Store.close store;
@@ -223,14 +223,14 @@ let stats_report_recovery () =
   check_int "depth" 2 st.Store.journal_depth;
   check_bool "not torn" false st.Store.recovered_torn_tail;
   (* appending after recovery must work (journal reopened for append) *)
-  Store.set_root s2 "d" (Pvalue.Int 4l);
+  Store.Session.set_root (Store.default_session s2) "d" (Pvalue.Int 4l);
   Store.stabilise s2;
   Store.close s2;
   let s3 = Store.open_file path in
   check_int "replayed after append" 3 (Store.stats s3).Store.journal_replayed;
-  check_bool "d present" true (Store.root s3 "d" = Some (Pvalue.Int 4l));
+  check_bool "d present" true (Store.Session.root (Store.default_session s3) "d" = Some (Pvalue.Int 4l));
   (* now tear the tail and check the flag *)
-  Store.set_root s3 "e" (Pvalue.Int 5l);
+  Store.Session.set_root (Store.default_session s3) "e" (Pvalue.Int 5l);
   (match Faults.with_fault (Faults.Short_write 3) (fun () -> Store.stabilise s3) with
   | Error (Faults.Fault_injected _) -> ()
   | _ -> Alcotest.fail "fault did not fire");
@@ -239,7 +239,7 @@ let stats_report_recovery () =
   let st4 = Store.stats s4 in
   check_bool "torn tail reported" true st4.Store.recovered_torn_tail;
   check_int "only whole records replayed" 3 st4.Store.journal_replayed;
-  check_bool "e lost with the torn tail" true (Store.root s4 "e" = None);
+  check_bool "e lost with the torn tail" true (Store.Session.root (Store.default_session s4) "e" = None);
   Store.close s4
 
 (* A crash between a compaction's image rename and its journal reset
@@ -249,14 +249,14 @@ let stale_journal_discarded () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "store.img" in
   let store = Store.create () in
-  Store.set_root store "a" (Pvalue.Int 1l);
+  Store.Session.set_root (Store.default_session store) "a" (Pvalue.Int 1l);
   Store.stabilise ~path store;
-  Store.set_root store "b" (Pvalue.Int 2l);
+  Store.Session.set_root (Store.default_session store) "b" (Pvalue.Int 2l);
   Store.stabilise store;
   let stale_wal = read_file (Journal.path_for path) in
   (* force the next stabilise to compact, then put the old journal back *)
   Store.mark_dirty store;
-  Store.set_root store "c" (Pvalue.Int 3l);
+  Store.Session.set_root (Store.default_session store) "c" (Pvalue.Int 3l);
   Store.stabilise store;
   let fp_compacted = fingerprint store in
   Store.crash store;
@@ -265,11 +265,11 @@ let stale_journal_discarded () =
   check_output "stale journal ignored" fp_compacted (fingerprint s2);
   check_int "nothing replayed" 0 (Store.stats s2).Store.journal_replayed;
   (* the store must be able to stabilise again (recompacts first) *)
-  Store.set_root s2 "d" (Pvalue.Int 4l);
+  Store.Session.set_root (Store.default_session s2) "d" (Pvalue.Int 4l);
   Store.stabilise s2;
   Store.close s2;
   let s3 = Store.open_file path in
-  check_bool "post-recovery stabilise durable" true (Store.root s3 "d" = Some (Pvalue.Int 4l));
+  check_bool "post-recovery stabilise durable" true (Store.Session.root (Store.default_session s3) "d" = Some (Pvalue.Int 4l));
   Store.close s3
 
 (* -- Image.save atomicity (snapshot mode regression) ----------------------- *)
@@ -278,11 +278,11 @@ let snapshot_save_is_atomic () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "store.img" in
   let store = Store.create () in
-  Store.set_root store "x" (Pvalue.Int 1l);
+  Store.Session.set_root (Store.default_session store) "x" (Pvalue.Int 1l);
   Store.stabilise ~path store;
   let fp1 = fingerprint store in
   let faulted fault =
-    Store.set_root store "x" (Pvalue.Int 99l);
+    Store.Session.set_root (Store.default_session store) "x" (Pvalue.Int 99l);
     (match Faults.with_fault fault (fun () -> Store.stabilise store) with
     | Error (Faults.Fault_injected _) -> ()
     | _ -> Alcotest.fail "fault did not fire");
@@ -290,17 +290,17 @@ let snapshot_save_is_atomic () =
     let s2 = Store.open_file path in
     check_output "old image intact" fp1 (fingerprint s2);
     Store.close s2;
-    Store.set_root store "x" (Pvalue.Int 1l)
+    Store.Session.set_root (Store.default_session store) "x" (Pvalue.Int 1l)
   in
   faulted (Faults.Fail_after_bytes 10);
   faulted (Faults.Short_write 4);
   faulted Faults.Fsync_fails;
   faulted Faults.Rename_fails;
   (* and a clean stabilise still lands *)
-  Store.set_root store "x" (Pvalue.Int 2l);
+  Store.Session.set_root (Store.default_session store) "x" (Pvalue.Int 2l);
   Store.stabilise store;
   let s3 = Store.open_file path in
-  check_bool "new state durable" true (Store.root s3 "x" = Some (Pvalue.Int 2l));
+  check_bool "new state durable" true (Store.Session.root (Store.default_session s3) "x" = Some (Pvalue.Int 2l));
   Store.close s3
 
 (* A crash after writing and fsyncing the temp image but before the
@@ -310,15 +310,15 @@ let tmp_snapshot_promoted () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "store.img" in
   let store = Store.create () in
-  Store.set_root store "x" (Pvalue.Int 1l);
+  Store.Session.set_root (Store.default_session store) "x" (Pvalue.Int 1l);
   Store.stabilise ~path store;
-  Store.set_root store "x" (Pvalue.Int 2l);
+  Store.Session.set_root (Store.default_session store) "x" (Pvalue.Int 2l);
   (* the newer snapshot made it to the temp file... *)
   write_file (path ^ ".tmp") (Image.encode (Store.contents store));
   (* ...and the main image was lost mid-overwrite *)
   write_file path (String.sub (read_file path) 0 10);
   let s2 = Store.open_file path in
-  check_bool "temp snapshot promoted" true (Store.root s2 "x" = Some (Pvalue.Int 2l));
+  check_bool "temp snapshot promoted" true (Store.Session.root (Store.default_session s2) "x" = Some (Pvalue.Int 2l));
   check_bool "promoted over the image path" false (Sys.file_exists (path ^ ".tmp"));
   Store.close s2
 
@@ -335,8 +335,8 @@ let registry_links_survive_crash () =
   let store = Store.create () in
   let vm = Minijava.Boot.vm_for store in
   Hyperprog.Dynamic_compiler.install vm;
-  let target = Store.alloc_string store "hyper-linked target" in
-  Store.set_root store "hold-target" (Pvalue.Ref target);
+  let target = Store.Session.alloc_string (Store.default_session store) "hyper-linked target" in
+  Store.Session.set_root (Store.default_session store) "hold-target" (Pvalue.Ref target);
   let hp =
     Hyperprog.Storage_form.create vm ~class_name:"Demo" ~text:"use  here"
       ~links:
@@ -344,15 +344,15 @@ let registry_links_survive_crash () =
             label = "t";
             pos = 4 } ]
   in
-  Store.set_root store "hold-hp" (Pvalue.Ref hp);
+  Store.Session.set_root (Store.default_session store) "hold-hp" (Pvalue.Ref hp);
   let uid = Hyperprog.Registry.add_hp vm ~password:Hyperprog.Registry.built_in_password hp in
   let link_oids = Hyperprog.Storage_form.link_oids vm hp in
   check_int "one link" 1 (List.length link_oids);
   Store.stabilise ~path store;
-  Store.set_root store "epoch" (Pvalue.Int 1l);
+  Store.Session.set_root (Store.default_session store) "epoch" (Pvalue.Int 1l);
   Store.stabilise store;
   let fp_before = fingerprint store in
-  Store.set_root store "epoch" (Pvalue.Int 2l);
+  Store.Session.set_root (Store.default_session store) "epoch" (Pvalue.Int 2l);
   (match Faults.with_fault (Faults.Short_write 5) (fun () -> Store.stabilise store) with
   | Error (Faults.Fault_injected _) -> ()
   | _ -> Alcotest.fail "fault did not fire");
@@ -374,7 +374,7 @@ let registry_links_survive_crash () =
   (match Hyperprog.Storage_form.links vm2 hp with
   | [ { Hyperprog.Storage_form.link = Hyperprog.Hyperlink.L_object t; pos = 4; _ } ] ->
     check_bool "target oid identity preserved" true (Oid.equal t target);
-    check_output "target contents intact" "hyper-linked target" (Store.get_string store2 t)
+    check_output "target contents intact" "hyper-linked target" (Store.Session.get_string (Store.default_session store2) t)
   | _ -> Alcotest.fail "links did not survive");
   Integrity.check_exn store2
 

@@ -44,9 +44,9 @@ let setup_spread dir =
   let store = Store.create ~config:(shard_config path) () in
   let oids =
     Array.init 32 (fun i ->
-        Store.alloc_record store "Node" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |])
+        Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |])
   in
-  Array.iteri (fun i oid -> Store.set_root store (sp "r%d" i) (Pvalue.Ref oid)) oids;
+  Array.iteri (fun i oid -> Store.Session.set_root (Store.default_session store) (sp "r%d" i) (Pvalue.Ref oid)) oids;
   Store.stabilise store;
   (path, store, oids)
 
@@ -63,7 +63,7 @@ let torn_append_rolls_back_whole_stabilise () =
       with_dir (fun dir ->
           let path, store, oids = setup_spread dir in
           let before = fingerprint store in
-          Array.iter (fun oid -> Store.set_field store oid 0 (Pvalue.Int 7l)) oids;
+          Array.iter (fun oid -> Store.Session.set_field (Store.default_session store) oid 0 (Pvalue.Int 7l)) oids;
           let after = fingerprint store in
           let outcome =
             Faults.with_fault (Faults.Fail_after_bytes budget) (fun () ->
@@ -89,11 +89,11 @@ let torn_append_rolls_back_whole_stabilise () =
 let full_compaction_crash_recovers_last_stabilise () =
   with_dir (fun dir ->
       let path, store, oids = setup_spread dir in
-      Array.iter (fun oid -> Store.set_field store oid 0 (Pvalue.Int 1l)) oids;
+      Array.iter (fun oid -> Store.Session.set_field (Store.default_session store) oid 0 (Pvalue.Int 1l)) oids;
       Store.stabilise store;
       let durable = fingerprint store in
       ignore (Store.gc store : Gc.stats) (* journal can't express a sweep: forces full *);
-      Array.iter (fun oid -> Store.set_field store oid 0 (Pvalue.Int 2l)) oids;
+      Array.iter (fun oid -> Store.Session.set_field (Store.default_session store) oid 0 (Pvalue.Int 2l)) oids;
       (match
          Faults.with_fault Faults.Rename_fails (fun () -> Store.stabilise store)
        with
@@ -119,17 +119,17 @@ let partial_compaction_crash_keeps_the_delta () =
       let store = Store.create ~config:(shard_config ~compaction_limit:8 path) () in
       let oids =
         Array.init 16 (fun i ->
-            Store.alloc_record store "Node" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |])
+            Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |])
       in
-      Array.iteri (fun i oid -> Store.set_root store (sp "r%d" i) (Pvalue.Ref oid)) oids;
+      Array.iteri (fun i oid -> Store.Session.set_root (Store.default_session store) (sp "r%d" i) (Pvalue.Ref oid)) oids;
       Store.stabilise store (* full compaction: all journals at depth 0 *);
       let hot = oids.(0) in
       (* push the hot shard over its slice of the limit *)
-      Store.set_field store hot 0 (Pvalue.Int 100l);
+      Store.Session.set_field (Store.default_session store) hot 0 (Pvalue.Int 100l);
       Store.stabilise store;
-      Store.set_field store hot 0 (Pvalue.Int 101l);
+      Store.Session.set_field (Store.default_session store) hot 0 (Pvalue.Int 101l);
       Store.stabilise store;
-      Store.set_field store hot 0 (Pvalue.Int 102l);
+      Store.Session.set_field (Store.default_session store) hot 0 (Pvalue.Int 102l);
       let post = fingerprint store in
       (* this stabilise partially compacts the hot shard; its image
          rename dies AFTER the delta was journalled and marker-committed *)
@@ -160,7 +160,7 @@ let reopen_appends_without_compacting () =
       Store.close store;
       let epochs_before = (Manifest.load path).Manifest.epochs in
       let reopened = Store.open_file path in
-      Array.iter (fun oid -> Store.set_field reopened oid 0 (Pvalue.Int 7l)) oids;
+      Array.iter (fun oid -> Store.Session.set_field (Store.default_session reopened) oid 0 (Pvalue.Int 7l)) oids;
       Store.stabilise reopened;
       let expected = fingerprint reopened in
       Store.close reopened;
@@ -190,7 +190,7 @@ let fault_fires_once_across_domains () =
   with_dir (fun dir ->
       let path, store, oids = setup_spread dir in
       let before = fingerprint store in
-      Array.iter (fun oid -> Store.set_field store oid 0 (Pvalue.Int 9l)) oids;
+      Array.iter (fun oid -> Store.Session.set_field (Store.default_session store) oid 0 (Pvalue.Int 9l)) oids;
       (match Faults.with_fault Faults.Fsync_fails (fun () -> Store.stabilise store) with
       | Error (Faults.Fault_injected _) -> ()
       | Ok () -> Alcotest.fail "fsync fault never fired"
@@ -212,18 +212,18 @@ let crash_after_demotion_quarantines_lost_targets () =
       let path = Filename.concat dir "store.img" in
       let store = Store.create ~config:(shard_config path) () in
       Store.stabilise store;
-      let oid = Store.alloc_record store "Node" [| Pvalue.Int 1l |] in
+      let oid = Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Int 1l |] in
       let home = Store.shard_of store oid in
       let name = key_for ~tag:"lost" ~count:nshards ((home + 1) mod nshards) in
-      Store.set_root store name (Pvalue.Ref oid);
+      Store.Session.set_root (Store.default_session store) name (Pvalue.Ref oid);
       Store.degrade_shard store home "test: deferred delta";
       Store.stabilise store (* the root's shard persists; the object's does not *);
       Store.crash store;
       let reopened = Store.open_file path in
-      check_bool "the root survived" true (Store.root reopened name = Some (Pvalue.Ref oid));
+      check_bool "the root survived" true (Store.Session.root (Store.default_session reopened) name = Some (Pvalue.Ref oid));
       check_bool "the lost target is quarantined" true (Store.is_quarantined reopened oid);
       Integrity.check_exn reopened;
-      let fresh = Store.alloc_record reopened "Node" [| Pvalue.Int 2l |] in
+      let fresh = Store.Session.alloc_record (Store.default_session reopened) "Node" [| Pvalue.Int 2l |] in
       check_bool "the lost oid is not reused" true (Oid.compare fresh oid > 0);
       Store.close reopened)
 
@@ -238,9 +238,9 @@ let hot_shard_compacts_alone () =
       let store = Store.create ~config:(shard_config ~compaction_limit:0 path) () in
       let oids =
         Array.init 64 (fun i ->
-            Store.alloc_record store "Node" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |])
+            Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |])
       in
-      Store.set_root store "bulk" (Pvalue.Ref oids.(0));
+      Store.Session.set_root (Store.default_session store) "bulk" (Pvalue.Ref oids.(0));
       Store.stabilise store;
       let images () =
         let m = Manifest.load path in
@@ -252,7 +252,7 @@ let hot_shard_compacts_alone () =
         List.filter (fun o -> Manifest.shard_of_oid ~count:nshards o = 0) (Array.to_list oids)
       in
       check_bool "shard 0 holds some of the oids" true (hot <> []);
-      List.iteri (fun i o -> Store.set_field store o 0 (Pvalue.Int (Int32.of_int (1000 + i)))) hot;
+      List.iteri (fun i o -> Store.Session.set_field (Store.default_session store) o 0 (Pvalue.Int (Int32.of_int (1000 + i)))) hot;
       Store.stabilise store;
       let expected = fingerprint store in
       let epochs', bytes' = images () in
@@ -279,33 +279,33 @@ let hot_shard_compacts_alone () =
 let gc_remembered_sets_match_a_walk () =
   with_dir (fun dir ->
       let store = make_store dir in
-      let node i next = Store.alloc_record store "Node" [| Pvalue.Int (Int32.of_int i); next |] in
+      let node i next = Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Int (Int32.of_int i); next |] in
       let chain = Array.make 24 Pvalue.Null in
       for i = 23 downto 0 do
         chain.(i) <- Pvalue.Ref (node i (if i = 23 then Pvalue.Null else chain.(i + 1)))
       done;
-      Store.set_root store "chain" chain.(0);
+      Store.Session.set_root (Store.default_session store) "chain" chain.(0);
       let fan =
-        Store.alloc_array store "Node"
+        Store.Session.alloc_array (Store.default_session store) "Node"
           (Array.init 9 (fun i -> if i < 8 then chain.(3 * i) else Pvalue.Null))
       in
-      Store.set_root store "fan" (Pvalue.Ref fan);
+      Store.Session.set_root (Store.default_session store) "fan" (Pvalue.Ref fan);
       (* a record only its own shard references: no remembered set holds it
          (the misses allocated on the way are garbage) *)
       let rec local () =
         let o = node 300 Pvalue.Null in
         if Store.shard_of store o = Store.shard_of store fan then o else local ()
       in
-      Store.set_elem store fan 8 (Pvalue.Ref (local ()));
+      Store.Session.set_elem (Store.default_session store) fan 8 (Pvalue.Ref (local ()));
       let dead = ref chain.(5) in
       for i = 0 to 9 do
         dead := Pvalue.Ref (node (100 + i) !dead)
       done;
       let doomed = node 200 Pvalue.Null in
-      let weak_live = Store.alloc_weak store chain.(7) in
-      let weak_dead = Store.alloc_weak store (Pvalue.Ref doomed) in
-      Store.set_root store "weaks"
-        (Pvalue.Ref (Store.alloc_array store "Weak" [| Pvalue.Ref weak_live; Pvalue.Ref weak_dead |]));
+      let weak_live = Store.Session.alloc_weak (Store.default_session store) chain.(7) in
+      let weak_dead = Store.Session.alloc_weak (Store.default_session store) (Pvalue.Ref doomed) in
+      Store.Session.set_root (Store.default_session store) "weaks"
+        (Pvalue.Ref (Store.Session.alloc_array (Store.default_session store) "Weak" [| Pvalue.Ref weak_live; Pvalue.Ref weak_dead |]));
       let heap = Store.heap store in
       let reached = Hashtbl.create 64 in
       let rec visit oid =
@@ -316,10 +316,10 @@ let gc_remembered_sets_match_a_walk () =
       in
       List.iter
         (fun name ->
-          match Store.root store name with
+          match Store.Session.root (Store.default_session store) name with
           | Some (Pvalue.Ref oid) -> visit oid
           | _ -> ())
-        (Store.root_names store);
+        (Store.Session.root_names (Store.default_session store));
       let live = Hashtbl.length reached in
       let weak_cleared =
         Hashtbl.fold

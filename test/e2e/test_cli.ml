@@ -159,13 +159,13 @@ let gc_removes_legacy_compile_cache_blobs () =
   with_store @@ fun ~dir:_ ~store ->
   let legacy = [ ("hyper.ccache:0123abcd", "stale batch"); ("hyper.ccache.index", "0123abcd") ] in
   let s = Pstore.Store.open_file store in
-  List.iter (fun (k, v) -> Pstore.Store.set_blob s k v) legacy;
+  List.iter (fun (k, v) -> Pstore.Store.Session.set_blob (Pstore.Store.default_session s) k v) legacy;
   Pstore.Store.stabilise s;
   Pstore.Store.close s;
   expect_ok (hpjava [ "gc"; store ]);
   let s = Pstore.Store.open_file store in
   List.iter
-    (fun (k, _) -> check_bool (k ^ " removed") true (Pstore.Store.blob s k = None))
+    (fun (k, _) -> check_bool (k ^ " removed") true (Pstore.Store.Session.blob (Pstore.Store.default_session s) k = None))
     legacy;
   Pstore.Store.close s;
   let check = hpjava [ "check"; store ] in

@@ -317,8 +317,8 @@ let outcome r ~before = function
         if ok then begin
           let key = key_for ~tag:"probe" ~count:r.cfg.shards k in
           r.writes <- r.writes + 2;
-          Store.set_blob r.store key "x";
-          Store.remove_blob r.store key
+          Store.Session.set_blob (Store.default_session r.store) key "x";
+          Store.Session.remove_blob (Store.default_session r.store) key
         end)
       after
   | Error e -> fail "a stabilise failed with %s, not a transient error" (Printexc.to_string e)
@@ -422,7 +422,7 @@ let exec r op =
   | Alloc rooted -> (
     let v = Pvalue.Int (Int32.of_int r.step) in
     r.writes <- r.writes + 1;
-    match Store.alloc_record s (if rooted then "Node" else "Junk") [| v; v |] with
+    match Store.Session.alloc_record (Store.default_session s) (if rooted then "Node" else "Junk") [| v; v |] with
     | exception Failure.Shard_degraded { shard; _ } -> refused r shard
     | oid ->
       let name = sp "r%d" (Oid.to_int oid) and root = Pvalue.Ref oid in
@@ -469,8 +469,8 @@ let exec r op =
       refused r shard)
   | Rollback -> (
     let body () =
-      let oid = Store.alloc_record s "Node" [| Pvalue.Null; Pvalue.Null |] in
-      Store.set_root s (sp "r%d" (Oid.to_int oid)) (Pvalue.Ref oid);
+      let oid = Store.Session.alloc_record (Store.default_session s) "Node" [| Pvalue.Null; Pvalue.Null |] in
+      Store.Session.set_root (Store.default_session s) (sp "r%d" (Oid.to_int oid)) (Pvalue.Ref oid);
       failwith "rolled back"
     in
     match Store.with_rollback s body with

@@ -21,20 +21,20 @@ let session_fingerprint s = Image.encode (Store.Session.snapshot_contents s)
 
 let snapshot_reads_are_byte_stable () =
   let store = Store.create () in
-  let a = Store.alloc_record store "A" [| ival 1; ival 2 |] in
-  Store.set_root store "a" (Pvalue.Ref a);
-  Store.set_root store "n" (ival 10);
-  Store.set_blob store "b" "before";
+  let a = Store.Session.alloc_record (Store.default_session store) "A" [| ival 1; ival 2 |] in
+  Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref a);
+  Store.Session.set_root (Store.default_session store) "n" (ival 10);
+  Store.Session.set_blob (Store.default_session store) "b" "before";
   let s = Store.open_session store in
   let fp0 = session_fingerprint s in
   let field0 = Store.Session.field s a 0 in
   (* another writer (the default session) moves the shared store on:
      overwrites, fresh allocations, root and blob churn *)
-  Store.set_field store a 0 (ival 99);
-  Store.set_root store "n" (ival 11);
-  Store.set_root store "fresh" (ival 12);
-  Store.set_blob store "b" "after";
-  ignore (Store.alloc_string store "noise");
+  Store.Session.set_field (Store.default_session store) a 0 (ival 99);
+  Store.Session.set_root (Store.default_session store) "n" (ival 11);
+  Store.Session.set_root (Store.default_session store) "fresh" (ival 12);
+  Store.Session.set_blob (Store.default_session store) "b" "after";
+  ignore (Store.Session.alloc_string (Store.default_session store) "noise");
   (* ... and a second session commits on top of that *)
   let w = Store.open_session store in
   Store.Session.set_root w "n" (ival 13);
@@ -47,15 +47,15 @@ let snapshot_reads_are_byte_stable () =
     (Store.Session.root s "fresh" = None);
   check_output "blob read is stable" "before" (Option.get (Store.Session.blob s "b"));
   (* while the live store sees everything *)
-  check_int "live store moved on" 13 (int_of (Option.get (Store.root store "n")));
+  check_int "live store moved on" 13 (int_of (Option.get (Store.Session.root (Store.default_session store) "n")));
   Store.Session.abort s;
   (* MVCC bookkeeping is torn down with the last session *)
   check_int "no sessions left" 0 (Store.open_session_count store)
 
 let read_your_writes () =
   let store = Store.create () in
-  let a = Store.alloc_record store "A" [| ival 1 |] in
-  Store.set_root store "a" (Pvalue.Ref a);
+  let a = Store.Session.alloc_record (Store.default_session store) "A" [| ival 1 |] in
+  Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref a);
   let s = Store.open_session store in
   Store.Session.set_field s a 0 (ival 42);
   Store.Session.set_root s "mine" (ival 7);
@@ -65,20 +65,20 @@ let read_your_writes () =
   check_int "own allocation readable" 5 (int_of (Store.Session.field s oid 0));
   check_bool "own allocation is live in-session" true (Store.Session.is_live s oid);
   (* none of it visible outside before commit *)
-  check_int "field invisible outside" 1 (int_of (Store.field store a 0));
-  check_bool "root invisible outside" true (Store.root store "mine" = None);
-  check_bool "allocation invisible outside" false (Store.is_live store oid);
+  check_int "field invisible outside" 1 (int_of (Store.Session.field (Store.default_session store) a 0));
+  check_bool "root invisible outside" true (Store.Session.root (Store.default_session store) "mine" = None);
+  check_bool "allocation invisible outside" false (Store.Session.is_live (Store.default_session store) oid);
   Store.Session.commit s;
-  check_int "field visible after commit" 42 (int_of (Store.field store a 0));
-  check_int "root visible after commit" 7 (int_of (Option.get (Store.root store "mine")));
-  check_int "allocation visible after commit" 5 (int_of (Store.field store oid 0))
+  check_int "field visible after commit" 42 (int_of (Store.Session.field (Store.default_session store) a 0));
+  check_int "root visible after commit" 7 (int_of (Option.get (Store.Session.root (Store.default_session store) "mine")));
+  check_int "allocation visible after commit" 5 (int_of (Store.Session.field (Store.default_session store) oid 0))
 
 (* -- conflicts ------------------------------------------------------------ *)
 
 let first_committer_wins_on_oids () =
   let store = Store.create () in
-  let a = Store.alloc_record store "A" [| ival 0 |] in
-  Store.set_root store "a" (Pvalue.Ref a);
+  let a = Store.Session.alloc_record (Store.default_session store) "A" [| ival 0 |] in
+  Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref a);
   let s1 = Store.open_session store in
   let s2 = Store.open_session store in
   Store.Session.set_field s1 a 0 (ival 1);
@@ -90,7 +90,7 @@ let first_committer_wins_on_oids () =
     check_int "loser is session 2" (Store.Session.id s2) session;
     check_bool "clash names the contested oid" true (oids = [ a ]);
     check_bool "no key clash" true (keys = []));
-  check_int "first committer's write survives" 1 (int_of (Store.field store a 0));
+  check_int "first committer's write survives" 1 (int_of (Store.Session.field (Store.default_session store) a 0));
   check_bool "loser is aborted" true (Store.Session.state s2 = `Aborted);
   check_int "conflict counted" 1 (Obs.count (Store.obs store) Obs.Conflict);
   check_int "one session commit counted" 1
@@ -98,23 +98,23 @@ let first_committer_wins_on_oids () =
 
 let conflicts_with_direct_writer () =
   let store = Store.create () in
-  Store.set_root store "k" (ival 0);
+  Store.Session.set_root (Store.default_session store) "k" (ival 0);
   let s = Store.open_session store in
   Store.Session.set_root s "k" (ival 1);
   (* a direct (default-session) write to the same key after the snapshot
      was pinned also makes the session lose *)
-  Store.set_root store "k" (ival 9);
+  Store.Session.set_root (Store.default_session store) "k" (ival 9);
   (match Store.Session.commit s with
   | () -> Alcotest.fail "session must lose to the direct writer"
   | exception Failure.Commit_conflict { oids; keys; _ } ->
     check_bool "clash names the contested key" true (keys = [ "k" ]);
     check_bool "no oid clash" true (oids = []));
-  check_int "direct write survives" 9 (int_of (Option.get (Store.root store "k")))
+  check_int "direct write survives" 9 (int_of (Option.get (Store.Session.root (Store.default_session store) "k")))
 
 let disjoint_sessions_both_commit () =
   let store = Store.create () in
-  let a = Store.alloc_record store "A" [| ival 0 |] in
-  let b = Store.alloc_record store "B" [| ival 0 |] in
+  let a = Store.Session.alloc_record (Store.default_session store) "A" [| ival 0 |] in
+  let b = Store.Session.alloc_record (Store.default_session store) "B" [| ival 0 |] in
   let s1 = Store.open_session store in
   let s2 = Store.open_session store in
   Store.Session.set_field s1 a 0 (ival 1);
@@ -123,13 +123,13 @@ let disjoint_sessions_both_commit () =
   Store.Session.set_root s2 "r2" (ival 2);
   Store.Session.commit s1;
   Store.Session.commit s2;
-  check_int "s1's field landed" 1 (int_of (Store.field store a 0));
-  check_int "s2's field landed" 2 (int_of (Store.field store b 0));
+  check_int "s1's field landed" 1 (int_of (Store.Session.field (Store.default_session store) a 0));
+  check_int "s2's field landed" 2 (int_of (Store.Session.field (Store.default_session store) b 0));
   check_int "no conflicts" 0 (Obs.count (Store.obs store) Obs.Conflict)
 
 let conflict_retry_succeeds () =
   let store = Store.create () in
-  Store.set_root store "n" (ival 0);
+  Store.Session.set_root (Store.default_session store) "n" (ival 0);
   let s1 = Store.open_session store in
   let s2 = Store.open_session store in
   (* both increment the same counter root *)
@@ -146,7 +146,7 @@ let conflict_retry_succeeds () =
     let s3 = Store.open_session store in
     incr_in s3;
     Store.Session.commit s3);
-  check_int "both increments landed" 2 (int_of (Option.get (Store.root store "n")))
+  check_int "both increments landed" 2 (int_of (Option.get (Store.Session.root (Store.default_session store) "n")))
 
 (* -- abort hygiene -------------------------------------------------------- *)
 
@@ -158,8 +158,8 @@ let abort_leaves_no_journal_residue () =
       (Store.config store) with
       Store.Config.backing = Some path;
     };
-  let a = Store.alloc_record store "A" [| ival 1 |] in
-  Store.set_root store "a" (Pvalue.Ref a);
+  let a = Store.Session.alloc_record (Store.default_session store) "A" [| ival 1 |] in
+  Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref a);
   Store.stabilise store;
   let depth = (Store.stats store).Store.journal_depth in
   let pending = (Store.stats store).Store.pending_ops in
@@ -169,23 +169,23 @@ let abort_leaves_no_journal_residue () =
   Store.Session.set_root s "junk" (ival 1);
   let reserved = Store.Session.alloc_string s "junk" in
   Store.Session.abort s;
-  check_int "field write never landed" 1 (int_of (Store.field store a 0));
-  check_bool "root write never landed" true (Store.root store "junk" = None);
-  check_bool "buffered allocation never landed" false (Store.is_live store reserved);
+  check_int "field write never landed" 1 (int_of (Store.Session.field (Store.default_session store) a 0));
+  check_bool "root write never landed" true (Store.Session.root (Store.default_session store) "junk" = None);
+  check_bool "buffered allocation never landed" false (Store.Session.is_live (Store.default_session store) reserved);
   check_int "live count unchanged" live (Store.stats store).Store.live;
   check_int "journal depth unchanged" depth (Store.stats store).Store.journal_depth;
   check_int "no pending ops from the abort" pending (Store.stats store).Store.pending_ops;
   (* the reserved oid is simply never used — the allocator is monotone,
      so no later allocation can collide with the aborted one *)
-  let later = Store.alloc_string store "later" in
+  let later = Store.Session.alloc_string (Store.default_session store) "later" in
   check_bool "reserved oids are not reused" true (later <> reserved);
   Store.stabilise store;
   let fp = fingerprint store in
   Store.close store;
   let reopened = Store.open_file path in
   check_output "reopened state never saw the aborted writes" fp (fingerprint reopened);
-  check_int "reopened field is the pre-session value" 1 (int_of (Store.field reopened a 0));
-  check_bool "reopened store has no junk root" true (Store.root reopened "junk" = None);
+  check_int "reopened field is the pre-session value" 1 (int_of (Store.Session.field (Store.default_session reopened) a 0));
+  check_bool "reopened store has no junk root" true (Store.Session.root (Store.default_session reopened) "junk" = None);
   Store.close reopened
 
 let committed_session_survives_reopen () =
@@ -196,8 +196,8 @@ let committed_session_survives_reopen () =
       (Store.config store) with
       Store.Config.backing = Some path;
     };
-  let a = Store.alloc_record store "A" [| ival 1 |] in
-  Store.set_root store "a" (Pvalue.Ref a);
+  let a = Store.Session.alloc_record (Store.default_session store) "A" [| ival 1 |] in
+  Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref a);
   Store.stabilise store;
   let s = Store.open_session store in
   Store.Session.set_field s a 0 (ival 5);
@@ -209,16 +209,16 @@ let committed_session_survives_reopen () =
   Store.close store;
   let reopened = Store.open_file path in
   check_output "committed session replays through the journal" fp (fingerprint reopened);
-  check_int "field survived" 5 (int_of (Store.field reopened a 0));
-  check_int "allocation survived" 6 (int_of (Store.field reopened fresh 0));
+  check_int "field survived" 5 (int_of (Store.Session.field (Store.default_session reopened) a 0));
+  check_int "allocation survived" 6 (int_of (Store.Session.field (Store.default_session reopened) fresh 0));
   Store.close reopened
 
 (* -- commit validation keeps the session alive ---------------------------- *)
 
 let refused_commit_can_be_retried () =
   let store = Store.create () in
-  let a = Store.alloc_record store "A" [| ival 0 |] in
-  Store.set_root store "a" (Pvalue.Ref a);
+  let a = Store.Session.alloc_record (Store.default_session store) "A" [| ival 0 |] in
+  Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref a);
   let s = Store.open_session store in
   Store.Session.set_field s a 0 (ival 1);
   (* quarantining the target after buffering makes validation refuse the
@@ -234,7 +234,7 @@ let refused_commit_can_be_retried () =
   (* repair, then the SAME session commits *)
   Store.clear_quarantine store a;
   Store.Session.commit s;
-  check_int "retried commit landed" 1 (int_of (Store.field store a 0))
+  check_int "retried commit landed" 1 (int_of (Store.Session.field (Store.default_session store) a 0))
 
 (* -- session-gated whole-store operations --------------------------------- *)
 
@@ -279,7 +279,7 @@ let default_session_is_direct () =
   check_bool "default session is not a snapshot" false (Store.Session.is_snapshot d);
   Store.Session.set_root d "x" (ival 1);
   check_int "default-session writes are immediate" 1
-    (int_of (Option.get (Store.root store "x")));
+    (int_of (Option.get (Store.Session.root (Store.default_session store) "x")));
   check_int "nothing is buffered" 0 (Store.Session.buffered_ops d);
   (* commit on the default session is just the barrier — a no-op here *)
   Store.Session.commit d;
@@ -292,8 +292,8 @@ let default_session_is_direct () =
 
 let session_stats_reflect_snapshot () =
   let store = Store.create () in
-  ignore (Store.alloc_string store "one");
-  ignore (Store.alloc_string store "two");
+  ignore (Store.Session.alloc_string (Store.default_session store) "one");
+  ignore (Store.Session.alloc_string (Store.default_session store) "two");
   let s = Store.open_session store in
   ignore (Store.Session.alloc_string s "buffered");
   ignore (Store.Session.alloc_string s "buffered too");
@@ -301,14 +301,14 @@ let session_stats_reflect_snapshot () =
     (Store.Session.stats s).Store.live;
   check_int "buffered ops are reported separately" 2 (Store.Session.buffered_ops s);
   (* writers landing after the snapshot do not move the session's view *)
-  ignore (Store.alloc_string store "after");
+  ignore (Store.Session.alloc_string (Store.default_session store) "after");
   check_int "post-snapshot allocations are invisible" 2 (Store.Session.live_count s);
   check_int "the store itself sees them" 3 (Store.stats store).Store.live;
   Store.Session.commit s;
   check_int "commit publishes the buffered allocations" 5 (Store.stats store).Store.live
 
-(* -- accessor parity: the single-owner names, the default session and a
-   snapshot session are one read surface ------------------------------------ *)
+(* -- accessor parity: the default session and a snapshot session are one
+   read surface ---------------------------------------------------------------- *)
 
 let show_values vs = String.concat "; " (Array.to_list (Array.map Pvalue.to_string vs))
 
@@ -322,28 +322,9 @@ let show_result show = function
   | Ok v -> "ok " ^ show v
   | Error f -> "error " ^ Failure.describe f
 
-(* The reads the store's single-owner names and [Store.Session] share. *)
-module type READS = sig
-  type t
-
-  val get : t -> Oid.t -> Heap.entry
-  val find : t -> Oid.t -> Heap.entry option
-  val is_live : t -> Oid.t -> bool
-  val class_of : t -> Oid.t -> string
-  val get_record : t -> Oid.t -> Heap.record
-  val get_array : t -> Oid.t -> Heap.arr
-  val get_string : t -> Oid.t -> string
-  val get_weak : t -> Oid.t -> Heap.weak_cell
-  val field : t -> Oid.t -> int -> Pvalue.t
-  val elem : t -> Oid.t -> int -> Pvalue.t
-  val array_length : t -> Oid.t -> int
-  val try_get : t -> Oid.t -> (Heap.entry, Failure.t) result
-  val try_field : t -> Oid.t -> int -> (Pvalue.t, Failure.t) result
-  val string_value : t -> Pvalue.t -> string
-end
-
 (* Every read through one handle, each rendered to a comparable string. *)
-let parity_readers (type h) (module R : READS with type t = h) (h : h) =
+let parity_readers h =
+  let module R = Store.Session in
   [
     ("get", fun o _ -> show_entry (R.get h o));
     ("find", fun o _ -> Option.fold ~none:"none" ~some:show_entry (R.find h o));
@@ -371,11 +352,11 @@ let parity_outcome store read =
 
 let accessor_parity () =
   let store = Store.create () in
-  let str = Store.alloc_string store "text" in
-  let rc = Store.alloc_record store "P" [| ival 1; Pvalue.Ref str |] in
-  let arr = Store.alloc_array store "int" [| ival 7; ival 8 |] in
-  let weak = Store.alloc_weak store (Pvalue.Ref rc) in
-  let bad = Store.alloc_record store "Q" [| ival 3 |] in
+  let str = Store.Session.alloc_string (Store.default_session store) "text" in
+  let rc = Store.Session.alloc_record (Store.default_session store) "P" [| ival 1; Pvalue.Ref str |] in
+  let arr = Store.Session.alloc_array (Store.default_session store) "int" [| ival 7; ival 8 |] in
+  let weak = Store.Session.alloc_weak (Store.default_session store) (Pvalue.Ref rc) in
+  let bad = Store.Session.alloc_record (Store.default_session store) "Q" [| ival 3 |] in
   Store.quarantine_oid store bad "induced";
   (* every typed reader also runs on every other kind: the wrong-kind
      path is exercised by each row below *)
@@ -397,9 +378,8 @@ let accessor_parity () =
       let s = Store.open_session store in
       let handles =
         [
-          ("Store", parity_readers (module Store) store);
-          ("default session", parity_readers (module Store.Session) (Store.default_session store));
-          ("snapshot session", parity_readers (module Store.Session) s);
+          ("default session", parity_readers (Store.default_session store));
+          ("snapshot session", parity_readers s);
         ]
       in
       let outcomes (how, readers) =
@@ -424,14 +404,14 @@ let with_session_commits_and_aborts () =
   let store = Store.create () in
   Store.Session.with_session store (fun s -> Store.Session.set_root s "ok" (ival 1));
   check_int "with_session commits on success" 1
-    (int_of (Option.get (Store.root store "ok")));
+    (int_of (Option.get (Store.Session.root (Store.default_session store) "ok")));
   (match Store.Session.with_session store (fun s ->
        Store.Session.set_root s "bad" (ival 2);
        failwith "boom")
    with
   | () -> Alcotest.fail "the exception must propagate"
   | exception Stdlib.Failure _ -> ());
-  check_bool "with_session aborts on raise" true (Store.root store "bad" = None);
+  check_bool "with_session aborts on raise" true (Store.Session.root (Store.default_session store) "bad" = None);
   check_int "no sessions leak" 0 (Store.open_session_count store)
 
 (* -- trimming the version chains -------------------------------------- *)
@@ -444,8 +424,8 @@ let chain_bound = 16
 
 let churn_store () =
   let store = Store.create () in
-  let arr = Store.alloc_array store "[I" (Array.make 4096 (ival 0)) in
-  Store.set_root store "arr" (Pvalue.Ref arr);
+  let arr = Store.Session.alloc_array (Store.default_session store) "[I" (Array.make 4096 (ival 0)) in
+  Store.Session.set_root (Store.default_session store) "arr" (Pvalue.Ref arr);
   (store, arr)
 
 (* Two sessions alternate for 2,000 rounds: each round a direct write
@@ -456,7 +436,7 @@ let churn_store () =
 let alternating_churn store arr each_round =
   let sessions = [| Store.open_session store; Store.open_session store |] in
   for r = 1 to 2000 do
-    Store.set_elem store arr r (ival r);
+    Store.Session.set_elem (Store.default_session store) arr r (ival r);
     let k = r mod 2 in
     Store.Session.set_root sessions.(k) (sp "s%d" k) (ival r);
     Store.Session.commit sessions.(k);

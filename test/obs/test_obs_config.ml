@@ -48,8 +48,8 @@ let open_file_config_wins_over_recovery () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.stabilise ~path store;
-      let a = Store.alloc_record store "A" [| Pvalue.Int 1l |] in
-      Store.set_root store "a" (Pvalue.Ref a);
+      let a = Store.Session.alloc_record (Store.default_session store) "A" [| Pvalue.Int 1l |] in
+      Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref a);
       Store.stabilise store;
       Store.close store;
       (* an explicit config is applied after recovery: the journal still
@@ -60,7 +60,7 @@ let open_file_config_wins_over_recovery () =
       check_bool "the journal replayed" true
         ((Store.stats overridden).Store.journal_replayed > 0);
       check_bool "the journalled root is present" true
-        (Store.root overridden "a" = Some (Pvalue.Ref a));
+        (Store.Session.root (Store.default_session overridden) "a" = Some (Pvalue.Ref a));
       check_int "explicit config sets the compaction limit" 7
         (Store.config overridden).Store.Config.compaction_limit;
       Store.close overridden)
@@ -82,14 +82,14 @@ let group_window_is_refused () =
   check_bool "configure left the config unchanged" true (Store.config store = before);
   with_store_file (fun path ->
       Store.configure store { before with Store.Config.backing = Some path };
-      Store.set_root store "r" (Pvalue.Int 1l);
+      Store.Session.set_root (Store.default_session store) "r" (Pvalue.Int 1l);
       Store.stabilise store;
       Store.close store;
       refuses "open_file" (fun () ->
           Store.open_file ~config:(window3 Store.Config.default) path);
       let reopened = Store.open_file path in
       check_bool "the store on disk is untouched" true
-        (Store.root reopened "r" = Some (Pvalue.Int 1l));
+        (Store.Session.root (Store.default_session reopened) "r" = Some (Pvalue.Int 1l));
       check_int "the reopened window is 1" 1 (Store.config reopened).Store.Config.group_window;
       Store.close reopened)
 
@@ -102,7 +102,7 @@ let configure_leaves_tracing_alone () =
   Store.configure store Store.Config.default;
   check_bool "tracing survives a whole-record configure" true (Obs.enabled obs);
   for _ = 1 to Obs.default_ring_capacity + 10 do
-    ignore (Store.alloc_string store "x")
+    ignore (Store.Session.alloc_string (Store.default_session store) "x")
   done;
   check_int "the ring keeps its default capacity" Obs.default_ring_capacity
     (List.length (Obs.events obs))

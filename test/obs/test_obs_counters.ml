@@ -9,15 +9,15 @@ let counters_count_operations () =
   let store = Store.create () in
   let obs = Store.obs store in
   check_int "fresh store has served nothing" 0 (Obs.total obs);
-  let a = Store.alloc_record store "A" [| Pvalue.Int 1l |] in
+  let a = Store.Session.alloc_record (Store.default_session store) "A" [| Pvalue.Int 1l |] in
   check_int "alloc counted" 1 (Obs.count obs Obs.Alloc);
-  ignore (Store.get store a);
-  ignore (Store.field store a 0);
+  ignore (Store.Session.get (Store.default_session store) a);
+  ignore (Store.Session.field (Store.default_session store) a 0);
   check_int "reads counted" 2 (Obs.count obs Obs.Get);
-  Store.set_field store a 0 (Pvalue.Int 2l);
+  Store.Session.set_field (Store.default_session store) a 0 (Pvalue.Int 2l);
   check_int "write counted" 1 (Obs.count obs Obs.Set);
-  Store.set_root store "a" (Pvalue.Ref a);
-  ignore (Store.root store "a");
+  Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref a);
+  ignore (Store.Session.root (Store.default_session store) "a");
   check_int "root lookup counted" 1 (Obs.count obs Obs.Root_lookup);
   (* counts lists nonzero classes only, in declaration order *)
   let names = List.map (fun (op, _) -> Obs.op_name op) (Obs.counts obs) in
@@ -26,10 +26,10 @@ let counters_count_operations () =
 
 let quarantine_hits_are_counted () =
   let store = Store.create () in
-  let a = Store.alloc_string store "x" in
+  let a = Store.Session.alloc_string (Store.default_session store) "x" in
   Store.quarantine_oid store a "bit rot (test)";
-  (try ignore (Store.get store a) with Quarantine.Quarantined _ -> ());
-  (match Store.try_get store a with
+  (try ignore (Store.Session.get (Store.default_session store) a) with Quarantine.Quarantined _ -> ());
+  (match Store.Session.try_get (Store.default_session store) a with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "quarantined read must fail");
   check_int "both refusals counted" 2 (Obs.count (Store.obs store) Obs.Quarantine_hit)
@@ -37,8 +37,8 @@ let quarantine_hits_are_counted () =
 let monotonic_across_stabilise_and_reopen () =
   with_store_file (fun path ->
       let store = Store.create () in
-      let a = Store.alloc_record store "A" [| Pvalue.Int 1l |] in
-      Store.set_root store "a" (Pvalue.Ref a);
+      let a = Store.Session.alloc_record (Store.default_session store) "A" [| Pvalue.Int 1l |] in
+      Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref a);
       let before = Obs.total (Store.obs store) in
       Store.stabilise ~path store;
       check_bool "stabilise only increases the totals" true
@@ -47,7 +47,7 @@ let monotonic_across_stabilise_and_reopen () =
       check_int "stabilise counted" 1 (Obs.count obs Obs.Stabilise);
       check_bool "first stabilise compacts" true (Obs.count obs Obs.Compaction >= 1);
       check_bool "compaction saves an image" true (Obs.count obs Obs.Image_save >= 1);
-      Store.set_field store a 0 (Pvalue.Int 2l);
+      Store.Session.set_field (Store.default_session store) a 0 (Pvalue.Int 2l);
       Store.stabilise store;
       check_bool "delta rides the journal" true (Obs.count obs Obs.Journal_append >= 1);
       (* close seals the final snapshot... *)
@@ -70,7 +70,7 @@ let close_flushes_and_crash_drops () =
   let store = Store.create () in
   let obs = Store.obs store in
   Obs.set_enabled obs true;
-  ignore (Store.alloc_string store "x");
+  ignore (Store.Session.alloc_string (Store.default_session store) "x");
   check_bool "span captured while tracing" true (Obs.events obs <> []);
   Store.crash store;
   check_int "crash drops the ring" 0 (List.length (Obs.events obs));

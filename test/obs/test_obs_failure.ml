@@ -7,9 +7,9 @@ open Obs_util
 
 let try_get_reports_quarantine () =
   let store = Store.create () in
-  let a = Store.alloc_string store "precious" in
+  let a = Store.Session.alloc_string (Store.default_session store) "precious" in
   Store.quarantine_oid store a "checksum mismatch (test)";
-  match Store.try_get store a with
+  match Store.Session.try_get (Store.default_session store) a with
   | Error (Failure.Quarantined { oid; reason }) ->
     check_int "carries the oid" (Oid.to_int a) (Oid.to_int oid);
     check_output "carries the reason" "checksum mismatch (test)" reason
@@ -18,18 +18,18 @@ let try_get_reports_quarantine () =
 
 let try_get_reports_dangling () =
   let store = Store.create () in
-  match Store.try_get store (Oid.of_int 9999) with
+  match Store.Session.try_get (Store.default_session store) (Oid.of_int 9999) with
   | Error (Failure.Dangling oid) -> check_int "names the oid" 9999 (Oid.to_int oid)
   | Ok _ -> Alcotest.fail "a dangling oid must not read"
   | Error e -> Alcotest.failf "wrong failure: %s" (Failure.describe e)
 
 let try_field_reports_bad_index () =
   let store = Store.create () in
-  let a = Store.alloc_record store "Holder" [| Pvalue.Int 1l |] in
-  (match Store.try_field store a 0 with
+  let a = Store.Session.alloc_record (Store.default_session store) "Holder" [| Pvalue.Int 1l |] in
+  (match Store.Session.try_field (Store.default_session store) a 0 with
   | Ok (Pvalue.Int 1l) -> ()
   | _ -> Alcotest.fail "in-range field must read");
-  match Store.try_field store a 7 with
+  match Store.Session.try_field (Store.default_session store) a 7 with
   | Error (Failure.Bad_index { container; index }) ->
     check_output "names the class" "Holder" container;
     check_int "names the index" 7 index

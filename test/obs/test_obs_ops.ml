@@ -42,20 +42,20 @@ let group_commit_counted_per_batch () =
         Store.create ~config:{ Store.Config.default with Store.Config.backing = Some path } ()
       in
       let obs = Store.obs store in
-      let a = Store.alloc_record store "A" [| Pvalue.Int 0l; Pvalue.Null |] in
-      Store.set_root store "a" (Pvalue.Ref a);
+      let a = Store.Session.alloc_record (Store.default_session store) "A" [| Pvalue.Int 0l; Pvalue.Null |] in
+      Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref a);
       Store.stabilise store (* compaction, not a batch *);
       check_int "no batches yet" 0 (Obs.count obs Obs.Group_commit);
       for i = 1 to 3 do
         (* multi-op delta: one batch record per stabilise *)
-        Store.set_field store a 0 (Pvalue.Int (Int32.of_int i));
-        Store.set_blob store "b" (string_of_int i);
+        Store.Session.set_field (Store.default_session store) a 0 (Pvalue.Int (Int32.of_int i));
+        Store.Session.set_blob (Store.default_session store) "b" (string_of_int i);
         Store.stabilise store
       done;
       check_int "one group-commit per batched stabilise" 3
         (Obs.count obs Obs.Group_commit);
       (* a single-op delta keeps the legacy framing: no batch counted *)
-      Store.set_field store a 0 (Pvalue.Int 99l);
+      Store.Session.set_field (Store.default_session store) a 0 (Pvalue.Int 99l);
       Store.stabilise store;
       check_int "single-op deltas are not batches" 3 (Obs.count obs Obs.Group_commit);
       check_bool "appends were counted alongside" true

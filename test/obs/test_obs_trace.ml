@@ -7,9 +7,9 @@ open Obs_util
 let disabled_tracing_is_a_noop () =
   let store = Store.create () in
   let obs = Store.obs store in
-  let a = Store.alloc_record store "A" [| Pvalue.Int 0l |] in
+  let a = Store.Session.alloc_record (Store.default_session store) "A" [| Pvalue.Int 0l |] in
   for i = 1 to 100 do
-    Store.set_field store a 0 (Pvalue.Int (Int32.of_int i))
+    Store.Session.set_field (Store.default_session store) a 0 (Pvalue.Int (Int32.of_int i))
   done;
   check_int "no events captured" 0 (List.length (Obs.events obs));
   check_bool "no latency recorded" true (Obs.latency obs Obs.Set = None);
@@ -103,7 +103,7 @@ let pp_event_is_readable () =
   | _ -> Alcotest.fail "expected one event"
 
 (* The cost of the instrumentation while tracing is off: the hot read
-   [Store.field] against the same work without the observability layer
+   [Store.Session.field] against the same work without the observability layer
    (the quarantine check plus the raw heap read).  Best-of-k interleaved
    rounds, so scheduler noise hits both sides alike.  Rounds are timed in
    process CPU time: `dune runtest` runs suites side by side, and a round
@@ -115,13 +115,13 @@ let pp_event_is_readable () =
 let disabled_overhead_is_bounded () =
   let store = Store.create () in
   check_bool "tracing starts off" false (Obs.enabled (Store.obs store));
-  let oid = Store.alloc_record store "Bench" [| Pvalue.Int 1l |] in
+  let oid = Store.Session.alloc_record (Store.default_session store) "Bench" [| Pvalue.Int 1l |] in
   let heap = Store.heap store in
   let baseline () =
     (match Store.quarantine_reason store oid with Some _ -> () | None -> ());
     ignore (Heap.field heap oid 0)
   in
-  let instrumented () = ignore (Store.field store oid 0) in
+  let instrumented () = ignore (Store.Session.field (Store.default_session store) oid 0) in
   let iters = 50_000 and rounds = 3 in
   let once f =
     let t0 = Sys.time () in
@@ -140,7 +140,7 @@ let disabled_overhead_is_bounded () =
   let ratio = !best_instr /. Float.max !best_base 1e-9 in
   if not (ratio <= 2.0 || !best_instr -. !best_base <= 25.0) then
     Alcotest.failf
-      "tracing-off Store.field %.1f ns vs raw read %.1f ns: %.2fx is over 2.0x and over 25 ns"
+      "tracing-off Store.Session.field %.1f ns vs raw read %.1f ns: %.2fx is over 2.0x and over 25 ns"
       !best_instr !best_base ratio
 
 let suite =

@@ -13,7 +13,7 @@ open Scrub_util
 let get_link_degrades_to_broken_link () =
   let store, vm = fresh_hyper_vm () in
   let hp, vangelis, mary = marry_example vm in
-  Store.set_root store "program" (Pvalue.Ref hp);
+  Store.Session.set_root (Store.default_session store) "program" (Pvalue.Ref hp);
   let uid = Registry.add_hp vm ~password:Registry.built_in_password hp in
   Store.quarantine_oid store (oid_of vangelis) "checksum mismatch (test)";
   (* the typed variant reports the damage as data *)
@@ -25,12 +25,12 @@ let get_link_degrades_to_broken_link () =
   | Ok _ -> Alcotest.fail "quarantined target must not retrieve");
   (* the raising getLink hands back a BrokenLink instance instead *)
   let v = Registry.get_link vm ~password:Registry.built_in_password ~hp:uid ~link:1 in
-  check_output "degraded class" Hyper_src.broken_link_class (Store.class_of store (oid_of v));
+  check_output "degraded class" Hyper_src.broken_link_class (Store.Session.class_of (Store.default_session store) (oid_of v));
   let reason =
     Vm.call_virtual vm ~recv:v ~name:"getReason" ~desc:"()Ljava.lang.String;" []
   in
   check_bool "getReason explains" true
-    (contains (Store.string_value store reason) "quarantined");
+    (contains (Store.Session.string_value (Store.default_session store) reason) "quarantined");
   (* healthy siblings in the same program still retrieve *)
   let link2 = Registry.get_link vm ~password:Registry.built_in_password ~hp:uid ~link:2 in
   let obj = Vm.call_virtual vm ~recv:link2 ~name:"getObject" ~desc:"()Ljava.lang.Object;" [] in
@@ -39,7 +39,7 @@ let get_link_degrades_to_broken_link () =
 let paper_exceptions_are_kept () =
   let store, vm = fresh_hyper_vm () in
   let hp, _, _ = marry_example vm in
-  Store.set_root store "program" (Pvalue.Ref hp);
+  Store.Session.set_root (Store.default_session store) "program" (Pvalue.Ref hp);
   let uid = Registry.add_hp vm ~password:Registry.built_in_password hp in
   (* a bad index is a caller bug, not store damage: still an exception *)
   (match Registry.try_get_link vm ~password:Registry.built_in_password ~hp:uid ~link:99 with
@@ -48,7 +48,7 @@ let paper_exceptions_are_kept () =
   expect_jerror "java.lang.IndexOutOfBoundsException" (fun () ->
       ignore (Registry.get_link vm ~password:Registry.built_in_password ~hp:uid ~link:99));
   (* a collected program keeps its IllegalStateException *)
-  Store.remove_root store "program";
+  Store.Session.remove_root (Store.default_session store) "program";
   ignore (Store.gc store);
   (match Registry.try_get_link vm ~password:Registry.built_in_password ~hp:uid ~link:0 with
   | Error (Failure.Collected u) -> check_int "collected uid" uid u
@@ -59,24 +59,24 @@ let paper_exceptions_are_kept () =
 let prune_clears_dead_entries () =
   let store, vm = fresh_hyper_vm () in
   let hp, _, _ = marry_example vm in
-  Store.set_root store "keep" (Pvalue.Ref hp);
+  Store.Session.set_root (Store.default_session store) "keep" (Pvalue.Ref hp);
   (* compiling registers the program and records its class origin blob *)
   ignore (Dynamic_compiler.compile_hyper_program vm hp);
   let uid = Storage_form.uid vm hp in
   check_bool "origin blob recorded" true
-    (Store.blob store "hyper.origin:MarryExample" = Some (string_of_int uid));
+    (Store.Session.blob (Store.default_session store) "hyper.origin:MarryExample" = Some (string_of_int uid));
   check_int "anchored while live" 1 (List.length (Registry.origin_anchors vm));
   (* a second, surviving program pins the uid numbering *)
   let hp2 = Storage_form.create vm ~class_name:"X" ~text:"class X { }" ~links:[] in
-  Store.set_root store "keep2" (Pvalue.Ref hp2);
+  Store.Session.set_root (Store.default_session store) "keep2" (Pvalue.Ref hp2);
   let uid2 = Registry.add_hp vm ~password:Registry.built_in_password hp2 in
   (* drop the first program and collect it *)
-  Store.remove_root store "keep";
+  Store.Session.remove_root (Store.default_session store) "keep";
   ignore (Store.gc store);
   let pruned = Registry.prune vm in
   check_int "one dead slot cleared" 1 pruned.Registry.cleared_slots;
   check_int "one stale origin removed" 1 pruned.Registry.removed_origins;
-  check_bool "origin blob gone" true (Store.blob store "hyper.origin:MarryExample" = None);
+  check_bool "origin blob gone" true (Store.Session.blob (Store.default_session store) "hyper.origin:MarryExample" = None);
   (* uids are stable: the survivor keeps its offset, the count its width *)
   check_int "count unchanged" (uid2 + 1) (Registry.count vm);
   check_bool "survivor still live" true
@@ -91,7 +91,7 @@ let prune_clears_dead_entries () =
 let placeholder_for_quarantined_target () =
   let store, vm = fresh_hyper_vm () in
   let hp, vangelis, _ = marry_example vm in
-  Store.set_root store "program" (Pvalue.Ref hp);
+  Store.Session.set_root (Store.default_session store) "program" (Pvalue.Ref hp);
   ignore (Registry.add_hp vm ~password:Registry.built_in_password hp);
   let healthy = Textual_form.generate vm hp in
   check_bool "healthy form has no placeholder" false (contains healthy "broken hyper-link");
@@ -107,7 +107,7 @@ let placeholder_for_quarantined_target () =
 let comment_for_unreadable_link () =
   let store, vm = fresh_hyper_vm () in
   let hp, _, _ = marry_example vm in
-  Store.set_root store "program" (Pvalue.Ref hp);
+  Store.Session.set_root (Store.default_session store) "program" (Pvalue.Ref hp);
   ignore (Registry.add_hp vm ~password:Registry.built_in_password hp);
   (* quarantine the HyperLinkHP record itself, not its target *)
   let link0 = List.hd (Storage_form.link_oids vm hp) in
@@ -123,7 +123,7 @@ let comment_for_unreadable_link () =
 let unreadable_link0 () =
   let store, vm = fresh_hyper_vm () in
   let hp, _, _ = marry_example vm in
-  Store.set_root store "program" (Pvalue.Ref hp);
+  Store.Session.set_root (Store.default_session store) "program" (Pvalue.Ref hp);
   let uid = Registry.add_hp vm ~password:Registry.built_in_password hp in
   Store.quarantine_oid store (List.hd (Storage_form.link_oids vm hp)) "link record corrupt (test)";
   (vm, hp, uid)
@@ -199,7 +199,7 @@ let browser_renders_quarantined_objects () =
   compile_into vm [ person_source ];
   let person = new_person vm "ghost" in
   let oid = oid_of person in
-  Store.set_root store "ghost" person;
+  Store.Session.set_root (Store.default_session store) "ghost" person;
   Store.quarantine_oid store oid "checksum mismatch (test)";
   let b = Browser.Ocb.create vm in
   check_output "reference renders as damaged"

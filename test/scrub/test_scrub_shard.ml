@@ -19,8 +19,8 @@ let sharded_store () =
 
 let alloc_nodes store n =
   Array.init n (fun i ->
-      let oid = Store.alloc_record store "Node" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |] in
-      Store.set_root store (Printf.sprintf "r%d" i) (Pvalue.Ref oid);
+      let oid = Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Int (Int32.of_int i); Pvalue.Null |] in
+      Store.Session.set_root (Store.default_session store) (Printf.sprintf "r%d" i) (Pvalue.Ref oid);
       oid)
 
 (* Two oids guaranteed to hash to different shards (the allocator is
@@ -42,7 +42,7 @@ let cross_shard_dangling_target_quarantined () =
   let store = sharded_store () in
   let oids = alloc_nodes store 16 in
   let a, b = cross_shard_pair store oids in
-  Store.set_field store a 1 (Pvalue.Ref b);
+  Store.Session.set_field (Store.default_session store) a 1 (Pvalue.Ref b);
   (* sever b behind the store's back: a's strong ref now dangles into a
      foreign shard *)
   Heap.remove (Store.heap store) b;
@@ -60,7 +60,7 @@ let cross_shard_dangling_target_quarantined () =
         info.Store.quarantined)
     infos;
   (* dereferencing the hole degrades exactly as on a flat store *)
-  match Store.try_get store b with
+  match Store.Session.try_get (Store.default_session store) b with
   | Error (Failure.Quarantined _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "dereferencing the hole did not report quarantine"
 
@@ -119,7 +119,7 @@ let sharded_matches_flat_verdict () =
      oids — shard assignment must not change scrub semantics *)
   let damage store oids =
     let a, b = (oids.(2), oids.(9)) in
-    Store.set_field store a 1 (Pvalue.Ref b);
+    Store.Session.set_field (Store.default_session store) a 1 (Pvalue.Ref b);
     Heap.remove (Store.heap store) b;
     Store.mark_dirty store;
     List.sort Oid.compare (List.map fst (scrub_pass store))
@@ -154,12 +154,12 @@ let with_salvaged_shard ~shards ~corrupt f =
   let victims =
     List.init corrupt (fun i ->
         let text = Printf.sprintf "salvage-victim-%02d" i in
-        let oid = alloc_on (fun () -> Store.alloc_string store text) in
-        Store.set_root store text (Pvalue.Ref oid);
+        let oid = alloc_on (fun () -> Store.Session.alloc_string (Store.default_session store) text) in
+        Store.Session.set_root (Store.default_session store) text (Pvalue.Ref oid);
         text)
   in
-  let intact = alloc_on (fun () -> Store.alloc_record store "Node" [| Pvalue.Int 42l |]) in
-  Store.set_root store "intact" (Pvalue.Ref intact);
+  let intact = alloc_on (fun () -> Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Int 42l |]) in
+  Store.Session.set_root (Store.default_session store) "intact" (Pvalue.Ref intact);
   Store.stabilise store;
   Store.close store;
   let m = Manifest.layout path in
@@ -193,8 +193,8 @@ let eight_salvaged_entries_demote_one_shard () =
             Alcotest.failf "shard %d was demoted too" h.Store.h_shard)
         (Store.health store);
       check_bool "an intact object on the demoted shard still reads" true
-        (Store.field store intact 0 = Pvalue.Int 42l);
-      match Store.set_field store intact 0 (Pvalue.Int 1l) with
+        (Store.Session.field (Store.default_session store) intact 0 = Pvalue.Int 42l);
+      match Store.Session.set_field (Store.default_session store) intact 0 (Pvalue.Int 1l) with
       | () -> Alcotest.fail "a write to the demoted shard was accepted"
       | exception Failure.Shard_degraded { shard; _ } ->
         check_int "the refusal names the demoted shard" target shard)
@@ -205,14 +205,14 @@ let salvage_demoted_shard_repairs () =
   with_salvaged_shard ~shards:nshards ~corrupt:8 (fun store ~target intact ->
       check_bool "repair had work to do" true (Store.repair store target <> None);
       check_bool "every shard is healthy again" true (Store.healthy store);
-      Store.set_field store intact 0 (Pvalue.Int 1l);
+      Store.Session.set_field (Store.default_session store) intact 0 (Pvalue.Int 1l);
       Store.stabilise store;
       Store.close store;
       let reopened = Store.open_file (Option.get (Store.backing store)) in
       check_bool "the repaired store reopens healthy" true (Store.healthy reopened);
       check_int "the damaged entries stay quarantined" 8 (List.length (Store.quarantined reopened));
       check_bool "the write after repair is durable" true
-        (Store.field reopened intact 0 = Pvalue.Int 1l))
+        (Store.Session.field (Store.default_session reopened) intact 0 = Pvalue.Int 1l))
 
 let one_shard_store_has_no_neighbour_to_demote_for () =
   with_salvaged_shard ~shards:1 ~corrupt:8 (fun store ~target:_ _ ->

@@ -10,7 +10,7 @@ open Scrub_util
 let prime_then_verify () =
   let store = Store.create () in
   for i = 0 to 49 do
-    ignore (Store.alloc_string store (Printf.sprintf "object %d" i))
+    ignore (Store.Session.alloc_string (Store.default_session store) (Printf.sprintf "object %d" i))
   done;
   let q1 = scrub_pass store in
   check_int "nothing quarantined on first pass" 0 (List.length q1);
@@ -24,7 +24,7 @@ let prime_then_verify () =
 let budget_is_respected () =
   let store = Store.create () in
   for i = 0 to 99 do
-    ignore (Store.alloc_string store (string_of_int i))
+    ignore (Store.Session.alloc_string (Store.default_session store) (string_of_int i))
   done;
   let r = Store.scrub ~budget:10 store in
   check_int "scans exactly the budget" 10 r.Scrub.scanned;
@@ -35,7 +35,7 @@ let budget_is_respected () =
 
 let bit_flip_in_big_store_detected () =
   let store = Store.create () in
-  let oids = Array.init 10_000 (fun i -> Store.alloc_string store (Printf.sprintf "payload %d" i)) in
+  let oids = Array.init 10_000 (fun i -> Store.Session.alloc_string (Store.default_session store) (Printf.sprintf "payload %d" i)) in
   ignore (scrub_pass ~budget:2048 store); (* prime every checksum *)
   let victim = oids.(5_000) in
   Faults.corrupt_entry (Store.heap store) victim;
@@ -47,14 +47,14 @@ let bit_flip_in_big_store_detected () =
   check_bool "store agrees" true (Store.is_quarantined store victim);
   check_int "stats agree" 1 (Store.stats store).Store.quarantined;
   (* the victim's neighbours are untouched and readable *)
-  check_output "sibling before" "payload 4999" (Store.get_string store oids.(4_999));
-  check_output "sibling after" "payload 5001" (Store.get_string store oids.(5_001));
+  check_output "sibling before" "payload 4999" (Store.Session.get_string (Store.default_session store) oids.(4_999));
+  check_output "sibling after" "payload 5001" (Store.Session.get_string (Store.default_session store) oids.(5_001));
   (* reads of the hole get the typed error, not a crash *)
-  (match Store.get store victim with
+  (match Store.Session.get (Store.default_session store) victim with
   | _ -> Alcotest.fail "read of a quarantined object must raise"
   | exception Quarantine.Quarantined (o, _) ->
     check_bool "typed error names the oid" true (Oid.equal o victim));
-  match Store.try_get store victim with
+  match Store.Session.try_get (Store.default_session store) victim with
   | Error (Failure.Quarantined { oid = o; _ }) ->
     check_bool "try_get salvages" true (Oid.equal o victim)
   | Error _ -> Alcotest.fail "quarantined, not missing"
@@ -62,22 +62,22 @@ let bit_flip_in_big_store_detected () =
 
 let mutation_reprimes_instead_of_quarantining () =
   let store = Store.create () in
-  let oid = Store.alloc_record store "Counter" [| Pvalue.Int 1l |] in
+  let oid = Store.Session.alloc_record (Store.default_session store) "Counter" [| Pvalue.Int 1l |] in
   ignore (scrub_pass store);
   (* a legitimate mutation through the store API invalidates the CRC *)
-  Store.set_field store oid 0 (Pvalue.Int 2l);
+  Store.Session.set_field (Store.default_session store) oid 0 (Pvalue.Int 2l);
   let q = scrub_pass store in
   check_int "mutation is not corruption" 0 (List.length q);
-  check_bool "object still readable" true (Store.field store oid 0 = Pvalue.Int 2l);
+  check_bool "object still readable" true (Store.Session.field (Store.default_session store) oid 0 = Pvalue.Int 2l);
   (* and the re-primed checksum verifies on the next pass *)
   let r = Store.scrub ~budget:10_000 store in
   check_int "clean verify after re-prime" 0 (List.length r.Scrub.newly_quarantined)
 
 let dangling_target_quarantined () =
   let store = Store.create () in
-  let target = Store.alloc_string store "soon gone" in
-  let holder = Store.alloc_record store "Holder" [| Pvalue.Ref target |] in
-  Store.set_root store "holder" (Pvalue.Ref holder);
+  let target = Store.Session.alloc_string (Store.default_session store) "soon gone" in
+  let holder = Store.Session.alloc_record (Store.default_session store) "Holder" [| Pvalue.Ref target |] in
+  Store.Session.set_root (Store.default_session store) "holder" (Pvalue.Ref holder);
   (* rip the target out behind the store API (bad-DIMM stand-in) *)
   Heap.remove (Store.heap store) target;
   Store.mark_dirty store;
@@ -87,11 +87,11 @@ let dangling_target_quarantined () =
   check_bool "it is the dangling target" true (Oid.equal oid target);
   check_bool "reason says dangling" true (contains reason "dangling");
   (* the holder itself stays healthy... *)
-  check_output "holder readable" "Holder" (Store.class_of store holder);
+  check_output "holder readable" "Holder" (Store.Session.class_of (Store.default_session store) holder);
   (* ...and the hole reads as a typed error instead of Heap_error *)
-  match Store.try_field store holder 0 with
+  match Store.Session.try_field (Store.default_session store) holder 0 with
   | Ok (Pvalue.Ref o) -> (
-    match Store.try_get store o with
+    match Store.Session.try_get (Store.default_session store) o with
     | Error (Failure.Quarantined _) -> ()
     | _ -> Alcotest.fail "hole must read as quarantined")
   | _ -> Alcotest.fail "holder field must read"
@@ -102,10 +102,10 @@ let quarantine_survives_reopen () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      let victim = Store.alloc_string store "victim" in
-      let sibling = Store.alloc_string store "sibling" in
-      Store.set_root store "s" (Pvalue.Ref sibling);
-      Store.set_root store "v" (Pvalue.Ref victim);
+      let victim = Store.Session.alloc_string (Store.default_session store) "victim" in
+      let sibling = Store.Session.alloc_string (Store.default_session store) "sibling" in
+      Store.Session.set_root (Store.default_session store) "s" (Pvalue.Ref sibling);
+      Store.Session.set_root (Store.default_session store) "v" (Pvalue.Ref victim);
       Store.stabilise store;
       Store.quarantine_oid store victim "operator isolation";
       (* quarantining forces a full image at the next stabilise, which is
@@ -117,15 +117,15 @@ let quarantine_survives_reopen () =
       check_output "reason survived" "operator isolation"
         (Option.value (Store.quarantine_reason store2 victim) ~default:"<none>");
       check_int "set size" 1 (List.length (Store.quarantined store2));
-      check_output "sibling fine" "sibling" (Store.get_string store2 sibling))
+      check_output "sibling fine" "sibling" (Store.Session.get_string (Store.default_session store2) sibling))
 
 let bit_flip_during_save_salvaged_on_load () =
   with_store_file (fun path ->
       let store = Store.create () in
-      let victim = Store.alloc_string store "sentinel-victim-payload" in
-      let sibling = Store.alloc_string store "sibling-payload" in
-      Store.set_root store "v" (Pvalue.Ref victim);
-      Store.set_root store "s" (Pvalue.Ref sibling);
+      let victim = Store.Session.alloc_string (Store.default_session store) "sentinel-victim-payload" in
+      let sibling = Store.Session.alloc_string (Store.default_session store) "sibling-payload" in
+      Store.Session.set_root (Store.default_session store) "v" (Pvalue.Ref victim);
+      Store.Session.set_root (Store.default_session store) "s" (Pvalue.Ref sibling);
       (* the image bytes the save will stream out, to aim the fault *)
       let encoded = Image.encode (Store.contents store) in
       let offset = index_of encoded "sentinel-victim-payload" in
@@ -136,8 +136,8 @@ let bit_flip_during_save_salvaged_on_load () =
       (* media corruption: the load salvages around the bad entry *)
       let store2 = Store.open_file path in
       check_bool "victim quarantined by salvage" true (Store.is_quarantined store2 victim);
-      check_output "sibling decoded" "sibling-payload" (Store.get_string store2 sibling);
-      match Store.root store2 "s" with
+      check_output "sibling decoded" "sibling-payload" (Store.Session.get_string (Store.default_session store2) sibling);
+      match Store.Session.root (Store.default_session store2) "s" with
       | Some (Pvalue.Ref _) -> ()
       | _ -> Alcotest.fail "roots must survive the salvage")
 
@@ -147,11 +147,11 @@ let transient_fsync_absorbed () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      ignore (Store.alloc_string store "first");
+      ignore (Store.Session.alloc_string (Store.default_session store) "first");
       Store.stabilise store;
       (* arm a transient failure *)
       Store.configure store { (Store.config store) with Store.Config.retry = true };
-      ignore (Store.alloc_string store "second");
+      ignore (Store.Session.alloc_string (Store.default_session store) "second");
       Faults.arm Faults.Fsync_fails;
       Store.stabilise store;
       (* absorbed, not raised *)
@@ -168,10 +168,10 @@ let short_write_absorbed () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      ignore (Store.alloc_string store "first");
+      ignore (Store.Session.alloc_string (Store.default_session store) "first");
       Store.stabilise store;
       Store.configure store { (Store.config store) with Store.Config.retry = true };
-      ignore (Store.alloc_string store "second");
+      ignore (Store.Session.alloc_string (Store.default_session store) "second");
       (* the journal append tears mid-record; the retry compacts *)
       Faults.arm (Faults.Short_write 3);
       Store.stabilise store;
@@ -188,7 +188,7 @@ let rename_failure_absorbed_in_snapshot_mode () =
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
       Store.configure store { (Store.config store) with Store.Config.retry = true };
-      ignore (Store.alloc_string store "snapshot payload");
+      ignore (Store.Session.alloc_string (Store.default_session store) "snapshot payload");
       Faults.arm Faults.Rename_fails;
       Store.stabilise store;
       check_bool "retried" true ((Store.stats store).Store.io_retries >= 1);
@@ -199,10 +199,10 @@ let no_policy_means_raw_failures () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      ignore (Store.alloc_string store "x");
+      ignore (Store.Session.alloc_string (Store.default_session store) "x");
       Store.stabilise store;
       check_bool "retry is opt-in" true ((Store.config store).Store.Config.retry = false);
-      ignore (Store.alloc_string store "y");
+      ignore (Store.Session.alloc_string (Store.default_session store) "y");
       Faults.arm Faults.Fsync_fails;
       (match Store.stabilise store with
       | () -> Alcotest.fail "without a policy the fault must propagate"
@@ -223,7 +223,7 @@ let close_and_crash_are_idempotent () =
   with_store_file (fun path ->
       let store = Store.create () in
       Store.configure store { (Store.config store) with Store.Config.backing = Some path };
-      ignore (Store.alloc_string store "durable");
+      ignore (Store.Session.alloc_string (Store.default_session store) "durable");
       Store.stabilise store;
       Store.close store;
       Store.close store;
@@ -240,8 +240,8 @@ let close_and_crash_are_idempotent () =
 
 let blob_anchors_checked () =
   let store = Store.create () in
-  let live = Store.alloc_string store "anchored" in
-  Store.set_root store "keep" (Pvalue.Ref live);
+  let live = Store.Session.alloc_string (Store.default_session store) "anchored" in
+  Store.Session.set_root (Store.default_session store) "keep" (Pvalue.Ref live);
   check_int "live anchor is fine" 0
     (List.length (Integrity.check ~anchors:[ ("hyper.origin:Good", live) ] store));
   let dead = Oid.of_int 424_242 in
@@ -257,9 +257,9 @@ let blob_anchors_checked () =
 
 let quarantined_refs_are_not_fatal () =
   let store = Store.create () in
-  let target = Store.alloc_string store "suspect" in
-  let holder = Store.alloc_record store "Holder" [| Pvalue.Ref target |] in
-  Store.set_root store "h" (Pvalue.Ref holder);
+  let target = Store.Session.alloc_string (Store.default_session store) "suspect" in
+  let holder = Store.Session.alloc_record (Store.default_session store) "Holder" [| Pvalue.Ref target |] in
+  Store.Session.set_root (Store.default_session store) "h" (Pvalue.Ref holder);
   Store.quarantine_oid store target "test isolation";
   (match Integrity.check store with
   | [ (Integrity.Quarantined_ref { target = t; _ } as v) ] ->
@@ -271,9 +271,9 @@ let quarantined_refs_are_not_fatal () =
 
 let bad_weak_targets_reported () =
   let store = Store.create () in
-  let target = Store.alloc_string store "weakly held" in
-  let weak = Store.alloc_weak store (Pvalue.Ref target) in
-  Store.set_root store "w" (Pvalue.Ref weak);
+  let target = Store.Session.alloc_string (Store.default_session store) "weakly held" in
+  let weak = Store.Session.alloc_weak (Store.default_session store) (Pvalue.Ref target) in
+  Store.Session.set_root (Store.default_session store) "w" (Pvalue.Ref weak);
   Heap.remove (Store.heap store) target;
   Store.mark_dirty store;
   let weak_violations =

@@ -50,10 +50,10 @@ let refused_redefinition_changes_nothing () =
   ignore (Jcompiler.compile_and_load vm [ "public class Pt { public int a; " ^ getter ^ " }" ]);
   let pt = Vm.new_instance vm ~cls:"Pt" ~desc:"()V" [] in
   let oid = match pt with Pvalue.Ref o -> o | _ -> Alcotest.fail "Pt is not an object" in
-  Store.set_field store oid (Rt.field_slot vm "Pt" "a") (Pvalue.Int 7l);
-  Store.set_root store "pt" pt;
+  Store.Session.set_field (Store.default_session store) oid (Rt.field_slot vm "Pt" "a") (Pvalue.Int 7l);
+  Store.Session.set_root (Store.default_session store) "pt" pt;
   Store.stabilise store;
-  let blob = Store.blob store "minijava.class:Pt" in
+  let blob = Store.Session.blob (Store.default_session store) "minijava.class:Pt" in
   let c = Server.Dispatch.create ~vm ~store ~name:"test" in
   let password = Registry.built_in_password in
   (match request c (Protocol.Hello { version = Protocol.version; password }) with
@@ -68,7 +68,7 @@ let refused_redefinition_changes_nothing () =
   check_int "the VM keeps the old layout" 1 (Array.length (Rt.get_class vm "Pt").Rt.rc_layout);
   check_bool "the instance still reads 7" true
     (Pvalue.equal (Pvalue.Int 7l) (Vm.call_static vm ~cls:"Pt" ~name:"get" ~desc:"(LPt;)I" [ pt ]));
-  check_bool "the class blob is unchanged" true (Store.blob store "minijava.class:Pt" = blob)
+  check_bool "the class blob is unchanged" true (Store.Session.blob (Store.default_session store) "minijava.class:Pt" = blob)
 
 (* An identical source is not a redefinition: the wire compile succeeds
    while the connection's session is open, and changes nothing. *)
@@ -82,10 +82,10 @@ let identical_compile_is_answered () =
   ignore (Jcompiler.compile_and_load vm [ source ]);
   let pt = Vm.new_instance vm ~cls:"Pt" ~desc:"()V" [] in
   let oid = match pt with Pvalue.Ref o -> o | _ -> Alcotest.fail "Pt is not an object" in
-  Store.set_field store oid (Rt.field_slot vm "Pt" "a") (Pvalue.Int 7l);
-  Store.set_root store "pt" pt;
+  Store.Session.set_field (Store.default_session store) oid (Rt.field_slot vm "Pt" "a") (Pvalue.Int 7l);
+  Store.Session.set_root (Store.default_session store) "pt" pt;
   Store.stabilise store;
-  let blob = Store.blob store "minijava.class:Pt" in
+  let blob = Store.Session.blob (Store.default_session store) "minijava.class:Pt" in
   let c = Server.Dispatch.create ~vm ~store ~name:"test" in
   let password = Registry.built_in_password in
   (match request c (Protocol.Hello { version = Protocol.version; password }) with
@@ -96,7 +96,7 @@ let identical_compile_is_answered () =
   | other -> Alcotest.failf "identical compile: %s" (Protocol.describe_response other));
   check_bool "the instance still reads 7" true
     (Pvalue.equal (Pvalue.Int 7l) (Vm.call_static vm ~cls:"Pt" ~name:"get" ~desc:"(LPt;)I" [ pt ]));
-  check_bool "the class blob is unchanged" true (Store.blob store "minijava.class:Pt" = blob)
+  check_bool "the class blob is unchanged" true (Store.Session.blob (Store.default_session store) "minijava.class:Pt" = blob)
 
 let suite =
   ( "dispatch",

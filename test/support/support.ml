@@ -248,7 +248,7 @@ let damage_marry path ~damaged =
   let vm = Boot.vm_for store in
   Hyperprog.Dynamic_compiler.install vm;
   let hp, _, _ = marry_example vm in
-  Store.set_root store "marry" (Pvalue.Ref hp);
+  Store.Session.set_root (Store.default_session store) "marry" (Pvalue.Ref hp);
   let uid = Hyperprog.Registry.add_hp vm ~password:Hyperprog.Registry.built_in_password hp in
   let oid =
     match damaged with

@@ -13,8 +13,8 @@ let setup () =
   let mary = new_person vm "mary" in
   ignore
     (Vm.call_static vm ~cls:"Person" ~name:"marry" ~desc:"(LPerson;LPerson;)V" [ vangelis; mary ]);
-  Store.set_root store "vangelis" vangelis;
-  Store.set_root store "mary" mary;
+  Store.Session.set_root (Store.default_session store) "vangelis" vangelis;
+  Store.Session.set_root (Store.default_session store) "mary" mary;
   (store, vm, Ocb.create vm, vangelis, mary)
 
 let row_labels b panel = List.map (fun r -> r.Ocb.row_label) (Ocb.rows b panel)
@@ -81,7 +81,7 @@ let display_format_customisation () =
       Display_format.summary =
         Some
           (fun vm oid ->
-            let name = Store.field vm.Rt.store oid (Rt.field_slot vm "Person" "name") in
+            let name = Store.Session.field vm.Rt.session oid (Rt.field_slot vm "Person" "name") in
             "person " ^ Rt.ocaml_string vm name);
     };
   let panel = Ocb.open_object b (oid_of vangelis) in
@@ -115,7 +115,7 @@ let hidden_fields_list () =
 let array_panels () =
   let _store, vm, b, _, _ = setup () in
   let arr =
-    Store.alloc_array vm.Rt.store "I" [| Pvalue.Int 10l; Pvalue.Int 20l |]
+    Store.Session.alloc_array vm.Rt.session "I" [| Pvalue.Int 10l; Pvalue.Int 20l |]
   in
   let panel = Ocb.open_object b arr in
   let rows = Ocb.rows b panel in
@@ -125,7 +125,7 @@ let array_panels () =
 
 let string_panels () =
   let _store, vm, b, _, _ = setup () in
-  let s = Store.alloc_string vm.Rt.store "browse me" in
+  let s = Store.Session.alloc_string vm.Rt.session "browse me" in
   let panel = Ocb.open_object b s in
   let rows = Ocb.rows b panel in
   check_bool "value row" true
@@ -161,8 +161,8 @@ let persons store = List.assoc_opt "Person" (Graph.census store)
 let counts_after_gc () =
   let store, _vm, _b, _, _ = setup () in
   Alcotest.(check (option int)) "two persons" (Some 2) (persons store);
-  Store.remove_root store "vangelis";
-  Store.remove_root store "mary";
+  Store.Session.remove_root (Store.default_session store) "vangelis";
+  Store.Session.remove_root (Store.default_session store) "mary";
   ignore (Store.gc store);
   check_census "after a gc sweep" store;
   Alcotest.(check (option int)) "the swept class is gone" None (persons store)
@@ -171,7 +171,7 @@ let counts_after_abort () =
   let store = fresh_store () in
   let vm0 = Hyperprog.Transaction.fresh_vm store in
   compile_into vm0 [ person_source ];
-  Store.set_root store "zara" (new_person vm0 "zara");
+  Store.Session.set_root (Store.default_session store) "zara" (new_person vm0 "zara");
   match
     Hyperprog.Transaction.transact store (fun vm ->
         ignore (new_person vm "ghost");
@@ -187,10 +187,10 @@ let counts_after_abort () =
 let counts_after_replay () =
   with_store_file @@ fun path ->
   let store = Store.create () in
-  Store.set_root store "keep" (Pvalue.Ref (Store.alloc_string store "kept"));
+  Store.Session.set_root (Store.default_session store) "keep" (Pvalue.Ref (Store.Session.alloc_string (Store.default_session store) "kept"));
   Store.stabilise ~path store;
-  Store.set_root store "r" (Pvalue.Ref (Store.alloc_record store "Base" [| Pvalue.Null |]));
-  Store.set_root store "a" (Pvalue.Ref (Store.alloc_array store "int" [| Pvalue.Int 1l |]));
+  Store.Session.set_root (Store.default_session store) "r" (Pvalue.Ref (Store.Session.alloc_record (Store.default_session store) "Base" [| Pvalue.Null |]));
+  Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref (Store.Session.alloc_array (Store.default_session store) "int" [| Pvalue.Int 1l |]));
   Store.stabilise store;
   Store.crash store;
   let store = Store.open_file path in
@@ -212,7 +212,7 @@ let counts_after_evolve () =
   let store, vm = fresh_hyper_vm () in
   compile_into vm [ "public class Point { public int x; }" ];
   for i = 1 to 3 do
-    Store.set_root store (Printf.sprintf "p%d" i) (Vm.new_instance vm ~cls:"Point" ~desc:"()V" [])
+    Store.Session.set_root (Store.default_session store) (Printf.sprintf "p%d" i) (Vm.new_instance vm ~cls:"Point" ~desc:"()V" [])
   done;
   let r =
     Hyperprog.Evolution.evolve vm ~class_name:"Point"
@@ -227,7 +227,7 @@ let counts_after_evolve () =
 let census_words n =
   let store = Store.create () in
   for _ = 1 to n do
-    ignore (Store.alloc_record store "Item" [||])
+    ignore (Store.Session.alloc_record (Store.default_session store) "Item" [||])
   done;
   ignore (Graph.census store);
   let before = Stdlib.Gc.minor_words () in

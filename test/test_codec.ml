@@ -146,7 +146,7 @@ let checksum_allocation_bounds () =
 let encode_allocation_bound () =
   let store = Store.create () in
   for i = 1 to 3_000 do
-    ignore (Store.alloc_string store (Printf.sprintf "string %d" i))
+    ignore (Store.Session.alloc_string (Store.default_session store) (Printf.sprintf "string %d" i))
   done;
   let contents = Store.contents store in
   let size = String.length (Image.encode contents) in
@@ -200,10 +200,10 @@ let pvalue_truncation_at_every_offset () =
    silently unnoticed. *)
 let image_truncation_and_corruption () =
   let store = fresh_store () in
-  let s = Store.alloc_string store "payload" in
-  let r = Store.alloc_record store "C" [| Pvalue.Ref s; Pvalue.Int 7l |] in
-  Store.set_root store "r" (Pvalue.Ref r);
-  Store.set_blob store "b" "blob";
+  let s = Store.Session.alloc_string (Store.default_session store) "payload" in
+  let r = Store.Session.alloc_record (Store.default_session store) "C" [| Pvalue.Ref s; Pvalue.Int 7l |] in
+  Store.Session.set_root (Store.default_session store) "r" (Pvalue.Ref r);
+  Store.Session.set_blob (Store.default_session store) "b" "blob";
   let data = Image.encode (Store.contents store) in
   for len = 0 to String.length data - 1 do
     match Image.decode (String.sub data 0 len) with
@@ -226,10 +226,10 @@ let image_truncation_and_corruption () =
    objects, roots, blobs) loads intact. *)
 let image_salvage_is_precise () =
   let store = fresh_store () in
-  let victim = Store.alloc_string store "sentinel-victim-payload" in
-  let sibling = Store.alloc_string store "sibling" in
-  Store.set_root store "sib" (Pvalue.Ref sibling);
-  Store.set_blob store "b" "blob";
+  let victim = Store.Session.alloc_string (Store.default_session store) "sentinel-victim-payload" in
+  let sibling = Store.Session.alloc_string (Store.default_session store) "sibling" in
+  Store.Session.set_root (Store.default_session store) "sib" (Pvalue.Ref sibling);
+  Store.Session.set_blob (Store.default_session store) "b" "blob";
   let data = Image.encode (Store.contents store) in
   let needle = "sentinel-victim-payload" in
   let off =
@@ -260,10 +260,10 @@ let image_salvage_is_precise () =
 let image_damage_by_region () =
   with_dir (fun dir ->
       let store = fresh_store () in
-      let victim = Store.alloc_string store "victim-payload" in
-      let sibling = Store.alloc_string store "sibling" in
-      Store.set_root store "r" (Pvalue.Ref (Store.alloc_record store "C" [| Pvalue.Ref sibling |]));
-      Store.set_blob store "b" "blob";
+      let victim = Store.Session.alloc_string (Store.default_session store) "victim-payload" in
+      let sibling = Store.Session.alloc_string (Store.default_session store) "sibling" in
+      Store.Session.set_root (Store.default_session store) "r" (Pvalue.Ref (Store.Session.alloc_record (Store.default_session store) "C" [| Pvalue.Ref sibling |]));
+      Store.Session.set_blob (Store.default_session store) "b" "blob";
       let path = Filename.concat dir "image" in
       ignore (Image.save ~obs:(Obs.create ()) path (Store.contents store));
       let data = read_file path in

@@ -104,7 +104,7 @@ let java_level_compile_hyper_program () =
   (* compileClasses(HyperProgram[]) from MiniJava (Figure 9). *)
   let _store, vm = fresh_hyper_vm () in
   let hp, vangelis, _ = marry_example vm in
-  Store.set_root vm.Rt.store "hp" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "hp" (Pvalue.Ref hp);
   compile_into vm
     [
       "import compiler.DynamicCompiler;\nimport hyper.HyperProgram;\n\
@@ -192,7 +192,7 @@ let source_v n body =
   Printf.sprintf "public class K%d { public static int v() { return %s; } }" n body
 
 let compile_cache_blobs store =
-  List.filter (String.starts_with ~prefix:"hyper.ccache") (Store.blob_keys store)
+  List.filter (String.starts_with ~prefix:"hyper.ccache") (Store.Session.blob_keys (Store.default_session store))
 
 let repeated_compile_runs_compiler () =
   let store, vm = fresh_hyper_vm () in

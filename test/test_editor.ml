@@ -208,7 +208,7 @@ let user_editor_refuses_illegal () =
   (* complete program: legality is judged *)
   User_editor.type_text ed "public class T {  f; }";
   User_editor.move_cursor ed (pos 0 17);
-  let s = Store.alloc_string vm.Rt.store "obj" in
+  let s = Store.Session.alloc_string vm.Rt.session "obj" in
   (match User_editor.insert_link ed (Hyperlink.L_object s) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "object link at type position must be refused");

@@ -12,9 +12,9 @@ let setup () =
   let store, vm = fresh_hyper_vm () in
   compile_into vm [ point_v1 ];
   let p = Vm.new_instance vm ~cls:"Point" ~desc:"()V" [] in
-  Store.set_root store "p" p;
-  Store.set_field store (oid_of p) (Rt.field_slot vm "Point" "x") (Pvalue.Int 3l);
-  Store.set_field store (oid_of p) (Rt.field_slot vm "Point" "y") (Pvalue.Int 4l);
+  Store.Session.set_root (Store.default_session store) "p" p;
+  Store.Session.set_field (Store.default_session store) (oid_of p) (Rt.field_slot vm "Point" "x") (Pvalue.Int 3l);
+  Store.Session.set_field (Store.default_session store) (oid_of p) (Rt.field_slot vm "Point" "y") (Pvalue.Int 4l);
   (store, vm, p)
 
 let add_field_preserves_data () =
@@ -22,8 +22,8 @@ let add_field_preserves_data () =
   let result = Evolution.evolve vm ~class_name:"Point" ~new_source:point_v2 () in
   check_int "one instance" 1 result.Evolution.instances_updated;
   check_output "class" "Point" result.Evolution.class_name;
-  let x = Store.field store (oid_of p) (Rt.field_slot vm "Point" "x") in
-  let z = Store.field store (oid_of p) (Rt.field_slot vm "Point" "z") in
+  let x = Store.Session.field (Store.default_session store) (oid_of p) (Rt.field_slot vm "Point" "x") in
+  let z = Store.Session.field (Store.default_session store) (oid_of p) (Rt.field_slot vm "Point" "z") in
   check_bool "x preserved" true (Pvalue.equal x (Pvalue.Int 3l));
   check_bool "z defaulted" true (Pvalue.equal z (Pvalue.Int 0l))
 
@@ -36,7 +36,7 @@ let oid_preserved_so_links_survive () =
     Storage_form.create vm ~class_name:"Show" ~text
       ~links:[ { Storage_form.link = Hyperlink.L_object (oid_of p); label = "p"; pos } ]
   in
-  Store.set_root store "show" (Pvalue.Ref hp);
+  Store.Session.set_root (Store.default_session store) "show" (Pvalue.Ref hp);
   ignore (Evolution.evolve vm ~class_name:"Point" ~new_source:point_v2 ());
   (* the link's oid still resolves; recompiling the hyper-program works
      against the evolved schema *)
@@ -50,7 +50,7 @@ let converter_runs () =
     "public class Conv { public static void convert(Point pt) { pt.z = pt.x + pt.y; } }"
   in
   ignore (Evolution.evolve vm ~class_name:"Point" ~new_source:point_v2 ~converter ());
-  let z = Store.field store (oid_of p) (Rt.field_slot vm "Point" "z") in
+  let z = Store.Session.field (Store.default_session store) (oid_of p) (Rt.field_slot vm "Point" "z") in
   check_bool "converter derived z" true (Pvalue.equal z (Pvalue.Int 7l))
 
 let old_version_archived () =
@@ -90,14 +90,14 @@ let subclasses_follow () =
   compile_into vm
     [ "public class Base { public int a; }\npublic class Sub extends Base { public int b; }" ];
   let s = Vm.new_instance vm ~cls:"Sub" ~desc:"()V" [] in
-  Store.set_root store "s" s;
-  Store.set_field store (oid_of s) (Rt.field_slot vm "Sub" "b") (Pvalue.Int 11l);
+  Store.Session.set_root (Store.default_session store) "s" s;
+  Store.Session.set_field (Store.default_session store) (oid_of s) (Rt.field_slot vm "Sub" "b") (Pvalue.Int 11l);
   let result =
     Evolution.evolve vm ~class_name:"Base"
       ~new_source:"public class Base { public int a0; public int a; }" ()
   in
   check_bool "subclass affected" true (List.mem "Sub" result.Evolution.affected_classes);
-  let b = Store.field store (oid_of s) (Rt.field_slot vm "Sub" "b") in
+  let b = Store.Session.field (Store.default_session store) (oid_of s) (Rt.field_slot vm "Sub" "b") in
   check_bool "subclass field survives layout shift" true (Pvalue.equal b (Pvalue.Int 11l))
 
 let bootstrap_protected () =

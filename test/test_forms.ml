@@ -50,7 +50,7 @@ let all_link_kinds_roundtrip_storage () =
   let _store, vm = fresh_hyper_vm () in
   compile_into vm [ person_source ];
   let p = oid_of (new_person vm "x") in
-  let arr = Store.alloc_array vm.Rt.store "I" [| Pvalue.Int 1l |] in
+  let arr = Store.Session.alloc_array vm.Rt.session "I" [| Pvalue.Int 1l |] in
   let kinds =
     [
       Hyperlink.L_object p;
@@ -176,7 +176,7 @@ let link_position_past_the_text () =
     [ { Storage_form.link = Hyperlink.L_primitive (Pvalue.Int 1l); label = "one"; pos = 40 } ]
   in
   let hp = Storage_form.create vm ~class_name:"C" ~text ~links in
-  Store.set_root store "c" (Pvalue.Ref hp);
+  Store.Session.set_root (Store.default_session store) "c" (Pvalue.Ref hp);
   let uid = Registry.add_hp vm ~password:Registry.built_in_password hp in
   let refused what f =
     match f () with

@@ -36,7 +36,7 @@ let export_form_direct () =
 let export_all_to_directory () =
   let _store, vm = fresh_hyper_vm () in
   let hp, _, _ = marry_example vm in
-  Store.set_root vm.Rt.store "hp" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "hp" (Pvalue.Ref hp);
   ignore (Registry.add_hp vm ~password:Registry.built_in_password hp);
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "hyper-html-test" in
   Fun.protect
@@ -96,15 +96,15 @@ let live_page_only_for_live_uids () =
   let dropped =
     Storage_form.create vm ~class_name:"Dropped" ~text:"public class Dropped {}\n" ~links:[]
   in
-  Store.set_root vm.Rt.store "kept" (Pvalue.Ref kept);
-  Store.set_root vm.Rt.store "dropped" (Pvalue.Ref dropped);
+  Store.Session.set_root vm.Rt.session "kept" (Pvalue.Ref kept);
+  Store.Session.set_root vm.Rt.session "dropped" (Pvalue.Ref dropped);
   let kept_uid = Registry.add_hp vm ~password:Registry.built_in_password kept in
   let dropped_uid = Registry.add_hp vm ~password:Registry.built_in_password dropped in
   (match Html_export.live_page vm ~uid:kept_uid with
   | Some page -> check_bool "title names the program" true (contains page "MarryExample")
   | None -> Alcotest.fail "a live uid gave no page");
-  Store.remove_root vm.Rt.store "dropped";
-  ignore (Store.gc vm.Rt.store);
+  Store.Session.remove_root vm.Rt.session "dropped";
+  ignore (Store.gc (Store.Session.store vm.Rt.session));
   check_bool "collected" true (Registry.hp_at vm dropped_uid = Pvalue.Null);
   check_bool "collected uid" true (Html_export.live_page vm ~uid:dropped_uid = None);
   check_bool "live uid survives the gc" true (Html_export.live_page vm ~uid:kept_uid <> None);

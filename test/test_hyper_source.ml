@@ -10,7 +10,7 @@ let setup () =
   let store, vm = fresh_hyper_vm () in
   compile_into vm [ person_source ];
   let p = new_person vm "anna" in
-  Store.set_root store "anna" p;
+  Store.Session.set_root (Store.default_session store) "anna" p;
   (store, vm, p)
 
 let parse_marry () =
@@ -37,8 +37,8 @@ let parse_marry () =
 
 let all_spec_kinds () =
   let store, vm, p = setup () in
-  let arr = Store.alloc_array store "I" [| Pvalue.Int 1l |] in
-  Store.set_root store "xs" (Pvalue.Ref arr);
+  let arr = Store.Session.alloc_array (Store.default_session store) "I" [| Pvalue.Int 1l |] in
+  Store.Session.set_root (Store.default_session store) "xs" (Pvalue.Ref arr);
   let check spec expected_pp =
     let link = Hyper_source.parse_link vm spec in
     check_output spec expected_pp (Format.asprintf "%a" Hyperlink.pp link)

@@ -13,7 +13,7 @@ let env_with_marker vm =
 let table1_mapping () =
   let _store, vm = fresh_hyper_vm () in
   let env = env_with_marker vm in
-  let oid = Store.alloc_string vm.Rt.store "x" in
+  let oid = Store.Session.alloc_string vm.Rt.session "x" in
   let expect link production =
     check_output
       (Format.asprintf "%a" Hyperlink.pp link)
@@ -48,7 +48,7 @@ let table1_full_matrix () =
 let illegal_insertions_refused () =
   let _store, vm = fresh_hyper_vm () in
   let env = Rt.class_env vm in
-  let oid = Store.alloc_string vm.Rt.store "x" in
+  let oid = Store.Session.alloc_string vm.Rt.session "x" in
   let check_illegal name text pos link =
     match Productions.insertion_legal ~env { Editing_form.text; flat_links = [] } ~pos ~link with
     | Productions.Illegal _ -> ()
@@ -70,7 +70,7 @@ let illegal_insertions_refused () =
 let legal_insertions_accepted () =
   let _store, vm = fresh_hyper_vm () in
   let env = Rt.class_env vm in
-  let oid = Store.alloc_string vm.Rt.store "x" in
+  let oid = Store.Session.alloc_string vm.Rt.session "x" in
   let text = "public class T { void m() { Object x = ; } }" in
   let pos = index_of text "; } }" in
   match
@@ -84,7 +84,7 @@ let incomplete_program_is_advisory () =
   (* Mid-composition the program does not parse; insertion is allowed. *)
   let _store, vm = fresh_hyper_vm () in
   let env = Rt.class_env vm in
-  let oid = Store.alloc_string vm.Rt.store "x" in
+  let oid = Store.Session.alloc_string vm.Rt.session "x" in
   let text = "public class T { void m() { " in
   match
     Productions.insertion_legal ~env { Editing_form.text; flat_links = [] }

@@ -44,13 +44,13 @@ let classes_persist_across_sessions () =
       let vm = Boot.boot_fresh store in
       compile_into vm [ person_source ];
       let p = new_person vm "persisted" in
-      Store.set_root store "p" p;
+      Store.Session.set_root (Store.default_session store) "p" p;
       Store.stabilise ~path store;
       (* second session: relink without recompiling *)
       let store2 = Store.open_file path in
       let vm2 = Boot.vm_for store2 in
       check_bool "Person relinked" true (Rt.is_loaded vm2 "Person");
-      let p2 = Option.get (Store.root store2 "p") in
+      let p2 = Option.get (Store.Session.root (Store.default_session store2) "p") in
       let name = Vm.call_virtual vm2 ~recv:p2 ~name:"getName" ~desc:"()Ljava.lang.String;" [] in
       check_output "object usable" "persisted" (Rt.ocaml_string vm2 name))
 
@@ -74,15 +74,15 @@ let redefinition_migrates_instances () =
   compile_into vm [ "public class P { public int a; public int b; }" ];
   let p = Vm.new_instance vm ~cls:"P" ~desc:"()V" [] in
   let p_oid = oid_of p in
-  Pstore.Store.set_root vm.Rt.store "p" p;
-  Pstore.Store.set_field vm.Rt.store p_oid (Rt.field_slot vm "P" "a") (Pvalue.Int 7l);
-  Pstore.Store.set_field vm.Rt.store p_oid (Rt.field_slot vm "P" "b") (Pvalue.Int 8l);
+  Pstore.Store.Session.set_root vm.Rt.session "p" p;
+  Pstore.Store.Session.set_field vm.Rt.session p_oid (Rt.field_slot vm "P" "a") (Pvalue.Int 7l);
+  Pstore.Store.Session.set_field vm.Rt.session p_oid (Rt.field_slot vm "P" "b") (Pvalue.Int 8l);
   (* Redefine: drop b, add c, keep a. *)
   ignore
     (Jcompiler.compile_and_load ~redefine:true vm
        [ "public class P { public int c; public int a; }" ]);
-  let a = Pstore.Store.field vm.Rt.store p_oid (Rt.field_slot vm "P" "a") in
-  let c = Pstore.Store.field vm.Rt.store p_oid (Rt.field_slot vm "P" "c") in
+  let a = Pstore.Store.Session.field vm.Rt.session p_oid (Rt.field_slot vm "P" "a") in
+  let c = Pstore.Store.Session.field vm.Rt.session p_oid (Rt.field_slot vm "P" "c") in
   check_bool "a kept across reorder" true (Pvalue.equal a (Pvalue.Int 7l));
   check_bool "c defaulted" true (Pvalue.equal c (Pvalue.Int 0l))
 
@@ -95,15 +95,15 @@ let redefinition_rebuilds_subclass_layouts () =
     ];
   let d = Vm.new_instance vm ~cls:"Derived" ~desc:"()V" [] in
   let d_oid = oid_of d in
-  Pstore.Store.set_root vm.Rt.store "d" d;
-  Pstore.Store.set_field vm.Rt.store d_oid (Rt.field_slot vm "Derived" "y") (Pvalue.Int 5l);
-  Pstore.Store.set_field vm.Rt.store d_oid (Rt.field_slot vm "Base" "x") (Pvalue.Int 3l);
+  Pstore.Store.Session.set_root vm.Rt.session "d" d;
+  Pstore.Store.Session.set_field vm.Rt.session d_oid (Rt.field_slot vm "Derived" "y") (Pvalue.Int 5l);
+  Pstore.Store.Session.set_field vm.Rt.session d_oid (Rt.field_slot vm "Base" "x") (Pvalue.Int 3l);
   (* Grow Base: Derived's layout must shift, y must survive. *)
   ignore
     (Jcompiler.compile_and_load ~redefine:true vm
        [ "public class Base { public int w; public int x; }" ]);
-  let x = Pstore.Store.field vm.Rt.store d_oid (Rt.field_slot vm "Base" "x") in
-  let y = Pstore.Store.field vm.Rt.store d_oid (Rt.field_slot vm "Derived" "y") in
+  let x = Pstore.Store.Session.field vm.Rt.session d_oid (Rt.field_slot vm "Base" "x") in
+  let y = Pstore.Store.Session.field vm.Rt.session d_oid (Rt.field_slot vm "Derived" "y") in
   check_bool "x migrated" true (Pvalue.equal x (Pvalue.Int 3l));
   check_bool "y migrated" true (Pvalue.equal y (Pvalue.Int 5l));
   check_int "layout grew" 3 (Array.length (Rt.get_class vm "Derived").Rt.rc_layout)
@@ -113,13 +113,13 @@ let redefinition_widens_types () =
   compile_into vm [ "public class Q { public int n; public String s; }" ];
   let q = Vm.new_instance vm ~cls:"Q" ~desc:"()V" [] in
   let q_oid = oid_of q in
-  Pstore.Store.set_root vm.Rt.store "q" q;
-  Pstore.Store.set_field vm.Rt.store q_oid (Rt.field_slot vm "Q" "n") (Pvalue.Int 9l);
+  Pstore.Store.Session.set_root vm.Rt.session "q" q;
+  Pstore.Store.Session.set_field vm.Rt.session q_oid (Rt.field_slot vm "Q" "n") (Pvalue.Int 9l);
   ignore
     (Jcompiler.compile_and_load ~redefine:true vm
        [ "public class Q { public long n; public int s; }" ]);
-  let n = Pstore.Store.field vm.Rt.store q_oid (Rt.field_slot vm "Q" "n") in
-  let s = Pstore.Store.field vm.Rt.store q_oid (Rt.field_slot vm "Q" "s") in
+  let n = Pstore.Store.Session.field vm.Rt.session q_oid (Rt.field_slot vm "Q" "n") in
+  let s = Pstore.Store.Session.field vm.Rt.session q_oid (Rt.field_slot vm "Q" "s") in
   check_bool "int widened to long" true (Pvalue.equal n (Pvalue.Long 9L));
   check_bool "incompatible type reset" true (Pvalue.equal s (Pvalue.Int 0l))
 
@@ -131,7 +131,7 @@ let source_prefix = "minijava.source:"
 let source_key text = source_prefix ^ Digest.to_hex (Digest.string text)
 
 let source_blobs store =
-  Store.blob_keys store
+  Store.Session.blob_keys (Store.default_session store)
   |> List.filter (String.starts_with ~prefix:source_prefix)
   |> List.sort String.compare
 
@@ -144,20 +144,20 @@ let loaded_sources vm =
 (* The unit blobs are exactly the distinct texts of the loaded classes,
    one blob each, each holding its text. *)
 let check_unit_blobs vm =
-  let store = vm.Rt.store in
+  let store = (Store.Session.store vm.Rt.session) in
   let texts = loaded_sources vm in
   Alcotest.(check (list string))
     "one unit blob per distinct source" (List.sort String.compare (List.map source_key texts))
     (source_blobs store);
   List.iter
     (fun text ->
-      check_bool "unit blob holds its text" true (Store.blob store (source_key text) = Some text))
+      check_bool "unit blob holds its text" true (Store.Session.blob (Store.default_session store) (source_key text) = Some text))
     texts
 
 (* Is this class blob in the by-key form?  Only that form needs a source
    resolver to decode. *)
 let names_source_by_key store name =
-  let data = Option.get (Store.blob store ("minijava.class:" ^ name)) in
+  let data = Option.get (Store.Session.blob (Store.default_session store) ("minijava.class:" ^ name)) in
   match Classfile.decode data with
   | _ -> false
   | exception Codec.Decode_error _ -> true
@@ -179,7 +179,7 @@ let unit_sources_stored_once () =
       (* The class-order blob lists every persisted class once, in
          definition order. *)
       check_output "class order" (String.concat "\n" vm.Rt.load_order)
-        (Option.get (Store.blob store Linker.order_blob));
+        (Option.get (Store.Session.blob (Store.default_session store) Linker.order_blob));
       let store2, vm2 = reopen path in
       check_unit_blobs vm2;
       List.iter
@@ -197,11 +197,11 @@ let unit_sources_stored_once () =
       (* A batch whose classes are all listed leaves the class-order blob
          as it was: the very string, not a rewrite of it. *)
       ignore (Jcompiler.compile_and_load ~redefine:true vm2 [ person_source ]);
-      let order = Option.get (Store.blob store2 Linker.order_blob) in
+      let order = Option.get (Store.Session.blob (Store.default_session store2) Linker.order_blob) in
       check_output "Person listed last" (String.concat "\n" vm2.Rt.load_order) order;
       ignore (Jcompiler.compile_and_load ~redefine:true vm2 [ person_source ]);
       check_bool "an already-listed batch keeps the order string" true
-        (Option.get (Store.blob store2 Linker.order_blob) == order))
+        (Option.get (Store.Session.blob (Store.default_session store2) Linker.order_blob) == order))
 
 let inline_blobs_still_relink () =
   with_store_file (fun path ->
@@ -212,10 +212,10 @@ let inline_blobs_still_relink () =
          carries its source inline, and there are no unit blobs. *)
       List.iter
         (fun name ->
-          Store.set_blob store ("minijava.class:" ^ name)
+          Store.Session.set_blob (Store.default_session store) ("minijava.class:" ^ name)
             (Classfile.encode (Rt.get_class vm name).Rt.rc_classfile))
         vm.Rt.load_order;
-      List.iter (Store.remove_blob store) (source_blobs store);
+      List.iter (Store.Session.remove_blob (Store.default_session store)) (source_blobs store);
       Store.stabilise ~path store;
       let store2, vm2 = reopen path in
       check_int "no unit blobs" 0 (List.length (source_blobs store2));
@@ -243,17 +243,17 @@ let redefinition_leaves_no_orphans () =
   check_unit_blobs vm;
   (* B still carries v1, so its blob stays. *)
   ignore (Jcompiler.compile_and_load ~redefine:true vm [ a2 ]);
-  check_bool "v1 kept while B names it" true (Store.blob store (source_key v1) <> None);
+  check_bool "v1 kept while B names it" true (Store.Session.blob (Store.default_session store) (source_key v1) <> None);
   check_unit_blobs vm;
   ignore (Jcompiler.compile_and_load ~redefine:true vm [ b2 ]);
-  check_bool "v1 removed" true (Store.blob store (source_key v1) = None);
+  check_bool "v1 removed" true (Store.Session.blob (Store.default_session store) (source_key v1) = None);
   check_unit_blobs vm;
   (* An unchanged re-run leaves the stored text alone: the blob is the
      same string, not a rewrite of an equal one. *)
-  let stored = Option.get (Store.blob store (source_key b2)) in
+  let stored = Option.get (Store.Session.blob (Store.default_session store) (source_key b2)) in
   let b2_again = String.init (String.length b2) (String.get b2) in
   ignore (Jcompiler.compile_and_load ~redefine:true vm [ b2_again ]);
-  check_bool "unit blob not rewritten" true (Option.get (Store.blob store (source_key b2)) == stored);
+  check_bool "unit blob not rewritten" true (Option.get (Store.Session.blob (Store.default_session store) (source_key b2)) == stored);
   check_unit_blobs vm
 
 let missing_unit_blob_fails_relink () =
@@ -261,7 +261,7 @@ let missing_unit_blob_fails_relink () =
       let store = Store.create () in
       let vm = Boot.boot_fresh store in
       compile_into vm [ person_source ];
-      Store.remove_blob store (source_key person_source);
+      Store.Session.remove_blob (Store.default_session store) (source_key person_source);
       Store.stabilise ~path store;
       let store2 = Store.open_file path in
       match Boot.vm_for store2 with
@@ -272,7 +272,7 @@ let missing_unit_blob_fails_relink () =
 let rolled_back_compile_keeps_unit_blobs () =
   let store, vm = fresh_vm () in
   compile_into vm [ person_source ];
-  let before = List.map (fun k -> (k, Store.blob store k)) (source_blobs store) in
+  let before = List.map (fun k -> (k, Store.Session.blob (Store.default_session store) k)) (source_blobs store) in
   let changed = person_source ^ "class Extra { }\n" in
   let inside = ref [] in
   (match
@@ -286,7 +286,7 @@ let rolled_back_compile_keeps_unit_blobs () =
   check_bool "the compile wrote the new unit" true (List.mem (source_key changed) !inside);
   check_bool "the compile removed the old unit" false (List.mem (source_key person_source) !inside);
   check_bool "unit blobs restored" true
-    (before = List.map (fun k -> (k, Store.blob store k)) (source_blobs store))
+    (before = List.map (fun k -> (k, Store.Session.blob (Store.default_session store) k)) (source_blobs store))
 
 (* -- unchanged batches ------------------------------------------------------
    A batch whose every class file is byte-identical to the loaded one is
@@ -305,9 +305,9 @@ let identical_recompile_touches_nothing () =
       let store, vm = backed_vm path in
       compile_into vm [ person_source ];
       let people = List.init 3 (fun i -> oid_of (new_person vm (Printf.sprintf "p%d" i))) in
-      List.iteri (fun i p -> Store.set_root store (Printf.sprintf "p%d" i) (Pvalue.Ref p)) people;
+      List.iteri (fun i p -> Store.Session.set_root (Store.default_session store) (Printf.sprintf "p%d" i) (Pvalue.Ref p)) people;
       Store.stabilise store;
-      let fields () = List.map (fun p -> (Store.get_record store p).Heap.fields) people in
+      let fields () = List.map (fun p -> (Store.Session.get_record (Store.default_session store) p).Heap.fields) people in
       let before = fields () in
       let person = Rt.get_class vm "Person" in
       let compacted = compactions store in
@@ -330,16 +330,16 @@ let mixed_batch_still_redefines () =
       let b = "public class B { public int y; }" in
       compile_into vm [ "public class A { public int x; }"; b ];
       let a = oid_of (Vm.new_instance vm ~cls:"A" ~desc:"()V" []) in
-      Store.set_root store "a" (Pvalue.Ref a);
-      Store.set_field store a (Rt.field_slot vm "A" "x") (Pvalue.Int 7l);
+      Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref a);
+      Store.Session.set_field (Store.default_session store) a (Rt.field_slot vm "A" "x") (Pvalue.Int 7l);
       Store.stabilise store;
       let compacted = compactions store in
       ignore
         (Jcompiler.compile_and_load ~redefine:true vm
            [ "public class A { public int w; public int x; }"; b ]);
-      check_int "A's instance is reshaped" 2 (Array.length (Store.get_record store a).Heap.fields);
+      check_int "A's instance is reshaped" 2 (Array.length (Store.Session.get_record (Store.default_session store) a).Heap.fields);
       check_bool "x migrated" true
-        (Pvalue.equal (Pvalue.Int 7l) (Store.field store a (Rt.field_slot vm "A" "x")));
+        (Pvalue.equal (Pvalue.Int 7l) (Store.Session.field (Store.default_session store) a (Rt.field_slot vm "A" "x")));
       Store.stabilise store;
       check_int "the next stabilise compacts" (compacted + 1) (compactions store))
 
@@ -360,7 +360,7 @@ let source_views_survive_reopen () =
             let rows = Browser.Ocb.rows b (Browser.Ocb.open_class b cls) in
             ( List.map (fun r -> (r.Browser.Ocb.row_label, r.Browser.Ocb.row_display)) rows,
               (Rt.get_class vm cls).Rt.rc_classfile.Classfile.cf_source,
-              Store.blob vm.Rt.store ("hyper.origin:" ^ cls) ))
+              Store.Session.blob vm.Rt.session ("hyper.origin:" ^ cls) ))
           [ "Person"; "MarryExample"; "java.lang.String" ]
       in
       let before = views vm in

@@ -270,12 +270,12 @@ let persistence_stress () =
         Vm.call_static vm ~cls:"Builder" ~name:"build" ~desc:"(I)Ljava.util.Vector;"
           [ Pvalue.Int 2000l ]
       in
-      Store.set_root store "vec" vec;
+      Store.Session.set_root (Store.default_session store) "vec" vec;
       ignore (Store.gc store);
       Store.stabilise ~path store;
       let store2 = Store.open_file path in
       let vm2 = Boot.vm_for store2 in
-      let vec2 = Option.get (Store.root store2 "vec") in
+      let vec2 = Option.get (Store.Session.root (Store.default_session store2) "vec") in
       let ok =
         Vm.call_static vm2 ~cls:"Builder" ~name:"check" ~desc:"(Ljava.util.Vector;I)Z"
           [ vec2; Pvalue.Int 2000l ]

@@ -8,39 +8,39 @@ open Helpers
 
 let heap_alloc_and_access () =
   let store = fresh_store () in
-  let s = Store.alloc_string store "hello" in
-  let r = Store.alloc_record store "Point" [| Pvalue.Int 1l; Pvalue.Int 2l |] in
-  let a = Store.alloc_array store "I" [| Pvalue.Int 10l |] in
-  check_output "string" "hello" (Store.get_string store s);
-  check_output "class" "Point" (Store.class_of store r);
-  check_output "array class" "I[]" (Store.class_of store a);
-  Alcotest.(check bool) "field" true (Pvalue.equal (Store.field store r 0) (Pvalue.Int 1l));
-  Store.set_field store r 1 (Pvalue.Int 42l);
-  check_bool "set field" true (Pvalue.equal (Store.field store r 1) (Pvalue.Int 42l));
-  Store.set_elem store a 0 (Pvalue.Int 7l);
-  check_bool "set elem" true (Pvalue.equal (Store.elem store a 0) (Pvalue.Int 7l));
-  check_int "array length" 1 (Store.array_length store a);
+  let s = Store.Session.alloc_string (Store.default_session store) "hello" in
+  let r = Store.Session.alloc_record (Store.default_session store) "Point" [| Pvalue.Int 1l; Pvalue.Int 2l |] in
+  let a = Store.Session.alloc_array (Store.default_session store) "I" [| Pvalue.Int 10l |] in
+  check_output "string" "hello" (Store.Session.get_string (Store.default_session store) s);
+  check_output "class" "Point" (Store.Session.class_of (Store.default_session store) r);
+  check_output "array class" "I[]" (Store.Session.class_of (Store.default_session store) a);
+  Alcotest.(check bool) "field" true (Pvalue.equal (Store.Session.field (Store.default_session store) r 0) (Pvalue.Int 1l));
+  Store.Session.set_field (Store.default_session store) r 1 (Pvalue.Int 42l);
+  check_bool "set field" true (Pvalue.equal (Store.Session.field (Store.default_session store) r 1) (Pvalue.Int 42l));
+  Store.Session.set_elem (Store.default_session store) a 0 (Pvalue.Int 7l);
+  check_bool "set elem" true (Pvalue.equal (Store.Session.elem (Store.default_session store) a 0) (Pvalue.Int 7l));
+  check_int "array length" 1 (Store.Session.array_length (Store.default_session store) a);
   check_int "size" 3 (Store.size store)
 
 let heap_bounds_checked () =
   let store = fresh_store () in
-  let r = Store.alloc_record store "Point" [| Pvalue.Int 1l |] in
-  let a = Store.alloc_array store "I" [| Pvalue.Int 1l |] in
+  let r = Store.Session.alloc_record (Store.default_session store) "Point" [| Pvalue.Int 1l |] in
+  let a = Store.Session.alloc_array (Store.default_session store) "I" [| Pvalue.Int 1l |] in
   let expect_heap_error f =
     match f () with
     | _ -> Alcotest.fail "expected Heap_error"
     | exception Heap.Heap_error _ -> ()
   in
-  expect_heap_error (fun () -> Store.field store r 1);
-  expect_heap_error (fun () -> Store.set_field store r (-1) Pvalue.Null);
-  expect_heap_error (fun () -> Store.elem store a 1);
-  expect_heap_error (fun () -> Store.get_record store a);
-  expect_heap_error (fun () -> Store.get_array store r);
-  expect_heap_error (fun () -> Store.get store (Oid.of_int 999999))
+  expect_heap_error (fun () -> Store.Session.field (Store.default_session store) r 1);
+  expect_heap_error (fun () -> Store.Session.set_field (Store.default_session store) r (-1) Pvalue.Null);
+  expect_heap_error (fun () -> Store.Session.elem (Store.default_session store) a 1);
+  expect_heap_error (fun () -> Store.Session.get_record (Store.default_session store) a);
+  expect_heap_error (fun () -> Store.Session.get_array (Store.default_session store) r);
+  expect_heap_error (fun () -> Store.Session.get (Store.default_session store) (Oid.of_int 999999))
 
 let oids_are_distinct () =
   let store = fresh_store () in
-  let oids = List.init 100 (fun i -> Store.alloc_string store (string_of_int i)) in
+  let oids = List.init 100 (fun i -> Store.Session.alloc_string (Store.default_session store) (string_of_int i)) in
   let set = List.fold_left (fun acc oid -> Oid.Set.add oid acc) Oid.Set.empty oids in
   check_int "all distinct" 100 (Oid.Set.cardinal set)
 
@@ -48,101 +48,101 @@ let oids_are_distinct () =
 
 let roots_basics () =
   let store = fresh_store () in
-  let s = Store.alloc_string store "x" in
-  Store.set_root store "a" (Pvalue.Ref s);
-  Store.set_root store "b" (Pvalue.Int 1l);
-  Alcotest.(check (list string)) "names" [ "a"; "b" ] (Store.root_names store);
-  (match Store.root store "a" with
+  let s = Store.Session.alloc_string (Store.default_session store) "x" in
+  Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref s);
+  Store.Session.set_root (Store.default_session store) "b" (Pvalue.Int 1l);
+  Alcotest.(check (list string)) "names" [ "a"; "b" ] (Store.Session.root_names (Store.default_session store));
+  (match Store.Session.root (Store.default_session store) "a" with
   | Some (Pvalue.Ref oid) -> check_bool "same oid" true (Oid.equal oid s)
   | _ -> Alcotest.fail "root a missing");
-  Store.remove_root store "a";
-  check_bool "removed" true (Store.root store "a" = None);
-  Store.set_root store "b" (Pvalue.Int 2l);
-  check_bool "rebound" true (Store.root store "b" = Some (Pvalue.Int 2l))
+  Store.Session.remove_root (Store.default_session store) "a";
+  check_bool "removed" true (Store.Session.root (Store.default_session store) "a" = None);
+  Store.Session.set_root (Store.default_session store) "b" (Pvalue.Int 2l);
+  check_bool "rebound" true (Store.Session.root (Store.default_session store) "b" = Some (Pvalue.Int 2l))
 
 (* -- GC ------------------------------------------------------------------------ *)
 
 let gc_collects_unreachable () =
   let store = fresh_store () in
-  let live = Store.alloc_string store "live" in
-  let _dead = Store.alloc_string store "dead" in
-  Store.set_root store "live" (Pvalue.Ref live);
+  let live = Store.Session.alloc_string (Store.default_session store) "live" in
+  let _dead = Store.Session.alloc_string (Store.default_session store) "dead" in
+  Store.Session.set_root (Store.default_session store) "live" (Pvalue.Ref live);
   let stats = Store.gc store in
   check_int "swept" 1 stats.Gc.swept;
   check_int "live" 1 stats.Gc.live;
-  check_bool "live survives" true (Store.is_live store live)
+  check_bool "live survives" true (Store.Session.is_live (Store.default_session store) live)
 
 let gc_traces_transitively () =
   let store = fresh_store () in
-  let leaf = Store.alloc_string store "leaf" in
-  let mid = Store.alloc_record store "Node" [| Pvalue.Ref leaf |] in
-  let top = Store.alloc_record store "Node" [| Pvalue.Ref mid |] in
-  Store.set_root store "top" (Pvalue.Ref top);
-  let orphan = Store.alloc_record store "Node" [| Pvalue.Ref leaf |] in
+  let leaf = Store.Session.alloc_string (Store.default_session store) "leaf" in
+  let mid = Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Ref leaf |] in
+  let top = Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Ref mid |] in
+  Store.Session.set_root (Store.default_session store) "top" (Pvalue.Ref top);
+  let orphan = Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Ref leaf |] in
   let stats = Store.gc store in
   check_int "one swept" 1 stats.Gc.swept;
-  check_bool "leaf kept" true (Store.is_live store leaf);
-  check_bool "orphan swept" false (Store.is_live store orphan)
+  check_bool "leaf kept" true (Store.Session.is_live (Store.default_session store) leaf);
+  check_bool "orphan swept" false (Store.Session.is_live (Store.default_session store) orphan)
 
 let gc_handles_cycles () =
   let store = fresh_store () in
-  let a = Store.alloc_record store "Node" [| Pvalue.Null |] in
-  let b = Store.alloc_record store "Node" [| Pvalue.Ref a |] in
-  Store.set_field store a 0 (Pvalue.Ref b);
+  let a = Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Null |] in
+  let b = Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Ref a |] in
+  Store.Session.set_field (Store.default_session store) a 0 (Pvalue.Ref b);
   (* cycle a <-> b, unreachable *)
   let stats = Store.gc store in
   check_int "cycle swept" 2 stats.Gc.swept;
   (* reachable cycle survives *)
-  let c = Store.alloc_record store "Node" [| Pvalue.Null |] in
-  let d = Store.alloc_record store "Node" [| Pvalue.Ref c |] in
-  Store.set_field store c 0 (Pvalue.Ref d);
-  Store.set_root store "c" (Pvalue.Ref c);
+  let c = Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Null |] in
+  let d = Store.Session.alloc_record (Store.default_session store) "Node" [| Pvalue.Ref c |] in
+  Store.Session.set_field (Store.default_session store) c 0 (Pvalue.Ref d);
+  Store.Session.set_root (Store.default_session store) "c" (Pvalue.Ref c);
   let stats2 = Store.gc store in
   check_int "none swept" 0 stats2.Gc.swept
 
 let gc_honours_pins () =
   let store = fresh_store () in
-  let pinned = Store.alloc_string store "pinned" in
+  let pinned = Store.Session.alloc_string (Store.default_session store) "pinned" in
   Store.add_pin store (fun () -> [ pinned ]);
   let stats = Store.gc store in
   check_int "nothing swept" 0 stats.Gc.swept;
-  check_bool "pinned survives" true (Store.is_live store pinned)
+  check_bool "pinned survives" true (Store.Session.is_live (Store.default_session store) pinned)
 
 (* -- weak references -------------------------------------------------------------- *)
 
 let weak_cleared_when_target_dies () =
   let store = fresh_store () in
-  let target = Store.alloc_string store "target" in
-  let weak = Store.alloc_weak store (Pvalue.Ref target) in
-  Store.set_root store "weak" (Pvalue.Ref weak);
+  let target = Store.Session.alloc_string (Store.default_session store) "target" in
+  let weak = Store.Session.alloc_weak (Store.default_session store) (Pvalue.Ref target) in
+  Store.Session.set_root (Store.default_session store) "weak" (Pvalue.Ref weak);
   (* target reachable only weakly -> swept, cell cleared *)
   let stats = Store.gc store in
   check_int "weak cleared" 1 stats.Gc.weak_cleared;
-  check_bool "target swept" false (Store.is_live store target);
-  check_bool "cell nulled" true ((Store.get_weak store weak).Heap.target = Pvalue.Null)
+  check_bool "target swept" false (Store.Session.is_live (Store.default_session store) target);
+  check_bool "cell nulled" true ((Store.Session.get_weak (Store.default_session store) weak).Heap.target = Pvalue.Null)
 
 let weak_kept_while_target_strongly_held () =
   let store = fresh_store () in
-  let target = Store.alloc_string store "target" in
-  let weak = Store.alloc_weak store (Pvalue.Ref target) in
-  Store.set_root store "weak" (Pvalue.Ref weak);
-  Store.set_root store "strong" (Pvalue.Ref target);
+  let target = Store.Session.alloc_string (Store.default_session store) "target" in
+  let weak = Store.Session.alloc_weak (Store.default_session store) (Pvalue.Ref target) in
+  Store.Session.set_root (Store.default_session store) "weak" (Pvalue.Ref weak);
+  Store.Session.set_root (Store.default_session store) "strong" (Pvalue.Ref target);
   let stats = Store.gc store in
   check_int "nothing cleared" 0 stats.Gc.weak_cleared;
-  check_bool "target alive" true (Store.is_live store target);
-  (match (Store.get_weak store weak).Heap.target with
+  check_bool "target alive" true (Store.Session.is_live (Store.default_session store) target);
+  (match (Store.Session.get_weak (Store.default_session store) weak).Heap.target with
   | Pvalue.Ref oid -> check_bool "still points" true (Oid.equal oid target)
   | _ -> Alcotest.fail "weak target lost");
   (* drop the strong root: next gc clears *)
-  Store.remove_root store "strong";
+  Store.Session.remove_root (Store.default_session store) "strong";
   let stats2 = Store.gc store in
   check_int "cleared now" 1 stats2.Gc.weak_cleared
 
 let weak_does_not_keep_target_alive () =
   let store = fresh_store () in
   (* a weak cell is itself collectable when unreachable *)
-  let target = Store.alloc_string store "t" in
-  let _weak = Store.alloc_weak store (Pvalue.Ref target) in
+  let target = Store.Session.alloc_string (Store.default_session store) "t" in
+  let _weak = Store.Session.alloc_weak (Store.default_session store) (Pvalue.Ref target) in
   let stats = Store.gc store in
   check_int "both swept" 2 stats.Gc.swept
 
@@ -155,26 +155,26 @@ let with_temp_file f =
 let image_roundtrip () =
   with_temp_file (fun path ->
       let store = fresh_store () in
-      let s = Store.alloc_string store "persist me" in
-      let r = Store.alloc_record store "Pair" [| Pvalue.Ref s; Pvalue.Double 3.25 |] in
-      let a = Store.alloc_array store "LPair;" [| Pvalue.Ref r; Pvalue.Null |] in
-      let w = Store.alloc_weak store (Pvalue.Ref s) in
-      Store.set_root store "a" (Pvalue.Ref a);
-      Store.set_root store "w" (Pvalue.Ref w);
-      Store.set_blob store "meta" "blob-bytes";
+      let s = Store.Session.alloc_string (Store.default_session store) "persist me" in
+      let r = Store.Session.alloc_record (Store.default_session store) "Pair" [| Pvalue.Ref s; Pvalue.Double 3.25 |] in
+      let a = Store.Session.alloc_array (Store.default_session store) "LPair;" [| Pvalue.Ref r; Pvalue.Null |] in
+      let w = Store.Session.alloc_weak (Store.default_session store) (Pvalue.Ref s) in
+      Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref a);
+      Store.Session.set_root (Store.default_session store) "w" (Pvalue.Ref w);
+      Store.Session.set_blob (Store.default_session store) "meta" "blob-bytes";
       Store.stabilise ~path store;
       let store2 = Store.open_file path in
       check_int "same size" (Store.size store) (Store.size store2);
-      check_output "string preserved" "persist me" (Store.get_string store2 s);
-      check_output "class preserved" "Pair" (Store.class_of store2 r);
+      check_output "string preserved" "persist me" (Store.Session.get_string (Store.default_session store2) s);
+      check_output "class preserved" "Pair" (Store.Session.class_of (Store.default_session store2) r);
       check_bool "field preserved" true
-        (Pvalue.equal (Store.field store2 r 1) (Pvalue.Double 3.25));
-      check_bool "blob preserved" true (Store.blob store2 "meta" = Some "blob-bytes");
-      (match (Store.get_weak store2 w).Heap.target with
+        (Pvalue.equal (Store.Session.field (Store.default_session store2) r 1) (Pvalue.Double 3.25));
+      check_bool "blob preserved" true (Store.Session.blob (Store.default_session store2) "meta" = Some "blob-bytes");
+      (match (Store.Session.get_weak (Store.default_session store2) w).Heap.target with
       | Pvalue.Ref oid -> check_bool "weak target preserved" true (Oid.equal oid s)
       | _ -> Alcotest.fail "weak lost");
       (* oids preserved verbatim: allocating continues from the next id *)
-      let fresh = Store.alloc_string store2 "fresh" in
+      let fresh = Store.Session.alloc_string (Store.default_session store2) "fresh" in
       check_bool "fresh oid distinct" false (List.mem fresh [ s; r; a; w ]))
 
 (* v2 images localise damage: a flipped byte inside one object's payload
@@ -184,9 +184,9 @@ let image_roundtrip () =
 let image_detects_corruption () =
   with_temp_file (fun path ->
       let store = fresh_store () in
-      let victim = Store.alloc_string store "sentinel-victim-payload" in
-      let sibling = Store.alloc_string store "healthy neighbour" in
-      Store.set_root store "sib" (Pvalue.Ref sibling);
+      let victim = Store.Session.alloc_string (Store.default_session store) "sentinel-victim-payload" in
+      let sibling = Store.Session.alloc_string (Store.default_session store) "healthy neighbour" in
+      Store.Session.set_root (Store.default_session store) "sib" (Pvalue.Ref sibling);
       Store.stabilise ~path store;
       let read_image () =
         let ic = open_in_bin path in
@@ -217,8 +217,8 @@ let image_detects_corruption () =
       let store2 = Store.open_file path in
       check_bool "victim quarantined" true (Store.is_quarantined store2 victim);
       check_int "only the victim" 1 (List.length (Store.quarantined store2));
-      check_output "sibling readable" "healthy neighbour" (Store.get_string store2 sibling);
-      (match Store.get store2 victim with
+      check_output "sibling readable" "healthy neighbour" (Store.Session.get_string (Store.default_session store2) sibling);
+      (match Store.Session.get (Store.default_session store2) victim with
       | _ -> Alcotest.fail "expected Quarantined"
       | exception Quarantine.Quarantined _ -> ());
       (* header corruption cannot be localised: the load fails outright *)
@@ -258,13 +258,13 @@ let with_store_files f =
 let journalled_roundtrip () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      let s = Store.alloc_string store "persist me" in
-      Store.set_root store "s" (Pvalue.Ref s);
+      let s = Store.Session.alloc_string (Store.default_session store) "persist me" in
+      Store.Session.set_root (Store.default_session store) "s" (Pvalue.Ref s);
       Store.stabilise ~path store;
       (* the first stabilise compacts: full image plus a fresh journal *)
       check_int "compacted once" 1 (Store.stats store).Store.compactions;
-      Store.set_root store "n" (Pvalue.Int 5l);
-      Store.set_blob store "b" "bytes";
+      Store.Session.set_root (Store.default_session store) "n" (Pvalue.Int 5l);
+      Store.Session.set_blob (Store.default_session store) "b" "bytes";
       Store.stabilise store;
       (* the second only appends the two-record delta *)
       check_int "two records" 2 (Store.stats store).Store.journal_depth;
@@ -272,9 +272,9 @@ let journalled_roundtrip () =
       Store.close store;
       let store2 = Store.open_file path in
       check_int "replayed" 2 (Store.stats store2).Store.journal_replayed;
-      check_output "string preserved" "persist me" (Store.get_string store2 s);
-      check_bool "root preserved" true (Store.root store2 "n" = Some (Pvalue.Int 5l));
-      check_bool "blob preserved" true (Store.blob store2 "b" = Some "bytes");
+      check_output "string preserved" "persist me" (Store.Session.get_string (Store.default_session store2) s);
+      check_bool "root preserved" true (Store.Session.root (Store.default_session store2) "n" = Some (Pvalue.Int 5l));
+      check_bool "blob preserved" true (Store.Session.blob (Store.default_session store2) "b" = Some "bytes");
       Integrity.check_exn store2;
       Store.close store2)
 
@@ -284,7 +284,7 @@ let journal_compaction_bounds_depth () =
       Store.configure store { (Store.config store) with Store.Config.compaction_limit = 10 };
       Store.stabilise ~path store;
       for i = 1 to 50 do
-        Store.set_root store "x" (Pvalue.Int (Int32.of_int i));
+        Store.Session.set_root (Store.default_session store) "x" (Pvalue.Int (Int32.of_int i));
         Store.stabilise store;
         check_bool "depth bounded by the limit" true
           ((Store.stats store).Store.journal_depth <= 10)
@@ -292,7 +292,7 @@ let journal_compaction_bounds_depth () =
       check_bool "compacted periodically" true ((Store.stats store).Store.compactions > 1);
       Store.close store;
       let s2 = Store.open_file path in
-      check_bool "final value durable" true (Store.root s2 "x" = Some (Pvalue.Int 50l));
+      check_bool "final value durable" true (Store.Session.root (Store.default_session s2) "x" = Some (Pvalue.Int 50l));
       Store.close s2)
 
 (* Journal ops are buffered only while the journal can use them.  A
@@ -304,7 +304,7 @@ let journalled_store () =
 let unbacked_store_buffers_nothing () =
   let store = journalled_store () in
   for i = 1 to 1000 do
-    Store.set_root store "r" (Pvalue.Int (Int32.of_int i))
+    Store.Session.set_root (Store.default_session store) "r" (Pvalue.Int (Int32.of_int i))
   done;
   check_int "nothing buffered" 0 (Store.stats store).Store.pending_ops
 
@@ -314,7 +314,7 @@ let writes_after_gc_ride_the_compaction () =
       Store.stabilise ~path store;
       ignore (Store.gc store);
       for i = 1 to 10 do
-        Store.set_root store (Printf.sprintf "k%d" i) (Pvalue.Int (Int32.of_int i))
+        Store.Session.set_root (Store.default_session store) (Printf.sprintf "k%d" i) (Pvalue.Int (Int32.of_int i))
       done;
       check_int "nothing buffered after gc" 0 (Store.stats store).Store.pending_ops;
       let compactions = (Store.stats store).Store.compactions in
@@ -324,26 +324,26 @@ let writes_after_gc_ride_the_compaction () =
       let s2 = Store.open_file path in
       for i = 1 to 10 do
         check_bool "write durable" true
-          (Store.root s2 (Printf.sprintf "k%d" i) = Some (Pvalue.Int (Int32.of_int i)))
+          (Store.Session.root (Store.default_session s2) (Printf.sprintf "k%d" i) = Some (Pvalue.Int (Int32.of_int i)))
       done;
       Store.close s2)
 
 let rollback_truncates_journal () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      let keep = Store.alloc_string store "keep" in
-      Store.set_root store "keep" (Pvalue.Ref keep);
+      let keep = Store.Session.alloc_string (Store.default_session store) "keep" in
+      Store.Session.set_root (Store.default_session store) "keep" (Pvalue.Ref keep);
       Store.stabilise ~path store;
-      Store.set_root store "pre" (Pvalue.Int 1l);
+      Store.Session.set_root (Store.default_session store) "pre" (Pvalue.Int 1l);
       Store.stabilise store;
       let fp_before = Image.encode (Store.contents store) in
       let result =
         Store.with_rollback store (fun () ->
-            Store.set_root store "mid" (Pvalue.Int 2l);
+            Store.Session.set_root (Store.default_session store) "mid" (Pvalue.Int 2l);
             (* stabilising INSIDE the transaction appends journal records;
                the abort must take them back off the disk *)
             Store.stabilise store;
-            ignore (Store.alloc_string store "junk");
+            ignore (Store.Session.alloc_string (Store.default_session store) "junk");
             Store.stabilise store;
             failwith "abort")
       in
@@ -355,14 +355,14 @@ let rollback_truncates_journal () =
       let replica = Store.open_file path in
       check_output "disk replays to pre-transaction state" fp_before
         (Image.encode (Store.contents replica));
-      check_bool "mid root not on disk" true (Store.root replica "mid" = None);
+      check_bool "mid root not on disk" true (Store.Session.root (Store.default_session replica) "mid" = None);
       Store.close replica;
       (* and the survivor keeps journalling correctly after the abort *)
-      Store.set_root store "post" (Pvalue.Int 3l);
+      Store.Session.set_root (Store.default_session store) "post" (Pvalue.Int 3l);
       Store.stabilise store;
       let s2 = Store.open_file path in
-      check_bool "post-abort stabilise durable" true (Store.root s2 "post" = Some (Pvalue.Int 3l));
-      check_bool "aborted root still gone" true (Store.root s2 "mid" = None);
+      check_bool "post-abort stabilise durable" true (Store.Session.root (Store.default_session s2) "post" = Some (Pvalue.Int 3l));
+      check_bool "aborted root still gone" true (Store.Session.root (Store.default_session s2) "mid" = None);
       Integrity.check_exn s2;
       Store.close s2;
       Store.close store)
@@ -370,7 +370,7 @@ let rollback_truncates_journal () =
 let rollback_restores_gc_and_stabilise () =
   with_store_files (fun path ->
       let store = fresh_store () in
-      let junk = Store.alloc_string store "junk" in
+      let junk = Store.Session.alloc_string (Store.default_session store) "junk" in
       Store.stabilise ~path store;
       let fp_before = Image.encode (Store.contents store) in
       let result =
@@ -384,12 +384,12 @@ let rollback_restores_gc_and_stabilise () =
       (match result with
       | Error (Failure _) -> ()
       | _ -> Alcotest.fail "expected abort");
-      check_bool "swept object restored by the abort" true (Store.is_live store junk);
+      check_bool "swept object restored by the abort" true (Store.Session.is_live (Store.default_session store) junk);
       check_output "memory restored" fp_before (Image.encode (Store.contents store));
       let replica = Store.open_file path in
       check_output "disk reopens to the pre-transaction state" fp_before
         (Image.encode (Store.contents replica));
-      check_bool "swept object back on disk" true (Store.is_live replica junk);
+      check_bool "swept object back on disk" true (Store.Session.is_live (Store.default_session replica) junk);
       Store.close replica;
       Store.close store)
 
@@ -402,7 +402,7 @@ let rollback_compacts_over_limit () =
       let before = compactions () in
       let result =
         Store.with_rollback store (fun () ->
-            Store.set_root store "x" (Pvalue.Int 1l);
+            Store.Session.set_root (Store.default_session store) "x" (Pvalue.Int 1l);
             (* over the limit: compacts exactly as a top-level stabilise does *)
             Store.stabilise store)
       in
@@ -410,7 +410,7 @@ let rollback_compacts_over_limit () =
       check_int "compacted inside the transaction" (before + 1) (compactions ());
       check_int "journal reset" 0 (Store.stats store).Store.journal_depth;
       let replica = Store.open_file path in
-      check_bool "committed root durable" true (Store.root replica "x" = Some (Pvalue.Int 1l));
+      check_bool "committed root durable" true (Store.Session.root (Store.default_session replica) "x" = Some (Pvalue.Int 1l));
       Store.close replica;
       Store.close store)
 
@@ -418,16 +418,16 @@ let rollback_compacts_over_limit () =
 
 let integrity_clean_store () =
   let store = fresh_store () in
-  let s = Store.alloc_string store "x" in
-  Store.set_root store "s" (Pvalue.Ref s);
+  let s = Store.Session.alloc_string (Store.default_session store) "x" in
+  Store.Session.set_root (Store.default_session store) "s" (Pvalue.Ref s);
   Alcotest.(check int) "no violations" 0 (List.length (Integrity.check store));
   Integrity.check_exn store
 
 let integrity_detects_dangling () =
   let store = fresh_store () in
-  let s = Store.alloc_string store "x" in
-  let r = Store.alloc_record store "Holder" [| Pvalue.Ref s |] in
-  Store.set_root store "r" (Pvalue.Ref r);
+  let s = Store.Session.alloc_string (Store.default_session store) "x" in
+  let r = Store.Session.alloc_record (Store.default_session store) "Holder" [| Pvalue.Ref s |] in
+  Store.Session.set_root (Store.default_session store) "r" (Pvalue.Ref r);
   (* brutally remove s behind the store's back *)
   Heap.remove (Store.heap store) s;
   check_int "one violation" 1 (List.length (Integrity.check store));
@@ -437,8 +437,8 @@ let integrity_detects_dangling () =
 
 let integrity_detects_bad_root () =
   let store = fresh_store () in
-  let s = Store.alloc_string store "x" in
-  Store.set_root store "s" (Pvalue.Ref s);
+  let s = Store.Session.alloc_string (Store.default_session store) "x" in
+  Store.Session.set_root (Store.default_session store) "s" (Pvalue.Ref s);
   Heap.remove (Store.heap store) s;
   match Integrity.check store with
   | [ Integrity.Bad_root { name; _ } ] -> check_output "root name" "s" name
@@ -497,15 +497,15 @@ let build_graph store spec =
   let slots_of i = List.length (List.filter (fun (f, _) -> f = i) spec.edges) in
   let oids =
     Array.init spec.nodes (fun i ->
-        Store.alloc_record store "Node" (Array.make (max 1 (slots_of i)) Pvalue.Null))
+        Store.Session.alloc_record (Store.default_session store) "Node" (Array.make (max 1 (slots_of i)) Pvalue.Null))
   in
   let next_slot = Array.make spec.nodes 0 in
   List.iter
     (fun (f, t) ->
-      Store.set_field store oids.(f) next_slot.(f) (Pvalue.Ref oids.(t));
+      Store.Session.set_field (Store.default_session store) oids.(f) next_slot.(f) (Pvalue.Ref oids.(t));
       next_slot.(f) <- next_slot.(f) + 1)
     spec.edges;
-  List.iteri (fun i r -> Store.set_root store (Printf.sprintf "r%d" i) (Pvalue.Ref oids.(r))) spec.roots;
+  List.iteri (fun i r -> Store.Session.set_root (Store.default_session store) (Printf.sprintf "r%d" i) (Pvalue.Ref oids.(r))) spec.roots;
   oids
 
 (* Reference reachability computed naively. *)
@@ -531,7 +531,7 @@ let prop_gc_matches_naive_reachability =
       let expected = reachable_naive spec in
       let ok = ref true in
       Array.iteri
-        (fun i oid -> if Store.is_live store oid <> expected.(i) then ok := false)
+        (fun i oid -> if Store.Session.is_live (Store.default_session store) oid <> expected.(i) then ok := false)
         oids;
       !ok)
 
@@ -622,13 +622,13 @@ let one_shard_layout () =
             }
           ()
       in
-      let keep = Store.alloc_string store "keep" in
-      Store.set_root store "keep" (Pvalue.Ref keep);
-      ignore (Store.alloc_string store "garbage");
+      let keep = Store.Session.alloc_string (Store.default_session store) "keep" in
+      Store.Session.set_root (Store.default_session store) "keep" (Pvalue.Ref keep);
+      ignore (Store.Session.alloc_string (Store.default_session store) "garbage");
       Store.stabilise store;
       let compactions = (Store.stats store).Store.compactions in
       for i = 1 to 4 do
-        Store.set_root store "n" (Pvalue.Int (Int32.of_int i))
+        Store.Session.set_root (Store.default_session store) "n" (Pvalue.Int (Int32.of_int i))
       done;
       Store.stabilise store;
       check_bool "four ops over a limit of two compact" true
@@ -637,7 +637,7 @@ let one_shard_layout () =
       Store.stabilise store;
       (match
          Store.with_rollback store (fun () ->
-             Store.set_root store "aborted" (Pvalue.Int 0l);
+             Store.Session.set_root (Store.default_session store) "aborted" (Pvalue.Int 0l);
              Store.stabilise store;
              failwith "abort")
        with
@@ -645,8 +645,8 @@ let one_shard_layout () =
       | _ -> Alcotest.fail "expected abort");
       Store.close store;
       let reopened = Store.open_file path in
-      check_bool "last value reopens" true (Store.root reopened "n" = Some (Pvalue.Int 4l));
-      check_bool "aborted root stays gone" true (Store.root reopened "aborted" = None);
+      check_bool "last value reopens" true (Store.Session.root (Store.default_session reopened) "n" = Some (Pvalue.Int 4l));
+      check_bool "aborted root stays gone" true (Store.Session.root (Store.default_session reopened) "aborted" = None);
       Store.close reopened;
       let expected = [ Filename.basename path; Filename.basename (Journal.path_for path) ] in
       Alcotest.(check (list string))
@@ -669,22 +669,22 @@ let one_shard_never_demotes () =
             }
           ()
       in
-      Store.set_root store "a" (Pvalue.Int 0l);
+      Store.Session.set_root (Store.default_session store) "a" (Pvalue.Int 0l);
       Store.stabilise store;
       for i = 1 to 3 do
-        Store.set_root store "a" (Pvalue.Int (Int32.of_int i));
+        Store.Session.set_root (Store.default_session store) "a" (Pvalue.Int (Int32.of_int i));
         match Faults.with_fault Faults.Fsync_fails (fun () -> Store.stabilise store) with
         | Error (Faults.Fault_injected _) -> ()
         | _ -> Alcotest.fail "fault did not fire"
       done;
       check_bool "still healthy" true (Store.healthy store);
       check_int "no shard demoted" 0 (Store.stats store).Store.unhealthy_shards;
-      Store.set_root store "a" (Pvalue.Int 9l);
+      Store.Session.set_root (Store.default_session store) "a" (Pvalue.Int 9l);
       Store.stabilise store;
       Store.close store;
       let reopened = Store.open_file path in
       check_bool "the write after the faults is durable" true
-        (Store.root reopened "a" = Some (Pvalue.Int 9l));
+        (Store.Session.root (Store.default_session reopened) "a" = Some (Pvalue.Int 9l));
       Store.close reopened)
 
 let layout =

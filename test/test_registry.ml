@@ -82,7 +82,7 @@ let get_link_follows_rewritten_links () =
 let get_link_follows_a_committed_session () =
   let store, vm = fresh_hyper_vm () in
   let hp, uid, link0, link2 = registered_marry vm in
-  let field cls oid name = Store.field store oid (Rt.field_slot vm cls name) in
+  let field cls oid name = Store.Session.field (Store.default_session store) oid (Rt.field_slot vm cls name) in
   let arr =
     oid_of (field "java.util.Vector" (oid_of (field Hyper_src.hyper_program_class hp "theLinks")) "data")
   in
@@ -203,10 +203,10 @@ let make_model_sys path =
   let vm = Boot.boot_fresh store in
   Dynamic_compiler.install vm;
   let hp, _, mary = marry_example vm in
-  Store.set_root store "hp" (Pvalue.Ref hp);
+  Store.Session.set_root (Store.default_session store) "hp" (Pvalue.Ref hp);
   check_int "MarryExample is uid 0" 0 (Registry.add_hp vm ~password:Registry.built_in_password hp);
   let originals = Array.init 3 (element_at vm (the_links vm hp)) in
-  Array.iteri (fun k l -> Store.set_root store (Printf.sprintf "link%d" k) l) originals;
+  Array.iteri (fun k l -> Store.Session.set_root (Store.default_session store) (Printf.sprintf "link%d" k) l) originals;
   { path; store; vm; mary; originals; slots = [| 0; 1; 2 |]; unrooted = [] }
 
 let reopen_model_sys sys =
@@ -217,7 +217,7 @@ let reopen_model_sys sys =
   Dynamic_compiler.install sys.vm
 
 let hp_root sys =
-  match Store.root sys.store "hp" with
+  match Store.Session.root (Store.default_session sys.store) "hp" with
   | Some (Pvalue.Ref hp) -> hp
   | _ -> Alcotest.fail "the hp root is gone"
 
@@ -310,7 +310,7 @@ let weak_registry_allows_collection () =
   ignore (Registry.add_hp vm ~password:Registry.built_in_password hp);
   check_int "live before" 1 (List.length (Registry.live_programs vm));
   (* no user reference to hp -> collected; registry weak slot cleared *)
-  let stats = Store.gc vm.Rt.store in
+  let stats = Store.gc (Store.Session.store vm.Rt.session) in
   check_bool "weak cleared" true (stats.Gc.weak_cleared >= 1);
   check_int "live after" 0 (List.length (Registry.live_programs vm));
   check_bool "hp_at null" true (Registry.hp_at vm 0 = Pvalue.Null);
@@ -320,9 +320,9 @@ let weak_registry_allows_collection () =
 let rooted_programs_survive () =
   let _store, vm = fresh_hyper_vm () in
   let hp, _, _ = marry_example vm in
-  Store.set_root vm.Rt.store "keep" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "keep" (Pvalue.Ref hp);
   ignore (Registry.add_hp vm ~password:Registry.built_in_password hp);
-  ignore (Store.gc vm.Rt.store);
+  ignore (Store.gc (Store.Session.store vm.Rt.session));
   check_int "still live" 1 (List.length (Registry.live_programs vm));
   check_bool "retrievable" true
     (Registry.get_link vm ~password:Registry.built_in_password ~hp:0 ~link:0 <> Pvalue.Null)
@@ -333,17 +333,17 @@ let linked_entities_stay_reachable () =
      links pin the entities. *)
   let _store, vm = fresh_hyper_vm () in
   let hp, vangelis, mary = marry_example vm in
-  Store.set_root vm.Rt.store "program" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "program" (Pvalue.Ref hp);
   (* the persons have NO other root *)
-  ignore (Store.gc vm.Rt.store);
+  ignore (Store.gc (Store.Session.store vm.Rt.session));
   check_bool "vangelis reachable through the hyper-program" true
-    (Store.is_live vm.Rt.store (oid_of vangelis));
-  check_bool "mary reachable" true (Store.is_live vm.Rt.store (oid_of mary));
+    (Store.Session.is_live vm.Rt.session (oid_of vangelis));
+  check_bool "mary reachable" true (Store.Session.is_live vm.Rt.session (oid_of mary));
   (* drop the program: entities go too *)
-  Store.remove_root vm.Rt.store "program";
-  ignore (Store.gc vm.Rt.store);
+  Store.Session.remove_root vm.Rt.session "program";
+  ignore (Store.gc (Store.Session.store vm.Rt.session));
   check_bool "vangelis collected with the program" false
-    (Store.is_live vm.Rt.store (oid_of vangelis))
+    (Store.Session.is_live vm.Rt.session (oid_of vangelis))
 
 let registry_grows () =
   let _store, vm = fresh_hyper_vm () in
@@ -353,7 +353,7 @@ let registry_grows () =
           Storage_form.create vm ~class_name:(Printf.sprintf "C%d" i)
             ~text:(Printf.sprintf "class C%d { }" i) ~links:[]
         in
-        Store.set_root vm.Rt.store (Printf.sprintf "hp%d" i) (Pvalue.Ref hp);
+        Store.Session.set_root vm.Rt.session (Printf.sprintf "hp%d" i) (Pvalue.Ref hp);
         hp)
   in
   List.iteri
@@ -371,7 +371,7 @@ let registry_persists () =
       let vm = Boot.boot_fresh store in
       Dynamic_compiler.install vm;
       let hp, uid, _, link2 = registered_marry vm in
-      Store.set_root store "hp" (Pvalue.Ref hp);
+      Store.Session.set_root (Store.default_session store) "hp" (Pvalue.Ref hp);
       set_link0 vm hp link2;
       Store.stabilise ~path store;
       let store2 = Store.open_file path in
@@ -390,14 +390,14 @@ let prune_drops_legacy_compile_cache_blobs () =
       let vm = Boot.boot_fresh store in
       Dynamic_compiler.install vm;
       let legacy = [ ("hyper.ccache:0123abcd", "stale batch"); ("hyper.ccache.index", "0123abcd") ] in
-      List.iter (fun (k, v) -> Store.set_blob store k v) legacy;
+      List.iter (fun (k, v) -> Store.Session.set_blob (Store.default_session store) k v) legacy;
       Store.stabilise store;
       ignore (Store.gc store);
       ignore (Registry.prune vm);
       Store.stabilise store;
       Store.close store;
       let store = Store.open_file path in
-      List.iter (fun (k, _) -> check_bool (k ^ " removed") true (Store.blob store k = None)) legacy;
+      List.iter (fun (k, _) -> check_bool (k ^ " removed") true (Store.Session.blob (Store.default_session store) k = None)) legacy;
       let vm = Boot.vm_for store in
       Dynamic_compiler.install vm;
       let text = "public class G { public static void main(String[] args) { System.println(\"go\"); } }" in
@@ -412,13 +412,13 @@ let prune_keeps_live_origins_and_other_blobs () =
   let store, vm = fresh_hyper_vm () in
   let text = "public class Kept { public static void main(String[] args) { } }" in
   let hp = Storage_form.create vm ~class_name:"Kept" ~text ~links:[] in
-  Store.set_root store "kept" (Pvalue.Ref hp);
+  Store.Session.set_root (Store.default_session store) "kept" (Pvalue.Ref hp);
   ignore (Dynamic_compiler.go vm hp ~argv:[]);
   let uid = Dynamic_compiler.origin_uid_of_class vm "Kept" in
   check_bool "Go recorded an origin" true (uid <> None);
   let others = [ ("user.notes", "keep me"); ("hyper.ccache-notes", "not the cache's") ] in
-  List.iter (fun (k, v) -> Store.set_blob store k v) others;
-  Store.set_blob store "hyper.ccache:feed" "stale batch";
+  List.iter (fun (k, v) -> Store.Session.set_blob (Store.default_session store) k v) others;
+  Store.Session.set_blob (Store.default_session store) "hyper.ccache:feed" "stale batch";
   ignore (Store.gc store);
   let stats = Registry.prune vm in
   check_int "no live slot cleared" 0 stats.Registry.cleared_slots;
@@ -426,9 +426,9 @@ let prune_keeps_live_origins_and_other_blobs () =
   check_bool "the origin record stays" true
     (Dynamic_compiler.origin_uid_of_class vm "Kept" = uid);
   List.iter
-    (fun (k, v) -> check_bool (k ^ " stays") true (Store.blob store k = Some v))
+    (fun (k, v) -> check_bool (k ^ " stays") true (Store.Session.blob (Store.default_session store) k = Some v))
     others;
-  check_bool "the legacy entry goes" true (Store.blob store "hyper.ccache:feed" = None)
+  check_bool "the legacy entry goes" true (Store.Session.blob (Store.default_session store) "hyper.ccache:feed" = None)
 
 (* -- the chunked vector ----------------------------------------------- *)
 
@@ -465,7 +465,7 @@ let uids_survive_chunk_boundaries () =
       List.iteri
         (fun i hp ->
           check_int "uid in order" i (Registry.add_hp vm ~password hp);
-          if rooted i then Store.set_root store (Printf.sprintf "hp%d" i) (Pvalue.Ref hp))
+          if rooted i then Store.Session.set_root (Store.default_session store) (Printf.sprintf "hp%d" i) (Pvalue.Ref hp))
         hps;
       let expected =
         List.mapi (fun i hp -> if rooted i then Pvalue.Ref hp else Pvalue.Null) hps
@@ -543,6 +543,37 @@ let publish_allocation_is_bounded () =
       "words per add_hp: median %.0f (mean %.0f) at 1,000 programs, median %.0f (mean %.0f) at 4,000"
       (median at_1000) (mean at_1000) (median at_4000) (mean at_4000)
 
+(* The minor words each of 64 getLinks allocates, over [n] registered
+   one-link programs (link 0 the primitive [int i]), read from
+   [Gc.minor_words], which reads the allocation pointer. *)
+let get_link_words n =
+  let _store, vm = fresh_hyper_vm () in
+  for i = 0 to n - 1 do
+    let source =
+      Printf.sprintf "//! class: L%d\n//! link 0: int %d\npublic class L%d {\n  // #<0>\n}\n" i i i
+    in
+    ignore (Registry.add_hp vm ~password (Hyper_source.to_storage vm source))
+  done;
+  Array.init 64 (fun k ->
+      let hp = k * 37 mod n in
+      let mi0 = Stdlib.Gc.minor_words () in
+      let r = Registry.try_get_link vm ~password ~hp ~link:0 in
+      let mi1 = Stdlib.Gc.minor_words () in
+      (match r with
+      | Ok _ -> ()
+      | r -> Alcotest.failf "getLink %d 0 gave %s" hp (render_outcome r));
+      mi1 -. mi0)
+
+(* The getLink of the wire's read path reads one registry chunk slot and
+   one element of the program's link vector, so it allocates the same
+   whatever the registry holds: 86 minor words at both sizes.  A span
+   label formatted while tracing is off reads 146. *)
+let get_link_allocation_is_bounded () =
+  let at_100 = get_link_words 100 and at_2000 = get_link_words 2000 in
+  if median at_100 > 86. || median at_2000 > 86. then
+    Alcotest.failf "minor words per getLink: median %.0f at 100 programs, %.0f at 2,000"
+      (median at_100) (median at_2000)
+
 (* A store written before the vector was chunked holds the weak cells
    directly in [programs]: build one as the flat [add_hp] did, then
    check that [install] rewrites it and every read gives the flat
@@ -561,23 +592,23 @@ let flat_registry_is_upgraded () =
         Storage_form.create vm ~class_name:(Printf.sprintf "F%d" i)
           ~text:(Printf.sprintf "class F%d { }" i) ~links)
   in
-  let flat = Store.alloc_array store "Ljava.lang.Object;" (Array.make 128 Pvalue.Null) in
+  let flat = Store.Session.alloc_array (Store.default_session store) "Ljava.lang.Object;" (Array.make 128 Pvalue.Null) in
   List.iteri
     (fun i hp ->
-      let cell = Store.alloc_weak store (Pvalue.Ref hp) in
-      Store.set_elem store flat i (Pvalue.Ref cell);
+      let cell = Store.Session.alloc_weak (Store.default_session store) (Pvalue.Ref hp) in
+      Store.Session.set_elem (Store.default_session store) flat i (Pvalue.Ref cell);
       Storage_form.set_uid vm hp i;
-      if rooted i then Store.set_root store (Printf.sprintf "f%d" i) (Pvalue.Ref hp))
+      if rooted i then Store.Session.set_root (Store.default_session store) (Printf.sprintf "f%d" i) (Pvalue.Ref hp))
     hps;
-  Store.set_field store reg (slot "programs") (Pvalue.Ref flat);
-  Store.set_field store reg (slot "count") (Pvalue.Int (Int32.of_int n));
-  Store.set_root store "person" person;
+  Store.Session.set_field (Store.default_session store) reg (slot "programs") (Pvalue.Ref flat);
+  Store.Session.set_field (Store.default_session store) reg (slot "count") (Pvalue.Int (Int32.of_int n));
+  Store.Session.set_root (Store.default_session store) "person" person;
   ignore (Store.gc store);
   (* uid 0 was collected and pruned by the flat prune: its slot is null *)
-  Store.set_elem store flat 0 Pvalue.Null;
+  Store.Session.set_elem (Store.default_session store) flat 0 Pvalue.Null;
   Dynamic_compiler.install vm;
   check_bool "install replaced the flat vector" false
-    (Pvalue.equal (Store.field store reg (slot "programs")) (Pvalue.Ref flat));
+    (Pvalue.equal (Store.Session.field (Store.default_session store) reg (slot "programs")) (Pvalue.Ref flat));
   let expected = List.mapi (fun i hp -> if rooted i then Pvalue.Ref hp else Pvalue.Null) hps in
   check_int "count kept" n (Registry.count vm);
   check_answers "after install" expected vm;
@@ -595,10 +626,10 @@ let flat_registry_is_upgraded () =
   (* uids 0, 3, ..., 69 were collected; uid 0's slot was already empty *)
   check_int "prune clears the other collected slots" 23 pruned.Registry.cleared_slots;
   check_answers "after prune" expected vm;
-  let programs = Store.field store reg (slot "programs") in
+  let programs = Store.Session.field (Store.default_session store) reg (slot "programs") in
   Dynamic_compiler.install vm;
   check_bool "a second install leaves the chunks alone" true
-    (Pvalue.equal programs (Store.field store reg (slot "programs")));
+    (Pvalue.equal programs (Store.Session.field (Store.default_session store) reg (slot "programs")));
   let hp = plain_program vm n in
   check_int "the next uid" n (Registry.add_hp vm ~password hp);
   check_bool "it reads back" true (Pvalue.equal (Registry.hp_at vm n) (Pvalue.Ref hp))
@@ -633,6 +664,8 @@ let suite =
     test "uids keep their programs across chunk boundaries" uids_survive_chunk_boundaries;
     test "a publish under open sessions allocates the same at 1,000 and 4,000 programs"
       publish_allocation_is_bounded;
+    test "a getLink allocates at most 86 minor words at 100 and 2,000 programs"
+      get_link_allocation_is_bounded;
     test "install upgrades a flat registry, keeping every answer" flat_registry_is_upgraded;
   ]
 

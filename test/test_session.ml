@@ -15,8 +15,8 @@ let setup () =
   compile_into vm [ person_source ];
   let vangelis = new_person vm "vangelis" in
   let mary = new_person vm "mary" in
-  Store.set_root store "vangelis" vangelis;
-  Store.set_root store "mary" mary;
+  Store.Session.set_root (Store.default_session store) "vangelis" vangelis;
+  Store.Session.set_root (Store.default_session store) "mary" mary;
   (store, session, vm, vangelis, mary)
 
 let row_with b panel pred =
@@ -108,7 +108,7 @@ let insert_location_half () =
   let r = Vm.call_static vm ~cls:"T" ~name:"f" ~desc:"()Ljava.lang.String;" [] in
   check_output "current value" "vangelis" (Rt.ocaml_string vm r);
   (* mutate the field, re-run WITHOUT recompiling: delayed binding *)
-  Store.set_field vm.Rt.store (oid_of vangelis) (Rt.field_slot vm "Person" "name")
+  Store.Session.set_field vm.Rt.session (oid_of vangelis) (Rt.field_slot vm "Person" "name")
     (Rt.jstring vm "renamed");
   let r2 = Vm.call_static vm ~cls:"T" ~name:"f" ~desc:"()Ljava.lang.String;" [] in
   check_output "rebound value" "renamed" (Rt.ocaml_string vm r2)
@@ -153,14 +153,14 @@ let whole_session_persists () =
       let store, session, vm, _, _ = setup () in
       let ed = compose_marry session vm in
       let hp = Editor.User_editor.save ed in
-      Store.set_root store "composed" (Pvalue.Ref hp);
+      Store.Session.set_root (Store.default_session store) "composed" (Pvalue.Ref hp);
       Store.stabilise ~path store;
       (* a later session reopens the same store and runs Go on the saved
          program *)
       let store2 = Store.open_file path in
       let session2 = Hyperui.Session.create store2 in
       let vm2 = Hyperui.Session.vm session2 in
-      (match Store.root store2 "composed" with
+      (match Store.Session.root (Store.default_session store2) "composed" with
       | Some (Pvalue.Ref hp2) ->
         let _id, ed2 = Hyperui.Session.new_editor session2 in
         Editor.User_editor.load ed2 hp2;
@@ -171,7 +171,7 @@ let whole_session_persists () =
         | Ok _ -> ()
         | Error e -> Alcotest.failf "go after reopen: %s" e)
       | _ -> Alcotest.fail "hyper-program lost");
-      let vangelis2 = Option.get (Store.root store2 "vangelis") in
+      let vangelis2 = Option.get (Store.Session.root (Store.default_session store2) "vangelis") in
       let spouse = Vm.call_virtual vm2 ~recv:vangelis2 ~name:"getSpouse" ~desc:"()LPerson;" [] in
       check_bool "effect after reopen" true (spouse <> Pvalue.Null))
 

@@ -15,8 +15,8 @@ let run_script ?(keep = false) script =
   let vm = Boot.boot_fresh store in
   Hyperprog.Dynamic_compiler.install vm;
   compile_into vm [ person_source ];
-  Store.set_root store "vangelis" (new_person vm "vangelis");
-  Store.set_root store "mary" (new_person vm "mary");
+  Store.Session.set_root (Store.default_session store) "vangelis" (new_person vm "vangelis");
+  Store.Session.set_root (Store.default_session store) "mary" (new_person vm "mary");
   Store.stabilise ~path:store_path store;
   (* feed the script through a real channel *)
   let script_path = Filename.temp_file "script" ".txt" in
@@ -72,10 +72,10 @@ let full_composition () =
       (* the store on disk reflects everything: marriage + saved program *)
       let store = Store.open_file store_path in
       let vm = Boot.vm_for store in
-      let vangelis = Option.get (Store.root store "vangelis") in
+      let vangelis = Option.get (Store.Session.root (Store.default_session store) "vangelis") in
       let spouse = Vm.call_virtual vm ~recv:vangelis ~name:"getSpouse" ~desc:"()LPerson;" [] in
       check_bool "marriage persisted" true (spouse <> Pvalue.Null);
-      match Store.root store "marry" with
+      match Store.Session.root (Store.default_session store) "marry" with
       | Some (Pvalue.Ref hp) ->
         check_output "program persisted" "MarryExample"
           (Hyperprog.Storage_form.class_name vm hp)

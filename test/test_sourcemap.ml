@@ -78,7 +78,7 @@ let compile_error_in_hyper_program_terms () =
   | Editor.User_editor.Compiled _ -> Alcotest.fail "expected failure");
   (* an error caused by a LINK (object where an int is expected): the
      message blames the link by its label *)
-  let s = Store.alloc_string vm.Rt.store "not an int" in
+  let s = Store.Session.alloc_string vm.Rt.session "not an int" in
   let ed2 = Editor.User_editor.create ~class_name:"Bad2" vm in
   Editor.User_editor.type_text ed2 "public class Bad2 {\n  static int f() { return ; }\n}\n";
   Editor.User_editor.move_cursor ed2 { Editor.Basic_editor.line = 1; col = 26 };
@@ -126,7 +126,7 @@ let drag_from_browser () =
   let vm = Hyperui.Session.vm session in
   compile_into vm [ person_source ];
   let p = new_person vm "dragged" in
-  Store.set_root store "p" p;
+  Store.Session.set_root (Store.default_session store) "p" p;
   let b = Hyperui.Session.browser session in
   let panel = Browser.Ocb.open_object b (oid_of p) in
   ignore panel;

@@ -6,27 +6,27 @@ open Helpers
 
 let blob_lifecycle () =
   let store = fresh_store () in
-  check_bool "absent" true (Store.blob store "k" = None);
-  Store.set_blob store "k" "v1";
-  check_bool "present" true (Store.blob store "k" = Some "v1");
-  Store.set_blob store "k" "v2";
-  check_bool "replaced" true (Store.blob store "k" = Some "v2");
-  Store.set_blob store "a" "x";
-  Alcotest.(check (list string)) "keys sorted" [ "a"; "k" ] (Store.blob_keys store);
-  Store.remove_blob store "k";
-  check_bool "removed" true (Store.blob store "k" = None)
+  check_bool "absent" true (Store.Session.blob (Store.default_session store) "k" = None);
+  Store.Session.set_blob (Store.default_session store) "k" "v1";
+  check_bool "present" true (Store.Session.blob (Store.default_session store) "k" = Some "v1");
+  Store.Session.set_blob (Store.default_session store) "k" "v2";
+  check_bool "replaced" true (Store.Session.blob (Store.default_session store) "k" = Some "v2");
+  Store.Session.set_blob (Store.default_session store) "a" "x";
+  Alcotest.(check (list string)) "keys sorted" [ "a"; "k" ] (Store.Session.blob_keys (Store.default_session store));
+  Store.Session.remove_blob (Store.default_session store) "k";
+  check_bool "removed" true (Store.Session.blob (Store.default_session store) "k" = None)
 
 let binary_blobs_roundtrip () =
   let store = fresh_store () in
   let data = String.init 512 (fun i -> Char.chr (i mod 256)) in
-  Store.set_blob store "bin" data;
+  Store.Session.set_blob (Store.default_session store) "bin" data;
   let path = Filename.temp_file "blob" ".img" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Store.stabilise ~path store;
       let store2 = Store.open_file path in
-      check_bool "binary blob intact" true (Store.blob store2 "bin" = Some data))
+      check_bool "binary blob intact" true (Store.Session.blob (Store.default_session store2) "bin" = Some data))
 
 let repeated_stabilise_cycles () =
   let path = Filename.temp_file "cycles" ".img" in
@@ -36,12 +36,12 @@ let repeated_stabilise_cycles () =
       let store = ref (fresh_store ()) in
       Store.configure !store { (Store.config !store) with Store.Config.backing = Some path };
       for round = 1 to 5 do
-        let s = Store.alloc_string !store (Printf.sprintf "round%d" round) in
-        Store.set_root !store (Printf.sprintf "r%d" round) (Pvalue.Ref s);
+        let s = Store.Session.alloc_string (Store.default_session !store) (Printf.sprintf "round%d" round) in
+        Store.Session.set_root (Store.default_session !store) (Printf.sprintf "r%d" round) (Pvalue.Ref s);
         Store.stabilise !store;
         store := Store.open_file path
       done;
-      check_int "five roots accumulated" 5 (List.length (Store.root_names !store));
+      check_int "five roots accumulated" 5 (List.length (Store.Session.root_names (Store.default_session !store)));
       Integrity.check_exn !store)
 
 let backing_path_is_sticky () =
@@ -54,7 +54,7 @@ let backing_path_is_sticky () =
       let store = fresh_store () in
       Store.stabilise ~path:p1 store;
       check_bool "backing recorded" true (Store.backing store = Some p1);
-      ignore (Store.alloc_string store "more");
+      ignore (Store.Session.alloc_string (Store.default_session store) "more");
       (* no ~path: goes to the recorded backing *)
       Store.stabilise store;
       let recovered = Store.open_file p1 in
@@ -83,10 +83,10 @@ let stats_track_activity () =
 
 let gc_stats_sum () =
   let store = fresh_store () in
-  let keep = Store.alloc_string store "keep" in
-  Store.set_root store "keep" (Pvalue.Ref keep);
+  let keep = Store.Session.alloc_string (Store.default_session store) "keep" in
+  Store.Session.set_root (Store.default_session store) "keep" (Pvalue.Ref keep);
   for _ = 1 to 10 do
-    ignore (Store.alloc_string store "junk")
+    ignore (Store.Session.alloc_string (Store.default_session store) "junk")
   done;
   let stats = Store.gc store in
   check_int "live" 1 stats.Gc.live;
@@ -94,14 +94,14 @@ let gc_stats_sum () =
 
 let graph_unreachable_has_no_path () =
   let store = fresh_store () in
-  let orphan = Store.alloc_string store "orphan" in
+  let orphan = Store.Session.alloc_string (Store.default_session store) "orphan" in
   check_bool "no path" true (Browser.Graph.path_to store orphan = None)
 
 let graph_inbound_counts_roots () =
   let store = fresh_store () in
-  let s = Store.alloc_string store "shared" in
-  Store.set_root store "a" (Pvalue.Ref s);
-  Store.set_root store "b" (Pvalue.Ref s);
+  let s = Store.Session.alloc_string (Store.default_session store) "shared" in
+  Store.Session.set_root (Store.default_session store) "a" (Pvalue.Ref s);
+  Store.Session.set_root (Store.default_session store) "b" (Pvalue.Ref s);
   check_int "two roots count" 2 (Browser.Graph.inbound_count store s);
   check_bool "in shared set" true (Pstore.Oid.Set.mem s (Browser.Graph.shared_objects store))
 
@@ -110,10 +110,10 @@ let deep_graph_gc_is_iterative_safe () =
   let store = fresh_store () in
   let rec build n tail =
     if n = 0 then tail
-    else build (n - 1) (Pvalue.Ref (Store.alloc_record store "Node" [| tail |]))
+    else build (n - 1) (Pvalue.Ref (Store.Session.alloc_record (Store.default_session store) "Node" [| tail |]))
   in
   let head = build 1_000_000 Pvalue.Null in
-  Store.set_root store "head" head;
+  Store.Session.set_root (Store.default_session store) "head" head;
   let stats = Store.gc store in
   check_int "all live" 1_000_000 stats.Gc.live
 

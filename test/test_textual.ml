@@ -21,7 +21,7 @@ let per_kind_expressions () =
   let _store, vm = fresh_hyper_vm () in
   compile_into vm [ person_source ];
   let p = oid_of (new_person vm "x") in
-  let arr = Store.alloc_array vm.Rt.store "LPerson;" [| Pvalue.Null |] in
+  let arr = Store.Session.alloc_array vm.Rt.session "LPerson;" [| Pvalue.Null |] in
   let expr link =
     Textual_form.link_expression vm ~password:"pw" ~hp_uid:3 ~link_index:7 link
   in
@@ -56,7 +56,7 @@ let per_kind_expressions () =
 let string_object_links () =
   (* A link to a String object casts to java.lang.String. *)
   let _store, vm = fresh_hyper_vm () in
-  let s = Store.alloc_string vm.Rt.store "hello" in
+  let s = Store.Session.alloc_string vm.Rt.session "hello" in
   check_output "string cast"
     "((java.lang.String) DynamicCompiler.getLink(\"pw\", 0, 0).getObject())"
     (Textual_form.link_expression vm ~password:"pw" ~hp_uid:0 ~link_index:0
@@ -76,7 +76,7 @@ let no_import_when_not_needed () =
 
 let import_after_package () =
   let _store, vm = fresh_hyper_vm () in
-  let s = Store.alloc_string vm.Rt.store "x" in
+  let s = Store.Session.alloc_string vm.Rt.session "x" in
   let text = "package my.app;\npublic class C { static Object f() { return ; } }" in
   let pos = index_of text "; } }" in
   let hp =
@@ -110,7 +110,7 @@ let generated_form_compiles () =
     Storage_form.create vm ~class_name:"T" ~text
       ~links:[ { Storage_form.link = Hyperlink.L_object p; label = "p"; pos } ]
   in
-  Store.set_root vm.Rt.store "t" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "t" (Pvalue.Ref hp);
   ignore (Dynamic_compiler.compile_hyper_program vm hp);
   Vm.run_main vm ~cls:"T" [];
   check_output "linked object used" "linked\n" (Rt.take_output vm)
@@ -119,7 +119,7 @@ let java_level_generate () =
   (* generateTextualForm is callable from MiniJava itself (Figure 9). *)
   let _store, vm = fresh_hyper_vm () in
   let hp, _, _ = marry_example vm in
-  Store.set_root vm.Rt.store "hp" (Pvalue.Ref hp);
+  Store.Session.set_root vm.Rt.session "hp" (Pvalue.Ref hp);
   compile_into vm
     [
       "import compiler.DynamicCompiler;\nimport hyper.HyperProgram;\n\
@@ -162,7 +162,7 @@ let hyper_program_with_exceptions () =
     Storage_form.create vm ~class_name:"Guarded" ~text
       ~links:[ { Storage_form.link = Hyperlink.L_object p; label = "grumpy"; pos } ]
   in
-  Pstore.Store.set_root vm.Rt.store "g" (Pvalue.Ref hp);
+  Pstore.Store.Session.set_root vm.Rt.session "g" (Pvalue.Ref hp);
   ignore (Dynamic_compiler.go vm hp ~argv:[]);
   check_output "exception through linked object" "refused: grumpy\n" (Rt.take_output vm)
 

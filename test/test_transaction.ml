@@ -8,38 +8,38 @@ open Helpers
 
 let rollback_restores_everything () =
   let store = fresh_store () in
-  let keep = Store.alloc_string store "keep" in
-  Store.set_root store "keep" (Pvalue.Ref keep);
-  Store.set_blob store "blob" "original";
+  let keep = Store.Session.alloc_string (Store.default_session store) "keep" in
+  Store.Session.set_root (Store.default_session store) "keep" (Pvalue.Ref keep);
+  Store.Session.set_blob (Store.default_session store) "blob" "original";
   let before_size = Store.size store in
   let result =
     Store.with_rollback store (fun () ->
-        ignore (Store.alloc_string store "junk1");
-        Store.set_root store "junk" (Pvalue.Ref (Store.alloc_string store "junk2"));
-        Store.set_blob store "blob" "overwritten";
-        Store.remove_root store "keep";
+        ignore (Store.Session.alloc_string (Store.default_session store) "junk1");
+        Store.Session.set_root (Store.default_session store) "junk" (Pvalue.Ref (Store.Session.alloc_string (Store.default_session store) "junk2"));
+        Store.Session.set_blob (Store.default_session store) "blob" "overwritten";
+        Store.Session.remove_root (Store.default_session store) "keep";
         failwith "abort")
   in
   (match result with
   | Error (Failure _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected abort");
   check_int "size restored" before_size (Store.size store);
-  check_bool "root restored" true (Store.root store "keep" = Some (Pvalue.Ref keep));
-  check_bool "junk root gone" true (Store.root store "junk" = None);
-  check_bool "blob restored" true (Store.blob store "blob" = Some "original");
-  check_output "string intact" "keep" (Store.get_string store keep);
+  check_bool "root restored" true (Store.Session.root (Store.default_session store) "keep" = Some (Pvalue.Ref keep));
+  check_bool "junk root gone" true (Store.Session.root (Store.default_session store) "junk" = None);
+  check_bool "blob restored" true (Store.Session.blob (Store.default_session store) "blob" = Some "original");
+  check_output "string intact" "keep" (Store.Session.get_string (Store.default_session store) keep);
   Integrity.check_exn store
 
 let rollback_commit_keeps_effects () =
   let store = fresh_store () in
   let result =
     Store.with_rollback store (fun () ->
-        let s = Store.alloc_string store "committed" in
-        Store.set_root store "s" (Pvalue.Ref s);
+        let s = Store.Session.alloc_string (Store.default_session store) "committed" in
+        Store.Session.set_root (Store.default_session store) "s" (Pvalue.Ref s);
         42)
   in
   check_bool "ok" true (result = Ok 42);
-  check_bool "effect kept" true (Store.root store "s" <> None)
+  check_bool "effect kept" true (Store.Session.root (Store.default_session store) "s" <> None)
 
 let transact_commit () =
   let store = fresh_store () in
@@ -48,12 +48,12 @@ let transact_commit () =
     Transaction.transact store (fun vm ->
         compile_into vm [ person_source ];
         let p = new_person vm "tina" in
-        Store.set_root store "tina" p;
+        Store.Session.set_root (Store.default_session store) "tina" p;
         "done")
   with
   | Transaction.Committed ("done", vm) ->
     (* the committed VM keeps working over the shared store *)
-    let tina = Option.get (Store.root store "tina") in
+    let tina = Option.get (Store.Session.root (Store.default_session store) "tina") in
     let name = Vm.call_virtual vm ~recv:tina ~name:"getName" ~desc:"()Ljava.lang.String;" [] in
     check_output "usable after commit" "tina" (Rt.ocaml_string vm name)
   | Transaction.Committed _ -> Alcotest.fail "wrong value"
@@ -64,7 +64,7 @@ let transact_abort_restores_classes_and_data () =
   let vm0 = Transaction.fresh_vm store in
   compile_into vm0 [ person_source ];
   let p = new_person vm0 "zara" in
-  Store.set_root store "zara" p;
+  Store.Session.set_root (Store.default_session store) "zara" p;
   let before_census = Browser.Graph.census store in
   match
     Transaction.transact store (fun vm ->
@@ -72,14 +72,14 @@ let transact_abort_restores_classes_and_data () =
         compile_into vm [ "public class Mess { public static int junk; }" ];
         ignore (new_person vm "ghost1");
         ignore (new_person vm "ghost2");
-        Store.set_root store "zara" Pvalue.Null;
+        Store.Session.set_root (Store.default_session store) "zara" Pvalue.Null;
         failwith "transaction body fails")
   with
   | Transaction.Committed _ -> Alcotest.fail "expected abort"
   | Transaction.Aborted (_, vm) ->
     check_bool "Mess class rolled back" false (Rt.is_loaded vm "Mess");
     check_bool "Person still loaded" true (Rt.is_loaded vm "Person");
-    let zara = Option.get (Store.root store "zara") in
+    let zara = Option.get (Store.Session.root (Store.default_session store) "zara") in
     check_bool "root restored" true (zara <> Pvalue.Null);
     let name = Vm.call_virtual vm ~recv:zara ~name:"getName" ~desc:"()Ljava.lang.String;" [] in
     check_output "object usable via the fresh VM" "zara" (Rt.ocaml_string vm name);
@@ -91,15 +91,15 @@ let live_evolution_commits () =
   let vm0 = Transaction.fresh_vm store in
   compile_into vm0 [ "public class Evo { public int n; }" ];
   let o = Vm.new_instance vm0 ~cls:"Evo" ~desc:"()V" [] in
-  Store.set_root store "o" o;
-  Store.set_field store (oid_of o) (Rt.field_slot vm0 "Evo" "n") (Pvalue.Int 5l);
+  Store.Session.set_root (Store.default_session store) "o" o;
+  Store.Session.set_field (Store.default_session store) (oid_of o) (Rt.field_slot vm0 "Evo" "n") (Pvalue.Int 5l);
   match
     Transaction.evolve store ~class_name:"Evo"
       ~new_source:"public class Evo { public long n; public int extra; }" ()
   with
   | Transaction.Committed (result, vm) ->
     check_int "instances" 1 result.Evolution.instances_updated;
-    let n = Store.field store (oid_of o) (Rt.field_slot vm "Evo" "n") in
+    let n = Store.Session.field (Store.default_session store) (oid_of o) (Rt.field_slot vm "Evo" "n") in
     check_bool "widened" true (Pvalue.equal n (Pvalue.Long 5L))
   | Transaction.Aborted (e, _) -> Alcotest.failf "aborted: %s" (Printexc.to_string e)
 
@@ -108,8 +108,8 @@ let live_evolution_aborts_cleanly () =
   let vm0 = Transaction.fresh_vm store in
   compile_into vm0 [ "public class Evo { public int n; }" ];
   let o = Vm.new_instance vm0 ~cls:"Evo" ~desc:"()V" [] in
-  Store.set_root store "o" o;
-  Store.set_field store (oid_of o) (Rt.field_slot vm0 "Evo" "n") (Pvalue.Int 7l);
+  Store.Session.set_root (Store.default_session store) "o" o;
+  Store.Session.set_field (Store.default_session store) (oid_of o) (Rt.field_slot vm0 "Evo" "n") (Pvalue.Int 7l);
   (* the converter divides by zero on the first instance: the evolution
      must roll back wholesale *)
   match
@@ -122,7 +122,7 @@ let live_evolution_aborts_cleanly () =
   | Transaction.Committed _ -> Alcotest.fail "expected abort"
   | Transaction.Aborted (_, vm) ->
     (* old schema back: no `derived` field, value intact, no archive *)
-    let n = Store.field store (oid_of o) (Rt.field_slot vm "Evo" "n") in
+    let n = Store.Session.field (Store.default_session store) (oid_of o) (Rt.field_slot vm "Evo" "n") in
     check_bool "value intact" true (Pvalue.equal n (Pvalue.Int 7l));
     expect_jerror "java.lang.NoSuchFieldError" (fun () ->
         ignore (Rt.field_slot vm "Evo" "derived"));
@@ -149,14 +149,14 @@ let journalled_commit_is_durable () =
       ignore (Transaction.fresh_vm store);
       Store.stabilise ~path store;
       let compactions_before = (Store.stats store).Store.compactions in
-      (match Transaction.transact store (fun _vm -> Store.set_root store "t" (Pvalue.Int 9l)) with
+      (match Transaction.transact store (fun _vm -> Store.Session.set_root (Store.default_session store) "t" (Pvalue.Int 9l)) with
       | Transaction.Committed (_, _) -> ()
       | Transaction.Aborted (e, _) -> Alcotest.failf "aborted: %s" (Printexc.to_string e));
       check_int "commit barrier appends, never compacts" compactions_before
         (Store.stats store).Store.compactions;
       let replica = Store.open_file path in
       check_bool "committed root durable with no explicit stabilise" true
-        (Store.root replica "t" = Some (Pvalue.Int 9l));
+        (Store.Session.root (Store.default_session replica) "t" = Some (Pvalue.Int 9l));
       Store.close replica;
       Store.close store)
 
@@ -171,15 +171,15 @@ let journalled_abort_leaves_replayable_journal () =
       with_store_file (fun path ->
           let store = Store.create ~config:{ Store.Config.default with Store.Config.shards } () in
           ignore (Transaction.fresh_vm store);
-          let keep = Store.alloc_string store "keep" in
-          Store.set_root store "keep" (Pvalue.Ref keep);
+          let keep = Store.Session.alloc_string (Store.default_session store) "keep" in
+          Store.Session.set_root (Store.default_session store) "keep" (Pvalue.Ref keep);
           Store.stabilise ~path store;
           let fp_before = Image.encode (Store.contents store) in
           (match
              Transaction.transact store (fun _vm ->
-                 Store.set_root store "temp" (Pvalue.Int 1l);
+                 Store.Session.set_root (Store.default_session store) "temp" (Pvalue.Int 1l);
                  Store.stabilise store;
-                 ignore (Store.alloc_string store "junk");
+                 ignore (Store.Session.alloc_string (Store.default_session store) "junk");
                  failwith "boom")
            with
           | Transaction.Aborted (Failure _, _) -> ()
@@ -191,9 +191,9 @@ let journalled_abort_leaves_replayable_journal () =
           check_output (cfg ^ "disk reopens to the pre-transaction state") fp_before
             (Image.encode (Store.contents replica));
           check_bool (cfg ^ "stabilised-then-aborted root gone from disk") true
-            (Store.root replica "temp" = None);
+            (Store.Session.root (Store.default_session replica) "temp" = None);
           check_bool (cfg ^ "pre-transaction root intact") true
-            (Store.root replica "keep" = Some (Pvalue.Ref keep));
+            (Store.Session.root (Store.default_session replica) "keep" = Some (Pvalue.Ref keep));
           Integrity.check_exn replica;
           Store.close replica;
           Store.close store))
